@@ -35,9 +35,11 @@ overweight chains always terminate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain, compress
+from typing import Iterable, Mapping, Sequence
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
@@ -45,7 +47,7 @@ from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
 from ..query.residual import residual_query
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Database, Tuple, project_columns
 from ..stats.bins import BinCombination, combination_for_assignment
 from ..stats.provider import StatisticsProvider
 from ..stats.heavy_hitters import (
@@ -211,6 +213,12 @@ def _generate_extensions(
                     )
 
 
+# One combination's claim on a batch: the positions (into the batch) of the
+# tuples it owns, one routing key per owned tuple, and the duplicate-free
+# destination tuple of every distinct key.
+Claim = tuple[Sequence[int], list, Mapping[object, tuple[int, ...]]]
+
+
 @dataclass
 class _CombinationPlan:
     """Everything needed to route tuples for one bin combination."""
@@ -224,10 +232,17 @@ class _CombinationPlan:
     # projected values to assignment slots.
     heavy_index: Mapping[str, Mapping[Tuple, tuple[int, ...]]]
     heavy_positions: Mapping[str, tuple[int, ...]]
-    # Overweight filter: per atom, (projection positions, subset, threshold).
-    filters: Mapping[str, tuple[tuple[tuple[int, ...], VarSubset, float], ...]]
-    stats: StatisticsProvider
+    # Overweight filter: per atom, (projection positions, the projected
+    # values that are overweight for this combination) — a tuple carrying
+    # one belongs to a finer combination.  Rows with no overweight value
+    # are dropped at build time.
+    overweight: Mapping[str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]]
     p: int
+
+    def __post_init__(self) -> None:
+        self.blocks = tuple(
+            self._block(slot) for slot in range(len(self.assignments))
+        )
 
     def _block(self, slot: int) -> tuple[int, int]:
         """(start, size) of the server block of assignment ``slot``."""
@@ -238,11 +253,21 @@ class _CombinationPlan:
             return start, max(1, end - start)
         return slot % self.p, 1
 
+    def _place(
+        self, slots: Iterable[int], inner: Sequence[int]
+    ) -> tuple[int, ...]:
+        """Inner-grid destinations placed into the blocks of ``slots``."""
+        blocks = self.blocks
+        return tuple(dict.fromkeys(
+            start + d
+            for start, size in (blocks[slot] for slot in slots)
+            for d in inner
+            if d < size
+        ))
+
     def destinations_for(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        for positions, subset, threshold in self.filters.get(relation_name, ()):
-            projected = tuple(tup[i] for i in positions)
-            freq = self.stats.frequency(relation_name, subset, projected)
-            if freq is not None and freq > threshold:
+        for positions, overweight in self.overweight.get(relation_name, ()):
+            if tuple(tup[i] for i in positions) in overweight:
                 return ()
         positions = self.heavy_positions.get(relation_name)
         if positions is not None:
@@ -255,14 +280,66 @@ class _CombinationPlan:
         residual_tuple = tuple(
             tup[i] for i in self.kept_positions[relation_name]
         )
-        inner = tuple(self.inner.destinations(relation_name, residual_tuple))
-        out: list[int] = []
-        for slot in slots:
-            start, size = self._block(slot)
-            for d in inner:
-                if d < size:
-                    out.append(start + d)
-        return out
+        return self._place(
+            slots, tuple(self.inner.destinations(relation_name, residual_tuple))
+        )
+
+    def claim(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> Claim | None:
+        """Column-at-a-time :meth:`destinations_for` over a whole batch.
+
+        Overweight filters and the heavy-slot lookup are set/dict probes
+        over projected columns; the surviving tuples' residuals go through
+        one inner ``_grid_bases`` call, and block placement is computed
+        once per distinct routing key (at most ``p`` inner bases per heavy
+        assignment), not per tuple.  Returns None when the combination
+        owns no tuple of the batch.
+        """
+        indices: Sequence[int] = range(len(tuples))
+        owned = tuples
+        for positions, overweight in self.overweight.get(relation_name, ()):
+            keep = [
+                key not in overweight
+                for key in project_columns(owned, positions)
+            ]
+            if not all(keep):
+                indices = list(compress(indices, keep))
+                owned = list(compress(owned, keep))
+        heavy_keys = None
+        positions = self.heavy_positions.get(relation_name)
+        if positions is not None:
+            index = self.heavy_index[relation_name]
+            heavy_keys = project_columns(owned, positions)
+            keep = [key in index for key in heavy_keys]
+            if not all(keep):
+                indices = list(compress(indices, keep))
+                owned = list(compress(owned, keep))
+                heavy_keys = list(compress(heavy_keys, keep))
+        if not owned:
+            return None
+
+        if self.combo.variables:  # the empty combination removes nothing
+            owned = project_columns(
+                owned, self.kept_positions[relation_name]
+            )
+        bases = self.inner._grid_bases(relation_name, owned)
+        if bases is None:
+            bases = [0] * len(owned)
+        offsets = self.inner._free_offsets[relation_name]
+        if heavy_keys is None:
+            every_slot = range(len(self.assignments))
+            table = {
+                base: self._place(every_slot, [base + o for o in offsets])
+                for base in set(bases)
+            }
+            return indices, bases, table
+        keys = list(zip(heavy_keys, bases))
+        table = {
+            key: self._place(index[key[0]], [key[1] + o for o in offsets])
+            for key in set(keys)
+        }
+        return indices, keys, table
 
 
 class BinHyperCubePlan(RoutingPlan):
@@ -350,7 +427,9 @@ class BinHyperCubePlan(RoutingPlan):
                 key: tuple(slots) for key, slots in index.items()
             }
 
-        filters: dict[str, tuple[tuple[tuple[int, ...], VarSubset, float], ...]] = {}
+        overweight: dict[
+            str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]
+        ] = {}
         for atom in self.query.atoms:
             m_j = self.stats.simple.cardinality(atom.name)
             if m_j == 0:
@@ -366,9 +445,19 @@ class BinHyperCubePlan(RoutingPlan):
                     float(lp.exponents[v]) for v in new_vars
                 )
                 threshold = self._nbc * m_j / (float(self.p) ** exponent)
-                positions = tuple(atom.positions_of(var)[0] for var in superset)
-                rows.append((positions, superset, threshold))
-            filters[atom.name] = tuple(rows)
+                # ``stats.frequency`` is ``heavy_hitters(...).get`` for
+                # every provider, so the overweight values are exactly the
+                # recorded hitters above the threshold.
+                heavy = self.stats.heavy_hitters(atom.name, superset)
+                values = frozenset(
+                    h for h, freq in heavy.items() if freq > threshold
+                )
+                if values:
+                    positions = tuple(
+                        atom.positions_of(var)[0] for var in superset
+                    )
+                    rows.append((positions, values))
+            overweight[atom.name] = tuple(rows)
 
         return _CombinationPlan(
             combo=combo,
@@ -378,8 +467,7 @@ class BinHyperCubePlan(RoutingPlan):
             kept_positions=kept_positions,
             heavy_index=heavy_index,
             heavy_positions=heavy_positions,
-            filters=filters,
-            stats=self.stats,
+            overweight=overweight,
             p=self.p,
         )
 
@@ -388,6 +476,71 @@ class BinHyperCubePlan(RoutingPlan):
         for plan in self.combo_plans:
             out.update(plan.destinations_for(relation_name, tup))
         return out
+
+    def _claims(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[Claim]:
+        return [
+            claim
+            for claim in (
+                plan.claim(relation_name, tuples) for plan in self.combo_plans
+            )
+            if claim is not None
+        ]
+
+    def destinations_batch(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[tuple[int, ...]]:
+        """Route the whole relation once per bin combination.
+
+        Each combination resolves the tuples it owns column-at-a-time
+        (:meth:`_CombinationPlan.claim`); a tuple several combinations
+        claim gets the union of their destinations, like the scalar path.
+        """
+        out: list[tuple[int, ...]] = [()] * len(tuples)
+        for indices, keys, table in self._claims(relation_name, tuples):
+            for i, key in zip(indices, keys):
+                dests = table[key]
+                if out[i]:
+                    dests = tuple(dict.fromkeys(out[i] + dests))
+                out[i] = dests
+        return out
+
+    def destination_counts(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> Mapping[int, int]:
+        """Count receives per server without per-tuple destination lists.
+
+        A tuple owned by a single combination is counted through its
+        routing key — distinct keys are counted at C speed and each key's
+        destinations folded once, which for the skew-free plan (one
+        combination, keys = inner grid bases) is the inner HyperCube's own
+        base-count fold.  Only tuples that several combinations claim are
+        unioned per tuple.
+        """
+        claims = self._claims(relation_name, tuples)
+        contested: dict[int, set[int]] = {}
+        if len(claims) > 1:
+            owners = Counter(
+                chain.from_iterable(indices for indices, _, _ in claims)
+            )
+            contested = {i: set() for i, n in owners.items() if n > 1}
+        counts: Counter[int] = Counter()
+        for indices, keys, table in claims:
+            if contested:
+                exclusive = []
+                for i, key in zip(indices, keys):
+                    if i in contested:
+                        contested[i].update(table[key])
+                    else:
+                        exclusive.append(key)
+                keys = exclusive
+            for key, n in Counter(keys).items():
+                for server in table[key]:
+                    counts[server] += n
+        for dests in contested.values():
+            counts.update(dests)
+        return counts
 
     def theoretical_load_bits(self) -> float:
         """``max_B p^(lambda(B))`` — the Theorem 4.6 target (sans polylog)."""

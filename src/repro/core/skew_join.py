@@ -24,6 +24,7 @@ exposed by :func:`skew_join_load_bound`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +32,7 @@ from ..mpc.allocation import ServerAllocator
 from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Database, Tuple, project_columns
 from ..stats.provider import StatisticsProvider
 from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
 
@@ -48,6 +49,14 @@ def _split_variables(query: ConjunctiveQuery) -> tuple[Atom, Atom, tuple[str, ..
             f"{query.name!r} is a cartesian product; use CartesianProductAlgorithm"
         )
     return first, second, shared
+
+
+def _mix(values: Iterable[int]) -> int:
+    """Fold several attribute values into one hashable integer."""
+    mixed = 0
+    for value in values:
+        mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
+    return mixed
 
 
 @dataclass(frozen=True)
@@ -137,10 +146,7 @@ class SkewAwareJoinPlan(RoutingPlan):
     def _private_hash(self, relation_name: str, tup: Tuple, buckets: int) -> int:
         if buckets == 1:
             return 0
-        positions = self._private_positions[relation_name]
-        mixed = 0
-        for i in positions:
-            mixed = (mixed * 1_000_003 + tup[i] + 1) & 0x7FFFFFFFFFFF
+        mixed = _mix(tup[i] for i in self._private_positions[relation_name])
         return self.hashes.bucket(f"skewjoin:{relation_name}", mixed, buckets)
 
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
@@ -162,67 +168,133 @@ class SkewAwareJoinPlan(RoutingPlan):
                 return (block.servers[index],)
             return block.servers
         # Light hitter: plain hash join on the shared variables.
-        mixed = 0
-        for value in h:
-            mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
-        return (self.hashes.bucket("skewjoin:light", mixed, self.p),)
+        return (self.hashes.bucket("skewjoin:light", _mix(h), self.p),)
+
+    # ------------------------------------------------------------------
+    # batch contract
+    # ------------------------------------------------------------------
+    def _fan_out(
+        self, relation_name: str, h: Tuple
+    ) -> tuple[tuple[int, ...], ...] | None:
+        """The block of heavy join value ``h`` as seen by one relation: one
+        server tuple per private-hash bucket (None when ``h`` is light).
+
+        A grid fixes the relation's own coordinate and replicates along the
+        other; a partition block is one server per bucket for the
+        partitioned side and a single all-servers bucket for the broadcast
+        side.
+        """
+        grid = self.grid_blocks.get(h)
+        if grid is not None:
+            servers, p1, p2 = grid.servers, grid.p1, grid.p2
+            if relation_name == self.first.name:
+                return tuple(
+                    servers[row * p2:(row + 1) * p2] for row in range(p1)
+                )
+            return tuple(servers[col:p1 * p2:p2] for col in range(p2))
+        block = self.partition_blocks.get(h)
+        if block is None:
+            return None
+        if relation_name == block.partitioned_atom:
+            return tuple((server,) for server in block.servers)
+        return (block.servers,)
+
+    def _private_buckets(
+        self, relation_name: str, tuples: Sequence[Tuple], buckets: int
+    ) -> list[int]:
+        """:meth:`_private_hash` of every tuple, bulk hashed."""
+        if buckets == 1:
+            return [0] * len(tuples)
+        positions = self._private_positions[relation_name]
+        mixed = [_mix(key) for key in project_columns(tuples, positions)]
+        table = self.hashes.bucket_table(
+            f"skewjoin:{relation_name}", mixed, buckets
+        )
+        return [table[value] for value in mixed]
+
+    def _light_servers(self, values: Iterable[Tuple]) -> dict[Tuple, int]:
+        """Hash-join server of each light join value: one hash per value."""
+        mixed = {h: _mix(h) for h in values}
+        table = self.hashes.bucket_table(
+            "skewjoin:light", mixed.values(), self.p
+        )
+        return {h: table[m] for h, m in mixed.items()}
+
+    def _classify(self, relation_name: str, tuples: Sequence[Tuple]):
+        """Column-at-a-time classification of a batch by join value.
+
+        Returns ``(join_values, light, heavy)``: every tuple's join value;
+        the light join values with their tuple counts; and per heavy join
+        value present a ``(fan, members, buckets)`` triple — its
+        :meth:`_fan_out`, the positions (into the batch) of its tuples and
+        their private-hash buckets.
+        """
+        join_values = project_columns(
+            tuples, self._join_positions[relation_name]
+        )
+        light = Counter(join_values)
+        members: dict[Tuple, list[int]] = {
+            h: []
+            for h in light.keys()
+            & (self.grid_blocks.keys() | self.partition_blocks.keys())
+        }
+        heavy = []
+        if members:
+            for i, h in enumerate(join_values):
+                if h in members:
+                    members[h].append(i)
+            for h, indices in members.items():
+                del light[h]
+                fan = self._fan_out(relation_name, h)
+                buckets = self._private_buckets(
+                    relation_name, [tuples[i] for i in indices], len(fan)
+                )
+                heavy.append((fan, indices, buckets))
+        return join_values, light, heavy
 
     def destinations_batch(
         self, relation_name: str, tuples: Sequence[Tuple]
     ) -> list[tuple[int, ...]]:
-        """Vectorized routing: memoize per join value, skip unused hashes.
+        """Vectorized routing: one hash per distinct light join value, one
+        bulk private hash per heavy block.
 
-        Heavy hitters are few, so almost every tuple takes the light path;
-        its destination depends only on the tuple's join value, which a
-        local memo collapses to one hash per distinct value.  Grid tuples
-        compute only the private hash their side actually uses (the scalar
-        path computes both row and column).
+        Heavy hitters are few, so almost every tuple takes the light path,
+        whose destination depends only on the tuple's join value.  Tuples
+        of a heavy value hash their private variables into that block's
+        buckets (:meth:`_fan_out`) — only the one coordinate their side
+        uses, where the scalar path computes both row and column.
         """
-        join_positions = self._join_positions[relation_name]
-        grid_blocks = self.grid_blocks
-        partition_blocks = self.partition_blocks
-        is_first = relation_name == self.first.name
-        private_hash = self._private_hash
-        light_memo: dict[Tuple, tuple[int, ...]] = {}
-        out: list[tuple[int, ...]] = []
-        for tup in tuples:
-            h = tuple(tup[i] for i in join_positions)
-            if grid_blocks:
-                grid = grid_blocks.get(h)
-                if grid is not None:
-                    if is_first:
-                        row = private_hash(relation_name, tup, grid.p1)
-                        out.append(tuple(
-                            grid.servers[row * grid.p2 + c]
-                            for c in range(grid.p2)
-                        ))
-                    else:
-                        col = private_hash(relation_name, tup, grid.p2)
-                        out.append(tuple(
-                            grid.servers[r * grid.p2 + col]
-                            for r in range(grid.p1)
-                        ))
-                    continue
-            if partition_blocks:
-                block = partition_blocks.get(h)
-                if block is not None:
-                    if relation_name == block.partitioned_atom:
-                        index = private_hash(
-                            relation_name, tup, len(block.servers)
-                        )
-                        out.append((block.servers[index],))
-                    else:
-                        out.append(block.servers)
-                    continue
-            dests = light_memo.get(h)
-            if dests is None:
-                mixed = 0
-                for value in h:
-                    mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
-                dests = (self.hashes.bucket("skewjoin:light", mixed, self.p),)
-                light_memo[h] = dests
-            out.append(dests)
+        join_values, light, heavy = self._classify(relation_name, tuples)
+        light_dests = {
+            h: (server,) for h, server in self._light_servers(light).items()
+        }
+        out: list[tuple[int, ...]] = [
+            light_dests.get(h, ()) for h in join_values
+        ]
+        for fan, members, buckets in heavy:
+            for i, bucket in zip(members, buckets):
+                out[i] = fan[bucket]
         return out
+
+    def destination_counts(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> Mapping[int, int]:
+        """Count receives per server without per-tuple destination tuples.
+
+        Light tuples are counted per distinct join value; a heavy block
+        counts its tuples per private-hash bucket and folds each bucket's
+        servers once.
+        """
+        _, light, heavy = self._classify(relation_name, tuples)
+        counts: Counter[int] = Counter()
+        servers = self._light_servers(light)
+        for h, n in light.items():
+            counts[servers[h]] += n
+        for fan, _, buckets in heavy:
+            for bucket, n in Counter(buckets).items():
+                for server in fan[bucket]:
+                    counts[server] += n
+        return counts
 
     def describe(self) -> Mapping[str, object]:
         return {

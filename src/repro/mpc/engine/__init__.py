@@ -5,14 +5,18 @@ The engine subsystem separates *what* a one-round algorithm does (its
 
 ``reference``
     :class:`ReferenceEngine` — the original tuple-at-a-time simulator with
-    fully materialized server fragments.  Slowest; the parity oracle.
+    fully materialized server fragments, routed through the scalar
+    ``RoutingPlan.destinations``.  Slowest; the parity oracle.
 ``batched``
-    :class:`BatchedEngine` — routes each relation with one vectorized
-    ``destinations_batch`` call, streams load accounting without fragments
-    when answers are not requested, and interns tuples when they are.
+    :class:`BatchedEngine` — routes each relation with one call into the
+    batch contract every in-tree plan implements natively:
+    ``destination_counts`` when only loads are wanted (no fragment and no
+    per-tuple destination list exists), ``destinations_batch`` when the
+    local joins need fragments.
 ``mp``
-    :class:`MultiprocessEngine` — shards routing and local joins across a
-    ``multiprocessing`` pool and merges the per-shard loads.
+    :class:`MultiprocessEngine` — the same kernel
+    (:mod:`repro.mpc.engine.shard`) with each relation split into shards
+    routed, and the local joins run, on a ``multiprocessing`` pool.
 
 All engines are answer- and load-identical (``tests/test_engine_parity.py``);
 pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when

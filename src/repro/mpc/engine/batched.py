@@ -1,37 +1,39 @@
-"""The batched engine: vectorized routing and streaming load accounting.
+"""The batched engine: column-at-a-time routing, streaming load accounting.
 
-Differences from :class:`repro.mpc.engine.ReferenceEngine`, none of which
-change the observable results:
+The round is driven entirely through the batch routing contract that every
+in-tree :class:`~repro.mpc.execution.RoutingPlan` implements natively (the
+scalar ``destinations`` is only :class:`ReferenceEngine`'s oracle and the
+fallback for user-defined plans):
 
-* each relation is routed with one :meth:`RoutingPlan.destinations_batch`
-  call, so plans can hoist salt formatting, bucket memoization and
-  replication offsets out of the per-tuple loop (the fast paths live on
-  :class:`repro.core.hypercube.HyperCubePlan` and friends);
-* with ``compute_answers=False`` no fragment is materialized at all — the
-  engine streams per-server *counts* through a :class:`collections.Counter`
-  (C-speed) and folds bits as ``count * tuple_bits`` per relation, so load
-  experiments scale to inputs far beyond what the reference engine holds in
-  memory;
-* with ``compute_answers=True`` tuples are interned across relations (equal
-  tuples share one object) before landing in fragments, cutting the memory
-  of highly replicated rounds.
+* with ``compute_answers=False`` each relation costs one
+  :meth:`RoutingPlan.destination_counts` call — no fragment and no
+  per-tuple destination list is materialized, so load experiments scale to
+  inputs far beyond what the reference engine holds in memory;
+* with ``compute_answers=True`` each relation costs one
+  :meth:`RoutingPlan.destinations_batch` call whose rows are delivered into
+  per-server fragments for the local joins.
 
-Per-server bit loads are folded in atom order exactly like the reference
-cluster, so the two engines agree bit for bit.
+The kernel (:mod:`repro.mpc.engine.shard`) is shared with
+:class:`repro.mpc.engine.MultiprocessEngine`, which overrides only *where*
+shards are routed and joined (:meth:`BatchedEngine._shards`): this engine
+runs one shard per relation in the calling process.  Per-server bit loads are folded as
+``count * tuple_bits`` per relation in atom order exactly like the
+reference cluster, so all engines agree bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 from ...obs import maybe_timed
-from ...seq.join import evaluate, local_join
+from ...query.atoms import ConjunctiveQuery
+from ...seq.join import evaluate
 from ...seq.relation import Database, Tuple
-from ..cluster import LoadReport
-from ..execution import ExecutionResult, OneRoundAlgorithm
+from ..execution import ExecutionResult, OneRoundAlgorithm, RoutingPlan
 from ..hashing import HashFamily
 from .base import ExecutionEngine
+from .shard import InProcessShards, RoundLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs import Observation
@@ -60,59 +62,33 @@ class BatchedEngine(ExecutionEngine):
         with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
             plan = algorithm.routing_plan(db, p, hashes)
 
-        per_server_tuples = [0] * p
-        per_server_bits = [0.0] * p
-        fragments: list[dict[str, set[Tuple]]] | None = (
-            [{} for _ in range(p)] if compute_answers else None
-        )
-        interned: dict[Tuple, Tuple] = {}
-
+        ledger = RoundLedger(p, compute_answers)
         input_tuples = 0
         input_bits = 0.0
-        for atom in query.atoms:
-            relation = db.relation(atom.name)
-            tuple_bits = relation.tuple_bits
-            input_tuples += relation.cardinality
-            input_bits += relation.bits
-            tuples = list(relation.tuples)
-
-            with maybe_timed(obs, "engine.route", relation=atom.name):
-                if fragments is None:
-                    counts = plan.destination_counts(atom.name, tuples)
-                    routed = 0
-                    for server, count in counts.items():
-                        per_server_tuples[server] += count
-                        per_server_bits[server] += count * tuple_bits
-                        routed += count
-                else:
-                    name = atom.name
-                    destinations = plan.destinations_batch(atom.name, tuples)
-                    rel_counts: Counter[int] = Counter()
-                    for tup, dests in zip(tuples, destinations):
-                        tup = interned.setdefault(tup, tup)
-                        for server in dests:
-                            fragments[server].setdefault(name, set()).add(tup)
-                        rel_counts.update(dests)
-                    routed = 0
-                    for server, count in rel_counts.items():
-                        per_server_tuples[server] += count
-                        per_server_bits[server] += count * tuple_bits
-                        routed += count
-            if obs is not None:
-                obs.count(f"engine.routed_tuples.{atom.name}", routed)
-                obs.count(f"engine.shipped_bits.{atom.name}",
-                          routed * tuple_bits)
-
         answers: frozenset[Tuple] | None = None
-        if fragments is not None:
-            collected: set[Tuple] = set()
-            with maybe_timed(obs, "engine.local_join"):
-                for server_fragments in fragments:
-                    if server_fragments:
-                        collected |= local_join(
-                            query, server_fragments, db.domain_size
-                        )
-            answers = frozenset(collected)
+        with self._shards(
+            plan, query, db.domain_size, compute_answers, obs
+        ) as shards:
+            for atom in query.atoms:
+                relation = db.relation(atom.name)
+                tuple_bits = relation.tuple_bits
+                input_tuples += relation.cardinality
+                input_bits += relation.bits
+                with maybe_timed(obs, "engine.route", relation=atom.name):
+                    routed = ledger.add(
+                        atom.name,
+                        tuple_bits,
+                        shards.route(atom.name, list(relation.tuples)),
+                    )
+                if obs is not None:
+                    obs.count(f"engine.routed_tuples.{atom.name}", routed)
+                    obs.count(f"engine.shipped_bits.{atom.name}",
+                              routed * tuple_bits)
+
+            if ledger.fragments is not None:
+                occupied = [frag for frag in ledger.fragments if frag]
+                with maybe_timed(obs, "engine.local_join"):
+                    answers = frozenset(shards.join(occupied))
 
         expected = None
         if verify:
@@ -123,14 +99,21 @@ class BatchedEngine(ExecutionEngine):
             query=query,
             p=p,
             seed=seed,
-            report=LoadReport(
-                p=p,
-                per_server_tuples=tuple(per_server_tuples),
-                per_server_bits=tuple(per_server_bits),
-                input_tuples=input_tuples,
-                input_bits=input_bits,
-            ),
+            report=ledger.report(input_tuples, input_bits),
             answers=answers,
             expected_answers=expected,
             details=dict(plan.describe()),
         )
+
+    @contextmanager
+    def _shards(
+        self,
+        plan: RoutingPlan,
+        query: ConjunctiveQuery,
+        domain_size: int,
+        compute_answers: bool,
+        obs: "Observation | None",
+    ) -> Iterator[InProcessShards]:
+        """Where the round's shards are routed and joined: here, in the
+        calling process; the mp engine overrides this with a pool."""
+        yield InProcessShards(plan, query, domain_size, compute_answers)

@@ -1,15 +1,17 @@
-"""The multiprocessing engine: sharded routing and local joins.
+"""The multiprocessing engine: the batched kernel over many shards.
 
-The round is simulated in two parallel phases over a worker pool:
+:class:`MultiprocessEngine` is :class:`repro.mpc.engine.BatchedEngine` with
+the shards farmed out to a worker pool; the kernel
+(:mod:`repro.mpc.engine.shard`) is the same:
 
-1. **Routing** — every relation's tuples are split into per-worker chunks;
-   each worker runs :meth:`RoutingPlan.destinations_batch` on its chunk and
-   returns per-server received counts plus (when answers are requested) the
-   per-server fragment slices.  Counts merge by integer addition and
-   fragments by set union — exact operations, so parity with the in-process
-   engines is preserved.  Per-server bits are folded in the parent as
-   ``count * tuple_bits`` per relation in atom order, the same fold every
-   engine uses, so bit loads stay bit-identical.
+1. **Routing** — each relation's tuples are split into per-worker chunks;
+   every worker runs :func:`~repro.mpc.engine.shard.route_shard` on its
+   chunk and returns per-server received counts plus (when answers are
+   requested) the per-server fragment slices.  The parent folds the shards
+   into the round's ledger exactly as the in-process engine folds its
+   single shard: counts by integer addition, fragments by set union, bits
+   once per relation as ``count * tuple_bits`` — so loads stay
+   bit-identical.
 2. **Local joins** — the nonempty servers are sharded across the same pool;
    each worker joins its servers' fragments and the answer sets are unioned.
 
@@ -23,8 +25,8 @@ The routing plan is shipped to the workers once via the pool initializer.
 Worker processes use the ``fork`` start method when the platform offers it
 (cheapest; the plan is inherited), falling back to the default method
 otherwise.  When only one worker is configured — or the platform cannot
-spawn processes at all — the engine degrades to the in-process
-:class:`repro.mpc.engine.BatchedEngine`, which is result-identical.
+spawn processes at all — no pool is opened and the round runs in-process
+on the inherited :class:`BatchedEngine` path, which is result-identical.
 """
 
 from __future__ import annotations
@@ -32,20 +34,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import TYPE_CHECKING, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ...obs import maybe_timed
 from ...query.atoms import ConjunctiveQuery
-from ...seq.join import evaluate, local_join
-from ...seq.relation import Database, Tuple
-from ..cluster import LoadReport
-from ..execution import ExecutionResult, OneRoundAlgorithm, RoutingPlan
-from ..hashing import HashFamily
-from .base import ExecutionEngine
+from ...seq.relation import Tuple
+from ..execution import RoutingPlan
 from .batched import BatchedEngine
+from .shard import InProcessShards, Shard, join_shard, route_shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs import Observation
+
 
 def pool_context():
     """Fork-first multiprocessing context (fork inherits routing plans and
@@ -77,23 +77,14 @@ def _init_worker(
 
 def _route_chunk(
     task: tuple[str, Sequence[Tuple]]
-) -> tuple[str, dict[int, int], dict[int, list[Tuple]], dict | None]:
-    """Route one chunk of one relation: (relation, counts, fragment slices,
-    worker metrics snapshot or None)."""
+) -> tuple[Shard, dict | None]:
+    """Route one chunk of one relation: (shard, worker metrics snapshot or
+    None)."""
     relation_name, tuples = task
-    plan: RoutingPlan = _STATE["plan"]  # type: ignore[assignment]
     started = time.perf_counter() if _STATE.get("observe") else None
-    fragments: dict[int, list[Tuple]] = {}
-    if _STATE["compute_answers"]:
-        counts: dict[int, int] = {}
-        for tup, dests in zip(
-            tuples, plan.destinations_batch(relation_name, tuples)
-        ):
-            for server in dests:
-                counts[server] = counts.get(server, 0) + 1
-                fragments.setdefault(server, []).append(tup)
-    else:
-        counts = dict(plan.destination_counts(relation_name, tuples))
+    shard = route_shard(
+        _STATE["plan"], relation_name, tuples, _STATE["compute_answers"]
+    )
     snapshot = None
     if started is not None:
         # A plain-dict MetricsRegistry.merge_snapshot payload: picklable,
@@ -105,19 +96,17 @@ def _route_chunk(
                 "mp.worker_route.seconds": [time.perf_counter() - started],
             },
         }
-    return relation_name, counts, fragments, snapshot
+    return shard, snapshot
 
 
 def _join_chunk(
     server_fragments: Sequence[dict[str, set[Tuple]]]
 ) -> tuple[set[Tuple], dict | None]:
     """Join the fragments of a shard of servers and union their answers."""
-    query: ConjunctiveQuery = _STATE["query"]  # type: ignore[assignment]
-    domain_size: int = _STATE["domain_size"]  # type: ignore[assignment]
     started = time.perf_counter() if _STATE.get("observe") else None
-    collected: set[Tuple] = set()
-    for fragments in server_fragments:
-        collected |= local_join(query, fragments, domain_size)
+    collected = join_shard(
+        _STATE["query"], server_fragments, _STATE["domain_size"]
+    )
     snapshot = None
     if started is not None:
         snapshot = {
@@ -144,7 +133,41 @@ def _chunks(items: list, pieces: int) -> list[list]:
     return out
 
 
-class MultiprocessEngine(ExecutionEngine):
+class _PoolShards:
+    """Where shards run, pool flavour: each relation is cut into one chunk
+    per worker, and the occupied servers likewise for the local joins."""
+
+    def __init__(self, pool, workers: int, obs: "Observation | None") -> None:
+        self.pool = pool
+        self.workers = workers
+        self.obs = obs
+
+    def route(self, relation_name: str, tuples: list[Tuple]) -> list[Shard]:
+        tasks = [
+            (relation_name, chunk) for chunk in _chunks(tuples, self.workers)
+        ]
+        return self._payloads(self.pool.map(_route_chunk, tasks))
+
+    def join(self, occupied: list[dict[str, set[Tuple]]]) -> set[Tuple]:
+        collected: set[Tuple] = set()
+        for joined in self._payloads(
+            self.pool.map(_join_chunk, _chunks(occupied, self.workers))
+        ):
+            collected |= joined
+        return collected
+
+    def _payloads(self, results) -> list:
+        """Strip the workers' metric snapshots off ``(payload, snapshot)``
+        results, folding them into the round's metrics."""
+        payloads = []
+        for payload, snapshot in results:
+            payloads.append(payload)
+            if self.obs is not None and snapshot is not None:
+                self.obs.metrics.merge_snapshot(snapshot)
+        return payloads
+
+
+class MultiprocessEngine(BatchedEngine):
     """Shards routing and local joins across a ``multiprocessing`` pool."""
 
     name = "mp"
@@ -159,126 +182,35 @@ class MultiprocessEngine(ExecutionEngine):
             return self.workers
         return max(2, min(4, os.cpu_count() or 1))
 
-    @staticmethod
-    def _context():
-        return pool_context()
-
-    def _run(
+    @contextmanager
+    def _shards(
         self,
-        algorithm: OneRoundAlgorithm,
-        db: Database,
-        p: int,
-        seed: int,
+        plan: RoutingPlan,
+        query: ConjunctiveQuery,
+        domain_size: int,
         compute_answers: bool,
-        verify: bool,
         obs: "Observation | None",
-    ) -> ExecutionResult:
+    ) -> Iterator[object]:
         workers = self._resolved_workers()
-        if workers == 1:
-            return BatchedEngine()._run(
-                algorithm, db, p, seed, compute_answers, verify, obs,
-            )
-        if p < 1:
-            raise ValueError("cluster needs at least one server")
-        query = algorithm.query
-        db.validate_against(query)
-        hashes = HashFamily(seed)
-        with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
-            plan = algorithm.routing_plan(db, p, hashes)
-
-        tasks: list[tuple[str, list[Tuple]]] = []
-        input_tuples = 0
-        input_bits = 0.0
-        for atom in query.atoms:
-            relation = db.relation(atom.name)
-            input_tuples += relation.cardinality
-            input_bits += relation.bits
-            for chunk in _chunks(list(relation.tuples), workers):
-                tasks.append((atom.name, chunk))
-
-        try:
-            ctx = self._context()
-            pool = ctx.Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(plan, query, db.domain_size, compute_answers,
-                          obs is not None),
-            )
-        except OSError:
-            # No processes available (restricted sandboxes): same results,
-            # computed in-process.  Errors *during* the parallel phases are
-            # real failures and propagate.
-            return BatchedEngine()._run(
-                algorithm, db, p, seed, compute_answers, verify, obs,
-            )
+        pool = None
+        if workers > 1:
+            try:
+                pool = pool_context().Pool(
+                    processes=workers,
+                    initializer=_init_worker,
+                    initargs=(plan, query, domain_size, compute_answers,
+                              obs is not None),
+                )
+            except OSError:
+                # No processes available (restricted sandboxes): same
+                # results, computed in-process.  Errors *during* the
+                # parallel phases are real failures and propagate.
+                pass
+        if pool is None:
+            yield InProcessShards(plan, query, domain_size, compute_answers)
+            return
         if obs is not None:
             obs.set_gauge("mp.workers", workers)
             obs.count("mp.pools_opened")
         with pool:
-            with maybe_timed(obs, "engine.route", chunks=len(tasks)):
-                routed = pool.map(_route_chunk, tasks) if tasks else []
-
-            counts_by_relation: dict[str, dict[int, int]] = {}
-            fragments: list[dict[str, set[Tuple]]] = [{} for _ in range(p)]
-            with maybe_timed(obs, "engine.shuffle_merge"):
-                for relation_name, counts, chunk_fragments, snap in routed:
-                    merged = counts_by_relation.setdefault(relation_name, {})
-                    for server, count in counts.items():
-                        merged[server] = merged.get(server, 0) + count
-                    for server, tuples in chunk_fragments.items():
-                        fragments[server].setdefault(
-                            relation_name, set()
-                        ).update(tuples)
-                    if obs is not None and snap is not None:
-                        obs.metrics.merge_snapshot(snap)
-
-            answers: frozenset[Tuple] | None = None
-            if compute_answers:
-                occupied = [frag for frag in fragments if frag]
-                collected: set[Tuple] = set()
-                with maybe_timed(obs, "engine.local_join"):
-                    for joined, snap in pool.map(
-                        _join_chunk, _chunks(occupied, workers)
-                    ):
-                        collected |= joined
-                        if obs is not None and snap is not None:
-                            obs.metrics.merge_snapshot(snap)
-                answers = frozenset(collected)
-
-        per_server_tuples = [0] * p
-        per_server_bits = [0.0] * p
-        for atom in query.atoms:
-            tuple_bits = db.relation(atom.name).tuple_bits
-            routed_relation = 0
-            for server, count in sorted(
-                counts_by_relation.get(atom.name, {}).items()
-            ):
-                per_server_tuples[server] += count
-                per_server_bits[server] += count * tuple_bits
-                routed_relation += count
-            if obs is not None:
-                obs.count(f"engine.routed_tuples.{atom.name}",
-                          routed_relation)
-                obs.count(f"engine.shipped_bits.{atom.name}",
-                          routed_relation * tuple_bits)
-
-        expected = None
-        if verify:
-            with maybe_timed(obs, "engine.verify"):
-                expected = evaluate(query, db)
-        return ExecutionResult(
-            algorithm=algorithm.name,
-            query=query,
-            p=p,
-            seed=seed,
-            report=LoadReport(
-                p=p,
-                per_server_tuples=tuple(per_server_tuples),
-                per_server_bits=tuple(per_server_bits),
-                input_tuples=input_tuples,
-                input_bits=input_bits,
-            ),
-            answers=answers,
-            expected_answers=expected,
-            details=dict(plan.describe()),
-        )
+            yield _PoolShards(pool, workers, obs)

@@ -83,7 +83,24 @@ def expand_offsets(
 
 
 class RoutingPlan(ABC):
-    """Maps each input tuple to the servers that must receive it."""
+    """Maps each input tuple to the servers that must receive it.
+
+    The routing contract has three methods describing the same deliveries:
+
+    * :meth:`destinations` — one tuple at a time.  The definition of the
+      plan: :class:`repro.mpc.engine.ReferenceEngine` routes through it and
+      is the parity oracle for everything else.
+    * :meth:`destinations_batch` — a whole relation (or shard) at once,
+      used when the fragments are needed (``compute_answers=True``).
+    * :meth:`destination_counts` — per-server receive counts only, used
+      for load-only simulation.
+
+    Every in-tree plan implements both batch methods natively,
+    column-at-a-time (``tests/test_routing_contract.py`` checks the three
+    agree and that no registered algorithm inherits the defaults).  The
+    defaults below loop the scalar path; they exist so that a user-defined
+    plan only has to write :meth:`destinations` to run on every engine.
+    """
 
     @abstractmethod
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
@@ -95,12 +112,8 @@ class RoutingPlan(ABC):
         """Destinations for a whole batch of tuples of one relation.
 
         Returns one *duplicate-free* tuple of server indices per input
-        tuple, in input order.  The default implementation loops the scalar
-        :meth:`destinations` path (deduplicating defensively); plans with a
-        vectorizable structure override it with a fast path that hoists the
-        per-tuple salt formatting, bucket lookups and replication offsets
-        out of the loop — that is what :class:`repro.mpc.engine.BatchedEngine`
-        builds on.
+        tuple, in input order.  Extension fallback: loops the scalar
+        :meth:`destinations` and deduplicates.
         """
         out: list[tuple[int, ...]] = []
         for tup in tuples:
@@ -116,11 +129,10 @@ class RoutingPlan(ABC):
         """Per-server received-tuple counts for a batch, answers not needed.
 
         Load-only simulation (``compute_answers=False``) never looks at
-        *which* tuples a server received, only *how many*; plans with a grid
-        structure can produce the counts without materializing a
-        destination list per tuple (count the distinct grid bases, then
-        fold the replication offsets).  The default derives the counts from
-        :meth:`destinations_batch`.
+        *which* tuples a server received, only *how many*, so a native
+        implementation counts distinct routing keys and folds each key's
+        destinations once instead of materializing a destination list per
+        tuple.  Extension fallback: counts :meth:`destinations_batch`.
         """
         counts: Counter[int] = Counter()
         for dests in self.destinations_batch(relation_name, tuples):
@@ -278,9 +290,9 @@ def run_one_round(
         :attr:`ExecutionResult.is_complete`.
     engine:
         Which execution engine simulates the round: ``"batched"`` (the
-        library-wide default — vectorized routing, streams load
+        library-wide default — column-at-a-time routing, streams load
         accounting), ``"reference"`` (the tuple-at-a-time parity oracle),
-        ``"mp"`` (multiprocessing shards), or any
+        ``"mp"`` (the batched kernel over multiprocessing shards), or any
         :class:`repro.mpc.engine.ExecutionEngine` instance.  All engines
         return identical answers and loads, so the default is purely a
         speed choice; ``"reference"`` remains the oracle the parity suite

@@ -26,8 +26,13 @@ class HashFamily:
     # per table, and total entries — with oldest-first eviction, so
     # huge-domain load-only runs cannot pin their whole value set in a
     # process-lifetime cache and hot tables are not all dropped at once.
+    # Every in-tree plan hashes through here, and the skew-aware ones use
+    # private salts (one set per bin combination), so a long-lived process
+    # mints tables fast; 64 covers a whole sweep coordinate (the busiest
+    # benchmark command touches 32) without letting a server retain
+    # hundreds of them.
     _shared_tables: dict[tuple[bytes, str, int], dict[int, int]] = {}
-    _MAX_SHARED_TABLES = 512
+    _MAX_SHARED_TABLES = 64
     _MAX_TABLE_ENTRIES = 1 << 20
     _MAX_TOTAL_ENTRIES = 1 << 23
 

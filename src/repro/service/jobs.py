@@ -604,7 +604,9 @@ class JobQueue:
         return job
 
     def status(self, job_id: str) -> dict:
-        return self.get(job_id).describe()
+        job = self.get(job_id)
+        with self._lock:
+            return job.describe()
 
     def result(self, job_id: str) -> object:
         """The result payload of a ``done`` job (error otherwise)."""
@@ -674,24 +676,26 @@ class JobQueue:
                 job.state = "running"
                 job.started_at = time.time()
             _LOG.info("job %s running (%s)", job.id, job.kind)
+            result, error = None, None
             try:
                 with maybe_timed(self.obs, "service.job",
                                  kind=job.kind, job=job.id):
                     result = self._run(job)
             except Exception as exc:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.state = "failed"
-                self.obs.count("service.jobs.failed")
-                self.obs.count(f"service.jobs.failed.{job.kind}")
-                _LOG.warning("job %s failed: %s", job.id, job.error)
-            else:
-                job.result = result
-                job.state = "done"
-                self.obs.count("service.jobs.done")
-                self.obs.count(f"service.jobs.done.{job.kind}")
-                _LOG.info("job %s done", job.id)
-            finally:
+                error = f"{type(exc).__name__}: {exc}"
+            outcome = "done" if error is None else "failed"
+            # One critical section, state last: a status poll never sees
+            # a finished job without its finished_at/result/error.
+            with self._lock:
+                job.result, job.error = result, error
                 job.finished_at = time.time()
+                job.state = outcome
+            self.obs.count(f"service.jobs.{outcome}")
+            self.obs.count(f"service.jobs.{outcome}.{job.kind}")
+            if error is None:
+                _LOG.info("job %s done", job.id)
+            else:
+                _LOG.warning("job %s failed: %s", job.id, error)
 
     def _run(self, job: Job) -> object:
         if job.kind == "plan":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.data import matching_relation, uniform_relation, zipf_relation
 from repro.query import (
@@ -12,6 +13,11 @@ from repro.query import (
     triangle_query,
 )
 from repro.seq import Database
+
+# The property tests are part of tier-1, so they must be repeatable: derive
+# every example from the test itself instead of a fresh random seed.
+settings.register_profile("repro", derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture

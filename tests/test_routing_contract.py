@@ -1,0 +1,139 @@
+"""The routing contract every in-tree :class:`RoutingPlan` honours.
+
+For each relation of each plan, the three routing methods must describe the
+same multiset of (tuple, server) deliveries::
+
+    destination_counts == Counter(flatten(destinations_batch))
+                       == Counter(flatten(dedup(destinations(t))))
+
+``destinations_batch`` rows are duplicate-free, and no plan built by a
+registered algorithm inherits the scalar-loop defaults of
+``RoutingPlan.destinations_batch`` / ``destination_counts`` — those exist
+for user-defined plans only (``tests/test_mpc.py`` covers that fallback).
+
+The matrix is every registered one-round algorithm x the queries it
+applies to x {uniform, zipf 1.2, worst, planted-heavy} x p in {1, 7, 64}.
+Multi-round registry keys own no routing plan: each of their rounds runs
+one of the one-round algorithms covered here.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.api import WorkloadSpec
+from repro.api.registry import algorithm_specs
+from repro.core import BinHyperCubeAlgorithm
+from repro.data import planted_heavy_relation
+from repro.mpc import HashFamily, OneRoundAlgorithm, RoutingPlan
+from repro.query import parse_query
+from repro.seq import Database
+from repro.sketch import SketchedHeavyHitterStatistics
+from repro.stats import HeavyHitterStatistics
+
+M = 150
+QUERIES = {
+    "join": parse_query("q(x, y, z) :- S1(x, z), S2(y, z)"),
+    "triangle": parse_query("q(x, y, z) :- R(x, y), S(y, z), T(z, x)"),
+    "product": parse_query("q(x, y, u, v) :- A(x, y), B(u, v)"),
+}
+WORKLOADS = ("uniform", "zipf", "worst", "planted")
+SERVERS = (1, 7, 64)
+
+ONE_ROUND = tuple(
+    spec for spec in algorithm_specs()
+    if issubclass(spec.algorithm_class, OneRoundAlgorithm)
+)
+CASES = [
+    pytest.param(spec, name, id=f"{spec.key}-{name}")
+    for spec in ONE_ROUND
+    for name, query in QUERIES.items()
+    if spec.is_applicable(query)
+]
+
+
+def _database(query, workload: str) -> Database:
+    if workload == "planted":
+        return Database.from_relations([
+            planted_heavy_relation(
+                atom.name, M, 8 * M, heavy_values=(0, 1, 2),
+                heavy_position=atom.arity - 1, arity=atom.arity, seed=7 + i,
+            )
+            for i, atom in enumerate(query.atoms)
+        ])
+    return WorkloadSpec(kind=workload, m=M, skew=1.2, seed=5).build(query)
+
+
+def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
+    for atom in query.atoms:
+        tuples = list(db.relation(atom.name).tuples)
+        batch = plan.destinations_batch(atom.name, tuples)
+        assert len(batch) == len(tuples)
+        for dests in batch:
+            assert len(set(dests)) == len(dests), "duplicate destination"
+            assert all(0 <= server < p for server in dests)
+        scalar = Counter(
+            server
+            for tup in tuples
+            for server in set(plan.destinations(atom.name, tup))
+        )
+        batched = Counter(server for dests in batch for server in dests)
+        counted = Counter(dict(plan.destination_counts(atom.name, tuples)))
+        assert batched == scalar, atom.name
+        assert +counted == scalar, atom.name
+
+
+def test_every_applicable_key_is_exercised():
+    assert {case.values[0].key for case in CASES} == {
+        spec.key for spec in ONE_ROUND
+    }
+
+
+@pytest.mark.parametrize("p", SERVERS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("spec, query_name", CASES)
+def test_routing_contract(spec, query_name, workload, p):
+    query = QUERIES[query_name]
+    db = _database(query, workload)
+    stats = HeavyHitterStatistics.of(query, db, p)
+    plan = spec.build(query, stats, p).routing_plan(db, p, HashFamily(3))
+
+    # No registered algorithm reaches the scalar-loop defaults.
+    assert type(plan).destinations_batch is not RoutingPlan.destinations_batch
+    assert type(plan).destination_counts is not RoutingPlan.destination_counts
+    _assert_contract(plan, query, db, p)
+
+
+@pytest.mark.parametrize("provider", ["exact", "sketch"])
+@pytest.mark.parametrize(
+    "query_name, workload, p", [("join", "zipf", 16), ("triangle", "worst", 7)]
+)
+def test_tuples_claimed_by_several_bin_combinations(
+    query_name, workload, p, provider
+):
+    """Under skew a tuple can be handled by more than one bin combination;
+    the batch paths must union (not add) the combinations' destinations."""
+    query = QUERIES[query_name]
+    db = _database(query, workload)
+    if provider == "exact":
+        stats = HeavyHitterStatistics.of(query, db, p)
+    else:
+        stats = SketchedHeavyHitterStatistics.of(query, db, p)
+    plan = BinHyperCubeAlgorithm(query, stats=stats).routing_plan(
+        db, p, HashFamily(3)
+    )
+
+    def owners(name, tup):
+        return sum(
+            1 for combo in plan.combo_plans
+            if tuple(combo.destinations_for(name, tup))
+        )
+
+    assert any(
+        owners(atom.name, tup) >= 2
+        for atom in query.atoms
+        for tup in db.relation(atom.name).tuples
+    ), "fixture no longer produces a multiply-claimed tuple"
+    _assert_contract(plan, query, db, p)

@@ -1,5 +1,6 @@
 """The fault-isolated cell executor and the service job queue."""
 
+import sys
 import threading
 import time
 
@@ -429,6 +430,55 @@ class TestJobQueueUnit:
         assert queue.join(timeout=60)
         assert queue.status(extra.id)["state"] == "done"
         queue.shutdown()
+
+    def test_status_never_shows_finished_job_without_finished_at(self):
+        """``state``, ``finished_at`` and the result/error are stamped in
+        one critical section: a poller racing the workers never reads a
+        terminal state with ``finished_at`` still null."""
+        queue = JobQueue(queue_size=16, workers=2)
+
+        def run(job):
+            if int(job.id.rsplit("-", 1)[1]) % 2:
+                raise ValueError("odd jobs fail")
+            return {"ran": job.id}
+        queue._run = run
+
+        recent: list[str] = []
+        torn: list[dict] = []
+        stop = threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                for job_id in recent[-8:]:
+                    doc = queue.status(job_id)
+                    if (doc["state"] in ("done", "failed")
+                            and doc["finished_at"] is None):
+                        torn.append(doc)
+
+        poller = threading.Thread(target=poll)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            poller.start()
+            deadline = time.time() + 60
+            submitted = 0
+            while submitted < 400 and time.time() < deadline:
+                try:
+                    recent.append(queue.submit("plan", {"query": JOIN_TEXT}).id)
+                    submitted += 1
+                except BackpressureError:
+                    time.sleep(0.001)
+            assert submitted == 400
+            assert queue.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            poller.join(timeout=30)
+            queue.shutdown()
+        assert not poller.is_alive()
+        assert torn == []
+        states = {entry["state"] for entry in queue.jobs()}
+        assert states == {"done", "failed"}
 
     def test_sweep_job_reports_failures(self, poison_registry):
         queue = JobQueue(workers=1)
