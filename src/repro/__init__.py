@@ -9,9 +9,9 @@ workload generators, balls-into-bins analysis, and the Section 5 MapReduce
 model).
 
 The public entry point is the experiment API (:mod:`repro.api`): a
-registry of one-round algorithms with declared applicability, a planner
-that ranks them by the Section 3 predicted loads, and a sweep runner that
-executes declarative grids through the pluggable execution engines.
+registry of algorithms with declared applicability, a planner that ranks
+them by the Section 3 predicted loads, and a sweep runner that executes
+declarative grids through the pluggable execution engines.
 
 Quickstart::
 
@@ -37,11 +37,6 @@ or, sweeping a grid::
     result = Sweep(q, workload="zipf", p_values=(8, 32),
                    skews=(0.0, 1.5)).run(max_workers=4)
     print(result.summary())
-
-Deprecation note: probing algorithm constructors for
-:class:`~repro.query.QueryError` to test applicability is deprecated;
-algorithms now *declare* applicability (``Algorithm.applicability(q)``)
-and the registry/planner consume the declarations.
 """
 
 from .api import (

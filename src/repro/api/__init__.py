@@ -3,15 +3,20 @@
 This package is the intended public entry point for running the paper's
 algorithms as *experiments* rather than hand-assembled scripts:
 
-1. :mod:`repro.api.registry` — every one-round algorithm registered with
-   declared applicability and a predicted-load cost hook;
+1. :mod:`repro.api.registry` — every algorithm registered with declared
+   applicability and a predicted-load cost hook (the one-round ones by
+   :mod:`repro.core.registry`, the multi-round ones by
+   :mod:`repro.rounds`);
 2. :mod:`repro.api.planner` — :func:`plan`/:func:`autoplan` rank the
    registered algorithms by predicted max-load (Section 3 bounds) and
    instantiate the winner, carrying the Theorem 3.6 lower bound for
-   optimality-gap reporting;
+   optimality-gap reporting; :func:`tradeoff` is the round/load curve;
 3. :mod:`repro.api.experiment` — :class:`Experiment`/:class:`Sweep`
-   execute declarative grids through the pluggable execution engines and
-   return schema-checked :class:`RunRecord` rows (JSON/CSV exportable);
+   describe declarative grids of cells; one path takes a :class:`Cell`
+   to a schema-checked :class:`RunRecord` (through
+   :func:`repro.rounds.run_rounds`, for one round or many), driven by
+   :func:`execute_cells`, the fault-isolated executor shared with
+   ``repro serve``;
 4. :mod:`repro.api.bench` — :func:`run_bench` executes the pinned perf
    suite behind ``repro bench`` and the committed ``BENCH_core.json``;
    :func:`run_sketch_bench` is its sketch-statistics twin (exact-vs-sketch
@@ -21,9 +26,9 @@ algorithms as *experiments* rather than hand-assembled scripts:
    :func:`compare_bench` is the CI regression gate and
    :func:`suite_gate_failures` the per-suite absolute one.
 
-The multi-round subsystem itself (two-round triangle, the generic
-round-composed join, ``run_rounds``, the ``tradeoff`` curve) lives in
-:mod:`repro.rounds`; the planner ranks its algorithms whenever
+The multi-round algorithms (two-round triangle, the generic
+round-composed join) and the runner ``run_rounds`` live one layer down in
+:mod:`repro.rounds`; the planner ranks them whenever
 ``plan(..., max_rounds >= 2)`` admits them, and :class:`Sweep` exposes
 the budget as its ``rounds`` axis.
 
@@ -66,6 +71,7 @@ from .experiment import (
     SweepResult,
     WORKLOAD_KINDS,
     WorkloadSpec,
+    execute_cells,
     failure_record,
     run_cell,
     sweep,
@@ -75,9 +81,11 @@ from .planner import (
     Prediction,
     QueryPlan,
     STATS_METHODS,
+    TradeoffPoint,
     autoplan,
     plan,
     resolve_statistics,
+    tradeoff,
 )
 from .records import (
     RUN_RECORD_FIELDS,
@@ -125,6 +133,7 @@ __all__ = [
     "SweepResult",
     "WORKLOAD_KINDS",
     "WorkloadSpec",
+    "execute_cells",
     "failure_record",
     "run_cell",
     "sweep",
@@ -132,9 +141,11 @@ __all__ = [
     "Prediction",
     "QueryPlan",
     "STATS_METHODS",
+    "TradeoffPoint",
     "autoplan",
     "plan",
     "resolve_statistics",
+    "tradeoff",
     "RUN_RECORD_FIELDS",
     "RUN_RECORD_SCHEMA",
     "RecordError",

@@ -43,10 +43,21 @@ dispatches by name and lists the valid suites on a miss.
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..obs import Observation
-from .experiment import Sweep
+from ..query.parser import parse_query
+from ..sketch import (
+    RelationSketchSet,
+    SketchConfig,
+    SketchedHeavyHitterStatistics,
+    build_sketch_set,
+    sketch_fidelity,
+)
+from ..stats.heavy_hitters import HeavyHitterStatistics
+from .experiment import Sweep, WorkloadSpec
 from .records import RunRecord
 
 
@@ -140,9 +151,13 @@ def _entry_id(record: RunRecord) -> str:
     )
 
 
-def _cell_key(record: RunRecord) -> tuple:
-    return (record.workload, record.m, record.skew, record.seed, record.p,
-            record.stats)
+def _by_cell(records: Sequence[RunRecord]) -> list[list[RunRecord]]:
+    """``records`` grouped by grid cell (every axis but the algorithm)."""
+    cells: dict[tuple, list[RunRecord]] = {}
+    for r in records:
+        key = (r.workload, r.m, r.skew, r.seed, r.p, r.stats)
+        cells.setdefault(key, []).append(r)
+    return list(cells.values())
 
 
 def bench_sweep(quick: bool = False) -> Sweep:
@@ -151,39 +166,62 @@ def bench_sweep(quick: bool = False) -> Sweep:
     return Sweep(query=QUERY, algorithms="applicable", observe=True, **grid)
 
 
-def run_bench(
-    quick: bool = False,
-    obs: Observation | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Execute the pinned grid; return the ``BENCH_core.json`` document.
+def _regrets(records: Sequence[RunRecord]) -> list[float]:
+    """Planner regret of every cell of ``records``.
+
+    The planner's pick is the minimum-*predicted*-cost record of the cell
+    (exactly what ``algorithms="auto"`` would choose, since every
+    applicable algorithm was measured); its measured cost over the cell's
+    best measured cost is the regret.  Cost is the planner's scale, max
+    per-round load x rounds — plain load on one-round grids.
+    """
+    regrets = []
+    for cell_records in _by_cell(records):
+        picked = min(cell_records,
+                     key=lambda r: r.predicted_load_bits * r.rounds)
+        best = min(cell_records, key=lambda r: r.max_load_bits * r.rounds)
+        best_cost = best.max_load_bits * best.rounds
+        if best_cost > 0:
+            regrets.append(picked.max_load_bits * picked.rounds / best_cost)
+    return regrets
+
+
+def _run_pinned(
+    suite: str,
+    sweep: Sweep,
+    grid: Mapping[str, object],
+    quick: bool,
+    obs: Observation | None,
+    repeats: int,
+    extra_columns: Callable[[RunRecord], dict] = lambda record: {},
+) -> tuple[dict, tuple[RunRecord, ...]]:
+    """What every suite shares: run the pinned ``sweep``, assemble the
+    entries and the six gateable summary numbers.
 
     Loads, gaps and regret are deterministic (seeded hashing), so one pass
     suffices for them; wall-clock is not, so the grid runs ``repeats``
     times and every timing is the best (minimum) across passes — the
-    standard way to shed scheduler noise from a sub-second suite.
+    standard way to shed scheduler noise from a sub-second suite.  A
+    suite adds entry fields through ``extra_columns(record)`` and extends
+    the returned document's ``summary``; the records come back too.
     """
     if repeats < 1:
-        raise BenchError("run_bench needs repeats >= 1")
-    sweep = bench_sweep(quick=quick)
+        raise BenchError(f"the {suite} suite needs repeats >= 1")
     calibration = calibrate()
     obs = obs if obs is not None else Observation.create()
-    result = None
     total_wall = float("inf")
     best_wall: dict[str, float] = {}
     for _ in range(repeats):
         started = time.perf_counter()
-        result = sweep.run(obs=obs)
+        records = sweep.run(obs=obs).records
         total_wall = min(total_wall, time.perf_counter() - started)
-        for record in result.records:
+        for record in records:
             entry_id = _entry_id(record)
             best_wall[entry_id] = min(
                 best_wall.get(entry_id, float("inf")), record.wall_seconds
             )
-
-    entries = []
-    for record in result.records:
-        entries.append({
+    entries = [
+        {
             "id": _entry_id(record),
             "algorithm": record.algorithm,
             "workload": record.workload,
@@ -191,36 +229,24 @@ def run_bench(
             "m": record.m,
             "skew": record.skew,
             "seed": record.seed,
+            **extra_columns(record),
             "wall_seconds": best_wall[_entry_id(record)],
             "max_load_bits": record.max_load_bits,
             "lower_bound_bits": record.lower_bound_bits,
             "optimality_gap": record.optimality_gap,
             "predicted_load_bits": record.predicted_load_bits,
-        })
-
-    # Planner regret per cell: the planner's pick is the minimum-predicted
-    # record of the cell (exactly what `algorithms="auto"` would choose,
-    # since every applicable algorithm was measured); its measured load
-    # over the cell's best measured load is the regret.
-    regrets = []
-    by_cell: dict[tuple, list[RunRecord]] = {}
-    for record in result.records:
-        by_cell.setdefault(_cell_key(record), []).append(record)
-    for cell_records in by_cell.values():
-        picked = min(cell_records, key=lambda r: r.predicted_load_bits)
-        best = min(cell_records, key=lambda r: r.max_load_bits)
-        if best.max_load_bits > 0:
-            regrets.append(picked.max_load_bits / best.max_load_bits)
+        }
+        for record in records
+    ]
     gaps = [e["optimality_gap"] for e in entries
             if e["optimality_gap"] is not None]
-
-    grid = QUICK_GRID if quick else FULL_GRID
+    regrets = _regrets(records)
     return {
         "schema_version": 1,
-        "suite": "core",
+        "suite": suite,
         "quick": quick,
         "repeats": repeats,
-        "query": QUERY,
+        "query": str(sweep.query),
         "grid": {key: list(value) if isinstance(value, tuple) else value
                  for key, value in grid.items()},
         "calibration_seconds": calibration,
@@ -234,7 +260,20 @@ def run_bench(
                 sum(regrets) / len(regrets) if regrets else 1.0,
             "planner_worst_regret": max(regrets, default=1.0),
         },
-    }
+    }, records
+
+
+def run_bench(
+    quick: bool = False,
+    obs: Observation | None = None,
+    repeats: int = 3,
+) -> dict:
+    """Execute the pinned grid; return the ``BENCH_core.json`` document."""
+    document, _ = _run_pinned(
+        "core", bench_sweep(quick), QUICK_GRID if quick else FULL_GRID,
+        quick, obs, repeats,
+    )
+    return document
 
 
 def validate_bench(data: object) -> None:
@@ -359,26 +398,8 @@ def sketch_bench_sweep(quick: bool = False) -> Sweep:
     )
 
 
-def _worst_regret(records: Sequence[RunRecord]) -> float:
-    """Planner worst-case regret over the cells of ``records``."""
-    by_cell: dict[tuple, list[RunRecord]] = {}
-    for record in records:
-        by_cell.setdefault(_cell_key(record), []).append(record)
-    worst = 1.0
-    for cell_records in by_cell.values():
-        picked = min(cell_records, key=lambda r: r.predicted_load_bits)
-        best = min(cell_records, key=lambda r: r.max_load_bits)
-        if best.max_load_bits > 0:
-            worst = max(worst, picked.max_load_bits / best.max_load_bits)
-    return worst
-
-
 def _merge_bit_identical(query, db, config) -> bool:
     """Two-shard build merges to exactly the single-pass sketch tables."""
-    import numpy as np
-
-    from ..sketch import RelationSketchSet, build_sketch_set
-
     single = build_sketch_set(query, db, config)
     domains = {
         atom.name: db.relation(atom.name).domain_size for atom in query.atoms
@@ -420,62 +441,21 @@ def run_sketch_bench(
       ``regret_ratio`` — what planning from estimates costs relative to
       planning from exact statistics (gated at 1.10).
     """
-    from ..query.parser import parse_query
-    from ..sketch import (
-        SketchConfig,
-        SketchedHeavyHitterStatistics,
-        sketch_fidelity,
+    grid = QUICK_GRID if quick else FULL_GRID
+    document, records = _run_pinned(
+        "sketch", sketch_bench_sweep(quick), grid, quick, obs, repeats,
+        extra_columns=lambda record: {"stats": record.stats},
     )
-    from ..stats.heavy_hitters import HeavyHitterStatistics
-    from .experiment import WorkloadSpec
-
-    if repeats < 1:
-        raise BenchError("run_sketch_bench needs repeats >= 1")
-    sweep = sketch_bench_sweep(quick=quick)
-    calibration = calibrate()
-    obs = obs if obs is not None else Observation.create()
-    result = None
-    total_wall = float("inf")
-    best_wall: dict[str, float] = {}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = sweep.run(obs=obs)
-        total_wall = min(total_wall, time.perf_counter() - started)
-        for record in result.records:
-            entry_id = _entry_id(record)
-            best_wall[entry_id] = min(
-                best_wall.get(entry_id, float("inf")), record.wall_seconds
-            )
-
-    entries = []
-    for record in result.records:
-        entries.append({
-            "id": _entry_id(record),
-            "algorithm": record.algorithm,
-            "workload": record.workload,
-            "p": record.p,
-            "m": record.m,
-            "skew": record.skew,
-            "seed": record.seed,
-            "stats": record.stats,
-            "wall_seconds": best_wall[_entry_id(record)],
-            "max_load_bits": record.max_load_bits,
-            "lower_bound_bits": record.lower_bound_bits,
-            "optimality_gap": record.optimality_gap,
-            "predicted_load_bits": record.predicted_load_bits,
-        })
-    gaps = [e["optimality_gap"] for e in entries
-            if e["optimality_gap"] is not None]
-
-    exact_records = [r for r in result.records if r.stats == "exact"]
-    sketch_records = [r for r in result.records if r.stats == "sketch"]
-    exact_regret = _worst_regret(exact_records)
-    sketch_regret = _worst_regret(sketch_records)
+    exact_regret = max(
+        _regrets([r for r in records if r.stats == "exact"]), default=1.0
+    )
+    sketch_regret = max(
+        _regrets([r for r in records if r.stats == "sketch"]), default=1.0
+    )
     regret_ratio = (sketch_regret / exact_regret) if exact_regret > 0 else 1.0
 
     # Fidelity pass: exact vs sketched heavy hitters on every grid point,
     # plus the shard-merge bit-identity check (once per workload).
-    grid = QUICK_GRID if quick else FULL_GRID
     query = parse_query(QUERY)
     config = SketchConfig()
     min_recall = 1.0
@@ -511,34 +491,23 @@ def run_sketch_bench(
                         "sketched_heavy": report["sketched_heavy"],
                     })
 
-    return {
-        "schema_version": 1,
-        "suite": "sketch",
-        "quick": quick,
-        "repeats": repeats,
-        "query": QUERY,
-        "grid": {key: list(value) if isinstance(value, tuple) else value
-                 for key, value in grid.items()},
-        "calibration_seconds": calibration,
-        "entries": entries,
-        "fidelity": fidelity_points,
-        "summary": {
-            "total_wall_seconds": total_wall,
-            "normalized_wall": total_wall / calibration,
-            "mean_optimality_gap": sum(gaps) / len(gaps) if gaps else 0.0,
-            "max_optimality_gap": max(gaps, default=0.0),
-            "planner_mean_regret": (exact_regret + sketch_regret) / 2,
-            "planner_worst_regret": max(exact_regret, sketch_regret),
-            "exact_worst_regret": exact_regret,
-            "sketch_worst_regret": sketch_regret,
-            "regret_ratio": regret_ratio,
-            "sketch_min_recall": min_recall,
-            "sketch_mean_precision":
-                sum(precisions) / len(precisions) if precisions else 1.0,
-            "sketch_max_rel_error": max_rel_error,
-            "merge_bit_identical": 1.0 if merge_identical else 0.0,
-        },
+    # Re-inserted so "fidelity" keeps its place ahead of "summary".
+    summary = document.pop("summary")
+    document["fidelity"] = fidelity_points
+    document["summary"] = {
+        **summary,
+        "planner_mean_regret": (exact_regret + sketch_regret) / 2,
+        "planner_worst_regret": max(exact_regret, sketch_regret),
+        "exact_worst_regret": exact_regret,
+        "sketch_worst_regret": sketch_regret,
+        "regret_ratio": regret_ratio,
+        "sketch_min_recall": min_recall,
+        "sketch_mean_precision":
+            sum(precisions) / len(precisions) if precisions else 1.0,
+        "sketch_max_rel_error": max_rel_error,
+        "merge_bit_identical": 1.0 if merge_identical else 0.0,
     }
+    return document
 
 
 def sketch_gate_failures(document: Mapping) -> list[str]:
@@ -631,57 +600,22 @@ def run_rounds_bench(
     :func:`rounds_gate_failures` gates absolutely, plus the planner's
     regret on its combined scale (max per-round load x rounds).
     """
-    if repeats < 1:
-        raise BenchError("run_rounds_bench needs repeats >= 1")
-    sweep = rounds_bench_sweep(quick=quick)
-    calibration = calibrate()
-    obs = obs if obs is not None else Observation.create()
-    result = None
-    total_wall = float("inf")
-    best_wall: dict[str, float] = {}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = sweep.run(obs=obs)
-        total_wall = min(total_wall, time.perf_counter() - started)
-        for record in result.records:
-            entry_id = _entry_id(record)
-            best_wall[entry_id] = min(
-                best_wall.get(entry_id, float("inf")), record.wall_seconds
-            )
-
-    entries = []
-    for record in result.records:
-        entries.append({
-            "id": _entry_id(record),
-            "algorithm": record.algorithm,
-            "workload": record.workload,
-            "p": record.p,
-            "m": record.m,
-            "skew": record.skew,
-            "seed": record.seed,
+    document, records = _run_pinned(
+        "rounds", rounds_bench_sweep(quick),
+        ROUNDS_QUICK_GRID if quick else ROUNDS_FULL_GRID, quick, obs, repeats,
+        extra_columns=lambda record: {
             "rounds": record.rounds,
             "round_load_bits": (None if record.round_load_bits is None
                                 else list(record.round_load_bits)),
-            "wall_seconds": best_wall[_entry_id(record)],
-            "max_load_bits": record.max_load_bits,
-            "lower_bound_bits": record.lower_bound_bits,
-            "optimality_gap": record.optimality_gap,
-            "predicted_load_bits": record.predicted_load_bits,
-        })
-    gaps = [e["optimality_gap"] for e in entries
-            if e["optimality_gap"] is not None]
+        },
+    )
 
     # Per cell: the two-round triangle against the best one-round
-    # algorithm (predicted and measured max-load), plus planner regret
-    # on the combined cost scale the round-aware planner ranks by.
+    # algorithm (predicted and measured max-load).
     speedups_predicted: list[float] = []
     speedups_measured: list[float] = []
     two_round_gaps: list[float] = []
-    regrets: list[float] = []
-    by_cell: dict[tuple, list[RunRecord]] = {}
-    for record in result.records:
-        by_cell.setdefault(_cell_key(record), []).append(record)
-    for cell_records in by_cell.values():
+    for cell_records in _by_cell(records):
         one_round = [r for r in cell_records if r.rounds == 1]
         two_round = [r for r in cell_records
                      if r.algorithm == _TWO_ROUND_KEY]
@@ -697,43 +631,19 @@ def run_rounds_bench(
                 speedups_measured.append(best_measured / two.max_load_bits)
             if two.optimality_gap is not None:
                 two_round_gaps.append(two.optimality_gap)
-        picked = min(cell_records,
-                     key=lambda r: r.predicted_load_bits * r.rounds)
-        best = min(cell_records, key=lambda r: r.max_load_bits * r.rounds)
-        best_cost = best.max_load_bits * best.rounds
-        if best_cost > 0:
-            regrets.append(picked.max_load_bits * picked.rounds / best_cost)
 
-    grid = ROUNDS_QUICK_GRID if quick else ROUNDS_FULL_GRID
-    return {
-        "schema_version": 1,
-        "suite": "rounds",
-        "quick": quick,
-        "repeats": repeats,
-        "query": ROUNDS_QUERY,
-        "grid": {key: list(value) if isinstance(value, tuple) else value
-                 for key, value in grid.items()},
-        "calibration_seconds": calibration,
-        "entries": entries,
-        "summary": {
-            "total_wall_seconds": total_wall,
-            "normalized_wall": total_wall / calibration,
-            "mean_optimality_gap": sum(gaps) / len(gaps) if gaps else 0.0,
-            "max_optimality_gap": max(gaps, default=0.0),
-            "planner_mean_regret":
-                sum(regrets) / len(regrets) if regrets else 1.0,
-            "planner_worst_regret": max(regrets, default=1.0),
-            "two_round_min_speedup_predicted":
-                min(speedups_predicted, default=0.0),
-            "two_round_min_speedup_measured":
-                min(speedups_measured, default=0.0),
-            "two_round_mean_speedup_measured":
-                (sum(speedups_measured) / len(speedups_measured)
-                 if speedups_measured else 0.0),
-            "two_round_min_gap": min(two_round_gaps, default=0.0),
-            "two_round_max_gap": max(two_round_gaps, default=0.0),
-        },
-    }
+    document["summary"].update({
+        "two_round_min_speedup_predicted":
+            min(speedups_predicted, default=0.0),
+        "two_round_min_speedup_measured":
+            min(speedups_measured, default=0.0),
+        "two_round_mean_speedup_measured":
+            (sum(speedups_measured) / len(speedups_measured)
+             if speedups_measured else 0.0),
+        "two_round_min_gap": min(two_round_gaps, default=0.0),
+        "two_round_max_gap": max(two_round_gaps, default=0.0),
+    })
+    return document
 
 
 def rounds_gate_failures(document: Mapping) -> list[str]:

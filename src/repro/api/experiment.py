@@ -1,37 +1,49 @@
-"""Declarative experiments: one cell, a grid, or a full sweep.
+"""Declarative experiments: a cell, one workload point, or a full sweep.
 
 The runner closes the loop the paper draws between theory and execution:
 each cell generates a workload, asks the planner for predictions and the
 Theorem 3.6 lower bound, runs the algorithm through a pluggable execution
 engine, and lands everything in a structured :class:`RunRecord`.
 
-* :class:`WorkloadSpec` — a deterministic workload generator
-  (kind × m × skew × seed) for a query's relations.
+* :class:`Cell` — one fully-resolved grid point, a frozen dataclass of
+  primitives (so it can be generated on one machine and executed on
+  another).  The path from a cell to a record is here, in one place:
+  :func:`_prepare` builds what cells at the same grid coordinates share
+  (the :class:`WorkloadSpec`'s database, the statistics pass, the plan)
+  and :func:`_execute` runs one cell's algorithm through
+  :func:`repro.rounds.run_rounds`, for one round or many.
+* :func:`execute_cells` — the *cell executor* the library and the service
+  (``repro serve``) share: a cell that raises becomes a structured
+  ``failed:<reason>`` record, a cell past ``cell_timeout`` becomes a
+  ``timeout`` record (its worker process is killed and replaced), and
+  every healthy record is returned in grid order regardless of what its
+  neighbors did.
 * :class:`Experiment` — one workload × one ``p`` × some algorithms.
 * :class:`Sweep` — the full grid ``p x m x skew x seed x stats x
   rounds x algorithm`` (the ``stats`` axis switches the statistics pass
   between exact frequencies and the one-pass Count-Sketch estimates;
   the ``rounds`` axis varies the planner's round budget, admitting the
   multi-round algorithms of :mod:`repro.rounds` when it exceeds 1);
-  ``run(max_workers=N)`` farms the cells through the fault-isolated
-  executor in :mod:`repro.service.jobs` (the same one ``repro serve``
-  uses), which is safe because cells are declarative and therefore
-  picklable.  A cell that raises yields a structured ``failed:<reason>``
-  record, a cell past ``cell_timeout`` yields a ``timeout`` record (its
-  worker process is replaced), and every healthy record is returned in
-  grid order regardless.
+  ``run(max_workers=N)`` farms the cells through :func:`execute_cells`.
+  :meth:`Sweep.from_spec` builds one from the JSON-shaped mapping the CLI
+  and the service exchange.
 
-Everything here is importable-state free: a cell is a frozen dataclass of
-primitives, so sweeps can be generated on one machine and executed on
-another.
+Observability: the executor's ``sweep.queue_wait.seconds`` /
+``sweep.cell.seconds`` histograms and ``sweep.cells.{ok,failed,timeout}``
+counters; per-cell progress is logged on the ``repro.api.experiment``
+logger.
 """
 
 from __future__ import annotations
 
+import logging
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Sequence
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as _connection_wait
+from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
 from ..data.generators import (
     matching_relation,
@@ -39,18 +51,19 @@ from ..data.generators import (
     uniform_relation,
     zipf_relation,
 )
-from ..mpc.engine.base import EngineError, available_engines
-from ..mpc.execution import run_one_round
+from ..mpc.engine.base import resolve_engine
+from ..mpc.engine.multiprocess import pool_context
 from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
-from ..rounds.base import MultiRoundAlgorithm
-from ..rounds.executor import MultiRoundResult, run_rounds
+from ..rounds import run_rounds
 from ..seq.relation import Database
-from ..stats.heavy_hitters import HeavyHitterStatistics
-from .planner import STATS_METHODS, plan
+from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
-from .registry import algorithm_keys, get_spec
+from .registry import algorithm_keys, applicable_specs, get_spec
+
+_LOG = logging.getLogger("repro.api.experiment")
+
 
 class ExperimentError(ValueError):
     """Raised for unsatisfiable experiment/sweep specifications."""
@@ -151,22 +164,11 @@ def _coordinates(cell: Cell) -> tuple:
             cell.domain, cell.p, cell.stats, cell.rounds)
 
 
-def _validate_stats_method(stats: str) -> None:
-    if stats not in STATS_METHODS:
-        raise ExperimentError(
-            f"unknown stats method {stats!r}; "
-            f"choose from {', '.join(STATS_METHODS)}"
-        )
-
-
-def _build_statistics(query, db, p: int, stats_method: str,
-                      obs: Observation | None = None):
-    """The cell's statistics pass: exact frequencies or the sketch pass."""
-    if stats_method == "sketch":
-        from ..sketch import SketchedHeavyHitterStatistics
-
-        return SketchedHeavyHitterStatistics.of(query, db, p, obs=obs)
-    return HeavyHitterStatistics.of(query, db, p)
+def _cell_columns(cell: Cell) -> dict:
+    """The record columns every cell — finished or failed — copies over."""
+    return dict(query=cell.query, workload=cell.workload, m=cell.m,
+                skew=cell.skew, seed=cell.seed, p=cell.p,
+                engine=cell.engine, stats=cell.stats)
 
 
 def _prepare(cells: Sequence[Cell], obs: Observation | None = None):
@@ -175,19 +177,20 @@ def _prepare(cells: Sequence[Cell], obs: Observation | None = None):
     Plans only the algorithms the cells actually mention ("auto" needs
     the full registry), so a single-algorithm cell never pays for
     cost-estimating the algorithms it is not running.  The statistics
-    pass honors the cells' ``stats`` method and, when observing, lands
-    its wall clock in the ``stats.build.seconds`` histogram.
+    pass (:func:`~repro.api.planner.resolve_statistics`) honors the
+    cells' ``stats`` method and, when observing, lands its wall clock in
+    the ``stats.build.seconds`` histogram.
     """
     first = cells[0]
-    _validate_stats_method(first.stats)
     query = parse_query(first.query)
     workload = WorkloadSpec(
         kind=first.workload, m=first.m, skew=first.skew, seed=first.seed,
         domain=first.domain,
     )
     db = workload.build(query)
-    with maybe_timed(obs, "stats.build", method=first.stats):
-        stats = _build_statistics(query, db, first.p, first.stats, obs=obs)
+    stats = resolve_statistics(
+        query, None, first.p, db, stats_method=first.stats, obs=obs
+    )
     keys = {cell.algorithm for cell in cells}
     # ``rounds`` is the planner's budget.  Explicitly requesting a
     # multi-round algorithm opts into its round count, so the budget
@@ -216,6 +219,9 @@ def _execute(
 ) -> RunRecord:
     """Run one cell's algorithm in a prepared context; build the record.
 
+    One call into :func:`repro.rounds.run_rounds`, whatever the
+    algorithm's round count.
+
     Observability: when the cell asks for it (``cell.observe``) or a
     sweep-level ``obs`` is supplied, the round runs against a *fresh*
     per-cell :class:`~repro.obs.MetricsRegistry` whose digest becomes the
@@ -239,73 +245,44 @@ def _execute(
         algorithm=key, engine=cell.engine, p=cell.p, m=cell.m,
         skew=cell.skew, seed=cell.seed, workload=cell.workload,
     ):
-        if isinstance(algorithm, MultiRoundAlgorithm):
-            result = run_rounds(
-                algorithm,
-                db,
-                cell.p,
-                seed=cell.seed,
-                compute_answers=cell.compute_answers or cell.verify,
-                verify=cell.verify,
-                engine=cell.engine,
-                obs=cell_obs,
-            )
-        else:
-            result = run_one_round(
-                algorithm,
-                db,
-                cell.p,
-                seed=cell.seed,
-                compute_answers=cell.compute_answers or cell.verify,
-                verify=cell.verify,
-                engine=cell.engine,
-                obs=cell_obs,
-            )
+        result = run_rounds(
+            algorithm,
+            db,
+            cell.p,
+            seed=cell.seed,
+            compute_answers=cell.compute_answers or cell.verify,
+            verify=cell.verify,
+            engine=cell.engine,
+            obs=cell_obs,
+        )
     wall = time.perf_counter() - started
-    if isinstance(result, MultiRoundResult):
-        rounds_used = result.round_count
-        round_loads = [float(x) for x in result.round_load_bits]
-        replication = result.replication_rate
-        balance = result.balance
-    else:
-        rounds_used = 1
-        round_loads = None
-        replication = result.report.replication_rate
-        balance = result.report.balance
     metrics_block = None
     if cell_obs is not None:
         metrics_block = cell_obs.metrics.to_dict()
         if obs is not None:
             obs.metrics.merge(cell_obs.metrics)
     return RunRecord(
-        query=cell.query,
-        workload=cell.workload,
-        m=cell.m,
-        skew=cell.skew,
-        seed=cell.seed,
+        **_cell_columns(cell),
         domain=db.domain_size,
-        p=cell.p,
         algorithm=key,
         algorithm_name=algorithm.name,
-        engine=cell.engine,
-        stats=cell.stats,
         predicted_load_bits=float(prediction.predicted_load_bits or 0.0),
-        # Per-algorithm bound: Theorem 3.6 for one-round predictions
-        # (where it equals the plan-level bound), the repartition bound
-        # for multi-round ones — the one-round bound does not gate
-        # algorithms that reshuffle intermediates.
-        lower_bound_bits=float(prediction.lower_bound_bits
-                               if prediction.lower_bound_bits is not None
-                               else query_plan.lower_bound_bits),
+        # Per-algorithm bound: Theorem 3.6 for one-round predictions, the
+        # repartition bound for multi-round ones — the one-round bound
+        # does not gate algorithms that reshuffle intermediates.
+        lower_bound_bits=float(prediction.lower_bound_bits),
         max_load_bits=result.max_load_bits,
         max_load_tuples=result.max_load_tuples,
-        replication_rate=replication,
-        balance=balance,
+        replication_rate=result.replication_rate,
+        balance=result.balance,
         wall_seconds=wall,
         answer_count=result.answer_count,
         complete=result.is_complete,
-        rounds=rounds_used,
-        round_load_bits=round_loads,
+        rounds=result.round_count,
+        # The schema keeps this null for one-round cells, whose single
+        # round is ``max_load_bits`` itself.
+        round_load_bits=([float(x) for x in result.round_load_bits]
+                         if result.round_count > 1 else None),
         metrics=metrics_block,
     )
 
@@ -328,17 +305,10 @@ def failure_record(
     except ExperimentError:
         domain = cell.domain if cell.domain is not None else 0
     return RunRecord(
-        query=cell.query,
-        workload=cell.workload,
-        m=cell.m,
-        skew=cell.skew,
-        seed=cell.seed,
+        **_cell_columns(cell),
         domain=domain,
-        p=cell.p,
         algorithm=cell.algorithm,
         algorithm_name=cell.algorithm,
-        engine=cell.engine,
-        stats=cell.stats,
         status=status,
         predicted_load_bits=0.0,
         lower_bound_bits=0.0,
@@ -348,16 +318,6 @@ def failure_record(
         balance=0.0,
         wall_seconds=wall_seconds,
     )
-
-
-def _validate_engine(engine: str) -> None:
-    """Reject unknown engine names before any cell runs, with the list of
-    valid names — not as a traceback from the middle of a grid."""
-    if engine not in available_engines():
-        raise EngineError(
-            f"unknown execution engine {engine!r}; "
-            f"available: {', '.join(available_engines())}"
-        )
 
 
 def run_cell(cell: Cell) -> RunRecord:
@@ -370,6 +330,373 @@ def run_cell(cell: Cell) -> RunRecord:
     db, query_plan = _prepare([cell])
     return _execute(cell, db, query_plan)
 
+
+# ----------------------------------------------------------------------
+# The cell executor: serial and farmed, both fault-isolated.
+# ----------------------------------------------------------------------
+
+def _failure_status(exc: BaseException) -> str:
+    """The ``failed:<reason>`` status string for an exception."""
+    reason = str(exc) or type(exc).__name__
+    return f"failed:{type(exc).__name__}: {reason}"
+
+
+def _log_record(record: RunRecord, done: int, total: int) -> None:
+    _LOG.info(
+        "cell %d/%d: %s p=%d m=%d skew=%.2f seed=%d -> "
+        "%.0f bits (%s) in %.3fs",
+        done, total, record.algorithm, record.p, record.m,
+        record.skew, record.seed, record.max_load_bits,
+        record.status if not record.ok
+        else "gap " + ("-" if record.optimality_gap is None
+                       else format(record.optimality_gap, ".2f")),
+        record.wall_seconds,
+    )
+
+
+def _count_status(obs: Observation | None, record: RunRecord) -> None:
+    if obs is None:
+        return
+    if record.ok:
+        obs.count("sweep.cells.ok")
+    elif record.status == "timeout":
+        obs.count("sweep.cells.timeout")
+    else:
+        obs.count("sweep.cells.failed")
+
+
+class PreparedCache(Protocol):
+    """The cache the serial executor can reuse prepared contexts through;
+    the service passes its :class:`repro.service.CatalogCache`."""
+
+    def get_or_build(self, section: str, key: Hashable,
+                     builder: Callable[[], object]) -> object: ...
+
+
+def _prepared_context(group, obs, cache: PreparedCache | None):
+    """``(db, query_plan)`` for a coordinate group, through the cache.
+
+    The cache key covers everything :func:`_prepare` consumes: the
+    coordinates plus the algorithm keys the plan must cost.
+    """
+    if cache is None:
+        return _prepare(group, obs=obs)
+    key = ("prepare", _coordinates(group[0]),
+           tuple(sorted({cell.algorithm for cell in group})))
+    return cache.get_or_build(
+        "plan", key, lambda: _prepare(group, obs=obs)
+    )
+
+
+def _execute_serial(
+    cells: Sequence[Cell],
+    progress: Callable[[RunRecord], None] | None,
+    obs: Observation | None,
+    cache: PreparedCache | None,
+) -> list[RunRecord]:
+    """In-process execution: one ``_prepare`` per distinct coordinate
+    group (order-independent — shuffled grids do not re-prepare), with
+    per-cell and per-group fault isolation.  Timeouts need process
+    isolation, so they are the farm's job."""
+    groups: dict[tuple, list[int]] = {}
+    for index, cell in enumerate(cells):
+        groups.setdefault(_coordinates(cell), []).append(index)
+    slots: list[RunRecord | None] = [None] * len(cells)
+    total = len(cells)
+    done = 0
+
+    def _finish(index: int, record: RunRecord) -> None:
+        nonlocal done
+        done += 1
+        slots[index] = record
+        _log_record(record, done, total)
+        _count_status(obs, record)
+        if progress is not None:
+            progress(record)
+
+    with maybe_timed(obs, "sweep.run", cells=total, workers=1):
+        for indexes in groups.values():
+            group = [cells[i] for i in indexes]
+            try:
+                with maybe_timed(obs, "sweep.prepare", cells=len(group)):
+                    db, query_plan = _prepared_context(group, obs, cache)
+            except Exception as exc:
+                _LOG.warning("sweep: preparing %d cell(s) failed: %s",
+                             len(group), exc)
+                for i in indexes:
+                    _finish(i, failure_record(
+                        cells[i], _failure_status(exc)
+                    ))
+                continue
+            for i in indexes:
+                started = time.perf_counter()
+                try:
+                    record = _execute(
+                        cells[i], db, query_plan, obs=obs
+                    )
+                except Exception as exc:
+                    _LOG.warning("sweep: cell %d failed: %s", i, exc)
+                    record = failure_record(
+                        cells[i], _failure_status(exc),
+                        wall_seconds=time.perf_counter() - started,
+                    )
+                _finish(i, record)
+    return [record for record in slots if record is not None]
+
+
+@dataclass
+class _Worker:
+    """One farm worker process and what it is currently running."""
+
+    process: object
+    conn: Connection
+    index: int | None = None          # cell index in flight, None if idle
+    dispatched_at: float | None = None
+    deadline: float | None = None
+
+    @property
+    def busy(self) -> bool:
+        return self.index is not None
+
+
+def _cell_worker(conn: Connection) -> None:
+    """Farm worker loop: receive a cell, run it, send the outcome.
+
+    Exceptions are caught *here* and shipped back as structured errors,
+    so a poisoned cell costs one message, not the worker.  Only a hard
+    crash (or a kill from the parent on timeout) loses the process — the
+    parent notices the closed pipe and replaces it.
+    """
+    while True:
+        try:
+            cell = conn.recv()
+        except (EOFError, OSError):
+            return
+        if cell is None:
+            return
+        try:
+            outcome = ("ok", run_cell(cell))
+        except BaseException as exc:  # isolate *everything* per cell
+            outcome = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(outcome)
+        except (BrokenPipeError, OSError):
+            return
+
+
+def _execute_farm(
+    cells: Sequence[Cell],
+    max_workers: int,
+    cell_timeout: float | None,
+    progress: Callable[[RunRecord], None] | None,
+    obs: Observation | None,
+) -> list[RunRecord]:
+    """Farm cells over dedicated worker processes with fault isolation.
+
+    Unlike a :class:`~concurrent.futures.ProcessPoolExecutor`, each
+    worker is dispatched exactly one cell at a time over its own pipe, so
+    the parent always knows which cell a hung worker holds: on deadline
+    it kills that worker, records a ``timeout`` for that cell only, and
+    spawns a replacement.  Worker processes are non-daemonic (cells
+    running the ``mp`` engine open their own pool inside).
+    """
+    ctx = pool_context()
+    total = len(cells)
+    if obs is not None:
+        # Workers cannot write to this process' registry; ship the
+        # request with each cell and read the digest off the record.
+        cells = [replace(cell, observe=True) for cell in cells]
+    slots: list[RunRecord | None] = [None] * total
+    pending: deque[int] = deque(range(total))
+    workers: list[_Worker] = []
+    done = 0
+    busy_seconds = 0.0
+    farm_started = time.perf_counter()
+
+    def _spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=_cell_worker, args=(child_conn,), daemon=False
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    def _dispatch(worker: _Worker) -> None:
+        index = pending.popleft()
+        worker.index = index
+        worker.dispatched_at = time.perf_counter()
+        worker.deadline = (
+            None if cell_timeout is None
+            else worker.dispatched_at + cell_timeout
+        )
+        worker.conn.send(cells[index])
+
+    def _finish(index: int, record: RunRecord) -> None:
+        nonlocal done, busy_seconds
+        done += 1
+        slots[index] = record
+        if obs is not None:
+            turnaround = time.perf_counter() - farm_started
+            obs.observe("sweep.queue_wait.seconds",
+                        max(0.0, turnaround - record.wall_seconds))
+            obs.observe("sweep.cell.seconds", record.wall_seconds)
+            busy_seconds += record.wall_seconds
+            if record.metrics is not None:
+                obs.metrics.merge_snapshot({
+                    "counters": record.metrics.get("counters", {}),
+                    "gauges": record.metrics.get("gauges", {}),
+                })
+        _log_record(record, done, total)
+        _count_status(obs, record)
+        if progress is not None:
+            progress(record)
+
+    def _retire(worker: _Worker, *, kill: bool) -> None:
+        workers.remove(worker)
+        if kill and worker.process.is_alive():
+            worker.process.terminate()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        worker.process.join(timeout=5)
+        if worker.process.is_alive():  # pragma: no cover - stubborn child
+            worker.process.kill()
+            worker.process.join(timeout=5)
+
+    worker_target = min(max_workers, total)
+    with maybe_timed(obs, "sweep.run", cells=total, workers=worker_target):
+        workers.extend(_spawn() for _ in range(worker_target))
+        try:
+            while done < total:
+                for worker in workers:
+                    if not worker.busy and pending:
+                        _dispatch(worker)
+                busy = [worker for worker in workers if worker.busy]
+                if not busy:  # pragma: no cover - every worker just died
+                    while pending:
+                        index = pending.popleft()
+                        _finish(index, failure_record(
+                            cells[index], "failed:worker-pool-exhausted"
+                        ))
+                    break
+                now = time.perf_counter()
+                deadlines = [w.deadline for w in busy
+                             if w.deadline is not None]
+                wait_for = (None if not deadlines
+                            else max(0.0, min(deadlines) - now))
+                ready = _connection_wait(
+                    [worker.conn for worker in busy], timeout=wait_for
+                )
+                for worker in busy:
+                    if worker.conn not in ready:
+                        continue
+                    index = worker.index
+                    elapsed = time.perf_counter() - worker.dispatched_at
+                    try:
+                        kind, payload = worker.conn.recv()
+                    except (EOFError, OSError):
+                        # The worker died mid-cell (crash, OOM kill, ...):
+                        # record the casualty and replace the process.
+                        _LOG.warning("sweep: worker died running cell %d",
+                                     index)
+                        _finish(index, failure_record(
+                            cells[index], "failed:worker-died",
+                            wall_seconds=elapsed,
+                        ))
+                        _retire(worker, kill=True)
+                        if pending:
+                            workers.append(_spawn())
+                        continue
+                    if kind == "ok":
+                        _finish(index, payload)
+                    else:
+                        _finish(index, failure_record(
+                            cells[index], f"failed:{payload}",
+                            wall_seconds=elapsed,
+                        ))
+                    worker.index = None
+                    worker.dispatched_at = None
+                    worker.deadline = None
+                now = time.perf_counter()
+                for worker in list(workers):
+                    if (worker.busy and worker.deadline is not None
+                            and now >= worker.deadline):
+                        index = worker.index
+                        _LOG.warning(
+                            "sweep: cell %d exceeded its %.1fs deadline; "
+                            "killing and replacing its worker",
+                            index, cell_timeout,
+                        )
+                        _finish(index, failure_record(
+                            cells[index], "timeout",
+                            wall_seconds=now - worker.dispatched_at,
+                        ))
+                        _retire(worker, kill=True)
+                        if pending:
+                            workers.append(_spawn())
+        finally:
+            for worker in list(workers):
+                if not worker.busy:
+                    try:
+                        worker.conn.send(None)
+                    except (BrokenPipeError, OSError):
+                        pass
+                _retire(worker, kill=worker.busy)
+    if obs is not None:
+        elapsed = time.perf_counter() - farm_started
+        obs.set_gauge("sweep.pool_workers", worker_target)
+        if elapsed > 0:
+            obs.set_gauge(
+                "sweep.pool_utilization",
+                busy_seconds / (worker_target * elapsed),
+            )
+    return [record for record in slots if record is not None]
+
+
+def execute_cells(
+    cells: Sequence[Cell],
+    max_workers: int | None = None,
+    cell_timeout: float | None = None,
+    progress: Callable[[RunRecord], None] | None = None,
+    obs: Observation | None = None,
+    cache: PreparedCache | None = None,
+) -> list[RunRecord]:
+    """Execute sweep cells with per-cell fault isolation.
+
+    The single executor behind both :meth:`repro.api.experiment.Sweep.run`
+    and the service's sweep jobs (``repro.service.execute_cells`` is this
+    function).  Records come back in grid (input)
+    order; a raising cell yields a ``failed:<reason>`` record and a cell
+    past ``cell_timeout`` seconds yields a ``timeout`` record — neither
+    disturbs its neighbors.
+
+    ``max_workers`` > 1 farms cells over worker processes; ``None``/1
+    runs in-process (sharing one database/statistics/plan per distinct
+    coordinate group, in any input order).  ``cell_timeout`` requires
+    process isolation, so setting it forces the farm even for a single
+    worker.  ``cache`` (a :class:`PreparedCache`) lets the serial path
+    reuse prepared contexts across calls — the service's sweep jobs pass
+    the server-wide :class:`~repro.service.cache.CatalogCache`.
+    """
+    if not cells:
+        return []
+    workers = 0 if max_workers is None else max_workers
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ExperimentError(
+            f"cell_timeout must be positive, got {cell_timeout}"
+        )
+    if cell_timeout is None and (workers <= 1 or len(cells) == 1):
+        return _execute_serial(cells, progress, obs, cache)
+    return _execute_farm(
+        cells, max(1, workers), cell_timeout, progress, obs
+    )
+
+
+# ----------------------------------------------------------------------
+# Grids: Experiment and Sweep.
+# ----------------------------------------------------------------------
 
 def _resolve_algorithms(
     query: ConjunctiveQuery, algorithms: str | Sequence[str],
@@ -388,9 +715,7 @@ def _resolve_algorithms(
         return ("auto",)
     if algorithms == "applicable":
         return tuple(
-            key for key in algorithm_keys()
-            if get_spec(key).is_applicable(query)
-            and get_spec(key).rounds(query) <= max_rounds
+            spec.key for spec in applicable_specs(query, max_rounds=max_rounds)
         )
     if isinstance(algorithms, str):
         raise ExperimentError(
@@ -499,38 +824,24 @@ class Experiment:
     stats: str = "exact"       # statistics method: "exact" or "sketch"
     rounds: int = 1            # the planner's round budget (max_rounds)
 
-    def _query(self) -> ConjunctiveQuery:
-        if isinstance(self.query, str):
-            return parse_query(self.query)
-        return self.query
-
     def cells(self) -> list[Cell]:
-        query = self._query()
-        _validate_engine(self.engine)
-        _validate_stats_method(self.stats)
-        if self.rounds < 1:
-            raise ExperimentError(f"rounds must be >= 1, got {self.rounds}")
-        return [
-            Cell(
-                query=str(query),
-                workload=self.workload.kind,
-                m=self.workload.m,
-                skew=self.workload.skew,
-                seed=self.workload.seed,
-                p=self.p,
-                algorithm=key,
-                engine=self.engine,
-                compute_answers=self.compute_answers,
-                verify=self.verify,
-                domain=self.workload.domain,
-                observe=self.observe,
-                stats=self.stats,
-                rounds=self.rounds,
-            )
-            for key in _resolve_algorithms(
-                query, self.algorithms, max_rounds=self.rounds
-            )
-        ]
+        """The one-point grid, validated exactly as a :class:`Sweep` is."""
+        return Sweep(
+            query=self.query,
+            workload=self.workload.kind,
+            p_values=(self.p,),
+            m_values=(self.workload.m,),
+            skews=(self.workload.skew,),
+            seeds=(self.workload.seed,),
+            algorithms=self.algorithms,
+            engine=self.engine,
+            compute_answers=self.compute_answers,
+            verify=self.verify,
+            domain=self.workload.domain,
+            observe=self.observe,
+            stats=self.stats,
+            rounds=self.rounds,
+        ).cells()
 
     def run(self, obs: Observation | None = None) -> list[RunRecord]:
         cells = self.cells()
@@ -540,6 +851,23 @@ class Experiment:
         with maybe_timed(obs, "experiment.prepare", query=str(self.query)):
             db, query_plan = _prepare(cells, obs=obs)
         return [_execute(cell, db, query_plan, obs=obs) for cell in cells]
+
+
+#: Sweep spec key -> (value types, list? — None when either will do, what
+#: the field must be).
+_SPEC_FIELDS: Mapping[str, tuple] = {
+    "workload": (str, False, "a string"),
+    "p_values": (int, True, "a list of integers"),
+    "m_values": (int, True, "a list of integers"),
+    "skews": ((int, float), True, "a list of numbers"),
+    "seeds": (int, True, "a list of integers"),
+    "algorithms": (str, None, "a string or a list of strings"),
+    "engine": (str, False, "a string"),
+    "verify": (bool, False, "a boolean"),
+    "domain": ((int, type(None)), False, "an integer or null"),
+    "stats": (str, None, "a string or a list of strings"),
+    "rounds": (int, None, "an integer or a list of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -566,13 +894,57 @@ class Sweep:
     stats: str | Sequence[str] = "exact"   # one method, or an axis of them
     rounds: int | Sequence[int] = 1        # one round budget, or an axis
 
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, object]) -> "Sweep":
+        """A sweep from the JSON-shaped mapping ``repro sweep``, ``repro
+        submit sweep`` and the service's sweep jobs all describe it by.
+
+        Keys are the field names (``stats_axis`` is accepted for
+        ``stats``); absent keys keep the field defaults and unknown keys
+        (executor settings such as ``workers``) are ignored.  Only shapes
+        and types are checked — no query parse, no grid expansion — so the
+        service can run this on the request thread and answer a malformed
+        spec with 400 instead of accepting a job that can only fail;
+        values are validated where they always were, in :meth:`cells`.
+        """
+        if not isinstance(spec, Mapping) or not spec.get("query") \
+                or not isinstance(spec["query"], str):
+            raise ExperimentError(
+                "a sweep spec must be an object with a 'query' string"
+            )
+        if "stats_axis" in spec:
+            spec = {**spec, "stats": spec["stats_axis"]}
+        fields: dict[str, object] = {"query": spec["query"]}
+        for name, (kinds, listed, wanted) in _SPEC_FIELDS.items():
+            if name not in spec:
+                continue
+            value = spec[name]
+            is_list = isinstance(value, (list, tuple))
+            well_typed = all(
+                # bool is an int to isinstance; JSON true is not a number.
+                isinstance(item, kinds)
+                and (kinds is bool or not isinstance(item, bool))
+                for item in (value if is_list else (value,))
+            )
+            if not well_typed or (listed is not None and is_list != listed):
+                raise ExperimentError(
+                    f"sweep spec field {name!r} must be {wanted}, "
+                    f"got {value!r}"
+                )
+            fields[name] = tuple(value) if is_list else value
+        return cls(**fields)
+
     def _stats_axis(self) -> tuple[str, ...]:
         methods = ((self.stats,) if isinstance(self.stats, str)
                    else tuple(self.stats))
         if not methods:
             raise ExperimentError("the stats axis is empty")
         for method in methods:
-            _validate_stats_method(method)
+            if method not in STATS_METHODS:
+                raise ExperimentError(
+                    f"unknown stats method {method!r}; "
+                    f"choose from {', '.join(STATS_METHODS)}"
+                )
         return methods
 
     def _rounds_axis(self) -> tuple[int, ...]:
@@ -588,8 +960,11 @@ class Sweep:
         return budgets
 
     def cells(self) -> list[Cell]:
-        query = self._query()
-        _validate_engine(self.engine)
+        query = (parse_query(self.query) if isinstance(self.query, str)
+                 else self.query)
+        # Reject an unknown engine name before any cell runs, with the
+        # list of valid names — not from the middle of a grid.
+        resolve_engine(self.engine)
         stats_methods = self._stats_axis()
         rounds_axis = self._rounds_axis()
         # The "applicable" expansion depends on the round budget, so the
@@ -605,8 +980,7 @@ class Sweep:
             if p < 1:
                 raise ExperimentError(f"p must be >= 1, got {p}")
         for m in self.m_values:
-            WorkloadSpec(kind=self.workload, m=m, skew=self.skews[0]
-                         if self.skews else 1.0, domain=self.domain)
+            WorkloadSpec(kind=self.workload, m=m, domain=self.domain)
         text = str(query)
         return [
             Cell(
@@ -632,11 +1006,6 @@ class Sweep:
             for key in keys_by_budget[budget]
         ]
 
-    def _query(self) -> ConjunctiveQuery:
-        if isinstance(self.query, str):
-            return parse_query(self.query)
-        return self.query
-
     def run(
         self,
         max_workers: int | None = None,
@@ -647,9 +1016,9 @@ class Sweep:
     ) -> SweepResult:
         """Execute every cell through the shared fault-isolated executor.
 
-        Execution goes through :func:`repro.service.jobs.execute_cells`
-        — the same battle-tested path ``repro serve`` uses — so the
-        library and the service share one executor.  In-process
+        Execution goes through :func:`execute_cells` — the same
+        battle-tested path ``repro serve`` uses — so the library and the
+        service share one executor.  In-process
         (``max_workers`` of ``None``/1), cells at the same grid
         coordinates share one database + statistics + plan regardless of
         their order in the grid.  With more workers, cells are farmed
@@ -677,10 +1046,8 @@ class Sweep:
         Pool workers cannot share the parent's registry, so their cells
         are flipped to ``observe=True`` and their metrics travel back on
         the records, where the parent folds them in.  Per-cell progress
-        is logged on the ``repro.service.jobs`` logger either way.
+        is logged on the ``repro.api.experiment`` logger either way.
         """
-        from ..service.jobs import execute_cells
-
         if cells is None:
             cells = self.cells()
         if not cells:

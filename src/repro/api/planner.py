@@ -5,7 +5,9 @@ max per-server load (the Section 3 bounds machinery, via each algorithm's
 ``predicted_load_bits`` cost hook), attaches the Theorem 3.6 lower bound
 ``L_lower = max_u L(u, M, p)`` for optimality-gap reporting, and exposes
 the ranking as a :class:`QueryPlan`.  :func:`autoplan` instantiates the
-winner directly.
+winner directly; :func:`tradeoff` reads the round/load curve off one
+plan (:meth:`QueryPlan.tradeoff`) — for every round count up to the
+budget, the best algorithm using exactly that many rounds.
 
 Predictions are skew-aware when heavy-hitter statistics are supplied
 (pass a database, or a ready
@@ -20,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..core.bounds import lower_bound
-from ..mpc.execution import OneRoundAlgorithm
+from ..mpc.execution import MPCAlgorithm
 from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
-from ..rounds.base import MultiRoundAlgorithm
 from ..seq.relation import Database
+from ..sketch import SketchedHeavyHitterStatistics
 from ..stats.cardinality import SimpleStatistics
 from ..stats.heavy_hitters import HeavyHitterStatistics
 from .registry import Statistics, algorithm_specs, get_spec
@@ -75,6 +77,36 @@ class Prediction:
 
 
 @dataclass(frozen=True)
+class TradeoffPoint:
+    """The best algorithm at one round count (``key`` None if none)."""
+
+    rounds: int
+    key: str | None = None
+    predicted_load_bits: float | None = None
+    round_loads: tuple[float, ...] | None = None
+    lower_bound_bits: float | None = None
+
+    @property
+    def cost_bits(self) -> float | None:
+        """The planner's scale: max per-round load x rounds."""
+        if self.predicted_load_bits is None:
+            return None
+        return self.predicted_load_bits * self.rounds
+
+    def to_dict(self) -> dict:
+        return {
+            "rounds": self.rounds,
+            "key": self.key,
+            "predicted_load_bits": self.predicted_load_bits,
+            "round_loads": (
+                None if self.round_loads is None else list(self.round_loads)
+            ),
+            "cost_bits": self.cost_bits,
+            "lower_bound_bits": self.lower_bound_bits,
+        }
+
+
+@dataclass(frozen=True)
 class QueryPlan:
     """The ranked output of :func:`plan`.
 
@@ -93,7 +125,7 @@ class QueryPlan:
     predictions: tuple[Prediction, ...] = field(default_factory=tuple)
     # Instances constructed while costing, reused by instantiate() so a
     # plan-then-run cycle never builds an algorithm twice.
-    built: Mapping[str, object] = field(
+    built: Mapping[str, MPCAlgorithm] = field(
         default_factory=dict, repr=False, compare=False
     )
     max_rounds: int = 1
@@ -117,20 +149,44 @@ class QueryPlan:
                 return prediction
         raise PlanError(f"algorithm {key!r} is not part of this plan")
 
-    def instantiate(self, key: str | None = None):
+    def instantiate(self, key: str | None = None) -> MPCAlgorithm:
         """The chosen (or an explicitly named) algorithm, ready to run.
 
         Returns the instance the planner already constructed while
-        costing; only keys outside this plan trigger a fresh build.  The
-        result is a :class:`OneRoundAlgorithm` or a
-        :class:`~repro.rounds.MultiRoundAlgorithm` — run the latter with
-        :func:`repro.rounds.run_rounds`.
+        costing; only keys outside this plan trigger a fresh build.  Run
+        the result with :func:`repro.rounds.run_rounds`, whatever its
+        round count.
         """
         chosen_key = self.chosen.key if key is None else key
         cached = self.built.get(chosen_key)
         if cached is not None:
             return cached
         return get_spec(chosen_key).build(self.query, self.stats, self.p)
+
+    def tradeoff(self) -> tuple[TradeoffPoint, ...]:
+        """The round/load curve: for every round count ``1..max_rounds``,
+        the best applicable algorithm using exactly that many rounds.
+
+        Round counts with no applicable algorithm yield a point with
+        ``key=None`` — e.g. a two-atom join has no two-round candidate,
+        and a triangle has a one-round HyperCube but no one-round hash
+        join.
+        """
+        best: dict[int, Prediction] = {}
+        for prediction in self.applicable:
+            # ``applicable`` is cost-sorted, so the first entry per round
+            # count is that count's winner.
+            best.setdefault(prediction.rounds, prediction)
+        return tuple(
+            TradeoffPoint(rounds=r) if r not in best else TradeoffPoint(
+                rounds=r,
+                key=best[r].key,
+                predicted_load_bits=best[r].predicted_load_bits,
+                round_loads=best[r].round_loads,
+                lower_bound_bits=best[r].lower_bound_bits,
+            )
+            for r in range(1, self.max_rounds + 1)
+        )
 
     def explain(self) -> str:
         """A human-readable ranking table."""
@@ -219,8 +275,6 @@ def resolve_statistics(
     if db is not None:
         with maybe_timed(obs, "stats.build", method=stats_method):
             if stats_method == "sketch":
-                from ..sketch import SketchedHeavyHitterStatistics
-
                 return SketchedHeavyHitterStatistics.of(query, db, p, obs=obs)
             return HeavyHitterStatistics.of(query, db, p)
     raise PlanError("plan() needs statistics or a database to extract them from")
@@ -287,7 +341,7 @@ def plan(
 
         ranked: list[tuple[float, float, int, Prediction]] = []
         inapplicable: list[Prediction] = []
-        built: dict[str, object] = {}
+        built: dict[str, MPCAlgorithm] = {}
         for order, spec in enumerate(algorithm_specs(algorithms)):
             if obs is not None:
                 obs.count("planner.algorithms_considered")
@@ -314,16 +368,12 @@ def plan(
             with maybe_timed(obs, "plan.cost", algorithm=spec.key):
                 algorithm = spec.build(query, stats, p)
                 built[spec.key] = algorithm
-                if isinstance(algorithm, MultiRoundAlgorithm):
-                    round_loads = tuple(
-                        algorithm.predicted_round_loads(stats, p)
-                    )
-                    predicted = max(round_loads)
-                    algo_bound = algorithm.lower_bound_bits(stats, p)
-                else:
-                    predicted = algorithm.predicted_load_bits(stats, p)
-                    round_loads = (predicted,)
-                    algo_bound = bound_bits
+                round_loads = tuple(algorithm.predicted_round_loads(stats, p))
+                predicted = max(round_loads)
+                # Theorem 3.6 constrains one round only; an algorithm
+                # that reshuffles intermediates carries its own bound.
+                algo_bound = (bound_bits if rounds == 1
+                              else algorithm.lower_bound_bits(stats, p))
             if not math.isfinite(predicted) or predicted < 0:
                 raise PlanError(
                     f"algorithm {spec.key!r} predicted a non-finite load "
@@ -374,14 +424,36 @@ def autoplan(
     algorithms: Iterable[str] | None = None,
     stats_method: str = "exact",
     max_rounds: int = 1,
-):
+) -> MPCAlgorithm:
     """Instantiate the minimum-cost applicable algorithm.
 
-    With ``max_rounds >= 2`` the result may be a
-    :class:`~repro.rounds.MultiRoundAlgorithm`; run it with
-    :func:`repro.rounds.run_rounds` instead of ``run_one_round``.
+    Run it with :func:`repro.rounds.run_rounds`; with ``max_rounds >= 2``
+    it may use several rounds.
     """
     return plan(
         query, stats, p, db=db, algorithms=algorithms,
         stats_method=stats_method, max_rounds=max_rounds,
     ).instantiate()
+
+
+def tradeoff(
+    query: ConjunctiveQuery | str,
+    p: int = 16,
+    rounds: int = 2,
+    stats: Statistics | None = None,
+    db: Database | None = None,
+    algorithms: Iterable[str] | None = None,
+    stats_method: str = "exact",
+    obs: Observation | None = None,
+) -> tuple[TradeoffPoint, ...]:
+    """Predicted max-load per round count, for ``1..rounds`` rounds.
+
+    Answers the multi-round question directly: *how does the predicted
+    max per-round load fall as the round budget grows?*  It is
+    :meth:`QueryPlan.tradeoff` of one :func:`plan` at
+    ``max_rounds=rounds`` (same statistics resolution, same ranking).
+    """
+    return plan(
+        query, stats, p, db=db, algorithms=algorithms,
+        stats_method=stats_method, obs=obs, max_rounds=rounds,
+    ).tradeoff()

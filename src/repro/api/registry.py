@@ -1,252 +1,21 @@
-"""The algorithm registry: every one-round algorithm, declaratively.
+"""The full algorithm registry, as the planner and sweeps see it.
 
-Each registered :class:`AlgorithmSpec` bundles what the planner needs to
-reason about an algorithm *without* constructing it:
-
-* a stable ``key`` (the CLI/CSV spelling),
-* the algorithm class, whose class-level
-  :meth:`~repro.mpc.execution.OneRoundAlgorithm.applicability` predicate
-  replaces the old idiom of probing constructors for
-  :class:`~repro.query.atoms.QueryError`,
-* a ``factory`` building a ready-to-run instance from
-  ``(query, stats, p)``, and
-* the per-instance
-  :meth:`~repro.mpc.execution.OneRoundAlgorithm.predicted_load_bits` cost
-  hook, reachable through :meth:`AlgorithmSpec.predicted_load_bits`.
-
-The default registry covers every algorithm the paper develops (HyperCube
-with LP-optimal/equal shares, the broadcast rule, the hash-join baseline,
-the Section 4.1 skew-aware join, the Section 4.2 bin algorithm, and the
-cartesian grid), plus the multi-round algorithms of
-:mod:`repro.rounds` (the two-round triangle and the generic
-round-composed join), which the planner only considers when its
-``max_rounds`` budget admits them.  Downstream code can :func:`register`
-additional algorithms; the planner, sweep runner and CLI pick them up
-automatically.
+The mechanism and the one-round registrations live in
+:mod:`repro.core.registry`; importing :mod:`repro.rounds` adds the
+multi-round algorithms.  This module re-exports the registry surface with
+both layers registered.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
-
-from ..core.broadcast import BroadcastHyperCube
-from ..core.cartesian import CartesianProductAlgorithm
-from ..core.hashjoin import HashJoinAlgorithm
-from ..core.hypercube import HyperCubeAlgorithm
-from ..core.skew_general import BinHyperCubeAlgorithm
-from ..core.skew_join import SkewAwareJoin
-from ..mpc.execution import OneRoundAlgorithm
-from ..query.atoms import ConjunctiveQuery
-from ..rounds.composed import RoundComposedJoin
-from ..rounds.triangle import TwoRoundTriangle
-
-# ``stats`` arguments throughout accept SimpleStatistics or
-# HeavyHitterStatistics (richer statistics buy skew-aware predictions).
-Statistics = object
-# Factories build a OneRoundAlgorithm or a MultiRoundAlgorithm; both
-# carry the same planner surface (applicability, predicted_load_bits,
-# round_count) — the planner dispatches execution on the instance type.
-Factory = Callable[[ConjunctiveQuery, Statistics, int], object]
-
-
-class RegistryError(ValueError):
-    """Raised for unknown algorithm keys or duplicate registrations."""
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """A registered one-round algorithm, ready for planning.
-
-    Attributes
-    ----------
-    key:
-        Stable identifier (``repro sweep --algorithms`` spelling).
-    algorithm_class:
-        The :class:`OneRoundAlgorithm` or
-        :class:`~repro.rounds.MultiRoundAlgorithm` subclass; its
-        class-level ``applicability`` declares which queries it handles
-        and its ``round_count`` how many rounds it uses.
-    factory:
-        ``(query, stats, p) -> algorithm`` building a runnable
-        instance.  ``stats`` may be simple or heavy-hitter statistics.
-    summary:
-        One line for tables and ``repro plan`` output.
-    """
-
-    key: str
-    algorithm_class: type
-    factory: Factory
-    summary: str
-
-    def applicability(self, query: ConjunctiveQuery) -> str | None:
-        """None if applicable to ``query``, else the declared reason."""
-        return self.algorithm_class.applicability(query)
-
-    def is_applicable(self, query: ConjunctiveQuery) -> bool:
-        return self.applicability(query) is None
-
-    def rounds(self, query: ConjunctiveQuery) -> int:
-        """Communication rounds the algorithm uses on ``query`` (1 for
-        every one-round algorithm).  Only meaningful when applicable."""
-        return int(self.algorithm_class.round_count(query))
-
-    def build(
-        self, query: ConjunctiveQuery, stats: Statistics, p: int
-    ):
-        """Instantiate the algorithm (the query must be applicable)."""
-        reason = self.applicability(query)
-        if reason is not None:
-            raise RegistryError(
-                f"algorithm {self.key!r} is not applicable to "
-                f"{query.name!r}: {reason}"
-            )
-        return self.factory(query, stats, p)
-
-    def predicted_load_bits(
-        self, query: ConjunctiveQuery, stats: Statistics, p: int
-    ) -> float:
-        """The instance-level cost hook, from statistics alone."""
-        return self.build(query, stats, p).predicted_load_bits(stats, p)
-
-
-# The same arbiters every cost hook uses, shared via OneRoundAlgorithm.
-_simple = OneRoundAlgorithm._simple_stats
-_hh_or_none = OneRoundAlgorithm._heavy_stats
-
-
-_REGISTRY: dict[str, AlgorithmSpec] = {}
-
-
-def register(spec: AlgorithmSpec, replace: bool = False) -> AlgorithmSpec:
-    """Add ``spec`` to the registry (``replace=True`` to overwrite)."""
-    if not replace and spec.key in _REGISTRY:
-        raise RegistryError(f"algorithm key {spec.key!r} already registered")
-    _REGISTRY[spec.key] = spec
-    return spec
-
-
-def unregister(key: str) -> None:
-    """Remove a registered algorithm (unknown keys are a no-op)."""
-    _REGISTRY.pop(key, None)
-
-
-def algorithm_keys() -> tuple[str, ...]:
-    """All registered keys, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def algorithm_specs(keys: Iterable[str] | None = None) -> tuple[AlgorithmSpec, ...]:
-    """Specs for ``keys`` (default: every registered spec, in order)."""
-    if keys is None:
-        return tuple(_REGISTRY.values())
-    return tuple(get_spec(key) for key in keys)
-
-
-def get_spec(key: str) -> AlgorithmSpec:
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        raise RegistryError(
-            f"unknown algorithm {key!r}; registered: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def applicable_specs(
-    query: ConjunctiveQuery,
-    keys: Iterable[str] | None = None,
-    max_rounds: int | None = 1,
-) -> tuple[AlgorithmSpec, ...]:
-    """The subset of specs whose declared applicability accepts ``query``.
-
-    ``max_rounds`` is the round budget: the default of 1 keeps the
-    historical one-round contract (every returned spec can go straight
-    into ``run_one_round``); raise it to admit multi-round algorithms,
-    or pass ``None`` for no filter at all.
-    """
-    return tuple(
-        spec for spec in algorithm_specs(keys)
-        if spec.is_applicable(query)
-        and (max_rounds is None or spec.rounds(query) <= max_rounds)
-    )
-
-
-# ----------------------------------------------------------------------
-# The default registry: the paper's algorithms.
-# ----------------------------------------------------------------------
-
-register(AlgorithmSpec(
-    key="hypercube-lp",
-    algorithm_class=HyperCubeAlgorithm,
-    factory=lambda query, stats, p: HyperCubeAlgorithm.with_optimal_shares(
-        query, _simple(stats), p
-    ),
-    summary="HyperCube, LP-optimal integer shares (Theorem 3.4)",
-))
-
-register(AlgorithmSpec(
-    key="hypercube-equal",
-    algorithm_class=HyperCubeAlgorithm,
-    factory=lambda query, stats, p: HyperCubeAlgorithm.with_equal_shares(
-        query, p
-    ),
-    summary="HyperCube, equal shares p^(1/k) (Corollary 3.2(ii))",
-))
-
-register(AlgorithmSpec(
-    key="hypercube-broadcast",
-    algorithm_class=BroadcastHyperCube,
-    factory=lambda query, stats, p: BroadcastHyperCube(query),
-    summary="HyperCube plus the small-relation broadcast rule (Section 3.3)",
-))
-
-register(AlgorithmSpec(
-    key="hashjoin",
-    algorithm_class=HashJoinAlgorithm,
-    factory=lambda query, stats, p: HashJoinAlgorithm(query, p),
-    summary="classic parallel hash join on the common variables",
-))
-
-register(AlgorithmSpec(
-    key="skew-join",
-    algorithm_class=SkewAwareJoin,
-    factory=lambda query, stats, p: SkewAwareJoin(
-        query, stats=_hh_or_none(stats, p)
-    ),
-    summary="skew-aware two-relation join (Section 4.1)",
-))
-
-register(AlgorithmSpec(
-    key="bin-hypercube",
-    algorithm_class=BinHyperCubeAlgorithm,
-    factory=lambda query, stats, p: BinHyperCubeAlgorithm(
-        query, stats=_hh_or_none(stats, p)
-    ),
-    summary="per-bin-combination HyperCube (Theorem 4.6)",
-))
-
-register(AlgorithmSpec(
-    key="cartesian-grid",
-    algorithm_class=CartesianProductAlgorithm,
-    factory=lambda query, stats, p: CartesianProductAlgorithm(query),
-    summary="optimal grid for cartesian products (Section 1)",
-))
-
-# ----------------------------------------------------------------------
-# Multi-round algorithms (ranked only when plan(..., max_rounds >= 2)).
-# ----------------------------------------------------------------------
-
-register(AlgorithmSpec(
-    key="two-round-triangle",
-    algorithm_class=TwoRoundTriangle,
-    factory=lambda query, stats, p: TwoRoundTriangle(query, stats=stats),
-    summary="two-round triangle: bounded partial join, then hash-join "
-            "finish",
-))
-
-register(AlgorithmSpec(
-    key="round-join",
-    algorithm_class=RoundComposedJoin,
-    factory=lambda query, stats, p: RoundComposedJoin(query, stats=stats),
-    summary="round-composed join: one binary join per round (l-1 rounds)",
-))
+from .. import rounds  # noqa: F401 - registers the multi-round algorithms
+from ..core.registry import (  # noqa: F401 - re-exported
+    AlgorithmSpec,
+    Factory,
+    RegistryError,
+    Statistics,
+    algorithm_keys,
+    algorithm_specs,
+    applicable_specs,
+    get_spec,
+    register,
+    unregister,
+)

@@ -61,10 +61,13 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from .api import (
+    RunRecord,
     Sweep,
+    SweepResult,
     WORKLOAD_KINDS,
     WorkloadSpec,
     plan as build_plan,
@@ -89,9 +92,15 @@ from .core import (
     space_exponent,
     vertex_loads,
 )
-from .mpc import available_engines, run_one_round
+from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
+from .rounds import run_rounds
 from .seq import Database
+from .sketch import (
+    SketchConfig,
+    SketchedHeavyHitterStatistics,
+    sketch_fidelity,
+)
 from .stats import HeavyHitterStatistics, SimpleStatistics
 
 _LOG = logging.getLogger("repro.cli")
@@ -250,16 +259,12 @@ def _plan_statistics(args: argparse.Namespace, query: ConjunctiveQuery):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .rounds import tradeoff
-
     query = parse_query(args.query)
     if args.max_rounds < 1:
         raise SystemExit(f"--max-rounds must be >= 1, got {args.max_rounds}")
     stats = _plan_statistics(args, query)
     query_plan = build_plan(query, stats, args.p, max_rounds=args.max_rounds)
-    curve = None
-    if args.max_rounds > 1:
-        curve = tradeoff(query, args.p, rounds=args.max_rounds, stats=stats)
+    curve = query_plan.tradeoff() if args.max_rounds > 1 else None
     if args.json:
         document = query_plan.to_dict()
         if curve is not None:
@@ -302,7 +307,7 @@ def cmd_race(args: argparse.Namespace) -> int:
           f"{'tuples':>7} {'repl.':>6} {'complete':>9}")
     for prediction in query_plan.applicable:
         algorithm = query_plan.instantiate(prediction.key)
-        result = run_one_round(
+        result = run_rounds(
             algorithm, db, args.p, seed=args.seed, verify=args.verify,
             engine=args.engine, obs=obs,
         )
@@ -311,7 +316,7 @@ def cmd_race(args: argparse.Namespace) -> int:
             f"{algorithm.name:>20} {prediction.predicted_load_bits:>12,.0f} "
             f"{result.max_load_bits:>14,.0f} "
             f"{result.max_load_tuples:>7} "
-            f"{result.report.replication_rate:>6.2f} {complete:>9}"
+            f"{result.replication_rate:>6.2f} {complete:>9}"
         )
     skipped = [pr for pr in query_plan.predictions if not pr.applicable]
     if skipped:
@@ -323,12 +328,6 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Exact-vs-sketched statistics fidelity report on one workload."""
-    from .sketch import (
-        SketchConfig,
-        SketchedHeavyHitterStatistics,
-        sketch_fidelity,
-    )
-
     query = parse_query(args.query)
     obs = _make_observation(args)
     db = _make_workload(query, args.workload, args.m, args.skew, args.seed)
@@ -394,28 +393,44 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0 if report["false_negatives"] == 0 else 1
 
 
+def _sweep_spec(args: argparse.Namespace) -> dict:
+    """The sweep spec (:meth:`repro.api.Sweep.from_spec`'s mapping, also the
+    service's job payload) of ``repro sweep`` / ``repro submit sweep``."""
+    algorithms: object = args.algorithms
+    if algorithms not in ("applicable", "auto"):
+        algorithms = list(_parse_grid(algorithms, str, "--algorithms"))
+    return {
+        "query": args.query,
+        "workload": args.workload,
+        "p_values": list(_parse_grid(args.p, int, "--p")),
+        "m_values": list(_parse_grid(args.m, int, "--m")),
+        "skews": list(_parse_grid(args.skew, float, "--skew")),
+        "seeds": list(_parse_grid(args.seeds, int, "--seeds")),
+        "algorithms": algorithms,
+        "stats": list(_parse_grid(args.stats, str, "--stats")),
+        "rounds": list(_parse_grid(args.rounds, int, "--rounds")),
+        "engine": args.engine,
+        "verify": args.verify,
+    }
+
+
+def _write_payload(payload: str, output: str | None, what: str) -> None:
+    """Print ``payload``, or write it (newline-terminated) to ``output``."""
+    if output in (None, "-"):
+        print(payload)
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(payload)
+        if not payload.endswith("\n"):
+            handle.write("\n")
+    _LOG.info("wrote %s to %s", what, output)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    algorithms: str | tuple[str, ...]
-    if args.algorithms in ("applicable", "auto"):
-        algorithms = args.algorithms
-    else:
-        algorithms = _parse_grid(args.algorithms, str, "--algorithms")
     obs = _make_observation(args)
-    sweep = Sweep(
-        query=args.query,
-        workload=args.workload,
-        p_values=_parse_grid(args.p, int, "--p"),
-        m_values=_parse_grid(args.m, int, "--m"),
-        skews=_parse_grid(args.skew, float, "--skew"),
-        seeds=_parse_grid(args.seeds, int, "--seeds"),
-        algorithms=algorithms,
-        engine=args.engine,
-        verify=args.verify,
-        observe=args.metrics,
-        stats=_parse_grid(args.stats, str, "--stats"),
-        rounds=_parse_grid(args.rounds, int, "--rounds"),
-    )
     try:
+        sweep = replace(Sweep.from_spec(_sweep_spec(args)),
+                        observe=args.metrics)
         cells = sweep.cells()
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -436,14 +451,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         payload = result.to_csv()
     else:
         payload = result.summary()
-    if args.output in (None, "-"):
-        print(payload)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            if not payload.endswith("\n"):
-                handle.write("\n")
-        _LOG.info("wrote %d records to %s", len(result), args.output)
+    _write_payload(payload, args.output, f"{len(result)} records")
     _finish_observation(args, obs)
     return 0
 
@@ -540,7 +548,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one job to a running service, poll it, print the result."""
-    from .api.records import RunRecord
     from .service.client import (
         ServiceBusyError,
         ServiceClient,
@@ -549,22 +556,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     kind = args.job_kind
     if kind == "sweep":
-        algorithms: object = args.algorithms
-        if algorithms not in ("applicable", "auto"):
-            algorithms = list(_parse_grid(algorithms, str, "--algorithms"))
-        spec = {
-            "query": args.query,
-            "workload": args.workload,
-            "p_values": list(_parse_grid(args.p, int, "--p")),
-            "m_values": list(_parse_grid(args.m, int, "--m")),
-            "skews": list(_parse_grid(args.skew, float, "--skew")),
-            "seeds": list(_parse_grid(args.seeds, int, "--seeds")),
-            "algorithms": algorithms,
-            "stats": list(_parse_grid(args.stats, str, "--stats")),
-            "rounds": list(_parse_grid(args.rounds, int, "--rounds")),
-            "engine": args.engine,
-            "verify": args.verify,
-        }
+        spec = _sweep_spec(args)
         if args.workers is not None:
             spec["workers"] = args.workers
         if args.cell_timeout is not None:
@@ -600,8 +592,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
 
     if kind == "sweep" and args.format != "json":
-        from .api.experiment import SweepResult
-
         records = tuple(
             RunRecord.from_dict(entry) for entry in result["records"]
         )
@@ -610,15 +600,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
                    else sweep_result.summary())
     else:
         payload = json.dumps(result, indent=2)
-    output = getattr(args, "output", None)
-    if output in (None, "-"):
-        print(payload)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            if not payload.endswith("\n"):
-                handle.write("\n")
-        _LOG.info("wrote the %s result to %s", kind, output)
+    _write_payload(payload, getattr(args, "output", None),
+                   f"the {kind} result")
     return 0
 
 
@@ -628,6 +611,50 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--skew", type=float, default=1.0)
     parser.add_argument("-m", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The grid flags ``repro sweep`` and ``repro submit sweep`` share
+    (:func:`_sweep_spec` reads them back)."""
+    parser.add_argument("query")
+    parser.add_argument("--workload", choices=list(WORKLOAD_KINDS),
+                        default="zipf")
+    parser.add_argument("--p", default="16",
+                        help="comma-separated server counts (e.g. 8,16,64)")
+    parser.add_argument("--m", default="1000",
+                        help="comma-separated relation cardinalities")
+    parser.add_argument("--skew", default="1.0",
+                        help="comma-separated skew parameters")
+    parser.add_argument("--seeds", default="0",
+                        help="comma-separated generator seeds")
+    parser.add_argument("--algorithms", default="applicable",
+                        help="'applicable' (default), 'auto' (planner pick "
+                             "per cell), or comma-separated registry keys")
+    parser.add_argument("--stats", default="exact",
+                        help="comma-separated statistics methods per cell: "
+                             "exact, sketch (e.g. 'exact,sketch' runs every "
+                             "cell under both)")
+    parser.add_argument("--rounds", default="1",
+                        help="comma-separated planner round budgets per "
+                             "cell (e.g. '1,2' ranks one- and two-round "
+                             "algorithms side by side)")
+    parser.add_argument("--engine", choices=available_engines(),
+                        default="batched")
+    parser.add_argument("--verify", action="store_true",
+                        help="verify completeness in every cell (slow)")
+    parser.add_argument("--format", choices=["json", "csv", "summary"],
+                        default="json")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="farm cells across N worker processes (on "
+                             "submit: instead of the server's setting)")
+    parser.add_argument("--cell-timeout", type=float, default=None,
+                        help="kill any cell running longer than this many "
+                             "seconds and record it with status 'timeout' "
+                             "(forces process isolation; on submit: instead "
+                             "of the server's setting)")
+    parser.add_argument("--output", default=None,
+                        help="write the result to this file instead of "
+                             "stdout")
 
 
 def _add_logging_arguments(parser: argparse.ArgumentParser) -> None:
@@ -687,7 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd.set_defaults(func=cmd_plan)
 
     race = sub.add_parser(
-        "race", help="run every applicable algorithm on a workload"
+        "race",
+        help="run every applicable one-round algorithm on a workload "
+             "(planned at a round budget of 1; 'sweep --rounds' runs "
+             "multi-round plans)",
     )
     race.add_argument("query")
     _add_workload_arguments(race)
@@ -708,42 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a p x skew x m x algorithm grid; emit JSON/CSV records",
     )
-    sweep.add_argument("query")
-    sweep.add_argument("--workload", choices=list(WORKLOAD_KINDS),
-                       default="zipf")
-    sweep.add_argument("--p", default="16",
-                       help="comma-separated server counts (e.g. 8,16,64)")
-    sweep.add_argument("--m", default="1000",
-                       help="comma-separated relation cardinalities")
-    sweep.add_argument("--skew", default="1.0",
-                       help="comma-separated skew parameters")
-    sweep.add_argument("--seeds", default="0",
-                       help="comma-separated generator seeds")
-    sweep.add_argument("--algorithms", default="applicable",
-                       help="'applicable' (default), 'auto' (planner pick "
-                            "per cell), or comma-separated registry keys")
-    sweep.add_argument("--stats", default="exact",
-                       help="comma-separated statistics methods per cell: "
-                            "exact, sketch (e.g. 'exact,sketch' runs every "
-                            "cell under both)")
-    sweep.add_argument("--rounds", default="1",
-                       help="comma-separated planner round budgets per "
-                            "cell (e.g. '1,2' ranks one- and two-round "
-                            "algorithms side by side)")
-    sweep.add_argument("--engine", choices=available_engines(),
-                       default="batched")
-    sweep.add_argument("--verify", action="store_true",
-                       help="verify completeness in every cell (slow)")
-    sweep.add_argument("--format", choices=["json", "csv", "summary"],
-                       default="json")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="farm cells across N worker processes")
-    sweep.add_argument("--cell-timeout", type=float, default=None,
-                       help="kill any cell running longer than this many "
-                            "seconds and record it with status 'timeout' "
-                            "(forces process isolation)")
-    sweep.add_argument("--output", default=None,
-                       help="write records to this file instead of stdout")
+    _add_sweep_arguments(sweep)
     _add_observability_arguments(sweep)
     _add_logging_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -857,38 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_job = submit_sub.add_parser(
         "sweep", help="run a full grid on the server with fault isolation"
     )
-    sweep_job.add_argument("query")
-    sweep_job.add_argument("--workload", choices=list(WORKLOAD_KINDS),
-                           default="zipf")
-    sweep_job.add_argument("--p", default="16",
-                           help="comma-separated server counts")
-    sweep_job.add_argument("--m", default="1000",
-                           help="comma-separated relation cardinalities")
-    sweep_job.add_argument("--skew", default="1.0",
-                           help="comma-separated skew parameters")
-    sweep_job.add_argument("--seeds", default="0",
-                           help="comma-separated generator seeds")
-    sweep_job.add_argument("--algorithms", default="applicable",
-                           help="'applicable', 'auto', or comma-separated "
-                                "registry keys")
-    sweep_job.add_argument("--stats", default="exact",
-                           help="comma-separated statistics methods")
-    sweep_job.add_argument("--rounds", default="1",
-                           help="comma-separated planner round budgets")
-    sweep_job.add_argument("--engine", choices=available_engines(),
-                           default="batched")
-    sweep_job.add_argument("--verify", action="store_true",
-                           help="verify completeness in every cell (slow)")
-    sweep_job.add_argument("--workers", type=int, default=None,
-                           help="override the server's per-job cell "
-                                "worker count")
-    sweep_job.add_argument("--cell-timeout", type=float, default=None,
-                           help="override the server's per-cell deadline")
-    sweep_job.add_argument("--format", choices=["json", "csv", "summary"],
-                           default="json")
-    sweep_job.add_argument("--output", default=None,
-                           help="write the result to this file instead "
-                                "of stdout")
+    _add_sweep_arguments(sweep_job)
     _add_submit_common(sweep_job)
 
     return parser

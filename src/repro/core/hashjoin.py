@@ -30,11 +30,6 @@ class HashJoinAlgorithm(HyperCubeAlgorithm):
 
     The server budget is split evenly (``p^(1/|X|)`` per key) when several
     partition variables are given.
-
-    Applicability is declared by :meth:`applicability` (the registry way);
-    constructing the algorithm on an inapplicable query still raises
-    :class:`~repro.query.atoms.QueryError` for backwards compatibility, but
-    probing the constructor for applicability is deprecated.
     """
 
     @classmethod

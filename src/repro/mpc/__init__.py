@@ -13,7 +13,9 @@ from .engine import (
 )
 from .execution import (
     ExecutionResult,
+    MPCAlgorithm,
     OneRoundAlgorithm,
+    RoundSpec,
     RoutingPlan,
     run_one_round,
 )
@@ -32,7 +34,9 @@ __all__ = [
     "available_engines",
     "resolve_engine",
     "ExecutionResult",
+    "MPCAlgorithm",
     "OneRoundAlgorithm",
+    "RoundSpec",
     "RoutingPlan",
     "run_one_round",
     "HashFamily",

@@ -1,9 +1,15 @@
-"""One-round execution of MPC algorithms.
+"""MPC algorithms as round sequences, and one-round execution.
 
-An algorithm supplies a :class:`RoutingPlan` — a pure function from input
-tuple to destination servers, computable from the database *statistics* alone
-(never from other tuples; that is the essence of the one-round restriction
-and of treating tuples independently, Section 2.1).  The executor:
+:class:`MPCAlgorithm` is the round protocol every algorithm speaks;
+:class:`OneRoundAlgorithm` is its one-round case, which this module also
+executes (:func:`run_one_round` is the per-round primitive that
+:func:`repro.rounds.run_rounds` drives for any number of rounds).
+
+A one-round algorithm supplies a :class:`RoutingPlan` — a pure function
+from input tuple to destination servers, computable from the database
+*statistics* alone (never from other tuples; that is the essence of the
+one-round restriction and of treating tuples independently, Section 2.1).
+The executor:
 
 1. routes every input tuple to its destinations, charging each server's load;
 2. lets every server join its received fragments locally (servers have
@@ -31,10 +37,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..query.atoms import ConjunctiveQuery
 from ..seq.relation import Database, Tuple
+from ..stats.provider import StatisticsProvider
 from .cluster import LoadReport
 from .hashing import HashFamily
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Observation
     from .engine import ExecutionEngine
 
@@ -144,22 +151,44 @@ class RoutingPlan(ABC):
         return {}
 
 
-class OneRoundAlgorithm(ABC):
-    """A one-round MPC algorithm for a fixed query.
+@dataclass(frozen=True)
+class RoundSpec:
+    """One communication round: a one-round query plus its output name.
 
-    Besides the routing plan itself, every algorithm *declares* two pieces
-    of planner metadata (consumed by :mod:`repro.api`):
+    Attributes
+    ----------
+    index:
+        0-based round number.
+    query:
+        The round's full conjunctive query, over the relation names
+        available in this round (base relations and/or intermediates of
+        earlier rounds).  Its head order is the column order of the
+        produced intermediate.
+    output:
+        Name of the intermediate relation materialized from this round's
+        answers; ``None`` marks the final round (its answers are the
+        query result).
+    """
 
-    * :meth:`applicability` — which queries the algorithm handles, as a
-      class-level predicate.  This replaces the older idiom of probing a
-      constructor and catching :class:`~repro.query.atoms.QueryError`
-      (still supported, but deprecated for applicability checks).
-    * :meth:`predicted_load_bits` — the expected max per-server load in
-      bits, computed from statistics alone.  The convention matches
-      :attr:`ExecutionResult.max_load_bits`: the busiest server's *total*
-      received bits, summed over relations.  Implementations use the
-      skew-free expectation, refined by heavy-hitter statistics when a
-      :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics` is passed.
+    index: int
+    query: ConjunctiveQuery
+    output: str | None
+
+    @property
+    def is_final(self) -> bool:
+        return self.output is None
+
+
+class MPCAlgorithm(ABC):
+    """An MPC algorithm for a fixed query: a sequence of communication rounds.
+
+    This is the round protocol :func:`repro.rounds.run_rounds` executes
+    and the planner (:mod:`repro.api`) costs: :meth:`round_plan` declares
+    the round queries and intermediate names, :meth:`round_algorithm`
+    picks the one-round algorithm that routes each round, and
+    :meth:`predicted_round_loads` supplies the per-round cost curve.  A
+    :class:`OneRoundAlgorithm` is the one-round case; the algorithms of
+    :mod:`repro.rounds` use several rounds.
     """
 
     def __init__(self, query: ConjunctiveQuery, name: str) -> None:
@@ -176,15 +205,95 @@ class OneRoundAlgorithm(ABC):
         return None
 
     @classmethod
+    @abstractmethod
     def round_count(cls, query: ConjunctiveQuery) -> int:
-        """Communication rounds used on ``query`` — always 1 here.
+        """Communication rounds used on ``query``; the registry ranks every
+        algorithm on the same ``max per-round load x rounds`` scale."""
 
-        The shared planner hook with
-        :class:`repro.rounds.MultiRoundAlgorithm`, whose subclasses
-        override it; the registry ranks one- and multi-round algorithms
-        on the same ``max per-round load x rounds`` scale.
+    @abstractmethod
+    def round_plan(self) -> tuple[RoundSpec, ...]:
+        """The round sequence (``round_count`` entries, last one final)."""
+
+    @abstractmethod
+    def round_algorithm(
+        self, spec: RoundSpec, db: Database, p: int
+    ) -> "OneRoundAlgorithm":
+        """The one-round algorithm executing round ``spec`` on ``db``.
+
+        The choice may depend on ``(db, p)`` but never on the engine,
+        which is what keeps runs bit-identical across engines.
         """
+
+    @abstractmethod
+    def predicted_round_loads(
+        self, stats: object, p: int
+    ) -> tuple[float, ...]:
+        """Predicted max per-server load (bits) of every round."""
+
+    def predicted_load_bits(self, stats: object, p: int) -> float:
+        """Max predicted per-round load, from statistics alone.
+
+        The convention matches :attr:`ExecutionResult.max_load_bits`: the
+        busiest server's *total* received bits, summed over relations —
+        here in the busiest round.
+        """
+        return max(self.predicted_round_loads(stats, p))
+
+    def lower_bound_bits(self, stats: object, p: int) -> float:
+        """The repartition bound ``max_j M_j / p``, valid for any number of
+        rounds: each base relation is reshuffled in some round, so some
+        server receives a ``1/p`` fraction of its bits.  (The planner
+        attaches the sharper Theorem 3.6 bound to one-round plans.)"""
+        simple = self._simple_stats(stats)
+        return max(simple.bits(atom.name) for atom in self.query.atoms) / p
+
+    @staticmethod
+    def _simple_stats(stats: object):
+        """Accept Simple- or HeavyHitterStatistics; return the simple part."""
+        return getattr(stats, "simple", stats)
+
+    @staticmethod
+    def _heavy_stats(stats: object, p: int) -> StatisticsProvider | None:
+        """``stats`` as a usable heavy-hitter provider, or None.
+
+        The single arbiter every skew-aware cost hook (and the registry)
+        shares: statistics qualify only when they satisfy the
+        :class:`~repro.stats.provider.StatisticsProvider` protocol — the
+        exact :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics`
+        and the sketched
+        :class:`~repro.sketch.SketchedHeavyHitterStatistics` both do —
+        *and* their hitters were thresholded against this ``p``; hitters
+        computed for a different ``m/p`` threshold are unusable.
+        """
+        if isinstance(stats, StatisticsProvider) and stats.p == p:
+            return stats
+        return None
+
+
+class OneRoundAlgorithm(MPCAlgorithm):
+    """A one-round MPC algorithm: one final round, routed by itself.
+
+    Subclasses supply :meth:`routing_plan` and the
+    :meth:`predicted_load_bits` cost hook; the round protocol falls out
+    of those two.
+    """
+
+    @classmethod
+    def round_count(cls, query: ConjunctiveQuery) -> int:
         return 1
+
+    def round_plan(self) -> tuple[RoundSpec, ...]:
+        return (RoundSpec(index=0, query=self.query, output=None),)
+
+    def round_algorithm(
+        self, spec: RoundSpec, db: Database, p: int
+    ) -> "OneRoundAlgorithm":
+        return self
+
+    def predicted_round_loads(
+        self, stats: object, p: int
+    ) -> tuple[float, ...]:
+        return (self.predicted_load_bits(stats, p),)
 
     @abstractmethod
     def routing_plan(
@@ -209,30 +318,6 @@ class OneRoundAlgorithm(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not implement a load prediction"
         )
-
-    @staticmethod
-    def _simple_stats(stats: object):
-        """Accept Simple- or HeavyHitterStatistics; return the simple part."""
-        return getattr(stats, "simple", stats)
-
-    @staticmethod
-    def _heavy_stats(stats: object, p: int):
-        """``stats`` as a usable heavy-hitter provider, or None.
-
-        The single arbiter every skew-aware cost hook (and the registry)
-        shares: statistics qualify only when they satisfy the
-        :class:`~repro.stats.provider.StatisticsProvider` protocol — the
-        exact :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics`
-        and the sketched
-        :class:`~repro.sketch.SketchedHeavyHitterStatistics` both do —
-        *and* their hitters were thresholded against this ``p``; hitters
-        computed for a different ``m/p`` threshold are unusable.
-        """
-        from ..stats.provider import StatisticsProvider
-
-        if isinstance(stats, StatisticsProvider) and stats.p == p:
-            return stats
-        return None
 
 
 @dataclass(frozen=True)

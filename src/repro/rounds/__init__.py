@@ -7,20 +7,25 @@ studies — algorithms that materialize intermediates between rounds, the
 two-round triangle that beats every one-round algorithm on cyclic
 queries, and the round/load tradeoff curve the planner ranks against.
 
-* :class:`MultiRoundAlgorithm` / :class:`RoundSpec` — the protocol
-  (per-round shuffle + local compute over materialized intermediates);
+* :class:`MultiRoundAlgorithm` — the round protocol of
+  :class:`~repro.mpc.execution.MPCAlgorithm` (per-round shuffle + local
+  compute over materialized intermediates, declared as
+  :class:`RoundSpec` entries) with rounds routed from the registry;
 * :class:`TwoRoundTriangle` — partial join then hash-join finish;
 * :class:`RoundComposedJoin` — the generic ``l - 1``-round composition
   for connected queries;
-* :func:`run_rounds` / :class:`MultiRoundResult` — execution through
-  the pluggable one-round engines, bit-identical by construction;
-* :func:`tradeoff` / :class:`TradeoffPoint` — predicted max-load per
-  round count.
+* :func:`run_rounds` / :class:`MultiRoundResult` — the one runner above
+  the engines, for one round or many, bit-identical by construction.
+
+Importing the package registers the two algorithms in
+:mod:`repro.core.registry`, after the one-round ones.  The predicted
+round/load curve is :func:`repro.api.tradeoff`.
 """
 
+from ..core.registry import AlgorithmSpec, register
+from ..mpc.execution import RoundSpec
 from .base import (
     MultiRoundAlgorithm,
-    RoundSpec,
     RoundsError,
     estimate_join_size,
     intermediate_name,
@@ -29,8 +34,24 @@ from .base import (
 )
 from .composed import RoundComposedJoin
 from .executor import ROUND_SEED_STRIDE, MultiRoundResult, run_rounds
-from .tradeoff import TradeoffPoint, tradeoff
 from .triangle import TwoRoundTriangle
+
+# Ranked only when the planner's round budget admits them
+# (``plan(..., max_rounds >= 2)``).
+register(AlgorithmSpec(
+    key="two-round-triangle",
+    algorithm_class=TwoRoundTriangle,
+    factory=lambda query, stats, p: TwoRoundTriangle(query, stats=stats),
+    summary="two-round triangle: bounded partial join, then hash-join "
+            "finish",
+))
+
+register(AlgorithmSpec(
+    key="round-join",
+    algorithm_class=RoundComposedJoin,
+    factory=lambda query, stats, p: RoundComposedJoin(query, stats=stats),
+    summary="round-composed join: one binary join per round (l-1 rounds)",
+))
 
 __all__ = [
     "MultiRoundAlgorithm",
@@ -39,12 +60,10 @@ __all__ = [
     "RoundComposedJoin",
     "RoundSpec",
     "RoundsError",
-    "TradeoffPoint",
     "TwoRoundTriangle",
     "estimate_join_size",
     "intermediate_name",
     "predict_one_round",
     "run_rounds",
     "select_one_round",
-    "tradeoff",
 ]

@@ -10,14 +10,15 @@ intermediate relation that the next round reshuffles.  The cost scale is
 which is how the planner ranks one- and multi-round candidates together.
 
 A :class:`MultiRoundAlgorithm` describes its rounds statically as
-:class:`RoundSpec` entries — each a full conjunctive query over the
-relations available in that round (base relations plus earlier
-intermediates) and the name of the intermediate it produces.  Each round
+:class:`~repro.mpc.execution.RoundSpec` entries — each a full
+conjunctive query over the relations available in that round (base
+relations plus earlier intermediates) and the name of the intermediate it
+produces.  Each round
 is then executed as an ordinary one-round algorithm through the pluggable
 engines (:func:`repro.rounds.run_rounds`), so every engine inherits
 bit-identical multi-round loads from the one-round parity contract.
 
-The matching lower bound attached here is the trivial repartition bound
+The matching lower bound is the trivial repartition bound
 ``max_j M_j / p``: any algorithm in the family reshuffles each base
 relation in some round, so some server receives at least a ``1/p``
 fraction of its bits in that round.  It is the degenerate (round-count
@@ -28,50 +29,19 @@ apply across rounds, which is exactly why two rounds beat it.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
+from ..core.registry import algorithm_specs
+from ..mpc.execution import MPCAlgorithm, OneRoundAlgorithm, RoundSpec
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..seq.relation import Database
 from ..stats.cardinality import SimpleStatistics
-from ..stats.heavy_hitters import canonical_subset
+from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
 from ..stats.provider import StatisticsProvider
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpc.execution import OneRoundAlgorithm
 
 
 class RoundsError(ValueError):
     """Raised for malformed round plans or unusable round inputs."""
-
-
-@dataclass(frozen=True)
-class RoundSpec:
-    """One communication round: a one-round query plus its output name.
-
-    Attributes
-    ----------
-    index:
-        0-based round number.
-    query:
-        The round's full conjunctive query, over the relation names
-        available in this round (base relations and/or intermediates of
-        earlier rounds).  Its head order is the column order of the
-        produced intermediate.
-    output:
-        Name of the intermediate relation materialized from this round's
-        answers; ``None`` marks the final round (its answers are the
-        query result).
-    """
-
-    index: int
-    query: ConjunctiveQuery
-    output: str | None
-
-    @property
-    def is_final(self) -> bool:
-        return self.output is None
 
 
 def intermediate_name(query: ConjunctiveQuery, index: int) -> str:
@@ -129,27 +99,20 @@ def estimate_join_size(
 
 def select_one_round(
     query: ConjunctiveQuery, stats: object, p: int
-) -> tuple["OneRoundAlgorithm", str, float]:
+) -> tuple[OneRoundAlgorithm, str, float]:
     """The registry's best one-round algorithm for one round's query.
 
-    Mirrors the planner's ranking restricted to one-round specs:
-    minimum ``predicted_load_bits`` over the applicable registered
-    algorithms, ties broken by registration order.  Returns the built
+    Mirrors the planner's ranking restricted to the specs that use one
+    round on ``query``: minimum ``predicted_load_bits`` over the
+    applicable ones, ties broken by registration order.  Returns the built
     instance, its registry key and its prediction — the same selection
     is used both for cost prediction and for execution, so predicted and
     executed round algorithms always agree.
     """
-    # Local import: the registry registers the multi-round algorithms,
-    # which import this module.
-    from ..api.registry import algorithm_specs
-    from ..mpc.execution import OneRoundAlgorithm
-
     best: tuple[float, int] | None = None
-    chosen: tuple["OneRoundAlgorithm", str, float] | None = None
+    chosen: tuple[OneRoundAlgorithm, str, float] | None = None
     for order, spec in enumerate(algorithm_specs()):
-        if not issubclass(spec.algorithm_class, OneRoundAlgorithm):
-            continue
-        if not spec.is_applicable(query):
+        if not spec.is_applicable(query) or spec.rounds(query) != 1:
             continue
         algorithm = spec.build(query, stats, p)
         predicted = algorithm.predicted_load_bits(stats, p)
@@ -170,83 +133,20 @@ def predict_one_round(query: ConjunctiveQuery, stats: object, p: int) -> float:
     return select_one_round(query, stats, p)[2]
 
 
-class MultiRoundAlgorithm(ABC):
-    """A multi-round MPC algorithm for a fixed query.
+class MultiRoundAlgorithm(MPCAlgorithm):
+    """An MPC algorithm whose rounds are chosen from the registry.
 
-    Mirrors :class:`~repro.mpc.execution.OneRoundAlgorithm`'s planner
-    surface (``applicability``, ``predicted_load_bits``) and adds the
-    round structure: :meth:`round_plan` declares the round queries and
-    intermediate names, :meth:`round_algorithm` picks each round's
-    one-round algorithm from the live round database, and
-    :meth:`predicted_round_loads` / :meth:`lower_bound_bits` supply the
-    per-round cost curve and the matching multi-round lower bound.
+    Subclasses declare :meth:`round_count`, :meth:`round_plan` and
+    :meth:`predicted_round_loads`; each round is routed by the best
+    registered one-round algorithm for that round's live database.  The
+    matching lower bound is the inherited repartition bound
+    (:meth:`~repro.mpc.execution.MPCAlgorithm.lower_bound_bits`).
     """
-
-    def __init__(self, query: ConjunctiveQuery, name: str) -> None:
-        self.query = query
-        self.name = name
-
-    @classmethod
-    def applicability(cls, query: ConjunctiveQuery) -> str | None:
-        """None if the algorithm handles ``query``, else a reason string."""
-        return None
-
-    @classmethod
-    @abstractmethod
-    def round_count(cls, query: ConjunctiveQuery) -> int:
-        """Number of communication rounds used on ``query``."""
-
-    @abstractmethod
-    def round_plan(self) -> tuple[RoundSpec, ...]:
-        """The round sequence (``round_count`` entries, last one final)."""
 
     def round_algorithm(
         self, spec: RoundSpec, db: Database, p: int
-    ) -> "OneRoundAlgorithm":
-        """The one-round algorithm executing round ``spec`` on ``db``.
-
-        The default extracts exact heavy-hitter statistics from the
-        round database and delegates to :func:`select_one_round`; the
-        choice depends only on ``(db, p)``, never on the engine, which
-        is what keeps multi-round runs bit-identical across engines.
-        """
-        from ..stats.heavy_hitters import HeavyHitterStatistics
-
+    ) -> OneRoundAlgorithm:
+        """Exact heavy-hitter statistics of the round database, then
+        :func:`select_one_round` — a function of ``(db, p)`` only."""
         stats = HeavyHitterStatistics.of(spec.query, db, p)
         return select_one_round(spec.query, stats, p)[0]
-
-    @abstractmethod
-    def predicted_round_loads(
-        self, stats: object, p: int
-    ) -> tuple[float, ...]:
-        """Predicted max per-server load (bits) of every round."""
-
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """Max predicted per-round load — the multi-round analogue of the
-        one-round hook, so the planner compares both on one scale."""
-        return max(self.predicted_round_loads(stats, p))
-
-    def lower_bound_bits(self, stats: object, p: int) -> float:
-        """The trivial repartition bound ``max_j M_j / p`` (module doc)."""
-        simple: SimpleStatistics = getattr(stats, "simple", stats)
-        return max(simple.bits(atom.name) for atom in self.query.atoms) / p
-
-    @staticmethod
-    def _heavy_stats(stats: object, p: int) -> StatisticsProvider | None:
-        """Shared arbiter with the one-round hooks (usable provider or None)."""
-        if isinstance(stats, StatisticsProvider) and stats.p == p:
-            return stats
-        return None
-
-    def describe(self) -> Mapping[str, object]:
-        return {
-            "rounds": self.round_count(self.query),
-            "plan": [
-                {
-                    "round": spec.index,
-                    "query": str(spec.query),
-                    "output": spec.output,
-                }
-                for spec in self.round_plan()
-            ],
-        }

@@ -20,12 +20,14 @@ back to the query's atom order (connectivity-respecting).
 
 from __future__ import annotations
 
+from functools import partial
+
+from ..mpc.execution import RoundSpec
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..stats.cardinality import SimpleStatistics
 from ..stats.provider import StatisticsProvider
 from .base import (
     MultiRoundAlgorithm,
-    RoundSpec,
     RoundsError,
     estimate_join_size,
     intermediate_name,
@@ -111,8 +113,12 @@ class RoundComposedJoin(MultiRoundAlgorithm):
             return tuple(order)
 
         simple: SimpleStatistics = getattr(stats, "simple", stats)
-        domain = simple.domain_size
-        hh = stats if isinstance(stats, StatisticsProvider) else None
+        estimate = partial(
+            estimate_join_size,
+            stats=simple,
+            domain_size=simple.domain_size,
+            hh=stats if isinstance(stats, StatisticsProvider) else None,
+        )
 
         best_pair: tuple[float, int, int] | None = None
         for i, left in enumerate(atoms):
@@ -120,53 +126,34 @@ class RoundComposedJoin(MultiRoundAlgorithm):
                 right = atoms[j]
                 if not (left.variable_set & right.variable_set):
                     continue
-                estimate = estimate_join_size(
-                    left.name,
-                    left.variables,
-                    simple.cardinality(left.name),
-                    right,
-                    simple,
-                    domain,
-                    hh=hh,
+                rank = (
+                    estimate(left.name, left.variables,
+                             simple.cardinality(left.name), right),
+                    i, j,
                 )
-                rank = (estimate, i, j)
                 if best_pair is None or rank < best_pair:
                     best_pair = rank
         if best_pair is None:  # pragma: no cover - connected => a pair shares
             raise RoundsError("no two atoms share a variable")
 
-        _, i, j = best_pair
+        acc_size, i, j = best_pair
         order = [atoms[i], atoms[j]]
         remaining = [a for k, a in enumerate(atoms) if k not in (i, j)]
         acc_vars = _first_appearance_order((order[0], order[1]))
-        acc_size = estimate_join_size(
-            order[0].name,
-            order[0].variables,
-            simple.cardinality(order[0].name),
-            order[1],
-            simple,
-            domain,
-            hh=hh,
-        )
         acc_name = order[0].name
         while remaining:
             best_next: tuple[float, int] | None = None
             for k, atom in enumerate(remaining):
                 if not (atom.variable_set & set(acc_vars)):
                     continue
-                estimate = estimate_join_size(
-                    acc_name, acc_vars, acc_size, atom, simple, domain, hh=hh
-                )
-                rank = (estimate, k)
+                rank = (estimate(acc_name, acc_vars, acc_size, atom), k)
                 if best_next is None or rank < best_next:
                     best_next = rank
             if best_next is None:  # pragma: no cover - connected query
                 raise RoundsError("query hypergraph is disconnected")
-            _, k = best_next
+            # The winning estimate is the accumulated size going forward.
+            acc_size, k = best_next
             nxt = remaining.pop(k)
-            acc_size = estimate_join_size(
-                acc_name, acc_vars, acc_size, nxt, simple, domain, hh=hh
-            )
             acc_vars = _first_appearance_order(
                 (Atom("_acc", acc_vars), nxt)
             )
@@ -218,21 +205,19 @@ class RoundComposedJoin(MultiRoundAlgorithm):
         """
         simple: SimpleStatistics = getattr(stats, "simple", stats)
         domain = simple.domain_size
-        hh = self._heavy_stats(stats, p)
+        estimate = partial(
+            estimate_join_size, stats=simple, domain_size=domain,
+            hh=self._heavy_stats(stats, p),
+        )
         loads: list[float] = []
         acc_size: float | None = None
         for spec in self._plan:
             left, right = spec.query.atoms
             if spec.index == 0:
                 loads.append(predict_one_round(spec.query, stats, p))
-                acc_size = estimate_join_size(
-                    left.name,
-                    left.variables,
-                    simple.cardinality(left.name),
-                    right,
-                    simple,
-                    domain,
-                    hh=hh,
+                acc_size = estimate(
+                    left.name, left.variables,
+                    simple.cardinality(left.name), right,
                 )
                 continue
             assert acc_size is not None
@@ -245,8 +230,5 @@ class RoundComposedJoin(MultiRoundAlgorithm):
                 domain,
             )
             loads.append(predict_one_round(spec.query, round_simple, p))
-            acc_size = estimate_join_size(
-                left.name, left.variables, acc_size, right, simple, domain,
-                hh=hh,
-            )
+            acc_size = estimate(left.name, left.variables, acc_size, right)
         return tuple(loads)

@@ -1,7 +1,9 @@
-"""Execution of multi-round algorithms through the one-round engines.
+"""Execution of any MPC algorithm, round by round, through the engines.
 
-:func:`run_rounds` walks a :class:`~repro.rounds.base.MultiRoundAlgorithm`'s
-round plan: each round's query runs through the selected
+:func:`run_rounds` is the one runner above the engines.  It walks an
+:class:`~repro.mpc.execution.MPCAlgorithm`'s round plan — a single final
+round for a one-round algorithm, several for the algorithms of this
+package: each round's query runs through the selected
 :class:`~repro.mpc.engine.ExecutionEngine` exactly like a one-round
 experiment, and its answers are frozen into an intermediate
 :class:`~repro.seq.relation.Relation` (same ``Relation`` path as base
@@ -19,18 +21,15 @@ and summarized as the max across rounds, matching the planner's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from ..mpc.execution import ExecutionResult
-from ..obs import maybe_timed
+from ..mpc.engine import ExecutionEngine, resolve_engine
+from ..mpc.execution import ExecutionResult, MPCAlgorithm, RoundSpec
+from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..seq.join import evaluate
 from ..seq.relation import Database, Relation, Tuple
-from .base import MultiRoundAlgorithm, RoundSpec, RoundsError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpc.engine import ExecutionEngine
-    from ..obs import Observation
+from .base import RoundsError
 
 #: Per-round seed decorrelation stride (a large prime, so round ``r`` uses
 #: hash seed ``seed + r * stride`` deterministically on every engine).
@@ -39,7 +38,7 @@ ROUND_SEED_STRIDE = 1_000_003
 
 @dataclass(frozen=True)
 class MultiRoundResult:
-    """Everything measured across one multi-round execution."""
+    """Everything measured across one execution (one round or many)."""
 
     algorithm: str
     query: ConjunctiveQuery
@@ -127,26 +126,27 @@ def _round_database(
 
 
 def run_rounds(
-    algorithm: MultiRoundAlgorithm,
+    algorithm: MPCAlgorithm,
     db: Database,
     p: int,
     seed: int = 0,
     compute_answers: bool = True,
     verify: bool = False,
-    engine: "str | ExecutionEngine" = "batched",
-    obs: "Observation | None" = None,
+    engine: str | ExecutionEngine = "batched",
+    obs: Observation | None = None,
 ) -> MultiRoundResult:
     """Simulate every communication round of ``algorithm`` on ``db``.
 
-    The multi-round twin of :func:`repro.mpc.execution.run_one_round`
-    (same knobs, same engine selection).  Non-final rounds always compute
-    answers — their output *is* the next round's input; the final round
-    honors ``compute_answers``.  ``verify=True`` checks the final answers
-    against the sequential evaluation of the *original* query on the
-    *base* database, the strongest completeness check available.
+    Same knobs and engine selection as
+    :func:`repro.mpc.execution.run_one_round`; each round is one run of
+    the selected engine (round 0 under ``seed`` itself, so a one-round
+    algorithm measures exactly what a direct ``run_one_round`` does).
+    Non-final rounds always compute answers — their output *is* the next
+    round's input; the final round honors ``compute_answers``.
+    ``verify=True`` checks the final answers against the sequential
+    evaluation of the *original* query on the *base* database, the
+    strongest completeness check available.
     """
-    from ..mpc.engine import resolve_engine  # local import: cycle guard
-
     db.validate_against(algorithm.query)
     resolved = resolve_engine(engine)
     plan = algorithm.round_plan()

@@ -3,12 +3,12 @@
 Today's other entry points are cold one-shot processes; this package is
 the ROADMAP's "planner-as-a-service" first step.  Three layers:
 
-1. :mod:`repro.service.jobs` — :func:`execute_cells`, the fault-isolated
-   sweep executor (structured ``failed:``/``timeout`` records, per-cell
-   deadlines, worker replacement) shared with
-   :meth:`repro.api.experiment.Sweep.run`; and :class:`JobQueue`, a
-   bounded submit/status/result/cancel queue with explicit
-   :class:`BackpressureError` rejection.
+1. :mod:`repro.service.jobs` — :class:`JobQueue`, a bounded
+   submit/status/result/cancel queue with explicit
+   :class:`BackpressureError` rejection.  Its sweep jobs run through the
+   library's fault-isolated executor, :func:`repro.api.execute_cells`
+   (structured ``failed:``/``timeout`` records, per-cell deadlines,
+   worker replacement), re-exported here.
 2. :mod:`repro.service.cache` — :class:`CatalogCache`, content-hash LRU
    sections for parsed queries, heavy-hitter/sketch statistics and
    ranked plans, instrumented through :mod:`repro.obs`.
@@ -30,6 +30,7 @@ Typical in-process use::
     service.shutdown()
 """
 
+from ..api.experiment import execute_cells
 from .cache import CatalogCache, catalog_key
 from .client import ServiceBusyError, ServiceClient, ServiceClientError
 from .jobs import (
@@ -39,7 +40,6 @@ from .jobs import (
     Job,
     JobQueue,
     ServiceError,
-    execute_cells,
 )
 from .server import ReproService
 

@@ -25,7 +25,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Hashable
 
 from ..obs import Observation
 
@@ -87,7 +87,7 @@ class CatalogCache:
             self.obs.count(f"service.cache.{section}.{outcome}")
             self.obs.set_gauge("service.cache.entries", len(self))
 
-    def lookup(self, section: str, key: str) -> tuple[bool, object]:
+    def lookup(self, section: str, key: Hashable) -> tuple[bool, object]:
         """``(hit, value)`` for ``key``; a hit refreshes LRU recency."""
         if section not in self._sections:
             raise KeyError(f"unknown cache section {section!r}")
@@ -101,7 +101,7 @@ class CatalogCache:
         self._count(section, hit)
         return hit, value
 
-    def store(self, section: str, key: str, value: object) -> None:
+    def store(self, section: str, key: Hashable, value: object) -> None:
         with self._lock:
             entries = self._sections[section]
             entries[key] = value
@@ -110,7 +110,7 @@ class CatalogCache:
                 entries.popitem(last=False)
 
     def get_or_build(
-        self, section: str, key: str, builder: Callable[[], object]
+        self, section: str, key: Hashable, builder: Callable[[], object]
     ) -> object:
         """The cached value for ``key``, building (and storing) on a miss."""
         hit, value = self.lookup(section, key)

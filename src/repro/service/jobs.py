@@ -1,29 +1,20 @@
-"""Fault-isolated sweep execution and the service's async job queue.
+"""The service's async job queue.
 
-Two layers live here, one stacked on the other:
-
-1. :func:`execute_cells` — the *cell executor* both the library
-   (:meth:`repro.api.experiment.Sweep.run`) and the service share.  It
-   replaces the old all-or-nothing process pool: a cell that raises
-   becomes a structured ``failed:<reason>`` record, a cell that exceeds
-   its deadline becomes a ``timeout`` record (its worker process is
-   killed and replaced), and every healthy record is returned in grid
-   order regardless of what its neighbors did.
-
-2. :class:`JobQueue` — a bounded submit/status/result/cancel queue over
-   ``plan``, ``stats`` and ``sweep`` jobs, drained by daemon worker
-   threads inside a long-lived ``repro serve`` process.  A full queue
-   rejects with :class:`BackpressureError` (the server maps it to HTTP
-   429) instead of buffering without bound.  Plan and statistics work
-   goes through a shared :class:`~repro.service.cache.CatalogCache`, so
-   the second catalog-identical request is a cache hit, not a rebuild.
+:class:`JobQueue` is a bounded submit/status/result/cancel queue over
+``plan``, ``stats`` and ``sweep`` jobs, drained by daemon worker threads
+inside a long-lived ``repro serve`` process.  A full queue rejects with
+:class:`BackpressureError` (the server maps it to HTTP 429) instead of
+buffering without bound.  Plan and statistics work goes through a shared
+:class:`~repro.service.cache.CatalogCache`, so the second
+catalog-identical request is a cache hit, not a rebuild; sweep jobs run
+through the library's fault-isolated cell executor
+(:func:`repro.api.execute_cells`) against the
+same cache.
 
 Observability (all through the existing :mod:`repro.obs` layer):
 ``service.queue.depth`` gauge, ``service.jobs.*`` counters,
-``service.job.seconds`` spans per job, the cell farm's
-``sweep.queue_wait.seconds`` / ``sweep.cell.seconds`` histograms and
-``sweep.cells.{ok,failed,timeout}`` counters, and the cache's
-``service.cache.{hit,miss}`` counters.
+``service.job.seconds`` spans per job, the cell executor's ``sweep.*``
+metrics, and the cache's ``service.cache.{hit,miss}`` counters.
 """
 
 from __future__ import annotations
@@ -33,17 +24,17 @@ import logging
 import queue
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
 
-from ..api import experiment as _experiment
-from ..api.planner import plan as _plan
-from ..api.records import RunRecord
-from ..mpc.engine.multiprocess import pool_context
+from ..api.experiment import (
+    ExperimentError,
+    Sweep,
+    WorkloadSpec,
+    execute_cells,
+)
+from ..api.planner import plan as _plan, resolve_statistics
 from ..obs import Observation, maybe_timed
+from ..query.parser import parse_query
 from .cache import CatalogCache, catalog_key
 
 _LOG = logging.getLogger("repro.service.jobs")
@@ -71,366 +62,6 @@ class BackpressureError(ServiceError):
         self.capacity = capacity
 
 
-def _failure_status(exc: BaseException) -> str:
-    """The ``failed:<reason>`` status string for an exception."""
-    reason = str(exc) or type(exc).__name__
-    return f"failed:{type(exc).__name__}: {reason}"
-
-
-# ----------------------------------------------------------------------
-# The cell executor: serial and farmed, both fault-isolated.
-# ----------------------------------------------------------------------
-
-def _log_record(record: RunRecord, done: int, total: int) -> None:
-    _LOG.info(
-        "cell %d/%d: %s p=%d m=%d skew=%.2f seed=%d -> "
-        "%.0f bits (%s) in %.3fs",
-        done, total, record.algorithm, record.p, record.m,
-        record.skew, record.seed, record.max_load_bits,
-        record.status if not record.ok
-        else "gap " + ("-" if record.optimality_gap is None
-                       else format(record.optimality_gap, ".2f")),
-        record.wall_seconds,
-    )
-
-
-def _count_status(obs: Observation | None, record: RunRecord) -> None:
-    if obs is None:
-        return
-    if record.ok:
-        obs.count("sweep.cells.ok")
-    elif record.status == "timeout":
-        obs.count("sweep.cells.timeout")
-    else:
-        obs.count("sweep.cells.failed")
-
-
-def _prepared_context(group, obs, cache: CatalogCache | None):
-    """``(db, query_plan)`` for a coordinate group, through the cache.
-
-    The cache key covers everything :func:`repro.api.experiment._prepare`
-    consumes: the coordinates plus the algorithm keys the plan must cost.
-    """
-    if cache is None:
-        return _experiment._prepare(group, obs=obs)
-    first = group[0]
-    key = catalog_key(
-        kind="prepare",
-        query=first.query, workload=first.workload, m=first.m,
-        skew=first.skew, seed=first.seed, domain=first.domain,
-        p=first.p, stats=first.stats, rounds=first.rounds,
-        algorithms=sorted({cell.algorithm for cell in group}),
-    )
-    return cache.get_or_build(
-        "plan", key, lambda: _experiment._prepare(group, obs=obs)
-    )
-
-
-def _execute_serial(
-    cells: Sequence["_experiment.Cell"],
-    progress: Callable[[RunRecord], None] | None,
-    obs: Observation | None,
-    cache: CatalogCache | None,
-) -> list[RunRecord]:
-    """In-process execution: one ``_prepare`` per distinct coordinate
-    group (order-independent — shuffled grids do not re-prepare), with
-    per-cell and per-group fault isolation.  Timeouts need process
-    isolation, so they are the farm's job."""
-    groups: dict[tuple, list[int]] = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault(_experiment._coordinates(cell), []).append(index)
-    slots: list[RunRecord | None] = [None] * len(cells)
-    total = len(cells)
-    done = 0
-
-    def _finish(index: int, record: RunRecord) -> None:
-        nonlocal done
-        done += 1
-        slots[index] = record
-        _log_record(record, done, total)
-        _count_status(obs, record)
-        if progress is not None:
-            progress(record)
-
-    with maybe_timed(obs, "sweep.run", cells=total, workers=1):
-        for indexes in groups.values():
-            group = [cells[i] for i in indexes]
-            try:
-                with maybe_timed(obs, "sweep.prepare", cells=len(group)):
-                    db, query_plan = _prepared_context(group, obs, cache)
-            except Exception as exc:
-                _LOG.warning("sweep: preparing %d cell(s) failed: %s",
-                             len(group), exc)
-                for i in indexes:
-                    _finish(i, _experiment.failure_record(
-                        cells[i], _failure_status(exc)
-                    ))
-                continue
-            for i in indexes:
-                started = time.perf_counter()
-                try:
-                    record = _experiment._execute(
-                        cells[i], db, query_plan, obs=obs
-                    )
-                except Exception as exc:
-                    _LOG.warning("sweep: cell %d failed: %s", i, exc)
-                    record = _experiment.failure_record(
-                        cells[i], _failure_status(exc),
-                        wall_seconds=time.perf_counter() - started,
-                    )
-                _finish(i, record)
-    return [record for record in slots if record is not None]
-
-
-@dataclass
-class _Worker:
-    """One farm worker process and what it is currently running."""
-
-    process: object
-    conn: Connection
-    index: int | None = None          # cell index in flight, None if idle
-    dispatched_at: float | None = None
-    deadline: float | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-
-def _cell_worker(conn: Connection) -> None:
-    """Farm worker loop: receive a cell, run it, send the outcome.
-
-    Exceptions are caught *here* and shipped back as structured errors,
-    so a poisoned cell costs one message, not the worker.  Only a hard
-    crash (or a kill from the parent on timeout) loses the process — the
-    parent notices the closed pipe and replaces it.
-    """
-    while True:
-        try:
-            cell = conn.recv()
-        except (EOFError, OSError):
-            return
-        if cell is None:
-            return
-        try:
-            outcome = ("ok", _experiment.run_cell(cell))
-        except BaseException as exc:  # isolate *everything* per cell
-            outcome = ("error", f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(outcome)
-        except (BrokenPipeError, OSError):
-            return
-
-
-def _execute_farm(
-    cells: Sequence["_experiment.Cell"],
-    max_workers: int,
-    cell_timeout: float | None,
-    progress: Callable[[RunRecord], None] | None,
-    obs: Observation | None,
-) -> list[RunRecord]:
-    """Farm cells over dedicated worker processes with fault isolation.
-
-    Unlike a :class:`~concurrent.futures.ProcessPoolExecutor`, each
-    worker is dispatched exactly one cell at a time over its own pipe, so
-    the parent always knows which cell a hung worker holds: on deadline
-    it kills that worker, records a ``timeout`` for that cell only, and
-    spawns a replacement.  Worker processes are non-daemonic (cells
-    running the ``mp`` engine open their own pool inside).
-    """
-    ctx = pool_context()
-    total = len(cells)
-    if obs is not None:
-        # Workers cannot write to this process' registry; ship the
-        # request with each cell and read the digest off the record.
-        cells = [replace(cell, observe=True) for cell in cells]
-    slots: list[RunRecord | None] = [None] * total
-    pending: deque[int] = deque(range(total))
-    workers: list[_Worker] = []
-    done = 0
-    busy_seconds = 0.0
-    farm_started = time.perf_counter()
-
-    def _spawn() -> _Worker:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=_cell_worker, args=(child_conn,), daemon=False
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def _dispatch(worker: _Worker) -> None:
-        index = pending.popleft()
-        worker.index = index
-        worker.dispatched_at = time.perf_counter()
-        worker.deadline = (
-            None if cell_timeout is None
-            else worker.dispatched_at + cell_timeout
-        )
-        worker.conn.send(cells[index])
-
-    def _finish(index: int, record: RunRecord) -> None:
-        nonlocal done, busy_seconds
-        done += 1
-        slots[index] = record
-        if obs is not None:
-            turnaround = time.perf_counter() - farm_started
-            obs.observe("sweep.queue_wait.seconds",
-                        max(0.0, turnaround - record.wall_seconds))
-            obs.observe("sweep.cell.seconds", record.wall_seconds)
-            busy_seconds += record.wall_seconds
-            if record.metrics is not None:
-                obs.metrics.merge_snapshot({
-                    "counters": record.metrics.get("counters", {}),
-                    "gauges": record.metrics.get("gauges", {}),
-                })
-        _log_record(record, done, total)
-        _count_status(obs, record)
-        if progress is not None:
-            progress(record)
-
-    def _retire(worker: _Worker, *, kill: bool) -> None:
-        workers.remove(worker)
-        if kill and worker.process.is_alive():
-            worker.process.terminate()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(timeout=5)
-        if worker.process.is_alive():  # pragma: no cover - stubborn child
-            worker.process.kill()
-            worker.process.join(timeout=5)
-
-    worker_target = min(max_workers, total)
-    with maybe_timed(obs, "sweep.run", cells=total, workers=worker_target):
-        workers.extend(_spawn() for _ in range(worker_target))
-        try:
-            while done < total:
-                for worker in workers:
-                    if not worker.busy and pending:
-                        _dispatch(worker)
-                busy = [worker for worker in workers if worker.busy]
-                if not busy:  # pragma: no cover - every worker just died
-                    while pending:
-                        index = pending.popleft()
-                        _finish(index, _experiment.failure_record(
-                            cells[index], "failed:worker-pool-exhausted"
-                        ))
-                    break
-                now = time.perf_counter()
-                deadlines = [w.deadline for w in busy
-                             if w.deadline is not None]
-                wait_for = (None if not deadlines
-                            else max(0.0, min(deadlines) - now))
-                ready = _connection_wait(
-                    [worker.conn for worker in busy], timeout=wait_for
-                )
-                for worker in busy:
-                    if worker.conn not in ready:
-                        continue
-                    index = worker.index
-                    elapsed = time.perf_counter() - worker.dispatched_at
-                    try:
-                        kind, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died mid-cell (crash, OOM kill, ...):
-                        # record the casualty and replace the process.
-                        _LOG.warning("sweep: worker died running cell %d",
-                                     index)
-                        _finish(index, _experiment.failure_record(
-                            cells[index], "failed:worker-died",
-                            wall_seconds=elapsed,
-                        ))
-                        _retire(worker, kill=True)
-                        if pending:
-                            workers.append(_spawn())
-                        continue
-                    if kind == "ok":
-                        _finish(index, payload)
-                    else:
-                        _finish(index, _experiment.failure_record(
-                            cells[index], f"failed:{payload}",
-                            wall_seconds=elapsed,
-                        ))
-                    worker.index = None
-                    worker.dispatched_at = None
-                    worker.deadline = None
-                now = time.perf_counter()
-                for worker in list(workers):
-                    if (worker.busy and worker.deadline is not None
-                            and now >= worker.deadline):
-                        index = worker.index
-                        _LOG.warning(
-                            "sweep: cell %d exceeded its %.1fs deadline; "
-                            "killing and replacing its worker",
-                            index, cell_timeout,
-                        )
-                        _finish(index, _experiment.failure_record(
-                            cells[index], "timeout",
-                            wall_seconds=now - worker.dispatched_at,
-                        ))
-                        _retire(worker, kill=True)
-                        if pending:
-                            workers.append(_spawn())
-        finally:
-            for worker in list(workers):
-                if not worker.busy:
-                    try:
-                        worker.conn.send(None)
-                    except (BrokenPipeError, OSError):
-                        pass
-                _retire(worker, kill=worker.busy)
-    if obs is not None:
-        elapsed = time.perf_counter() - farm_started
-        obs.set_gauge("sweep.pool_workers", worker_target)
-        if elapsed > 0:
-            obs.set_gauge(
-                "sweep.pool_utilization",
-                busy_seconds / (worker_target * elapsed),
-            )
-    return [record for record in slots if record is not None]
-
-
-def execute_cells(
-    cells: Sequence["_experiment.Cell"],
-    max_workers: int | None = None,
-    cell_timeout: float | None = None,
-    progress: Callable[[RunRecord], None] | None = None,
-    obs: Observation | None = None,
-    cache: CatalogCache | None = None,
-) -> list[RunRecord]:
-    """Execute sweep cells with per-cell fault isolation.
-
-    The single executor behind both :meth:`repro.api.experiment.Sweep.run`
-    and the service's sweep jobs.  Records come back in grid (input)
-    order; a raising cell yields a ``failed:<reason>`` record and a cell
-    past ``cell_timeout`` seconds yields a ``timeout`` record — neither
-    disturbs its neighbors.
-
-    ``max_workers`` > 1 farms cells over worker processes; ``None``/1
-    runs in-process (sharing one database/statistics/plan per distinct
-    coordinate group, in any input order).  ``cell_timeout`` requires
-    process isolation, so setting it forces the farm even for a single
-    worker.  ``cache`` (a :class:`~repro.service.cache.CatalogCache`)
-    lets the serial path reuse prepared contexts across calls — the
-    service's sweep jobs pass the server-wide cache.
-    """
-    if not cells:
-        return []
-    workers = 0 if max_workers is None else max_workers
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ServiceError(
-            f"cell_timeout must be positive, got {cell_timeout}"
-        )
-    if cell_timeout is None and (workers <= 1 or len(cells) == 1):
-        return _execute_serial(cells, progress, obs, cache)
-    return _execute_farm(
-        cells, max(1, workers), cell_timeout, progress, obs
-    )
-
-
 # ----------------------------------------------------------------------
 # Catalog-cached builders shared by plan and stats jobs.
 # ----------------------------------------------------------------------
@@ -447,35 +78,27 @@ def _workload_parts(spec: dict) -> dict:
     }
 
 
-def _cached_query(text: str, cache: CatalogCache | None):
-    if cache is None:
-        return _experiment.parse_query(text)
+def _cached_query(text: str, cache: CatalogCache):
     key = catalog_key(kind="query", text=text)
-    return cache.get_or_build(
-        "query", key, lambda: _experiment.parse_query(text)
-    )
+    return cache.get_or_build("query", key, lambda: parse_query(text))
 
 
 def _cached_statistics(
     query, parts: dict, p: int, method: str,
-    cache: CatalogCache | None, obs: Observation | None,
+    cache: CatalogCache, obs: Observation | None,
 ):
     """``(db, stats)`` for a catalog, via the cache's ``stats`` section."""
-    _experiment._validate_stats_method(method)
 
     def _build():
-        workload = _experiment.WorkloadSpec(
+        workload = WorkloadSpec(
             kind=parts["workload"], m=parts["m"], skew=parts["skew"],
             seed=parts["seed"], domain=parts["domain"],
         )
         db = workload.build(query)
-        with maybe_timed(obs, "stats.build", method=method):
-            stats = _experiment._build_statistics(query, db, p, method,
-                                                  obs=obs)
-        return db, stats
+        return db, resolve_statistics(
+            query, None, p, db, stats_method=method, obs=obs
+        )
 
-    if cache is None:
-        return _build()
     key = catalog_key(kind="stats", query=str(query), p=p, method=method,
                       **parts)
     return cache.get_or_build("stats", key, _build)
@@ -579,6 +202,13 @@ class JobQueue:
             raise ServiceError(
                 "job spec must be an object with at least a 'query'"
             )
+        if kind == "sweep":
+            # Shape check only (the job rebuilds it): a malformed spec
+            # is the client's error (400), not a job that can only fail.
+            try:
+                Sweep.from_spec(spec)
+            except ExperimentError as exc:
+                raise ServiceError(str(exc)) from None
         if self._closed:
             raise ServiceError("the job queue is shut down")
         job = Job(id=f"job-{next(_JOB_IDS)}", kind=kind, spec=dict(spec))
@@ -745,32 +375,8 @@ class JobQueue:
         }
 
     def _run_sweep(self, spec: dict) -> dict:
-        algorithms = spec.get("algorithms", "applicable")
-        if isinstance(algorithms, list):
-            algorithms = tuple(algorithms)
-        stats = spec.get("stats_axis", spec.get("stats", "exact"))
-        if isinstance(stats, list):
-            stats = tuple(stats)
-        rounds = spec.get("rounds", 1)
-        if isinstance(rounds, list):
-            rounds = tuple(rounds)
-        sweep = _experiment.Sweep(
-            query=str(spec["query"]),
-            workload=str(spec.get("workload", "zipf")),
-            p_values=tuple(spec.get("p_values", (16,))),
-            m_values=tuple(spec.get("m_values", (1000,))),
-            skews=tuple(spec.get("skews", (1.0,))),
-            seeds=tuple(spec.get("seeds", (0,))),
-            algorithms=algorithms,
-            engine=str(spec.get("engine", "batched")),
-            verify=bool(spec.get("verify", False)),
-            domain=spec.get("domain"),
-            stats=stats,
-            rounds=rounds,
-        )
-        cells = sweep.cells()
         records = execute_cells(
-            cells,
+            Sweep.from_spec(spec).cells(),
             max_workers=spec.get("workers", self.cell_workers),
             cell_timeout=spec.get("cell_timeout", self.cell_timeout),
             obs=self.obs,

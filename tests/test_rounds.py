@@ -11,7 +11,7 @@ huge) must still fall to a one-round plan.
 import pytest
 
 from repro.api import Sweep
-from repro.api.planner import PlanError, plan, autoplan
+from repro.api.planner import PlanError, plan, autoplan, tradeoff
 from repro.api.records import RecordError, RunRecord, validate_record
 from repro.data.generators import planted_heavy_relation, uniform_relation
 from repro.mpc.engine.base import available_engines
@@ -26,7 +26,6 @@ from repro.rounds import (
     intermediate_name,
     run_rounds,
     select_one_round,
-    tradeoff,
 )
 from repro.seq.join import evaluate
 from repro.seq.relation import Database, Relation

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.api import Cell, Sweep, failure_record, validate_record
+from repro.api import ExperimentError
 from repro.api import experiment as experiment_module
 from repro.api.records import RUN_RECORD_FIELDS
 from repro.api.registry import AlgorithmSpec, register, unregister
@@ -175,7 +176,7 @@ class TestFarmFaultIsolation:
         assert result.records[0].status == "timeout"
 
     def test_invalid_timeout_rejected(self):
-        with pytest.raises(ServiceError, match="positive"):
+        with pytest.raises(ExperimentError, match="positive"):
             execute_cells(_sweep("applicable").cells(), cell_timeout=-1)
 
 
@@ -283,6 +284,18 @@ class TestJobQueueUnit:
         queue = JobQueue(workers=0)
         with pytest.raises(ServiceError, match="query"):
             queue.submit("plan", {})
+        queue.shutdown()
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_values", "16"),     # ended as failed: TypeError '<' str/int
+        ("skews", 1.0),         # ended as failed: 'float' is not iterable
+        ("seeds", ["a"]),       # was accepted and "done" with 6 failed cells
+    ])
+    def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
+        queue = JobQueue(workers=0)
+        with pytest.raises(ServiceError, match=field):
+            queue.submit("sweep", {"query": JOIN_TEXT, field: value})
+        assert queue.jobs() == []
         queue.shutdown()
 
     def test_backpressure_rejection_when_full(self):

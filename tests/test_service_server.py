@@ -114,6 +114,17 @@ class TestLifecycle:
             client.submit("plan", {})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_values", "16"), ("skews", 1.0), ("seeds", ["a"]),
+    ])
+    def test_malformed_sweep_spec_is_400_naming_the_field(
+            self, service, field, value):
+        _, client = service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit("sweep", {**SWEEP_SPEC, field: value})
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
     def test_failed_job_reports_error(self, service):
         _, client = service
         job = client.submit("plan", {"query": "not a query at all"})
