@@ -11,9 +11,11 @@ algorithms as *experiments* rather than hand-assembled scripts:
    registered algorithms by predicted max-load (Section 3 bounds) and
    instantiate the winner, carrying the Theorem 3.6 lower bound for
    optimality-gap reporting; :func:`tradeoff` is the round/load curve;
-3. :mod:`repro.api.experiment` — :class:`Experiment`/:class:`Sweep`
-   describe declarative grids of cells; one path takes a :class:`Cell`
-   to a schema-checked :class:`RunRecord` (through
+3. :mod:`repro.api.experiment` — :class:`Catalog` (query x
+   :class:`WorkloadSpec` x ``p`` x statistics method) is the one value
+   ``(query, database, statistics)`` is built from; :class:`Experiment`
+   and :class:`Sweep` describe declarative grids of cells; one path takes
+   a :class:`Cell` to a schema-checked :class:`RunRecord` (through
    :func:`repro.rounds.run_rounds`, for one round or many), driven by
    :func:`execute_cells`, the fault-isolated executor shared with
    ``repro serve``;
@@ -64,6 +66,7 @@ from .bench import (
     validate_bench,
 )
 from .experiment import (
+    Catalog,
     Cell,
     Experiment,
     ExperimentError,
@@ -126,6 +129,7 @@ __all__ = [
     "sketch_gate_failures",
     "suite_gate_failures",
     "validate_bench",
+    "Catalog",
     "Cell",
     "Experiment",
     "ExperimentError",

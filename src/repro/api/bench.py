@@ -48,7 +48,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..obs import Observation
-from ..query.parser import parse_query
 from ..sketch import (
     RelationSketchSet,
     SketchConfig,
@@ -57,7 +56,7 @@ from ..sketch import (
     sketch_fidelity,
 )
 from ..stats.heavy_hitters import HeavyHitterStatistics
-from .experiment import Sweep, WorkloadSpec
+from .experiment import Catalog, Sweep, WorkloadSpec
 from .records import RunRecord
 
 
@@ -456,7 +455,6 @@ def run_sketch_bench(
 
     # Fidelity pass: exact vs sketched heavy hitters on every grid point,
     # plus the shard-merge bit-identity check (once per workload).
-    query = parse_query(QUERY)
     config = SketchConfig()
     min_recall = 1.0
     precisions: list[float] = []
@@ -466,10 +464,8 @@ def run_sketch_bench(
     for m in grid["m_values"]:
         for skew in grid["skews"]:
             for seed in grid["seeds"]:
-                workload = WorkloadSpec(
-                    kind=grid["workload"], m=m, skew=skew, seed=seed
-                )
-                db = workload.build(query)
+                query, db = Catalog(QUERY, WorkloadSpec(
+                    grid["workload"], m, skew, seed)).generate(obs)
                 merge_identical &= _merge_bit_identical(query, db, config)
                 for p in grid["p_values"]:
                     exact = HeavyHitterStatistics.of(query, db, p)

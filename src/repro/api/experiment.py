@@ -5,12 +5,16 @@ each cell generates a workload, asks the planner for predictions and the
 Theorem 3.6 lower bound, runs the algorithm through a pluggable execution
 engine, and lands everything in a structured :class:`RunRecord`.
 
+* :class:`Catalog` — the one input every bound and algorithm of the paper
+  is a function of (the query, what is known about the instance, ``p``)
+  as a frozen, hashable value: the only way from argv or JSON to ``(query,
+  database, statistics)``, and what the service's cache keys on.
 * :class:`Cell` — one fully-resolved grid point, a frozen dataclass of
   primitives (so it can be generated on one machine and executed on
   another).  The path from a cell to a record is here, in one place:
   :func:`_prepare` builds what cells at the same grid coordinates share
-  (the :class:`WorkloadSpec`'s database, the statistics pass, the plan)
-  and :func:`_execute` runs one cell's algorithm through
+  (their catalog's database and statistics, and the plan) and
+  :func:`_execute` runs one cell's algorithm through
   :func:`repro.rounds.run_rounds`, for one round or many.
 * :func:`execute_cells` — the *cell executor* the library and the service
   (``repro serve``) share: a cell that raises becomes a structured
@@ -28,10 +32,10 @@ engine, and lands everything in a structured :class:`RunRecord`.
   :meth:`Sweep.from_spec` builds one from the JSON-shaped mapping the CLI
   and the service exchange.
 
-Observability: the executor's ``sweep.queue_wait.seconds`` /
-``sweep.cell.seconds`` histograms and ``sweep.cells.{ok,failed,timeout}``
-counters; per-cell progress is logged on the ``repro.api.experiment``
-logger.
+Observability: generation under ``data.generate``; the executor's
+``sweep.queue_wait.seconds`` / ``sweep.cell.seconds`` histograms and
+``sweep.cells.{ok,failed,timeout}`` counters; per-cell progress is logged
+on the ``repro.api.experiment`` logger.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from ..rounds import run_rounds
 from ..seq.relation import Database
 from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
-from .registry import algorithm_keys, applicable_specs, get_spec
+from .registry import Statistics, algorithm_keys, applicable_specs, get_spec
 
 _LOG = logging.getLogger("repro.api.experiment")
 
@@ -138,6 +142,118 @@ class WorkloadSpec:
         return Database.from_relations(relations)
 
 
+def _spec_fields(
+    spec: object, table: Mapping[str, tuple], what: str
+) -> dict[str, object]:
+    """The fields of ``table`` — key -> (value types, list? — None when
+    either will do, what the field must be) — present in a JSON-shaped
+    ``spec``, shape- and type-checked; lists come back as tuples."""
+    if not isinstance(spec, Mapping) or not spec.get("query") \
+            or not isinstance(spec["query"], str):
+        raise ExperimentError(
+            f"a {what} spec must be an object with a 'query' string"
+        )
+    fields: dict[str, object] = {"query": spec["query"]}
+    for name, (kinds, listed, wanted) in table.items():
+        if name not in spec:
+            continue
+        value = spec[name]
+        is_list = isinstance(value, (list, tuple))
+        well_typed = all(
+            # bool is an int to isinstance; JSON true is not a number.
+            isinstance(item, kinds)
+            and (kinds is bool or not isinstance(item, bool))
+            for item in (value if is_list else (value,))
+        )
+        if not well_typed or (listed is not None and is_list != listed):
+            raise ExperimentError(
+                f"{what} spec field {name!r} must be {wanted}, "
+                f"got {value!r}"
+            )
+        fields[name] = tuple(value) if is_list else value
+    return fields
+
+
+#: The catalog spec, for :func:`_spec_fields`; the first five keys are the
+#: :class:`WorkloadSpec`'s (``workload`` is its ``kind``).
+_CATALOG_FIELDS: Mapping[str, tuple] = {
+    "workload": (str, False, "a string"),
+    "m": (int, False, "an integer"),
+    "skew": ((int, float), False, "a number"),
+    "seed": (int, False, "an integer"),
+    "domain": ((int, type(None)), False, "an integer or null"),
+    "p": (int, False, "an integer"),
+    "stats": (str, False, "a string"),
+}
+_WORKLOAD_KEYS = ("workload", "m", "skew", "seed", "domain")
+
+
+@dataclass(frozen=True)
+class Catalog:
+    """Query text x workload x ``p`` x statistics method.  Equal catalogs
+    build equal databases and statistics, so the value is its own cache
+    key (once :meth:`canonical`)."""
+
+    query: str
+    workload: WorkloadSpec = WorkloadSpec()
+    p: int = 16
+    stats: str = "exact"       # statistics method: "exact" or "sketch"
+
+    def __post_init__(self) -> None:
+        if self.p < 1:
+            raise ExperimentError(f"p must be >= 1, got {self.p}")
+        if self.stats not in STATS_METHODS:
+            raise ExperimentError(
+                f"unknown stats method {self.stats!r}; "
+                f"choose from {', '.join(STATS_METHODS)}"
+            )
+
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, object]) -> "Catalog":
+        """A catalog from the flat mapping plan/stats jobs carry: ``query,
+        workload, m, skew, seed, domain, p, stats``; absent keys keep the
+        field defaults.  Types and ranges are checked, the query is not
+        parsed — cheap enough for the service's request thread."""
+        fields = _spec_fields(spec, _CATALOG_FIELDS, "catalog")
+        workload = {
+            "kind" if name == "workload" else name: fields.pop(name)
+            for name in _WORKLOAD_KEYS if name in fields
+        }
+        if "skew" in workload:
+            workload["skew"] = float(workload["skew"])
+        return cls(workload=WorkloadSpec(**workload), **fields)
+
+    def to_spec(self) -> dict:
+        """The inverse of :meth:`from_spec`."""
+        w = self.workload
+        return {"query": self.query, "workload": w.kind, "m": w.m,
+                "skew": w.skew, "seed": w.seed, "domain": w.domain,
+                "p": self.p, "stats": self.stats}
+
+    def canonical(self) -> "Catalog":
+        """This catalog with its query text as the parser prints it (what
+        :meth:`repro.api.Sweep.cells` puts on every cell)."""
+        return replace(self, query=str(parse_query(self.query)))
+
+    def generate(
+        self, obs: Observation | None = None
+    ) -> tuple[ConjunctiveQuery, Database]:
+        """Parse the query and generate its database: ``(query, db)``."""
+        query = parse_query(self.query)
+        with maybe_timed(obs, "data.generate",
+                         workload=self.workload.kind, m=self.workload.m):
+            return query, self.workload.build(query)
+
+    def build(
+        self, obs: Observation | None = None
+    ) -> tuple[ConjunctiveQuery, Database, Statistics]:
+        """``(query, db, stats)``: :meth:`generate`, then the statistics."""
+        query, db = self.generate(obs)
+        return query, db, resolve_statistics(
+            query, None, self.p, db, stats_method=self.stats, obs=obs
+        )
+
+
 @dataclass(frozen=True)
 class Cell:
     """One fully-resolved sweep cell — primitives only, hence picklable."""
@@ -157,6 +273,17 @@ class Cell:
     stats: str = "exact"       # statistics method: "exact" or "sketch"
     rounds: int = 1            # the plan's round budget (max_rounds)
 
+    @property
+    def catalog(self) -> Catalog:
+        """What determines the cell's database and statistics; raises
+        :class:`ExperimentError` when no catalog can have its values."""
+        return Catalog(
+            self.query,
+            WorkloadSpec(self.workload, self.m, self.skew, self.seed,
+                         self.domain),
+            self.p, self.stats,
+        )
+
 
 def _coordinates(cell: Cell) -> tuple:
     """The part of a cell that determines its database, stats and plan."""
@@ -171,46 +298,57 @@ def _cell_columns(cell: Cell) -> dict:
                 engine=cell.engine, stats=cell.stats)
 
 
-def _prepare(cells: Sequence[Cell], obs: Observation | None = None):
+class PreparedCache(Protocol):
+    """The cache :func:`_prepare` can reuse its builds through; the
+    service passes its :class:`repro.service.CatalogCache`."""
+
+    def get_or_build(self, section: str, key: Hashable,
+                     builder: Callable[[], object]) -> object: ...
+
+
+def _prepare(
+    cells: Sequence[Cell],
+    obs: Observation | None = None,
+    cache: PreparedCache | None = None,
+):
     """Shared (db, plan) context for cells at the same grid coordinates.
 
     Plans only the algorithms the cells actually mention ("auto" needs
     the full registry), so a single-algorithm cell never pays for
-    cost-estimating the algorithms it is not running.  The statistics
-    pass (:func:`~repro.api.planner.resolve_statistics`) honors the
-    cells' ``stats`` method and, when observing, lands its wall clock in
-    the ``stats.build.seconds`` histogram.
+    cost-estimating the algorithms it is not running.  With a ``cache``,
+    the catalog's build sits in its ``stats`` section under the catalog
+    itself (where the service's plan and stats jobs find it too) and the
+    plan in its ``plan`` section under the catalog plus what else
+    determines it: the round budget and the algorithm keys.
     """
     first = cells[0]
-    query = parse_query(first.query)
-    workload = WorkloadSpec(
-        kind=first.workload, m=first.m, skew=first.skew, seed=first.seed,
-        domain=first.domain,
+    catalog = first.catalog
+    keys = tuple(sorted({cell.algorithm for cell in cells}))
+    fetch = cache.get_or_build if cache is not None else (
+        lambda section, key, builder: builder()
     )
-    db = workload.build(query)
-    stats = resolve_statistics(
-        query, None, first.p, db, stats_method=first.stats, obs=obs
-    )
-    keys = {cell.algorithm for cell in cells}
-    # ``rounds`` is the planner's budget.  Explicitly requesting a
-    # multi-round algorithm opts into its round count, so the budget
-    # lifts to admit every named key; only the "auto" pick is gated.
-    max_rounds = first.rounds
-    for key in sorted(keys - {"auto"}):
-        spec = get_spec(key)
-        reason = spec.applicability(query)
-        if reason is not None:
-            raise ExperimentError(
-                f"algorithm {key!r} is not applicable to "
-                f"{first.query!r}: {reason}"
-            )
-        max_rounds = max(max_rounds, spec.rounds(query))
-    if "auto" in keys:
-        query_plan = plan(query, stats, first.p, max_rounds=max_rounds)
-    else:
-        query_plan = plan(query, stats, first.p, algorithms=sorted(keys),
-                          max_rounds=max_rounds)
-    return db, query_plan
+    query, db, stats = fetch("stats", catalog, lambda: catalog.build(obs))
+
+    def build_plan():
+        # ``rounds`` is the planner's budget.  Explicitly requesting a
+        # multi-round algorithm opts into its round count, so the budget
+        # lifts to admit every named key; only the "auto" pick is gated.
+        max_rounds = first.rounds
+        for key in keys:
+            if key == "auto":
+                continue
+            spec = get_spec(key)
+            reason = spec.applicability(query)
+            if reason is not None:
+                raise ExperimentError(
+                    f"algorithm {key!r} is not applicable to "
+                    f"{first.query!r}: {reason}"
+                )
+            max_rounds = max(max_rounds, spec.rounds(query))
+        return plan(query, stats, first.p, max_rounds=max_rounds,
+                    algorithms=None if "auto" in keys else keys)
+
+    return db, fetch("plan", (catalog, first.rounds, keys), build_plan)
 
 
 def _execute(
@@ -298,10 +436,7 @@ def failure_record(
     in the exported grid.
     """
     try:
-        domain = WorkloadSpec(
-            kind=cell.workload, m=cell.m, skew=cell.skew, seed=cell.seed,
-            domain=cell.domain,
-        ).domain_size
+        domain = cell.catalog.workload.domain_size
     except ExperimentError:
         domain = cell.domain if cell.domain is not None else 0
     return RunRecord(
@@ -365,29 +500,6 @@ def _count_status(obs: Observation | None, record: RunRecord) -> None:
         obs.count("sweep.cells.failed")
 
 
-class PreparedCache(Protocol):
-    """The cache the serial executor can reuse prepared contexts through;
-    the service passes its :class:`repro.service.CatalogCache`."""
-
-    def get_or_build(self, section: str, key: Hashable,
-                     builder: Callable[[], object]) -> object: ...
-
-
-def _prepared_context(group, obs, cache: PreparedCache | None):
-    """``(db, query_plan)`` for a coordinate group, through the cache.
-
-    The cache key covers everything :func:`_prepare` consumes: the
-    coordinates plus the algorithm keys the plan must cost.
-    """
-    if cache is None:
-        return _prepare(group, obs=obs)
-    key = ("prepare", _coordinates(group[0]),
-           tuple(sorted({cell.algorithm for cell in group})))
-    return cache.get_or_build(
-        "plan", key, lambda: _prepare(group, obs=obs)
-    )
-
-
 def _execute_serial(
     cells: Sequence[Cell],
     progress: Callable[[RunRecord], None] | None,
@@ -419,7 +531,7 @@ def _execute_serial(
             group = [cells[i] for i in indexes]
             try:
                 with maybe_timed(obs, "sweep.prepare", cells=len(group)):
-                    db, query_plan = _prepared_context(group, obs, cache)
+                    db, query_plan = _prepare(group, obs, cache)
             except Exception as exc:
                 _LOG.warning("sweep: preparing %d cell(s) failed: %s",
                              len(group), exc)
@@ -853,8 +965,7 @@ class Experiment:
         return [_execute(cell, db, query_plan, obs=obs) for cell in cells]
 
 
-#: Sweep spec key -> (value types, list? — None when either will do, what
-#: the field must be).
+#: The sweep spec, for :func:`_spec_fields`.
 _SPEC_FIELDS: Mapping[str, tuple] = {
     "workload": (str, False, "a string"),
     "p_values": (int, True, "a list of integers"),
@@ -875,8 +986,10 @@ class Sweep:
     """The full grid: ``p_values x m_values x skews x seeds x rounds x
     algorithms``.
 
-    ``run(max_workers=N)`` executes cells through a ``fork``-first process
-    pool; with ``max_workers=None`` (or 1) the grid runs in-process.
+    ``run(max_workers=N)`` farms cells through :func:`execute_cells` — one
+    dedicated worker process per slot, one cell at a time over its own
+    pipe, not a process pool; with ``max_workers=None`` (or 1) the grid
+    runs in-process.
     """
 
     query: str | ConjunctiveQuery
@@ -907,44 +1020,15 @@ class Sweep:
         spec with 400 instead of accepting a job that can only fail;
         values are validated where they always were, in :meth:`cells`.
         """
-        if not isinstance(spec, Mapping) or not spec.get("query") \
-                or not isinstance(spec["query"], str):
-            raise ExperimentError(
-                "a sweep spec must be an object with a 'query' string"
-            )
-        if "stats_axis" in spec:
+        if isinstance(spec, Mapping) and "stats_axis" in spec:
             spec = {**spec, "stats": spec["stats_axis"]}
-        fields: dict[str, object] = {"query": spec["query"]}
-        for name, (kinds, listed, wanted) in _SPEC_FIELDS.items():
-            if name not in spec:
-                continue
-            value = spec[name]
-            is_list = isinstance(value, (list, tuple))
-            well_typed = all(
-                # bool is an int to isinstance; JSON true is not a number.
-                isinstance(item, kinds)
-                and (kinds is bool or not isinstance(item, bool))
-                for item in (value if is_list else (value,))
-            )
-            if not well_typed or (listed is not None and is_list != listed):
-                raise ExperimentError(
-                    f"sweep spec field {name!r} must be {wanted}, "
-                    f"got {value!r}"
-                )
-            fields[name] = tuple(value) if is_list else value
-        return cls(**fields)
+        return cls(**_spec_fields(spec, _SPEC_FIELDS, "sweep"))
 
     def _stats_axis(self) -> tuple[str, ...]:
         methods = ((self.stats,) if isinstance(self.stats, str)
                    else tuple(self.stats))
         if not methods:
             raise ExperimentError("the stats axis is empty")
-        for method in methods:
-            if method not in STATS_METHODS:
-                raise ExperimentError(
-                    f"unknown stats method {method!r}; "
-                    f"choose from {', '.join(STATS_METHODS)}"
-                )
         return methods
 
     def _rounds_axis(self) -> tuple[int, ...]:
@@ -976,12 +1060,11 @@ class Sweep:
         }
         # Validate the grid axes up front: a bad value must fail here,
         # not as a traceback from the middle of a half-finished run.
-        for p in self.p_values:
-            if p < 1:
-                raise ExperimentError(f"p must be >= 1, got {p}")
-        for m in self.m_values:
-            WorkloadSpec(kind=self.workload, m=m, domain=self.domain)
         text = str(query)
+        for m, p, method in product(self.m_values, self.p_values,
+                                    stats_methods):
+            Catalog(text, WorkloadSpec(self.workload, m, domain=self.domain),
+                    p, method)
         return [
             Cell(
                 query=text,

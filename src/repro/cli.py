@@ -19,6 +19,7 @@ Nine subcommands::
 
     python -m repro bench --quick --baseline BENCH_core.json
     python -m repro bench --suite sketch --quick --baseline BENCH_sketch.json
+    python -m repro bench --suite rounds --quick --baseline BENCH_rounds.json
 
     python -m repro packings "C3(x,y,z) :- R(x,y), S(y,z), T(z,x)"
 
@@ -38,16 +39,17 @@ through the execution engines and emits schema-checked JSON/CSV records
 heavy hitters on one workload (recall/precision, frequency error, pass
 times); ``bench`` runs a pinned perf suite — ``--suite core`` into
 ``BENCH_core.json``, ``--suite sketch`` (exact-vs-sketch planner regret
-and fidelity gates) into ``BENCH_sketch.json`` — and gates regressions;
+and fidelity gates) into ``BENCH_sketch.json``, ``--suite rounds`` (two-
+vs one-round triangle) into ``BENCH_rounds.json`` — and gates regressions;
 ``packings`` prints ``pk(q)``, ``tau*`` and the cover numbers;
 ``serve`` runs the long-lived plan/sweep service (async job queue with
 backpressure, per-catalog plan/statistics cache, fault-isolated sweep
 cells) and ``submit`` is its client — submit a ``plan``, ``stats`` or
 ``sweep`` job, poll to completion, print the result.
 
-Observability: ``race``, ``sweep`` and ``bench`` accept ``--trace FILE``
-(write a Chrome-trace JSON of the run's nested spans — open it at
-``chrome://tracing``) and ``--metrics`` (print the metrics registry:
+Observability: ``race``, ``sweep``, ``stats`` and ``bench`` accept
+``--trace FILE`` (write a Chrome-trace JSON of the run's nested spans —
+open it at ``chrome://tracing``) and ``--metrics`` (print the metrics registry:
 tuples routed, bits shipped per relation, per-server load histogram,
 skew ratio, per-cell timings).  Progress and status go through stdlib
 ``logging`` on the ``repro.*`` loggers — ``-v/--verbose`` for debug
@@ -65,6 +67,7 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from .api import (
+    Catalog,
     RunRecord,
     Sweep,
     SweepResult,
@@ -95,7 +98,6 @@ from .core import (
 from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
 from .rounds import run_rounds
-from .seq import Database
 from .sketch import (
     SketchConfig,
     SketchedHeavyHitterStatistics,
@@ -239,30 +241,40 @@ def cmd_packings(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_workload(
-    query: ConjunctiveQuery, kind: str, m: int, skew: float, seed: int
-) -> Database:
+def _add_catalog_arguments(parser: argparse.ArgumentParser) -> None:
+    """One catalog's flags, for ``plan``, ``race``, ``stats`` and ``submit
+    plan|stats``; the dataclasses' defaults, so argv and JSON specs agree."""
+    parser.add_argument("query")
+    parser.add_argument("--workload", choices=list(WORKLOAD_KINDS),
+                        default=WorkloadSpec.kind)
+    parser.add_argument("--skew", type=float, default=WorkloadSpec.skew)
+    parser.add_argument("-m", type=int, default=WorkloadSpec.m)
+    parser.add_argument("--seed", type=int, default=WorkloadSpec.seed)
+    parser.add_argument("-p", type=int, default=Catalog.p)
+
+
+def _catalog(args: argparse.Namespace) -> Catalog:
+    """The catalog those flags describe; a bad ``-m``/``-p`` exits cleanly."""
     try:
-        spec = WorkloadSpec(kind=kind, m=m, skew=skew, seed=seed)
+        return Catalog(
+            args.query,
+            WorkloadSpec(args.workload, args.m, args.skew, args.seed),
+            args.p, getattr(args, "stats", Catalog.stats),
+        )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    return spec.build(query)
-
-
-def _plan_statistics(args: argparse.Namespace, query: ConjunctiveQuery):
-    """Statistics for ``plan``: explicit cardinalities beat a workload."""
-    if args.cardinality:
-        cardinalities = _parse_cardinalities(args.cardinality)
-        return _stats_from_cardinalities(query, cardinalities, args.domain)
-    db = _make_workload(query, args.workload, args.m, args.skew, args.seed)
-    return HeavyHitterStatistics.of(query, db, args.p)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    query = parse_query(args.query)
     if args.max_rounds < 1:
         raise SystemExit(f"--max-rounds must be >= 1, got {args.max_rounds}")
-    stats = _plan_statistics(args, query)
+    if args.cardinality:  # explicit cardinalities beat a workload
+        query = parse_query(args.query)
+        stats = _stats_from_cardinalities(
+            query, _parse_cardinalities(args.cardinality), args.domain
+        )
+    else:
+        query, _, stats = _catalog(args).build()
     query_plan = build_plan(query, stats, args.p, max_rounds=args.max_rounds)
     curve = query_plan.tradeoff() if args.max_rounds > 1 else None
     if args.json:
@@ -292,10 +304,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    query = parse_query(args.query)
     obs = _make_observation(args)
-    db = _make_workload(query, args.workload, args.m, args.skew, args.seed)
-    stats = HeavyHitterStatistics.of(query, db, args.p)
+    query, db, stats = _catalog(args).build(obs)
     query_plan = build_plan(query, stats, args.p, obs=obs)
 
     print(f"query: {query}")
@@ -328,9 +338,8 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Exact-vs-sketched statistics fidelity report on one workload."""
-    query = parse_query(args.query)
     obs = _make_observation(args)
-    db = _make_workload(query, args.workload, args.m, args.skew, args.seed)
+    query, db = _catalog(args).generate(obs)
     try:
         config = SketchConfig(
             width=args.width, depth=args.depth, base=args.base
@@ -562,15 +571,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         if args.cell_timeout is not None:
             spec["cell_timeout"] = args.cell_timeout
     else:
-        spec = {
-            "query": args.query,
-            "workload": args.workload,
-            "m": args.m,
-            "skew": args.skew,
-            "seed": args.seed,
-            "p": args.p,
-            "stats": args.stats,
-        }
+        spec = _catalog(args).to_spec()
 
     client = ServiceClient(args.server)
     try:
@@ -603,14 +604,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     _write_payload(payload, getattr(args, "output", None),
                    f"the {kind} result")
     return 0
-
-
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", choices=list(WORKLOAD_KINDS),
-                        default="uniform")
-    parser.add_argument("--skew", type=float, default=1.0)
-    parser.add_argument("-m", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -697,13 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
         "plan",
         help="rank registered algorithms by predicted load (no execution)",
     )
-    plan_cmd.add_argument("query")
+    _add_catalog_arguments(plan_cmd)
     plan_cmd.add_argument("--cardinality", action="append", default=[],
                           help="NAME=COUNT (repeatable); skew-free "
                                "predictions from declared statistics")
     plan_cmd.add_argument("--domain", type=int, default=1_000_000)
-    _add_workload_arguments(plan_cmd)
-    plan_cmd.add_argument("-p", type=int, default=16)
     plan_cmd.add_argument("--max-rounds", type=int, default=1,
                           dest="max_rounds", metavar="R",
                           help="round budget: rank multi-round algorithms "
@@ -719,9 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(planned at a round budget of 1; 'sweep --rounds' runs "
              "multi-round plans)",
     )
-    race.add_argument("query")
-    _add_workload_arguments(race)
-    race.add_argument("-p", type=int, default=16)
+    _add_catalog_arguments(race)
     race.add_argument("--verify", action="store_true",
                       help="also run the sequential join and check completeness")
     race.add_argument("--engine", choices=available_engines(),
@@ -747,9 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="compare sketched statistics against exact heavy hitters",
     )
-    stats_cmd.add_argument("query")
-    _add_workload_arguments(stats_cmd)
-    stats_cmd.add_argument("-p", type=int, default=16)
+    _add_catalog_arguments(stats_cmd)
     stats_cmd.add_argument("--width", type=int, default=2048,
                            help="count-sketch columns per row "
                                 "(default %(default)s)")
@@ -773,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=list(BENCH_SUITES), default="core",
                        help="core: the perf trajectory grid; sketch: the "
                             "same grid under exact and sketched statistics "
-                            "plus fidelity/regret gates (default %(default)s)")
+                            "plus fidelity/regret gates; rounds: two- vs "
+                            "one-round triangle (default %(default)s)")
     bench.add_argument("--quick", action="store_true",
                        help="run the reduced grid (what CI runs)")
     bench.add_argument("--output", default=None,
@@ -841,11 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("stats", "build one catalog's statistics (served, cached)"),
     ):
         job = submit_sub.add_parser(kind, help=blurb)
-        job.add_argument("query")
-        _add_workload_arguments(job)
-        job.add_argument("-p", type=int, default=16)
+        _add_catalog_arguments(job)
         job.add_argument("--stats", choices=list(STATS_METHODS),
-                         default="exact",
+                         default=Catalog.stats,
                          help="statistics method (default %(default)s)")
         _add_submit_common(job)
 

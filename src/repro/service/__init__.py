@@ -9,9 +9,10 @@ the ROADMAP's "planner-as-a-service" first step.  Three layers:
    library's fault-isolated executor, :func:`repro.api.execute_cells`
    (structured ``failed:``/``timeout`` records, per-cell deadlines,
    worker replacement), re-exported here.
-2. :mod:`repro.service.cache` — :class:`CatalogCache`, content-hash LRU
-   sections for parsed queries, heavy-hitter/sketch statistics and
-   ranked plans, instrumented through :mod:`repro.obs`.
+2. :mod:`repro.service.cache` — :class:`CatalogCache`, LRU sections for
+   catalog builds (database + heavy-hitter/sketch statistics) and ranked
+   plans, keyed on the :class:`repro.api.Catalog` value and instrumented
+   through :mod:`repro.obs`.
 3. :mod:`repro.service.server` / :mod:`repro.service.client` —
    :class:`ReproService` (the stdlib HTTP server behind ``repro serve``)
    and :class:`ServiceClient` (behind ``repro submit``).
@@ -31,7 +32,7 @@ Typical in-process use::
 """
 
 from ..api.experiment import execute_cells
-from .cache import CatalogCache, catalog_key
+from .cache import CatalogCache
 from .client import ServiceBusyError, ServiceClient, ServiceClientError
 from .jobs import (
     JOB_KINDS,
@@ -55,6 +56,5 @@ __all__ = [
     "ServiceClient",
     "ServiceClientError",
     "ServiceError",
-    "catalog_key",
     "execute_cells",
 ]

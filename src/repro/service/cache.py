@@ -1,18 +1,17 @@
-"""Per-catalog content-addressed caching for the plan service.
+"""Per-catalog caching for the plan service.
 
-A *catalog* here is everything that determines a statistics pass or a
-plan: the query text, the workload coordinates (kind, m, skew, seed,
-domain), ``p`` and the statistics method.  :func:`catalog_key` hashes
-those parts canonically, so two requests that describe the same catalog
-— regardless of dict ordering or which client sent them — address the
-same cache slot.  "Communication Cost in Parallel Query Processing"
+The cache keys on the :class:`repro.api.Catalog` value itself (its query
+text as the parser prints it), so two requests that describe the same
+catalog — whatever their job kind, key order or spacing — address the
+same slot.  "Communication Cost in Parallel Query Processing"
 (PAPERS.md) is the motivation: statistics and plans are the expensive,
 reusable halves of a request, so a long-lived server should compute them
 once per catalog, not once per process.
 
-:class:`CatalogCache` keeps three LRU sections — parsed queries,
-heavy-hitter/sketch statistics, ranked plans — behind one lock, and
-reports every lookup through the observability layer:
+:class:`CatalogCache` keeps two LRU sections behind one lock — ``stats``:
+one ``(query, db, stats)`` per catalog, for all three job kinds;
+``plan``: ranked plans under the catalog plus the round budget and
+algorithm set — and reports every lookup through the observability layer:
 
 * counters ``service.cache.hit`` / ``service.cache.miss`` (and the
   per-section ``service.cache.<section>.hit/miss``),
@@ -21,8 +20,6 @@ reports every lookup through the observability layer:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable
@@ -30,22 +27,11 @@ from typing import Callable, Hashable
 from ..obs import Observation
 
 #: The cache sections a :class:`CatalogCache` maintains.
-SECTIONS = ("query", "stats", "plan")
-
-
-def catalog_key(**parts: object) -> str:
-    """A stable content hash over the request parts that define a catalog.
-
-    Parts are JSON-canonicalized (sorted keys, no whitespace) before
-    hashing, so key equality is structural, not representational.
-    """
-    payload = json.dumps(parts, sort_keys=True, separators=(",", ":"),
-                         default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+SECTIONS = ("stats", "plan")
 
 
 class CatalogCache:
-    """Bounded LRU sections for parsed queries, statistics and plans.
+    """Bounded LRU sections for catalog builds and plans.
 
     Thread-safe: the server's job workers and HTTP handlers share one
     instance.  The builder runs *outside* the lock, so a slow statistics
@@ -61,7 +47,7 @@ class CatalogCache:
         self.capacity = capacity
         self.obs = obs
         self._lock = threading.Lock()
-        self._sections: dict[str, OrderedDict[str, object]] = {
+        self._sections: dict[str, OrderedDict[Hashable, object]] = {
             section: OrderedDict() for section in SECTIONS
         }
         self.hits = 0

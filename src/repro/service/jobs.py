@@ -4,12 +4,12 @@
 ``plan``, ``stats`` and ``sweep`` jobs, drained by daemon worker threads
 inside a long-lived ``repro serve`` process.  A full queue rejects with
 :class:`BackpressureError` (the server maps it to HTTP 429) instead of
-buffering without bound.  Plan and statistics work goes through a shared
-:class:`~repro.service.cache.CatalogCache`, so the second
-catalog-identical request is a cache hit, not a rebuild; sweep jobs run
-through the library's fault-isolated cell executor
-(:func:`repro.api.execute_cells`) against the
-same cache.
+buffering without bound.  All three kinds build ``(query, database,
+statistics)`` from a :class:`repro.api.Catalog` through one shared
+:class:`~repro.service.cache.CatalogCache` keyed on that value, so the
+second request on a catalog, of any kind, is a cache hit, not a rebuild;
+sweep jobs hand the cache to the library's fault-isolated cell executor
+(:func:`repro.api.execute_cells`).
 
 Observability (all through the existing :mod:`repro.obs` layer):
 ``service.queue.depth`` gauge, ``service.jobs.*`` counters,
@@ -26,16 +26,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..api.experiment import (
-    ExperimentError,
-    Sweep,
-    WorkloadSpec,
-    execute_cells,
-)
-from ..api.planner import plan as _plan, resolve_statistics
+from ..api.experiment import Catalog, ExperimentError, Sweep, execute_cells
+from ..api.planner import plan as _plan
 from ..obs import Observation, maybe_timed
-from ..query.parser import parse_query
-from .cache import CatalogCache, catalog_key
+from .cache import CatalogCache
 
 _LOG = logging.getLogger("repro.service.jobs")
 
@@ -60,48 +54,6 @@ class BackpressureError(ServiceError):
             f"job queue is full ({capacity} queued jobs); retry later"
         )
         self.capacity = capacity
-
-
-# ----------------------------------------------------------------------
-# Catalog-cached builders shared by plan and stats jobs.
-# ----------------------------------------------------------------------
-
-def _workload_parts(spec: dict) -> dict:
-    """The workload coordinates of a plan/stats job spec, normalized."""
-    domain = spec.get("domain")
-    return {
-        "workload": str(spec.get("workload", "uniform")),
-        "m": int(spec.get("m", 1000)),
-        "skew": float(spec.get("skew", 1.0)),
-        "seed": int(spec.get("seed", 0)),
-        "domain": None if domain is None else int(domain),
-    }
-
-
-def _cached_query(text: str, cache: CatalogCache):
-    key = catalog_key(kind="query", text=text)
-    return cache.get_or_build("query", key, lambda: parse_query(text))
-
-
-def _cached_statistics(
-    query, parts: dict, p: int, method: str,
-    cache: CatalogCache, obs: Observation | None,
-):
-    """``(db, stats)`` for a catalog, via the cache's ``stats`` section."""
-
-    def _build():
-        workload = WorkloadSpec(
-            kind=parts["workload"], m=parts["m"], skew=parts["skew"],
-            seed=parts["seed"], domain=parts["domain"],
-        )
-        db = workload.build(query)
-        return db, resolve_statistics(
-            query, None, p, db, stats_method=method, obs=obs
-        )
-
-    key = catalog_key(kind="stats", query=str(query), p=p, method=method,
-                      **parts)
-    return cache.get_or_build("stats", key, _build)
 
 
 # ----------------------------------------------------------------------
@@ -198,17 +150,12 @@ class JobQueue:
                 f"unknown job kind {kind!r}; expected one of "
                 f"{', '.join(JOB_KINDS)}"
             )
-        if not isinstance(spec, dict) or not spec.get("query"):
-            raise ServiceError(
-                "job spec must be an object with at least a 'query'"
-            )
-        if kind == "sweep":
-            # Shape check only (the job rebuilds it): a malformed spec
-            # is the client's error (400), not a job that can only fail.
-            try:
-                Sweep.from_spec(spec)
-            except ExperimentError as exc:
-                raise ServiceError(str(exc)) from None
+        # Shape check only (the job rebuilds it): a malformed spec is the
+        # client's error (400), not a job that can only fail.
+        try:
+            (Sweep if kind == "sweep" else Catalog).from_spec(spec)
+        except ExperimentError as exc:
+            raise ServiceError(str(exc)) from None
         if self._closed:
             raise ServiceError("the job queue is shut down")
         job = Job(id=f"job-{next(_JOB_IDS)}", kind=kind, spec=dict(spec))
@@ -334,35 +281,32 @@ class JobQueue:
             return self._run_stats(job.spec)
         return self._run_sweep(job.spec)
 
-    def _run_plan(self, spec: dict) -> dict:
-        parts = _workload_parts(spec)
-        p = int(spec.get("p", 16))
-        method = str(spec.get("stats", "exact"))
-        query = _cached_query(str(spec["query"]), self.cache)
-        _, stats = _cached_statistics(
-            query, parts, p, method, self.cache, self.obs
+    def _catalog(self, spec: dict):
+        """A plan/stats job's catalog and its ``(query, db, stats)``, from
+        the cache's ``stats`` section (where sweep cells look too)."""
+        catalog = Catalog.from_spec(spec).canonical()
+        return catalog, self.cache.get_or_build(
+            "stats", catalog, lambda: catalog.build(self.obs)
         )
-        key = catalog_key(kind="plan", query=str(query), p=p,
-                          method=method, **parts)
+
+    def _run_plan(self, spec: dict) -> dict:
+        catalog, (query, _, stats) = self._catalog(spec)
+        # The key of an ``auto`` cell at a round budget of 1: same plan.
         query_plan = self.cache.get_or_build(
-            "plan", key,
-            lambda: _plan(query, stats, p, obs=self.obs),
+            "plan", (catalog, 1, ("auto",)),
+            lambda: _plan(query, stats, catalog.p, obs=self.obs),
         )
         return query_plan.to_dict()
 
     def _run_stats(self, spec: dict) -> dict:
-        parts = _workload_parts(spec)
-        p = int(spec.get("p", 16))
-        method = str(spec.get("stats", "exact"))
-        query = _cached_query(str(spec["query"]), self.cache)
-        db, stats = _cached_statistics(
-            query, parts, p, method, self.cache, self.obs
-        )
+        catalog, (query, db, stats) = self._catalog(spec)
+        echo = catalog.to_spec()
         return {
             "query": str(query),
-            "p": p,
-            "method": method,
-            "workload": parts,
+            "p": catalog.p,
+            "method": catalog.stats,
+            "workload": {name: echo[name] for name in
+                         ("workload", "m", "skew", "seed", "domain")},
             "relations": {
                 atom.name: db.relation(atom.name).cardinality
                 for atom in query.atoms

@@ -104,6 +104,18 @@ class TestRaceCommand:
                 "race", "q(x) :- S(x)", "--workload", "nope",
             ])
 
+    @pytest.mark.parametrize("command", ["plan", "race", "stats"])
+    @pytest.mark.parametrize("flag, message", [
+        ("-p", "p must be >= 1"), ("-m", "m >= 1"),
+    ])
+    def test_catalog_out_of_range_is_a_clean_error(
+        self, command, flag, message
+    ):
+        """``-p 0`` used to escape as a StatisticsError traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "q(x,y,z) :- S1(x,z), S2(y,z)", flag, "0"])
+        assert message in str(excinfo.value)
+
 
 class TestEngineFlag:
     def test_engine_flag_in_help(self, capsys):

@@ -157,6 +157,21 @@ class TestCliObservability:
         data = json.loads(trace.read_text())
         names = {event["name"] for event in data["traceEvents"]}
         assert "engine.run" in names and "plan.build" in names
+        # Generation and race's statistics pass are attributed too.
+        assert {"data.generate", "stats.build"} <= names
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", QUERY, "--workload", "zipf", "--p", "4", "--m", "80",
+         "--output", "-", "-q"],
+        ["stats", QUERY, "--workload", "zipf", "-m", "80", "-p", "4"],
+    ])
+    def test_generation_has_a_span_in_every_trace(
+        self, tmp_path, capsys, argv
+    ):
+        trace = tmp_path / "trace.json"
+        assert main(argv + ["--trace", str(trace)]) == 0
+        data = json.loads(trace.read_text())
+        assert "data.generate" in {e["name"] for e in data["traceEvents"]}
 
     def test_race_without_flags_prints_no_metrics(self, capsys):
         assert main(self.RACE) == 0

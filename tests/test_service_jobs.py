@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -195,9 +196,9 @@ class TestSerialGrouping:
         calls = []
         real_prepare = experiment_module._prepare
 
-        def counting_prepare(cells, obs=None):
+        def counting_prepare(cells, obs=None, cache=None):
             calls.append(len(cells))
-            return real_prepare(cells, obs=obs)
+            return real_prepare(cells, obs, cache)
 
         monkeypatch.setattr(experiment_module, "_prepare", counting_prepare)
         shuffled = self._interleaved_cells()
@@ -224,21 +225,43 @@ class TestSerialGrouping:
         }
         assert by_key == sorted_by_key
 
-    def test_serial_cache_reuses_prepared_contexts(self, monkeypatch):
-        calls = []
-        real_prepare = experiment_module._prepare
-
-        def counting_prepare(cells, obs=None):
-            calls.append(len(cells))
-            return real_prepare(cells, obs=obs)
-
-        monkeypatch.setattr(experiment_module, "_prepare", counting_prepare)
+    def test_serial_cache_reuses_prepared_contexts(self):
+        obs = Observation.create()
         cache = CatalogCache()
         cells = _sweep(("hashjoin",)).cells()
-        execute_cells(cells, cache=cache)
-        execute_cells(cells, cache=cache)
-        assert len(calls) == 1, "the second run should hit the cache"
-        assert cache.hits == 1 and cache.misses == 1
+        first = execute_cells(cells, cache=cache, obs=obs)
+        cold_misses = cache.misses
+        second = execute_cells(cells, cache=cache, obs=obs)
+        builds = {
+            name: obs.metrics.histogram(f"{name}.seconds").count
+            for name in ("data.generate", "stats.build")
+        }
+        assert builds == {"data.generate": 1, "stats.build": 1}, \
+            "the second run should build nothing"
+        assert cache.misses == cold_misses
+        assert cache.hits == cold_misses  # every section looked up, and hit
+        assert [r.max_load_bits for r in second] == \
+            [r.max_load_bits for r in first]
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    @pytest.mark.parametrize("broken", [
+        {"workload": "nope"}, {"m": 0},
+    ])
+    def test_cell_without_a_catalog_fails_structurally(
+        self, broken, max_workers
+    ):
+        """A cell no catalog can describe is a ``failed:`` record, serial
+        and farmed — not an exception out of the grouping loop."""
+        good = Cell(query=JOIN_TEXT, workload="zipf", m=40, skew=0.0,
+                    seed=0, p=4, algorithm="hashjoin")
+        records = execute_cells(
+            [good, replace(good, **broken), good], max_workers=max_workers
+        )
+        assert [r.status.split(":")[0] for r in records] == \
+            ["ok", "failed", "ok"]
+        assert "ExperimentError" in records[1].status
+        for record in records:
+            validate_record(record.to_dict())
 
 
 class TestFailureRecord:
@@ -295,6 +318,29 @@ class TestJobQueueUnit:
         queue = JobQueue(workers=0)
         with pytest.raises(ServiceError, match=field):
             queue.submit("sweep", {"query": JOIN_TEXT, field: value})
+        assert queue.jobs() == []
+        queue.shutdown()
+
+    @pytest.mark.parametrize("kind", ["plan", "stats"])
+    @pytest.mark.parametrize("field, value", [
+        ("m", 2.7),           # was truncated to m=2 and reported done
+        ("seed", True),       # ran as seed 1
+        ("m", "abc"),         # ended as failed: invalid literal for int()
+        ("skew", "hot"),
+        ("m", "120"),         # was coerced; now as strict as a sweep spec
+        ("p", "4"),
+        ("query", 17),        # failed in the parser
+        ("p", 0),             # these four failed inside the job
+        ("m", -5),
+        ("stats", "bogus"),
+        ("workload", "nope"),
+    ])
+    def test_malformed_catalog_spec_rejected_at_submit(
+        self, kind, field, value
+    ):
+        queue = JobQueue(workers=0)
+        with pytest.raises(ServiceError, match=field):
+            queue.submit(kind, {"query": JOIN_TEXT, field: value})
         assert queue.jobs() == []
         queue.shutdown()
 

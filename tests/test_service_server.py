@@ -125,6 +125,19 @@ class TestLifecycle:
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("kind", ["plan", "stats"])
+    @pytest.mark.parametrize("field, value", [
+        ("m", 2.7), ("seed", True), ("skew", "hot"), ("p", 0),
+        ("stats", "bogus"), ("workload", "nope"),
+    ])
+    def test_malformed_catalog_spec_is_400_naming_the_field(
+            self, service, kind, field, value):
+        _, client = service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(kind, {**PLAN_SPEC, field: value})
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
     def test_failed_job_reports_error(self, service):
         _, client = service
         job = client.submit("plan", {"query": "not a query at all"})
@@ -166,12 +179,12 @@ class TestCatalogCache:
         client.wait(first["id"])
         cold = client.metrics()["counters"]
         assert cold.get("service.cache.hit", 0) == 0
-        assert cold["service.cache.miss"] >= 3  # query, stats, plan
+        assert cold["service.cache.miss"] >= 2  # stats, plan
 
         second = client.submit("plan", PLAN_SPEC)
         client.wait(second["id"])
         warm = client.metrics()["counters"]
-        assert warm["service.cache.hit"] >= 3
+        assert warm["service.cache.hit"] >= 2
         assert warm["service.cache.miss"] == cold["service.cache.miss"]
         assert client.result(second["id"])["result"] == \
             client.result(first["id"])["result"]
@@ -182,7 +195,7 @@ class TestCatalogCache:
         job = client.submit("plan", PLAN_SPEC)
         client.wait(job["id"])
         health = client.health()
-        assert health["cache_entries"] >= 3
+        assert health["cache_entries"] >= 2
 
 
 class TestConcurrentClients:
@@ -219,7 +232,7 @@ class TestConcurrentClients:
         # (Both may build if they race the first lookup; the cache
         # documents that as deterministic duplicate work.)
         assert counters["service.cache.hit"] + \
-            counters["service.cache.miss"] >= 6
+            counters["service.cache.miss"] >= 4
 
     def test_shutdown_endpoint_stops_the_server(self):
         instance = ReproService(port=0, job_workers=1)
