@@ -18,10 +18,12 @@ engine, and lands everything in a structured :class:`RunRecord`.
   :func:`repro.rounds.run_rounds`, for one round or many.
 * :func:`execute_cells` — the *cell executor* the library and the service
   (``repro serve``) share: a cell that raises becomes a structured
-  ``failed:<reason>`` record, a cell past ``cell_timeout`` becomes a
-  ``timeout`` record (its worker process is killed and replaced), and
-  every healthy record is returned in grid order regardless of what its
-  neighbors did.
+  ``failed:<reason>`` record, a cell whose worker process dies a
+  ``failed:worker-died`` one, a cell past ``cell_timeout`` a ``timeout``
+  one (the lost worker is replaced), and every healthy record is returned
+  in grid order regardless of what its neighbors did.  With more than one
+  worker the cells run on :class:`repro.mpc.farm.Farm`, the one process
+  fan-out of the repo; what is here is only what is sweep-specific.
 * :class:`Experiment` — one workload × one ``p`` × some algorithms.
 * :class:`Sweep` — the full grid ``p x m x skew x seed x stats x
   rounds x algorithm`` (the ``stats`` axis switches the statistics pass
@@ -42,11 +44,8 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import product
-from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
 from ..data.generators import (
@@ -56,7 +55,7 @@ from ..data.generators import (
     zipf_relation,
 )
 from ..mpc.engine.base import resolve_engine
-from ..mpc.engine.multiprocess import pool_context
+from ..mpc.farm import Farm, FarmUnavailable, Outcome, check_workers
 from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
@@ -146,15 +145,16 @@ def _spec_fields(
     spec: object, table: Mapping[str, tuple], what: str
 ) -> dict[str, object]:
     """The fields of ``table`` — key -> (value types, list? — None when
-    either will do, what the field must be) — present in a JSON-shaped
-    ``spec``, shape- and type-checked; lists come back as tuples."""
+    either will do, what the field must be[, a range check]) — present in
+    a JSON-shaped ``spec``, shape- and type-checked; lists come back as
+    tuples."""
     if not isinstance(spec, Mapping) or not spec.get("query") \
             or not isinstance(spec["query"], str):
         raise ExperimentError(
             f"a {what} spec must be an object with a 'query' string"
         )
     fields: dict[str, object] = {"query": spec["query"]}
-    for name, (kinds, listed, wanted) in table.items():
+    for name, (kinds, listed, wanted, *in_range) in table.items():
         if name not in spec:
             continue
         value = spec[name]
@@ -163,6 +163,7 @@ def _spec_fields(
             # bool is an int to isinstance; JSON true is not a number.
             isinstance(item, kinds)
             and (kinds is bool or not isinstance(item, bool))
+            and all(check(item) for check in in_range)
             for item in (value if is_list else (value,))
         )
         if not well_typed or (listed is not None and is_list != listed):
@@ -346,7 +347,7 @@ def _prepare(
                 )
             max_rounds = max(max_rounds, spec.rounds(query))
         return plan(query, stats, first.p, max_rounds=max_rounds,
-                    algorithms=None if "auto" in keys else keys)
+                    algorithms=None if "auto" in keys else keys, obs=obs)
 
     return db, fetch("plan", (catalog, first.rounds, keys), build_plan)
 
@@ -458,9 +459,9 @@ def failure_record(
 def run_cell(cell: Cell) -> RunRecord:
     """Execute one cell end to end: generate, plan, run, record.
 
-    Module-level (not a method) so process pools can ship it to workers.
-    A cell with ``observe=True`` carries its metrics digest back on the
-    record — the only channel a pool worker has.
+    Module-level (not a method): it is the task the sweep farm's workers
+    run.  A cell with ``observe=True`` carries its metrics digest back on
+    the record — the only channel a farm worker has.
     """
     db, query_plan = _prepare([cell])
     return _execute(cell, db, query_plan)
@@ -476,36 +477,12 @@ def _failure_status(exc: BaseException) -> str:
     return f"failed:{type(exc).__name__}: {reason}"
 
 
-def _log_record(record: RunRecord, done: int, total: int) -> None:
-    _LOG.info(
-        "cell %d/%d: %s p=%d m=%d skew=%.2f seed=%d -> "
-        "%.0f bits (%s) in %.3fs",
-        done, total, record.algorithm, record.p, record.m,
-        record.skew, record.seed, record.max_load_bits,
-        record.status if not record.ok
-        else "gap " + ("-" if record.optimality_gap is None
-                       else format(record.optimality_gap, ".2f")),
-        record.wall_seconds,
-    )
-
-
-def _count_status(obs: Observation | None, record: RunRecord) -> None:
-    if obs is None:
-        return
-    if record.ok:
-        obs.count("sweep.cells.ok")
-    elif record.status == "timeout":
-        obs.count("sweep.cells.timeout")
-    else:
-        obs.count("sweep.cells.failed")
-
-
 def _execute_serial(
     cells: Sequence[Cell],
-    progress: Callable[[RunRecord], None] | None,
+    finish: Callable[[int, RunRecord], None],
     obs: Observation | None,
     cache: PreparedCache | None,
-) -> list[RunRecord]:
+) -> None:
     """In-process execution: one ``_prepare`` per distinct coordinate
     group (order-independent — shuffled grids do not re-prepare), with
     per-cell and per-group fault isolation.  Timeouts need process
@@ -513,20 +490,7 @@ def _execute_serial(
     groups: dict[tuple, list[int]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(_coordinates(cell), []).append(index)
-    slots: list[RunRecord | None] = [None] * len(cells)
-    total = len(cells)
-    done = 0
-
-    def _finish(index: int, record: RunRecord) -> None:
-        nonlocal done
-        done += 1
-        slots[index] = record
-        _log_record(record, done, total)
-        _count_status(obs, record)
-        if progress is not None:
-            progress(record)
-
-    with maybe_timed(obs, "sweep.run", cells=total, workers=1):
+    with maybe_timed(obs, "sweep.run", cells=len(cells), workers=1):
         for indexes in groups.values():
             group = [cells[i] for i in indexes]
             try:
@@ -536,120 +500,53 @@ def _execute_serial(
                 _LOG.warning("sweep: preparing %d cell(s) failed: %s",
                              len(group), exc)
                 for i in indexes:
-                    _finish(i, failure_record(
-                        cells[i], _failure_status(exc)
-                    ))
+                    finish(i, failure_record(cells[i], _failure_status(exc)))
                 continue
             for i in indexes:
                 started = time.perf_counter()
                 try:
-                    record = _execute(
-                        cells[i], db, query_plan, obs=obs
-                    )
+                    record = _execute(cells[i], db, query_plan, obs=obs)
                 except Exception as exc:
                     _LOG.warning("sweep: cell %d failed: %s", i, exc)
                     record = failure_record(
                         cells[i], _failure_status(exc),
                         wall_seconds=time.perf_counter() - started,
                     )
-                _finish(i, record)
-    return [record for record in slots if record is not None]
+                finish(i, record)
 
 
-@dataclass
-class _Worker:
-    """One farm worker process and what it is currently running."""
-
-    process: object
-    conn: Connection
-    index: int | None = None          # cell index in flight, None if idle
-    dispatched_at: float | None = None
-    deadline: float | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-
-def _cell_worker(conn: Connection) -> None:
-    """Farm worker loop: receive a cell, run it, send the outcome.
-
-    Exceptions are caught *here* and shipped back as structured errors,
-    so a poisoned cell costs one message, not the worker.  Only a hard
-    crash (or a kill from the parent on timeout) loses the process — the
-    parent notices the closed pipe and replaces it.
-    """
-    while True:
-        try:
-            cell = conn.recv()
-        except (EOFError, OSError):
-            return
-        if cell is None:
-            return
-        try:
-            outcome = ("ok", run_cell(cell))
-        except BaseException as exc:  # isolate *everything* per cell
-            outcome = ("error", f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(outcome)
-        except (BrokenPipeError, OSError):
-            return
-
-
-def _execute_farm(
+def _execute_farmed(
     cells: Sequence[Cell],
-    max_workers: int,
-    cell_timeout: float | None,
-    progress: Callable[[RunRecord], None] | None,
+    farm: Farm,
+    workers: int,
+    finish: Callable[[int, RunRecord], None],
     obs: Observation | None,
-) -> list[RunRecord]:
-    """Farm cells over dedicated worker processes with fault isolation.
-
-    Unlike a :class:`~concurrent.futures.ProcessPoolExecutor`, each
-    worker is dispatched exactly one cell at a time over its own pipe, so
-    the parent always knows which cell a hung worker holds: on deadline
-    it kills that worker, records a ``timeout`` for that cell only, and
-    spawns a replacement.  Worker processes are non-daemonic (cells
-    running the ``mp`` engine open their own pool inside).
-    """
-    ctx = pool_context()
-    total = len(cells)
+) -> None:
+    """Run the cells on ``farm`` (:func:`run_cell` in each of its
+    ``workers`` processes): every outcome becomes a record — the cell's
+    own, or a ``failed:<reason>`` / ``timeout`` one for a cell that
+    raised, whose worker died, or that outran the farm's deadline."""
     if obs is not None:
         # Workers cannot write to this process' registry; ship the
         # request with each cell and read the digest off the record.
         cells = [replace(cell, observe=True) for cell in cells]
-    slots: list[RunRecord | None] = [None] * total
-    pending: deque[int] = deque(range(total))
-    workers: list[_Worker] = []
-    done = 0
     busy_seconds = 0.0
-    farm_started = time.perf_counter()
+    started = time.perf_counter()
 
-    def _spawn() -> _Worker:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=_cell_worker, args=(child_conn,), daemon=False
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def _dispatch(worker: _Worker) -> None:
-        index = pending.popleft()
-        worker.index = index
-        worker.dispatched_at = time.perf_counter()
-        worker.deadline = (
-            None if cell_timeout is None
-            else worker.dispatched_at + cell_timeout
-        )
-        worker.conn.send(cells[index])
-
-    def _finish(index: int, record: RunRecord) -> None:
-        nonlocal done, busy_seconds
-        done += 1
-        slots[index] = record
+    def land(index: int, outcome: Outcome) -> None:
+        nonlocal busy_seconds
+        record = outcome.value
+        if not outcome.ok:
+            _LOG.warning("sweep: cell %d %s (%s)",
+                         index, outcome.status, outcome.value)
+            status = ("timeout" if outcome.status == "timeout"
+                      else "failed:worker-died" if outcome.status == "died"
+                      else f"failed:{outcome.value}")
+            record = failure_record(
+                cells[index], status, wall_seconds=outcome.seconds
+            )
         if obs is not None:
-            turnaround = time.perf_counter() - farm_started
+            turnaround = time.perf_counter() - started
             obs.observe("sweep.queue_wait.seconds",
                         max(0.0, turnaround - record.wall_seconds))
             obs.observe("sweep.cell.seconds", record.wall_seconds)
@@ -659,112 +556,17 @@ def _execute_farm(
                     "counters": record.metrics.get("counters", {}),
                     "gauges": record.metrics.get("gauges", {}),
                 })
-        _log_record(record, done, total)
-        _count_status(obs, record)
-        if progress is not None:
-            progress(record)
+        finish(index, record)
 
-    def _retire(worker: _Worker, *, kill: bool) -> None:
-        workers.remove(worker)
-        if kill and worker.process.is_alive():
-            worker.process.terminate()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(timeout=5)
-        if worker.process.is_alive():  # pragma: no cover - stubborn child
-            worker.process.kill()
-            worker.process.join(timeout=5)
-
-    worker_target = min(max_workers, total)
-    with maybe_timed(obs, "sweep.run", cells=total, workers=worker_target):
-        workers.extend(_spawn() for _ in range(worker_target))
-        try:
-            while done < total:
-                for worker in workers:
-                    if not worker.busy and pending:
-                        _dispatch(worker)
-                busy = [worker for worker in workers if worker.busy]
-                if not busy:  # pragma: no cover - every worker just died
-                    while pending:
-                        index = pending.popleft()
-                        _finish(index, failure_record(
-                            cells[index], "failed:worker-pool-exhausted"
-                        ))
-                    break
-                now = time.perf_counter()
-                deadlines = [w.deadline for w in busy
-                             if w.deadline is not None]
-                wait_for = (None if not deadlines
-                            else max(0.0, min(deadlines) - now))
-                ready = _connection_wait(
-                    [worker.conn for worker in busy], timeout=wait_for
-                )
-                for worker in busy:
-                    if worker.conn not in ready:
-                        continue
-                    index = worker.index
-                    elapsed = time.perf_counter() - worker.dispatched_at
-                    try:
-                        kind, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died mid-cell (crash, OOM kill, ...):
-                        # record the casualty and replace the process.
-                        _LOG.warning("sweep: worker died running cell %d",
-                                     index)
-                        _finish(index, failure_record(
-                            cells[index], "failed:worker-died",
-                            wall_seconds=elapsed,
-                        ))
-                        _retire(worker, kill=True)
-                        if pending:
-                            workers.append(_spawn())
-                        continue
-                    if kind == "ok":
-                        _finish(index, payload)
-                    else:
-                        _finish(index, failure_record(
-                            cells[index], f"failed:{payload}",
-                            wall_seconds=elapsed,
-                        ))
-                    worker.index = None
-                    worker.dispatched_at = None
-                    worker.deadline = None
-                now = time.perf_counter()
-                for worker in list(workers):
-                    if (worker.busy and worker.deadline is not None
-                            and now >= worker.deadline):
-                        index = worker.index
-                        _LOG.warning(
-                            "sweep: cell %d exceeded its %.1fs deadline; "
-                            "killing and replacing its worker",
-                            index, cell_timeout,
-                        )
-                        _finish(index, failure_record(
-                            cells[index], "timeout",
-                            wall_seconds=now - worker.dispatched_at,
-                        ))
-                        _retire(worker, kill=True)
-                        if pending:
-                            workers.append(_spawn())
-        finally:
-            for worker in list(workers):
-                if not worker.busy:
-                    try:
-                        worker.conn.send(None)
-                    except (BrokenPipeError, OSError):
-                        pass
-                _retire(worker, kill=worker.busy)
+    with maybe_timed(obs, "sweep.run", cells=len(cells), workers=workers), \
+            farm:
+        farm.map(cells, land)
     if obs is not None:
-        elapsed = time.perf_counter() - farm_started
-        obs.set_gauge("sweep.pool_workers", worker_target)
-        if elapsed > 0:
-            obs.set_gauge(
-                "sweep.pool_utilization",
-                busy_seconds / (worker_target * elapsed),
-            )
-    return [record for record in slots if record is not None]
+        elapsed = time.perf_counter() - started
+        obs.set_gauge("sweep.pool_workers", workers)
+        obs.set_gauge(
+            "sweep.pool_utilization", busy_seconds / (workers * elapsed)
+        )
 
 
 def execute_cells(
@@ -779,31 +581,70 @@ def execute_cells(
 
     The single executor behind both :meth:`repro.api.experiment.Sweep.run`
     and the service's sweep jobs (``repro.service.execute_cells`` is this
-    function).  Records come back in grid (input)
-    order; a raising cell yields a ``failed:<reason>`` record and a cell
-    past ``cell_timeout`` seconds yields a ``timeout`` record — neither
-    disturbs its neighbors.
+    function).  Records come back in grid (input) order; a raising cell
+    yields a ``failed:<reason>`` record, a cell whose worker process dies
+    ``failed:worker-died``, and a cell past ``cell_timeout`` seconds a
+    ``timeout`` record — none disturbs its neighbors.
 
-    ``max_workers`` > 1 farms cells over worker processes; ``None``/1
-    runs in-process (sharing one database/statistics/plan per distinct
-    coordinate group, in any input order).  ``cell_timeout`` requires
-    process isolation, so setting it forces the farm even for a single
-    worker.  ``cache`` (a :class:`PreparedCache`) lets the serial path
-    reuse prepared contexts across calls — the service's sweep jobs pass
-    the server-wide :class:`~repro.service.cache.CatalogCache`.
+    ``max_workers`` > 1 runs the cells on a :class:`repro.mpc.farm.Farm`
+    — the process fan-out the ``mp`` engine and the sketch pass use too;
+    ``None``/1 runs in-process (sharing one database/statistics/plan per
+    distinct coordinate group, in any input order).  ``cell_timeout``
+    requires process isolation, so setting it forces the farm even for a
+    single worker.  If no worker process can be started the grid runs
+    in-process — unless ``cell_timeout`` is set, which in-process
+    execution cannot honour: then every cell gets a ``failed:`` record.
+    ``cache`` (a :class:`PreparedCache`) lets the serial path reuse
+    prepared contexts across calls — the service's sweep jobs pass the
+    server-wide :class:`~repro.service.cache.CatalogCache`.
     """
-    if not cells:
-        return []
-    workers = 0 if max_workers is None else max_workers
+    workers = 1 if max_workers is None else check_workers(max_workers)
     if cell_timeout is not None and cell_timeout <= 0:
         raise ExperimentError(
             f"cell_timeout must be positive, got {cell_timeout}"
         )
-    if cell_timeout is None and (workers <= 1 or len(cells) == 1):
-        return _execute_serial(cells, progress, obs, cache)
-    return _execute_farm(
-        cells, max(1, workers), cell_timeout, progress, obs
-    )
+    if not cells:
+        return []
+    workers = min(workers, len(cells))
+    slots: list[RunRecord | None] = [None] * len(cells)
+    done = 0
+
+    def finish(index: int, record: RunRecord) -> None:
+        nonlocal done
+        done += 1
+        slots[index] = record
+        _LOG.info(
+            "cell %d/%d: %s p=%d m=%d skew=%.2f seed=%d -> "
+            "%.0f bits (%s) in %.3fs",
+            done, len(cells), record.algorithm, record.p, record.m,
+            record.skew, record.seed, record.max_load_bits,
+            record.status if not record.ok
+            else "gap " + ("-" if record.optimality_gap is None
+                           else format(record.optimality_gap, ".2f")),
+            record.wall_seconds,
+        )
+        if obs is not None:
+            obs.count("sweep.cells." + (
+                "ok" if record.ok
+                else "timeout" if record.status == "timeout" else "failed"
+            ))
+        if progress is not None:
+            progress(record)
+
+    farm = None
+    if cell_timeout is not None or workers > 1:
+        try:
+            farm = Farm(run_cell, workers, timeout=cell_timeout)
+        except FarmUnavailable as exc:
+            if cell_timeout is not None:
+                for index, cell in enumerate(cells):
+                    finish(index, failure_record(cell, _failure_status(exc)))
+                return slots
+    if farm is None:
+        _execute_serial(cells, finish, obs, cache)
+    else:
+        _execute_farmed(cells, farm, workers, finish, obs)
+    return slots
 
 
 # ----------------------------------------------------------------------
@@ -981,15 +822,26 @@ _SPEC_FIELDS: Mapping[str, tuple] = {
 }
 
 
+#: The executor settings a sweep job's spec may carry beside the grid
+#: (:func:`execute_cells`' ``max_workers`` and ``cell_timeout``).
+_EXECUTOR_FIELDS: Mapping[str, tuple] = {
+    "workers": ((int, type(None)), False, "an integer >= 1 or null",
+                lambda value: value is None or value >= 1),
+    "cell_timeout": ((int, float, type(None)), False,
+                     "a positive number or null",
+                     lambda value: value is None or value > 0),
+}
+
+
 @dataclass(frozen=True)
 class Sweep:
     """The full grid: ``p_values x m_values x skews x seeds x rounds x
     algorithms``.
 
-    ``run(max_workers=N)`` farms cells through :func:`execute_cells` — one
-    dedicated worker process per slot, one cell at a time over its own
-    pipe, not a process pool; with ``max_workers=None`` (or 1) the grid
-    runs in-process.
+    ``run(max_workers=N)`` farms cells through :func:`execute_cells` onto
+    the one process fan-out (:class:`repro.mpc.farm.Farm`: a dedicated
+    worker process per slot, one cell at a time over its own pipe); with
+    ``max_workers=None`` (or 1) the grid runs in-process.
     """
 
     query: str | ConjunctiveQuery
@@ -1014,14 +866,17 @@ class Sweep:
 
         Keys are the field names (``stats_axis`` is accepted for
         ``stats``); absent keys keep the field defaults and unknown keys
-        (executor settings such as ``workers``) are ignored.  Only shapes
-        and types are checked — no query parse, no grid expansion — so the
-        service can run this on the request thread and answer a malformed
-        spec with 400 instead of accepting a job that can only fail;
-        values are validated where they always were, in :meth:`cells`.
+        are ignored.  Only shapes and types are checked — no query parse,
+        no grid expansion — so the service can run this on the request
+        thread and answer a malformed spec with 400 instead of accepting a
+        job that can only fail; grid values are validated where they
+        always were, in :meth:`cells`.  The executor settings a job spec
+        may carry (``workers``, ``cell_timeout``) are not the sweep's, but
+        they are checked here, type and range, for the same reason.
         """
         if isinstance(spec, Mapping) and "stats_axis" in spec:
             spec = {**spec, "stats": spec["stats_axis"]}
+        _spec_fields(spec, _EXECUTOR_FIELDS, "sweep")
         return cls(**_spec_fields(spec, _SPEC_FIELDS, "sweep"))
 
     def _stats_axis(self) -> tuple[str, ...]:
@@ -1097,26 +952,14 @@ class Sweep:
         obs: Observation | None = None,
         cell_timeout: float | None = None,
     ) -> SweepResult:
-        """Execute every cell through the shared fault-isolated executor.
-
-        Execution goes through :func:`execute_cells` — the same
-        battle-tested path ``repro serve`` uses — so the library and the
-        service share one executor.  In-process
-        (``max_workers`` of ``None``/1), cells at the same grid
-        coordinates share one database + statistics + plan regardless of
-        their order in the grid.  With more workers, cells are farmed
-        over non-daemonic worker processes (cells running the ``mp``
-        engine can still open that engine's own pool inside a worker).
-
-        Fault isolation: a cell whose preparation or round raises yields
-        a ``failed:<reason>`` record instead of aborting the sweep, and
-        — when ``cell_timeout`` seconds is given — a hung cell yields a
-        ``timeout`` record while its worker process is killed and
-        replaced.  Timeouts need process isolation, so ``cell_timeout``
-        forces the farm even for a single worker.  Healthy records are
-        returned in grid order either way; check
-        :attr:`RunRecord.status` (``ok`` / ``failed:<reason>`` /
-        ``timeout``) before trusting a row's measurements.
+        """Execute every cell through :func:`execute_cells` — the executor
+        ``repro serve`` runs sweep jobs on too; ``max_workers`` and
+        ``cell_timeout`` mean what they mean there (in-process by default,
+        on the process farm otherwise), and so does fault isolation: a
+        cell that raises, loses its worker or hangs past ``cell_timeout``
+        comes back as a ``failed:<reason>`` / ``timeout`` record in its
+        place in the grid, so check :attr:`RunRecord.status` before
+        trusting a row's measurements.
 
         ``progress`` (if given) is called with each finished record, in
         completion order — handy for long sweeps.  ``cells`` accepts a
@@ -1125,8 +968,8 @@ class Sweep:
 
         ``obs`` (an :class:`repro.obs.Observation`) turns on sweep-level
         instrumentation: per-cell wall-clock and metric aggregation
-        in-process, plus queue wait and pool utilization when farming.
-        Pool workers cannot share the parent's registry, so their cells
+        in-process, plus queue wait and worker utilization when farming.
+        Farm workers cannot share the parent's registry, so their cells
         are flipped to ``observe=True`` and their metrics travel back on
         the records, where the parent folds them in.  Per-cell progress
         is logged on the ``repro.api.experiment`` logger either way.

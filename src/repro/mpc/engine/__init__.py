@@ -16,7 +16,8 @@ The engine subsystem separates *what* a one-round algorithm does (its
 ``mp``
     :class:`MultiprocessEngine` — the same kernel
     (:mod:`repro.mpc.engine.shard`) with each relation split into shards
-    routed, and the local joins run, on a ``multiprocessing`` pool.
+    routed, and the local joins run, on the process farm
+    (:mod:`repro.mpc.farm`).
 
 All engines are answer- and load-identical (``tests/test_engine_parity.py``);
 pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when

@@ -35,7 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class EngineError(ValueError):
-    """Raised for unknown engine names or malformed engine configuration."""
+    """Raised for unknown engine names, malformed engine configuration, and
+    a round the ``mp`` engine could not finish (a shard worker raised or
+    died)."""
 
 
 class ExecutionEngine(ABC):

@@ -115,5 +115,5 @@ class BatchedEngine(ExecutionEngine):
         obs: "Observation | None",
     ) -> Iterator[InProcessShards]:
         """Where the round's shards are routed and joined: here, in the
-        calling process; the mp engine overrides this with a pool."""
+        calling process; the mp engine overrides this with a farm."""
         yield InProcessShards(plan, query, domain_size, compute_answers)

@@ -1,122 +1,57 @@
 """The multiprocessing engine: the batched kernel over many shards.
 
 :class:`MultiprocessEngine` is :class:`repro.mpc.engine.BatchedEngine` with
-the shards farmed out to a worker pool; the kernel
-(:mod:`repro.mpc.engine.shard`) is the same:
+the shards run on the process farm (:mod:`repro.mpc.farm`); the kernel
+(:mod:`repro.mpc.engine.shard`) is the same, down to the object: the
+workers call the very :class:`~repro.mpc.engine.shard.InProcessShards` the
+batched engine calls in-process, captured when they start.
 
-1. **Routing** — each relation's tuples are split into per-worker chunks;
-   every worker runs :func:`~repro.mpc.engine.shard.route_shard` on its
-   chunk and returns per-server received counts plus (when answers are
-   requested) the per-server fragment slices.  The parent folds the shards
-   into the round's ledger exactly as the in-process engine folds its
-   single shard: counts by integer addition, fragments by set union, bits
-   once per relation as ``count * tuple_bits`` — so loads stay
-   bit-identical.
-2. **Local joins** — the nonempty servers are sharded across the same pool;
-   each worker joins its servers' fragments and the answer sets are unioned.
+1. **Routing** — each relation's tuples are split into one chunk per
+   worker; every worker routes its chunk and returns per-server received
+   counts plus (when answers are requested) the per-server fragment
+   slices.  The parent folds the shards into the round's ledger exactly as
+   the in-process engine folds its single shard: counts by integer
+   addition, fragments by set union, bits once per relation as
+   ``count * tuple_bits`` — so loads stay bit-identical.
+2. **Local joins** — the nonempty servers are cut into chunks the same
+   way; each worker joins its servers' fragments and the answer sets are
+   unioned.
 
-When observing (``obs`` not None), each worker snapshots its own metrics
-(chunk routing/join wall clock, tuples per chunk) as plain dicts; the
-parent folds them into the round's :class:`~repro.obs.MetricsRegistry`
-via ``merge_snapshot`` — counters add and histogram values concatenate,
-so per-worker timings aggregate exactly.
+One farm serves the whole round (k routing maps, then the join).  A chunk
+whose worker raised or died is an :class:`EngineError` naming the relation
+— never a hang.  When observing (``obs`` not None), the parent records per
+chunk what the farm reports: chunk and tuple counts and the worker's own
+wall clock (``mp.worker_route.seconds`` / ``mp.worker_join.seconds``).
 
-The routing plan is shipped to the workers once via the pool initializer.
-Worker processes use the ``fork`` start method when the platform offers it
-(cheapest; the plan is inherited), falling back to the default method
-otherwise.  When only one worker is configured — or the platform cannot
-spawn processes at all — no pool is opened and the round runs in-process
-on the inherited :class:`BatchedEngine` path, which is result-identical.
+With one worker configured — or when no worker process can be started at
+all — the round runs in-process on the inherited :class:`BatchedEngine`
+path, which is result-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Iterator
 
 from ...query.atoms import ConjunctiveQuery
 from ...seq.relation import Tuple
 from ..execution import RoutingPlan
+from ..farm import Farm, FarmUnavailable, check_workers
+from .base import EngineError
 from .batched import BatchedEngine
-from .shard import InProcessShards, Shard, join_shard, route_shard
+from .shard import InProcessShards, Shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs import Observation
 
 
-def pool_context():
-    """Fork-first multiprocessing context (fork inherits routing plans and
-    cells for free); the platform default otherwise.  Shared by this
-    engine and the sweep runner's cell farm."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-# Per-worker state installed by the pool initializer (plan, query, domain,
-# compute_answers).  Module-level so the worker functions are picklable.
-_STATE: dict[str, object] = {}
-
-
-def _init_worker(
-    plan: RoutingPlan,
-    query: ConjunctiveQuery,
-    domain_size: int,
-    compute_answers: bool,
-    observe: bool = False,
-) -> None:
-    _STATE["plan"] = plan
-    _STATE["query"] = query
-    _STATE["domain_size"] = domain_size
-    _STATE["compute_answers"] = compute_answers
-    _STATE["observe"] = observe
-
-
-def _route_chunk(
-    task: tuple[str, Sequence[Tuple]]
-) -> tuple[Shard, dict | None]:
-    """Route one chunk of one relation: (shard, worker metrics snapshot or
-    None)."""
-    relation_name, tuples = task
-    started = time.perf_counter() if _STATE.get("observe") else None
-    shard = route_shard(
-        _STATE["plan"], relation_name, tuples, _STATE["compute_answers"]
-    )
-    snapshot = None
-    if started is not None:
-        # A plain-dict MetricsRegistry.merge_snapshot payload: picklable,
-        # and aggregated exactly in the parent (counters add, histogram
-        # values concatenate).
-        snapshot = {
-            "counters": {"mp.route_chunks": 1, "mp.route_tuples": len(tuples)},
-            "histograms": {
-                "mp.worker_route.seconds": [time.perf_counter() - started],
-            },
-        }
-    return shard, snapshot
-
-
-def _join_chunk(
-    server_fragments: Sequence[dict[str, set[Tuple]]]
-) -> tuple[set[Tuple], dict | None]:
-    """Join the fragments of a shard of servers and union their answers."""
-    started = time.perf_counter() if _STATE.get("observe") else None
-    collected = join_shard(
-        _STATE["query"], server_fragments, _STATE["domain_size"]
-    )
-    snapshot = None
-    if started is not None:
-        snapshot = {
-            "counters": {"mp.join_chunks": 1,
-                         "mp.join_servers": len(server_fragments)},
-            "histograms": {
-                "mp.worker_join.seconds": [time.perf_counter() - started],
-            },
-        }
-    return collected, snapshot
+def _shard_task(shards: InProcessShards, task: tuple) -> object:
+    """What a farm worker runs: ``("route", relation_name, tuples)`` or
+    ``("join", server_fragments)`` against the round's shard kernel."""
+    method, *args = task
+    return getattr(shards, method)(*args)
 
 
 def _chunks(items: list, pieces: int) -> list[list]:
@@ -133,54 +68,56 @@ def _chunks(items: list, pieces: int) -> list[list]:
     return out
 
 
-class _PoolShards:
-    """Where shards run, pool flavour: each relation is cut into one chunk
+class _FarmShards:
+    """Where shards run, farm flavour: each relation is cut into one chunk
     per worker, and the occupied servers likewise for the local joins."""
 
-    def __init__(self, pool, workers: int, obs: "Observation | None") -> None:
-        self.pool = pool
+    def __init__(
+        self, farm: Farm, workers: int, obs: "Observation | None"
+    ) -> None:
+        self.farm = farm
         self.workers = workers
         self.obs = obs
 
     def route(self, relation_name: str, tuples: list[Tuple]) -> list[Shard]:
-        tasks = [
-            (relation_name, chunk) for chunk in _chunks(tuples, self.workers)
-        ]
-        return self._payloads(self.pool.map(_route_chunk, tasks))
+        routed = self._run("route", f"relation {relation_name!r}", "tuples",
+                           tuples, relation_name)
+        return [shard for (shard,) in routed]
 
     def join(self, occupied: list[dict[str, set[Tuple]]]) -> set[Tuple]:
-        collected: set[Tuple] = set()
-        for joined in self._payloads(
-            self.pool.map(_join_chunk, _chunks(occupied, self.workers))
-        ):
-            collected |= joined
-        return collected
+        return set().union(
+            *self._run("join", "the local joins", "servers", occupied)
+        )
 
-    def _payloads(self, results) -> list:
-        """Strip the workers' metric snapshots off ``(payload, snapshot)``
-        results, folding them into the round's metrics."""
-        payloads = []
-        for payload, snapshot in results:
-            payloads.append(payload)
-            if self.obs is not None and snapshot is not None:
-                self.obs.metrics.merge_snapshot(snapshot)
-        return payloads
+    def _run(
+        self, phase: str, what: str, unit: str, items: list, *head: object
+    ) -> list:
+        """Map one phase's chunks of ``items`` over the farm; the results
+        in chunk order, or :class:`EngineError` for a chunk without one."""
+        chunks = _chunks(items, self.workers)
+        outcomes = self.farm.map([(phase, *head, chunk) for chunk in chunks])
+        for number, (chunk, outcome) in enumerate(zip(chunks, outcomes), 1):
+            if not outcome.ok:
+                raise EngineError(
+                    f"mp engine: chunk {number}/{len(chunks)} of {what} "
+                    f"{outcome.status}: {outcome.value}"
+                )
+            if self.obs is not None:
+                self.obs.count(f"mp.{phase}_chunks")
+                self.obs.count(f"mp.{phase}_{unit}", len(chunk))
+                self.obs.observe(
+                    f"mp.worker_{phase}.seconds", outcome.seconds
+                )
+        return [outcome.value for outcome in outcomes]
 
 
 class MultiprocessEngine(BatchedEngine):
-    """Shards routing and local joins across a ``multiprocessing`` pool."""
+    """Shards routing and local joins across farm worker processes."""
 
     name = "mp"
 
     def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers
-
-    def _resolved_workers(self) -> int:
-        if self.workers is not None:
-            if self.workers < 1:
-                raise ValueError("worker count must be >= 1")
-            return self.workers
-        return max(2, min(4, os.cpu_count() or 1))
+        self.workers = None if workers is None else check_workers(workers)
 
     @contextmanager
     def _shards(
@@ -191,26 +128,20 @@ class MultiprocessEngine(BatchedEngine):
         compute_answers: bool,
         obs: "Observation | None",
     ) -> Iterator[object]:
-        workers = self._resolved_workers()
-        pool = None
-        if workers > 1:
-            try:
-                pool = pool_context().Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(plan, query, domain_size, compute_answers,
-                              obs is not None),
-                )
-            except OSError:
-                # No processes available (restricted sandboxes): same
-                # results, computed in-process.  Errors *during* the
-                # parallel phases are real failures and propagate.
-                pass
-        if pool is None:
-            yield InProcessShards(plan, query, domain_size, compute_answers)
+        local = InProcessShards(plan, query, domain_size, compute_answers)
+        workers = self.workers or max(2, min(4, os.cpu_count() or 1))
+        try:
+            farm = (Farm(partial(_shard_task, local), workers)
+                    if workers > 1 else None)
+        except FarmUnavailable:
+            # Same results, computed in-process.  Failures *during* the
+            # parallel phases are real and raise EngineError.
+            farm = None
+        if farm is None:
+            yield local
             return
         if obs is not None:
             obs.set_gauge("mp.workers", workers)
             obs.count("mp.pools_opened")
-        with pool:
-            yield _PoolShards(pool, workers, obs)
+        with farm:
+            yield _FarmShards(farm, workers, obs)

@@ -3,14 +3,15 @@
 Both engines run the same kernel through the batch routing contract
 (:meth:`RoutingPlan.destination_counts` when only loads are wanted,
 :meth:`RoutingPlan.destinations_batch` when fragments are): a *shard* — the
-whole relation in-process, one chunk per pool worker in ``mp`` — is routed
+whole relation in-process, one chunk per farm worker in ``mp`` — is routed
 by :func:`route_shard`, the shards of a relation are folded into the
 round's :class:`RoundLedger`, and the occupied servers are joined a shard
 at a time by :func:`join_shard`.  *Where* shards run is the one thing the
-engines differ in: :class:`InProcessShards` here, a worker pool in ``mp``.  Counts merge by integer addition and
-fragments by set union, and bits are folded once per relation as
-``count * tuple_bits``, so the result does not depend on how a relation
-was sharded.
+engines differ in: :class:`InProcessShards` called here, or the same
+object called in the workers of a :class:`repro.mpc.farm.Farm` in ``mp``.
+Counts merge by integer addition and fragments by set union, and bits are
+folded once per relation as ``count * tuple_bits``, so the result does not
+depend on how a relation was sharded.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def join_shard(
 class InProcessShards:
     """Where shards run, in-process flavour: the whole relation is a single
     shard routed — and every occupied server joined — in the calling
-    process.  ``mp`` substitutes a pool-backed object with the same two
-    methods."""
+    process.  ``mp`` calls the same two methods from farm workers, a chunk
+    at a time."""
 
     def __init__(
         self,

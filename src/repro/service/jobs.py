@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from ..api.experiment import Catalog, ExperimentError, Sweep, execute_cells
 from ..api.planner import plan as _plan
+from ..mpc.farm import check_workers
 from ..obs import Observation, maybe_timed
 from .cache import CatalogCache
 
@@ -122,6 +123,8 @@ class JobQueue:
             )
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
+        if cell_workers is not None:
+            check_workers(cell_workers)
         self.obs = obs if obs is not None else Observation.create()
         self.cache = cache if cache is not None else CatalogCache(
             obs=self.obs

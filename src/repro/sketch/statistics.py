@@ -30,10 +30,12 @@ block (correctness unaffected, a little parallelism wasted), while a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..mpc.farm import Farm, FarmUnavailable, check_workers
 from ..query.atoms import ConjunctiveQuery
 from ..seq.relation import Database, Tuple
 from ..stats.cardinality import SimpleStatistics, StatisticsError
@@ -261,30 +263,14 @@ class RelationSketchSet:
         return self
 
 
-# ----------------------------------------------------------------------
-# process-parallel shard build (mirrors the mp engine's fork-first pool)
-# ----------------------------------------------------------------------
-
-# Installed in workers by the pool initializer; module-level so the
-# worker function pickles under every start method.
-_SHARD_STATE: dict[str, object] = {}
-
-
-def _init_shard_worker(query: ConjunctiveQuery,
-                       domains: dict[str, int],
-                       config: SketchConfig) -> None:
-    _SHARD_STATE["query"] = query
-    _SHARD_STATE["domains"] = domains
-    _SHARD_STATE["config"] = config
-
-
-def _build_shard(chunks: list[tuple[str, list[Tuple]]]) -> RelationSketchSet:
-    """Worker: sketch one shard's tuple chunks into a fresh sketch set."""
-    shard = RelationSketchSet.empty(
-        _SHARD_STATE["query"],            # type: ignore[arg-type]
-        _SHARD_STATE["domains"],          # type: ignore[arg-type]
-        _SHARD_STATE["config"],           # type: ignore[arg-type]
-    )
+def _build_shard(
+    query: ConjunctiveQuery,
+    domains: Mapping[str, int],
+    config: SketchConfig,
+    chunks: list[tuple[str, list[Tuple]]],
+) -> RelationSketchSet:
+    """Farm task: sketch one shard's tuple chunks into a fresh sketch set."""
+    shard = RelationSketchSet.empty(query, domains, config)
     for atom_name, tuples in chunks:
         shard.update_relation(atom_name, tuples)
     return shard
@@ -299,22 +285,24 @@ def build_sketch_set(
     """Sketch every relation of ``query`` in one pass over ``db``.
 
     With ``workers > 1`` the relations' tuples are split into per-worker
-    shards, each worker sketches its shard independently, and the parent
-    merges — the result is bit-identical to the single-pass build
-    because same-seed sketches merge by exact integer addition.
+    shards, each worker of a :class:`repro.mpc.farm.Farm` sketches its
+    shard independently, and the parent merges — the result is
+    bit-identical to the single-pass build because same-seed sketches
+    merge by exact integer addition.  A shard whose worker raised or died
+    is a :class:`SketchError`; only when no worker process can be started
+    at all does the build run single-pass instead.
     """
     domains = {
         atom.name: db.relation(atom.name).domain_size for atom in query.atoms
     }
-    if workers <= 1:
-        sketch_set = RelationSketchSet.empty(query, domains, config)
-        for name in dict.fromkeys(atom.name for atom in query.atoms):
-            sketch_set.update_relation(name, db.relation(name).tuples)
-        return sketch_set
+    names = list(dict.fromkeys(atom.name for atom in query.atoms))
+    single_pass = [(name, db.relation(name).tuples) for name in names]
+    if check_workers(workers) == 1:
+        return _build_shard(query, domains, config, single_pass)
 
     # Deal tuples round-robin into `workers` shards per relation.
     shards: list[list[tuple[str, list[Tuple]]]] = [[] for _ in range(workers)]
-    for name in dict.fromkeys(atom.name for atom in query.atoms):
+    for name in names:
         tuples = list(db.relation(name).tuples)
         for w in range(workers):
             shard_tuples = tuples[w::workers]
@@ -323,22 +311,21 @@ def build_sketch_set(
     tasks = [chunks for chunks in shards if chunks]
     if not tasks:
         return RelationSketchSet.empty(query, domains, config)
-
-    from ..mpc.engine.multiprocess import pool_context
-
-    ctx = pool_context()
     try:
-        with ctx.Pool(
-            processes=min(workers, len(tasks)),
-            initializer=_init_shard_worker,
-            initargs=(query, domains, config),
-        ) as pool:
-            shard_sets = pool.map(_build_shard, tasks)
-    except (OSError, PermissionError):  # pragma: no cover - sandboxed envs
-        return build_sketch_set(query, db, config, workers=1)
-    merged = shard_sets[0]
-    for shard_set in shard_sets[1:]:
-        merged.merge(shard_set)
+        farm = Farm(partial(_build_shard, query, domains, config), len(tasks))
+    except FarmUnavailable:
+        return _build_shard(query, domains, config, single_pass)
+    with farm:
+        outcomes = farm.map(tasks)
+    for number, outcome in enumerate(outcomes, 1):
+        if not outcome.ok:
+            raise SketchError(
+                f"sketch shard {number}/{len(tasks)} "
+                f"{outcome.status}: {outcome.value}"
+            )
+    merged = outcomes[0].value
+    for outcome in outcomes[1:]:
+        merged.merge(outcome.value)
     return merged
 
 
@@ -432,7 +419,7 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
 
         The sketched twin of :meth:`HeavyHitterStatistics.of`: same
         signature prefix, same thresholds, estimated frequencies.
-        ``workers > 1`` builds per-shard sketches in a process pool and
+        ``workers > 1`` builds per-shard sketches on the process farm and
         merges them (bit-identical to ``workers=1``).
         """
         from ..obs import maybe_timed

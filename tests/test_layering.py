@@ -119,3 +119,51 @@ def test_the_walk_skips_type_checking_and_sees_local_imports():
     )
     seen = {node.module for node in _runtime_imports(tree)}
     assert seen == {"typing", "repro.api"}
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield (str(path.relative_to(SRC)),
+               ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    """Dotted names a file imports, relative ones by their tail: ``from
+    ..a import b`` counts as both ``a`` and ``a.b``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_there_is_one_process_fan_out():
+    """Engine shards, sketch shards and sweep cells all run on
+    ``repro.mpc.farm``: no other module touches ``multiprocessing``, and
+    nothing opens a ``Pool`` beside it."""
+    importers, pool_calls = [], []
+    for name, tree in _modules():
+        if any(module.split(".")[0] == "multiprocessing"
+               for module in _imported_names(tree)):
+            importers.append(name)
+        pool_calls += [
+            name for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "Pool"
+        ]
+    assert importers == ["mpc/farm.py"]
+    assert pool_calls == []
+
+
+def test_sketch_does_not_reach_into_the_mp_engine():
+    for name, tree in _modules():
+        if name.startswith("sketch/"):
+            assert not any(
+                module.endswith("engine.multiprocess")
+                for module in _imported_names(tree)
+            ), f"{name} imports the mp engine"

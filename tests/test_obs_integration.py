@@ -171,7 +171,11 @@ class TestCliObservability:
         trace = tmp_path / "trace.json"
         assert main(argv + ["--trace", str(trace)]) == 0
         data = json.loads(trace.read_text())
-        assert "data.generate" in {e["name"] for e in data["traceEvents"]}
+        names = {e["name"] for e in data["traceEvents"]}
+        assert "data.generate" in names
+        if argv[0] == "sweep":
+            # Sweep plans are built under the sweep's obs, like plan jobs.
+            assert {"plan.build", "plan.cost"} <= names
 
     def test_race_without_flags_prints_no_metrics(self, capsys):
         assert main(self.RACE) == 0
@@ -186,8 +190,10 @@ class TestCliObservability:
         ]) == 0
         records = json.loads(output.read_text())
         assert all(record["metrics"] is not None for record in records)
-        # The registry table itself lands on stdout.
-        assert "engine.routed_tuples" in capsys.readouterr().out
+        # The registry table itself lands on stdout, planner counters too.
+        out = capsys.readouterr().out
+        assert "engine.routed_tuples" in out
+        assert "planner.algorithms_considered" in out
 
     def test_verbose_and_quiet_conflict(self):
         with pytest.raises(SystemExit):

@@ -313,6 +313,11 @@ class TestJobQueueUnit:
         ("p_values", "16"),     # ended as failed: TypeError '<' str/int
         ("skews", 1.0),         # ended as failed: 'float' is not iterable
         ("seeds", ["a"]),       # was accepted and "done" with 6 failed cells
+        ("workers", "4"),       # ended as failed: TypeError '<=' str/int
+        ("workers", 2.5),       # ended as failed: 'float' is not an integer
+        ("workers", -3),        # silently ran serial
+        ("cell_timeout", "soon"),
+        ("cell_timeout", 0),    # was accepted, then failed in the executor
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)

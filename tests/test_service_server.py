@@ -116,6 +116,7 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("field, value", [
         ("p_values", "16"), ("skews", 1.0), ("seeds", ["a"]),
+        ("workers", "4"), ("workers", 0), ("cell_timeout", "soon"),
     ])
     def test_malformed_sweep_spec_is_400_naming_the_field(
             self, service, field, value):
