@@ -82,8 +82,8 @@ class WorkloadSpec:
     ``kind`` selects the generator family (mirroring the CLI):
 
     * ``uniform`` — distinct uniform tuples over a domain of ``8 m``;
-    * ``zipf`` — Zipf(``skew``) values on the last-but-one position over a
-      domain of ``4 m`` (the skewed workloads of experiment E6);
+    * ``zipf`` — Zipf(``skew``) values on position ``min(1, arity - 1)``
+      over a domain of ``4 m`` (the skewed workloads of experiment E6);
     * ``worst`` — every tuple shares one join value (Example 3.3);
     * ``matching`` — every value occurs at most once per attribute (the
       skew-free instances of Lemma 3.1).
@@ -128,6 +128,7 @@ class WorkloadSpec:
                 relations.append(zipf_relation(
                     atom.name, self.m, domain, arity=atom.arity,
                     skew=self.skew, seed=seed,
+                    skewed_positions=(min(1, atom.arity - 1),),
                 ))
             elif self.kind == "worst":
                 relations.append(single_value_relation(
@@ -249,7 +250,9 @@ class Catalog:
         self, obs: Observation | None = None
     ) -> tuple[ConjunctiveQuery, Database, Statistics]:
         """``(query, db, stats)``: :meth:`generate`, then the statistics."""
-        query, db = self.generate(obs)
+        return self._with_statistics(*self.generate(obs), obs)
+
+    def _with_statistics(self, query, db, obs):
         return query, db, resolve_statistics(
             query, None, self.p, db, stats_method=self.stats, obs=obs
         )
@@ -307,10 +310,28 @@ class PreparedCache(Protocol):
                      builder: Callable[[], object]) -> object: ...
 
 
+class _OneDatabase:
+    """A :class:`PreparedCache` over the caller's, if any, that adds a
+    one-slot ``data`` section: a database is a function of (query, workload)
+    alone, and grid order puts the groups that share one side by side."""
+
+    def __init__(self, cache: PreparedCache | None) -> None:
+        self.cache, self.held = cache, (None, None)
+
+    def get_or_build(self, section, key, builder):
+        if section == "data":
+            if self.held[0] != key:
+                self.held = key, builder()
+            return self.held[1]
+        if self.cache is None:
+            return builder()
+        return self.cache.get_or_build(section, key, builder)
+
+
 def _prepare(
     cells: Sequence[Cell],
     obs: Observation | None = None,
-    cache: PreparedCache | None = None,
+    cache: _OneDatabase | None = None,
 ):
     """Shared (db, plan) context for cells at the same grid coordinates.
 
@@ -325,10 +346,10 @@ def _prepare(
     first = cells[0]
     catalog = first.catalog
     keys = tuple(sorted({cell.algorithm for cell in cells}))
-    fetch = cache.get_or_build if cache is not None else (
-        lambda section, key, builder: builder()
-    )
-    query, db, stats = fetch("stats", catalog, lambda: catalog.build(obs))
+    fetch = (cache or _OneDatabase(None)).get_or_build
+    query, db, stats = fetch("stats", catalog, lambda: catalog._with_statistics(
+        *fetch("data", (catalog.query, catalog.workload),
+               lambda: catalog.generate(obs)), obs))
 
     def build_plan():
         # ``rounds`` is the planner's budget.  Explicitly requesting a
@@ -487,6 +508,7 @@ def _execute_serial(
     group (order-independent — shuffled grids do not re-prepare), with
     per-cell and per-group fault isolation.  Timeouts need process
     isolation, so they are the farm's job."""
+    cache = _OneDatabase(cache)
     groups: dict[tuple, list[int]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(_coordinates(cell), []).append(index)

@@ -253,14 +253,15 @@ def _add_catalog_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-p", type=int, default=Catalog.p)
 
 
-def _catalog(args: argparse.Namespace) -> Catalog:
-    """The catalog those flags describe; a bad ``-m``/``-p`` exits cleanly."""
+def _catalog(args: argparse.Namespace, step: Callable = lambda catalog: catalog):
+    """``step`` of the catalog those flags describe; a bad ``-m``/``-p``, a
+    query that does not parse or an unrealizable workload exits cleanly."""
     try:
-        return Catalog(
+        return step(Catalog(
             args.query,
             WorkloadSpec(args.workload, args.m, args.skew, args.seed),
             args.p, getattr(args, "stats", Catalog.stats),
-        )
+        ))
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -274,7 +275,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             query, _parse_cardinalities(args.cardinality), args.domain
         )
     else:
-        query, _, stats = _catalog(args).build()
+        query, _, stats = _catalog(args, Catalog.build)
     query_plan = build_plan(query, stats, args.p, max_rounds=args.max_rounds)
     curve = query_plan.tradeoff() if args.max_rounds > 1 else None
     if args.json:
@@ -305,7 +306,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_race(args: argparse.Namespace) -> int:
     obs = _make_observation(args)
-    query, db, stats = _catalog(args).build(obs)
+    query, db, stats = _catalog(args, lambda catalog: catalog.build(obs))
     query_plan = build_plan(query, stats, args.p, obs=obs)
 
     print(f"query: {query}")
@@ -339,7 +340,7 @@ def cmd_race(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Exact-vs-sketched statistics fidelity report on one workload."""
     obs = _make_observation(args)
-    query, db = _catalog(args).generate(obs)
+    query, db = _catalog(args, lambda catalog: catalog.generate(obs))
     try:
         config = SketchConfig(
             width=args.width, depth=args.depth, base=args.base

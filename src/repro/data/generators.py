@@ -22,6 +22,8 @@ Each generator is deterministic given its seed and produces a
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from ..seq.relation import Relation
@@ -35,6 +37,14 @@ def _rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{label}:{seed}")
 
 
+def _check_capacity(cardinality: int, domain_size: int, arity: int) -> None:
+    if cardinality > domain_size**arity:
+        raise GeneratorError(
+            f"cannot draw {cardinality} distinct tuples from a space of "
+            f"{domain_size**arity}"
+        )
+
+
 def uniform_relation(
     name: str,
     cardinality: int,
@@ -43,11 +53,7 @@ def uniform_relation(
     seed: int = 0,
 ) -> Relation:
     """``cardinality`` distinct uniform tuples from ``[domain_size]^arity``."""
-    if cardinality > domain_size**arity:
-        raise GeneratorError(
-            f"cannot draw {cardinality} distinct tuples from a space of "
-            f"{domain_size**arity}"
-        )
+    _check_capacity(cardinality, domain_size, arity)
     rng = _rng(seed, f"uniform:{name}")
     tuples: set[tuple[int, ...]] = set()
     while len(tuples) < cardinality:
@@ -90,12 +96,15 @@ def zipf_relation(
     resampling, so the realized frequency of the top value is capped by the
     number of distinct tuples it can participate in.
     """
+    _check_capacity(cardinality, domain_size, arity)
     rng = _rng(seed, f"zipf:{name}")
     skewed = set(skewed_positions)
     for position in skewed:
         if not 0 <= position < arity:
             raise GeneratorError(f"skewed position {position} outside arity {arity}")
-    weights = [1.0 / (rank + 1) ** skew for rank in range(domain_size)]
+    # One cumulative table per relation, bisected per draw: the stream
+    # ``rng.choices(range(n), weights)`` consumes, at O(log n) a value.
+    table = list(accumulate(1.0 / (rank + 1) ** skew for rank in range(domain_size)))
     tuples: set[tuple[int, ...]] = set()
     attempts = 0
     max_attempts = 50 * cardinality + 1000
@@ -106,13 +115,11 @@ def zipf_relation(
                 f"could not realize {cardinality} distinct tuples with "
                 f"skew={skew}; lower the skew or enlarge the domain"
             )
-        values = []
-        for position in range(arity):
-            if position in skewed:
-                values.append(rng.choices(range(domain_size), weights)[0])
-            else:
-                values.append(rng.randrange(domain_size))
-        tuples.add(tuple(values))
+        tuples.add(tuple(
+            bisect(table, rng.random() * table[-1], 0, domain_size - 1)
+            if position in skewed else rng.randrange(domain_size)
+            for position in range(arity)
+        ))
     return Relation(
         name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
     )

@@ -15,6 +15,11 @@ Observability (all through the existing :mod:`repro.obs` layer):
 ``service.queue.depth`` gauge, ``service.jobs.*`` counters,
 ``service.job.seconds`` spans per job, the cell executor's ``sweep.*``
 metrics, and the cache's ``service.cache.{hit,miss}`` counters.
+
+The process is long-lived, so nothing here grows with its uptime: the
+queue keeps the newest :data:`RETAINED_JOBS` finished jobs, and each job
+runs under a tracer of its own (the metrics registry is the queue's), so
+its spans go when it is done.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from ..api.experiment import Catalog, ExperimentError, Sweep, execute_cells
 from ..api.planner import plan as _plan
 from ..mpc.farm import check_workers
-from ..obs import Observation, maybe_timed
+from ..obs import Observation
 from .cache import CatalogCache
 
 _LOG = logging.getLogger("repro.service.jobs")
@@ -39,6 +44,9 @@ JOB_KINDS = ("plan", "stats", "sweep")
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Finished jobs whose status and result the queue still answers for.
+RETAINED_JOBS = 256
 
 
 class ServiceError(RuntimeError):
@@ -258,9 +266,7 @@ class JobQueue:
             _LOG.info("job %s running (%s)", job.id, job.kind)
             result, error = None, None
             try:
-                with maybe_timed(self.obs, "service.job",
-                                 kind=job.kind, job=job.id):
-                    result = self._run(job)
+                result = self._run(job)
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
             outcome = "done" if error is None else "failed"
@@ -270,6 +276,10 @@ class JobQueue:
                 job.result, job.error = result, error
                 job.finished_at = time.time()
                 job.state = outcome
+                finished = [key for key, old in self._jobs.items()
+                            if old.terminal]
+                for key in finished[:-RETAINED_JOBS]:
+                    del self._jobs[key]
             self.obs.count(f"service.jobs.{outcome}")
             self.obs.count(f"service.jobs.{outcome}.{job.kind}")
             if error is None:
@@ -278,31 +288,33 @@ class JobQueue:
                 _LOG.warning("job %s failed: %s", job.id, error)
 
     def _run(self, job: Job) -> object:
-        if job.kind == "plan":
-            return self._run_plan(job.spec)
-        if job.kind == "stats":
-            return self._run_stats(job.spec)
-        return self._run_sweep(job.spec)
+        obs = Observation(metrics=self.obs.metrics)
+        with obs.timed("service.job", kind=job.kind, job=job.id):
+            if job.kind == "plan":
+                return self._run_plan(job.spec, obs)
+            if job.kind == "stats":
+                return self._run_stats(job.spec, obs)
+            return self._run_sweep(job.spec, obs)
 
-    def _catalog(self, spec: dict):
+    def _catalog(self, spec: dict, obs: Observation):
         """A plan/stats job's catalog and its ``(query, db, stats)``, from
         the cache's ``stats`` section (where sweep cells look too)."""
         catalog = Catalog.from_spec(spec).canonical()
         return catalog, self.cache.get_or_build(
-            "stats", catalog, lambda: catalog.build(self.obs)
+            "stats", catalog, lambda: catalog.build(obs)
         )
 
-    def _run_plan(self, spec: dict) -> dict:
-        catalog, (query, _, stats) = self._catalog(spec)
+    def _run_plan(self, spec: dict, obs: Observation) -> dict:
+        catalog, (query, _, stats) = self._catalog(spec, obs)
         # The key of an ``auto`` cell at a round budget of 1: same plan.
         query_plan = self.cache.get_or_build(
             "plan", (catalog, 1, ("auto",)),
-            lambda: _plan(query, stats, catalog.p, obs=self.obs),
+            lambda: _plan(query, stats, catalog.p, obs=obs),
         )
         return query_plan.to_dict()
 
-    def _run_stats(self, spec: dict) -> dict:
-        catalog, (query, db, stats) = self._catalog(spec)
+    def _run_stats(self, spec: dict, obs: Observation) -> dict:
+        catalog, (query, db, stats) = self._catalog(spec, obs)
         echo = catalog.to_spec()
         return {
             "query": str(query),
@@ -321,12 +333,12 @@ class JobQueue:
             },
         }
 
-    def _run_sweep(self, spec: dict) -> dict:
+    def _run_sweep(self, spec: dict, obs: Observation) -> dict:
         records = execute_cells(
             Sweep.from_spec(spec).cells(),
             max_workers=spec.get("workers", self.cell_workers),
             cell_timeout=spec.get("cell_timeout", self.cell_timeout),
-            obs=self.obs,
+            obs=obs,
             cache=self.cache,
         )
         return {

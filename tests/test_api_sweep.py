@@ -19,6 +19,7 @@ from repro.api import (
     validate_record,
 )
 from repro.mpc.engine import EngineError
+from repro.obs import Observation
 from repro.query import parse_query
 
 JOIN_TEXT = "q(x, y, z) :- S1(x, z), S2(y, z)"
@@ -285,6 +286,60 @@ class TestSweep:
             domain=500,
         ).run()
         assert result.records[0].domain == 500
+
+
+class TestOneDatabasePerWorkloadSpec:
+    """A database is a function of (query, workload spec) alone: the serial
+    executor generates it once for the groups that differ only in p, the
+    statistics method or the round budget."""
+
+    GRID = dict(query=JOIN_TEXT, workload="zipf", m_values=(60,),
+                p_values=(4, 8), stats=("exact", "sketch"), rounds=(1, 2))
+
+    @staticmethod
+    def _measurements(record):
+        """Everything on a record that is not a timing."""
+        return {**record.to_dict(), "wall_seconds": None, "metrics": None}
+
+    def test_one_generate_per_m_skew_seed(self):
+        sweep = Sweep(skews=(0.0, 1.2), seeds=(0, 3), **self.GRID)
+        cells = sweep.cells()
+        groups = {(c.skew, c.seed, c.p, c.stats, c.rounds) for c in cells}
+        assert len(groups) == 32
+        obs = Observation.create()
+        result = sweep.run(cells=cells, obs=obs)
+        assert all(record.ok for record in result)
+        count = lambda name: obs.metrics.histogram(f"{name}.seconds").count
+        assert count("data.generate") == 4      # one per group before
+        assert count("stats.build") == 32       # still one per group
+        assert len(obs.tracer.finished_spans("sweep.prepare")) == 32
+        # Sharing changes nothing a record can show.
+        assert [self._measurements(r) for r in result] == \
+            [self._measurements(run_cell(cell)) for cell in cells]
+
+    def test_shuffled_groups_regenerate_but_agree(self):
+        sweep = Sweep(skews=(0.0, 1.2), algorithms=("hashjoin",), **self.GRID)
+        cells = sweep.cells()
+        shuffled = cells[::2] + cells[1::2]
+        by_cell = {cell: self._measurements(record) for cell, record in
+                   zip(shuffled, sweep.run(cells=shuffled))}
+        assert [by_cell[cell] for cell in cells] == \
+            [self._measurements(r) for r in sweep.run(cells=cells)]
+
+    def test_failed_generation_fails_exactly_its_own_cells(self):
+        """36 tuples fit a domain of 6; 50 do not.  The failing database
+        comes first, so its error must not stick to the slot."""
+        sweep = Sweep(**{**self.GRID, "m_values": (50, 20), "rounds": 1},
+                      skews=(0.0,), domain=6,
+                      algorithms=("hashjoin", "hypercube-lp"))
+        result = sweep.run()
+        assert len(result) == 16
+        for record in result:
+            if record.m == 50:
+                assert record.status.startswith("failed:GeneratorError")
+                assert "a space of 36" in record.status
+            else:
+                assert record.ok and record.max_load_bits > 0
 
 
 class TestRecordSchema:

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api import validate_record
 from repro.cli import main
 
@@ -317,3 +321,56 @@ class TestStatsCommand:
     def test_invalid_sketch_parameters_are_a_clean_error(self):
         with pytest.raises(SystemExit):
             main(self.WORKLOAD + ["--width", "0"])
+
+
+class TestCatalogErrorsExitCleanly:
+    """A query that does not parse and a workload the generator cannot
+    realize surface in ``Catalog.build``; ``plan``, ``race`` and ``stats``
+    used to let them out as tracebacks (``sweep`` never did)."""
+
+    UNARY = "q(x,y) :- R(x), S(x,y)"
+
+    @staticmethod
+    def _repro(*argv):
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv], text=True,
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (("garbage",), "cannot parse query"),
+        ((UNARY, "--workload", "worst", "-m", "50"),
+         "not enough distinct tuples with one pinned column"),
+    ])
+    @pytest.mark.parametrize("command", ["plan", "race", "stats"])
+    def test_one_line_on_stderr(self, command, argv, message):
+        done = self._repro(command, *argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert message in line
+
+    def test_sweep_reports_the_same_error_per_cell(self, capsys):
+        assert main(["sweep", self.UNARY, "--workload", "worst", "--m", "50",
+                     "--p", "4", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records and all(
+            record["status"].startswith("failed:GeneratorError")
+            for record in records)
+
+    def test_zipf_workload_on_a_unary_atom(self, capsys):
+        """Every cell used to be ``failed:GeneratorError: skewed position
+        1 outside arity 1``."""
+        assert main(["sweep", self.UNARY, "--workload", "zipf", "--m", "50",
+                     "--p", "4", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert len(records) == 6
+        for record in records:
+            validate_record(record)
+            assert record["status"] == "ok"
+        assert main(["race", self.UNARY, "--workload", "zipf", "-m", "50",
+                     "-p", "4", "--verify"]) == 0
+        assert "False" not in capsys.readouterr().out

@@ -14,6 +14,7 @@ from repro.api.records import RUN_RECORD_FIELDS
 from repro.api.registry import AlgorithmSpec, register, unregister
 from repro.mpc.execution import OneRoundAlgorithm
 from repro.obs import Observation
+from repro.service import jobs as jobs_module
 from repro.service import (
     BackpressureError,
     CatalogCache,
@@ -393,6 +394,25 @@ class TestJobQueueUnit:
         assert queue.status(bad.id)["state"] == "failed"
         assert queue.status(bad.id)["error"]
         assert queue.status(good.id)["state"] == "done"
+        queue.shutdown()
+
+    def test_nothing_grows_with_the_number_of_jobs_served(self, monkeypatch):
+        """A long-lived queue forgets all but the newest finished jobs and
+        keeps no job's spans — its metrics still count every one."""
+        monkeypatch.setattr(jobs_module, "RETAINED_JOBS", 3)
+        queue = JobQueue(queue_size=8, workers=1)
+        spec = {"query": JOIN_TEXT, "workload": "zipf", "m_values": [40],
+                "p_values": [4], "algorithms": ["hashjoin"]}
+        ids = [queue.submit("sweep", spec).id for _ in range(6)]
+        assert queue.join(timeout=120)
+        assert [entry["id"] for entry in queue.jobs()] == ids[-3:]
+        assert queue.result(ids[-1])["count"] == 1
+        with pytest.raises(ServiceError, match="unknown job"):
+            queue.status(ids[0])
+        assert queue.obs.tracer.spans == ()
+        histogram = queue.obs.metrics.histogram
+        assert histogram("service.job.seconds").count == 6
+        assert histogram("data.generate.seconds").count == 1
         queue.shutdown()
 
     def test_concurrent_submits_at_capacity(self):
