@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..seq.relation import Database, Tuple
@@ -59,22 +59,15 @@ class _BroadcastPlan(RoutingPlan):
             return range(self.grid_size)
         return self.inner.destinations(relation_name, tup)
 
-    def destinations_batch(
+    def claims(
         self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Broadcast atoms share one grid-wide destination tuple; the rest
-        delegate to the inner HyperCube batch path."""
+    ) -> list[Claim]:
+        """A broadcast atom is one claim with one key, the whole grid; the
+        rest delegate to the inner HyperCube."""
         if relation_name in self.dropped:
             everywhere = tuple(range(self.grid_size))
-            return [everywhere] * len(tuples)
-        return self.inner.destinations_batch(relation_name, tuples)
-
-    def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Mapping[int, int]:
-        if relation_name in self.dropped:
-            return dict.fromkeys(range(self.grid_size), len(tuples))
-        return self.inner.destination_counts(relation_name, tuples)
+            return [(range(len(tuples)), [0] * len(tuples), {0: everywhere})]
+        return self.inner.claims(relation_name, tuples)
 
     def describe(self) -> Mapping[str, object]:
         description = dict(self.inner.describe())

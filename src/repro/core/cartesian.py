@@ -13,20 +13,15 @@ relations, which footnote 2 proves optimal.  When some ``m_j`` is tiny
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from ..mpc.execution import (
-    OneRoundAlgorithm,
-    RoutingPlan,
-    expand_offsets,
-    fold_offset_counts,
-)
+from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery, QueryError
 from ..seq.relation import Database, Tuple
 from ..stats.cardinality import SimpleStatistics
+from .hypercube import grid_claim
 
 
 def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
@@ -123,22 +118,15 @@ class CartesianGridPlan(RoutingPlan):
             return [stride * table[value] for value in mixed]
         return [table[value] for value in mixed]
 
-    def destinations_batch(
+    def claims(
         self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Vectorized routing via bulk hashing + precomputed offsets."""
-        return expand_offsets(
+    ) -> list[Claim]:
+        """One claim over the whole batch, keyed by grid base: bulk hashing
+        for the bases, the precomputed offsets for each distinct one."""
+        return [grid_claim(
             self._grid_bases(relation_name, tuples),
             self._free_offsets[relation_name],
-        )
-
-    def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Mapping[int, int]:
-        """Count receives per server: bases first, offsets folded after."""
-        offsets = self._free_offsets[relation_name]
-        bases = self._grid_bases(relation_name, tuples)
-        return fold_offset_counts(Counter(bases), offsets)
+        )]
 
     def describe(self) -> Mapping[str, object]:
         return {"grid": dict(self.dims)}

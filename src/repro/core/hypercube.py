@@ -17,16 +17,10 @@ always *correct*; the choice of shares only affects the load:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from ..mpc.execution import (
-    OneRoundAlgorithm,
-    RoutingPlan,
-    expand_offsets,
-    fold_offset_counts,
-)
+from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
 from ..seq.relation import Database, Tuple
@@ -39,6 +33,19 @@ from .shares import (
     optimal_share_exponents,
     shares_product,
 )
+
+
+def grid_claim(bases: list[int], offsets: Sequence[int]) -> Claim:
+    """The claim of a grid-shaped plan on a batch with these grid bases: a
+    tuple at base ``b`` goes to ``b + o`` for every replication offset ``o``
+    (duplicate-free: the offsets are distinct points of a mixed-radix grid).
+    The table has a row per *distinct* base — at most ``p`` — however large
+    the batch."""
+    table = {
+        base: tuple(base + offset for offset in offsets)
+        for base in set(bases)
+    }
+    return range(len(bases)), bases, table
 
 
 class HyperCubePlan(RoutingPlan):
@@ -117,52 +124,33 @@ class HyperCubePlan(RoutingPlan):
             for coords in product(*(range(share) for _, share in free))
         )
 
-    def destinations_batch(
+    def claims(
         self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Vectorized routing: columnar bucket tables + offset tables.
+    ) -> list[Claim]:
+        """One claim over the whole batch, in batch order, keyed by grid
+        base (:func:`grid_claim`): at most ``prod_{i in S_j} p_i`` distinct
+        bases, each replicated along the offsets enumerated at plan
+        construction."""
+        return [grid_claim(
+            self._grid_bases(relation_name, tuples),
+            self._free_offsets[relation_name],
+        )]
+
+    def _grid_bases(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[int]:
+        """Columnar fixed-dimension resolution: one grid base per tuple.
 
         Instead of routing tuple by tuple, each fixed dimension is resolved
         for the whole batch at once: extract the column, hash its *distinct*
         values through :meth:`HashFamily.bucket_table`, map the column
         through the table, and fold the strided coordinates into per-tuple
-        grid bases with C-level comprehensions.  Replication across the free
-        dimensions reuses the offsets enumerated at plan construction.
-        """
-        offsets = self._free_offsets[relation_name]
-        bases = self._grid_bases(relation_name, tuples)
-        if bases is None:
-            everywhere = tuple(offsets)
-            return [everywhere] * len(tuples)
-        return expand_offsets(bases, offsets)
-
-    def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Mapping[int, int]:
-        """Count receives per server without per-tuple destination lists.
-
-        There are at most ``prod_{i in S_j} p_i <= p`` distinct grid bases,
-        so counting bases first (C-speed) and folding the replication
-        offsets afterwards turns the accounting into ``O(m + p^2)`` instead
-        of ``O(m * replication)`` Python-level work.
-        """
-        offsets = self._free_offsets[relation_name]
-        bases = self._grid_bases(relation_name, tuples)
-        if bases is None:
-            return dict.fromkeys(offsets, len(tuples))
-        return fold_offset_counts(Counter(bases), offsets)
-
-    def _grid_bases(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[int] | None:
-        """Columnar fixed-dimension resolution: one grid base per tuple.
-
-        Returns None for an atom with no fixed dimensions (every tuple sits
-        at base 0 and replicates across all offsets).
+        grid bases with C-level comprehensions.  An atom with no fixed
+        dimension sits at base 0.
         """
         fixed, _free = self._recipes[relation_name]
         if not fixed:
-            return None
+            return [0] * len(tuples)
         bases: list[int] | None = None
         for var, position, stride in fixed:
             column = [tup[position] for tup in tuples]

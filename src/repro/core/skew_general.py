@@ -35,15 +35,14 @@ overweight chains always terminate.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
-from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
 from ..query.residual import residual_query
@@ -129,6 +128,13 @@ def solve_bin_lp(
     )
 
 
+def _combination_order(combo: BinCombination) -> tuple[list[str], str]:
+    """Sort key fixing the order — hence the ordinal ids and hash salts — of
+    bin combinations.  Not ``repr(combo)``: a frozenset prints its members
+    in hash order, which changes with ``PYTHONHASHSEED``."""
+    return sorted(combo.variables), repr(combo.exponents)
+
+
 def build_cprime(
     query: ConjunctiveQuery,
     stats: StatisticsProvider,
@@ -145,7 +151,7 @@ def build_cprime(
         current = [
             combo for combo in list(combos) if len(combo.variables) == level
         ]
-        for combo in sorted(current, key=lambda c: repr(c)):
+        for combo in sorted(current, key=_combination_order):
             members = combos[combo]
             alpha = (
                 Fraction(0)
@@ -211,12 +217,6 @@ def _generate_extensions(
                     combos.setdefault(target, set()).add(
                         tuple(sorted(merged.items()))
                     )
-
-
-# One combination's claim on a batch: the positions (into the batch) of the
-# tuples it owns, one routing key per owned tuple, and the duplicate-free
-# destination tuple of every distinct key.
-Claim = tuple[Sequence[int], list, Mapping[object, tuple[int, ...]]]
 
 
 @dataclass
@@ -290,9 +290,9 @@ class _CombinationPlan:
         """Column-at-a-time :meth:`destinations_for` over a whole batch.
 
         Overweight filters and the heavy-slot lookup are set/dict probes
-        over projected columns; the surviving tuples' residuals go through
-        one inner ``_grid_bases`` call, and block placement is computed
-        once per distinct routing key (at most ``p`` inner bases per heavy
+        over projected columns; the surviving tuples' residuals are one
+        inner HyperCube claim, and block placement is computed once per
+        distinct routing key (at most ``p`` inner bases per heavy
         assignment), not per tuple.  Returns None when the combination
         owns no tuple of the batch.
         """
@@ -323,20 +323,18 @@ class _CombinationPlan:
             owned = project_columns(
                 owned, self.kept_positions[relation_name]
             )
-        bases = self.inner._grid_bases(relation_name, owned)
-        if bases is None:
-            bases = [0] * len(owned)
-        offsets = self.inner._free_offsets[relation_name]
+        # A HyperCube claim is one, over its whole batch in batch order.
+        [(_, bases, inner_table)] = self.inner.claims(relation_name, owned)
         if heavy_keys is None:
             every_slot = range(len(self.assignments))
             table = {
-                base: self._place(every_slot, [base + o for o in offsets])
-                for base in set(bases)
+                base: self._place(every_slot, dests)
+                for base, dests in inner_table.items()
             }
             return indices, bases, table
         keys = list(zip(heavy_keys, bases))
         table = {
-            key: self._place(index[key[0]], [key[1] + o for o in offsets])
+            key: self._place(index[key[0]], inner_table[key[1]])
             for key in set(keys)
         }
         return indices, keys, table
@@ -361,7 +359,7 @@ class BinHyperCubePlan(RoutingPlan):
         combos, lps = build_cprime(query, stats, p, bits, nbc=nbc)
         self.combo_plans: list[_CombinationPlan] = []
         for combo_id, (combo, members) in enumerate(sorted(
-            combos.items(), key=lambda item: repr(item[0])
+            combos.items(), key=lambda item: _combination_order(item[0])
         )):
             if not members:
                 continue
@@ -477,70 +475,14 @@ class BinHyperCubePlan(RoutingPlan):
             out.update(plan.destinations_for(relation_name, tup))
         return out
 
-    def _claims(
+    def claims(
         self, relation_name: str, tuples: Sequence[Tuple]
     ) -> list[Claim]:
-        return [
-            claim
-            for claim in (
-                plan.claim(relation_name, tuples) for plan in self.combo_plans
-            )
-            if claim is not None
-        ]
-
-    def destinations_batch(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Route the whole relation once per bin combination.
-
-        Each combination resolves the tuples it owns column-at-a-time
-        (:meth:`_CombinationPlan.claim`); a tuple several combinations
-        claim gets the union of their destinations, like the scalar path.
-        """
-        out: list[tuple[int, ...]] = [()] * len(tuples)
-        for indices, keys, table in self._claims(relation_name, tuples):
-            for i, key in zip(indices, keys):
-                dests = table[key]
-                if out[i]:
-                    dests = tuple(dict.fromkeys(out[i] + dests))
-                out[i] = dests
-        return out
-
-    def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Mapping[int, int]:
-        """Count receives per server without per-tuple destination lists.
-
-        A tuple owned by a single combination is counted through its
-        routing key — distinct keys are counted at C speed and each key's
-        destinations folded once, which for the skew-free plan (one
-        combination, keys = inner grid bases) is the inner HyperCube's own
-        base-count fold.  Only tuples that several combinations claim are
-        unioned per tuple.
-        """
-        claims = self._claims(relation_name, tuples)
-        contested: dict[int, set[int]] = {}
-        if len(claims) > 1:
-            owners = Counter(
-                chain.from_iterable(indices for indices, _, _ in claims)
-            )
-            contested = {i: set() for i, n in owners.items() if n > 1}
-        counts: Counter[int] = Counter()
-        for indices, keys, table in claims:
-            if contested:
-                exclusive = []
-                for i, key in zip(indices, keys):
-                    if i in contested:
-                        contested[i].update(table[key])
-                    else:
-                        exclusive.append(key)
-                keys = exclusive
-            for key, n in Counter(keys).items():
-                for server in table[key]:
-                    counts[server] += n
-        for dests in contested.values():
-            counts.update(dests)
-        return counts
+        """One claim per bin combination that owns a tuple of the batch
+        (:meth:`_CombinationPlan.claim`); a tuple several combinations own
+        gets the union of their destinations, like the scalar path."""
+        claims = (plan.claim(relation_name, tuples) for plan in self.combo_plans)
+        return [claim for claim in claims if claim is not None]
 
     def theoretical_load_bits(self) -> float:
         """``max_B p^(lambda(B))`` — the Theorem 4.6 target (sans polylog)."""

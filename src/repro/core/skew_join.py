@@ -24,12 +24,11 @@ exposed by :func:`skew_join_load_bound`.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..mpc.allocation import ServerAllocator
-from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
 from ..seq.relation import Database, Tuple, project_columns
@@ -175,9 +174,9 @@ class SkewAwareJoinPlan(RoutingPlan):
     # ------------------------------------------------------------------
     def _fan_out(
         self, relation_name: str, h: Tuple
-    ) -> tuple[tuple[int, ...], ...] | None:
+    ) -> tuple[tuple[int, ...], ...]:
         """The block of heavy join value ``h`` as seen by one relation: one
-        server tuple per private-hash bucket (None when ``h`` is light).
+        server tuple per private-hash bucket.
 
         A grid fixes the relation's own coordinate and replicates along the
         other; a partition block is one server per bucket for the
@@ -192,9 +191,7 @@ class SkewAwareJoinPlan(RoutingPlan):
                     servers[row * p2:(row + 1) * p2] for row in range(p1)
                 )
             return tuple(servers[col:p1 * p2:p2] for col in range(p2))
-        block = self.partition_blocks.get(h)
-        if block is None:
-            return None
+        block = self.partition_blocks[h]
         if relation_name == block.partitioned_atom:
             return tuple((server,) for server in block.servers)
         return (block.servers,)
@@ -220,81 +217,50 @@ class SkewAwareJoinPlan(RoutingPlan):
         )
         return {h: table[m] for h, m in mixed.items()}
 
-    def _classify(self, relation_name: str, tuples: Sequence[Tuple]):
-        """Column-at-a-time classification of a batch by join value.
+    def claims(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[Claim]:
+        """One claim over the whole batch: a light tuple is keyed by its
+        hash-join server, a heavy one by (join value, private-hash bucket).
 
-        Returns ``(join_values, light, heavy)``: every tuple's join value;
-        the light join values with their tuple counts; and per heavy join
-        value present a ``(fan, members, buckets)`` triple — its
-        :meth:`_fan_out`, the positions (into the batch) of its tuples and
-        their private-hash buckets.
+        Heavy hitters are few, so almost every tuple takes the light path,
+        whose destination depends only on the tuple's join value: one hash
+        per distinct value.  Tuples of a heavy value hash their private
+        variables into that block's buckets (:meth:`_fan_out`) — only the
+        one coordinate their side uses, where the scalar path computes both
+        row and column.
         """
         join_values = project_columns(
             tuples, self._join_positions[relation_name]
         )
-        light = Counter(join_values)
+        distinct = set(join_values)
         members: dict[Tuple, list[int]] = {
             h: []
-            for h in light.keys()
+            for h in distinct
             & (self.grid_blocks.keys() | self.partition_blocks.keys())
         }
-        heavy = []
+        distinct.difference_update(members)
+        servers = self._light_servers(distinct)
+        # None at the heavy positions, which are keyed below.
+        keys: list = list(map(servers.get, join_values))
+        table: dict[object, tuple[int, ...]] = {
+            server: (server,) for server in range(self.p)
+        }
         if members:
             for i, h in enumerate(join_values):
                 if h in members:
                     members[h].append(i)
             for h, indices in members.items():
-                del light[h]
                 fan = self._fan_out(relation_name, h)
                 buckets = self._private_buckets(
                     relation_name, [tuples[i] for i in indices], len(fan)
                 )
-                heavy.append((fan, indices, buckets))
-        return join_values, light, heavy
-
-    def destinations_batch(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Vectorized routing: one hash per distinct light join value, one
-        bulk private hash per heavy block.
-
-        Heavy hitters are few, so almost every tuple takes the light path,
-        whose destination depends only on the tuple's join value.  Tuples
-        of a heavy value hash their private variables into that block's
-        buckets (:meth:`_fan_out`) — only the one coordinate their side
-        uses, where the scalar path computes both row and column.
-        """
-        join_values, light, heavy = self._classify(relation_name, tuples)
-        light_dests = {
-            h: (server,) for h, server in self._light_servers(light).items()
-        }
-        out: list[tuple[int, ...]] = [
-            light_dests.get(h, ()) for h in join_values
-        ]
-        for fan, members, buckets in heavy:
-            for i, bucket in zip(members, buckets):
-                out[i] = fan[bucket]
-        return out
-
-    def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Mapping[int, int]:
-        """Count receives per server without per-tuple destination tuples.
-
-        Light tuples are counted per distinct join value; a heavy block
-        counts its tuples per private-hash bucket and folds each bucket's
-        servers once.
-        """
-        _, light, heavy = self._classify(relation_name, tuples)
-        counts: Counter[int] = Counter()
-        servers = self._light_servers(light)
-        for h, n in light.items():
-            counts[servers[h]] += n
-        for fan, _, buckets in heavy:
-            for bucket, n in Counter(buckets).items():
-                for server in fan[bucket]:
-                    counts[server] += n
-        return counts
+                for i, bucket in zip(indices, buckets):
+                    keys[i] = (h, bucket)
+                table.update(
+                    ((h, bucket), block) for bucket, block in enumerate(fan)
+                )
+        return [(range(len(tuples)), keys, table)]
 
     def describe(self) -> Mapping[str, object]:
         return {

@@ -9,10 +9,11 @@ The engine subsystem separates *what* a one-round algorithm does (its
     ``RoutingPlan.destinations``.  Slowest; the parity oracle.
 ``batched``
     :class:`BatchedEngine` — routes each relation with one call into the
-    batch contract every in-tree plan implements natively:
-    ``destination_counts`` when only loads are wanted (no fragment and no
-    per-tuple destination list exists), ``destinations_batch`` when the
-    local joins need fragments.
+    batch primitive every in-tree plan implements natively,
+    ``RoutingPlan.claims``, through the two methods ``RoutingPlan`` derives
+    from it: ``destination_counts`` when only loads are wanted (no fragment
+    and no per-tuple destination list exists), ``destinations_batch`` when
+    the local joins need fragments.
 ``mp``
     :class:`MultiprocessEngine` — the same kernel
     (:mod:`repro.mpc.engine.shard`) with each relation split into shards

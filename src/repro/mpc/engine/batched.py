@@ -1,9 +1,10 @@
 """The batched engine: column-at-a-time routing, streaming load accounting.
 
-The round is driven entirely through the batch routing contract that every
-in-tree :class:`~repro.mpc.execution.RoutingPlan` implements natively (the
-scalar ``destinations`` is only :class:`ReferenceEngine`'s oracle and the
-fallback for user-defined plans):
+The round is driven entirely through :meth:`RoutingPlan.claims`, the batch
+primitive every in-tree :class:`~repro.mpc.execution.RoutingPlan`
+implements natively (the scalar ``destinations`` is only
+:class:`ReferenceEngine`'s oracle and the fallback for user-defined plans),
+by way of the two methods ``RoutingPlan`` derives from it:
 
 * with ``compute_answers=False`` each relation costs one
   :meth:`RoutingPlan.destination_counts` call — no fragment and no

@@ -1,6 +1,7 @@
 """Shard routing and load accounting shared by ``batched`` and ``mp``.
 
-Both engines run the same kernel through the batch routing contract
+Both engines run the same kernel through the two methods
+:class:`RoutingPlan` derives from a plan's :meth:`RoutingPlan.claims`
 (:meth:`RoutingPlan.destination_counts` when only loads are wanted,
 :meth:`RoutingPlan.destinations_batch` when fragments are): a *shard* — the
 whole relation in-process, one chunk per farm worker in ``mp`` — is routed

@@ -33,6 +33,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..query.atoms import ConjunctiveQuery
@@ -46,72 +47,53 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ExecutionEngine
 
 
-def fold_offset_counts(
-    base_counts: Mapping[int, int], offsets: Sequence[int]
-) -> Mapping[int, int]:
-    """Fold replication ``offsets`` into per-grid-base tuple counts.
-
-    Shared by the grid-shaped plans' ``destination_counts`` fast paths: a
-    tuple at grid base ``b`` is received by servers ``b + o`` for every
-    offset ``o``, so per-server counts are the offset-shifted sum of the
-    (at most ``p``) distinct base counts.
-    """
-    if len(offsets) == 1:
-        offset = offsets[0]
-        if offset == 0:
-            return base_counts
-        return {
-            base + offset: count for base, count in base_counts.items()
-        }
-    counts: dict[int, int] = {}
-    for base, count in base_counts.items():
-        for offset in offsets:
-            server = base + offset
-            counts[server] = counts.get(server, 0) + count
-    return counts
-
-
-def expand_offsets(
-    bases: Sequence[int], offsets: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Per-tuple destination tuples from grid bases + replication offsets.
-
-    The ``destinations_batch`` twin of :func:`fold_offset_counts`, shared by
-    the grid-shaped plans: each tuple at base ``b`` goes to ``b + o`` for
-    every offset ``o`` (duplicate-free because the offsets are distinct
-    points of a mixed-radix grid).
-    """
-    if len(offsets) == 1:
-        offset = offsets[0]
-        if offset:
-            return [(base + offset,) for base in bases]
-        return [(base,) for base in bases]
-    return [tuple(base + offset for offset in offsets) for base in bases]
+# One claim on a batch: the positions (into the batch) of the tuples it
+# covers, one routing key per covered tuple, and the duplicate-free
+# destination tuple of every distinct key.
+Claim = tuple[Sequence[int], Sequence, Mapping[object, tuple[int, ...]]]
 
 
 class RoutingPlan(ABC):
     """Maps each input tuple to the servers that must receive it.
 
-    The routing contract has three methods describing the same deliveries:
+    A plan states its deliveries twice:
 
     * :meth:`destinations` — one tuple at a time.  The definition of the
       plan: :class:`repro.mpc.engine.ReferenceEngine` routes through it and
       is the parity oracle for everything else.
-    * :meth:`destinations_batch` — a whole relation (or shard) at once,
-      used when the fragments are needed (``compute_answers=True``).
-    * :meth:`destination_counts` — per-server receive counts only, used
-      for load-only simulation.
+    * :meth:`claims` — a whole relation (or shard) at once, as routing
+      keys: a tuple's destinations are a function of a small key (its grid
+      base, its hash-join server, its heavy assignment), so a batch is a
+      key per tuple plus the destinations of each *distinct* key.
 
-    Every in-tree plan implements both batch methods natively,
-    column-at-a-time (``tests/test_routing_contract.py`` checks the three
-    agree and that no registered algorithm inherits the defaults).  The
-    defaults below loop the scalar path; they exist so that a user-defined
-    plan only has to write :meth:`destinations` to run on every engine.
+    What the batched engines consume — :meth:`destinations_batch` when the
+    fragments are needed, :meth:`destination_counts` for load-only rounds —
+    is derived from the claims here, once, for every plan.  Every in-tree
+    plan implements :meth:`claims` natively, column-at-a-time
+    (``tests/test_routing_contract.py`` checks it against the scalar
+    definition and that no registered algorithm inherits the default).  The
+    default loops the scalar path; it exists so that a user-defined plan
+    only has to write :meth:`destinations` to run on every engine.
     """
 
     @abstractmethod
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
         """Server indices in ``[0, p)`` that receive ``tup``."""
+
+    def claims(
+        self, relation_name: str, tuples: Sequence[Tuple]
+    ) -> list[Claim]:
+        """The batch's deliveries as :data:`Claim` s: tuple ``i`` goes to the
+        union of ``table[key]`` over the claims that cover it.
+
+        Extension fallback: one claim over the whole batch whose keys are
+        the deduplicated scalar :meth:`destinations` themselves.
+        """
+        keys = [
+            tuple(dict.fromkeys(self.destinations(relation_name, tup)))
+            for tup in tuples
+        ]
+        return [(range(len(tuples)), keys, {key: key for key in set(keys)})]
 
     def destinations_batch(
         self, relation_name: str, tuples: Sequence[Tuple]
@@ -119,15 +101,16 @@ class RoutingPlan(ABC):
         """Destinations for a whole batch of tuples of one relation.
 
         Returns one *duplicate-free* tuple of server indices per input
-        tuple, in input order.  Extension fallback: loops the scalar
-        :meth:`destinations` and deduplicates.
+        tuple, in input order: a table lookup per covered tuple, unioned
+        (not added) where several claims cover the same tuple.
         """
-        out: list[tuple[int, ...]] = []
-        for tup in tuples:
-            dests = tuple(self.destinations(relation_name, tup))
-            if len(dests) > 1:
-                dests = tuple(dict.fromkeys(dests))
-            out.append(dests)
+        out: list[tuple[int, ...]] = [()] * len(tuples)
+        for indices, keys, table in self.claims(relation_name, tuples):
+            for i, key in zip(indices, keys):
+                dests = table[key]
+                if out[i]:
+                    dests = tuple(dict.fromkeys(out[i] + dests))
+                out[i] = dests
         return out
 
     def destination_counts(
@@ -136,13 +119,33 @@ class RoutingPlan(ABC):
         """Per-server received-tuple counts for a batch, answers not needed.
 
         Load-only simulation (``compute_answers=False``) never looks at
-        *which* tuples a server received, only *how many*, so a native
-        implementation counts distinct routing keys and folds each key's
-        destinations once instead of materializing a destination list per
-        tuple.  Extension fallback: counts :meth:`destinations_batch`.
+        *which* tuples a server received, only *how many*, so no per-tuple
+        destination list is built: a tuple covered by a single claim is
+        counted through its routing key — distinct keys are counted at C
+        speed and each key's destinations folded once.  Only tuples that
+        several claims cover are unioned per tuple.
         """
+        claims = self.claims(relation_name, tuples)
+        contested: dict[int, set[int]] = {}
+        if len(claims) > 1:
+            owners = Counter(
+                chain.from_iterable(indices for indices, _, _ in claims)
+            )
+            contested = {i: set() for i, n in owners.items() if n > 1}
         counts: Counter[int] = Counter()
-        for dests in self.destinations_batch(relation_name, tuples):
+        for indices, keys, table in claims:
+            if contested:
+                exclusive = []
+                for i, key in zip(indices, keys):
+                    if i in contested:
+                        contested[i].update(table[key])
+                    else:
+                        exclusive.append(key)
+                keys = exclusive
+            for key, n in Counter(keys).items():
+                for server in table[key]:
+                    counts[server] += n
+        for dests in contested.values():
             counts.update(dests)
         return counts
 

@@ -13,6 +13,8 @@ same heavy value millions of times.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from typing import Iterable
 
 
@@ -30,8 +32,10 @@ class HashFamily:
     # private salts (one set per bin combination), so a long-lived process
     # mints tables fast; 64 covers a whole sweep coordinate (the busiest
     # benchmark command touches 32) without letting a server retain
-    # hundreds of them.
+    # hundreds of them.  The service routes several jobs at once on threads,
+    # so the registry's bookkeeping (never the hashing) runs under a lock.
     _shared_tables: dict[tuple[bytes, str, int], dict[int, int]] = {}
+    _shared_lock = threading.Lock()
     _MAX_SHARED_TABLES = 64
     _MAX_TABLE_ENTRIES = 1 << 20
     _MAX_TOTAL_ENTRIES = 1 << 23
@@ -72,8 +76,8 @@ class HashFamily:
         Produces exactly the digests of :meth:`bucket` (an incremental keyed
         blake2b equals the one-shot call) but amortizes the per-call Python
         overhead — salt encoding, keyed-hasher construction, cache probing —
-        over a whole column.  The vectorized routing paths
-        (``destinations_batch``) are built on this.
+        over a whole column.  The column-at-a-time routing paths
+        (``RoutingPlan.claims``) are built on this.
         """
         if buckets < 1:
             raise ValueError("bucket count must be >= 1")
@@ -82,11 +86,12 @@ class HashFamily:
             return dict.fromkeys(unique, 0)
         shared = HashFamily._shared_tables
         table_key = (self._key, salt, buckets)
-        table = shared.get(table_key)
-        if table is None:
-            while len(shared) >= HashFamily._MAX_SHARED_TABLES:
-                del shared[next(iter(shared))]  # evict oldest
-            table = shared[table_key] = {}
+        with HashFamily._shared_lock:
+            table = shared.get(table_key)
+            if table is None:
+                while len(shared) >= HashFamily._MAX_SHARED_TABLES:
+                    del shared[next(iter(shared))]  # evict oldest
+                table = shared[table_key] = {}
         missing = [value for value in unique if value not in table]
         if missing:
             prefix = salt.encode() + b"\x00"
@@ -100,16 +105,17 @@ class HashFamily:
                 table[value] = (
                     from_bytes(hasher.digest(), "little") % buckets
                 )
-            if len(table) > HashFamily._MAX_TABLE_ENTRIES:
-                # Callers keep using the returned dict; evicting just stops
-                # the cache from retaining it beyond this run.
-                shared.pop(table_key, None)
-            else:
-                total = sum(len(t) for t in shared.values())
-                while total > HashFamily._MAX_TOTAL_ENTRIES and shared:
-                    oldest = next(iter(shared))
-                    total -= len(shared[oldest])
-                    del shared[oldest]
+            with HashFamily._shared_lock:
+                if len(table) > HashFamily._MAX_TABLE_ENTRIES:
+                    # Callers keep using the returned dict; evicting just
+                    # stops the cache from retaining it beyond this run.
+                    shared.pop(table_key, None)
+                else:
+                    total = sum(len(t) for t in shared.values())
+                    while total > HashFamily._MAX_TOTAL_ENTRIES and shared:
+                        oldest = next(iter(shared))
+                        total -= len(shared[oldest])
+                        del shared[oldest]
         return table
 
     def subfamily(self, label: str) -> "HashFamily":
@@ -122,3 +128,13 @@ class HashFamily:
             signed=True,
         )
         return HashFamily(derived_seed)
+
+
+def _fresh_table_lock() -> None:
+    HashFamily._shared_lock = threading.Lock()
+
+
+# A farm forked while another thread is inside the registry would hand its
+# workers a lock nobody will ever release.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_table_lock)

@@ -167,3 +167,24 @@ def test_sketch_does_not_reach_into_the_mp_engine():
                 module.endswith("engine.multiprocess")
                 for module in _imported_names(tree)
             ), f"{name} imports the mp engine"
+
+
+def test_there_is_one_batch_routing_derivation():
+    """A plan states its batch deliveries once, as ``claims``; only
+    ``RoutingPlan`` turns claims into per-tuple destinations and per-server
+    counts, and the bin plan composes its inner HyperCube through
+    ``claims``, not through that plan's private tables."""
+    derived = {"destinations_batch": [], "destination_counts": []}
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and item.name in derived:
+                        derived[item.name].append(f"{name}:{node.name}")
+    assert derived == {
+        "destinations_batch": ["mpc/execution.py:RoutingPlan"],
+        "destination_counts": ["mpc/execution.py:RoutingPlan"],
+    }
+    source = (SRC / "core" / "skew_general.py").read_text(encoding="utf-8")
+    assert "_grid_bases" not in source and "_free_offsets" not in source

@@ -2,6 +2,10 @@
 execution."""
 
 import math
+import os
+import signal
+import sys
+import threading
 
 import pytest
 
@@ -65,6 +69,53 @@ class TestHashFamily:
     def test_negative_values_hash(self):
         h = HashFamily(0)
         assert isinstance(h.raw("s", -12), int)
+
+    def test_bucket_table_registry_survives_threads(self):
+        """The service routes jobs on several threads at once; every call
+        here mints a table, so the shared registry evicts continuously."""
+        errors = []
+
+        def mint(t):
+            family = HashFamily(t % 2)
+            try:
+                for i in range(4000):
+                    table = family.bucket_table(f"s{t}:{i}", range(40), 7)
+                    assert len(table) == 40
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=mint, args=(t,)) for t in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(HashFamily._shared_tables) <= HashFamily._MAX_SHARED_TABLES
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_bucket_table_in_a_child_forked_inside_the_registry(self):
+        """A farm forked while another thread holds the registry lock must
+        not hand its workers a lock nobody will release."""
+        with HashFamily._shared_lock:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                    signal.alarm(5)  # a deadlocked child is killed
+                    HashFamily(0).bucket_table("forked", range(8), 5)
+                    status = 0
+                finally:
+                    os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
 
 
 class TestCluster:
@@ -156,6 +207,25 @@ class _RoundRobin(OneRoundAlgorithm):
         return _RoundRobinPlan(p)
 
 
+class _NeighboursPlan(RoutingPlan):
+    """Scalar-only, replicating, and sloppy: names its first server twice."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def destinations(self, relation_name, tup):
+        server = sum(tup) % self.p
+        return (server, (server + 1) % self.p, server)
+
+
+class _Neighbours(OneRoundAlgorithm):
+    def __init__(self, query):
+        super().__init__(query, "neighbours")
+
+    def routing_plan(self, db, p, hashes):
+        return _NeighboursPlan(p)
+
+
 class TestRunOneRound:
     def _single_atom_setup(self):
         q = parse_query("q(x, y) :- S(x, y)")
@@ -241,6 +311,23 @@ class TestEngineDispatch:
         assert result.is_complete
         assert result.details == {"policy": "round-robin"}
         assert math.isclose(result.report.replication_rate, 1.0)
+
+    def test_scalar_only_plan_reports_agree_across_engines(self):
+        """A user plan that writes only ``destinations`` — replication and
+        duplicates included — rides the default ``claims`` on the batched
+        engines and measures what the scalar reference measures."""
+        q, db = self._setup()
+        reference, batched, mp = (
+            run_one_round(_Neighbours(q), db, p=4, verify=True, engine=engine)
+            for engine in ("reference", "batched", "mp")
+        )
+        assert reference.report.replication_rate == 2.0
+        assert reference.report == batched.report == mp.report
+        assert reference.answers == batched.answers == mp.answers
+        load_only = run_one_round(
+            _Neighbours(q), db, p=4, compute_answers=False, engine="batched"
+        )
+        assert load_only.report == reference.report
 
     def test_default_destinations_batch_matches_scalar(self):
         plan = _RoundRobinPlan(4)

@@ -1,15 +1,19 @@
 """The routing contract every in-tree :class:`RoutingPlan` honours.
 
-For each relation of each plan, the three routing methods must describe the
-same multiset of (tuple, server) deliveries::
+A plan states its deliveries twice — scalar ``destinations`` and batch
+``claims`` — and the engines consume the two methods ``RoutingPlan`` derives
+from the claims.  For each relation of each plan all of them must describe
+the same multiset of (tuple, server) deliveries::
 
     destination_counts == Counter(flatten(destinations_batch))
+                       == Counter(flatten(union of table[key] over claims))
                        == Counter(flatten(dedup(destinations(t))))
 
-``destinations_batch`` rows are duplicate-free, and no plan built by a
-registered algorithm inherits the scalar-loop defaults of
-``RoutingPlan.destinations_batch`` / ``destination_counts`` — those exist
-for user-defined plans only (``tests/test_mpc.py`` covers that fallback).
+Every claim is well-formed (one key per covered index, every key in its
+table, table rows duplicate-free and inside ``[0, p)``), and no plan built
+by a registered algorithm inherits the scalar-loop default of
+``RoutingPlan.claims`` — that exists for user-defined plans only
+(``tests/test_mpc.py`` covers the fallback).
 
 The matrix is every registered one-round algorithm x the queries it
 applies to x {uniform, zipf 1.2, worst, planted-heavy} x p in {1, 7, 64}.
@@ -69,20 +73,31 @@ def _database(query, workload: str) -> Database:
 def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
     for atom in query.atoms:
         tuples = list(db.relation(atom.name).tuples)
+        scalar = [
+            set(plan.destinations(atom.name, tup)) for tup in tuples
+        ]
+
+        claimed: list[set[int]] = [set() for _ in tuples]
+        for indices, keys, table in plan.claims(atom.name, tuples):
+            assert len(indices) == len(keys)
+            for dests in table.values():
+                assert len(set(dests)) == len(dests), "duplicate destination"
+                assert all(0 <= server < p for server in dests)
+            for i, key in zip(indices, keys):
+                assert 0 <= i < len(tuples)
+                assert key in table
+                claimed[i].update(table[key])
+        assert claimed == scalar, atom.name
+
         batch = plan.destinations_batch(atom.name, tuples)
         assert len(batch) == len(tuples)
         for dests in batch:
             assert len(set(dests)) == len(dests), "duplicate destination"
-            assert all(0 <= server < p for server in dests)
-        scalar = Counter(
-            server
-            for tup in tuples
-            for server in set(plan.destinations(atom.name, tup))
-        )
-        batched = Counter(server for dests in batch for server in dests)
+        assert [set(dests) for dests in batch] == scalar, atom.name
         counted = Counter(dict(plan.destination_counts(atom.name, tuples)))
-        assert batched == scalar, atom.name
-        assert +counted == scalar, atom.name
+        assert +counted == Counter(
+            server for dests in scalar for server in dests
+        ), atom.name
 
 
 def test_every_applicable_key_is_exercised():
@@ -100,9 +115,8 @@ def test_routing_contract(spec, query_name, workload, p):
     stats = HeavyHitterStatistics.of(query, db, p)
     plan = spec.build(query, stats, p).routing_plan(db, p, HashFamily(3))
 
-    # No registered algorithm reaches the scalar-loop defaults.
-    assert type(plan).destinations_batch is not RoutingPlan.destinations_batch
-    assert type(plan).destination_counts is not RoutingPlan.destination_counts
+    # No registered algorithm reaches the scalar-loop default.
+    assert type(plan).claims is not RoutingPlan.claims
     _assert_contract(plan, query, db, p)
 
 

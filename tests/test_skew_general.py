@@ -1,8 +1,15 @@
 """Unit tests for the Section 4.2 bin-combination algorithm."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import repro
+from repro.api import WorkloadSpec
 
 from repro.core import (
     BinHyperCubeAlgorithm,
@@ -344,3 +351,38 @@ class TestStatisticsReuse:
         # Run with a different p: the algorithm must rebuild stats for p=16.
         result = run_one_round(algo, db, 16, verify=True)
         assert result.is_complete
+
+
+class TestHashSeedIndependence:
+    """Bin combinations are numbered — and their inner HyperCubes salted —
+    in sorted order; the sort key must not depend on ``PYTHONHASHSEED`` (a
+    frozenset of two variable names prints in hash order)."""
+
+    TRIANGLE = "q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
+
+    def test_fixture_has_a_combination_on_several_variables(self):
+        q = parse_query(self.TRIANGLE)
+        db = WorkloadSpec(kind="zipf", m=1500, skew=1.3, seed=7).build(q)
+        plan = BinHyperCubeAlgorithm(q).routing_plan(db, 64, HashFamily(7))
+        assert any(len(c.combo.variables) >= 2 for c in plan.combo_plans)
+
+    def test_records_do_not_depend_on_the_hash_seed(self):
+        def records(hash_seed):
+            source = os.path.dirname(os.path.dirname(repro.__file__))
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "sweep", self.TRIANGLE,
+                 "--workload", "zipf", "--skew", "1.3", "--m", "1500",
+                 "--p", "64", "--seeds", "7", "--algorithms", "bin-hypercube",
+                 "--format", "json", "-q"],
+                text=True, capture_output=True, timeout=120, check=True,
+                env={**os.environ, "PYTHONPATH": source,
+                     "PYTHONHASHSEED": hash_seed},
+            )
+            out = json.loads(done.stdout)
+            for record in out:
+                del record["wall_seconds"]
+            return out
+
+        first = records("1")
+        assert first and first[0]["status"] == "ok"
+        assert first == records("2")
