@@ -59,8 +59,8 @@ from ..mpc.farm import Farm, FarmUnavailable, Outcome, check_workers
 from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
-from ..rounds import run_rounds
-from ..seq.relation import Database
+from ..rounds import oracle_answers, run_rounds
+from ..seq.relation import Database, Tuple
 from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
 from .registry import Statistics, algorithm_keys, applicable_specs, get_spec
@@ -313,10 +313,14 @@ class PreparedCache(Protocol):
 class _OneDatabase:
     """A :class:`PreparedCache` over the caller's, if any, that adds a
     one-slot ``data`` section: a database is a function of (query, workload)
-    alone, and grid order puts the groups that share one side by side."""
+    alone, and grid order puts the groups that share one side by side.
+    Next to it, one slot for the sequential oracle's answers on the
+    database in use (:meth:`expected`) — never the caller's cache, whose
+    entries outlive the sweep."""
 
     def __init__(self, cache: PreparedCache | None) -> None:
         self.cache, self.held = cache, (None, None)
+        self.oracle = (None, None)      # (database, its answers or None)
 
     def get_or_build(self, section, key, builder):
         if section == "data":
@@ -326,6 +330,21 @@ class _OneDatabase:
         if self.cache is None:
             return builder()
         return self.cache.get_or_build(section, key, builder)
+
+    def expected(
+        self, cell: Cell, query: ConjunctiveQuery, db: Database,
+        obs: Observation | None,
+    ) -> frozenset[Tuple] | None:
+        """What a verifying ``cell`` compares its answers with (None for
+        any other): evaluated by the first one on ``db``, shared by the
+        rest, dropped by the first cell of another database."""
+        if self.oracle[0] is not db:
+            self.oracle = db, None
+        if not cell.verify:
+            return None
+        if self.oracle[1] is None:
+            self.oracle = db, oracle_answers(query, db, obs)
+        return self.oracle[1]
 
 
 def _prepare(
@@ -376,11 +395,13 @@ def _prepare(
 def _execute(
     cell: Cell, db: Database, query_plan,
     obs: Observation | None = None,
+    expected: frozenset[Tuple] | None = None,
 ) -> RunRecord:
     """Run one cell's algorithm in a prepared context; build the record.
 
     One call into :func:`repro.rounds.run_rounds`, whatever the
-    algorithm's round count.
+    algorithm's round count.  A verifying cell evaluates the sequential
+    oracle itself unless handed its answers as ``expected``.
 
     Observability: when the cell asks for it (``cell.observe``) or a
     sweep-level ``obs`` is supplied, the round runs against a *fresh*
@@ -414,6 +435,7 @@ def _execute(
             verify=cell.verify,
             engine=cell.engine,
             obs=cell_obs,
+            expected=expected,
         )
     wall = time.perf_counter() - started
     metrics_block = None
@@ -505,8 +527,10 @@ def _execute_serial(
     cache: PreparedCache | None,
 ) -> None:
     """In-process execution: one ``_prepare`` per distinct coordinate
-    group (order-independent — shuffled grids do not re-prepare), with
-    per-cell and per-group fault isolation.  Timeouts need process
+    group (order-independent — shuffled grids do not re-prepare) and, for
+    verifying cells, one sequential-oracle evaluation per database, with
+    per-cell and per-group fault isolation (an oracle that raises fails
+    the verifying cells of its database).  Timeouts need process
     isolation, so they are the farm's job."""
     cache = _OneDatabase(cache)
     groups: dict[tuple, list[int]] = {}
@@ -527,7 +551,11 @@ def _execute_serial(
             for i in indexes:
                 started = time.perf_counter()
                 try:
-                    record = _execute(cells[i], db, query_plan, obs=obs)
+                    record = _execute(
+                        cells[i], db, query_plan, obs=obs,
+                        expected=cache.expected(
+                            cells[i], query_plan.query, db, obs),
+                    )
                 except Exception as exc:
                     _LOG.warning("sweep: cell %d failed: %s", i, exc)
                     record = failure_record(
@@ -822,10 +850,14 @@ class Experiment:
         cells = self.cells()
         if not cells:
             return []
-        # All cells share one workload x p point: build it once.
+        # All cells share one workload x p point: build it once, and
+        # evaluate the oracle once if they verify.
         with maybe_timed(obs, "experiment.prepare", query=str(self.query)):
             db, query_plan = _prepare(cells, obs=obs)
-        return [_execute(cell, db, query_plan, obs=obs) for cell in cells]
+        expected = (oracle_answers(query_plan.query, db, obs)
+                    if self.verify else None)
+        return [_execute(cell, db, query_plan, obs=obs, expected=expected)
+                for cell in cells]
 
 
 #: The sweep spec, for :func:`_spec_fields`.

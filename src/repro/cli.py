@@ -97,7 +97,7 @@ from .core import (
 )
 from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
-from .rounds import run_rounds
+from .rounds import oracle_answers, run_rounds
 from .sketch import (
     SketchConfig,
     SketchedHeavyHitterStatistics,
@@ -316,10 +316,14 @@ def cmd_race(args: argparse.Namespace) -> int:
           f"{query_plan.lower_bound_bits:,.0f} bits\n")
     print(f"{'algorithm':>20} {'predicted':>12} {'max load bits':>14} "
           f"{'tuples':>7} {'repl.':>6} {'complete':>9}")
+    # One sequential join for all the algorithms; without --verify no
+    # answers are computed at all, only loads.
+    expected = oracle_answers(query, db, obs) if args.verify else None
     for prediction in query_plan.applicable:
         algorithm = query_plan.instantiate(prediction.key)
         result = run_rounds(
-            algorithm, db, args.p, seed=args.seed, verify=args.verify,
+            algorithm, db, args.p, seed=args.seed,
+            compute_answers=args.verify, expected=expected,
             engine=args.engine, obs=obs,
         )
         complete = "-" if result.is_complete is None else str(result.is_complete)
@@ -635,7 +639,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=available_engines(),
                         default="batched")
     parser.add_argument("--verify", action="store_true",
-                        help="verify completeness in every cell (slow)")
+                        help="verify completeness in every cell (one "
+                             "sequential join per database, plus every "
+                             "cell's local joins and a set comparison)")
     parser.add_argument("--format", choices=["json", "csv", "summary"],
                         default="json")
     parser.add_argument("--workers", type=int, default=None,

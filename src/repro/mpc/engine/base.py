@@ -13,20 +13,24 @@ Bit-identity is achievable because all load accounting computes per-server
 bits as ``received_count * tuple_bits`` per relation, folded in the query's
 atom order — never as an order-dependent running float sum.
 
-Observability hooks on :meth:`ExecutionEngine.run`: ``run`` is a template
-method — it opens the ``engine.run`` span, delegates to the
-engine-specific :meth:`ExecutionEngine._run`, then records the standard
-result metrics (tuples routed, bits shipped, per-server load histogram,
-skew ratio) every engine must agree on.  With ``obs=None`` (the default)
-the template is a plain delegation and no instrument is touched, so
-disabled observability is free.
+:meth:`ExecutionEngine.run` is a template method — it opens the
+``engine.run`` span, delegates to the engine-specific
+:meth:`ExecutionEngine._run`, evaluates the sequential oracle when asked to
+verify (``engine.verify``; an engine cannot forget it or do it differently),
+then records the standard result metrics (tuples routed, bits shipped,
+per-server load histogram, skew ratio) every engine must agree on.  With
+``obs=None`` (the default) no instrument is touched, so disabled
+observability is free.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from ...obs import maybe_timed
+from ...seq.join import evaluate
 from ...seq.relation import Database
 from ..execution import ExecutionResult, OneRoundAlgorithm
 
@@ -62,17 +66,19 @@ class ExecutionEngine(ABC):
         metrics for the round; the engine-independent result metrics are
         recorded here so every engine reports them identically.
         """
-        if obs is None:
-            return self._run(algorithm, db, p, seed, compute_answers, verify,
-                             None)
-        with obs.timed(
-            "engine.run",
+        with maybe_timed(
+            obs, "engine.run",
             engine=self.name, algorithm=algorithm.name, p=p, seed=seed,
         ):
-            result = self._run(
-                algorithm, db, p, seed, compute_answers, verify, obs
-            )
-        self._record_result_metrics(obs, result)
+            result = self._run(algorithm, db, p, seed, compute_answers, obs)
+            if verify:
+                with maybe_timed(obs, "engine.verify"):
+                    result = replace(
+                        result,
+                        expected_answers=evaluate(algorithm.query, db),
+                    )
+        if obs is not None:
+            self._record_result_metrics(obs, result)
         return result
 
     @abstractmethod
@@ -83,10 +89,10 @@ class ExecutionEngine(ABC):
         p: int,
         seed: int,
         compute_answers: bool,
-        verify: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
-        """Engine-specific round simulation (``obs`` may be None)."""
+        """Engine-specific round simulation (``obs`` may be None); leaves
+        ``expected_answers`` unset — verification is :meth:`run`'s."""
 
     @staticmethod
     def _record_result_metrics(

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from ...obs import maybe_timed
 from ...query.atoms import ConjunctiveQuery
-from ...seq.join import evaluate
 from ...seq.relation import Database, Tuple
 from ..execution import ExecutionResult, OneRoundAlgorithm, RoutingPlan
 from ..hashing import HashFamily
@@ -52,7 +51,6 @@ class BatchedEngine(ExecutionEngine):
         p: int,
         seed: int,
         compute_answers: bool,
-        verify: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         if p < 1:
@@ -89,12 +87,8 @@ class BatchedEngine(ExecutionEngine):
             if ledger.fragments is not None:
                 occupied = [frag for frag in ledger.fragments if frag]
                 with maybe_timed(obs, "engine.local_join"):
-                    answers = frozenset(shards.join(occupied))
+                    answers = shards.join(occupied)
 
-        expected = None
-        if verify:
-            with maybe_timed(obs, "engine.verify"):
-                expected = evaluate(query, db)
         return ExecutionResult(
             algorithm=algorithm.name,
             query=query,
@@ -102,7 +96,6 @@ class BatchedEngine(ExecutionEngine):
             seed=seed,
             report=ledger.report(input_tuples, input_bits),
             answers=answers,
-            expected_answers=expected,
             details=dict(plan.describe()),
         )
 

@@ -84,10 +84,12 @@ class _FarmShards:
                            tuples, relation_name)
         return [shard for (shard,) in routed]
 
-    def join(self, occupied: list[dict[str, set[Tuple]]]) -> set[Tuple]:
-        return set().union(
-            *self._run("join", "the local joins", "servers", occupied)
-        )
+    def join(
+        self, occupied: list[dict[str, set[Tuple]]]
+    ) -> frozenset[Tuple]:
+        parts = self._run("join", "the local joins", "servers", occupied)
+        # A lone chunk's answers as they are: a union would copy them.
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def _run(
         self, phase: str, what: str, unit: str, items: list, *head: object

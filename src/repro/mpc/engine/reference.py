@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...obs import maybe_timed
-from ...seq.join import evaluate, local_join
+from ...seq.join import local_join
 from ...seq.relation import Database, Tuple
 from ..cluster import Cluster
 from ..execution import ExecutionResult, OneRoundAlgorithm
@@ -38,7 +38,6 @@ class ReferenceEngine(ExecutionEngine):
         p: int,
         seed: int,
         compute_answers: bool,
-        verify: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         query = algorithm.query
@@ -82,10 +81,6 @@ class ReferenceEngine(ExecutionEngine):
                         )
             answers = frozenset(collected)
 
-        expected = None
-        if verify:
-            with maybe_timed(obs, "engine.verify"):
-                expected = evaluate(query, db)
         return ExecutionResult(
             algorithm=algorithm.name,
             query=query,
@@ -93,6 +88,5 @@ class ReferenceEngine(ExecutionEngine):
             seed=seed,
             report=cluster.load_report(input_tuples, input_bits),
             answers=answers,
-            expected_answers=expected,
             details=dict(plan.describe()),
         )

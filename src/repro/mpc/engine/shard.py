@@ -7,7 +7,8 @@ Both engines run the same kernel through the two methods
 whole relation in-process, one chunk per farm worker in ``mp`` — is routed
 by :func:`route_shard`, the shards of a relation are folded into the
 round's :class:`RoundLedger`, and the occupied servers are joined a shard
-at a time by :func:`join_shard`.  *Where* shards run is the one thing the
+at a time by :func:`join_shard` (one answer set per shard, built once from
+its servers' rows — the in-process engine returns it as it is).  *Where* shards run is the one thing the
 engines differ in: :class:`InProcessShards` called here, or the same
 object called in the workers of a :class:`repro.mpc.farm.Farm` in ``mp``.
 Counts merge by integer addition and fragments by set union, and bits are
@@ -18,10 +19,11 @@ depend on how a relation was sharded.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from ...query.atoms import ConjunctiveQuery
-from ...seq.join import local_join
+from ...seq.join import local_join_rows
 from ...seq.relation import Tuple
 from ..cluster import LoadReport
 from ..execution import RoutingPlan
@@ -59,12 +61,13 @@ def join_shard(
     query: ConjunctiveQuery,
     server_fragments: Iterable[Mapping[str, set[Tuple]]],
     domain_size: int,
-) -> set[Tuple]:
-    """Join the fragments of a shard of servers and union their answers."""
-    collected: set[Tuple] = set()
-    for fragments in server_fragments:
-        collected |= local_join(query, fragments, domain_size)
-    return collected
+) -> frozenset[Tuple]:
+    """Join the fragments of a shard of servers and union their answers:
+    one set, built once, from the rows of all of them."""
+    return frozenset(chain.from_iterable(
+        local_join_rows(query, fragments, domain_size)
+        for fragments in server_fragments
+    ))
 
 
 class InProcessShards:
@@ -90,7 +93,7 @@ class InProcessShards:
 
     def join(
         self, occupied: Sequence[Mapping[str, set[Tuple]]]
-    ) -> set[Tuple]:
+    ) -> frozenset[Tuple]:
         return join_shard(self.query, occupied, self.domain_size)
 
 

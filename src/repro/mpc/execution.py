@@ -333,7 +333,8 @@ class ExecutionResult:
     seed: int
     report: LoadReport
     answers: frozenset[Tuple] | None
-    expected_answers: frozenset[Tuple] | None
+    #: The sequential oracle's answers, when the run verified.
+    expected_answers: frozenset[Tuple] | None = None
     details: Mapping[str, object] = field(default_factory=dict)
 
     @property

@@ -33,7 +33,12 @@ from .base import (
     select_one_round,
 )
 from .composed import RoundComposedJoin
-from .executor import ROUND_SEED_STRIDE, MultiRoundResult, run_rounds
+from .executor import (
+    ROUND_SEED_STRIDE,
+    MultiRoundResult,
+    oracle_answers,
+    run_rounds,
+)
 from .triangle import TwoRoundTriangle
 
 # Ranked only when the planner's round budget admits them
@@ -63,6 +68,7 @@ __all__ = [
     "TwoRoundTriangle",
     "estimate_join_size",
     "intermediate_name",
+    "oracle_answers",
     "predict_one_round",
     "run_rounds",
     "select_one_round",

@@ -47,6 +47,8 @@ class MultiRoundResult:
     rounds: tuple[ExecutionResult, ...]
     answers: frozenset[Tuple] | None
     expected_answers: frozenset[Tuple] | None
+    #: ``answers == expected_answers``; None unless both are there.
+    is_complete: bool | None
     input_bits: float
     input_tuples: int
     details: Mapping[str, object] = field(default_factory=dict)
@@ -97,12 +99,6 @@ class MultiRoundResult:
     def answer_count(self) -> int | None:
         return None if self.answers is None else len(self.answers)
 
-    @property
-    def is_complete(self) -> bool | None:
-        if self.answers is None or self.expected_answers is None:
-            return None
-        return self.answers == self.expected_answers
-
     def describe(self) -> str:
         loads = ", ".join(f"{bits:,.0f}" for bits in self.round_load_bits)
         return (
@@ -125,6 +121,19 @@ def _round_database(
     return Database.from_relations(relations)
 
 
+def oracle_answers(
+    query: ConjunctiveQuery, db: Database, obs: Observation | None = None
+) -> frozenset[Tuple]:
+    """The sequential oracle's answers, under the ``rounds.verify`` span.
+
+    What ``run_rounds(verify=True)`` compares with.  A caller that runs
+    many algorithms on one database evaluates once, here, and hands the
+    set to each run as ``expected=``.
+    """
+    with maybe_timed(obs, "rounds.verify"):
+        return evaluate(query, db)
+
+
 def run_rounds(
     algorithm: MPCAlgorithm,
     db: Database,
@@ -134,6 +143,7 @@ def run_rounds(
     verify: bool = False,
     engine: str | ExecutionEngine = "batched",
     obs: Observation | None = None,
+    expected: frozenset[Tuple] | None = None,
 ) -> MultiRoundResult:
     """Simulate every communication round of ``algorithm`` on ``db``.
 
@@ -145,7 +155,9 @@ def run_rounds(
     round's input; the final round honors ``compute_answers``.
     ``verify=True`` checks the final answers against the sequential
     evaluation of the *original* query on the *base* database, the
-    strongest completeness check available.
+    strongest completeness check available; it is evaluated here
+    (:func:`oracle_answers`) unless the caller hands it in as ``expected``.
+    The comparison runs under the ``rounds.compare`` span.
     """
     db.validate_against(algorithm.query)
     resolved = resolve_engine(engine)
@@ -202,10 +214,13 @@ def run_rounds(
                     domain_size=db.domain_size,
                 )
 
-        expected = None
-        if verify:
-            with maybe_timed(obs, "rounds.verify"):
-                expected = evaluate(algorithm.query, db)
+        answers = results[-1].answers
+        if verify and expected is None:
+            expected = oracle_answers(algorithm.query, db, obs)
+        is_complete = None
+        if answers is not None and expected is not None:
+            with maybe_timed(obs, "rounds.compare"):
+                is_complete = answers == expected
         if obs is not None:
             obs.set_gauge("rounds.max_load_bits", max(
                 r.max_load_bits for r in results
@@ -217,8 +232,9 @@ def run_rounds(
         p=p,
         seed=seed,
         rounds=tuple(results),
-        answers=results[-1].answers,
+        answers=answers,
         expected_answers=expected,
+        is_complete=is_complete,
         input_bits=input_bits,
         input_tuples=input_tuples,
         details={

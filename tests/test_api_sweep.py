@@ -1,6 +1,7 @@
 """The experiment/sweep runner and the RunRecord schema."""
 
 import json
+import weakref
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.api import (
     RunRecord,
     Sweep,
     WorkloadSpec,
+    execute_cells,
     records_from_json,
     records_to_csv,
     run_cell,
@@ -21,8 +23,14 @@ from repro.api import (
 from repro.mpc.engine import EngineError
 from repro.obs import Observation
 from repro.query import parse_query
+from repro.rounds import executor
 
 JOIN_TEXT = "q(x, y, z) :- S1(x, z), S2(y, z)"
+
+
+def measurements(record):
+    """Everything on a record that is not a timing."""
+    return {**record.to_dict(), "wall_seconds": None, "metrics": None}
 
 
 class TestRegistryErrorMessages:
@@ -296,11 +304,6 @@ class TestOneDatabasePerWorkloadSpec:
     GRID = dict(query=JOIN_TEXT, workload="zipf", m_values=(60,),
                 p_values=(4, 8), stats=("exact", "sketch"), rounds=(1, 2))
 
-    @staticmethod
-    def _measurements(record):
-        """Everything on a record that is not a timing."""
-        return {**record.to_dict(), "wall_seconds": None, "metrics": None}
-
     def test_one_generate_per_m_skew_seed(self):
         sweep = Sweep(skews=(0.0, 1.2), seeds=(0, 3), **self.GRID)
         cells = sweep.cells()
@@ -314,17 +317,17 @@ class TestOneDatabasePerWorkloadSpec:
         assert count("stats.build") == 32       # still one per group
         assert len(obs.tracer.finished_spans("sweep.prepare")) == 32
         # Sharing changes nothing a record can show.
-        assert [self._measurements(r) for r in result] == \
-            [self._measurements(run_cell(cell)) for cell in cells]
+        assert [measurements(r) for r in result] == \
+            [measurements(run_cell(cell)) for cell in cells]
 
     def test_shuffled_groups_regenerate_but_agree(self):
         sweep = Sweep(skews=(0.0, 1.2), algorithms=("hashjoin",), **self.GRID)
         cells = sweep.cells()
         shuffled = cells[::2] + cells[1::2]
-        by_cell = {cell: self._measurements(record) for cell, record in
+        by_cell = {cell: measurements(record) for cell, record in
                    zip(shuffled, sweep.run(cells=shuffled))}
         assert [by_cell[cell] for cell in cells] == \
-            [self._measurements(r) for r in sweep.run(cells=cells)]
+            [measurements(r) for r in sweep.run(cells=cells)]
 
     def test_failed_generation_fails_exactly_its_own_cells(self):
         """36 tuples fit a domain of 6; 50 do not.  The failing database
@@ -340,6 +343,113 @@ class TestOneDatabasePerWorkloadSpec:
                 assert "a space of 36" in record.status
             else:
                 assert record.ok and record.max_load_bits > 0
+
+
+class TestOneOracleEvaluationPerDatabase:
+    """A verified serial sweep joins sequentially once per database and
+    compares in every cell; the answer set lives as long as the database
+    is the one in use."""
+
+    GRID = dict(query=JOIN_TEXT, workload="worst", m_values=(30,),
+                p_values=(4, 8),
+                algorithms=("hashjoin", "hypercube-lp", "skew-join"))
+
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """The databases the sequential oracle was evaluated on (local
+        joins do not come this way)."""
+        calls, real = [], executor.evaluate
+
+        def counting(query, db):
+            calls.append(db)
+            return real(query, db)
+
+        monkeypatch.setattr(executor, "evaluate", counting)
+        return calls
+
+    def test_one_evaluation_for_six_cells(self, oracle_calls):
+        result = Sweep(verify=True, **self.GRID).run()
+        assert len(result) == 6
+        assert all(r.ok and r.complete is True and r.answer_count == 900
+                   for r in result)
+        assert len(oracle_calls) == 1
+
+    def test_one_evaluation_per_database(self, oracle_calls):
+        sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
+        assert all(r.complete is True for r in sweep.run())
+        assert [db.relation("S1").cardinality for db in oracle_calls] == \
+            [20, 30]
+
+    def test_an_experiment_evaluates_once(self, oracle_calls):
+        records = Experiment(JOIN_TEXT, WorkloadSpec("worst", m=30), p=4,
+                             algorithms="applicable", verify=True).run()
+        assert len(records) > 1 and all(r.complete is True for r in records)
+        assert len(oracle_calls) == 1
+
+    def test_unverified_sweep_never_evaluates(self, oracle_calls):
+        result = Sweep(compute_answers=True, **self.GRID).run()
+        assert all(r.complete is None and r.answer_count == 900
+                   for r in result)
+        assert oracle_calls == []
+
+    def test_shuffled_and_farmed_grids_agree(self):
+        sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
+        cells = sweep.cells()
+        serial = [measurements(r) for r in sweep.run(cells=cells)]
+        shuffled = cells[::2] + cells[1::2]
+        by_cell = {cell: measurements(record) for cell, record in
+                   zip(shuffled, sweep.run(cells=shuffled))}
+        assert [by_cell[cell] for cell in cells] == serial
+        farmed = sweep.run(cells=cells, max_workers=2)
+        assert [measurements(r) for r in farmed] == serial
+
+    def test_a_raising_oracle_fails_the_verifying_cells_of_its_database(
+        self, monkeypatch
+    ):
+        real = executor.evaluate
+
+        def flaky(query, db):
+            if db.relation("S1").cardinality == 20:
+                raise RuntimeError("oracle out of memory")
+            return real(query, db)
+
+        monkeypatch.setattr(executor, "evaluate", flaky)
+        grid = {**self.GRID, "m_values": (20, 30)}
+        cells = Sweep(verify=True, **grid).cells() + \
+            Sweep(compute_answers=True, **grid).cells()
+        records = execute_cells(cells)
+        assert len(records) == 24
+        for cell, record in zip(cells, records):
+            if cell.verify and cell.m == 20:
+                assert record.status == \
+                    "failed:RuntimeError: oracle out of memory"
+            else:
+                assert record.ok and record.answer_count == cell.m ** 2
+                assert record.complete is (True if cell.verify else None)
+
+    def test_answers_are_held_no_longer_than_their_database(
+        self, monkeypatch
+    ):
+        class Answers(frozenset):
+            """A frozenset that can be weakly referenced."""
+
+        made, real = [], executor.evaluate
+
+        def tracked(query, db):
+            answers = Answers(real(query, db))
+            made.append(weakref.ref(answers))
+            return answers
+
+        monkeypatch.setattr(executor, "evaluate", tracked)
+        alive_at_each_record = []
+        sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
+        result = sweep.run(progress=lambda record: alive_at_each_record.append(
+            [ref() is not None for ref in made]))
+        assert all(r.complete is True for r in result)
+        # Six cells on the first database, then six on the second: the
+        # first answer set is gone by the time the second is in use.
+        assert alive_at_each_record == [[True]] * 6 + [[False, True]] * 6
+        assert [ref() for ref in made] == [None, None]
 
 
 class TestRecordSchema:

@@ -102,6 +102,40 @@ class TestRaceCommand:
         out = capsys.readouterr().out
         assert "False" not in out
 
+    WORST = ["race", "q(x,y,z) :- S1(x,z), S2(y,z)",
+             "--workload", "worst", "-m", "40", "-p", "4", "--metrics"]
+
+    @staticmethod
+    def _table_and_metrics(out):
+        """The result rows and the metrics (name -> the first column of
+        its value) of a ``race --metrics`` printout."""
+        table, _, metrics = out.partition("not applicable:")
+        rows = [line.split() for line in
+                table.partition("complete\n")[2].splitlines() if line.strip()]
+        return rows, dict(line.split()[:2] for line in
+                          metrics.splitlines()[1:] if line.strip())
+
+    def test_race_without_verify_only_measures_loads(self, capsys):
+        """No --verify, no answers: nothing is joined to be thrown away,
+        and the table reads the same apart from the ``complete`` column."""
+        assert main(self.WORST) == 0
+        plain_rows, plain = self._table_and_metrics(capsys.readouterr().out)
+        assert main(self.WORST + ["--verify"]) == 0
+        verified_rows, verified = self._table_and_metrics(
+            capsys.readouterr().out)
+        assert len(plain_rows) == 6
+        assert [row[-1] for row in plain_rows] == ["-"] * 6
+        assert [row[-1] for row in verified_rows] == ["True"] * 6
+        assert [row[:-1] for row in plain_rows] == \
+            [row[:-1] for row in verified_rows]
+        # Six local joins and comparisons, one sequential join for all.
+        assert {name: verified[name] for name in verified.keys() - plain} == {
+            "engine.answers": "9,600",
+            "engine.local_join.seconds": "n=6",
+            "rounds.compare.seconds": "n=6",
+            "rounds.verify.seconds": "n=1",
+        }
+
     def test_unknown_workload(self):
         with pytest.raises(SystemExit):
             main([

@@ -29,8 +29,9 @@ from repro.mpc import (
     ReferenceEngine,
     run_one_round,
 )
+from repro.obs import Observation
 from repro.query import parse_query, simple_join_query
-from repro.seq import Database
+from repro.seq import Database, evaluate
 from repro.stats import SimpleStatistics
 
 P = 8
@@ -180,6 +181,33 @@ def test_verify_flag_round_trips_through_engines():
     for engine in ("reference", "batched", "mp"):
         result = run_one_round(algorithm, db, P, verify=True, engine=engine)
         assert result.is_complete, engine
+
+
+@pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+def test_verification_belongs_to_the_run_template(engine):
+    """An engine's ``_run`` only simulates the round: ``run`` evaluates the
+    oracle, inside the ``engine.run`` span, the same way for every engine
+    — and not at all unless asked."""
+    db = _join_db("zipf", seed=1)
+    algorithm = SkewAwareJoin(simple_join_query())
+    obs = Observation.create()
+    plain = run_one_round(algorithm, db, P, engine=engine, obs=obs)
+    assert plain.expected_answers is None and plain.is_complete is None
+    assert obs.tracer.finished_spans("engine.verify") == ()
+    verified = run_one_round(
+        algorithm, db, P, verify=True, engine=engine, obs=obs
+    )
+    assert verified.expected_answers == evaluate(algorithm.query, db)
+    assert verified.is_complete is True
+    assert verified.answers == plain.answers
+    assert verified.report == plain.report
+    (span,) = obs.tracer.finished_spans("engine.verify")
+    assert span.parent.name == "engine.run"
+    load_only = run_one_round(
+        algorithm, db, P, verify=True, compute_answers=False, engine=engine
+    )
+    assert load_only.expected_answers is not None
+    assert load_only.is_complete is None
 
 
 def test_engine_instances_accepted():

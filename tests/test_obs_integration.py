@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.api import RunRecord, Sweep, WorkloadSpec, plan, records_from_json
+from repro.api import (
+    Cell,
+    RunRecord,
+    Sweep,
+    WorkloadSpec,
+    plan,
+    records_from_json,
+    run_cell,
+)
 from repro.cli import main
 from repro.mpc import run_one_round
 from repro.obs import Observation
@@ -139,6 +147,55 @@ class TestRecordMetricsBlock:
         )
         restored = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert restored.metrics is None
+
+
+class TestVerifiedSweepSpans:
+    """Where verification time goes in a sweep's trace: the sequential join
+    once per database, the set comparison in every cell."""
+
+    @pytest.fixture(scope="class")
+    def obs(self):
+        obs = Observation.create()
+        result = Sweep(
+            query=QUERY, workload="worst", p_values=(4, 8), m_values=(30,),
+            verify=True,
+        ).run(obs=obs)
+        assert len(result) == 12
+        assert all(r.complete is True and r.answer_count == 900
+                   for r in result)
+        return obs
+
+    def test_one_evaluation_twelve_comparisons(self, obs):
+        assert len(obs.tracer.finished_spans("rounds.verify")) == 1
+        assert len(obs.tracer.finished_spans("rounds.compare")) == 12
+        # Nothing underneath evaluates on the side.
+        assert obs.tracer.finished_spans("engine.verify") == ()
+
+    def test_comparisons_are_inside_their_cells(self, obs):
+        def ancestors(span):
+            while span.parent is not None:
+                span = span.parent
+                yield span.name
+
+        cells = obs.tracer.finished_spans("sweep.cell")
+        assert len(cells) == 12
+        for span in obs.tracer.finished_spans("rounds.compare"):
+            assert "sweep.cell" in ancestors(span)
+        # The oracle is charged to the sweep, not to whichever cell
+        # happened to come first.
+        (oracle,) = obs.tracer.finished_spans("rounds.verify")
+        assert "sweep.cell" not in ancestors(oracle)
+        assert "sweep.run" in ancestors(oracle)
+
+    def test_a_farmed_cell_still_evaluates_for_itself(self):
+        record = run_cell(Cell(
+            query=QUERY, workload="worst", m=30, skew=1.0, seed=0, p=4,
+            algorithm="hashjoin", verify=True, observe=True,
+        ))
+        assert record.complete is True
+        histograms = record.metrics["histograms"]
+        assert histograms["rounds.verify.seconds"]["count"] == 1
+        assert histograms["rounds.compare.seconds"]["count"] == 1
 
 
 class TestCliObservability:

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import uniform_relation
 from repro.query import parse_query, triangle_query
@@ -13,6 +15,7 @@ from repro.seq import (
     count_answers,
     evaluate,
     expected_answer_count,
+    iterate_answers,
     local_join,
 )
 
@@ -116,6 +119,107 @@ class TestEvaluate:
             ]
         )
         assert count_answers(q, db) == 4
+
+
+class Projected:
+    """A query-shaped value whose head keeps only some of the body's
+    variables.  ``ConjunctiveQuery`` is always full; the kernel is not."""
+
+    def __init__(self, body, head):
+        full = parse_query(body)
+        self.atoms, self.variables = full.atoms, full.variables
+        self.num_variables = full.num_variables
+        self.head = tuple(head)
+
+
+#: One query per branch of the kernel.
+KERNEL_QUERIES = {
+    "cartesian step": parse_query("q(x, y) :- S(x), T(y)"),
+    "one shared variable": parse_query("q(x, y, z) :- S1(x, z), S2(y, z)"),
+    "two shared variables, head permuted":
+        parse_query("q(z, x, y) :- R(x, y), S(y, z), T(z, x)"),
+    "repeated variable, first atom": parse_query("q(x, y) :- S(x, x), T(x, y)"),
+    "repeated variable, probed atom":
+        parse_query("q(x, y) :- T(x, y), S(y, y, x)"),
+    "filter step, no new variable": parse_query("q(x, y) :- T(x, y), S(y)"),
+    "head reversed": parse_query("q(d, c, b, a) :- R(a, b), S(b, c), T(c, d)"),
+    "one-variable head": parse_query("q(x) :- S(x), T(x)"),
+    "projecting head": Projected("S1(x, z), S2(y, z)", ("y", "x")),
+    "projecting one-variable head": Projected("S1(x, z), S2(y, z)", ("z",)),
+    "boolean head": Projected("S1(x, z), S2(y, z)", ()),
+    "boolean head over a cartesian step": Projected("S(x), T(y)", ()),
+}
+
+
+@st.composite
+def small_databases(draw, query):
+    """A database for ``query`` over a domain of at most 4 values; any
+    relation may be empty, and small domains make joins die midway."""
+    domain = draw(st.integers(1, 4))
+    return Database.from_relations(
+        Relation(
+            name=atom.name,
+            arity=atom.arity,
+            tuples=draw(st.frozensets(
+                st.tuples(*[st.integers(0, domain - 1)] * atom.arity),
+                max_size=8,
+            )),
+            domain_size=domain,
+        )
+        for atom in query.atoms
+    )
+
+
+def assert_kernel_agrees(query, db):
+    """All four entry points of the kernel against ``brute_force``."""
+    expected = brute_force(query, db)
+    assert evaluate(query, db) == expected
+    assert set(iterate_answers(query, db)) == expected
+    assert count_answers(query, db) == len(expected)
+    fragments = {rel.name: set(rel.tuples) for rel in db}
+    assert local_join(query, fragments, db.domain_size) == expected
+
+
+class TestKernelAgainstBruteForce:
+    @pytest.mark.parametrize("name", KERNEL_QUERIES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_small_instances(self, name, data):
+        query = KERNEL_QUERIES[name]
+        assert_kernel_agrees(query, data.draw(small_databases(query)))
+
+    @pytest.mark.parametrize("empty", ["R", "S", "T"])
+    def test_an_empty_relation_anywhere_in_the_join(self, empty):
+        query = KERNEL_QUERIES["head reversed"]
+        tuples = {"R": [(0, 1), (1, 1)], "S": [(1, 2)], "T": [(2, 0), (2, 3)]}
+        db = Database.from_relations(
+            Relation.build(name, [] if name == empty else rows,
+                           arity=2, domain_size=4)
+            for name, rows in tuples.items()
+        )
+        assert_kernel_agrees(query, db)
+        assert evaluate(query, db) == frozenset()
+
+    def test_a_join_that_dies_midway(self):
+        """No relation is empty; the second step finds no partner."""
+        query = KERNEL_QUERIES["head reversed"]
+        db = Database.from_relations([
+            Relation.build("R", [(0, 1)], domain_size=4),
+            Relation.build("S", [(2, 3), (3, 3)], domain_size=4),
+            Relation.build("T", [(3, 0), (3, 1), (1, 2)], domain_size=4),
+        ])
+        assert_kernel_agrees(query, db)
+        assert count_answers(query, db) == 0
+
+    def test_projection_collapses_duplicates(self):
+        query = KERNEL_QUERIES["projecting one-variable head"]
+        db = Database.from_relations([
+            Relation.build("S1", [(0, 2), (1, 2)], domain_size=3),
+            Relation.build("S2", [(0, 2), (1, 2), (2, 1)], domain_size=3),
+        ])
+        assert list(iterate_answers(query, db)) == [(2,)] * 4
+        assert evaluate(query, db) == frozenset({(2,)})
+        assert count_answers(query, db) == 1
 
 
 class TestLocalJoin:

@@ -580,3 +580,25 @@ class TestJobQueueUnit:
         for entry in result["records"]:
             validate_record(entry)
         queue.shutdown()
+
+    def test_verified_sweep_job_caches_what_an_unverified_one_does(self):
+        """Oracle answers live with the executor, never in the 64-entry
+        catalog cache, where they would outlive the job."""
+        spec = {"query": JOIN_TEXT, "workload": "worst", "p_values": [4, 8],
+                "m_values": [20, 30], "algorithms": ["hashjoin", "skew-join"]}
+        contents = {}
+        for verify in (False, True):
+            queue = JobQueue(workers=1)
+            job = queue.submit("sweep", {**spec, "verify": verify})
+            assert queue.join(timeout=120)
+            records = queue.result(job.id)["records"]
+            queue.shutdown()
+            assert [r["complete"] for r in records] == \
+                [True if verify else None] * 8
+            contents[verify] = {
+                section: sorted(map(repr, entries))
+                for section, entries in queue.cache._sections.items()
+            }
+        assert contents[True] == contents[False]
+        assert {s: len(keys) for s, keys in contents[True].items()} == \
+            {"stats": 4, "plan": 4}
