@@ -19,7 +19,7 @@ pytest-benchmark wall clock.
 from __future__ import annotations
 
 from conftest import phase_ms, record
-from repro.api import Sweep
+from repro.api import Sweep, run_suite, suite_gate_failures
 from repro.obs import Observation
 
 QUERY = "q(x, y, z) :- S1(x, z), S2(y, z)"
@@ -71,61 +71,26 @@ def test_planner_regret(benchmark):
 
 
 def test_sketch_planner_regret(benchmark):
-    """Estimation error -> planner regret: planning from the one-pass
-    Count-Sketch statistics stays within 10% of the exact planner's
-    worst-case regret, and the sketch misses no true heavy hitter."""
-    from repro.sketch import (
-        SketchConfig,
-        SketchedHeavyHitterStatistics,
-        sketch_fidelity,
-    )
-    from repro.stats import HeavyHitterStatistics
-    from repro.api.bench import _worst_regret
-    from repro.api.experiment import WorkloadSpec
-    from repro.query import parse_query
-
-    sweep = Sweep(
-        query=QUERY,
-        workload="zipf",
-        p_values=P_VALUES,
-        m_values=(M,),
-        skews=SKEWS,
-        algorithms="applicable",
-        stats=("exact", "sketch"),
-    )
+    """Estimation error -> planner regret, as the pinned ``sketch`` suite
+    measures and gates it: planning from the one-pass Count-Sketch
+    statistics stays within 10% of the exact planner's worst-case regret,
+    and the sketch misses no true heavy hitter."""
     obs = Observation.create()
-    result = benchmark.pedantic(
-        lambda: sweep.run(obs=obs), rounds=1, iterations=1
+    document = benchmark.pedantic(
+        lambda: run_suite("sketch", obs=obs, repeats=1),
+        rounds=1, iterations=1,
     )
-    exact_regret = _worst_regret(
-        [r for r in result.records if r.stats == "exact"]
-    )
-    sketch_regret = _worst_regret(
-        [r for r in result.records if r.stats == "sketch"]
-    )
-
-    query = parse_query(QUERY)
-    min_recall = 1.0
-    for skew in SKEWS:
-        db = WorkloadSpec(kind="zipf", m=M, skew=skew).build(query)
-        for p in P_VALUES:
-            exact = HeavyHitterStatistics.of(query, db, p)
-            sketched = SketchedHeavyHitterStatistics.of(
-                query, db, p, config=SketchConfig()
-            )
-            min_recall = min(
-                min_recall, sketch_fidelity(exact, sketched)["recall"]
-            )
+    assert suite_gate_failures(document) == []
+    summary = document["summary"]
     record(
         benchmark,
         "E13",
-        exact_regret=exact_regret,
-        sketch_regret=sketch_regret,
-        min_recall=min_recall,
+        exact_regret=summary["exact_worst_regret"],
+        sketch_regret=summary["sketch_worst_regret"],
+        regret_ratio=summary["regret_ratio"],
+        min_recall=summary["sketch_min_recall"],
         stats_pass_ms=phase_ms(obs, "stats.build"),
     )
-    assert min_recall == 1.0
-    assert sketch_regret <= 1.10 * exact_regret
 
 
 def test_sweep_throughput(benchmark):

@@ -19,14 +19,12 @@ algorithms as *experiments* rather than hand-assembled scripts:
    :func:`repro.rounds.run_rounds`, for one round or many), driven by
    :func:`execute_cells`, the fault-isolated executor shared with
    ``repro serve``;
-4. :mod:`repro.api.bench` — :func:`run_bench` executes the pinned perf
-   suite behind ``repro bench`` and the committed ``BENCH_core.json``;
-   :func:`run_sketch_bench` is its sketch-statistics twin (exact-vs-sketch
-   planner regret and fidelity, ``BENCH_sketch.json``);
-   :func:`run_rounds_bench` prices the multi-round subsystem
-   (``BENCH_rounds.json``); :func:`run_suite` dispatches by suite name;
-   :func:`compare_bench` is the CI regression gate and
-   :func:`suite_gate_failures` the per-suite absolute one.
+4. :mod:`repro.api.bench` — :data:`BENCH_SUITES`, one :class:`Suite` row
+   per pinned perf suite behind ``repro bench`` and the committed
+   ``BENCH_<suite>.json`` files (``core``, ``sketch``, ``rounds``);
+   :func:`run_suite` runs a row by name into its bench document,
+   :func:`validate_bench` checks one, :func:`compare_bench` is the CI
+   regression gate and :func:`suite_gate_failures` the row's absolute one.
 
 The multi-round algorithms (two-round triangle, the generic
 round-composed join) and the runner ``run_rounds`` live one layer down in
@@ -47,21 +45,13 @@ Typical use::
 """
 
 from .bench import (
-    BENCH_GATES,
     BENCH_SCHEMA,
     BENCH_SUITES,
     BenchError,
-    bench_sweep,
+    Suite,
     calibrate,
     compare_bench,
-    rounds_bench_sweep,
-    rounds_gate_failures,
-    run_bench,
-    run_rounds_bench,
-    run_sketch_bench,
     run_suite,
-    sketch_bench_sweep,
-    sketch_gate_failures,
     suite_gate_failures,
     validate_bench,
 )
@@ -112,21 +102,13 @@ from .registry import (
 )
 
 __all__ = [
-    "BENCH_GATES",
     "BENCH_SCHEMA",
     "BENCH_SUITES",
     "BenchError",
-    "bench_sweep",
+    "Suite",
     "calibrate",
     "compare_bench",
-    "rounds_bench_sweep",
-    "rounds_gate_failures",
-    "run_bench",
-    "run_rounds_bench",
-    "run_sketch_bench",
     "run_suite",
-    "sketch_bench_sweep",
-    "sketch_gate_failures",
     "suite_gate_failures",
     "validate_bench",
     "Catalog",

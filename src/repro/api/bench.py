@@ -1,10 +1,13 @@
-"""The pinned benchmark suite behind ``repro bench`` and ``BENCH_core.json``.
+"""The pinned benchmark suites behind ``repro bench`` and ``BENCH_<suite>.json``.
 
-This is the repo's persisted perf trajectory: :func:`run_bench` executes a
-*pinned* workload grid (fixed query, generator kinds, skews, seeds and
-server counts) through the sweep runner with full observability, and
-reduces it to a JSON document with three regression-gateable families of
-numbers per grid cell:
+This is the repo's persisted perf trajectory.  A *suite* is one row of
+:data:`BENCH_SUITES`: a pinned workload grid (fixed query, generator
+kind, skews, seeds and server counts), the sweep axes, entry columns and
+summary numbers it adds, and its absolute acceptance gates.
+:func:`run_suite` — the only function that assembles a bench document —
+executes a row's grid through the sweep runner with full observability
+and reduces it to a JSON document with three regression-gateable
+families of numbers per grid cell:
 
 * **wall-clock** — per-cell and total, plus a machine-speed
   ``calibration_seconds`` (a fixed pure-Python workload timed on the same
@@ -15,34 +18,26 @@ numbers per grid cell:
 * **planner optimality gap** — the regret of the minimum-*predicted*-load
   pick against the minimum-*measured*-load algorithm per cell.
 
-:func:`validate_bench` checks a document against :data:`BENCH_SCHEMA`
-(what CI runs over the emitted file); :func:`compare_bench` produces the
-list of regressions versus a committed baseline (empty = gate passes).
-The committed ``BENCH_core.json`` is refreshed with ``repro bench --quick
---output BENCH_core.json``; its git history is the trajectory.
+:func:`validate_bench` checks a document against :data:`BENCH_SCHEMA` and
+its suite's own columns (what CI runs over the emitted file);
+:func:`compare_bench` produces the list of regressions versus a committed
+baseline and :func:`suite_gate_failures` the row's absolute gate failures
+(empty = gate passes).  A committed ``BENCH_<suite>.json`` is refreshed
+with ``repro bench --suite <suite> --quick --output BENCH_<suite>.json``;
+its git history is the trajectory.
 
-A second suite, :func:`run_sketch_bench` (``repro bench --suite sketch``,
-persisted as ``BENCH_sketch.json``), runs the same pinned grid under both
-statistics methods and measures what sketch estimation error costs the
-planner; :func:`sketch_gate_failures` holds its absolute acceptance
-gates (full heavy-hitter recall, bit-identical shard merges, regret
-within 10% of exact).
-
-A third suite, :func:`run_rounds_bench` (``repro bench --suite rounds``,
-persisted as ``BENCH_rounds.json``), runs a pinned *triangle* grid with
-a round budget of two and prices the multi-round subsystem: two-round
-wall-clock, optimality gap versus the multi-round (repartition) lower
-bound, and the two-round speedup over the best one-round algorithm —
-predicted and measured — which :func:`rounds_gate_failures` gates
-absolutely (the two-round triangle must win both on every grid cell).
-
-:data:`BENCH_SUITES` maps suite names to runners; :func:`run_suite`
-dispatches by name and lists the valid suites on a miss.
+The rows: ``core`` (the simple join on a Zipf grid), ``sketch`` (the core
+grid planned and executed twice per cell, from exact frequencies and from
+the one-pass Count-Sketch estimates: what estimation error costs the
+planner) and ``rounds`` (a triangle grid under a round budget of two: what
+the second round buys).  Adding a suite is adding a row.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -56,60 +51,50 @@ from ..sketch import (
     sketch_fidelity,
 )
 from ..stats.heavy_hitters import HeavyHitterStatistics
-from .experiment import Catalog, Sweep, WorkloadSpec
-from .records import RunRecord
+from .experiment import Catalog, Sweep, SweepResult, WorkloadSpec
+from .records import RunRecord, Schema, check_fields
 
 
 class BenchError(ValueError):
-    """Raised when a bench document does not match :data:`BENCH_SCHEMA`."""
+    """Raised when a bench document does not match :data:`BENCH_SCHEMA`,
+    or when a suite, baseline or tolerance cannot be used."""
 
 
-#: The pinned workload grid.  Changing anything here invalidates baseline
-#: comparability — bump ``suite`` if you must.
-QUERY = "q(x, y, z) :- S1(x, z), S2(y, z)"
-FULL_GRID = {
-    "workload": "zipf",
-    "p_values": (8, 32),
-    "m_values": (400,),
-    "skews": (0.0, 1.0, 2.0),
-    "seeds": (0,),
-}
-QUICK_GRID = {
-    "workload": "zipf",
-    "p_values": (8,),
-    "m_values": (160,),
-    "skews": (0.0, 1.2),
-    "seeds": (0,),
-}
+_NUMBER = ((int, float), False)
 
-#: top-level field -> (accepted types, nullable)
-BENCH_SCHEMA: Mapping[str, tuple[tuple[type, ...], bool]] = {
+#: what every suite's document has at top level
+BENCH_SCHEMA: Schema = {
     "schema_version": ((int,), False),
     "suite": ((str,), False),
     "quick": ((bool,), False),
     "repeats": ((int,), False),
     "query": ((str,), False),
     "grid": ((dict,), False),
-    "calibration_seconds": ((int, float), False),
+    "calibration_seconds": _NUMBER,
     "entries": ((list,), False),
     "summary": ((dict,), False),
 }
 
-_ENTRY_FIELDS: Mapping[str, tuple[tuple[type, ...], bool]] = {
+#: what every suite's entries have, around a row's ``entry_columns``; every
+#: field but ``id`` is read off the :class:`RunRecord` under its own name
+_ENTRY_HEAD: Schema = {
     "id": ((str,), False),
     "algorithm": ((str,), False),
     "workload": ((str,), False),
     "p": ((int,), False),
     "m": ((int,), False),
-    "skew": ((int, float), False),
+    "skew": _NUMBER,
     "seed": ((int,), False),
-    "wall_seconds": ((int, float), False),
-    "max_load_bits": ((int, float), False),
-    "lower_bound_bits": ((int, float), False),
+}
+_ENTRY_TAIL: Schema = {
+    "wall_seconds": _NUMBER,   # the best across the run's passes
+    "max_load_bits": _NUMBER,
+    "lower_bound_bits": _NUMBER,
     "optimality_gap": ((int, float), True),
-    "predicted_load_bits": ((int, float), False),
+    "predicted_load_bits": _NUMBER,
 }
 
+#: what every suite's summary has; a row's ``summary_numbers`` come on top
 _SUMMARY_FIELDS = (
     "total_wall_seconds",
     "normalized_wall",
@@ -118,6 +103,39 @@ _SUMMARY_FIELDS = (
     "planner_mean_regret",
     "planner_worst_regret",
 )
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One pinned suite: everything ``repro bench --suite NAME`` is.
+
+    Changing a row's query or grids invalidates baseline comparability —
+    rename the suite if you must.
+    """
+
+    name: str
+    query: str
+    #: :class:`Sweep` grid arguments of the full and the ``--quick`` run
+    full_grid: Mapping[str, object]
+    quick_grid: Mapping[str, object]
+    #: the :class:`Sweep` axes the suite adds to its grid
+    axes: Mapping[str, object] = field(default_factory=dict)
+    #: the :class:`RunRecord` fields every entry carries between
+    #: :data:`_ENTRY_HEAD` and :data:`_ENTRY_TAIL`, with their schema
+    entry_columns: Schema = field(default_factory=dict)
+    #: the summary numbers ``extend`` adds to :data:`_SUMMARY_FIELDS`
+    summary_numbers: tuple[str, ...] = ()
+    #: ``extend(document, records, grid, obs)``: the suite's own pass over
+    #: the assembled document and the records it was assembled from
+    extend: Callable[..., None] | None = None
+    #: absolute acceptance gates, beyond :func:`compare_bench`'s relative
+    #: ones: (summary key, what its value must satisfy, the failure
+    #: message, formatted with ``value``)
+    gates: tuple[tuple[str, Callable[[float], bool], str], ...] = ()
+
+    @property
+    def entry_schema(self) -> Schema:
+        return {**_ENTRY_HEAD, **self.entry_columns, **_ENTRY_TAIL}
 
 
 def calibrate(rounds: int = 3) -> float:
@@ -150,22 +168,7 @@ def _entry_id(record: RunRecord) -> str:
     )
 
 
-def _by_cell(records: Sequence[RunRecord]) -> list[list[RunRecord]]:
-    """``records`` grouped by grid cell (every axis but the algorithm)."""
-    cells: dict[tuple, list[RunRecord]] = {}
-    for r in records:
-        key = (r.workload, r.m, r.skew, r.seed, r.p, r.stats)
-        cells.setdefault(key, []).append(r)
-    return list(cells.values())
-
-
-def bench_sweep(quick: bool = False) -> Sweep:
-    """The pinned :class:`Sweep` (every applicable algorithm per cell)."""
-    grid = QUICK_GRID if quick else FULL_GRID
-    return Sweep(query=QUERY, algorithms="applicable", observe=True, **grid)
-
-
-def _regrets(records: Sequence[RunRecord]) -> list[float]:
+def regrets(records: Sequence[RunRecord]) -> list[float]:
     """Planner regret of every cell of ``records``.
 
     The planner's pick is the minimum-*predicted*-cost record of the cell
@@ -174,227 +177,19 @@ def _regrets(records: Sequence[RunRecord]) -> list[float]:
     best measured cost is the regret.  Cost is the planner's scale, max
     per-round load x rounds — plain load on one-round grids.
     """
-    regrets = []
-    for cell_records in _by_cell(records):
+    out = []
+    for cell_records in SweepResult(records).by_cell().values():
         picked = min(cell_records,
                      key=lambda r: r.predicted_load_bits * r.rounds)
         best = min(cell_records, key=lambda r: r.max_load_bits * r.rounds)
         best_cost = best.max_load_bits * best.rounds
         if best_cost > 0:
-            regrets.append(picked.max_load_bits * picked.rounds / best_cost)
-    return regrets
+            out.append(picked.max_load_bits * picked.rounds / best_cost)
+    return out
 
 
-def _run_pinned(
-    suite: str,
-    sweep: Sweep,
-    grid: Mapping[str, object],
-    quick: bool,
-    obs: Observation | None,
-    repeats: int,
-    extra_columns: Callable[[RunRecord], dict] = lambda record: {},
-) -> tuple[dict, tuple[RunRecord, ...]]:
-    """What every suite shares: run the pinned ``sweep``, assemble the
-    entries and the six gateable summary numbers.
-
-    Loads, gaps and regret are deterministic (seeded hashing), so one pass
-    suffices for them; wall-clock is not, so the grid runs ``repeats``
-    times and every timing is the best (minimum) across passes — the
-    standard way to shed scheduler noise from a sub-second suite.  A
-    suite adds entry fields through ``extra_columns(record)`` and extends
-    the returned document's ``summary``; the records come back too.
-    """
-    if repeats < 1:
-        raise BenchError(f"the {suite} suite needs repeats >= 1")
-    calibration = calibrate()
-    obs = obs if obs is not None else Observation.create()
-    total_wall = float("inf")
-    best_wall: dict[str, float] = {}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        records = sweep.run(obs=obs).records
-        total_wall = min(total_wall, time.perf_counter() - started)
-        for record in records:
-            entry_id = _entry_id(record)
-            best_wall[entry_id] = min(
-                best_wall.get(entry_id, float("inf")), record.wall_seconds
-            )
-    entries = [
-        {
-            "id": _entry_id(record),
-            "algorithm": record.algorithm,
-            "workload": record.workload,
-            "p": record.p,
-            "m": record.m,
-            "skew": record.skew,
-            "seed": record.seed,
-            **extra_columns(record),
-            "wall_seconds": best_wall[_entry_id(record)],
-            "max_load_bits": record.max_load_bits,
-            "lower_bound_bits": record.lower_bound_bits,
-            "optimality_gap": record.optimality_gap,
-            "predicted_load_bits": record.predicted_load_bits,
-        }
-        for record in records
-    ]
-    gaps = [e["optimality_gap"] for e in entries
-            if e["optimality_gap"] is not None]
-    regrets = _regrets(records)
-    return {
-        "schema_version": 1,
-        "suite": suite,
-        "quick": quick,
-        "repeats": repeats,
-        "query": str(sweep.query),
-        "grid": {key: list(value) if isinstance(value, tuple) else value
-                 for key, value in grid.items()},
-        "calibration_seconds": calibration,
-        "entries": entries,
-        "summary": {
-            "total_wall_seconds": total_wall,
-            "normalized_wall": total_wall / calibration,
-            "mean_optimality_gap": sum(gaps) / len(gaps) if gaps else 0.0,
-            "max_optimality_gap": max(gaps, default=0.0),
-            "planner_mean_regret":
-                sum(regrets) / len(regrets) if regrets else 1.0,
-            "planner_worst_regret": max(regrets, default=1.0),
-        },
-    }, records
-
-
-def run_bench(
-    quick: bool = False,
-    obs: Observation | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Execute the pinned grid; return the ``BENCH_core.json`` document."""
-    document, _ = _run_pinned(
-        "core", bench_sweep(quick), QUICK_GRID if quick else FULL_GRID,
-        quick, obs, repeats,
-    )
-    return document
-
-
-def validate_bench(data: object) -> None:
-    """Check a bench document against :data:`BENCH_SCHEMA`; raise
-    :class:`BenchError` on the first violation."""
-    if not isinstance(data, dict):
-        raise BenchError("bench document must be a JSON object")
-    for name, (types, nullable) in BENCH_SCHEMA.items():
-        if name not in data:
-            raise BenchError(f"bench document is missing field {name!r}")
-        value = data[name]
-        if value is None and not nullable:
-            raise BenchError(f"field {name!r} must not be null")
-        if isinstance(value, bool) and bool not in types:
-            raise BenchError(f"field {name!r} has type bool, wants {types}")
-        if value is not None and not isinstance(value, types):
-            raise BenchError(
-                f"field {name!r} has type {type(value).__name__}"
-            )
-    if not data["entries"]:
-        raise BenchError("bench document has no entries")
-    seen: set[str] = set()
-    for entry in data["entries"]:
-        if not isinstance(entry, dict):
-            raise BenchError("entries must be objects")
-        for name, (types, nullable) in _ENTRY_FIELDS.items():
-            if name not in entry:
-                raise BenchError(f"entry is missing field {name!r}")
-            value = entry[name]
-            if value is None:
-                if not nullable:
-                    raise BenchError(f"entry field {name!r} must not be null")
-                continue
-            if isinstance(value, bool) and bool not in types:
-                raise BenchError(f"entry field {name!r} has type bool")
-            if not isinstance(value, types):
-                raise BenchError(
-                    f"entry field {name!r} has type {type(value).__name__}"
-                )
-        if entry["id"] in seen:
-            raise BenchError(f"duplicate entry id {entry['id']!r}")
-        seen.add(entry["id"])
-    summary = data["summary"]
-    for name in _SUMMARY_FIELDS:
-        if not isinstance(summary.get(name), (int, float)):
-            raise BenchError(f"summary is missing numeric field {name!r}")
-
-
-def compare_bench(
-    baseline: Mapping, current: Mapping, max_regression: float = 0.20
-) -> list[str]:
-    """Regressions of ``current`` vs ``baseline``; empty list = gate passes.
-
-    Gates, each tolerating a relative ``max_regression`` (default 20%):
-
-    * normalized wall-clock (total wall over the machine calibration);
-    * per-entry optimality gap, on entries present in both documents
-      (deterministic for a pinned grid, so the tolerance only absorbs
-      float noise and generator tweaks);
-    * planner worst-case regret.
-
-    Comparing documents from different suites or grids is an error —
-    those numbers are not commensurable.
-    """
-    failures: list[str] = []
-    if baseline.get("suite") != current.get("suite"):
-        raise BenchError(
-            f"cannot compare suites {baseline.get('suite')!r} and "
-            f"{current.get('suite')!r}"
-        )
-    allowed = 1.0 + max_regression
-
-    base_wall = baseline["summary"]["normalized_wall"]
-    cur_wall = current["summary"]["normalized_wall"]
-    if base_wall > 0 and cur_wall > base_wall * allowed:
-        failures.append(
-            f"normalized wall-clock regressed {cur_wall / base_wall:.2f}x "
-            f"({cur_wall:.1f} vs baseline {base_wall:.1f} calibration units, "
-            f"tolerance {max_regression:.0%})"
-        )
-
-    base_entries = {e["id"]: e for e in baseline["entries"]}
-    shared = [e for e in current["entries"] if e["id"] in base_entries]
-    for entry in shared:
-        base_gap = base_entries[entry["id"]]["optimality_gap"]
-        gap = entry["optimality_gap"]
-        if base_gap is None or gap is None or base_gap <= 0:
-            continue
-        if gap > base_gap * allowed:
-            failures.append(
-                f"{entry['id']}: optimality gap regressed "
-                f"{gap / base_gap:.2f}x ({gap:.3f} vs baseline "
-                f"{base_gap:.3f})"
-            )
-
-    base_regret = baseline["summary"]["planner_worst_regret"]
-    cur_regret = current["summary"]["planner_worst_regret"]
-    if base_regret > 0 and cur_regret > base_regret * allowed:
-        failures.append(
-            f"planner worst regret regressed {cur_regret / base_regret:.2f}x "
-            f"({cur_regret:.3f} vs baseline {base_regret:.3f})"
-        )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# the sketch suite (``repro bench --suite sketch`` / BENCH_sketch.json)
-# ----------------------------------------------------------------------
-
-def sketch_bench_sweep(quick: bool = False) -> Sweep:
-    """The pinned grid run under *both* statistics methods.
-
-    Same workload points as the core suite, with the ``stats`` axis added
-    — every cell is planned and executed twice, once from exact
-    frequencies and once from the one-pass Count-Sketch estimates, so the
-    document can price what estimation error costs the planner.
-    """
-    grid = QUICK_GRID if quick else FULL_GRID
-    return Sweep(
-        query=QUERY, algorithms="applicable", observe=True,
-        stats=("exact", "sketch"), **grid,
-    )
+def _jsonable(value: object) -> object:
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _merge_bit_identical(query, db, config) -> bool:
@@ -419,214 +214,89 @@ def _merge_bit_identical(query, db, config) -> bool:
     )
 
 
-def run_sketch_bench(
-    quick: bool = False,
-    obs: Observation | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Execute the sketch suite; return the ``BENCH_sketch.json`` document.
-
-    Besides the core suite's three gateable families (normalized wall,
-    per-entry optimality gaps, planner regret — all now per stats
-    method), the summary carries the estimation-error -> planner-regret
-    measurement the sketch subsystem is gated on:
-
-    * ``sketch_min_recall`` — worst-case fraction of true heavy hitters
-      the sketch recovered across the grid (must be 1.0: a missed heavy
-      hitter overloads the light path);
-    * ``merge_bit_identical`` — 1.0 iff sharded-then-merged sketches
-      equal the single-pass build bit for bit;
-    * ``exact_worst_regret`` / ``sketch_worst_regret`` /
-      ``regret_ratio`` — what planning from estimates costs relative to
-      planning from exact statistics (gated at 1.10).
+def _sketch_pass(document, records, grid, obs) -> None:
+    """What sketch estimation error costs the planner, next to the core
+    families (which the ``stats`` axis makes per statistics method): the
+    worst regret planning from exact and from sketched statistics and
+    their ratio, a ``fidelity`` point per grid point (recall must be 1.0:
+    a missed heavy hitter overloads the light path), and whether
+    sharded-then-merged sketches equal the single-pass build bit for bit
+    (checked once per generated database).
     """
-    grid = QUICK_GRID if quick else FULL_GRID
-    document, records = _run_pinned(
-        "sketch", sketch_bench_sweep(quick), grid, quick, obs, repeats,
-        extra_columns=lambda record: {"stats": record.stats},
+    exact_regret, sketch_regret = (
+        max(regrets([r for r in records if r.stats == method]), default=1.0)
+        for method in ("exact", "sketch")
     )
-    exact_regret = max(
-        _regrets([r for r in records if r.stats == "exact"]), default=1.0
-    )
-    sketch_regret = max(
-        _regrets([r for r in records if r.stats == "sketch"]), default=1.0
-    )
-    regret_ratio = (sketch_regret / exact_regret) if exact_regret > 0 else 1.0
 
-    # Fidelity pass: exact vs sketched heavy hitters on every grid point,
-    # plus the shard-merge bit-identity check (once per workload).
     config = SketchConfig()
-    min_recall = 1.0
-    precisions: list[float] = []
-    max_rel_error = 0.0
     merge_identical = True
-    fidelity_points = []
-    for m in grid["m_values"]:
-        for skew in grid["skews"]:
-            for seed in grid["seeds"]:
-                query, db = Catalog(QUERY, WorkloadSpec(
-                    grid["workload"], m, skew, seed)).generate(obs)
-                merge_identical &= _merge_bit_identical(query, db, config)
-                for p in grid["p_values"]:
-                    exact = HeavyHitterStatistics.of(query, db, p)
-                    sketched = SketchedHeavyHitterStatistics.of(
-                        query, db, p, config=config, obs=obs
-                    )
-                    report = sketch_fidelity(exact, sketched)
-                    min_recall = min(min_recall, report["recall"])
-                    precisions.append(report["precision"])
-                    max_rel_error = max(
-                        max_rel_error, report["max_rel_error"]
-                    )
-                    fidelity_points.append({
-                        "m": m, "skew": skew, "seed": seed, "p": p,
-                        "recall": report["recall"],
-                        "precision": report["precision"],
-                        "max_rel_error": report["max_rel_error"],
-                        "true_heavy": report["true_heavy"],
-                        "sketched_heavy": report["sketched_heavy"],
-                    })
+    points = []
+    for m, skew, seed in product(
+        grid["m_values"], grid["skews"], grid["seeds"]
+    ):
+        query, db = Catalog(
+            document["query"], WorkloadSpec(grid["workload"], m, skew, seed)
+        ).generate(obs)
+        merge_identical &= _merge_bit_identical(query, db, config)
+        for p in grid["p_values"]:
+            report = sketch_fidelity(
+                HeavyHitterStatistics.of(query, db, p),
+                SketchedHeavyHitterStatistics.of(
+                    query, db, p, config=config, obs=obs
+                ),
+            )
+            points.append({
+                "m": m, "skew": skew, "seed": seed, "p": p,
+                **{key: report[key] for key in (
+                    "recall", "precision", "max_rel_error",
+                    "true_heavy", "sketched_heavy",
+                )},
+            })
 
     # Re-inserted so "fidelity" keeps its place ahead of "summary".
     summary = document.pop("summary")
-    document["fidelity"] = fidelity_points
+    document["fidelity"] = points
     document["summary"] = {
         **summary,
+        # Over the two statistics methods, not over the cells.
         "planner_mean_regret": (exact_regret + sketch_regret) / 2,
-        "planner_worst_regret": max(exact_regret, sketch_regret),
         "exact_worst_regret": exact_regret,
         "sketch_worst_regret": sketch_regret,
-        "regret_ratio": regret_ratio,
-        "sketch_min_recall": min_recall,
+        "regret_ratio": sketch_regret / exact_regret,   # a regret is >= 1
+        "sketch_min_recall": min(point["recall"] for point in points),
         "sketch_mean_precision":
-            sum(precisions) / len(precisions) if precisions else 1.0,
-        "sketch_max_rel_error": max_rel_error,
+            sum(point["precision"] for point in points) / len(points),
+        "sketch_max_rel_error":
+            max(point["max_rel_error"] for point in points),
         "merge_bit_identical": 1.0 if merge_identical else 0.0,
     }
-    return document
 
 
-def sketch_gate_failures(document: Mapping) -> list[str]:
-    """The sketch suite's *absolute* acceptance gates (beyond
-    :func:`compare_bench`'s relative ones); empty list = gate passes.
-
-    * every true heavy hitter recovered (``sketch_min_recall == 1.0``);
-    * sharded build bit-identical to single-pass
-      (``merge_bit_identical == 1.0``);
-    * planning from sketch estimates within 10% of the exact planner's
-      worst-case regret (``regret_ratio <= 1.10``).
-    """
-    summary = document.get("summary", {})
-    failures: list[str] = []
-    recall = summary.get("sketch_min_recall")
-    if not isinstance(recall, (int, float)) or recall < 1.0:
-        failures.append(
-            f"sketched statistics missed true heavy hitters "
-            f"(min recall {recall!r}, want 1.0)"
-        )
-    identical = summary.get("merge_bit_identical")
-    if identical != 1.0:
-        failures.append(
-            "sharded sketch merge is not bit-identical to the "
-            "single-pass build"
-        )
-    ratio = summary.get("regret_ratio")
-    if not isinstance(ratio, (int, float)) or ratio > 1.10:
-        failures.append(
-            f"sketched planner regret ratio {ratio!r} exceeds 1.10x "
-            f"the exact planner's"
-        )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# the rounds suite (``repro bench --suite rounds`` / BENCH_rounds.json)
-# ----------------------------------------------------------------------
-
-#: The pinned triangle grid — the query where one communication round is
-#: provably expensive (Example 3.7's p^{1/3} replication) and two rounds
-#: are not.  Same invalidation rule as the core grid.
-ROUNDS_QUERY = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
-ROUNDS_FULL_GRID = {
-    "workload": "zipf",
-    "p_values": (8, 16),
-    "m_values": (300,),
-    "skews": (0.0, 0.8, 1.5),
-    "seeds": (0,),
-}
-ROUNDS_QUICK_GRID = {
-    "workload": "zipf",
-    "p_values": (8,),
-    "m_values": (160,),
-    "skews": (0.0, 1.5),
-    "seeds": (0,),
-}
-
-_TWO_ROUND_KEY = "two-round-triangle"
-
-
-def rounds_bench_sweep(quick: bool = False) -> Sweep:
-    """The pinned triangle grid under a round budget of two.
-
-    ``algorithms="applicable"`` with ``rounds=2`` measures every
-    one-round algorithm that accepts the triangle *and* both multi-round
-    algorithms, so each cell prices the round/load tradeoff end to end.
-    """
-    grid = ROUNDS_QUICK_GRID if quick else ROUNDS_FULL_GRID
-    return Sweep(
-        query=ROUNDS_QUERY, algorithms="applicable", observe=True,
-        rounds=2, **grid,
-    )
-
-
-def run_rounds_bench(
-    quick: bool = False,
-    obs: Observation | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Execute the rounds suite; return the ``BENCH_rounds.json`` document.
-
-    Entries carry the executed round count and per-round loads on top of
-    the core fields; each entry's ``lower_bound_bits`` is the bound that
-    actually constrains it (Theorem 3.6 for one-round entries, the
-    multi-round repartition bound for the rest), so the optimality-gap
-    gates of :func:`compare_bench` stay meaningful per family.  The
-    summary adds the two-round-vs-best-one-round speedups (predicted and
-    measured, worst case over the grid) that
-    :func:`rounds_gate_failures` gates absolutely, plus the planner's
-    regret on its combined scale (max per-round load x rounds).
-    """
-    document, records = _run_pinned(
-        "rounds", rounds_bench_sweep(quick),
-        ROUNDS_QUICK_GRID if quick else ROUNDS_FULL_GRID, quick, obs, repeats,
-        extra_columns=lambda record: {
-            "rounds": record.rounds,
-            "round_load_bits": (None if record.round_load_bits is None
-                                else list(record.round_load_bits)),
-        },
-    )
-
-    # Per cell: the two-round triangle against the best one-round
-    # algorithm (predicted and measured max-load).
+def _rounds_pass(document, records, grid, obs) -> None:
+    """The two-round triangle against the best one-round algorithm, per
+    cell: predicted and measured max-load speedups (worst case over the
+    grid) and the two-round optimality gaps (against the multi-round
+    repartition bound its entries carry as ``lower_bound_bits``)."""
     speedups_predicted: list[float] = []
     speedups_measured: list[float] = []
     two_round_gaps: list[float] = []
-    for cell_records in _by_cell(records):
+    for cell_records in SweepResult(records).by_cell().values():
         one_round = [r for r in cell_records if r.rounds == 1]
-        two_round = [r for r in cell_records
-                     if r.algorithm == _TWO_ROUND_KEY]
-        if one_round and two_round:
-            best_predicted = min(r.predicted_load_bits for r in one_round)
-            best_measured = min(r.max_load_bits for r in one_round)
-            two = two_round[0]
-            if two.predicted_load_bits > 0:
-                speedups_predicted.append(
-                    best_predicted / two.predicted_load_bits
-                )
-            if two.max_load_bits > 0:
-                speedups_measured.append(best_measured / two.max_load_bits)
-            if two.optimality_gap is not None:
-                two_round_gaps.append(two.optimality_gap)
+        two = next((r for r in cell_records
+                    if r.algorithm == "two-round-triangle"), None)
+        if not one_round or two is None:
+            continue
+        if two.predicted_load_bits > 0:
+            speedups_predicted.append(
+                min(r.predicted_load_bits for r in one_round)
+                / two.predicted_load_bits
+            )
+        if two.max_load_bits > 0:
+            speedups_measured.append(
+                min(r.max_load_bits for r in one_round) / two.max_load_bits
+            )
+        if two.optimality_gap is not None:
+            two_round_gaps.append(two.optimality_gap)
 
     document["summary"].update({
         "two_round_min_speedup_predicted":
@@ -639,63 +309,100 @@ def run_rounds_bench(
         "two_round_min_gap": min(two_round_gaps, default=0.0),
         "two_round_max_gap": max(two_round_gaps, default=0.0),
     })
-    return document
 
 
-def rounds_gate_failures(document: Mapping) -> list[str]:
-    """The rounds suite's *absolute* acceptance gates (beyond
-    :func:`compare_bench`'s relative ones); empty list = gate passes.
+_CORE = Suite(
+    name="core",
+    query="q(x, y, z) :- S1(x, z), S2(y, z)",
+    full_grid=dict(workload="zipf", p_values=(8, 32), m_values=(400,),
+                   skews=(0.0, 1.0, 2.0), seeds=(0,)),
+    quick_grid=dict(workload="zipf", p_values=(8,), m_values=(160,),
+                    skews=(0.0, 1.2), seeds=(0,)),
+)
 
-    * the two-round triangle beats the best one-round algorithm's
-      *predicted* max-load on every grid cell;
-    * it beats the best one-round algorithm's *measured* max-load on
-      every grid cell too (the paper's point: more rounds buy load);
-    * its measured load never dips below the multi-round repartition
-      bound (a gap < 1 would mean the bound, or the fold, is wrong).
-    """
-    summary = document.get("summary", {})
-    failures: list[str] = []
-    predicted = summary.get("two_round_min_speedup_predicted")
-    if not isinstance(predicted, (int, float)) or predicted <= 1.0:
-        failures.append(
-            f"two-round triangle does not beat the best one-round "
-            f"algorithm's predicted load on every cell "
-            f"(min speedup {predicted!r}, want > 1.0)"
-        )
-    measured = summary.get("two_round_min_speedup_measured")
-    if not isinstance(measured, (int, float)) or measured <= 1.0:
-        failures.append(
-            f"two-round triangle does not beat the best one-round "
-            f"algorithm's measured load on every cell "
-            f"(min speedup {measured!r}, want > 1.0)"
-        )
-    min_gap = summary.get("two_round_min_gap")
-    if not isinstance(min_gap, (int, float)) or min_gap < 1.0:
-        failures.append(
-            f"two-round measured load dips below the multi-round lower "
-            f"bound (min gap {min_gap!r}, want >= 1.0)"
-        )
-    return failures
+#: suite name -> row; the single source of truth for what ``repro bench
+#: --suite`` accepts, runs, validates and gates.
+BENCH_SUITES: dict[str, Suite] = {suite.name: suite for suite in (
+    _CORE,
+    replace(
+        _CORE,
+        name="sketch",
+        axes={"stats": ("exact", "sketch")},
+        entry_columns={"stats": ((str,), False)},
+        summary_numbers=(
+            "exact_worst_regret",
+            "sketch_worst_regret",
+            "regret_ratio",
+            "sketch_min_recall",
+            "sketch_mean_precision",
+            "sketch_max_rel_error",
+            "merge_bit_identical",
+        ),
+        extend=_sketch_pass,
+        gates=(
+            ("sketch_min_recall", lambda recall: recall >= 1.0,
+             "sketched statistics missed true heavy hitters "
+             "(min recall {value!r}, want 1.0)"),
+            ("merge_bit_identical", lambda identical: identical == 1.0,
+             "sharded sketch merge is not bit-identical to the "
+             "single-pass build"),
+            ("regret_ratio", lambda ratio: ratio <= 1.10,
+             "sketched planner regret ratio {value!r} exceeds 1.10x "
+             "the exact planner's"),
+        ),
+    ),
+    # The triangle: the query where one communication round is provably
+    # expensive (Example 3.7's p^{1/3} replication) and two rounds are
+    # not.  ``rounds=2`` with every applicable algorithm measures each
+    # one-round algorithm that accepts the triangle *and* both multi-round
+    # ones, so each cell prices the round/load tradeoff end to end.
+    Suite(
+        name="rounds",
+        query="q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+        full_grid=dict(workload="zipf", p_values=(8, 16), m_values=(300,),
+                       skews=(0.0, 0.8, 1.5), seeds=(0,)),
+        quick_grid=dict(workload="zipf", p_values=(8,), m_values=(160,),
+                        skews=(0.0, 1.5), seeds=(0,)),
+        axes={"rounds": 2},
+        entry_columns={
+            "rounds": ((int,), False),
+            "round_load_bits": ((list,), True),
+        },
+        summary_numbers=(
+            "two_round_min_speedup_predicted",
+            "two_round_min_speedup_measured",
+            "two_round_mean_speedup_measured",
+            "two_round_min_gap",
+            "two_round_max_gap",
+        ),
+        extend=_rounds_pass,
+        gates=(
+            ("two_round_min_speedup_predicted", lambda speedup: speedup > 1.0,
+             "two-round triangle does not beat the best one-round "
+             "algorithm's predicted load on every cell "
+             "(min speedup {value!r}, want > 1.0)"),
+            # The paper's point: more rounds buy load.
+            ("two_round_min_speedup_measured", lambda speedup: speedup > 1.0,
+             "two-round triangle does not beat the best one-round "
+             "algorithm's measured load on every cell "
+             "(min speedup {value!r}, want > 1.0)"),
+            # A gap < 1 would mean the bound, or the fold, is wrong.
+            ("two_round_min_gap", lambda gap: gap >= 1.0,
+             "two-round measured load dips below the multi-round lower "
+             "bound (min gap {value!r}, want >= 1.0)"),
+        ),
+    ),
+)}
 
 
-# ----------------------------------------------------------------------
-# suite dispatch
-# ----------------------------------------------------------------------
-
-#: suite name -> runner; the single source of truth for what
-#: ``repro bench --suite`` accepts.
-BENCH_SUITES: Mapping[str, object] = {
-    "core": run_bench,
-    "sketch": run_sketch_bench,
-    "rounds": run_rounds_bench,
-}
-
-#: suite name -> its absolute acceptance gate (beyond the relative
-#: baseline comparison); suites without one pass vacuously.
-BENCH_GATES: Mapping[str, object] = {
-    "sketch": sketch_gate_failures,
-    "rounds": rounds_gate_failures,
-}
+def _suite(name: object) -> Suite:
+    try:
+        return BENCH_SUITES[name]
+    except (KeyError, TypeError):
+        raise BenchError(
+            f"unknown bench suite {name!r}; "
+            f"choose from {', '.join(BENCH_SUITES)}"
+        ) from None
 
 
 def run_suite(
@@ -704,20 +411,152 @@ def run_suite(
     obs: Observation | None = None,
     repeats: int = 3,
 ) -> dict:
-    """Run the named suite; unknown names list the valid choices."""
-    try:
-        runner = BENCH_SUITES[name]
-    except KeyError:
-        raise BenchError(
-            f"unknown bench suite {name!r}; "
-            f"choose from {', '.join(BENCH_SUITES)}"
-        ) from None
-    return runner(quick=quick, obs=obs, repeats=repeats)
+    """Run the named row of :data:`BENCH_SUITES`; return its bench
+    document.  Unknown names list the valid choices.
+
+    Loads, gaps and regret are deterministic (seeded hashing), so one pass
+    suffices for them; wall-clock is not, so the grid runs ``repeats``
+    times and every timing is the best (minimum) across passes — the
+    standard way to shed scheduler noise from a sub-second suite.
+    """
+    suite = _suite(name)
+    if repeats < 1:
+        raise BenchError(f"the {name} suite needs repeats >= 1")
+    grid = suite.quick_grid if quick else suite.full_grid
+    sweep = Sweep(query=suite.query, algorithms="applicable", observe=True,
+                  **grid, **suite.axes)
+    calibration = calibrate()
+    obs = obs if obs is not None else Observation.create()
+    total_wall = float("inf")
+    best_wall: dict[str, float] = {}
+    for _ in range(repeats):
+        started = time.perf_counter()
+        records = sweep.run(obs=obs).records
+        total_wall = min(total_wall, time.perf_counter() - started)
+        for record in records:
+            entry_id = _entry_id(record)
+            best_wall[entry_id] = min(
+                best_wall.get(entry_id, float("inf")), record.wall_seconds
+            )
+    columns = [name for name in suite.entry_schema if name != "id"]
+    entries = [
+        {
+            "id": _entry_id(record),
+            **{name: _jsonable(getattr(record, name)) for name in columns},
+            "wall_seconds": best_wall[_entry_id(record)],
+        }
+        for record in records
+    ]
+    gaps = [e["optimality_gap"] for e in entries
+            if e["optimality_gap"] is not None]
+    cell_regrets = regrets(records)
+    document = {
+        "schema_version": 1,
+        "suite": name,
+        "quick": quick,
+        "repeats": repeats,
+        "query": suite.query,
+        "grid": {key: _jsonable(value) for key, value in grid.items()},
+        "calibration_seconds": calibration,
+        "entries": entries,
+        "summary": {
+            "total_wall_seconds": total_wall,
+            "normalized_wall": total_wall / calibration,
+            "mean_optimality_gap": sum(gaps) / len(gaps) if gaps else 0.0,
+            "max_optimality_gap": max(gaps, default=0.0),
+            "planner_mean_regret":
+                sum(cell_regrets) / len(cell_regrets) if cell_regrets else 1.0,
+            "planner_worst_regret": max(cell_regrets, default=1.0),
+        },
+    }
+    if suite.extend is not None:
+        suite.extend(document, records, grid, obs)
+    return document
+
+
+def validate_bench(data: object) -> None:
+    """Check a bench document against :data:`BENCH_SCHEMA` and its suite's
+    row; raise :class:`BenchError` on the first violation."""
+    check_fields(data, BENCH_SCHEMA, BenchError, "bench document")
+    suite = _suite(data["suite"])
+    if not data["entries"]:
+        raise BenchError("bench document has no entries")
+    entry_schema = suite.entry_schema
+    seen: set[str] = set()
+    for entry in data["entries"]:
+        check_fields(entry, entry_schema, BenchError, "entry")
+        if entry["id"] in seen:
+            raise BenchError(f"duplicate entry id {entry['id']!r}")
+        seen.add(entry["id"])
+    check_fields(
+        data["summary"],
+        dict.fromkeys(_SUMMARY_FIELDS + suite.summary_numbers, _NUMBER),
+        BenchError, "summary",
+    )
 
 
 def suite_gate_failures(document: Mapping) -> list[str]:
-    """Absolute gate failures for ``document``'s suite (empty = passes)."""
-    gate = BENCH_GATES.get(document.get("suite"))
-    if gate is None:
-        return []
-    return gate(document)
+    """Failures of the absolute gates of ``document``'s suite (empty =
+    passes; a row without gates passes vacuously)."""
+    summary = document.get("summary", {})
+    failures = []
+    for key, passes, message in _suite(document.get("suite")).gates:
+        value = summary.get(key)
+        if not isinstance(value, (int, float)) or not passes(value):
+            failures.append(message.format(value=value))
+    return failures
+
+
+def compare_bench(
+    baseline: Mapping, current: Mapping, max_regression: float = 0.20
+) -> list[str]:
+    """Regressions of ``current`` vs ``baseline``; empty list = gate passes.
+
+    Gates, each tolerating a relative ``max_regression`` (default 20%):
+
+    * normalized wall-clock (total wall over the machine calibration);
+    * per-entry optimality gap, on entries present in both documents
+      (deterministic for a pinned grid, so the tolerance only absorbs
+      float noise and generator tweaks);
+    * planner worst-case regret.
+
+    Comparing documents from different suites, queries or grids is an
+    error — those numbers are not commensurable — and so is a negative
+    tolerance.
+    """
+    if max_regression < 0:
+        raise BenchError(
+            f"the regression tolerance must be >= 0, got {max_regression}"
+        )
+    for what in ("suite", "query", "grid"):
+        if baseline.get(what) != current.get(what):
+            raise BenchError(
+                f"cannot compare bench documents of different {what}: "
+                f"baseline {baseline.get(what)!r}, "
+                f"current {current.get(what)!r}"
+            )
+    base_entries = {e["id"]: e for e in baseline["entries"]}
+    base_summary, summary = baseline["summary"], current["summary"]
+    # (what, baseline, current, digits shown, what follows the numbers)
+    pairs = [
+        ("normalized wall-clock",
+         base_summary["normalized_wall"], summary["normalized_wall"], 1,
+         f" calibration units, tolerance {max_regression:.0%}"),
+        *((f"{entry['id']}: optimality gap",
+           base_entries[entry["id"]]["optimality_gap"],
+           entry["optimality_gap"], 3, "")
+          for entry in current["entries"] if entry["id"] in base_entries),
+        ("planner worst regret",
+         base_summary["planner_worst_regret"],
+         summary["planner_worst_regret"], 3, ""),
+    ]
+    failures = []
+    for what, base, value, digits, unit in pairs:
+        if base is None or value is None or base <= 0:
+            continue
+        if value > base * (1.0 + max_regression):
+            failures.append(
+                f"{what} regressed {value / base:.2f}x ({value:.{digits}f} "
+                f"vs baseline {base:.{digits}f}{unit})"
+            )
+    return failures

@@ -770,17 +770,19 @@ class SweepResult:
     def to_csv(self) -> str:
         return records_to_csv(self.records)
 
+    def by_cell(self) -> dict[tuple, list[RunRecord]]:
+        """The records of each (workload, m, skew, seed, p, stats) cell —
+        every axis but the algorithm."""
+        cells: dict[tuple, list[RunRecord]] = {}
+        for r in self.records:
+            cell = (r.workload, r.m, r.skew, r.seed, r.p, r.stats)
+            cells.setdefault(cell, []).append(r)
+        return cells
+
     def best_per_cell(self) -> dict[tuple, RunRecord]:
-        """Minimum measured load per (workload, m, skew, seed, p, stats)
-        cell."""
-        best: dict[tuple, RunRecord] = {}
-        for record in self.records:
-            cell = (record.workload, record.m, record.skew, record.seed,
-                    record.p, record.stats)
-            current = best.get(cell)
-            if current is None or record.max_load_bits < current.max_load_bits:
-                best[cell] = record
-        return best
+        """Minimum measured load per cell."""
+        return {cell: min(records, key=lambda r: r.max_load_bits)
+                for cell, records in self.by_cell().items()}
 
     def summary(self) -> str:
         """A compact table: one row per record, sorted like the grid."""

@@ -101,9 +101,12 @@ class RunRecord:
         return cls(**fields)  # type: ignore[arg-type]
 
 
-#: field -> (types accepted, nullable).  Derived ratio fields are nullable
-#: because degenerate cells (empty inputs) have no meaningful denominator.
-RUN_RECORD_SCHEMA: Mapping[str, tuple[tuple[type, ...], bool]] = {
+#: field -> (types accepted, nullable)
+Schema = Mapping[str, tuple[tuple[type, ...], bool]]
+
+#: Derived ratio fields are nullable because degenerate cells (empty
+#: inputs) have no meaningful denominator.
+RUN_RECORD_SCHEMA: Schema = {
     "query": ((str,), False),
     "workload": ((str,), False),
     "m": ((int,), False),
@@ -141,28 +144,39 @@ _DATACLASS_FIELDS = tuple(
 RUN_RECORD_FIELDS: tuple[str, ...] = tuple(RUN_RECORD_SCHEMA)
 
 
-def validate_record(data: Mapping[str, object]) -> None:
-    """Check one serialized record against :data:`RUN_RECORD_SCHEMA`."""
-    missing = [name for name in RUN_RECORD_SCHEMA if name not in data]
+def check_fields(
+    data: Mapping[str, object], schema: Schema, error: type[Exception],
+    what: str,
+) -> None:
+    """Check that ``data`` (a ``what``) has every field of ``schema``,
+    typed as declared; raise ``error`` on the first violation."""
+    if not isinstance(data, Mapping):
+        raise error(f"{what} must be an object")
+    missing = [name for name in schema if name not in data]
     if missing:
-        raise RecordError(f"record is missing fields {missing}")
-    unknown = [name for name in data if name not in RUN_RECORD_SCHEMA]
-    if unknown:
-        raise RecordError(f"record has unknown fields {unknown}")
-    for name, (types, nullable) in RUN_RECORD_SCHEMA.items():
+        raise error(f"{what} is missing fields {missing}")
+    for name, (types, nullable) in schema.items():
         value = data[name]
         if value is None:
             if not nullable:
-                raise RecordError(f"field {name!r} must not be null")
+                raise error(f"{what} field {name!r} must not be null")
             continue
         # bool is an int subclass; keep the two apart for schema honesty.
-        if isinstance(value, bool) and bool not in types:
-            raise RecordError(f"field {name!r} has type bool, wants {types}")
-        if not isinstance(value, types):
-            raise RecordError(
-                f"field {name!r} has type {type(value).__name__}, "
+        if not isinstance(value, types) or (
+            isinstance(value, bool) and bool not in types
+        ):
+            raise error(
+                f"{what} field {name!r} has type {type(value).__name__}, "
                 f"wants one of {[t.__name__ for t in types]}"
             )
+
+
+def validate_record(data: Mapping[str, object]) -> None:
+    """Check one serialized record against :data:`RUN_RECORD_SCHEMA`."""
+    check_fields(data, RUN_RECORD_SCHEMA, RecordError, "record")
+    unknown = [name for name in data if name not in RUN_RECORD_SCHEMA]
+    if unknown:
+        raise RecordError(f"record has unknown fields {unknown}")
     status = data["status"]
     if status not in ("ok", "timeout") and not (
         isinstance(status, str) and status.startswith("failed:")

@@ -37,10 +37,9 @@ through the execution engines and emits schema-checked JSON/CSV records
 (``--stats exact,sketch`` runs every cell under both statistics methods);
 ``stats`` compares the one-pass Count-Sketch statistics against the exact
 heavy hitters on one workload (recall/precision, frequency error, pass
-times); ``bench`` runs a pinned perf suite — ``--suite core`` into
-``BENCH_core.json``, ``--suite sketch`` (exact-vs-sketch planner regret
-and fidelity gates) into ``BENCH_sketch.json``, ``--suite rounds`` (two-
-vs one-round triangle) into ``BENCH_rounds.json`` — and gates regressions;
+times); ``bench`` runs a pinned perf suite (``--suite``: a row of
+:data:`repro.api.bench.BENCH_SUITES`) into ``BENCH_<suite>.json`` and
+gates it, absolutely and against a ``--baseline``;
 ``packings`` prints ``pk(q)``, ``tau*`` and the cover numbers;
 ``serve`` runs the long-lived plan/sweep service (async job queue with
 backpressure, per-catalog plan/statistics cache, fault-isolated sweep
@@ -61,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -77,7 +77,6 @@ from .api import (
 )
 from .api.bench import (
     BENCH_SUITES,
-    BenchError,
     compare_bench,
     run_suite,
     suite_gate_failures,
@@ -148,13 +147,8 @@ def _finish_observation(
         print(obs.metrics.render())
     trace_path = getattr(args, "trace", None)
     if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            handle.write(obs.tracer.to_json())
-            handle.write("\n")
-        _LOG.info(
-            "wrote %d trace spans to %s (open at chrome://tracing)",
-            len(obs.tracer.spans), trace_path,
-        )
+        _write_payload(obs.tracer.to_json(), trace_path,
+                       f"{len(obs.tracer.spans)} trace spans")
 
 
 def _parse_cardinalities(pairs: Sequence[str]) -> dict[str, int]:
@@ -428,6 +422,23 @@ def _sweep_spec(args: argparse.Namespace) -> dict:
     }
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Exit now if a destination cannot be written — not after the run it
+    would lose.  Leaves no file behind."""
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        created = not os.path.exists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise SystemExit(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from None
+        if created:
+            os.remove(path)
+
+
 def _write_payload(payload: str, output: str | None, what: str) -> None:
     """Print ``payload``, or write it (newline-terminated) to ``output``."""
     if output in (None, "-"):
@@ -471,16 +482,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    obs = _make_observation(args) or Observation.create()
+    if args.max_regression < 0:
+        raise SystemExit(
+            f"--max-regression must be >= 0, got {args.max_regression}"
+        )
     output = args.output
     if output is None:
         output = f"BENCH_{args.suite}.json"
+        _check_writable(output)
+    # Read before the run: the default output is the committed baseline.
+    baseline = None
+    if args.baseline:
+        try:
+            with open(args.baseline, "r", encoding="utf-8") as handle:
+                baseline = json.load(handle)
+            validate_bench(baseline)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(
+                f"cannot read baseline {args.baseline}: {exc}"
+            ) from None
+
+    obs = _make_observation(args)
     _LOG.info("bench: running the pinned %s suite%s", args.suite,
               " (quick grid)" if args.quick else "")
-    try:
-        document = run_suite(args.suite, quick=args.quick, obs=obs)
-    except BenchError as exc:
-        raise SystemExit(str(exc)) from None
+    document = run_suite(args.suite, quick=args.quick, obs=obs)
     validate_bench(document)
     summary = document["summary"]
     _LOG.info(
@@ -490,39 +515,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
         summary["normalized_wall"], summary["max_optimality_gap"],
         summary["planner_worst_regret"],
     )
+    _write_payload(json.dumps(document, indent=2), output, "bench document")
+    _finish_observation(args, obs)
 
-    # Suite-specific absolute acceptance gates (sketch recall/merge
-    # identity, two-round-beats-one-round) apply with or without a
-    # baseline; suites without one pass vacuously.
-    failures: list[str] = list(suite_gate_failures(document))
-    if args.baseline:
+    # The suite's absolute acceptance gates (sketch recall/merge identity,
+    # two-round-beats-one-round) apply with or without a baseline.
+    failures = suite_gate_failures(document)
+    if baseline is not None:
         try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read baseline {args.baseline}: {exc}")
-        try:
-            validate_bench(baseline)
             failures.extend(compare_bench(
                 baseline, document, max_regression=args.max_regression
             ))
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-
-    if output == "-":
-        print(json.dumps(document, indent=2))
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        _LOG.info("wrote bench document to %s", output)
-
-    _finish_observation(args, obs)
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         return 1
-    if args.baseline:
+    if baseline is not None:
         _LOG.info("bench: no regressions vs %s (tolerance %.0f%%)",
                   args.baseline, args.max_regression * 100)
     return 0
@@ -855,6 +865,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args)
+    _check_writable(getattr(args, "output", None),
+                    getattr(args, "trace", None))
     return args.func(args)
 
 

@@ -2,39 +2,41 @@
 
 import copy
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
     BENCH_SUITES,
     BenchError,
+    RunRecord,
+    Suite,
     calibrate,
     compare_bench,
-    rounds_gate_failures,
-    run_bench,
-    run_rounds_bench,
-    run_sketch_bench,
     run_suite,
-    sketch_gate_failures,
     suite_gate_failures,
     validate_bench,
 )
+from repro.api.bench import regrets
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
 def document():
-    return run_bench(quick=True)
+    return run_suite("core", quick=True)
 
 
 @pytest.fixture(scope="module")
 def sketch_document():
-    return run_sketch_bench(quick=True, repeats=1)
+    return run_suite("sketch", quick=True, repeats=1)
 
 
 @pytest.fixture(scope="module")
 def rounds_document():
-    return run_rounds_bench(quick=True, repeats=1)
+    return run_suite("rounds", quick=True, repeats=1)
 
 
 class TestRunBench:
@@ -58,7 +60,7 @@ class TestRunBench:
 
     def test_quick_grid_is_deterministic_where_it_should_be(self, document):
         # Loads and gaps are seeded -> a rerun reproduces them exactly.
-        rerun = run_bench(quick=True)
+        rerun = run_suite("core", quick=True)
         first = {entry["id"]: entry for entry in document["entries"]}
         for entry in rerun["entries"]:
             assert entry["max_load_bits"] == first[entry["id"]]["max_load_bits"]
@@ -66,6 +68,63 @@ class TestRunBench:
 
     def test_calibrate_is_positive(self):
         assert calibrate(rounds=1) > 0
+
+
+#: what a rerun may move: the machine's speed, not the suite's numbers
+TIMING_FIELDS = {"repeats", "calibration_seconds", "wall_seconds",
+                 "total_wall_seconds", "normalized_wall"}
+
+
+def assert_same_document(fresh, committed, where="document"):
+    """Equal on every non-timing field, key order included."""
+    if isinstance(committed, dict):
+        assert list(fresh) == list(committed), f"{where}: keys or their order"
+        for key in committed.keys() - TIMING_FIELDS:
+            assert_same_document(fresh[key], committed[key], f"{where}.{key}")
+    elif isinstance(committed, list):
+        assert len(fresh) == len(committed), where
+        for index, (mine, theirs) in enumerate(zip(fresh, committed)):
+            assert_same_document(mine, theirs, f"{where}[{index}]")
+    elif isinstance(committed, float):
+        assert fresh == pytest.approx(committed, rel=1e-9), where
+    else:
+        assert fresh == committed, where
+
+
+@pytest.mark.parametrize("fixture, suite", [
+    ("document", "core"),
+    ("sketch_document", "sketch"),
+    ("rounds_document", "rounds"),
+])
+def test_quick_run_reproduces_the_committed_baseline(request, fixture, suite):
+    """``BENCH_<suite>.json`` is what the code produces today: same entry
+    ids, same deterministic numbers, same key order.  A stale baseline
+    fails here rather than hiding inside the regression tolerance."""
+    fresh = json.loads(json.dumps(request.getfixturevalue(fixture)))
+    committed = json.loads((REPO / f"BENCH_{suite}.json").read_text())
+    assert committed["quick"] is True
+    assert_same_document(fresh, committed)
+
+
+def test_regrets_are_per_cell_on_the_planner_cost_scale():
+    def cell(algorithm, predicted, measured, p=8, rounds=1):
+        return RunRecord(
+            query="q", workload="zipf", m=10, skew=1.0, seed=0, domain=10,
+            p=p, algorithm=algorithm, algorithm_name=algorithm,
+            engine="batched", predicted_load_bits=predicted,
+            lower_bound_bits=1.0, max_load_bits=measured, max_load_tuples=1,
+            replication_rate=1.0, balance=1.0, wall_seconds=0.0,
+            rounds=rounds,
+        )
+
+    assert regrets([
+        # p=8: the pick (lowest predicted) measures 30 against a best of 20.
+        cell("a", predicted=10.0, measured=30.0),
+        cell("b", predicted=20.0, measured=20.0),
+        # p=16: two rounds at 8 cost 16, more than one round at 12.
+        cell("one", predicted=12.0, measured=12.0, p=16),
+        cell("two", predicted=8.0, measured=8.0, p=16, rounds=2),
+    ]) == [1.5, 1.0]
 
 
 class TestValidateBench:
@@ -101,6 +160,29 @@ class TestValidateBench:
         broken = copy.deepcopy(document)
         del broken["summary"]["normalized_wall"]
         with pytest.raises(BenchError, match="normalized_wall"):
+            validate_bench(broken)
+
+
+    @pytest.mark.parametrize("fixture, column, number", [
+        ("sketch_document", "stats", "sketch_min_recall"),
+        ("rounds_document", "rounds", "two_round_min_gap"),
+    ])
+    def test_rejects_a_document_missing_its_suites_own_fields(
+            self, request, fixture, column, number):
+        document = request.getfixturevalue(fixture)
+        broken = copy.deepcopy(document)
+        del broken["entries"][0][column]
+        with pytest.raises(BenchError, match=column):
+            validate_bench(broken)
+        broken = copy.deepcopy(document)
+        del broken["summary"][number]
+        with pytest.raises(BenchError, match=number):
+            validate_bench(broken)
+
+    def test_rejects_an_unknown_suite(self, document):
+        broken = copy.deepcopy(document)
+        broken["suite"] = "micro"
+        with pytest.raises(BenchError, match="unknown bench suite 'micro'"):
             validate_bench(broken)
 
 
@@ -153,6 +235,27 @@ class TestCompareBench:
             compare_bench(document, other)
 
 
+    def test_grid_mismatch_is_an_error(self, document):
+        full = run_suite("core", repeats=1)
+        with pytest.raises(BenchError) as excinfo:
+            compare_bench(document, full)
+        message = str(excinfo.value)
+        assert "grid" in message
+        assert repr(document["grid"]) in message
+        assert repr(full["grid"]) in message
+
+    def test_query_mismatch_is_an_error(self, document):
+        other = copy.deepcopy(document)
+        other["query"] = "q(x, y) :- R(x, y)"
+        with pytest.raises(BenchError, match="query"):
+            compare_bench(document, other)
+
+    def test_negative_tolerance_is_an_error(self, document):
+        with pytest.raises(BenchError, match="-5"):
+            compare_bench(document, document, max_regression=-5)
+        assert compare_bench(document, document, max_regression=0) == []
+
+
 class TestSketchBench:
     def test_document_is_schema_valid(self, sketch_document):
         validate_bench(sketch_document)
@@ -181,7 +284,7 @@ class TestSketchBench:
         assert len(sketch_document["fidelity"]) == expected
 
     def test_gates_pass_on_a_real_run(self, sketch_document):
-        assert sketch_gate_failures(sketch_document) == []
+        assert suite_gate_failures(sketch_document) == []
         summary = sketch_document["summary"]
         assert summary["sketch_min_recall"] == 1.0
         assert summary["merge_bit_identical"] == 1.0
@@ -190,19 +293,19 @@ class TestSketchBench:
     def test_recall_gate_triggers(self, sketch_document):
         doctored = copy.deepcopy(sketch_document)
         doctored["summary"]["sketch_min_recall"] = 0.9
-        failures = sketch_gate_failures(doctored)
+        failures = suite_gate_failures(doctored)
         assert any("missed true heavy hitters" in f for f in failures)
 
     def test_merge_gate_triggers(self, sketch_document):
         doctored = copy.deepcopy(sketch_document)
         doctored["summary"]["merge_bit_identical"] = 0.0
-        failures = sketch_gate_failures(doctored)
+        failures = suite_gate_failures(doctored)
         assert any("bit-identical" in f for f in failures)
 
     def test_regret_gate_triggers(self, sketch_document):
         doctored = copy.deepcopy(sketch_document)
         doctored["summary"]["regret_ratio"] = 1.5
-        failures = sketch_gate_failures(doctored)
+        failures = suite_gate_failures(doctored)
         assert any("regret ratio" in f for f in failures)
 
     def test_self_compare_passes(self, sketch_document):
@@ -231,7 +334,7 @@ class TestRoundsBench:
         assert seen_rounds == {1, 2}
 
     def test_gates_pass_on_a_real_run(self, rounds_document):
-        assert rounds_gate_failures(rounds_document) == []
+        assert suite_gate_failures(rounds_document) == []
         summary = rounds_document["summary"]
         assert summary["two_round_min_speedup_predicted"] > 1.0
         assert summary["two_round_min_speedup_measured"] > 1.0
@@ -241,13 +344,13 @@ class TestRoundsBench:
     def test_speedup_gate_triggers(self, rounds_document):
         doctored = copy.deepcopy(rounds_document)
         doctored["summary"]["two_round_min_speedup_measured"] = 0.8
-        failures = rounds_gate_failures(doctored)
+        failures = suite_gate_failures(doctored)
         assert any("measured" in f for f in failures)
 
     def test_gap_gate_triggers(self, rounds_document):
         doctored = copy.deepcopy(rounds_document)
         doctored["summary"]["two_round_min_gap"] = 0.5
-        failures = rounds_gate_failures(doctored)
+        failures = suite_gate_failures(doctored)
         assert any("lower bound" in f for f in failures)
 
     def test_self_compare_passes(self, rounds_document):
@@ -278,6 +381,42 @@ class TestSuiteDispatch:
         doctored = copy.deepcopy(rounds_document)
         doctored["summary"]["two_round_min_speedup_predicted"] = 0.5
         assert suite_gate_failures(doctored) != []
+
+
+    def test_a_new_suite_is_one_more_row(self, monkeypatch, tmp_path):
+        def count_entries(document, records, grid, obs):
+            document["summary"]["entry_count"] = len(records)
+
+        monkeypatch.setitem(BENCH_SUITES, "toy", replace(
+            BENCH_SUITES["core"],
+            name="toy",
+            quick_grid=dict(workload="uniform", p_values=(4,),
+                            m_values=(60,), skews=(0.0,), seeds=(1,)),
+            entry_columns={"engine": ((str,), False)},
+            summary_numbers=("entry_count",),
+            extend=count_entries,
+            gates=(("entry_count", lambda count: count >= 2,
+                    "only {value!r} entries"),),
+        ))
+        document = run_suite("toy", quick=True, repeats=1)
+        validate_bench(document)
+        assert document["suite"] == "toy"
+        assert {entry["engine"] for entry in document["entries"]} == {"batched"}
+        assert document["summary"]["entry_count"] == len(document["entries"])
+        assert suite_gate_failures(document) == []
+        assert compare_bench(document, document) == []
+
+        doctored = copy.deepcopy(document)
+        doctored["summary"]["entry_count"] = 1
+        assert suite_gate_failures(doctored) == ["only 1 entries"]
+        del doctored["summary"]["entry_count"]
+        with pytest.raises(BenchError, match="entry_count"):
+            validate_bench(doctored)
+
+        output = tmp_path / "BENCH_toy.json"
+        assert main(["bench", "--suite", "toy", "--quick",
+                     "--output", str(output), "-q"]) == 0
+        assert json.loads(output.read_text())["suite"] == "toy"
 
 
 class TestBenchCommand:
@@ -334,7 +473,7 @@ class TestBenchCommand:
         payload = json.loads(output.read_text())
         validate_bench(payload)
         assert payload["suite"] == "sketch"
-        assert sketch_gate_failures(payload) == []
+        assert suite_gate_failures(payload) == []
 
     def test_sketch_suite_fails_on_doctored_baseline(self, tmp_path, capsys):
         output = tmp_path / "BENCH_sketch.json"
@@ -362,8 +501,31 @@ class TestBenchCommand:
         payload = json.loads(output.read_text())
         validate_bench(payload)
         assert payload["suite"] == "rounds"
-        assert rounds_gate_failures(payload) == []
+        assert suite_gate_failures(payload) == []
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "--suite", "quantum", "--quick", "-q"])
+
+    def test_baseline_from_another_grid_is_a_clean_error(self, tmp_path,
+                                                         document):
+        full = run_suite("core", repeats=1)
+        baseline = tmp_path / "full.json"
+        baseline.write_text(json.dumps(full))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick", "--output", str(tmp_path / "o.json"),
+                  "--baseline", str(baseline), "-q"])
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert repr(full["grid"]) in message
+        assert repr(document["grid"]) in message
+
+    def test_negative_max_regression_is_rejected_before_the_run(
+            self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.cli.run_suite",
+            lambda *args, **kwargs: pytest.fail("the suite ran"),
+        )
+        with pytest.raises(SystemExit, match="--max-regression .* -5"):
+            main(["bench", "--quick", "--output", "-", "--max-regression",
+                  "-5", "--baseline", str(REPO / "BENCH_core.json"), "-q"])

@@ -408,3 +408,45 @@ class TestCatalogErrorsExitCleanly:
         assert main(["race", self.UNARY, "--workload", "zipf", "-m", "50",
                      "-p", "4", "--verify"]) == 0
         assert "False" not in capsys.readouterr().out
+
+
+class TestUnwritableDestinations:
+    """An ``--output``/``--trace`` that cannot be written used to cost the
+    whole run: the grid executed, then the write raised."""
+
+    QUERY = "q(x,y,z) :- S1(x,z), S2(y,z)"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("sweep", QUERY, "--m", "60"), "--output"),
+        (("sweep", QUERY, "--m", "60"), "--trace"),
+        (("bench", "--quick"), "--output"),
+        (("bench", "--quick", "--output", "-"), "--trace"),
+        (("race", QUERY, "-m", "60"), "--trace"),
+        (("stats", QUERY, "-m", "60"), "--trace"),
+        (("submit", "sweep", QUERY, "--m", "60"), "--output"),
+    ])
+    def test_one_line_before_any_work(self, monkeypatch, tmp_path, argv, flag):
+        from repro.api import Catalog
+        from repro.service.client import ServiceClient
+
+        def started(*args, **kwargs):
+            pytest.fail("work started before the destination was checked")
+
+        monkeypatch.setattr(Catalog, "generate", started)
+        monkeypatch.setattr(ServiceClient, "submit", started)
+        target = str(tmp_path / "no" / "such" / "dir" / "out.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, target, "-q"])
+        message = str(excinfo.value)
+        assert message.startswith(f"cannot write {target}: ")
+        assert "\n" not in message
+
+    def test_the_check_leaves_no_file_behind(self, tmp_path):
+        target = tmp_path / "records.json"
+        with pytest.raises(SystemExit, match="cannot parse query"):
+            main(["sweep", "garbage", "--output", str(target), "-q"])
+        assert not target.exists()
+        target.write_text("kept")
+        with pytest.raises(SystemExit, match="cannot parse query"):
+            main(["sweep", "garbage", "--output", str(target), "-q"])
+        assert target.read_text() == "kept"
