@@ -9,15 +9,17 @@ query, and broadcasts the small relations across the reduced grid.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Batch, Database, Tuple
 from ..stats.cardinality import SimpleStatistics
 from .bounds import broadcast_reduction
-from .hypercube import HyperCubeAlgorithm, HyperCubePlan
+from .hypercube import HyperCubeAlgorithm, HyperCubePlan, grid_claim
 from .shares import shares_product
 
 
@@ -59,15 +61,14 @@ class _BroadcastPlan(RoutingPlan):
             return range(self.grid_size)
         return self.inner.destinations(relation_name, tup)
 
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
         """A broadcast atom is one claim with one key, the whole grid; the
         rest delegate to the inner HyperCube."""
         if relation_name in self.dropped:
-            everywhere = tuple(range(self.grid_size))
-            return [(range(len(tuples)), [0] * len(tuples), {0: everywhere})]
-        return self.inner.claims(relation_name, tuples)
+            return [grid_claim(
+                np.zeros(len(batch), dtype=np.int64), range(self.grid_size)
+            )]
+        return self.inner.claims(relation_name, batch)
 
     def describe(self) -> Mapping[str, object]:
         description = dict(self.inner.describe())

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery, QueryError
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Batch, Database, Tuple
 from ..stats.cardinality import SimpleStatistics
 from .hypercube import grid_claim
 
@@ -106,27 +108,18 @@ class CartesianGridPlan(RoutingPlan):
             for coords in product(*(range(size) for _, size in free))
         )
 
-    def _grid_bases(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[int]:
-        """Columnar base resolution through the bulk bucket-table path."""
-        stride = self._strides[relation_name]
-        dim = self.dims[relation_name]
-        mixed = [hash(tup) & 0x7FFFFFFF for tup in tuples]
-        table = self.hashes.bucket_table(f"grid:{relation_name}", mixed, dim)
-        if stride != 1:
-            return [stride * table[value] for value in mixed]
-        return [table[value] for value in mixed]
-
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
-        """One claim over the whole batch, keyed by grid base: bulk hashing
-        for the bases, the precomputed offsets for each distinct one."""
-        return [grid_claim(
-            self._grid_bases(relation_name, tuples),
-            self._free_offsets[relation_name],
-        )]
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
+        """One claim over the whole batch, keyed by grid base: the whole
+        tuple's Python hash (the one plan that reads ``batch.rows``)
+        bucketed into this atom's dimension, the precomputed offsets for
+        each distinct base."""
+        mixed = np.fromiter(
+            map(hash, batch.rows), dtype=np.int64, count=len(batch)
+        ) & 0x7FFFFFFF
+        bases = self._strides[relation_name] * self.hashes.bucket_column(
+            f"grid:{relation_name}", mixed, self.dims[relation_name]
+        )
+        return [grid_claim(bases, self._free_offsets[relation_name])]
 
     def describe(self) -> Mapping[str, object]:
         return {"grid": dict(self.dims)}

@@ -20,10 +20,12 @@ import math
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Batch, Database, Tuple
 from ..stats.cardinality import SimpleStatistics
 from .shares import (
     RoundingStrategy,
@@ -35,17 +37,17 @@ from .shares import (
 )
 
 
-def grid_claim(bases: list[int], offsets: Sequence[int]) -> Claim:
+def grid_claim(bases: np.ndarray, offsets: Sequence[int]) -> Claim:
     """The claim of a grid-shaped plan on a batch with these grid bases: a
     tuple at base ``b`` goes to ``b + o`` for every replication offset ``o``
     (duplicate-free: the offsets are distinct points of a mixed-radix grid).
-    The table has a row per *distinct* base — at most ``p`` — however large
-    the batch."""
+    The table has a row per *distinct* base — at most ``p``, so they are
+    found by counting, not sorting — however large the batch."""
     table = {
         base: tuple(base + offset for offset in offsets)
-        for base in set(bases)
+        for base in np.flatnonzero(np.bincount(bases)).tolist()
     }
-    return range(len(bases)), bases, table
+    return np.arange(len(bases)), bases, table
 
 
 class HyperCubePlan(RoutingPlan):
@@ -124,48 +126,28 @@ class HyperCubePlan(RoutingPlan):
             for coords in product(*(range(share) for _, share in free))
         )
 
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
         """One claim over the whole batch, in batch order, keyed by grid
         base (:func:`grid_claim`): at most ``prod_{i in S_j} p_i`` distinct
         bases, each replicated along the offsets enumerated at plan
-        construction."""
-        return [grid_claim(
-            self._grid_bases(relation_name, tuples),
-            self._free_offsets[relation_name],
-        )]
+        construction.
 
-    def _grid_bases(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[int]:
-        """Columnar fixed-dimension resolution: one grid base per tuple.
-
-        Instead of routing tuple by tuple, each fixed dimension is resolved
-        for the whole batch at once: extract the column, hash its *distinct*
-        values through :meth:`HashFamily.bucket_table`, map the column
-        through the table, and fold the strided coordinates into per-tuple
-        grid bases with C-level comprehensions.  An atom with no fixed
-        dimension sits at base 0.
+        Each fixed dimension is resolved for the whole batch at once — its
+        column hashed by :meth:`HashFamily.bucket_column` and folded into
+        the bases as ``stride * bucket``.  A dimension of share 1 adds
+        nothing and its column is never read; an atom with no other sits
+        at base 0.
         """
         fixed, _free = self._recipes[relation_name]
-        if not fixed:
-            return [0] * len(tuples)
-        bases: list[int] | None = None
+        bases = np.zeros(len(batch), dtype=np.int64)
         for var, position, stride in fixed:
-            column = [tup[position] for tup in tuples]
-            table = self.hashes.bucket_table(
-                f"{self.salt_prefix}:{var}", column, self.shares[var]
-            )
-            if stride != 1:
-                contribution = [stride * table[value] for value in column]
-            else:
-                contribution = [table[value] for value in column]
-            if bases is None:
-                bases = contribution
-            else:
-                bases = [b + c for b, c in zip(bases, contribution)]
-        return bases
+            if self.shares[var] > 1:
+                bases += stride * self.hashes.bucket_column(
+                    f"{self.salt_prefix}:{var}",
+                    batch.columns[position],
+                    self.shares[var],
+                )
+        return [grid_claim(bases, self._free_offsets[relation_name])]
 
     def describe(self) -> Mapping[str, object]:
         return {

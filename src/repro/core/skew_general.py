@@ -37,8 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
@@ -46,7 +47,7 @@ from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
 from ..query.residual import residual_query
-from ..seq.relation import Database, Tuple, project_columns
+from ..seq.relation import Batch, Database, Tuple
 from ..stats.bins import BinCombination, combination_for_assignment
 from ..stats.provider import StatisticsProvider
 from ..stats.heavy_hitters import (
@@ -55,7 +56,7 @@ from ..stats.heavy_hitters import (
     canonical_subset,
 )
 from .hypercube import HyperCubePlan
-from .shares import integer_shares
+from .shares import integer_shares, shares_product
 
 # An assignment to a variable set, canonically sorted by variable name.
 Assg = tuple[tuple[str, int], ...]
@@ -284,58 +285,49 @@ class _CombinationPlan:
             slots, tuple(self.inner.destinations(relation_name, residual_tuple))
         )
 
-    def claim(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> Claim | None:
+    def claim(self, relation_name: str, batch: Batch) -> Claim | None:
         """Column-at-a-time :meth:`destinations_for` over a whole batch.
 
-        Overweight filters and the heavy-slot lookup are set/dict probes
-        over projected columns; the surviving tuples' residuals are one
-        inner HyperCube claim, and block placement is computed once per
-        distinct routing key (at most ``p`` inner bases per heavy
-        assignment), not per tuple.  Returns None when the combination
-        owns no tuple of the batch.
+        Overweight filters and the heavy-slot lookup are
+        :meth:`Batch.codes` over the projected columns; the surviving
+        tuples' residuals are one inner HyperCube claim, and block
+        placement is computed once per distinct routing key — heavy
+        assignment times the inner grid's size plus inner base, at most
+        ``p`` inner bases per heavy assignment — not per tuple.  Returns
+        None when the combination owns no tuple of the batch.
         """
-        indices: Sequence[int] = range(len(tuples))
-        owned = tuples
+        indices = np.arange(len(batch))
+        owned = batch
         for positions, overweight in self.overweight.get(relation_name, ()):
-            keep = [
-                key not in overweight
-                for key in project_columns(owned, positions)
-            ]
-            if not all(keep):
-                indices = list(compress(indices, keep))
-                owned = list(compress(owned, keep))
-        heavy_keys = None
+            keep = owned.codes(positions, list(overweight)) < 0
+            indices, owned = indices[keep], owned.take(keep)
+        which = None
         positions = self.heavy_positions.get(relation_name)
         if positions is not None:
             index = self.heavy_index[relation_name]
-            heavy_keys = project_columns(owned, positions)
-            keep = [key in index for key in heavy_keys]
-            if not all(keep):
-                indices = list(compress(indices, keep))
-                owned = list(compress(owned, keep))
-                heavy_keys = list(compress(heavy_keys, keep))
-        if not owned:
+            which = owned.codes(positions, list(index))
+            keep = which >= 0
+            indices, owned, which = indices[keep], owned.take(keep), which[keep]
+        if not len(owned):
             return None
 
         if self.combo.variables:  # the empty combination removes nothing
-            owned = project_columns(
-                owned, self.kept_positions[relation_name]
-            )
+            owned = owned.project(self.kept_positions[relation_name])
         # A HyperCube claim is one, over its whole batch in batch order.
         [(_, bases, inner_table)] = self.inner.claims(relation_name, owned)
-        if heavy_keys is None:
+        if which is None:
             every_slot = range(len(self.assignments))
             table = {
                 base: self._place(every_slot, dests)
                 for base, dests in inner_table.items()
             }
             return indices, bases, table
-        keys = list(zip(heavy_keys, bases))
+        width = shares_product(self.inner.shares)
+        slots = list(index.values())
+        keys = which * width + bases
         table = {
-            key: self._place(index[key[0]], inner_table[key[1]])
-            for key in set(keys)
+            key: self._place(slots[key // width], inner_table[key % width])
+            for key in np.flatnonzero(np.bincount(keys)).tolist()
         }
         return indices, keys, table
 
@@ -475,13 +467,11 @@ class BinHyperCubePlan(RoutingPlan):
             out.update(plan.destinations_for(relation_name, tup))
         return out
 
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
         """One claim per bin combination that owns a tuple of the batch
         (:meth:`_CombinationPlan.claim`); a tuple several combinations own
         gets the union of their destinations, like the scalar path."""
-        claims = (plan.claim(relation_name, tuples) for plan in self.combo_plans)
+        claims = (plan.claim(relation_name, batch) for plan in self.combo_plans)
         return [claim for claim in claims if claim is not None]
 
     def theoretical_load_bits(self) -> float:

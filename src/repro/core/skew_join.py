@@ -27,11 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..mpc.allocation import ServerAllocator
 from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
-from ..seq.relation import Database, Tuple, project_columns
+from ..seq.relation import Batch, Database, Tuple
 from ..stats.provider import StatisticsProvider
 from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
 
@@ -56,6 +58,18 @@ def _mix(values: Iterable[int]) -> int:
     for value in values:
         mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
     return mixed
+
+
+def _mix_columns(batch: Batch, positions: Sequence[int]) -> np.ndarray:
+    """:func:`_mix` of every tuple's values at ``positions``.  The fold
+    runs in uint64, where the product wraps; the 47-bit mask keeps only
+    bits the wrap leaves exact."""
+    mixed = np.zeros(len(batch), dtype=np.uint64)
+    for position in positions:
+        mixed *= np.uint64(1_000_003)
+        mixed += batch.columns[position].astype(np.uint64) + np.uint64(1)
+        mixed &= np.uint64(0x7FFFFFFFFFFF)
+    return mixed.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,23 @@ class SkewAwareJoinPlan(RoutingPlan):
             for atom in query.atoms
         }
 
+        # Batch path: the heavy join values in one order, and per relation
+        # the routing keys — a light tuple's is its hash-join server, the
+        # bucket ``b`` of heavy value number ``c`` has ``offsets[c] + b``
+        # (from ``p`` up, ``sizes[c]`` buckets each) — with their table.
+        self._heavy = sorted(
+            self.grid_blocks.keys() | self.partition_blocks.keys()
+        )
+        self._keys: dict[str, tuple[np.ndarray, np.ndarray, dict]] = {}
+        for atom in query.atoms:
+            fans = [self._fan_out(atom.name, h) for h in self._heavy]
+            sizes = np.array([len(fan) for fan in fans], dtype=np.int64)
+            offsets = p + np.cumsum(sizes) - sizes
+            table = {server: (server,) for server in range(p)}
+            for offset, fan in zip(offsets.tolist(), fans):
+                table.update(enumerate(fan, offset))
+            self._keys[atom.name] = offsets, sizes, table
+
     def _join_value(self, relation_name: str, tup: Tuple) -> Tuple:
         return tuple(tup[i] for i in self._join_positions[relation_name])
 
@@ -196,32 +227,9 @@ class SkewAwareJoinPlan(RoutingPlan):
             return tuple((server,) for server in block.servers)
         return (block.servers,)
 
-    def _private_buckets(
-        self, relation_name: str, tuples: Sequence[Tuple], buckets: int
-    ) -> list[int]:
-        """:meth:`_private_hash` of every tuple, bulk hashed."""
-        if buckets == 1:
-            return [0] * len(tuples)
-        positions = self._private_positions[relation_name]
-        mixed = [_mix(key) for key in project_columns(tuples, positions)]
-        table = self.hashes.bucket_table(
-            f"skewjoin:{relation_name}", mixed, buckets
-        )
-        return [table[value] for value in mixed]
-
-    def _light_servers(self, values: Iterable[Tuple]) -> dict[Tuple, int]:
-        """Hash-join server of each light join value: one hash per value."""
-        mixed = {h: _mix(h) for h in values}
-        table = self.hashes.bucket_table(
-            "skewjoin:light", mixed.values(), self.p
-        )
-        return {h: table[m] for h, m in mixed.items()}
-
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
         """One claim over the whole batch: a light tuple is keyed by its
-        hash-join server, a heavy one by (join value, private-hash bucket).
+        hash-join server, a heavy one by its block's bucket.
 
         Heavy hitters are few, so almost every tuple takes the light path,
         whose destination depends only on the tuple's join value: one hash
@@ -230,37 +238,20 @@ class SkewAwareJoinPlan(RoutingPlan):
         one coordinate their side uses, where the scalar path computes both
         row and column.
         """
-        join_values = project_columns(
-            tuples, self._join_positions[relation_name]
+        offsets, sizes, table = self._keys[relation_name]
+        join_positions = self._join_positions[relation_name]
+        which = batch.codes(join_positions, self._heavy)
+        heavy, light = which >= 0, which < 0
+        which = which[heavy]
+        keys = np.empty(len(batch), dtype=np.int64)
+        keys[light] = self.hashes.bucket_column(
+            "skewjoin:light", _mix_columns(batch, join_positions)[light], self.p
         )
-        distinct = set(join_values)
-        members: dict[Tuple, list[int]] = {
-            h: []
-            for h in distinct
-            & (self.grid_blocks.keys() | self.partition_blocks.keys())
-        }
-        distinct.difference_update(members)
-        servers = self._light_servers(distinct)
-        # None at the heavy positions, which are keyed below.
-        keys: list = list(map(servers.get, join_values))
-        table: dict[object, tuple[int, ...]] = {
-            server: (server,) for server in range(self.p)
-        }
-        if members:
-            for i, h in enumerate(join_values):
-                if h in members:
-                    members[h].append(i)
-            for h, indices in members.items():
-                fan = self._fan_out(relation_name, h)
-                buckets = self._private_buckets(
-                    relation_name, [tuples[i] for i in indices], len(fan)
-                )
-                for i, bucket in zip(indices, buckets):
-                    keys[i] = (h, bucket)
-                table.update(
-                    ((h, bucket), block) for bucket, block in enumerate(fan)
-                )
-        return [(range(len(tuples)), keys, table)]
+        private = _mix_columns(batch, self._private_positions[relation_name])
+        keys[heavy] = offsets[which] + self.hashes.bucket_column(
+            f"skewjoin:{relation_name}", private[heavy], sizes[which]
+        )
+        return [(np.arange(len(batch)), keys, table)]
 
     def describe(self) -> Mapping[str, object]:
         return {

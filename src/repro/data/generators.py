@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, islice, repeat
 from typing import Mapping, Sequence
 
 from ..seq.relation import Relation
@@ -55,9 +56,18 @@ def uniform_relation(
     """``cardinality`` distinct uniform tuples from ``[domain_size]^arity``."""
     _check_capacity(cardinality, domain_size, arity)
     rng = _rng(seed, f"uniform:{name}")
+    # The stream ``rng.randrange(domain_size)`` consumes — ``getrandbits``
+    # of the domain's bit length, redrawn until below it — cut into tuples
+    # without a Python-level call per value.
+    values = filter(
+        domain_size.__gt__,
+        iter(partial(rng.getrandbits, domain_size.bit_length()), None),
+    )
+    draws = zip(*[values] * arity) if arity else repeat(())
     tuples: set[tuple[int, ...]] = set()
     while len(tuples) < cardinality:
-        tuples.add(tuple(rng.randrange(domain_size) for _ in range(arity)))
+        # As many draws as tuples are missing: the set cannot fill early.
+        tuples.update(islice(draws, cardinality - len(tuples)))
     return Relation(
         name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
     )

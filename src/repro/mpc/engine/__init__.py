@@ -8,17 +8,17 @@ The engine subsystem separates *what* a one-round algorithm does (its
     fully materialized server fragments, routed through the scalar
     ``RoutingPlan.destinations``.  Slowest; the parity oracle.
 ``batched``
-    :class:`BatchedEngine` — routes each relation with one call into the
-    batch primitive every in-tree plan implements natively,
-    ``RoutingPlan.claims``, through the two methods ``RoutingPlan`` derives
-    from it: ``destination_counts`` when only loads are wanted (no fragment
+    :class:`BatchedEngine` — routes each relation's cached columnar view
+    (``Relation.batch``) with one call into the batch primitive every
+    in-tree plan implements natively, ``RoutingPlan.claims``, through the
+    two methods ``RoutingPlan`` derives from it: ``destination_counts`` when only loads are wanted (no fragment
     and no per-tuple destination list exists), ``destinations_batch`` when
     the local joins need fragments.
 ``mp``
     :class:`MultiprocessEngine` — the same kernel
-    (:mod:`repro.mpc.engine.shard`) with each relation split into shards
-    routed, and the local joins run, on the process farm
-    (:mod:`repro.mpc.farm`).
+    (:mod:`repro.mpc.engine.shard`) with each relation's batch sliced into
+    shards (int64 column slices on the wire) routed, and the local joins
+    run, on the process farm (:mod:`repro.mpc.farm`).
 
 All engines are answer- and load-identical (``tests/test_engine_parity.py``);
 pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when

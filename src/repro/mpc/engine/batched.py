@@ -3,13 +3,17 @@
 The round is driven entirely through :meth:`RoutingPlan.claims`, the batch
 primitive every in-tree :class:`~repro.mpc.execution.RoutingPlan`
 implements natively (the scalar ``destinations`` is only
-:class:`ReferenceEngine`'s oracle and the fallback for user-defined plans),
-by way of the two methods ``RoutingPlan`` derives from it:
+:class:`ReferenceEngine`'s oracle and the fallback for user-defined plans).
+What it is handed is :attr:`Relation.batch <repro.seq.relation.Relation.batch>`
+— the relation's tuples as int64 columns, built once per relation and
+shared by every algorithm routed on it — by way of the two methods
+``RoutingPlan`` derives from ``claims``:
 
 * with ``compute_answers=False`` each relation costs one
   :meth:`RoutingPlan.destination_counts` call — no fragment and no
-  per-tuple destination list is materialized, so load experiments scale to
-  inputs far beyond what the reference engine holds in memory;
+  per-tuple destination list is materialized and the batch's rows are
+  never read, so load experiments scale to inputs far beyond what the
+  reference engine holds in memory;
 * with ``compute_answers=True`` each relation costs one
   :meth:`RoutingPlan.destinations_batch` call whose rows are delivered into
   per-server fragments for the local joins.
@@ -77,7 +81,7 @@ class BatchedEngine(ExecutionEngine):
                     routed = ledger.add(
                         atom.name,
                         tuple_bits,
-                        shards.route(atom.name, list(relation.tuples)),
+                        shards.route(atom.name, relation.batch),
                     )
                 if obs is not None:
                     obs.count(f"engine.routed_tuples.{atom.name}", routed)

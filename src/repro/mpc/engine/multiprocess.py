@@ -6,10 +6,11 @@ the shards run on the process farm (:mod:`repro.mpc.farm`); the kernel
 workers call the very :class:`~repro.mpc.engine.shard.InProcessShards` the
 batched engine calls in-process, captured when they start.
 
-1. **Routing** — each relation's tuples are split into one chunk per
-   worker; every worker routes its chunk and returns per-server received
-   counts plus (when answers are requested) the per-server fragment
-   slices.  The parent folds the shards into the round's ledger exactly as
+1. **Routing** — each relation's batch is sliced into one chunk per
+   worker, shipped as int64 columns (a worker that delivers fragments
+   rebuilds the rows from them); every worker routes its chunk and returns
+   per-server received counts plus (when answers are requested) the
+   per-server fragment slices.  The parent folds the shards into the round's ledger exactly as
    the in-process engine folds its single shard: counts by integer
    addition, fragments by set union, bits once per relation as
    ``count * tuple_bits`` — so loads stay bit-identical.
@@ -36,7 +37,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterator
 
 from ...query.atoms import ConjunctiveQuery
-from ...seq.relation import Tuple
+from ...seq.relation import Batch, Tuple
 from ..execution import RoutingPlan
 from ..farm import Farm, FarmUnavailable, check_workers
 from .base import EngineError
@@ -54,8 +55,9 @@ def _shard_task(shards: InProcessShards, task: tuple) -> object:
     return getattr(shards, method)(*args)
 
 
-def _chunks(items: list, pieces: int) -> list[list]:
-    """Split ``items`` into at most ``pieces`` contiguous nonempty chunks."""
+def _chunks(items: "list | Batch", pieces: int) -> list:
+    """Split ``items`` into at most ``pieces`` contiguous nonempty chunks
+    (slices: of a list, or of a batch's columns)."""
     if not items:
         return []
     pieces = min(pieces, len(items))
@@ -79,9 +81,9 @@ class _FarmShards:
         self.workers = workers
         self.obs = obs
 
-    def route(self, relation_name: str, tuples: list[Tuple]) -> list[Shard]:
+    def route(self, relation_name: str, batch: Batch) -> list[Shard]:
         routed = self._run("route", f"relation {relation_name!r}", "tuples",
-                           tuples, relation_name)
+                           batch, relation_name)
         return [shard for (shard,) in routed]
 
     def join(
@@ -92,7 +94,8 @@ class _FarmShards:
         return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
     def _run(
-        self, phase: str, what: str, unit: str, items: list, *head: object
+        self, phase: str, what: str, unit: str, items: "list | Batch",
+        *head: object,
     ) -> list:
         """Map one phase's chunks of ``items`` over the farm; the results
         in chunk order, or :class:`EngineError` for a chunk without one."""

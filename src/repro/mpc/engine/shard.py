@@ -3,8 +3,9 @@
 Both engines run the same kernel through the two methods
 :class:`RoutingPlan` derives from a plan's :meth:`RoutingPlan.claims`
 (:meth:`RoutingPlan.destination_counts` when only loads are wanted,
-:meth:`RoutingPlan.destinations_batch` when fragments are): a *shard* — the
-whole relation in-process, one chunk per farm worker in ``mp`` — is routed
+:meth:`RoutingPlan.destinations_batch` when fragments are): a *shard* — a
+:class:`~repro.seq.relation.Batch`: the relation's whole cached view
+in-process, one slice of its columns per farm worker in ``mp`` — is routed
 by :func:`route_shard`, the shards of a relation are folded into the
 round's :class:`RoundLedger`, and the occupied servers are joined a shard
 at a time by :func:`join_shard` (one answer set per shard, built once from
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ...query.atoms import ConjunctiveQuery
 from ...seq.join import local_join_rows
-from ...seq.relation import Tuple
+from ...seq.relation import Batch, Tuple
 from ..cluster import LoadReport
 from ..execution import RoutingPlan
 
@@ -36,19 +37,20 @@ Shard = tuple[Mapping[int, int], Mapping[int, list[Tuple]] | None]
 def route_shard(
     plan: RoutingPlan,
     relation_name: str,
-    tuples: Sequence[Tuple],
+    batch: Batch,
     deliver: bool,
 ) -> Shard:
     """Route one shard of one relation.
 
-    With ``deliver`` false no per-tuple destination list is built at all:
-    the plan counts receives per server directly.
+    With ``deliver`` false no per-tuple destination list is built at all
+    (and the batch's rows are never touched): the plan counts receives per
+    server directly.
     """
     if not deliver:
-        return plan.destination_counts(relation_name, tuples), None
+        return plan.destination_counts(relation_name, batch), None
     received: defaultdict[int, list[Tuple]] = defaultdict(list)
     for tup, dests in zip(
-        tuples, plan.destinations_batch(relation_name, tuples)
+        batch.rows, plan.destinations_batch(relation_name, batch)
     ):
         for server in dests:
             received[server].append(tup)
@@ -88,8 +90,8 @@ class InProcessShards:
         self.domain_size = domain_size
         self.deliver = deliver
 
-    def route(self, relation_name: str, tuples: list[Tuple]) -> list[Shard]:
-        return [route_shard(self.plan, relation_name, tuples, self.deliver)]
+    def route(self, relation_name: str, batch: Batch) -> list[Shard]:
+        return [route_shard(self.plan, relation_name, batch, self.deliver)]
 
     def join(
         self, occupied: Sequence[Mapping[str, set[Tuple]]]

@@ -33,11 +33,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Batch, Database, Tuple, distinct_values
 from ..stats.provider import StatisticsProvider
 from .cluster import LoadReport
 from .hashing import HashFamily
@@ -48,9 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # One claim on a batch: the positions (into the batch) of the tuples it
-# covers, one routing key per covered tuple, and the duplicate-free
-# destination tuple of every distinct key.
-Claim = tuple[Sequence[int], Sequence, Mapping[object, tuple[int, ...]]]
+# covers, one integer routing key per covered tuple — both int64 arrays —
+# and the duplicate-free destination tuple of every distinct key.
+Claim = tuple[np.ndarray, np.ndarray, Mapping[int, tuple[int, ...]]]
 
 
 class RoutingPlan(ABC):
@@ -63,12 +64,14 @@ class RoutingPlan(ABC):
       is the parity oracle for everything else.
     * :meth:`claims` — a whole relation (or shard) at once, as routing
       keys: a tuple's destinations are a function of a small key (its grid
-      base, its hash-join server, its heavy assignment), so a batch is a
-      key per tuple plus the destinations of each *distinct* key.
+      base, its hash-join server, its heavy assignment), so a batch is an
+      integer key per tuple, computed from the batch's columns, plus the
+      destinations of each *distinct* key.
 
     What the batched engines consume — :meth:`destinations_batch` when the
     fragments are needed, :meth:`destination_counts` for load-only rounds —
-    is derived from the claims here, once, for every plan.  Every in-tree
+    is derived from the claims here, once, for every plan (both also take a
+    plain sequence of tuples and make the batch themselves).  Every in-tree
     plan implements :meth:`claims` natively, column-at-a-time
     (``tests/test_routing_contract.py`` checks it against the scalar
     definition and that no registered algorithm inherits the default).  The
@@ -80,23 +83,26 @@ class RoutingPlan(ABC):
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
         """Server indices in ``[0, p)`` that receive ``tup``."""
 
-    def claims(
-        self, relation_name: str, tuples: Sequence[Tuple]
-    ) -> list[Claim]:
+    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
         """The batch's deliveries as :data:`Claim` s: tuple ``i`` goes to the
         union of ``table[key]`` over the claims that cover it.
 
-        Extension fallback: one claim over the whole batch whose keys are
-        the deduplicated scalar :meth:`destinations` themselves.
+        Extension fallback: one claim over the whole batch whose keys
+        number the distinct deduplicated scalar :meth:`destinations`.
         """
+        numbers: dict[tuple[int, ...], int] = {}
         keys = [
-            tuple(dict.fromkeys(self.destinations(relation_name, tup)))
-            for tup in tuples
+            numbers.setdefault(
+                tuple(dict.fromkeys(self.destinations(relation_name, tup))),
+                len(numbers),
+            )
+            for tup in batch.rows
         ]
-        return [(range(len(tuples)), keys, {key: key for key in set(keys)})]
+        table = {number: dests for dests, number in numbers.items()}
+        return [(np.arange(len(keys)), np.array(keys, dtype=np.int64), table)]
 
     def destinations_batch(
-        self, relation_name: str, tuples: Sequence[Tuple]
+        self, relation_name: str, tuples: Batch | Sequence[Tuple]
     ) -> list[tuple[int, ...]]:
         """Destinations for a whole batch of tuples of one relation.
 
@@ -104,9 +110,10 @@ class RoutingPlan(ABC):
         tuple, in input order: a table lookup per covered tuple, unioned
         (not added) where several claims cover the same tuple.
         """
-        out: list[tuple[int, ...]] = [()] * len(tuples)
-        for indices, keys, table in self.claims(relation_name, tuples):
-            for i, key in zip(indices, keys):
+        batch = Batch.of(tuples)
+        out: list[tuple[int, ...]] = [()] * len(batch)
+        for indices, keys, table in self.claims(relation_name, batch):
+            for i, key in zip(indices.tolist(), keys.tolist()):
                 dests = table[key]
                 if out[i]:
                     dests = tuple(dict.fromkeys(out[i] + dests))
@@ -114,35 +121,34 @@ class RoutingPlan(ABC):
         return out
 
     def destination_counts(
-        self, relation_name: str, tuples: Sequence[Tuple]
+        self, relation_name: str, tuples: Batch | Sequence[Tuple]
     ) -> Mapping[int, int]:
         """Per-server received-tuple counts for a batch, answers not needed.
 
         Load-only simulation (``compute_answers=False``) never looks at
         *which* tuples a server received, only *how many*, so no per-tuple
         destination list is built: a tuple covered by a single claim is
-        counted through its routing key — distinct keys are counted at C
-        speed and each key's destinations folded once.  Only tuples that
-        several claims cover are unioned per tuple.
+        counted through its routing key — distinct keys are counted in one
+        array pass and each key's destinations folded once.  Only tuples
+        that several claims cover are unioned per tuple.
         """
-        claims = self.claims(relation_name, tuples)
+        batch = Batch.of(tuples)
+        claims = self.claims(relation_name, batch)
         contested: dict[int, set[int]] = {}
         if len(claims) > 1:
-            owners = Counter(
-                chain.from_iterable(indices for indices, _, _ in claims)
-            )
-            contested = {i: set() for i, n in owners.items() if n > 1}
+            shared = np.bincount(
+                np.concatenate([indices for indices, _, _ in claims])
+            ) > 1
+            contested = {i: set() for i in np.flatnonzero(shared).tolist()}
         counts: Counter[int] = Counter()
         for indices, keys, table in claims:
             if contested:
-                exclusive = []
-                for i, key in zip(indices, keys):
-                    if i in contested:
-                        contested[i].update(table[key])
-                    else:
-                        exclusive.append(key)
-                keys = exclusive
-            for key, n in Counter(keys).items():
+                mine = shared[indices]
+                for i, key in zip(indices[mine].tolist(), keys[mine].tolist()):
+                    contested[i].update(table[key])
+                keys = keys[~mine]
+            distinct, _, _, occurrences = distinct_values(keys)
+            for key, n in zip(distinct.tolist(), occurrences.tolist()):
                 for server in table[key]:
                     counts[server] += n
         for dests in contested.values():

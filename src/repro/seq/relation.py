@@ -8,6 +8,10 @@ with ``m_j`` tuples of arity ``a_j`` over a domain of size ``n`` occupies
 is ``m_j`` times that.  ``log2`` is used as a real number so the simulator's
 load accounting agrees exactly with the bound formulas; the degenerate
 ``n = 1`` domain is clamped to one bit per value.
+
+The routing and statistics layers do not read the tuples: they read
+:attr:`Relation.batch`, a :class:`Batch` — the same tuples in one fixed
+order, as rows and as one contiguous int64 array with a row per column.
 """
 
 from __future__ import annotations
@@ -15,10 +19,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 Tuple = tuple[int, ...]
+
+#: Values are stored as int64 columns, so a domain ends here at the latest.
+MAX_DOMAIN_SIZE = 2**63
 
 
 class RelationError(ValueError):
@@ -38,9 +49,8 @@ def project_columns(
     """Column-at-a-time projection: the values at ``positions`` of every
     tuple, one key tuple per input tuple, in input order.
 
-    The shared primitive under :meth:`Relation.frequencies` and the batch
-    routing paths — one C-level pass per call instead of a generator per
-    tuple.
+    The shared primitive under :meth:`Relation.frequencies` and the join
+    kernel — one C-level pass per call instead of a generator per tuple.
     """
     if not positions:
         return [()] * len(tuples)
@@ -48,6 +58,183 @@ def project_columns(
         (position,) = positions
         return [(tup[position],) for tup in tuples]
     return list(map(itemgetter(*positions), tuples))
+
+
+def _flat_values(what: str, arity: int, tuples: Collection[Tuple]) -> list[int]:
+    """The values of ``tuples``, row after row, once every row is known to
+    have ``arity`` entries and every entry to be a plain ``int``.
+
+    Both checks are exact because an int64 column would hide what they
+    catch: it takes ``1.5`` as ``1`` (``bool`` and numpy scalars are
+    refused with it), and two ragged rows whose lengths add up re-align.
+    """
+    if set(map(len, tuples)) - {arity}:
+        ragged = next(t for t in tuples if len(t) != arity)
+        raise RelationError(
+            f"{what}: tuple {ragged} has length {len(ragged)}, "
+            f"expected arity {arity}"
+        )
+    flat = list(chain.from_iterable(tuples))
+    if set(map(type, flat)) - {int}:
+        value = next(v for v in flat if type(v) is not int)
+        raise RelationError(
+            f"{what}: value {value!r} is a {type(value).__name__}, not an int"
+        )
+    return flat
+
+
+def distinct_values(
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(distinct, first, inverse, counts)`` of a 1-d array: its distinct
+    values in ascending order, where each first occurs, for every entry the
+    index of its value in ``distinct``, and how often each occurs.
+
+    ``np.unique`` with every ``return_`` flag, from one ``argsort`` and a
+    diff: ``np.unique`` imports ``numpy.ma`` on its first call, which
+    every command would pay at start-up.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    # The sort is not stable, so a run's first occurrence is its smallest
+    # index, not its leading one.
+    first = np.minimum.reduceat(order, starts) if len(starts) else starts
+    return ranked[starts], first, inverse, np.diff(starts, append=len(ranked))
+
+
+def sorted_lookup(
+    sorted_values: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(slot, hit)``: where each entry of ``values`` sits in the
+    ascending, duplicate-free ``sorted_values``, and whether it is there
+    at all (``slot`` is only meaningful where ``hit``)."""
+    if not len(sorted_values):
+        return (np.zeros(len(values), dtype=np.intp),
+                np.zeros(len(values), dtype=bool))
+    slot = np.searchsorted(sorted_values, values)
+    slot[slot == len(sorted_values)] = 0
+    return slot, sorted_values[slot] == values
+
+
+class Batch:
+    """Tuples of one arity in one fixed order, as rows and as columns.
+
+    :attr:`rows` is the list of tuples; :attr:`columns` the same values as
+    one contiguous ``(arity, m)`` int64 array, a row per column position.
+    A batch is made from either and builds the other on first use, so both
+    list the tuples in the same order.  What the routing layer takes in
+    (:meth:`repro.mpc.execution.RoutingPlan.claims`) and the ``mp`` engine
+    ships to its workers — always as columns.  Treat it as read-only: a
+    relation hands the same batch to every caller.
+    """
+
+    __slots__ = ("arity", "_rows", "_columns")
+
+    def __init__(
+        self,
+        arity: int,
+        rows: list[Tuple] | None = None,
+        columns: np.ndarray | None = None,
+    ) -> None:
+        self.arity = arity
+        self._rows = rows
+        self._columns = columns
+
+    @classmethod
+    def of(cls, tuples: "Batch | Iterable[Tuple]") -> "Batch":
+        """``tuples`` as a batch: itself if it is one, else its rows,
+        checked like a relation's (the arity is the first row's)."""
+        if isinstance(tuples, Batch):
+            return tuples
+        rows = list(tuples)
+        arity = len(rows[0]) if rows else 0
+        _flat_values("batch", arity, rows)
+        return cls(arity, rows=rows)
+
+    @property
+    def rows(self) -> list[Tuple]:
+        if self._rows is None:
+            columns = self._columns
+            self._rows = (
+                list(zip(*columns.tolist())) if self.arity
+                else [()] * columns.shape[1]
+            )
+        return self._rows
+
+    @property
+    def columns(self) -> np.ndarray:
+        if self._columns is None:
+            rows = self._rows
+            flat = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64,
+                count=self.arity * len(rows),
+            )
+            self._columns = np.ascontiguousarray(
+                flat.reshape(len(rows), self.arity).T
+            )
+        return self._columns
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return self._columns.shape[1]
+
+    def __getitem__(self, piece: slice) -> "Batch":
+        """A contiguous run of the batch (an ``mp`` shard)."""
+        return Batch(self.arity, columns=self.columns[:, piece])
+
+    def __reduce__(self):
+        return Batch, (self.arity, None, self.columns)
+
+    def take(self, selector: np.ndarray) -> "Batch":
+        """The tuples a boolean mask or an index array selects."""
+        if selector.dtype == bool:
+            selector = np.flatnonzero(selector)
+        return Batch(self.arity, columns=np.take(self.columns, selector, axis=1))
+
+    def project(self, positions: Sequence[int]) -> "Batch":
+        """Every tuple's values at ``positions`` (duplicates kept)."""
+        return Batch(
+            len(positions), columns=np.take(self.columns, positions, axis=0)
+        )
+
+    def codes(
+        self, positions: Sequence[int], wanted: Sequence[Tuple]
+    ) -> np.ndarray:
+        """For every tuple the index in ``wanted`` (distinct assignments to
+        ``positions``, typically a handful of heavy hitters) of its
+        projection onto ``positions``, or -1.
+
+        Column by column the tuples are narrowed to those whose value some
+        wanted assignment has there; with one position that settles it (the
+        sorted search is the code), with several the few candidates left
+        are looked up exactly.
+        """
+        codes = np.full(len(self), -1, dtype=np.int64)
+        candidates = np.arange(len(self))
+        for slot, position in enumerate(positions):
+            values = np.array(
+                sorted({assignment[slot] for assignment in wanted}),
+                dtype=np.int64,
+            )
+            rank, hit = sorted_lookup(values, self.columns[position][candidates])
+            candidates = candidates[hit]
+        if len(positions) == 1:
+            order = sorted(range(len(wanted)), key=wanted.__getitem__)
+            codes[candidates] = np.array(order, dtype=np.int64)[rank[hit]]
+        elif len(candidates):
+            code_of = {assignment: code for code, assignment in enumerate(wanted)}
+            projected = zip(*(
+                self.columns[position][candidates].tolist()
+                for position in positions
+            ))
+            codes[candidates] = [code_of.get(row, -1) for row in projected]
+        return codes
 
 
 @dataclass(frozen=True)
@@ -61,10 +248,12 @@ class Relation:
     arity:
         Number of columns; every tuple must have this length.
     tuples:
-        The tuples, deduplicated on construction (set semantics).
+        The tuples, deduplicated on construction (set semantics).  Values
+        are plain ``int`` s.
     domain_size:
-        The size ``n`` of the per-attribute domain ``[0, n)``.  Values must
-        lie in range.
+        The size ``n`` of the per-attribute domain ``[0, n)``, at most
+        ``2**63`` (:data:`MAX_DOMAIN_SIZE`: values are stored as int64
+        columns).  Values must lie in range.
     """
 
     name: str
@@ -73,22 +262,32 @@ class Relation:
     domain_size: int
 
     def __post_init__(self) -> None:
+        what = f"relation {self.name!r}"
         if self.arity < 0:
-            raise RelationError(f"relation {self.name!r}: negative arity")
+            raise RelationError(f"{what}: negative arity")
         if self.domain_size < 1:
-            raise RelationError(f"relation {self.name!r}: domain size must be >= 1")
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise RelationError(
-                    f"relation {self.name!r}: tuple {t} has length {len(t)}, "
-                    f"expected arity {self.arity}"
-                )
-            for value in t:
-                if not 0 <= value < self.domain_size:
-                    raise RelationError(
-                        f"relation {self.name!r}: value {value} outside domain "
-                        f"[0, {self.domain_size})"
-                    )
+            raise RelationError(f"{what}: domain size must be >= 1")
+        if self.domain_size > MAX_DOMAIN_SIZE:
+            raise RelationError(
+                f"{what}: domain size {self.domain_size} exceeds 2**63"
+            )
+        flat = _flat_values(what, self.arity, self.tuples)
+        if flat and not 0 <= min(flat) <= max(flat) < self.domain_size:
+            value = next(v for v in flat if not 0 <= v < self.domain_size)
+            raise RelationError(
+                f"{what}: value {value} outside domain [0, {self.domain_size})"
+            )
+
+    @cached_property
+    def batch(self) -> Batch:
+        """The tuples in one fixed order (one iteration of the set), as
+        rows and as int64 columns — what routing and statistics read.
+
+        Built on first use and kept as long as the relation is, at
+        ``8 * arity`` bytes a tuple (plus a pointer per row); not part of
+        equality, hashing or the constructor.
+        """
+        return Batch(self.arity, rows=list(self.tuples))
 
     @classmethod
     def build(
@@ -107,8 +306,9 @@ class Relation:
                 )
             arity = len(next(iter(frozen)))
         if domain_size is None:
-            largest = max((max(t) for t in frozen if t), default=0)
-            domain_size = largest + 1
+            # Checked before they are compared: max() of a str is not a size.
+            flat = _flat_values(f"relation {name!r}", arity, frozen)
+            domain_size = max(flat, default=0) + 1
         return cls(name=name, arity=arity, tuples=frozen, domain_size=domain_size)
 
     # ------------------------------------------------------------------

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database
+from ..seq.relation import Database, Relation, distinct_values
 from .cardinality import SimpleStatistics, StatisticsError
 
 # A subset of an atom's variables, kept sorted for canonical keying.
@@ -115,6 +117,21 @@ class HeavyHitterLookup:
         return sum(len(mapping) for mapping in self.hitters.values())
 
 
+def _heavy_values(
+    relation: Relation, position: int, threshold: float
+) -> dict[Assignment, int]:
+    """The values occurring more than ``threshold`` times in one column,
+    counted on the column; only those are materialized, in the order
+    ``relation.frequencies([position])`` lists them (first occurrence)."""
+    values, first, _, counts = distinct_values(relation.batch.columns[position])
+    heavy = np.flatnonzero(counts > threshold)
+    heavy = heavy[np.argsort(first[heavy])]
+    return {
+        (value,): count
+        for value, count in zip(values[heavy].tolist(), counts[heavy].tolist())
+    }
+
+
 @dataclass(frozen=True)
 class HeavyHitterStatistics(HeavyHitterLookup):
     """Exact heavy hitters of every (relation, variable-subset) pair.
@@ -157,12 +174,19 @@ class HeavyHitterStatistics(HeavyHitterLookup):
             atom_vars = canonical_subset(atom.variables)
             for subset in _nonempty_subsets(atom_vars):
                 positions = [atom.positions_of(var)[0] for var in subset]
-                frequencies = relation.frequencies(positions)
-                heavy = {
-                    assignment: count
-                    for assignment, count in frequencies.items()
-                    if count > threshold
-                }
+                if len(positions) == 1:
+                    heavy = _heavy_values(relation, positions[0], threshold)
+                elif threshold >= 1 and len(positions) == relation.arity:
+                    # Set semantics: a key covering every column is the
+                    # tuple itself, so every count is 1.
+                    heavy = {}
+                else:
+                    heavy = {
+                        assignment: count
+                        for assignment, count
+                        in relation.frequencies(positions).items()
+                        if count > threshold
+                    }
                 hitters[(atom.name, subset)] = heavy
         return cls(
             simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters

@@ -45,6 +45,55 @@ class TestUniform:
         assert all(len(t) == 1 for t in rel.tuples)
 
 
+def _per_randrange_uniform(name, cardinality, domain_size, arity=2, seed=0):
+    """The generator up to ISSUE 20, kept as the reference: one
+    ``rng.randrange`` per value, one ``add`` per tuple."""
+    rng = random.Random(f"uniform:{name}:{seed}")
+    tuples = set()
+    while len(tuples) < cardinality:
+        tuples.add(tuple(rng.randrange(domain_size) for _ in range(arity)))
+    return frozenset(tuples)
+
+
+class TestUniformIdentity:
+    """Drawing through a bound ``getrandbits`` consumes the random stream
+    exactly as ``randrange`` does, so every database is the one it was —
+    and a CPython that changes ``randrange`` fails here instead of moving
+    data."""
+
+    @pytest.mark.parametrize("cardinality, domain, arity, seed", [
+        (1, 1, 0, 0),    # the empty tuple
+        (1, 1, 1, 0),    # bit_length 1, every other draw rejected
+        (1, 1, 3, 4),
+        (40, 40, 1, 3),  # the whole space: duplicate redraws until full
+        (200, 800, 2, 0),
+        (300, 513, 2, 11),  # just over a power of two: half rejected
+        (500, 23, 2, 5),    # most of a small space: many duplicates
+        (150, 90, 3, 2),
+        (64, 4, 3, 7),      # the whole space, arity 3
+    ])
+    def test_tuple_for_tuple(self, cardinality, domain, arity, seed):
+        relation = uniform_relation(
+            "R", cardinality, domain, arity=arity, seed=seed
+        )
+        reference = _per_randrange_uniform(
+            "R", cardinality, domain, arity=arity, seed=seed
+        )
+        assert relation.tuples == reference
+        # Same set built by the same insertions: same iteration order,
+        # which heavy-hitter dicts and routing batches inherit.
+        assert list(relation.tuples) == list(reference)
+        assert (relation.arity, relation.domain_size) == (arity, domain)
+
+    def test_workload_spec_databases(self):
+        query = parse_query("C3(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+        db = WorkloadSpec(kind="uniform", m=400, seed=7).build(query)
+        for i, relation in enumerate(db):
+            assert relation.tuples == _per_randrange_uniform(
+                relation.name, 400, relation.domain_size, seed=7 + i
+            )
+
+
 class TestMatching:
     def test_each_value_once_per_column(self):
         rel = matching_relation("R", 300, 1000, seed=2)

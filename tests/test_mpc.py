@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.data import uniform_relation
@@ -19,6 +20,7 @@ from repro.mpc import (
 from repro.mpc.execution import OneRoundAlgorithm, RoutingPlan
 from repro.query import parse_query
 from repro.seq import Database, Relation
+from repro.seq.relation import Batch
 
 
 class TestHashFamily:
@@ -70,16 +72,72 @@ class TestHashFamily:
         h = HashFamily(0)
         assert isinstance(h.raw("s", -12), int)
 
+    @pytest.mark.parametrize("buckets", [1, 2, 7, 64])
+    def test_bucket_column_equals_the_scalar_bucket(self, buckets):
+        values = [0, 5, 5, 2**47 - 1, 2**62, 2**63 - 1, 0, -12, -(2**63)]
+        column = HashFamily(9).bucket_column(
+            "parity", np.array(values, dtype=np.int64), buckets
+        )
+        assert column.dtype == np.int64
+        scalar = HashFamily(9)
+        assert column.tolist() == [
+            scalar.bucket("parity", v, buckets) for v in values
+        ]
+
+    def test_bucket_column_takes_a_bucket_count_per_value(self):
+        values = np.arange(50, dtype=np.int64)
+        counts = np.arange(50, dtype=np.int64) % 5 + 1
+        column = HashFamily(9).bucket_column("each", values, counts)
+        scalar = HashFamily(9)
+        assert column.tolist() == [
+            scalar.bucket("each", v, b)
+            for v, b in zip(values.tolist(), counts.tolist())
+        ]
+        with pytest.raises(ValueError):
+            HashFamily(9).bucket_column("each", values, counts - 1)
+        with pytest.raises(ValueError):
+            HashFamily(9).bucket_column("each", values, 0)
+
+    def test_one_digest_per_distinct_salt_and_value(self, monkeypatch):
+        """The memo holds raw digests: another bucket count — or a second
+        family on the same seed — under the same salt computes none, and a
+        wider column only the values it adds."""
+        digested = []
+        real = HashFamily._digests
+        monkeypatch.setattr(
+            HashFamily, "_digests",
+            lambda self, salt, values: digested.append(len(values))
+            or real(self, salt, values),
+        )
+        family = HashFamily(77)
+        column = np.array([3, 1, 3, 2, 1, 3], dtype=np.int64)
+        first = family.bucket_column("once", column, 64)
+        assert digested == [3]
+        assert (family.bucket_column("once", column, 4) == first % 4).all()
+        HashFamily(77).bucket_column("once", column, 7)
+        assert digested == [3]
+        family.bucket_column("once", np.arange(6, dtype=np.int64), 7)
+        assert digested == [3, 3]  # 0, 4 and 5
+        family.bucket_column("twice", column, 7)
+        assert digested == [3, 3, 3]
+        values, raws = HashFamily._shared_tables[
+            (77).to_bytes(8, "little", signed=True), "once"
+        ]
+        assert values.tolist() == [0, 1, 2, 3, 4, 5]
+        assert raws.tolist() == [family.raw("once", v) for v in range(6)]
+
     def test_bucket_table_registry_survives_threads(self):
         """The service routes jobs on several threads at once; every call
-        here mints a table, so the shared registry evicts continuously."""
+        here mints a memo entry, so the shared registry evicts
+        continuously."""
         errors = []
+        values = np.arange(40)
 
         def mint(t):
             family = HashFamily(t % 2)
             try:
                 for i in range(4000):
-                    table = family.bucket_table(f"s{t}:{i}", range(40), 7)
+                    table = family.bucket_column(f"s{t}:{i}", values, 7)
                     assert len(table) == 40
             except Exception as exc:
                 errors.append(exc)
@@ -111,7 +169,7 @@ class TestHashFamily:
                 try:
                     signal.signal(signal.SIGALRM, signal.SIG_DFL)
                     signal.alarm(5)  # a deadlocked child is killed
-                    HashFamily(0).bucket_table("forked", range(8), 5)
+                    HashFamily(0).bucket_column("forked", np.arange(8), 5)
                     status = 0
                 finally:
                     os._exit(status)
@@ -332,10 +390,27 @@ class TestEngineDispatch:
     def test_default_destinations_batch_matches_scalar(self):
         plan = _RoundRobinPlan(4)
         tuples = [(1, 2), (3, 4), (0, 0)]
-        batch = plan.destinations_batch("S", tuples)
-        assert batch == [
-            tuple(plan.destinations("S", t)) for t in tuples
-        ]
+        expected = [tuple(plan.destinations("S", t)) for t in tuples]
+        assert plan.destinations_batch("S", Batch(2, rows=tuples)) == expected
+        # A plain sequence of tuples is made a batch at the boundary.
+        assert plan.destinations_batch("S", tuples) == expected
+
+    def test_default_claims_number_the_distinct_destinations(self):
+        """The scalar-loop fallback speaks the same contract as the native
+        plans: integer keys, one per tuple, from a batch."""
+        class Duplicating(RoutingPlan):
+            def destinations(self, relation_name, tup):
+                return (tup[0] % 2, 1, tup[0] % 2)
+
+        batch = Batch(1, rows=[(1,), (2,), (3,), (4,), (2,)])
+        [(indices, keys, table)] = Duplicating().claims("S", batch)
+        assert isinstance(keys, np.ndarray)
+        assert np.issubdtype(keys.dtype, np.integer)
+        assert indices.tolist() == [0, 1, 2, 3, 4]
+        assert keys.tolist() == [0, 1, 0, 1, 1]
+        assert table == {0: (1,), 1: (0, 1)}
+        [(indices, keys, table)] = Duplicating().claims("S", batch[:0])
+        assert (len(indices), len(keys), table) == (0, 0, {})
 
     def test_default_destinations_batch_deduplicates(self):
         class Duplicating(RoutingPlan):
@@ -350,7 +425,7 @@ class TestEngineDispatch:
 
     def test_default_destination_counts_matches_batch(self):
         plan = _RoundRobinPlan(4)
-        tuples = [(i, i + 1) for i in range(20)]
+        tuples = Batch.of([(i, i + 1) for i in range(20)])
         counts = plan.destination_counts("S", tuples)
         expected: dict[int, int] = {}
         for dests in plan.destinations_batch("S", tuples):

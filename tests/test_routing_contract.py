@@ -9,8 +9,9 @@ the same multiset of (tuple, server) deliveries::
                        == Counter(flatten(union of table[key] over claims))
                        == Counter(flatten(dedup(destinations(t))))
 
-Every claim is well-formed (one key per covered index, every key in its
-table, table rows duplicate-free and inside ``[0, p)``), and no plan built
+Every claim is well-formed (an integer ``ndarray`` of routing keys, one per
+covered index, every key in its table, table rows duplicate-free and inside
+``[0, p)``), and no plan built
 by a registered algorithm inherits the scalar-loop default of
 ``RoutingPlan.claims`` — that exists for user-defined plans only
 (``tests/test_mpc.py`` covers the fallback).
@@ -25,15 +26,16 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.api import WorkloadSpec
 from repro.api.registry import algorithm_specs
 from repro.core import BinHyperCubeAlgorithm
-from repro.data import planted_heavy_relation
+from repro.data import planted_heavy_relation, uniform_relation
 from repro.mpc import HashFamily, OneRoundAlgorithm, RoutingPlan
 from repro.query import parse_query
-from repro.seq import Database
+from repro.seq import Database, Relation
 from repro.sketch import SketchedHeavyHitterStatistics
 from repro.stats import HeavyHitterStatistics
 
@@ -72,29 +74,32 @@ def _database(query, workload: str) -> Database:
 
 def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
     for atom in query.atoms:
-        tuples = list(db.relation(atom.name).tuples)
+        batch = db.relation(atom.name).batch
+        tuples = batch.rows
         scalar = [
             set(plan.destinations(atom.name, tup)) for tup in tuples
         ]
 
         claimed: list[set[int]] = [set() for _ in tuples]
-        for indices, keys, table in plan.claims(atom.name, tuples):
-            assert len(indices) == len(keys)
+        for indices, keys, table in plan.claims(atom.name, batch):
+            assert isinstance(keys, np.ndarray)
+            assert np.issubdtype(keys.dtype, np.integer)
+            assert keys.shape == (len(indices),)
             for dests in table.values():
                 assert len(set(dests)) == len(dests), "duplicate destination"
                 assert all(0 <= server < p for server in dests)
-            for i, key in zip(indices, keys):
+            for i, key in zip(indices.tolist(), keys.tolist()):
                 assert 0 <= i < len(tuples)
                 assert key in table
                 claimed[i].update(table[key])
         assert claimed == scalar, atom.name
 
-        batch = plan.destinations_batch(atom.name, tuples)
-        assert len(batch) == len(tuples)
-        for dests in batch:
+        delivered = plan.destinations_batch(atom.name, batch)
+        assert len(delivered) == len(tuples)
+        for dests in delivered:
             assert len(set(dests)) == len(dests), "duplicate destination"
-        assert [set(dests) for dests in batch] == scalar, atom.name
-        counted = Counter(dict(plan.destination_counts(atom.name, tuples)))
+        assert [set(dests) for dests in delivered] == scalar, atom.name
+        counted = Counter(dict(plan.destination_counts(atom.name, batch)))
         assert +counted == Counter(
             server for dests in scalar for server in dests
         ), atom.name
@@ -118,6 +123,57 @@ def test_routing_contract(spec, query_name, workload, p):
     # No registered algorithm reaches the scalar-loop default.
     assert type(plan).claims is not RoutingPlan.claims
     _assert_contract(plan, query, db, p)
+
+
+PAIR_QUERY = parse_query("q(x, y, z, w) :- S1(x, y, z), S2(y, z, w)")
+
+
+def _planted_pairs() -> Database:
+    """Heavy *pairs* of join values: (1, 2) and (3, 4) carry 40 tuples
+    each in both relations; (1, 4), (3, 2) and (5, 2) share a value with
+    them column by column but are light (2 <= 150/64), and the rest is
+    uniform."""
+    relations = []
+    for shift, atom in enumerate(PAIR_QUERY.atoms):
+        private = atom.variables.index("x" if "x" in atom.variables else "w")
+        rows = set(
+            uniform_relation(atom.name, M - 86, 8 * M, arity=3, seed=shift).tuples
+        )
+        for pair, count in {(1, 2): 40, (3, 4): 40, (1, 4): 2, (3, 2): 2,
+                            (5, 2): 2}.items():
+            for value in range(count):
+                row = list(pair)
+                row.insert(private, 10 * value + shift)
+                rows.add(tuple(row))
+        relations.append(Relation.build(atom.name, rows, domain_size=8 * M))
+    return Database.from_relations(relations)
+
+
+@pytest.mark.parametrize("p", [7, 64])
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=spec.key)
+    for spec in ONE_ROUND if spec.is_applicable(PAIR_QUERY)
+])
+def test_two_variable_join_key(spec, p):
+    """The heavy assignments bind two columns at once: the multi-position
+    branch of ``Batch.codes`` under skew-join's heavy blocks and under
+    bin-hypercube's heavy slots and overweight filters."""
+    db = _planted_pairs()
+    stats = HeavyHitterStatistics.of(PAIR_QUERY, db, p)
+    for atom in PAIR_QUERY.atoms:
+        assert set(stats.heavy_hitters(atom.name, ("y", "z"))) == {
+            (1, 2), (3, 4)
+        }
+    plan = spec.build(PAIR_QUERY, stats, p).routing_plan(db, p, HashFamily(3))
+    if spec.key == "skew-join":
+        assert set(plan.grid_blocks) == {(1, 2), (3, 4)}
+    if spec.key == "bin-hypercube":
+        assert any(
+            len(positions) == 2
+            for combo in plan.combo_plans
+            for positions in combo.heavy_positions.values()
+        )
+    _assert_contract(plan, PAIR_QUERY, db, p)
 
 
 @pytest.mark.parametrize("provider", ["exact", "sketch"])

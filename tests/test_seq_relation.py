@@ -1,11 +1,21 @@
 """Unit tests for Relation and Database containers."""
 
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.query import parse_query
-from repro.seq import Database, Relation, RelationError, bits_per_value
+from repro.seq import (
+    Database,
+    Relation,
+    RelationError,
+    bits_per_value,
+    local_join,
+)
+from repro.seq.relation import Batch, distinct_values, sorted_lookup
 
 
 class TestBitsPerValue:
@@ -86,6 +96,172 @@ class TestRelation:
         assert len(r) == 2
         assert (0, 1) in r
         assert set(iter(r)) == {(0, 1), (2, 3)}
+
+
+class TestRelationValues:
+    """Values are plain ints below 2**63 and rows are exactly ``arity``
+    long: an int64 column would hide each of these instead of failing."""
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.int64(1), "1", None])
+    def test_rejects_values_that_are_not_ints(self, value):
+        with pytest.raises(RelationError, match="not an int"):
+            Relation("S1", 2, frozenset({(value, 2), (0, 1)}), 4)
+        with pytest.raises(RelationError, match="not an int"):
+            Relation.build("S1", [(value, 2), (0, 1)])
+        with pytest.raises(RelationError, match="not an int"):
+            Relation.build("S1", [(value, 2), (0, 1)], domain_size=4)
+
+    def test_the_error_names_the_value(self):
+        with pytest.raises(RelationError, match=r"'S1': value 1\.5 is a float"):
+            Relation("S1", 2, frozenset({(1.5, 2), (0, 1)}), 4)
+
+    def test_rejects_ragged_rows_whose_lengths_add_up(self):
+        with pytest.raises(RelationError, match="expected arity 2"):
+            Relation("S", 2, frozenset({(1,), (2, 3, 0)}), 4)
+        with pytest.raises(RelationError, match="expected arity"):
+            Relation.build("S", [(1,), (2, 3, 0)])
+
+    def test_a_domain_ends_at_two_to_the_63(self):
+        top = 2**63 - 1
+        relation = Relation("S", 1, frozenset({(top,), (0,)}), 2**63)
+        assert sorted(relation.batch.columns[0].tolist()) == [0, top]
+        with pytest.raises(RelationError, match=r"domain size \d+ exceeds 2\*\*63"):
+            Relation("S", 1, frozenset({(0,)}), 2**63 + 1)
+        with pytest.raises(RelationError, match=f"value {2**63} outside"):
+            Relation("S", 1, frozenset({(2**63,)}), 2**63)
+        with pytest.raises(RelationError, match="exceeds"):
+            Relation.build("S", [(2**63,)])
+        with pytest.raises(RelationError, match="value -1 outside"):
+            Relation("S", 1, frozenset({(-1,)}), 4)
+
+    def test_local_join_fragments_are_checked_too(self):
+        q = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
+        with pytest.raises(RelationError, match="not an int"):
+            local_join(q, {"S1": {(1.5, 2)}, "S2": {(0, 2)}}, 4)
+        with pytest.raises(RelationError, match="expected arity"):
+            local_join(q, {"S1": {(1, 2, 3)}, "S2": {(0, 2)}}, 4)
+
+
+class TestRelationBatch:
+    def test_one_cached_view_in_the_order_of_the_set(self):
+        r = Relation.build("S", [(0, 5), (1, 2), (4, 4)], domain_size=6)
+        assert r.batch is r.batch
+        assert r.batch.rows == list(r.tuples)
+        assert r.batch.columns.tolist() == [list(c) for c in zip(*r.tuples)]
+
+    def test_not_part_of_equality_hash_or_replace(self):
+        viewed = Relation.build("S", [(0, 5), (1, 2)], domain_size=6)
+        plain = Relation.build("S", [(0, 5), (1, 2)], domain_size=6)
+        viewed.batch.columns
+        assert viewed == plain and hash(viewed) == hash(plain)
+        assert "batch" not in repr(viewed)
+        assert [f.name for f in dataclasses.fields(Relation)] == [
+            "name", "arity", "tuples", "domain_size",
+        ]
+        renamed = dataclasses.replace(viewed, name="T")
+        assert "batch" not in vars(renamed) and "batch" in vars(viewed)
+        assert renamed.batch.rows == viewed.batch.rows
+
+
+class TestBatch:
+    ROWS = [(0, 5, 7), (1, 2, 7), (4, 4, 9), (1, 2, 8)]
+
+    def test_rows_to_columns_and_back(self):
+        batch = Batch(3, rows=self.ROWS)
+        columns = batch.columns
+        assert columns.dtype == np.int64 and columns.shape == (3, 4)
+        assert columns.flags["C_CONTIGUOUS"]
+        assert columns.tolist() == [[0, 1, 4, 1], [5, 2, 4, 2], [7, 7, 9, 8]]
+        assert len(batch) == 4 and batch.rows is self.ROWS
+        back = Batch(3, columns=columns)
+        assert len(back) == 4 and back.rows == self.ROWS
+        assert all(type(v) is int for row in back.rows for v in row)
+
+    def test_take_project_and_slice(self):
+        batch = Batch(3, rows=self.ROWS)
+        mask = np.array([True, False, True, True])
+        assert batch.take(mask).rows == [self.ROWS[0], *self.ROWS[2:]]
+        assert batch.take(np.array([3, 0])).rows == [self.ROWS[3], self.ROWS[0]]
+        assert batch.take(np.array([], dtype=np.int64)).rows == []
+        assert batch.take(mask).columns.flags["C_CONTIGUOUS"]
+        projected = batch.project((2, 0))
+        assert projected.arity == 2
+        assert projected.rows == [(7, 0), (7, 1), (9, 4), (8, 1)]
+        assert batch.project(()).rows == [()] * 4
+        assert batch[1:3].rows == self.ROWS[1:3] and len(batch[1:3]) == 2
+        assert len(batch[4:]) == 0
+
+    @pytest.mark.parametrize("arity, rows", [(0, [()]), (0, []), (2, [])])
+    def test_arity_zero_and_empty(self, arity, rows):
+        batch = Batch(arity, rows=rows)
+        assert batch.columns.shape == (arity, len(rows))
+        assert batch.columns.dtype == np.int64
+        back = Batch(arity, columns=batch.columns)
+        assert len(back) == len(rows) and back.rows == rows
+        assert pickle.loads(pickle.dumps(batch)).rows == rows
+
+    def test_pickles_as_columns(self):
+        shard = Batch(3, rows=self.ROWS)[1:]
+        copy = pickle.loads(pickle.dumps(shard))
+        assert copy._rows is None and copy.arity == 3
+        assert copy.columns.dtype == np.int64
+        assert copy.rows == self.ROWS[1:]
+        by_rows = pickle.loads(pickle.dumps(Batch(3, rows=self.ROWS)))
+        assert by_rows._rows is None and by_rows.rows == self.ROWS
+
+    def test_of_coerces_and_checks_plain_sequences(self):
+        batch = Batch(3, rows=self.ROWS)
+        assert Batch.of(batch) is batch
+        assert Batch.of(iter(self.ROWS)).rows == self.ROWS
+        assert (Batch.of([]).arity, len(Batch.of([]))) == (0, 0)
+        with pytest.raises(RelationError, match="not an int"):
+            Batch.of([(1, 2), (1.5, 2)])
+        with pytest.raises(RelationError, match="expected arity 2"):
+            Batch.of([(1, 2), (3,), (4, 5, 6)])
+
+    def test_codes_on_one_position(self):
+        batch = Batch(3, rows=self.ROWS)
+        wanted = [(9,), (7,), (3,)]
+        assert batch.codes((2,), wanted).tolist() == [1, 1, 0, -1]
+        assert batch.codes((0,), [(1,)]).tolist() == [-1, 0, -1, 0]
+        assert batch.codes((0,), []).tolist() == [-1] * 4
+        assert Batch(3, rows=[]).codes((0,), wanted).tolist() == []
+
+    def test_codes_on_several_positions_settle_exactly(self):
+        batch = Batch(3, rows=self.ROWS)
+        # (1, 5) and (0, 2) pass the column-by-column narrowing of no row
+        # entirely, (0, 5) and (1, 2) do; (4, 2) shares each value with a
+        # wanted assignment and is still not one.
+        wanted = [(1, 2), (0, 5), (4, 5)]
+        assert batch.codes((0, 1), wanted).tolist() == [1, 0, -1, 0]
+        assert batch.codes((1, 0), [(2, 1)]).tolist() == [-1, 0, -1, 0]
+        assert batch.codes((0, 1, 2), [(1, 2, 8), (1, 2, 9)]).tolist() == [
+            -1, -1, -1, 0,
+        ]
+        assert batch.codes((0, 1), []).tolist() == [-1] * 4
+
+
+class TestArrayHelpers:
+    @pytest.mark.parametrize("values", [
+        [], [5], [3, 1, 3, 2, 1, 3], [0, 2**63 - 1, 0, -4], list(range(50)) * 3,
+    ])
+    def test_distinct_values_is_unique_with_every_flag(self, values):
+        array = np.array(values, dtype=np.int64)
+        distinct, first, inverse, counts = distinct_values(array)
+        expected = np.unique(
+            array, return_index=True, return_inverse=True, return_counts=True
+        )
+        for got, want in zip((distinct, first, inverse, counts), expected):
+            assert got.tolist() == want.tolist()
+        assert distinct[inverse].tolist() == values
+
+    def test_sorted_lookup(self):
+        table = np.array([2, 5, 9], dtype=np.int64)
+        slot, hit = sorted_lookup(table, np.array([5, 0, 9, 10, 2, 3]))
+        assert hit.tolist() == [True, False, True, False, True, False]
+        assert table[slot[hit]].tolist() == [5, 9, 2]
+        slot, hit = sorted_lookup(table[:0], np.array([5, 0]))
+        assert hit.tolist() == [False, False]
 
 
 class TestDatabase:

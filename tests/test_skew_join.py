@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -15,9 +16,11 @@ from repro.data import (
     uniform_relation,
     zipf_relation,
 )
+from repro.core.skew_join import _mix, _mix_columns
 from repro.mpc import run_one_round
 from repro.query import QueryError, parse_query, simple_join_query, triangle_query
 from repro.seq import Database
+from repro.seq.relation import Batch
 from repro.stats import HeavyHitterStatistics
 
 
@@ -97,6 +100,36 @@ class TestCorrectness:
         )
         result = run_one_round(SkewAwareJoin(q), db, 8, verify=True)
         assert result.is_complete
+
+
+class TestMixColumns:
+    """The batch path folds key columns in uint64.  From the fourth column
+    on the scalar fold's ``mixed * 1_000_003`` (47 bits times 20) no
+    longer fits 64 bits and the array product wraps; the 47-bit mask keeps
+    only bits the wrap leaves exact."""
+
+    @pytest.mark.parametrize(
+        "positions", [(), (1,), (0, 1), (2, 0), (0, 1, 2), (3, 2, 1, 0)]
+    )
+    def test_equals_the_scalar_fold_at_the_top_of_a_large_domain(
+        self, positions
+    ):
+        top = 4 * 10**5
+        rows = [
+            (top - 1 - i, top - 1 - (7 * i) % 1000, top - 1 - (i * i) % 977,
+             top - 1 - (3 * i) % 500)
+            for i in range(300)
+        ] + [(0, 0, 0, 0), (top - 1, 0, top - 1, 0),
+             (2**63 - 1, 2**62, 2**47 - 1, 2**63 - 1)]
+        scalar = [_mix(row[i] for i in positions) for row in rows]
+        if len(positions) == 4:
+            assert sum(
+                _mix(row[i] for i in positions[:-1]) * 1_000_003 > 2**64
+                for row in rows
+            ) > 200
+        mixed = _mix_columns(Batch(4, rows=rows), positions)
+        assert mixed.dtype == np.int64
+        assert mixed.tolist() == scalar
 
 
 class TestLoadBehaviour:

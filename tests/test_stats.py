@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from repro.data import single_value_relation, uniform_relation, zipf_relation
+from repro.api import WorkloadSpec
+from repro.data import (
+    planted_heavy_relation,
+    single_value_relation,
+    uniform_relation,
+    zipf_relation,
+)
 from repro.query import parse_query, simple_join_query
 from repro.seq import Database, Relation
 from repro.stats import (
@@ -22,6 +28,7 @@ from repro.stats import (
     light_bin_index,
     num_heavy_bins,
 )
+from repro.stats.heavy_hitters import nonempty_subsets
 
 
 class TestSimpleStatistics:
@@ -151,6 +158,64 @@ class TestHeavyHitterStatistics:
         stats = HeavyHitterStatistics.of(q, db, p=p)
         for (_name, _subset), hitters in stats.hitters.items():
             assert len(hitters) < p
+
+
+def _counter_hitters(query, db, p, threshold_factor=1.0):
+    """``HeavyHitterStatistics.of`` up to ISSUE 20, kept as the reference:
+    a ``Counter`` over every subset's projected tuples, filtered."""
+    hitters = {}
+    for atom in query.atoms:
+        relation = db.relation(atom.name)
+        threshold = threshold_factor * relation.cardinality / p
+        for subset in nonempty_subsets(canonical_subset(atom.variables)):
+            positions = [atom.positions_of(var)[0] for var in subset]
+            hitters[(atom.name, subset)] = {
+                assignment: count
+                for assignment, count
+                in relation.frequencies(positions).items()
+                if count > threshold
+            }
+    return hitters
+
+
+class TestHeavyHitterIdentity:
+    """Counting a column — and not counting the all-columns subset at all
+    — gives the hitter dicts the ``Counter`` gave, *in its order*: plans
+    iterate them, so an order change would move records."""
+
+    @pytest.mark.parametrize("text", [
+        "q(x,y,z) :- S1(x,z), S2(y,z)",
+        "q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+        "q(x,y) :- A(x), B(x,y), C(y,y)",
+    ])
+    @pytest.mark.parametrize("p, factor", [
+        (1, 1.0), (7, 1.0), (64, 1.0),
+        (64, 0.25),  # threshold < 1 with m = 150: every tuple is heavy
+        (400, 1.0),  # threshold < 1 on the all-columns subsets too
+    ])
+    @pytest.mark.parametrize("workload", ["zipf", "planted"])
+    def test_equal_including_order(self, text, workload, p, factor):
+        query = parse_query(text)
+        if workload == "zipf":
+            db = WorkloadSpec(kind="zipf", m=150, skew=1.2, seed=5).build(query)
+        else:
+            db = Database.from_relations([
+                planted_heavy_relation(
+                    atom.name, 150, 1200, heavy_values=(0, 1, 2),
+                    heavy_position=atom.arity - 1, arity=atom.arity, seed=7 + i,
+                )
+                for i, atom in enumerate(query.atoms)
+            ])
+        stats = HeavyHitterStatistics.of(query, db, p, threshold_factor=factor)
+        reference = _counter_hitters(query, db, p, factor)
+        assert stats.hitters == reference
+        assert list(stats.hitters) == list(reference)
+        for key, hitters in reference.items():
+            assert list(stats.hitters[key].items()) == list(hitters.items())
+            assert all(
+                type(v) is int for a in stats.hitters[key] for v in a
+            ), key
+        assert stats.total_heavy_count() > 0 or p == 1
 
 
 class TestBins:
