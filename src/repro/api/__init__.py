@@ -3,10 +3,10 @@
 This package is the intended public entry point for running the paper's
 algorithms as *experiments* rather than hand-assembled scripts:
 
-1. :mod:`repro.api.registry` — every algorithm registered with declared
-   applicability and a predicted-load cost hook (the one-round ones by
-   :mod:`repro.core.registry`, the multi-round ones by
-   :mod:`repro.rounds`);
+1. the registry (:mod:`repro.core.registry`, re-exported here) — every
+   algorithm registered with declared applicability and a predicted-load
+   cost hook (the one-round ones there, the multi-round ones by
+   :mod:`repro.rounds`, which this package imports first);
 2. :mod:`repro.api.planner` — :func:`plan`/:func:`autoplan` rank the
    registered algorithms by predicted max-load (Section 3 bounds) and
    instantiate the winner, carrying the Theorem 3.6 lower bound for
@@ -44,6 +44,17 @@ Typical use::
     print(result.summary())
 """
 
+from .. import rounds  # noqa: F401 - registers the multi-round algorithms
+from ..core.registry import (
+    AlgorithmSpec,
+    RegistryError,
+    algorithm_keys,
+    algorithm_specs,
+    applicable_specs,
+    get_spec,
+    register,
+    unregister,
+)
 from .bench import (
     BENCH_SCHEMA,
     BENCH_SUITES,
@@ -89,16 +100,6 @@ from .records import (
     records_to_csv,
     records_to_json,
     validate_record,
-)
-from .registry import (
-    AlgorithmSpec,
-    RegistryError,
-    algorithm_keys,
-    algorithm_specs,
-    applicable_specs,
-    get_spec,
-    register,
-    unregister,
 )
 
 __all__ = [

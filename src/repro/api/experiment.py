@@ -48,6 +48,12 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
+from ..core.registry import (
+    Statistics,
+    algorithm_keys,
+    applicable_specs,
+    get_spec,
+)
 from ..data.generators import (
     matching_relation,
     single_value_relation,
@@ -63,7 +69,6 @@ from ..rounds import oracle_answers, run_rounds
 from ..seq.relation import Database, Tuple
 from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
-from .registry import Statistics, algorithm_keys, applicable_specs, get_spec
 
 _LOG = logging.getLogger("repro.api.experiment")
 
@@ -849,17 +854,10 @@ class Experiment:
         ).cells()
 
     def run(self, obs: Observation | None = None) -> list[RunRecord]:
-        cells = self.cells()
-        if not cells:
-            return []
-        # All cells share one workload x p point: build it once, and
-        # evaluate the oracle once if they verify.
-        with maybe_timed(obs, "experiment.prepare", query=str(self.query)):
-            db, query_plan = _prepare(cells, obs=obs)
-        expected = (oracle_answers(query_plan.query, db, obs)
-                    if self.verify else None)
-        return [_execute(cell, db, query_plan, obs=obs, expected=expected)
-                for cell in cells]
+        """The records of :meth:`cells`, in grid order, through
+        :func:`execute_cells` — fault isolation included, so check
+        :attr:`RunRecord.status`."""
+        return execute_cells(self.cells(), obs=obs)
 
 
 #: The sweep spec, for :func:`_spec_fields`.

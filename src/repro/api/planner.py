@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..core.bounds import lower_bound
+from ..core.registry import Statistics, algorithm_specs, get_spec
 from ..mpc.execution import MPCAlgorithm
 from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
@@ -30,7 +31,6 @@ from ..seq.relation import Database
 from ..sketch import SketchedHeavyHitterStatistics
 from ..stats.cardinality import SimpleStatistics
 from ..stats.heavy_hitters import HeavyHitterStatistics
-from .registry import Statistics, algorithm_specs, get_spec
 
 
 class PlanError(ValueError):

@@ -21,8 +21,8 @@ whose per-round selection reads it and which registers its own
 multi-round algorithms on import (the planner only considers those when
 its ``max_rounds`` budget admits them).  Downstream code can
 :func:`register` additional algorithms; the planner, sweep runner and CLI
-pick them up automatically.  :mod:`repro.api.registry` re-exports all of
-this once both layers are registered.
+pick them up automatically.  :mod:`repro.api` re-exports all of this once
+both layers are registered.
 """
 
 from __future__ import annotations

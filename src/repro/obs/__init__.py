@@ -55,9 +55,10 @@ class Observation:
     def timed(self, name: str, **attrs: object) -> Iterator[Span]:
         """A span whose duration also lands in histogram ``{name}.seconds``.
 
-        This is the bridge that keeps bench timings and production
-        instrumentation from drifting: benchmarks read the histogram the
-        engines feed, instead of bracketing with their own clocks.
+        This is the bridge that keeps reported timings and production
+        instrumentation from drifting: ``--metrics`` and a record's
+        ``metrics`` block read the histogram the engines feed, instead of
+        bracketing with their own clocks.
         """
         with self.tracer.span(name, **attrs) as span:
             yield span

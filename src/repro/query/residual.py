@@ -12,7 +12,7 @@ The *extended query* ``q'`` adds a fresh unary atom ``T_i(x_i)`` per variable
 any edge packing of ``q`` into a tight packing/cover of ``q'``, which is the
 form required by Friedgut's inequality.
 
-Design note (documented in DESIGN.md): if ``x`` swallows *all* variables of
+Design note: if ``x`` swallows *all* variables of
 some atom, that atom has arity zero in ``q_x`` and the residual packing
 polytope would be unbounded in its coordinate.  We retain the implicit bound
 ``u_j <= 1`` that every atom satisfies in the original query, keeping the

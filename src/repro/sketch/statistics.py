@@ -57,10 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SketchConfig:
     """Size and seeding of the statistics sketches.
 
-    The defaults are tuned for the benchmark grids in this repo (domains
-    up to a few thousand values, ``p`` up to 64): width 2048 keeps the
-    characteristic noise well under the ``m_j / p`` thresholds, and the
-    parity suite asserts zero false negatives at these defaults.
+    What is verified at these defaults is recall 1.0 (no true heavy hitter
+    missed) on Zipf joins over domains of 1 600 values with ``p`` up to 32:
+    ``tests/test_sketch_stats.py``, the ``sketch`` bench suite's gate and
+    CI's ``repro stats`` smoke.  CI also *runs* a sketched sweep at domain
+    80 000, ``p = 64``, but checks only that its cells complete: whether
+    width 2048 keeps the noise ``||f||_2 / sqrt(width)`` under the
+    ``m_j / p`` thresholds there is not asserted anywhere.
 
     ``seed`` pins every hash coefficient: equal configs build identical
     sketch functions, which is what lets per-shard sketch sets merge

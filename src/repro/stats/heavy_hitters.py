@@ -22,11 +22,7 @@ import numpy as np
 from ..query.atoms import ConjunctiveQuery
 from ..seq.relation import Database, Relation, distinct_values
 from .cardinality import SimpleStatistics, StatisticsError
-
-# A subset of an atom's variables, kept sorted for canonical keying.
-VarSubset = tuple[str, ...]
-# Values for a VarSubset, aligned with the sorted variable order.
-Assignment = tuple[int, ...]
+from .provider import Assignment, VarSubset
 
 
 #: Cap on the per-atom variable count before the ``2^n - 1`` subset
@@ -61,10 +57,6 @@ def nonempty_subsets(variables: VarSubset) -> list[VarSubset]:
             tuple(variables[i] for i in range(n) if mask & (1 << i))
         )
     return subsets
-
-
-# Backwards-compatible private alias (pre-guard spelling).
-_nonempty_subsets = nonempty_subsets
 
 
 class HeavyHitterLookup:
@@ -172,7 +164,7 @@ class HeavyHitterStatistics(HeavyHitterLookup):
             relation = db.relation(atom.name)
             threshold = threshold_factor * relation.cardinality / p
             atom_vars = canonical_subset(atom.variables)
-            for subset in _nonempty_subsets(atom_vars):
+            for subset in nonempty_subsets(atom_vars):
                 positions = [atom.positions_of(var)[0] for var in subset]
                 if len(positions) == 1:
                     heavy = _heavy_values(relation, positions[0], threshold)
@@ -232,7 +224,7 @@ class HeavyHitterStatistics(HeavyHitterLookup):
             ]
             threshold = threshold_factor * relation.cardinality / p
             atom_vars = canonical_subset(atom.variables)
-            for subset in _nonempty_subsets(atom_vars):
+            for subset in nonempty_subsets(atom_vars):
                 positions = [atom.positions_of(var)[0] for var in subset]
                 counts: dict[Assignment, int] = {}
                 for t in sampled:

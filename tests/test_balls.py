@@ -9,7 +9,6 @@ from repro.balls import (
     average_max_hash_load,
     hash_relation_loads,
     matching_hash_bound,
-    max_hash_load,
     max_weighted_load,
     skew_free_hash_threshold,
     throw_weighted_balls,
@@ -85,38 +84,48 @@ class TestRelationHashing:
             hash_relation_loads(rel, [4], seed=0)
 
     def test_matching_achieves_near_ideal(self):
-        """Lemma 3.1(2): matchings get O(m/p) whp."""
-        m, grid = 4096, (8, 8)
-        rel = matching_relation("R", m, 3 * m, seed=3)
-        p = grid[0] * grid[1]
-        bound = matching_hash_bound(m, p)
-        measured = average_max_hash_load(rel, grid, trials=3, seed=0)
-        assert measured <= bound.threshold
-        assert measured >= m / p  # cannot beat the average
+        """Lemma 3.1(2): matchings get O(m/p) whp — between the average and
+        1.76 times it, inside the lemma's 3 m/p (worst measured 1.41).
+        Rows (m, domain, grid, seed): this file's, E10's three."""
+        for m, domain, grid, seed in [
+            (4096, 3 * 4096, (8, 8), 3), (8192, 4 * 8192, (64,), 61),
+            (8192, 4 * 8192, (8, 8), 61), (8192, 4 * 8192, (4, 4, 4), 61),
+        ]:
+            rel = matching_relation("R", m, domain, arity=len(grid), seed=seed)
+            mean = m / math.prod(grid)
+            envelope = matching_hash_bound(m, math.prod(grid)).threshold
+            measured = average_max_hash_load(rel, grid, trials=3, seed=0)
+            assert mean <= measured <= 1.76 * mean <= envelope, (m, grid)
 
     def test_uniform_relation_within_skew_free_regime(self):
-        """Lemma 3.1(3): skew-free data stays within the polylog bound."""
-        m, grid = 4096, (8, 8)
-        rel = uniform_relation("R", m, 10 * m, seed=4)
-        measured = average_max_hash_load(rel, grid, trials=3, seed=0)
-        assert measured <= skew_free_hash_threshold(m, list(grid))
+        """Lemma 3.1(3): skew-free data stays within the polylog bound — in
+        fact within 1.6 m/p (worst measured 1.28).  Rows: this file's, E10's."""
+        for m, domain, grid, seed in [(4096, 10 * 4096, (8, 8), 4),
+                                      (8192, 16 * 8192, (8, 8), 62),
+                                      (8192, 16 * 8192, (4, 16), 62)]:
+            rel = uniform_relation("R", m, domain, seed=seed)
+            envelope = skew_free_hash_threshold(m, list(grid))
+            measured = average_max_hash_load(rel, grid, trials=3, seed=0)
+            assert measured <= 1.6 * m / math.prod(grid) <= envelope, (m, grid)
 
     def test_single_value_hits_worst_case(self):
-        """Example B.2: one pinned column forces m / p_other load."""
-        m = 1024
-        rel = single_value_relation("R", m, 4 * m, fixed_position=0, seed=5)
-        grid = (4, 8)
-        measured = max_hash_load(rel, grid, seed=0)
-        # All tuples share the first coordinate: at best spread over 8 bins.
-        assert measured >= m / grid[1]
-        assert measured <= worst_case_hash_bound(m, list(grid)) * 3
+        """Example B.2: one pinned column forces m / p_other load — at
+        least that, at most 1.42 times it (worst measured 1.14), so far
+        above m/p and under Lemma 3.1(4)'s ceiling.  Rows: this file's
+        (one hash draw), E10's (three)."""
+        for m, grid, seed, trials in [(1024, (4, 8), 5, 1), (2048, (8, 8), 63, 3)]:
+            rel = single_value_relation("R", m, 4 * m, fixed_position=0, seed=seed)
+            measured = average_max_hash_load(rel, grid, trials=trials, seed=0)
+            # All tuples share the first coordinate: spread over p_2 bins.
+            spread, ceiling = m / grid[1], worst_case_hash_bound(m, list(grid))
+            assert spread <= measured <= 1.42 * spread <= 3 * ceiling, (m, grid)
 
     def test_expected_load_is_m_over_p(self):
         """Lemma 3.1(1) / Lemma B.1: mean bucket load equals m/p over the
-        occupied grid."""
-        m, grid = 2048, (4, 4)
-        rel = uniform_relation("R", m, 10 * m, seed=6)
-        loads = hash_relation_loads(rel, grid, seed=1)
-        p = grid[0] * grid[1]
-        mean = sum(loads.values()) / p
-        assert math.isclose(mean, m / p)
+        occupied grid.  Rows: this file's, E10's."""
+        for m, domain, grid, seed in [(2048, 10 * 2048, (4, 4), 6),
+                                      (8192, 16 * 8192, (8, 8), 64)]:
+            rel = uniform_relation("R", m, domain, seed=seed)
+            loads = hash_relation_loads(rel, grid, seed=1)
+            p = math.prod(grid)
+            assert math.isclose(sum(loads.values()) / p, m / p), (m, grid)

@@ -12,6 +12,7 @@ from repro.api import (
     BenchError,
     RunRecord,
     Suite,
+    Sweep,
     calibrate,
     compare_bench,
     run_suite,
@@ -125,6 +126,17 @@ def test_regrets_are_per_cell_on_the_planner_cost_scale():
         cell("one", predicted=12.0, measured=12.0, p=16),
         cell("two", predicted=8.0, measured=8.0, p=16, rounds=2),
     ]) == [1.5, 1.0]
+
+
+def test_planner_regret_on_a_skew_sweep():
+    """E13: across m = 600, p in {8, 32}, skew in {0, 1, 2} the planner's
+    pick measures within 1.59x of the best algorithm (worst cell: 1.275)."""
+    result = Sweep(
+        "q(x, y, z) :- S1(x, z), S2(y, z)", workload="zipf", p_values=(8, 32),
+        m_values=(600,), skews=(0.0, 1.0, 2.0), algorithms="applicable",
+    ).run()
+    assert len(result.by_cell()) == 6 and all(r.ok for r in result)
+    assert max(regrets(result.records)) <= 1.59
 
 
 class TestValidateBench:

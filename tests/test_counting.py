@@ -3,6 +3,7 @@
 import math
 
 from repro.core import (
+    HyperCubeAlgorithm,
     answers_per_server_bound,
     lower_bound,
     lower_bound_constant,
@@ -10,7 +11,11 @@ from repro.core import (
     reported_fraction_bound,
 )
 from repro.core.counting import bits_of_cardinalities, log_p
+from repro.data import matching_relation
+from repro.mpc import Cluster, HashFamily
 from repro.query import simple_join_query, triangle_query
+from repro.seq import Database, evaluate, local_join
+from repro.stats import SimpleStatistics
 
 
 class TestConstant:
@@ -68,6 +73,54 @@ class TestFractionBounds:
         f2 = reported_fraction_bound(q, bits, p, load_bits=load / 2)
         # Optimal packing value for equal-size C3 is 3/2.
         assert math.isclose(f1 / f2, 2 ** 1.5, rel_tol=1e-6)
+
+
+class TestCappedServers:
+    """E2 — Theorem 3.5 measured: route a skew-free join with HyperCube,
+    let every server keep only a prefix of ``cap`` bits of what it
+    receives (on random data no choice of tuples does better in
+    expectation), and count the answers still derivable."""
+
+    def _reported_fraction(self, query, db, p, cap_bits):
+        algo = HyperCubeAlgorithm.with_optimal_shares(
+            query, SimpleStatistics.of(db), p)
+        plan = algo.routing_plan(db, p, HashFamily(0))
+        cluster = Cluster(p)
+        for atom in query.atoms:
+            relation = db.relation(atom.name)
+            for tup in sorted(relation.tuples):
+                for dest in plan.destinations(atom.name, tup):
+                    server = cluster.servers[dest]
+                    if server.received_bits + relation.tuple_bits <= cap_bits:
+                        server.receive(atom.name, tup, relation.tuple_bits)
+        found = set()
+        for server in cluster.servers:
+            if server.fragments:
+                found |= local_join(query, server.fragments, db.domain_size)
+        return len(found) / len(evaluate(query, db))
+
+    def test_reported_fraction_stays_under_the_bound(self):
+        """At caps of 0.05 .. 2 (m = 2048) and 0.1 .. 3 (m = 1024) times
+        L_lower: never above p (L / L_lower)^u, growing with the cap, and
+        everything once the cap is generous."""
+        q, p = simple_join_query(), 16
+        for m, seed, caps in [(2048, 1, (0.05, 0.15, 0.3, 0.6, 1.0, 2.0)),
+                              (1024, 3, (0.1, 0.5, 1.0, 3.0))]:
+            db = Database.from_relations(
+                [
+                    matching_relation("S1", m, 4 * m, seed=seed),
+                    matching_relation("S2", m, 4 * m, seed=seed + 1),
+                ]
+            )
+            bits = SimpleStatistics.of(db).bits_vector(q)
+            target = lower_bound(q, bits, p).bits
+            measured = [self._reported_fraction(q, db, p, cap * target)
+                        for cap in caps]
+            for cap, fraction in zip(caps, measured):
+                assert fraction <= 1e-9 + reported_fraction_bound(
+                    q, bits, p, load_bits=cap * target), (m, cap)
+            assert measured == sorted(measured)
+        assert measured[-1] == 1.0  # 0.000, 0.000, 0.044, 1.000
 
 
 class TestAbsoluteBound:

@@ -97,6 +97,8 @@ class TestAfratiUllmanShares:
         (simple_join_query(), {"S1": 2.0**20, "S2": 2.0**20}),
         (chain_query(3), {"S1": 2.0**18, "S2": 2.0**18, "S3": 2.0**18}),
         (star_query(3), {"S1": 2.0**18, "S2": 2.0**18, "S3": 2.0**18}),
+        # E1's ablation: the lopsided join, where the objectives disagree.
+        (simple_join_query(), {"S1": 2.0**22, "S2": 2.0**14}),
     ]
 
     def _total_load(self, query, bits, exponents, p):
@@ -144,8 +146,7 @@ class TestAfratiUllmanShares:
     def test_objectives_can_disagree(self):
         """A case where minimizing total and minimizing max differ: the
         lopsided join spreads shares under [2]."""
-        query = simple_join_query()
-        bits = {"S1": 2.0**22, "S2": 2.0**14}
+        query, bits = self.CASES[-1]
         au = afrati_ullman_share_exponents(query, bits, 64)
         # AU gives x (S1's private variable) a real share to shrink the
         # dominant S1 term of the *sum*.

@@ -18,8 +18,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Cell, Sweep, WorkloadSpec, execute_cells, run_cell
-from repro.api.registry import AlgorithmSpec, register, unregister
+from repro.api import (
+    AlgorithmSpec,
+    Cell,
+    Sweep,
+    WorkloadSpec,
+    execute_cells,
+    register,
+    run_cell,
+    unregister,
+)
 from repro.cli import main
 from repro.core import HashJoinAlgorithm
 from repro.mpc import (

@@ -51,10 +51,15 @@ class TestFriedgutInequality:
         assert lhs <= rhs * (1 + 1e-9)
         assert math.isclose(rhs, math.sqrt(60**3), rel_tol=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_weights_triangle(self, seed):
+    # The last row is E12's instance: 60 weights in [0, 4) over 15 values.
+    @pytest.mark.parametrize(
+        "seed,n,density,scale",
+        [(seed, 12, 3.0, 1.0) for seed in range(5)] + [(82, 15, 4.0, 4.0)],
+        ids=["0", "1", "2", "3", "4", "E12"],
+    )
+    def test_random_weights_triangle(self, seed, n, density, scale):
         q = triangle_query()
-        weights = _random_weights(q, n=12, density=3.0, seed=seed)
+        weights = _random_weights(q, n, density, seed, scale)
         cover = {"S1": Fraction(1, 2), "S2": Fraction(1, 2), "S3": Fraction(1, 2)}
         lhs, rhs = friedgut_gap(q, cover, weights)
         assert lhs <= rhs * (1 + 1e-9)
@@ -105,9 +110,13 @@ class TestFriedgutInequality:
 
 class TestAGMBound:
     def test_triangle_closed_form(self):
+        """sqrt(m1 m2 m3) from the cover (1/2, 1/2, 1/2), which also wins
+        when S3 is tiny (E12): a 16x drop from the balanced 1000^1.5."""
         q = triangle_query()
-        bound = agm_bound(q, {"S1": 100, "S2": 100, "S3": 100})
-        assert math.isclose(bound, 100**1.5, rel_tol=1e-9)
+        for sizes in [(100, 100, 100), (1000, 1000, 1000), (1000, 1000, 4)]:
+            bound = agm_bound(q, dict(zip(("S1", "S2", "S3"), sizes)))
+            assert math.isclose(
+                bound, math.sqrt(math.prod(sizes)), rel_tol=1e-9), sizes
 
     def test_join_closed_form(self):
         q = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
@@ -127,17 +136,22 @@ class TestAGMBound:
         assert bound <= 10**6 + 1e-6
 
     def test_actual_never_exceeds_bound(self):
+        """|C3| <= m^1.5 on random graphs: this file's five, then E12's
+        sparse (no triangle at all) and dense (1021 of them) ones."""
         q = triangle_query()
-        for seed in range(5):
+        for m, n, seed in [(80, 25, 3 * s) for s in range(5)] + [
+            (800, 2000, 81), (800, 80, 81),
+        ]:
             db = Database.from_relations(
                 [
-                    uniform_relation("S1", 80, 25, seed=3 * seed),
-                    uniform_relation("S2", 80, 25, seed=3 * seed + 1),
-                    uniform_relation("S3", 80, 25, seed=3 * seed + 2),
+                    uniform_relation("S1", m, n, seed=seed),
+                    uniform_relation("S2", m, n, seed=seed + 1),
+                    uniform_relation("S3", m, n, seed=seed + 2),
                 ]
             )
             actual, bound = check_agm(q, db)
-            assert actual <= bound * (1 + 1e-9)
+            assert actual <= bound * (1 + 1e-9), (m, n, seed)
+            assert math.isclose(bound, m**1.5, rel_tol=1e-9)
 
     def test_singleton_cardinalities(self):
         q = parse_query("q(x) :- R(x)")

@@ -1,19 +1,52 @@
 """Unit tests for the HyperCube algorithm (Section 3.1)."""
 
 import math
+import statistics
 
 import pytest
 
-from repro.core import HyperCubeAlgorithm, ShareError, lower_bound
+from repro.core import (
+    HyperCubeAlgorithm,
+    ShareError,
+    integer_shares,
+    lower_bound,
+    optimal_share_exponents,
+)
 from repro.data import (
     matching_relation,
     single_value_relation,
     uniform_relation,
 )
 from repro.mpc import HashFamily, run_one_round
-from repro.query import parse_query, simple_join_query, triangle_query
+from repro.query import (
+    chain_query,
+    parse_query,
+    simple_join_query,
+    triangle_query,
+)
 from repro.seq import Database
 from repro.stats import SimpleStatistics
+
+JOIN, TRIANGLE = simple_join_query(), triangle_query()
+
+
+def _database(generator, query, cardinalities, domain, seed):
+    """One relation per atom, seeded ``seed``, ``seed + 1``, ..."""
+    return Database.from_relations([
+        generator(atom.name, m, domain, seed=seed + i)
+        for i, (atom, m) in enumerate(zip(query.atoms, cardinalities))
+    ])
+
+
+def _lp_load(query, db, p):
+    """Measured max load, in bits, of HyperCube with LP-optimal shares."""
+    algo = HyperCubeAlgorithm.with_optimal_shares(
+        query, SimpleStatistics.of(db), p)
+    return run_one_round(algo, db, p, compute_answers=False).max_load_bits
+
+
+def _bound(query, db, p):
+    return lower_bound(query, SimpleStatistics.of(db).bits_vector(query), p).bits
 
 
 class TestConstruction:
@@ -204,19 +237,55 @@ class TestLoadPredictions:
             algo.worst_case_load_bits(stats), stats.bits("S1") / 2
         )
 
+    # Skew-free instances (generator, query, cardinalities, domain, first
+    # seed, p): this file's own join, E1's five matching databases, E1's
+    # uniform join (Lemma 3.1(3) behaves like 3.1(2)) and Example 3.7's
+    # three triangle regimes (E5).
+    SKEW_FREE = [
+        (matching_relation, JOIN, (2000, 2000), 8000, 14, 16),
+        (matching_relation, JOIN, (4096, 4096), 16384, 100, 64),
+        (matching_relation, JOIN, (8192, 1024), 32768, 100, 64),
+        (matching_relation, TRIANGLE, (4096, 4096, 4096), 16384, 100, 64),
+        (matching_relation, TRIANGLE, (8192, 4096, 1024), 32768, 100, 64),
+        (matching_relation, chain_query(3), (4096, 2048, 4096), 16384, 100, 32),
+        (uniform_relation, JOIN, (4096, 4096), 64 * 4096, 7, 64),
+        (matching_relation, TRIANGLE, (4096, 4096, 4096), 16384, 10, 64),
+        (matching_relation, TRIANGLE, (16384, 512, 512), 65536, 10, 64),
+        (matching_relation, TRIANGLE, (8192, 8192, 1024), 32768, 10, 64),
+    ]
+
     def test_skew_free_load_tracks_lp_bound(self):
-        """Measured load within a polylog factor of L_upper (Theorem 3.4)."""
-        q = simple_join_query()
-        db = Database.from_relations(
-            [
-                matching_relation("S1", 2000, 8000, seed=14),
-                matching_relation("S2", 2000, 8000, seed=15),
-            ]
-        )
-        stats = SimpleStatistics.of(db)
-        p = 16
-        algo = HyperCubeAlgorithm.with_optimal_shares(q, stats, p)
-        result = run_one_round(algo, db, p, compute_answers=False)
-        bound = lower_bound(q, stats.bits_vector(q), p).bits
-        assert result.max_load_bits >= 0.5 * bound  # can't beat the bound much
-        assert result.max_load_bits <= 8 * bound  # and stays close to it
+        """Theorems 3.4 + 3.6: LP shares load every server with at least
+        the lower bound and at most 6.21 times it (worst measured row:
+        4.971, the mixed triangle)."""
+        for generator, q, cardinalities, domain, seed, p in self.SKEW_FREE:
+            db = _database(generator, q, cardinalities, domain, seed)
+            ratio = _lp_load(q, db, p) / _bound(q, db, p)
+            assert 1.0 <= ratio <= 6.21, (q.name, cardinalities, seed, ratio)
+
+    def test_load_scales_as_p_to_the_minus_two_thirds(self):
+        """The space exponent of the equal-size triangle, 1 / tau* = 2/3:
+        the log-log slope of load against p over p = 8 .. 216."""
+        db = _database(matching_relation, TRIANGLE, (4096,) * 3, 16384, 100)
+        ps = (8, 27, 64, 216)
+        slope = statistics.linear_regression(
+            [math.log(p) for p in ps],
+            [math.log(_lp_load(TRIANGLE, db, p)) for p in ps],
+        ).slope
+        assert abs(slope + 2 / 3) <= 0.0347  # fitted: -0.6389
+
+    def test_greedy_rounding_never_loses_to_plain_floors(self):
+        """On the measured load, at a p = 60 that is no perfect power."""
+        q, p = TRIANGLE, 60
+        db = _database(matching_relation, q, (8192, 4096, 1024), 32768, 100)
+        bits = SimpleStatistics.of(db).bits_vector(q)
+        exponents = optimal_share_exponents(q, bits, p).exponents
+        load = {
+            strategy: run_one_round(
+                HyperCubeAlgorithm(q, integer_shares(
+                    q, exponents, p, strategy=strategy, bits=bits)),
+                db, p, compute_answers=False,
+            ).max_load_bits
+            for strategy in ("floor", "greedy")
+        }
+        assert load["greedy"] <= load["floor"]

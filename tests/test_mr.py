@@ -132,12 +132,19 @@ class TestTheorem51:
 
 class TestHyperCubeAsMapReduce:
     def test_choose_reducers_monotone(self):
+        """... and grows as (M/L)^(3/2) (Example 5.2): 16, 128, 1024
+        reducers at L = M/4, M/16, M/64 on E9's triangle."""
         q = triangle_query()
         db = _triangle_db()
         stats = SimpleStatistics.of(db)
         small = choose_reducers(q, stats, reducer_bits=2.0**9)
         large = choose_reducers(q, stats, reducer_bits=2.0**13)
         assert small >= large
+        stats = SimpleStatistics.of(_triangle_db(m=3000, n=9000, seed=50))
+        counts = [choose_reducers(q, stats, stats.bits("S1") / divisor)
+                  for divisor in (4, 16, 64)]
+        assert counts == sorted(counts)
+        assert counts[-1] >= 51 * counts[0]  # 64 = 16^(3/2), modulo rounding
 
     def test_run_is_complete(self):
         q = triangle_query()
@@ -146,14 +153,20 @@ class TestHyperCubeAsMapReduce:
         assert run.result.is_complete
 
     def test_measured_rate_tracks_lower_bound(self):
-        """HC's replication rate is within a constant of Theorem 5.1."""
+        """HC's replication rate is between Theorem 5.1's bound and 4.68
+        times it, at reducer budgets L = M / divisor (measured: 3.0, 3.0,
+        3.75, 3.75), and follows its sqrt(M/L) shape."""
         q = triangle_query()
-        db = _triangle_db(m=600, n=1200, seed=50)
-        stats = SimpleStatistics.of(db)
-        bits = stats.bits_vector(q)
-        reducer_bits = sum(bits.values()) / 12
-        run = hypercube_mapreduce(q, db, reducer_bits=reducer_bits)
-        bound, _ = replication_rate_lower_bound(q, bits, reducer_bits)
-        measured = run.result.replication_rate
-        assert measured >= bound * 0.3  # lower bound (model constants aside)
-        assert measured <= bound * 12 + 3  # matched within constants
+        for m, n, divisors in [(600, 1200, (4,)), (3000, 9000, (4, 16, 64))]:
+            db = _triangle_db(m=m, n=n, seed=50)
+            bits = SimpleStatistics.of(db).bits_vector(q)
+            rate = {}
+            for divisor in divisors:
+                reducer_bits = bits["S1"] / divisor
+                run = hypercube_mapreduce(q, db, reducer_bits=reducer_bits)
+                bound, _ = replication_rate_lower_bound(q, bits, reducer_bits)
+                rate[divisor] = run.result.replication_rate
+                assert 1.0 <= rate[divisor] / bound <= 4.68, (m, divisor)
+        # A 16x smaller budget predicts a 4x rate; reducer counts move in
+        # powers of two, and the measured factor is 10 / 2.
+        assert 4.0 <= rate[64] / rate[4] <= 6.25

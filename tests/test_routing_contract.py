@@ -29,8 +29,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.api import WorkloadSpec
-from repro.api.registry import algorithm_specs
+from repro.api import WorkloadSpec, algorithm_specs
 from repro.core import BinHyperCubeAlgorithm
 from repro.data import planted_heavy_relation, uniform_relation
 from repro.mpc import HashFamily, OneRoundAlgorithm, RoutingPlan

@@ -246,19 +246,18 @@ class TestExpectedAnswerCount:
             expected_answer_count(q, {"S1": 10}, 100)
 
     def test_empirical_match_on_random_instances(self):
-        """Average |q(I)| over random instances tracks Lemma A.1."""
+        """Average |q(I)| over random instances tracks Lemma A.1 within
+        1.3 % (measured 0.9896 here, 1.0104 on E12's larger instances)."""
         q = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
-        n, m = 40, 120
-        predicted = expected_answer_count(q, {"S1": m, "S2": m}, n)
-        total = 0
-        trials = 30
-        for seed in range(trials):
-            db = Database.from_relations(
-                [
-                    uniform_relation("S1", m, n, seed=seed * 2 + 1),
-                    uniform_relation("S2", m, n, seed=seed * 2 + 2),
-                ]
-            )
-            total += count_answers(q, db)
-        average = total / trials
-        assert 0.8 * predicted <= average <= 1.2 * predicted
+        for n, m, trials, first_seed in [(40, 120, 30, 1), (150, 400, 20, 1000)]:
+            predicted = expected_answer_count(q, {"S1": m, "S2": m}, n)
+            total = 0
+            for seed in range(first_seed, first_seed + 2 * trials, 2):
+                db = Database.from_relations(
+                    [
+                        uniform_relation("S1", m, n, seed=seed),
+                        uniform_relation("S2", m, n, seed=seed + 1),
+                    ]
+                )
+                total += count_answers(q, db)
+            assert abs(total / trials / predicted - 1) <= 0.013, (n, m)

@@ -7,11 +7,20 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import Cell, Sweep, failure_record, validate_record
-from repro.api import ExperimentError
+from repro.api import (
+    AlgorithmSpec,
+    Cell,
+    Experiment,
+    ExperimentError,
+    Sweep,
+    WorkloadSpec,
+    failure_record,
+    register,
+    unregister,
+    validate_record,
+)
 from repro.api import experiment as experiment_module
 from repro.api.records import RUN_RECORD_FIELDS
-from repro.api.registry import AlgorithmSpec, register, unregister
 from repro.mpc.execution import OneRoundAlgorithm
 from repro.obs import Observation
 from repro.service import jobs as jobs_module
@@ -97,6 +106,17 @@ class TestSerialFaultIsolation:
         # Every row (including the failure) passes the schema.
         for record in result:
             validate_record(record.to_dict())
+
+    def test_an_experiment_isolates_a_failing_cell(self, poison_registry):
+        records = Experiment(
+            JOIN_TEXT, WorkloadSpec("zipf", m=50, skew=0.0), p=4,
+            algorithms=("hashjoin", "poison", "hypercube-lp"),
+        ).run()
+        assert [r.algorithm for r in records] == \
+            ["hashjoin", "poison", "hypercube-lp"]
+        assert [r.status.split(":")[0] for r in records] == \
+            ["ok", "failed", "ok"]
+        assert "poisoned cell" in records[1].status
 
     def test_prepare_failure_fails_the_whole_group(self):
         # A cell with an invalid stats method slips past cells() when

@@ -30,6 +30,40 @@ from repro.seq import Database
 from repro.stats import BinCombination, HeavyHitterStatistics
 
 
+def _planted_join_db(heavy_fraction: float) -> Database:
+    """E7's join (run at p = 16): three heavy values planted in S1, two
+    in S2 at half the fraction, one of them shared."""
+    return Database.from_relations(
+        [
+            planted_heavy_relation(
+                "S1", 1200, 4000, heavy_values=[0, 1, 2],
+                heavy_fraction=heavy_fraction, seed=31,
+            ),
+            planted_heavy_relation(
+                "S2", 1200, 4000, heavy_values=[0, 7],
+                heavy_fraction=heavy_fraction / 2, seed=32,
+            ),
+        ]
+    )
+
+
+def _hub_triangle_db() -> Database:
+    """E7's triangle: S1 and S3 share one heavy value of x1."""
+    return Database.from_relations(
+        [
+            planted_heavy_relation(
+                "S1", 400, 500, heavy_values=[0], heavy_fraction=0.4,
+                heavy_position=0, seed=33,
+            ),
+            uniform_relation("S2", 400, 500, seed=34),
+            planted_heavy_relation(
+                "S3", 400, 500, heavy_values=[0], heavy_fraction=0.4,
+                heavy_position=1, seed=35,
+            ),
+        ]
+    )
+
+
 class TestProperSupersets:
     def test_from_empty(self):
         out = _proper_supersets(("x", "z"), ())
@@ -260,54 +294,58 @@ class TestAlgorithmCorrectness:
     def test_nbc_variants_all_correct(self):
         """Correctness must hold for any Nbc (only the load changes)."""
         q = simple_join_query()
-        db = Database.from_relations(
+        zipf_db = Database.from_relations(
             [
                 zipf_relation("S1", 250, 750, skew=1.5, seed=20),
                 zipf_relation("S2", 250, 750, skew=1.5, seed=21),
             ]
         )
-        for nbc in (0.25, 1.0, 4.0, 64.0):
-            result = run_one_round(
-                BinHyperCubeAlgorithm(q, nbc=nbc), db, 8, verify=True
-            )
-            assert result.is_complete, nbc
+        for db, p, nbcs in [(zipf_db, 8, (0.25, 1.0, 4.0, 64.0)),
+                            (_planted_join_db(0.8), 16, (0.25, 1.0, 16.0))]:
+            for nbc in nbcs:
+                result = run_one_round(
+                    BinHyperCubeAlgorithm(q, nbc=nbc), db, p, verify=True
+                )
+                assert result.is_complete, nbc
 
 
 class TestAlgorithmLoad:
     def test_beats_hash_join_under_heavy_skew(self):
-        q = simple_join_query()
-        db = Database.from_relations(
+        """At most half the hash join's load: worst 0.489, E7's join."""
+        q, p = simple_join_query(), 16
+        single_db = Database.from_relations(
             [
                 single_value_relation("S1", 120, 500, seed=22),
                 single_value_relation("S2", 120, 500, seed=23),
             ]
         )
-        p = 16
-        bin_result = run_one_round(
-            BinHyperCubeAlgorithm(q), db, p, compute_answers=False
-        )
-        hash_result = run_one_round(
-            HashJoinAlgorithm(q, p), db, p, compute_answers=False
-        )
-        assert bin_result.max_load_tuples < hash_result.max_load_tuples / 2
+        for db in (single_db, _planted_join_db(0.8)):
+            bin_load, hash_load = (
+                run_one_round(algo, db, p, compute_answers=False).max_load_tuples
+                for algo in (BinHyperCubeAlgorithm(q), HashJoinAlgorithm(q, p))
+            )
+            assert bin_load < hash_load / 2, (bin_load, hash_load)
 
     def test_load_tracks_theorem_4_6(self):
-        """Measured load <= polylog(p) * max_B p^lambda(B)."""
-        import math
-
-        q = simple_join_query()
-        db = Database.from_relations(
+        """Measured load <= 6.82 * max_B p^lambda(B), the theorem's polylog
+        (worst measured 5.461, E7's hub triangle)."""
+        zipf_db = Database.from_relations(
             [
                 zipf_relation("S1", 400, 1200, skew=1.4, seed=24),
                 zipf_relation("S2", 400, 1200, skew=1.4, seed=25),
             ]
         )
-        p = 16
-        result = run_one_round(
-            BinHyperCubeAlgorithm(q), db, p, compute_answers=False
-        )
-        predicted = result.details["theoretical_load_bits"]
-        assert result.max_load_bits <= predicted * 4 * math.log(p) ** 2
+        for q, db in [
+            (simple_join_query(), zipf_db),
+            *((simple_join_query(), _planted_join_db(heavy_fraction))
+              for heavy_fraction in (0.2, 0.5, 0.8)),
+            (triangle_query(), _hub_triangle_db()),
+        ]:
+            result = run_one_round(
+                BinHyperCubeAlgorithm(q), db, 16, compute_answers=False
+            )
+            predicted = result.details["theoretical_load_bits"]
+            assert result.max_load_bits <= 6.82 * predicted, q.name
 
     def test_describe_counts(self):
         q = simple_join_query()

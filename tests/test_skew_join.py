@@ -59,6 +59,25 @@ def _join_db(kind: str, m: int = 400, seed: int = 0) -> Database:
     raise ValueError(kind)
 
 
+def _sweep_db(skew: float, m: int = 2000) -> Database:
+    """E6's Zipf skew sweep (run at p = 32): sparser below skew 1."""
+    domain = (8 if skew < 1.0 else 4) * m
+    return Database.from_relations(
+        [
+            zipf_relation("S1", m, domain, skew=skew, seed=21),
+            zipf_relation("S2", m, domain, skew=skew, seed=22),
+        ]
+    )
+
+
+def _load(algorithm, db: Database, p: int) -> float:
+    """Measured max load, in bits, of the skew-aware join (``"skew"``) or
+    the plain hash join (``"hash"``)."""
+    q = simple_join_query()
+    algo = SkewAwareJoin(q) if algorithm == "skew" else HashJoinAlgorithm(q, p)
+    return run_one_round(algo, db, p, compute_answers=False).max_load_bits
+
+
 class TestValidation:
     def test_rejects_triangle(self):
         with pytest.raises(QueryError):
@@ -134,14 +153,20 @@ class TestMixColumns:
 
 class TestLoadBehaviour:
     def test_beats_hash_join_under_skew(self):
-        q = simple_join_query()
-        db = _join_db("single")
-        p = 16
-        skew_result = run_one_round(SkewAwareJoin(q), db, p, compute_answers=False)
-        hash_result = run_one_round(
-            HashJoinAlgorithm(q, p), db, p, compute_answers=False
-        )
-        assert skew_result.max_load_tuples < hash_result.max_load_tuples / 2
+        """At most half the hash join's load: worst 0.484, E6's skew 1.5."""
+        for db, p in [(_join_db("single"), 16),
+                      (_sweep_db(1.5), 32), (_sweep_db(2.0), 32)]:
+            ratio = _load("skew", db, p) / _load("hash", db, p)
+            assert ratio < 0.5, (p, ratio)
+
+    def test_hash_join_falls_behind_as_skew_grows(self):
+        """E6's crossover series: hash-join load over skew-join load."""
+        ratios = [
+            _load("hash", db, 32) / _load("skew", db, 32)
+            for db in map(_sweep_db, (0.0, 1.0, 2.0))
+        ]
+        assert ratios == sorted(ratios)  # 0.942, 1.203, 2.831
+        assert ratios[0] < 1.0 and ratios[-1] > 2.26
 
     def test_matches_hash_join_on_uniform(self):
         """No heavy hitters: the plan degenerates to the plain hash join."""
@@ -160,15 +185,28 @@ class TestLoadBehaviour:
         )
 
     def test_load_tracks_formula_10(self):
-        """Measured load within O(log p) of max(m1/p, m2/p, L12...)."""
+        """Measured load between max(m1/p, m2/p, L12...) and 8.28 times it
+        (the O(log p) of Section 4.1; worst measured 6.624, E6's skew 1)."""
         q = simple_join_query()
-        db = _join_db("single")
-        p = 16
-        stats = HeavyHitterStatistics.of(q, db, p)
-        bound = skew_join_load_bound(stats, q)["bound"]
-        result = run_one_round(SkewAwareJoin(q), db, p, compute_answers=False)
-        assert result.max_load_bits <= bound * 6 * math.log(p)
-        assert result.max_load_bits >= bound / 6
+        for db, p in [(_join_db("single"), 16)] + [
+            (_sweep_db(skew), 32) for skew in (0.0, 0.5, 1.0, 1.5, 2.0)
+        ]:
+            stats = HeavyHitterStatistics.of(q, db, p)
+            bound = skew_join_load_bound(stats, q)["bound"]
+            ratio = _load("skew", db, p) / bound
+            assert 1.0 <= ratio <= 8.28, (p, stats.total_heavy_count(), ratio)
+
+    def test_threshold_scale_barely_moves_the_load(self):
+        """E6's ablation of the heavy-hitter threshold ``factor * m_j / p``
+        at skew 1.5: complete at every scale, loads within 1.24x."""
+        q, db, loads = simple_join_query(), _sweep_db(1.5), []
+        for factor in (0.5, 1.0, 2.0):
+            stats = HeavyHitterStatistics.of(q, db, 32, threshold_factor=factor)
+            result = run_one_round(
+                SkewAwareJoin(q, stats=stats), db, 32, verify=True)
+            assert result.is_complete, factor
+            loads.append(result.max_load_tuples)
+        assert max(loads) <= 1.54 * min(loads)  # 606, 750, 689 tuples
 
     def test_overcommit_stays_constant_factor(self):
         """The paper's Theta(p) total server allocation."""
