@@ -66,7 +66,8 @@ from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..rounds import oracle_answers, run_rounds
-from ..seq.relation import Database, Tuple
+from ..seq.join import Answers
+from ..seq.relation import Database
 from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
 
@@ -339,7 +340,7 @@ class _OneDatabase:
     def expected(
         self, cell: Cell, query: ConjunctiveQuery, db: Database,
         obs: Observation | None,
-    ) -> frozenset[Tuple] | None:
+    ) -> Answers | None:
         """What a verifying ``cell`` compares its answers with (None for
         any other): evaluated by the first one on ``db``, shared by the
         rest, dropped by the first cell of another database."""
@@ -400,7 +401,7 @@ def _prepare(
 def _execute(
     cell: Cell, db: Database, query_plan,
     obs: Observation | None = None,
-    expected: frozenset[Tuple] | None = None,
+    expected: Answers | None = None,
 ) -> RunRecord:
     """Run one cell's algorithm in a prepared context; build the record.
 

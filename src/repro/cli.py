@@ -83,7 +83,7 @@ from .api.bench import (
     validate_bench,
 )
 from .api.planner import STATS_METHODS
-from .obs import Observation
+from .obs import Observation, maybe_timed
 from .core import (
     fractional_edge_cover_number,
     fractional_vertex_cover_number,
@@ -470,13 +470,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if failed:
         _LOG.warning("sweep: %d of %d cells did not finish cleanly "
                      "(see the 'status' column)", failed, len(result))
-    if args.format == "json":
-        payload = result.to_json()
-    elif args.format == "csv":
-        payload = result.to_csv()
-    else:
-        payload = result.summary()
-    _write_payload(payload, args.output, f"{len(result)} records")
+    with maybe_timed(obs, "records.serialize",
+                     format=args.format, records=len(result)):
+        render = {"json": result.to_json, "csv": result.to_csv}
+        payload = render.get(args.format, result.summary)()
+        _write_payload(payload, args.output, f"{len(result)} records")
     _finish_observation(args, obs)
     return 0
 

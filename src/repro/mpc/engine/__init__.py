@@ -11,14 +11,16 @@ The engine subsystem separates *what* a one-round algorithm does (its
     :class:`BatchedEngine` — routes each relation's cached columnar view
     (``Relation.batch``) with one call into the batch primitive every
     in-tree plan implements natively, ``RoutingPlan.claims``, through the
-    two methods ``RoutingPlan`` derives from it: ``destination_counts`` when only loads are wanted (no fragment
-    and no per-tuple destination list exists), ``destinations_batch`` when
-    the local joins need fragments.
+    two methods ``RoutingPlan`` derives from it: ``destination_counts``
+    when only loads are wanted (nothing is listed per tuple), ``deliveries``
+    — ``(tuple index, server)`` arrays — when answers are, which the local
+    joins of all servers consume as one array join.
 ``mp``
     :class:`MultiprocessEngine` — the same kernel
     (:mod:`repro.mpc.engine.shard`) with each relation's batch sliced into
     shards (int64 column slices on the wire) routed, and the local joins
-    run, on the process farm (:mod:`repro.mpc.farm`).
+    run a range of servers at a time, on the process farm
+    (:mod:`repro.mpc.farm`).
 
 All engines are answer- and load-identical (``tests/test_engine_parity.py``);
 pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when

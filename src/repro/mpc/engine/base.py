@@ -3,9 +3,11 @@
 An execution engine simulates one communication round: it builds the
 algorithm's routing plan, delivers every input tuple to its destination
 servers, accounts per-server loads, and (optionally) runs the local joins.
-The contract is strict: **every engine must return the same answers, the
-same per-server tuple counts, and bit-identical per-server bit loads** as
-:class:`repro.mpc.engine.ReferenceEngine` for any algorithm and database.
+The contract is strict: **every engine must return the same answers (one
+:class:`~repro.seq.join.Answers` array), the same per-server tuple counts,
+and bit-identical per-server bit loads** as
+:class:`repro.mpc.engine.ReferenceEngine` for any algorithm and database,
+and the same ``IndexError`` for a server outside ``[0, p)``.
 ``tests/test_engine_parity.py`` enforces the contract for every registered
 engine; new engines should be added to :data:`ENGINES` and that test suite.
 

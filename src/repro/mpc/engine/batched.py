@@ -15,8 +15,10 @@ shared by every algorithm routed on it — by way of the two methods
   never read, so load experiments scale to inputs far beyond what the
   reference engine holds in memory;
 * with ``compute_answers=True`` each relation costs one
-  :meth:`RoutingPlan.destinations_batch` call whose rows are delivered into
-  per-server fragments for the local joins.
+  :meth:`RoutingPlan.deliveries` call — ``(tuple index, server)`` arrays,
+  counted with ``np.bincount`` — and the ``p`` local joins are one array
+  join in which the server is one more shared variable
+  (:func:`repro.seq.join.join_columns`); no Python tuple is built.
 
 The kernel (:mod:`repro.mpc.engine.shard`) is shared with
 :class:`repro.mpc.engine.MultiprocessEngine`, which overrides only *where*
@@ -33,7 +35,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from ...obs import maybe_timed
 from ...query.atoms import ConjunctiveQuery
-from ...seq.relation import Database, Tuple
+from ...seq.join import Answers
+from ...seq.relation import Database
 from ..execution import ExecutionResult, OneRoundAlgorithm, RoutingPlan
 from ..hashing import HashFamily
 from .base import ExecutionEngine
@@ -68,7 +71,7 @@ class BatchedEngine(ExecutionEngine):
         ledger = RoundLedger(p, compute_answers)
         input_tuples = 0
         input_bits = 0.0
-        answers: frozenset[Tuple] | None = None
+        answers: Answers | None = None
         with self._shards(
             plan, query, db.domain_size, compute_answers, obs
         ) as shards:
@@ -81,6 +84,7 @@ class BatchedEngine(ExecutionEngine):
                     routed = ledger.add(
                         atom.name,
                         tuple_bits,
+                        relation.batch,
                         shards.route(atom.name, relation.batch),
                     )
                 if obs is not None:
@@ -88,10 +92,9 @@ class BatchedEngine(ExecutionEngine):
                     obs.count(f"engine.shipped_bits.{atom.name}",
                               routed * tuple_bits)
 
-            if ledger.fragments is not None:
-                occupied = [frag for frag in ledger.fragments if frag]
+            if ledger.delivered is not None:
                 with maybe_timed(obs, "engine.local_join"):
-                    answers = shards.join(occupied)
+                    answers = shards.join(ledger.delivered)
 
         return ExecutionResult(
             algorithm=algorithm.name,

@@ -7,16 +7,16 @@ workers call the very :class:`~repro.mpc.engine.shard.InProcessShards` the
 batched engine calls in-process, captured when they start.
 
 1. **Routing** — each relation's batch is sliced into one chunk per
-   worker, shipped as int64 columns (a worker that delivers fragments
-   rebuilds the rows from them); every worker routes its chunk and returns
-   per-server received counts plus (when answers are requested) the
-   per-server fragment slices.  The parent folds the shards into the round's ledger exactly as
-   the in-process engine folds its single shard: counts by integer
-   addition, fragments by set union, bits once per relation as
+   worker, shipped as int64 columns; every worker routes its chunk and
+   returns per-server received counts or (answers on) its deliveries,
+   ``(tuple index, server)`` arrays the parent re-bases from the chunk to
+   the whole batch.  The parent folds the shards into the round's ledger
+   as the in-process engine folds its single shard: counts by addition,
+   deliveries by concatenation, bits once per relation as
    ``count * tuple_bits`` — so loads stay bit-identical.
-2. **Local joins** — the nonempty servers are cut into chunks the same
-   way; each worker joins its servers' fragments and the answer sets are
-   unioned.
+2. **Local joins** — the occupied servers are cut into contiguous ranges
+   the same way; each worker is shipped the delivered columns of its range
+   and joins them, and the parent merges the answer arrays with one sort.
 
 One farm serves the whole round (k routing maps, then the join).  A chunk
 whose worker raised or died is an :class:`EngineError` naming the relation
@@ -36,8 +36,11 @@ from contextlib import contextmanager
 from functools import partial
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from ...query.atoms import ConjunctiveQuery
-from ...seq.relation import Batch, Tuple
+from ...seq.join import Answers
+from ...seq.relation import Batch
 from ..execution import RoutingPlan
 from ..farm import Farm, FarmUnavailable, check_workers
 from .base import EngineError
@@ -49,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _shard_task(shards: InProcessShards, task: tuple) -> object:
-    """What a farm worker runs: ``("route", relation_name, tuples)`` or
-    ``("join", server_fragments)`` against the round's shard kernel."""
+    """What a farm worker runs: ``("route", relation_name, batch)`` or
+    ``("join", delivered)`` against the round's shard kernel."""
     method, *args = task
     return getattr(shards, method)(*args)
 
@@ -75,32 +78,53 @@ class _FarmShards:
     per worker, and the occupied servers likewise for the local joins."""
 
     def __init__(
-        self, farm: Farm, workers: int, obs: "Observation | None"
+        self, farm: Farm, workers: int, obs: "Observation | None",
+        local: InProcessShards,
     ) -> None:
         self.farm = farm
         self.workers = workers
         self.obs = obs
+        self.local = local
 
     def route(self, relation_name: str, batch: Batch) -> list[Shard]:
-        routed = self._run("route", f"relation {relation_name!r}", "tuples",
-                           batch, relation_name)
-        return [shard for (shard,) in routed]
+        chunks = _chunks(batch, self.workers) or [batch]  # at least one
+        shards = [shard for (shard,) in self._run(
+            "route", f"relation {relation_name!r}", "tuples", chunks,
+            [(relation_name, chunk) for chunk in chunks],
+        )]
+        if self.local.deliver:
+            # A worker's indices count from the start of its chunk.
+            start = 0
+            for chunk, (indices, _) in zip(chunks, shards):
+                indices += start
+                start += len(chunk)
+        return shards
 
-    def join(
-        self, occupied: list[dict[str, set[Tuple]]]
-    ) -> frozenset[Tuple]:
-        parts = self._run("join", "the local joins", "servers", occupied)
-        # A lone chunk's answers as they are: a union would copy them.
-        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+    def join(self, delivered: dict[str, np.ndarray]) -> Answers:
+        occupied = np.flatnonzero(np.bincount(np.concatenate(
+            [columns[-1] for columns in delivered.values()]
+        )))
+        chunks = _chunks(occupied.tolist(), self.workers)
+        parts = self._run("join", "the local joins", "servers", chunks, [
+            ({name: columns[:, (chunk[0] <= columns[-1])
+                            & (columns[-1] <= chunk[-1])]
+              for name, columns in delivered.items()},)
+            for chunk in chunks
+        ])
+        nothing = np.empty((len(self.local.query.head), 0), dtype=np.int64)
+        return Answers.of(
+            np.concatenate([nothing] + [part.columns for part in parts],
+                           axis=1),
+            self.local.domain_size,
+        )
 
     def _run(
-        self, phase: str, what: str, unit: str, items: "list | Batch",
-        *head: object,
+        self, phase: str, what: str, unit: str, chunks: list, tasks: list,
     ) -> list:
-        """Map one phase's chunks of ``items`` over the farm; the results
-        in chunk order, or :class:`EngineError` for a chunk without one."""
-        chunks = _chunks(items, self.workers)
-        outcomes = self.farm.map([(phase, *head, chunk) for chunk in chunks])
+        """Map one phase's ``tasks`` (the arguments of ``phase``, one per
+        chunk) over the farm; the results in chunk order, or
+        :class:`EngineError` for a chunk without one."""
+        outcomes = self.farm.map([(phase, *task) for task in tasks])
         for number, (chunk, outcome) in enumerate(zip(chunks, outcomes), 1):
             if not outcome.ok:
                 raise EngineError(
@@ -149,4 +173,4 @@ class MultiprocessEngine(BatchedEngine):
             obs.set_gauge("mp.workers", workers)
             obs.count("mp.pools_opened")
         with farm:
-            yield _FarmShards(farm, workers, obs)
+            yield _FarmShards(farm, workers, obs, local)

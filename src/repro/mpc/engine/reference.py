@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...obs import maybe_timed
-from ...seq.join import local_join
-from ...seq.relation import Database, Tuple
+from ...seq.join import Answers, local_join
+from ...seq.relation import Batch, Database, Tuple
 from ..cluster import Cluster
 from ..execution import ExecutionResult, OneRoundAlgorithm
 from ..hashing import HashFamily
@@ -70,7 +70,7 @@ class ReferenceEngine(ExecutionEngine):
                 obs.count(f"engine.shipped_bits.{atom.name}",
                           routed * tuple_bits)
 
-        answers: frozenset[Tuple] | None = None
+        answers: Answers | None = None
         if compute_answers:
             collected: set[Tuple] = set()
             with maybe_timed(obs, "engine.local_join"):
@@ -79,7 +79,12 @@ class ReferenceEngine(ExecutionEngine):
                         collected |= local_join(
                             query, server.fragments, db.domain_size
                         )
-            answers = frozenset(collected)
+            # The tuple kernel's result, wrapped once: every engine
+            # returns the same kind of answers.
+            answers = Answers.of(
+                Batch(len(query.head), rows=list(collected)).columns,
+                db.domain_size,
+            )
 
         return ExecutionResult(
             algorithm=algorithm.name,

@@ -33,12 +33,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Batch, Database, Tuple, distinct_values
+from ..seq.join import Answers
+from ..seq.relation import (
+    Batch, Database, Tuple, distinct_values, expand_runs, starts_run,
+)
 from ..stats.provider import StatisticsProvider
 from .cluster import LoadReport
 from .hashing import HashFamily
@@ -68,10 +72,11 @@ class RoutingPlan(ABC):
       integer key per tuple, computed from the batch's columns, plus the
       destinations of each *distinct* key.
 
-    What the batched engines consume — :meth:`destinations_batch` when the
-    fragments are needed, :meth:`destination_counts` for load-only rounds —
-    is derived from the claims here, once, for every plan (both also take a
-    plain sequence of tuples and make the batch themselves).  Every in-tree
+    What the batched engines consume — :meth:`deliveries` when the local
+    joins are wanted, :meth:`destination_counts` for load-only rounds — is
+    derived from the claims here, once, for every plan, like
+    :meth:`destinations_batch`, the deliveries regrouped by tuple (all take
+    a plain sequence of tuples too and make the batch).  Every in-tree
     plan implements :meth:`claims` natively, column-at-a-time
     (``tests/test_routing_contract.py`` checks it against the scalar
     definition and that no registered algorithm inherits the default).  The
@@ -101,24 +106,51 @@ class RoutingPlan(ABC):
         table = {number: dests for dests, number in numbers.items()}
         return [(np.arange(len(keys)), np.array(keys, dtype=np.int64), table)]
 
+    def deliveries(
+        self, relation_name: str, tuples: Batch | Sequence[Tuple]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's deliveries as two int64 arrays ``(indices,
+        servers)``: tuple ``indices[k]`` goes to server ``servers[k]``, no
+        pair twice.  The one place claims are expanded: pairs come claim by
+        claim, a tuple's servers in its table row's order, and where
+        several claims cover a tuple a repeated pair keeps its first place.
+        """
+        batch = Batch.of(tuples)
+        claims = self.claims(relation_name, batch)
+        parts = [np.empty((2, 0), dtype=np.int64)]
+        for covered, keys, table in claims:
+            distinct, _, slot, _ = distinct_values(keys)
+            rows = [table[key] for key in distinct.tolist()]
+            sizes = np.array([len(row) for row in rows], dtype=np.int64)
+            flat = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+            count = sizes[slot]
+            first = (np.cumsum(sizes) - sizes)[slot]
+            parts.append(np.stack(
+                (np.repeat(covered, count), flat[expand_runs(first, count)])
+            ))
+        pairs = np.concatenate(parts, axis=1)
+        if len(claims) > 1:
+            order = np.lexsort(pairs[::-1])  # stable: first places first
+            repeated = np.empty(len(order), dtype=bool)
+            repeated[order] = ~starts_run(pairs[:, order])
+            pairs = pairs[:, ~repeated]
+        return pairs[0], pairs[1]
+
     def destinations_batch(
         self, relation_name: str, tuples: Batch | Sequence[Tuple]
     ) -> list[tuple[int, ...]]:
         """Destinations for a whole batch of tuples of one relation.
 
         Returns one *duplicate-free* tuple of server indices per input
-        tuple, in input order: a table lookup per covered tuple, unioned
-        (not added) where several claims cover the same tuple.
+        tuple, in input order: the :meth:`deliveries`, regrouped by tuple.
         """
         batch = Batch.of(tuples)
-        out: list[tuple[int, ...]] = [()] * len(batch)
-        for indices, keys, table in self.claims(relation_name, batch):
-            for i, key in zip(indices.tolist(), keys.tolist()):
-                dests = table[key]
-                if out[i]:
-                    dests = tuple(dict.fromkeys(out[i] + dests))
-                out[i] = dests
-        return out
+        indices, servers = self.deliveries(relation_name, batch)
+        by_tuple = servers[np.argsort(indices, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(indices, minlength=len(batch))).tolist()
+        return [
+            tuple(by_tuple[start:end]) for start, end in zip([0] + ends, ends)
+        ]
 
     def destination_counts(
         self, relation_name: str, tuples: Batch | Sequence[Tuple]
@@ -338,9 +370,9 @@ class ExecutionResult:
     p: int
     seed: int
     report: LoadReport
-    answers: frozenset[Tuple] | None
+    answers: Answers | None
     #: The sequential oracle's answers, when the run verified.
-    expected_answers: frozenset[Tuple] | None = None
+    expected_answers: Answers | None = None
     details: Mapping[str, object] = field(default_factory=dict)
 
     @property

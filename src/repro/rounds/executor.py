@@ -5,7 +5,7 @@
 round for a one-round algorithm, several for the algorithms of this
 package: each round's query runs through the selected
 :class:`~repro.mpc.engine.ExecutionEngine` exactly like a one-round
-experiment, and its answers are frozen into an intermediate
+experiment, and its answer rows are frozen into an intermediate
 :class:`~repro.seq.relation.Relation` (same ``Relation`` path as base
 inputs) that the next round's database includes.  Because every engine
 returns identical answers and bit-identical loads for a one-round run
@@ -27,8 +27,8 @@ from ..mpc.engine import ExecutionEngine, resolve_engine
 from ..mpc.execution import ExecutionResult, MPCAlgorithm, RoundSpec
 from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
-from ..seq.join import evaluate
-from ..seq.relation import Database, Relation, Tuple
+from ..seq.join import Answers, evaluate
+from ..seq.relation import Database, Relation
 from .base import RoundsError
 
 #: Per-round seed decorrelation stride (a large prime, so round ``r`` uses
@@ -45,8 +45,8 @@ class MultiRoundResult:
     p: int
     seed: int
     rounds: tuple[ExecutionResult, ...]
-    answers: frozenset[Tuple] | None
-    expected_answers: frozenset[Tuple] | None
+    answers: Answers | None
+    expected_answers: Answers | None
     #: ``answers == expected_answers``; None unless both are there.
     is_complete: bool | None
     input_bits: float
@@ -123,7 +123,7 @@ def _round_database(
 
 def oracle_answers(
     query: ConjunctiveQuery, db: Database, obs: Observation | None = None
-) -> frozenset[Tuple]:
+) -> Answers:
     """The sequential oracle's answers, under the ``rounds.verify`` span.
 
     What ``run_rounds(verify=True)`` compares with.  A caller that runs
@@ -143,7 +143,7 @@ def run_rounds(
     verify: bool = False,
     engine: str | ExecutionEngine = "batched",
     obs: Observation | None = None,
-    expected: frozenset[Tuple] | None = None,
+    expected: Answers | None = None,
 ) -> MultiRoundResult:
     """Simulate every communication round of ``algorithm`` on ``db``.
 
@@ -210,7 +210,7 @@ def run_rounds(
                 intermediates[spec.output] = Relation(
                     name=spec.output,
                     arity=len(spec.query.variables),
-                    tuples=result.answers,
+                    tuples=frozenset(result.answers),
                     domain_size=db.domain_size,
                 )
 

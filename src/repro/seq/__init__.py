@@ -1,6 +1,7 @@
 """Relations, databases, and the sequential join oracle."""
 
 from .join import (
+    Answers,
     count_answers,
     evaluate,
     expected_answer_count,
@@ -10,6 +11,7 @@ from .join import (
 from .relation import Database, Relation, RelationError, bits_per_value
 
 __all__ = [
+    "Answers",
     "Database",
     "Relation",
     "RelationError",

@@ -1,32 +1,37 @@
 """Sequential multiway join — the ground truth every parallel algorithm is
-checked against.
+checked against — and the answer value it returns.
 
-``evaluate(query, db)`` returns the full answer set ``q(I)`` as tuples in
-head-variable order.  The implementation is a classic left-deep multiway hash
-join: atoms are ordered greedily (smallest relation first, then atoms sharing
-the most already-bound variables), and each step probes a hash index built on
-the shared variables.  This is not worst-case optimal, but at the scales of
-the experiments (``m <= 10^5``) it is comfortably fast and — more importantly
-— simple enough to trust as an oracle.
+``evaluate(query, db)`` returns the answer set ``q(I)`` as :class:`Answers`:
+one canonical int64 array (answers in lexicographic order, duplicate-free)
+that iterates as tuples in head-variable order and equals a ``set`` of them.
 
-There is one join loop, :func:`_answer_rows`, under :func:`evaluate`,
-:func:`iterate_answers`, :func:`count_answers` and :func:`local_join` (so
-under the oracle and every simulated server alike).  It is set-at-a-time:
-a step extends the whole list of partial bindings in one comprehension —
-the probe key an ``itemgetter`` over the bound slots, a constant for a
-cartesian step — the last step emits its rows in head order (one
-``itemgetter`` call inside its comprehension, none when head order is
-bound order), and the ``frozenset`` is built once from the finished list.
-When the output is the cost (a single join value: ``m`` tuples a side,
-``m^2`` answers) an answer costs one tuple concatenation, one C-level
-projection and one hash — no generator resumption, no list of unprojected
-answers, and a set that is never copied.
+Two kernels share one greedy atom order (:func:`_atom_order`: smallest
+relation first, then atoms sharing the most bound variables):
+
+* :func:`join_columns`, the array kernel under :func:`evaluate`,
+  :func:`count_answers` and the ``batched``/``mp`` engines.  Relations come
+  in as ``(arity, m)`` int64 columns; a step masks the rows that break a
+  repeated variable, keys both sides on the shared columns, sorts the
+  atom's keys once and emits every group's product (``searchsorted`` +
+  ``np.repeat``); the last step writes its columns in head order.  With
+  ``tagged=True`` each relation carries one more row, the server that
+  received the tuple, which joins like one more shared variable and is
+  dropped from the head: the ``p`` local joins of a round are this one
+  join, ``q+(u, x) :- D_1(u, x_1), ..., D_l(u, x_l)`` over the deliveries
+  ``D_j``.  Where the output is the cost (a single join value: ``m^2``
+  answers) an answer costs a few array writes and a share of one sort.
+* :func:`_answer_rows`, the set-at-a-time tuple kernel under
+  :func:`iterate_answers` and :func:`local_join` only — what the reference
+  engine, :mod:`repro.mr` and the tests hold the array kernel against.
+  Not worst-case optimal, but simple enough to trust as an oracle.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..query.atoms import Atom, ConjunctiveQuery
 from .relation import (
@@ -34,36 +39,34 @@ from .relation import (
     Relation,
     RelationError,
     Tuple,
+    distinct_values,
+    expand_runs,
     project_columns,
+    starts_run,
 )
 
+#: Packed keys and row codes are int64: a mixed-radix product stops here.
+_CODE_LIMIT = 2**63
 
-def _atom_order(query: ConjunctiveQuery, db: Database) -> list[Atom]:
+
+def _atom_order(
+    query: ConjunctiveQuery, sizes: Mapping[str, int]
+) -> list[Atom]:
     """Greedy join order: smallest first, then maximize shared variables."""
     remaining = list(query.atoms)
-    remaining.sort(key=lambda a: db.relation(a.name).cardinality)
+    remaining.sort(key=lambda a: sizes[a.name])
     ordered: list[Atom] = []
     bound: set[str] = set()
     while remaining:
         def rank(atom: Atom) -> tuple[int, int]:
             shared = len(atom.variable_set & bound)
-            return (-shared, db.relation(atom.name).cardinality)
+            return (-shared, sizes[atom.name])
 
         best = min(remaining, key=rank)
         remaining.remove(best)
         ordered.append(best)
         bound |= best.variable_set
     return ordered
-
-
-def _distinct_in_order(variables: Sequence[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for var in variables:
-        if var not in seen:
-            seen.add(var)
-            out.append(var)
-    return out
 
 
 def _index_atom(
@@ -105,29 +108,19 @@ def _index_atom(
     return index
 
 
-def _row_getter(slots: Sequence[int]) -> Callable[[Tuple], Tuple]:
-    """``row -> tuple(row[s] for s in slots)``, a C-level call from two
-    slots up (``itemgetter`` gives a bare value for one and takes no
-    fewer)."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    return lambda row: tuple(row[s] for s in slots)
-
-
 def _answer_rows(query: ConjunctiveQuery, db: Database) -> list[Tuple]:
-    """The join kernel: the answers as a list of rows in head order.
+    """The tuple kernel: the answers as a list of rows in head order.
 
     Set-at-a-time: every step extends the whole list of partial bindings
-    in one comprehension, and the last one emits its rows in head order.
-    A head that keeps every variable leaves the rows distinct (relations
-    are sets); one that projects may repeat a row.
+    in one comprehension.  A head that keeps every variable leaves the
+    rows distinct (relations are sets); one that projects may repeat a row.
     """
     db.validate_against(query)
-    order = _atom_order(query, db)
+    order = _atom_order(query, {rel.name: rel.cardinality for rel in db})
     bound_vars: list[str] = []
     partials: list[Tuple] = [()]
     for atom in order:
-        atom_vars = _distinct_in_order(atom.variables)
+        atom_vars = list(dict.fromkeys(atom.variables))
         shared_vars = [v for v in atom_vars if v in bound_vars]
         new_vars = [v for v in atom_vars if v not in bound_vars]
         matches = _index_atom(
@@ -138,26 +131,17 @@ def _answer_rows(query: ConjunctiveQuery, db: Database) -> list[Tuple]:
         key = (itemgetter(*(bound_vars.index(v) for v in shared_vars))
                if shared_vars else lambda partial: ())
         bound_vars.extend(new_vars)
-        head = None
-        if atom is order[-1]:
-            head_slots = [bound_vars.index(v) for v in query.head]
-            if head_slots != list(range(len(bound_vars))):
-                head = _row_getter(head_slots)
-        if head is None:
-            partials = [
-                partial + extension
-                for partial in partials
-                for extension in matches(key(partial), ())
-            ]
-        else:  # the last step, and head order is not bound order
-            partials = [
-                head(partial + extension)
-                for partial in partials
-                for extension in matches(key(partial), ())
-            ]
+        partials = [
+            partial + extension
+            for partial in partials
+            for extension in matches(key(partial), ())
+        ]
         if not partials:
             return []
-    return partials
+    head_slots = [bound_vars.index(v) for v in query.head]
+    if head_slots == list(range(len(bound_vars))):
+        return partials
+    return project_columns(partials, head_slots)
 
 
 def iterate_answers(
@@ -168,49 +152,218 @@ def iterate_answers(
     return iter(_answer_rows(query, db))
 
 
-def evaluate(query: ConjunctiveQuery, db: Database) -> frozenset[Tuple]:
+class Answers:
+    """An answer set as one read-only int64 array.
+
+    :attr:`columns` is ``(arity, n)`` — a row per head position, a column
+    per answer, like :attr:`Batch.columns` — with the answers in
+    lexicographic order and duplicate-free: canonical, so two answer sets
+    are equal iff their arrays are.  Behaves as the set of its rows:
+    ``len``, ``in``, iteration as tuples of Python ``int`` s (in that
+    order), ``==`` with another :class:`Answers` or a ``set`` of tuples.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: np.ndarray) -> None:
+        """``columns`` must be canonical already; :meth:`of` makes it so."""
+        columns.setflags(write=False)
+        self.columns = columns
+
+    @classmethod
+    def of(cls, columns: np.ndarray, domain_size: int) -> "Answers":
+        """The rows of ``(arity, n)`` ``columns`` over ``[0, domain_size)``,
+        sorted and repeats dropped: one sort of a mixed-radix row code
+        where that fits int64, ``np.lexsort`` where it does not (a domain
+        may be as large as ``2**63``).  Both give the same array."""
+        arity, n = columns.shape
+        if arity == 0:
+            return cls(columns[:, :1])
+        if domain_size ** arity <= _CODE_LIMIT:
+            code = columns[0].copy()
+            for position in range(1, arity):
+                code *= domain_size
+                code += columns[position]
+            # Frees a caller's temporary before ``out`` is made: both alive
+            # outgrow glibc's trim threshold and each cell re-faults its heap.
+            del columns
+            code.sort()
+            new = starts_run(code[None])
+            if not new.all():
+                code = code[new]
+            out = np.empty((arity, len(code)), dtype=np.int64)
+            for position in range(arity - 1, 0, -1):
+                np.divmod(code, domain_size, out=(code, out[position]))
+            out[0] = code
+        else:
+            out = columns[:, np.lexsort(columns[::-1])]
+            out = out[:, starts_run(out)]
+        return cls(out)
+
+    def __reduce__(self):
+        return Answers, (self.columns,)
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __iter__(self) -> Iterator[Tuple]:
+        if not len(self.columns):
+            return iter([()] * len(self))
+        return zip(*self.columns.tolist())
+
+    def __contains__(self, row: object) -> bool:
+        if not (isinstance(row, tuple) and len(row) == len(self.columns)
+                and all(type(v) is int and abs(v) < 2**63 for v in row)):
+            return False
+        low, high = 0, len(self)
+        for column, value in zip(self.columns, row):
+            # Rows that agree on the columns so far are one sorted run.
+            low, high = (
+                low + int(np.searchsorted(column[low:high], value, side))
+                for side in ("left", "right")
+            )
+        return low < high
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Answers):
+            return np.array_equal(self.columns, other.columns)
+        if isinstance(other, (set, frozenset)):
+            return len(other) == len(self) and all(r in other for r in self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Answers({list(self)})"
+
+
+def _joint_keys(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 key per row of ``(s, n)`` ``left`` and of ``(s, m)``
+    ``right``, equal exactly where the rows are.  A single column is its
+    own key; several are folded from the dense ranks of each column over
+    both sides — never from the values, which may be near ``2**63`` — and
+    the running key is ranked again before a product could leave int64."""
+    n = left.shape[1]
+    if len(left) == 1:
+        return left[0], right[0]
+    key, size = np.zeros(n + right.shape[1], dtype=np.int64), 1
+    for values in np.concatenate((left, right), axis=1):
+        distinct, _, rank, _ = distinct_values(values)
+        if size * len(distinct) > _CODE_LIMIT:
+            folded, _, key, _ = distinct_values(key)
+            size = len(folded)
+        key = key * len(distinct) + rank
+        size *= len(distinct)
+    return key[:n], key[n:]
+
+
+def _matching_rows(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(count, matches)``: row ``i`` of ``left`` equals the rows of
+    ``right`` listed in the next ``count[i]`` entries of ``matches``
+    (every row, when there is no column to compare: a cartesian step)."""
+    left_key, right_key = _joint_keys(left, right)
+    order = np.argsort(right_key)
+    ranked = right_key[order]
+    start = np.searchsorted(ranked, left_key, "left")
+    count = np.searchsorted(ranked, left_key, "right") - start
+    return count, order[expand_runs(start, count)]
+
+
+#: The variable the server column of a tagged join is bound to.
+_SERVER = object()
+
+
+def join_columns(
+    query: ConjunctiveQuery,
+    relations: Mapping[str, np.ndarray],
+    tagged: bool = False,
+) -> np.ndarray:
+    """The array kernel: the answers as ``(len(head), n)`` int64 columns,
+    unsorted — and with repeats when the head projects or the join is
+    ``tagged``; :meth:`Answers.of` sorts and drops them.
+
+    ``relations[name]`` holds that atom's tuples as ``(arity, m)``
+    columns.  With ``tagged`` each has one more row at the bottom, the
+    server holding that copy of the tuple, and tuples join only where
+    their servers agree: the union of every server's local join.
+    """
+    order = _atom_order(
+        query, {name: columns.shape[1] for name, columns in relations.items()}
+    )
+    bound: list[object] = []
+    partial = np.empty((0, 1), dtype=np.int64)  # the one empty binding
+    for atom in order:
+        columns = relations[atom.name]
+        first: dict[object, int] = {}
+        consistent = None
+        for position, variable in enumerate(
+            (*atom.variables, _SERVER) if tagged else atom.variables
+        ):
+            if variable in first:  # repeated: both positions must agree
+                same = columns[first[variable]] == columns[position]
+                consistent = same if consistent is None else consistent & same
+            else:
+                first[variable] = position
+        if consistent is not None:
+            columns = columns[:, consistent]
+        shared = [v for v in first if v in bound]
+        count, matches = _matching_rows(
+            partial[[bound.index(v) for v in shared]],
+            columns[[first[v] for v in shared]],
+        )
+        wanted = (query.head if atom is order[-1]
+                  else bound + [v for v in first if v not in bound])
+        extended = np.empty((len(wanted), len(matches)), dtype=np.int64)
+        for slot, variable in enumerate(wanted):
+            if variable in bound:
+                extended[slot] = np.repeat(
+                    partial[bound.index(variable)], count
+                )
+            else:
+                # (In range by construction; "clip" writes unbuffered.)
+                np.take(columns[first[variable]], matches,
+                        out=extended[slot], mode="clip")
+        partial, bound = extended, list(wanted)
+    return partial
+
+
+def _joined(query: ConjunctiveQuery, db: Database) -> np.ndarray:
+    db.validate_against(query)
+    return join_columns(query, {
+        atom.name: db.relation(atom.name).batch.columns
+        for atom in query.atoms
+    })
+
+
+def evaluate(query: ConjunctiveQuery, db: Database) -> Answers:
     """The answer set ``q(I)`` in head-variable order."""
-    return frozenset(_answer_rows(query, db))
+    return Answers.of(_joined(query, db), db.domain_size)
 
 
 def count_answers(query: ConjunctiveQuery, db: Database) -> int:
-    """``|q(I)|`` — without building the answer set when the head keeps
-    every variable: the kernel's rows are distinct then."""
-    rows = _answer_rows(query, db)
+    """``|q(I)|`` — without sorting the answers when the head keeps every
+    variable: the kernel's rows are distinct then."""
+    columns = _joined(query, db)
     if {v for atom in query.atoms for v in atom.variables} <= set(query.head):
-        return len(rows)
-    return len(set(rows))
-
-
-def local_join_rows(
-    query: ConjunctiveQuery, fragments: dict[str, set[Tuple]],
-    domain_size: int,
-) -> list[Tuple]:
-    """:func:`local_join`'s answers before they become a set — for a
-    caller that unions many servers and builds one set from all their
-    rows."""
-    relations = []
-    for atom in query.atoms:
-        tuples = fragments.get(atom.name, set())
-        relations.append(
-            Relation(
-                name=atom.name,
-                arity=atom.arity,
-                tuples=frozenset(tuples),
-                domain_size=domain_size,
-            )
-        )
-    return _answer_rows(query, Database.from_relations(relations))
+        return columns.shape[1]
+    return len(Answers.of(columns, db.domain_size))
 
 
 def local_join(query: ConjunctiveQuery, fragments: dict[str, set[Tuple]],
                domain_size: int) -> frozenset[Tuple]:
-    """Join the *fragments* a single MPC server received.
+    """Join the *fragments* a single MPC server received, tuple kernel.
 
     Missing relations are treated as empty: a server that received no tuple
     of some atom contributes no answers.
     """
-    return frozenset(local_join_rows(query, fragments, domain_size))
+    relations = [
+        Relation(atom.name, atom.arity,
+                 frozenset(fragments.get(atom.name, ())), domain_size)
+        for atom in query.atoms
+    ]
+    return frozenset(_answer_rows(query, Database.from_relations(relations)))
 
 
 def expected_answer_count(query: ConjunctiveQuery, cardinalities: dict[str, int],

@@ -83,6 +83,23 @@ def _flat_values(what: str, arity: int, tuples: Collection[Tuple]) -> list[int]:
     return flat
 
 
+def starts_run(columns: np.ndarray) -> np.ndarray:
+    """For ``(k, n)`` columns whose equal rows are adjacent (sorted, say),
+    a mask of the rows that differ from the one before them."""
+    new = np.ones(columns.shape[1], dtype=bool)
+    new[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    return new
+
+
+def expand_runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions ``start[i], ..., start[i] + count[i] - 1`` of every run
+    ``i``, run after run — with ``np.repeat(..., count)`` on the other
+    side, how a group-by emits each group's members."""
+    positions = np.repeat(start - (np.cumsum(count) - count), count)
+    positions += np.arange(len(positions))
+    return positions
+
+
 def distinct_values(
     values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

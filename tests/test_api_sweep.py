@@ -17,6 +17,7 @@ from repro.api import (
     execute_cells,
     records_from_json,
     records_to_csv,
+    records_to_json,
     run_cell,
     validate_record,
 )
@@ -150,6 +151,20 @@ class TestRunCell:
         ))
         assert record.complete is True
         assert record.answer_count is not None
+
+    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    def test_a_verifying_cell_round_trips_through_json(self, engine):
+        """Answers are arrays inside the engines; what a record carries is
+        plain Python on every one of them (``json`` refuses ``np.int64``)."""
+        record = run_cell(Cell(
+            query=JOIN_TEXT, workload="worst", m=40, skew=0.0, seed=0,
+            p=4, algorithm="skew-join", verify=True, engine=engine,
+        ))
+        assert record.complete is True
+        assert type(record.answer_count) is int and record.answer_count == 1600
+        assert type(record.max_load_tuples) is int
+        assert type(record.max_load_bits) is float
+        assert records_from_json(records_to_json([record])) == [record]
 
     def test_inapplicable_cell_is_an_error(self):
         with pytest.raises(ExperimentError, match="not applicable"):

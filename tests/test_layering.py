@@ -171,10 +171,11 @@ def test_sketch_does_not_reach_into_the_mp_engine():
 
 def test_there_is_one_batch_routing_derivation():
     """A plan states its batch deliveries once, as ``claims``; only
-    ``RoutingPlan`` turns claims into per-tuple destinations and per-server
-    counts, and the bin plan composes its inner HyperCube through
-    ``claims``, not through that plan's private tables."""
-    derived = {"destinations_batch": [], "destination_counts": []}
+    ``RoutingPlan`` turns claims into deliveries, per-tuple destinations
+    and per-server counts, and the bin plan composes its inner HyperCube
+    through ``claims``, not through that plan's private tables."""
+    derived = {"deliveries": [], "destinations_batch": [],
+               "destination_counts": []}
     for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -183,6 +184,7 @@ def test_there_is_one_batch_routing_derivation():
                             and item.name in derived:
                         derived[item.name].append(f"{name}:{node.name}")
     assert derived == {
+        "deliveries": ["mpc/execution.py:RoutingPlan"],
         "destinations_batch": ["mpc/execution.py:RoutingPlan"],
         "destination_counts": ["mpc/execution.py:RoutingPlan"],
     }

@@ -423,6 +423,50 @@ class TestEngineDispatch:
             0: 2, 1: 2,
         }
 
+    @pytest.mark.parametrize("compute_answers", [True, False])
+    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("stray", [-1, 4])
+    def test_a_server_outside_the_cluster_is_the_same_error_everywhere(
+        self, stray, engine, compute_answers
+    ):
+        """``-1`` used to be charged to the *last* server by ``batched``
+        and ``mp`` — ``status ok``, a wrong load — and ``p`` died with a
+        bare ``list index out of range``; the reference always refused."""
+        class Stray(_RoundRobinPlan):
+            def destinations(self, relation_name, tup):
+                return (stray,) if tup == (2, 0) else (sum(tup) % self.p,)
+
+        class Algorithm(_RoundRobin):
+            def routing_plan(self, db, p, hashes):
+                return Stray(p)
+
+        q = parse_query("q(x, y) :- S(x, y)")
+        db = Database.from_relations([Relation.build(
+            "S", [(0, 1), (1, 1), (2, 0), (2, 2), (3, 0), (3, 3)]
+        )])
+        with pytest.raises(IndexError) as excinfo:
+            run_one_round(Algorithm(q), db, p=4, engine=engine,
+                          compute_answers=compute_answers)
+        assert str(excinfo.value) == f"server index {stray} outside [0, 4)"
+
+    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    def test_what_leaves_the_arrays_is_python(self, engine):
+        """Counts are ``int``, loads ``float``, answers tuples of ``int``:
+        never a numpy scalar, which ``json`` refuses and ``repr`` shows."""
+        q, db = self._setup()
+        for compute_answers in (True, False):
+            result = run_one_round(_Neighbours(q), db, p=4, engine=engine,
+                                   compute_answers=compute_answers)
+            report = result.report
+            assert {type(n) for n in report.per_server_tuples} == {int}
+            assert {type(b) for b in report.per_server_bits} == {float}
+            assert type(report.total_tuples) is int
+            assert type(result.max_load_bits) is float
+        assert result.answer_count is None  # the load-only run
+        answers = run_one_round(_Neighbours(q), db, p=4, engine=engine)
+        assert type(answers.answer_count) is int
+        assert {type(v) for row in answers.answers for v in row} == {int}
+
     def test_default_destination_counts_matches_batch(self):
         plan = _RoundRobinPlan(4)
         tuples = Batch.of([(i, i + 1) for i in range(20)])

@@ -234,6 +234,29 @@ class TestCliObservability:
             # Sweep plans are built under the sweep's obs, like plan jobs.
             assert {"plan.build", "plan.cost"} <= names
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "summary"])
+    def test_sweep_trace_has_a_span_for_result_serialization(
+        self, tmp_path, capsys, fmt
+    ):
+        """Rendering the records and writing them out is the last layer of
+        a sweep; its span sits beside ``sweep.run``, not inside it."""
+        trace, output = tmp_path / "trace.json", tmp_path / "records.out"
+        assert main([
+            "sweep", QUERY, "--workload", "zipf", "--p", "4", "--m", "80",
+            "--verify", "--format", fmt, "--output", str(output), "-q",
+            "--trace", str(trace),
+        ]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        (serialize,) = [e for e in events if e["name"] == "records.serialize"]
+        assert serialize["args"] == {"format": fmt, "records": 6}
+        assert output.read_text().strip()
+        (run,) = [e for e in events if e["name"] == "sweep.run"]
+        assert serialize["ts"] >= run["ts"] + run["dur"]
+        # The spans around the array code keep their names and nesting.
+        names = {e["name"] for e in events}
+        assert {"engine.route", "engine.local_join", "rounds.verify",
+                "rounds.compare"} <= names
+
     def test_race_without_flags_prints_no_metrics(self, capsys):
         assert main(self.RACE) == 0
         assert "engine.routed_tuples" not in capsys.readouterr().out

@@ -1,13 +1,15 @@
 """The routing contract every in-tree :class:`RoutingPlan` honours.
 
 A plan states its deliveries twice — scalar ``destinations`` and batch
-``claims`` — and the engines consume the two methods ``RoutingPlan`` derives
-from the claims.  For each relation of each plan all of them must describe
-the same multiset of (tuple, server) deliveries::
+``claims`` — and the engines consume what ``RoutingPlan`` derives from the
+claims: ``deliveries`` (and ``destinations_batch``, the same regrouped by
+tuple) and ``destination_counts``.  For each relation of each plan all of
+them must describe the same set of (tuple, server) deliveries::
 
-    destination_counts == Counter(flatten(destinations_batch))
-                       == Counter(flatten(union of table[key] over claims))
-                       == Counter(flatten(dedup(destinations(t))))
+    deliveries == {(i, s) : s in destinations_batch[i]}
+               == {(i, s) : s in union of table[key] over claims of i}
+               == {(i, s) : s in destinations(t_i)}
+    destination_counts == bincount(servers of deliveries)
 
 Every claim is well-formed (an integer ``ndarray`` of routing keys, one per
 covered index, every key in its table, table rows duplicate-free and inside
@@ -93,6 +95,17 @@ def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
                 claimed[i].update(table[key])
         assert claimed == scalar, atom.name
 
+        # ``deliveries`` — what the engines route through when answers are
+        # wanted — against the scalar definition, pair for pair.
+        indices, servers = plan.deliveries(atom.name, batch)
+        assert indices.dtype == servers.dtype == np.int64
+        pairs = list(zip(indices.tolist(), servers.tolist()))
+        assert len(set(pairs)) == len(pairs), "a delivery listed twice"
+        assert sorted(pairs) == [
+            (i, server)
+            for i, dests in enumerate(scalar) for server in sorted(dests)
+        ], atom.name
+
         delivered = plan.destinations_batch(atom.name, batch)
         assert len(delivered) == len(tuples)
         for dests in delivered:
@@ -102,6 +115,9 @@ def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
         assert +counted == Counter(
             server for dests in scalar for server in dests
         ), atom.name
+        assert np.bincount(servers, minlength=p).tolist() == [
+            counted[server] for server in range(p)
+        ], atom.name
 
 
 def test_every_applicable_key_is_exercised():

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import uniform_relation
-from repro.query import parse_query, triangle_query
+from repro.query import Atom, ConjunctiveQuery, parse_query, triangle_query
 from repro.seq import (
+    Answers,
     Database,
     Relation,
     count_answers,
@@ -18,6 +21,9 @@ from repro.seq import (
     iterate_answers,
     local_join,
 )
+from repro.seq import join as join_module
+from repro.seq.join import join_columns
+from repro.seq.relation import Batch
 
 
 def brute_force(query, db):
@@ -170,14 +176,53 @@ def small_databases(draw, query):
     )
 
 
+def deliver(db, servers_of):
+    """``db`` delivered to servers: tuple ``t`` of a relation goes to
+    ``servers_of(relation, t)``.  Returns what the array kernel takes — per
+    relation the delivered tuples' columns over a row of servers — and what
+    the tuple kernel takes, every server's fragments."""
+    delivered, fragments = {}, {}
+    for rel in db:
+        rows, servers = [], []
+        for tup in sorted(rel.tuples):
+            for server in servers_of(rel, tup):
+                rows.append(tup)
+                servers.append(server)
+                fragments.setdefault(server, {}).setdefault(
+                    rel.name, set()).add(tup)
+        delivered[rel.name] = np.concatenate((
+            Batch(rel.arity, rows=rows).columns,
+            np.array(servers, dtype=np.int64)[None],
+        ))
+    return delivered, fragments
+
+
+def assert_tagged_join_is_the_union_of_local_joins(query, db, servers_of):
+    delivered, fragments = deliver(db, servers_of)
+    tagged = Answers.of(
+        join_columns(query, delivered, tagged=True), db.domain_size
+    )
+    assert tagged == frozenset().union(*(
+        local_join(query, received, db.domain_size)
+        for received in fragments.values()
+    ))
+
+
 def assert_kernel_agrees(query, db):
-    """All four entry points of the kernel against ``brute_force``."""
+    """Every entry point of both kernels against ``brute_force``: the array
+    kernel (``evaluate``, ``count_answers``, the tagged join of a delivery
+    that splits the join over three servers) and the tuple kernel
+    (``iterate_answers``, ``local_join``)."""
     expected = brute_force(query, db)
     assert evaluate(query, db) == expected
+    assert sorted(evaluate(query, db)) == sorted(expected)
     assert set(iterate_answers(query, db)) == expected
     assert count_answers(query, db) == len(expected)
     fragments = {rel.name: set(rel.tuples) for rel in db}
     assert local_join(query, fragments, db.domain_size) == expected
+    assert_tagged_join_is_the_union_of_local_joins(
+        query, db, lambda rel, tup: {sum(tup) % 3, (sum(tup) + rel.arity) % 3}
+    )
 
 
 class TestKernelAgainstBruteForce:
@@ -220,6 +265,186 @@ class TestKernelAgainstBruteForce:
         assert list(iterate_answers(query, db)) == [(2,)] * 4
         assert evaluate(query, db) == frozenset({(2,)})
         assert count_answers(query, db) == 1
+
+
+VARIABLES = "wxyz"
+
+
+@st.composite
+def small_queries(draw):
+    """A full CQ of 1-4 atoms of arity 0-3 over at most four variables:
+    variables repeat inside an atom, atoms may share nothing (cartesian
+    steps), and the head is the body's variables in any order."""
+    atoms = [
+        Atom(f"R{number}", tuple(draw(
+            st.lists(st.sampled_from(VARIABLES), max_size=3)
+        )))
+        for number in range(draw(st.integers(1, 4)))
+    ]
+    body = dict.fromkeys(v for atom in atoms for v in atom.variables)
+    return ConjunctiveQuery(atoms, head=draw(st.permutations(list(body))))
+
+
+class TestArrayKernelAgainstTupleKernel:
+    """The array kernel (``evaluate``, ``count_answers``, the engines'
+    tagged join) against the tuple kernel it replaced there."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_queries_databases_and_deliveries(self, data):
+        query = data.draw(small_queries())
+        db = data.draw(small_databases(query))
+        reference = list(iterate_answers(query, db))
+        assert sorted(evaluate(query, db)) == sorted(set(reference))
+        assert count_answers(query, db) == len(set(reference))
+        # Every tuple to 1-3 of p servers: the one tagged join finds what
+        # the servers' local joins find, no more and no less.
+        p = data.draw(st.integers(1, 5))
+        destinations = st.sets(st.integers(0, p - 1), min_size=1, max_size=3)
+        assert_tagged_join_is_the_union_of_local_joins(
+            query, db, lambda rel, tup: data.draw(destinations)
+        )
+
+    def test_nullary_atoms_and_a_nullary_head(self):
+        query = ConjunctiveQuery([Atom("N", ()), Atom("M", ())])
+        full = Database.from_relations(
+            Relation(name, 0, frozenset({()}), 3) for name in "NM"
+        )
+        assert list(evaluate(query, full)) == [()]
+        assert count_answers(query, full) == 1
+        half = Database.from_relations([
+            Relation("N", 0, frozenset({()}), 3),
+            Relation("M", 0, frozenset(), 3),
+        ])
+        assert list(evaluate(query, half)) == []
+        assert_kernel_agrees(query, full)
+        assert_kernel_agrees(query, half)
+
+
+class TestInt64Edges:
+    """``Relation`` admits a domain of ``2**63``: nothing may be computed
+    as ``value * domain_size``."""
+
+    TOP = 2**63 - 1
+
+    def _database(self):
+        # y in {TOP, TOP - 2} and z in {TOP - 1, TOP - 3}: y * 2**63 + z
+        # wraps to the same int64 for both y, so a raw mixed-radix key
+        # would join R(.., TOP, z) with S(TOP - 2, z, ..).
+        top = self.TOP
+        return Database.from_relations([
+            Relation.build("R", [(1, top, top - 1), (2, top - 2, top - 1),
+                                 (3, top, top - 3)], domain_size=2**63),
+            Relation.build("S", [(top, top - 1, 7), (top - 2, top - 3, 8),
+                                 (top - 2, top - 1, 9)], domain_size=2**63),
+            Relation.build("T", [(top - 1, top), (top - 1, top - 2),
+                                 (top - 3, top)], domain_size=2**63),
+        ])
+
+    QUERY = parse_query("q(x, y, z, w) :- R(x, y, z), S(y, z, w), T(z, y)")
+
+    def test_a_join_on_two_variables_next_to_the_top_of_int64(self):
+        db = self._database()
+        top = self.TOP
+        expected = {(1, top, top - 1, 7), (2, top - 2, top - 1, 9)}
+        assert set(iterate_answers(self.QUERY, db)) == expected
+        assert evaluate(self.QUERY, db) == expected
+        assert count_answers(self.QUERY, db) == 2
+        assert_tagged_join_is_the_union_of_local_joins(
+            self.QUERY, db, lambda rel, tup: {0, 1 + tup[0] % 2}
+        )
+
+    def test_keys_are_ranked_again_before_they_leave_int64(self, monkeypatch):
+        """With the limit at 4 every second fold re-ranks the key (and the
+        answers are canonicalised by ``lexsort``)."""
+        monkeypatch.setattr(join_module, "_CODE_LIMIT", 4)
+        self.test_a_join_on_two_variables_next_to_the_top_of_int64()
+        query = KERNEL_QUERIES["two shared variables, head permuted"]
+        db = Database.from_relations(
+            uniform_relation(name, 30, 6, seed=seed)
+            for seed, name in enumerate("RST")
+        )
+        assert_kernel_agrees(query, db)
+
+    @pytest.mark.parametrize("arity, domain_size", [
+        (1, 2**63), (3, 2**21), (7, 2**9), (9, 2**7), (2, 3037000499),
+    ])
+    def test_both_canonicalisations_return_the_same_array(
+        self, arity, domain_size
+    ):
+        """``domain_size ** arity`` is ``2**63`` (or, for the last row,
+        just under it): the last size whose rows pack into one int64, and
+        one past it the first that ``lexsort`` has to order."""
+        assert domain_size ** arity <= 2**63 < (domain_size + 1) ** arity
+        edge = [0, 1, domain_size // 2, domain_size - 2, domain_size - 1]
+        rows = [
+            tuple(edge[(i * (position + 2) + position) % 5]
+                  for position in range(arity))
+            for i in range(25)
+        ] + [(domain_size - 1,) * arity, (0,) * arity] * 2
+        columns = Batch(arity, rows=rows).columns
+        packed = Answers.of(columns, domain_size)
+        sorted_by_column = Answers.of(columns, domain_size + 1)
+        assert np.array_equal(packed.columns, sorted_by_column.columns)
+        assert packed == sorted_by_column
+        assert list(packed) == sorted(set(rows))
+
+
+class TestAnswersValue:
+    """The contract of the value ``evaluate`` and every engine return."""
+
+    ROWS = [(2, 1), (0, 5), (0, 3), (2, 0), (0, 5)]
+
+    def _answers(self, rows=ROWS):
+        return Answers.of(Batch(2, rows=list(rows)).columns, domain_size=6)
+
+    def test_is_the_sorted_set_of_its_rows(self):
+        answers = self._answers()
+        assert len(answers) == 4
+        assert list(answers) == [(0, 3), (0, 5), (2, 0), (2, 1)]
+        assert all(type(v) is int for row in answers for v in row)
+        assert list(answers) == list(answers), "iterates more than once"
+        assert answers and not self._answers([])
+
+    def test_membership(self):
+        answers = self._answers()
+        assert all(row in answers for row in self.ROWS)
+        for stranger in [(0, 4), (1, 0), (2, 2), (0,), (0, 3, 0), [0, 3],
+                         (0, 3.0), (0, 2**70), (-1, 3), "03", None]:
+            assert stranger not in answers
+        assert () in Answers.of(np.empty((0, 5), dtype=np.int64), 6)
+        assert () not in Answers.of(np.empty((0, 0), dtype=np.int64), 6)
+
+    def test_equality_with_its_own_kind_and_with_sets_of_tuples(self):
+        answers = self._answers()
+        rows = frozenset(self.ROWS)
+        assert answers == self._answers(sorted(rows))
+        assert answers == rows and rows == answers
+        assert answers == set(rows) and set(rows) == answers
+        one_row_differs = rows - {(2, 0)} | {(2, 2)}
+        assert answers != one_row_differs and one_row_differs != answers
+        assert answers != self._answers(one_row_differs)
+        assert answers != rows - {(2, 0)} and answers != rows | {(5, 5)}
+        assert answers != list(rows) and answers != None  # noqa: E711
+        # Same values, another arity: not the same answers.
+        flat = Answers.of(np.arange(8, dtype=np.int64)[None], 8)
+        assert flat != Answers.of(np.arange(8, dtype=np.int64).reshape(2, 4), 8)
+
+    def test_the_array_is_read_only_and_survives_pickling(self):
+        answers = self._answers()
+        clone = pickle.loads(pickle.dumps(answers))
+        assert clone == answers and list(clone) == list(answers)
+        for value in (answers, clone):
+            assert value.columns.dtype == np.int64
+            assert not value.columns.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value.columns[0, 0] = 9
+
+    def test_nullary_answers(self):
+        none = Answers.of(np.empty((0, 0), dtype=np.int64), 6)
+        one = Answers.of(np.empty((0, 3), dtype=np.int64), 6)
+        assert list(none) == [] and none == frozenset()
+        assert list(one) == [()] and one == {()} and one != none
 
 
 class TestLocalJoin:

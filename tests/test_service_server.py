@@ -231,8 +231,9 @@ class TestConcurrentClients:
         assert counters["service.jobs.done"] == 2
         # Identical catalogs: at least one side was served from cache.
         # (Both may build if they race the first lookup; the cache
-        # documents that as deterministic duplicate work.)
-        assert counters["service.cache.hit"] + \
+        # documents that as deterministic duplicate work — and then no
+        # hit was ever counted, so the counter does not exist.)
+        assert counters.get("service.cache.hit", 0) + \
             counters["service.cache.miss"] >= 4
 
     def test_shutdown_endpoint_stops_the_server(self):
