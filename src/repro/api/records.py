@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 
@@ -88,8 +88,9 @@ class RunRecord:
         return self.max_load_bits / self.predicted_load_bits
 
     def to_dict(self) -> dict:
-        """A flat, JSON-ready mapping including the derived ratios."""
-        out = asdict(self)
+        """A flat, JSON-ready mapping including the derived ratios (values
+        passed through: ``asdict`` would copy the metrics digest key by key)."""
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
         out["optimality_gap"] = self.optimality_gap
         out["prediction_error"] = self.prediction_error
         return out

@@ -8,12 +8,18 @@ The packing polytope of a query (Section 3.3) is defined by the constraints
 Vertices are enumerated the way the paper describes: choose ``dim`` of the
 ``k + l`` inequalities, turn them into equalities, solve, and keep solutions
 that satisfy every constraint.  All arithmetic is exact.
+
+A polytope is enumerated once per process: :func:`enumerate_vertices` keeps
+its answers in one bounded :func:`functools.lru_cache` keyed on the
+constraints themselves — the packing polytope depends on the query alone —
+and hands each caller a fresh list (``.cache_info()`` reads the memo).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -54,6 +60,10 @@ def nonnegativity_constraints(dim: int) -> list[HalfSpace]:
     return constraints
 
 
+#: Distinct polytopes remembered (one per query shape; a few points each).
+POLYTOPE_CACHE_SIZE = 256
+
+
 def enumerate_vertices(
     constraints: Sequence[HalfSpace], dim: int
 ) -> list[Point]:
@@ -64,8 +74,13 @@ def enumerate_vertices(
     ``C(len(constraints), dim)`` potential bases; fine for the query sizes in
     this project (``dim <= ~10``).
     """
+    return list(_vertices(tuple(constraints), dim))
+
+
+@lru_cache(maxsize=POLYTOPE_CACHE_SIZE)
+def _vertices(constraints: tuple[HalfSpace, ...], dim: int) -> tuple[Point, ...]:
     if dim == 0:
-        return [()]
+        return ((),)
     vertices: set[Point] = set()
     for subset in combinations(range(len(constraints)), dim):
         matrix = [list(constraints[i].coefficients) for i in subset]
@@ -78,7 +93,10 @@ def enumerate_vertices(
             continue
         if all(c.satisfied_by(point) for c in constraints):
             vertices.add(point)
-    return sorted(vertices)
+    return tuple(sorted(vertices))
+
+
+enumerate_vertices.cache_info = _vertices.cache_info
 
 
 def is_dominated(point: Point, other: Point) -> bool:

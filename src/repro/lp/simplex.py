@@ -6,11 +6,21 @@ paper's LPs — the share LP (5), its dual (8), the per-bin LP (11) — are
 exact.  Bland's anti-cycling rule guarantees termination.  All the LPs in
 this project have at most a few dozen variables and constraints, so the
 dense tableau is entirely adequate.
+
+A given LP is solved once per process: :func:`maximize` converts and checks
+its input on every call (a malformed LP raises :class:`LPError` every time),
+then solves under one bounded :func:`functools.lru_cache` keyed on the LP
+itself, ``(c, A, b)`` as tuples of ``Fraction``s.  The share LP depends on
+``(q, M, p)`` alone, so every plan, algorithm and catalog sharing those
+shares one solve (≈0.8 ms of big-integer gcds: ``mu_j = log_p M_j`` has a
+10¹² denominator) and no call site knows.  :class:`LPResult` is frozen, so
+a cached value is a fresh one; ``maximize.cache_info()`` reads the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -102,15 +112,19 @@ def _run_simplex(
         _pivot(table, obj, basis, leaving, entering)
 
 
+#: Distinct LPs remembered (an entry is a few dozen ``Fraction``s).
+LP_CACHE_SIZE = 1024
+
+
 def maximize(
     c: Sequence[Number],
     a: Sequence[Sequence[Number]],
     b: Sequence[Number],
 ) -> LPResult:
     """Maximize ``c.x`` subject to ``A x <= b`` and ``x >= 0``, exactly."""
-    c_frac = [to_fraction(v) for v in c]
-    a_frac = [[to_fraction(v) for v in row] for row in a]
-    b_frac = [to_fraction(v) for v in b]
+    c_frac = tuple(to_fraction(v) for v in c)
+    a_frac = tuple(tuple(to_fraction(v) for v in row) for row in a)
+    b_frac = tuple(to_fraction(v) for v in b)
     n = len(c_frac)
     m = len(a_frac)
     if len(b_frac) != m:
@@ -118,6 +132,14 @@ def maximize(
     for i, row in enumerate(a_frac):
         if len(row) != n:
             raise LPError(f"row {i} has {len(row)} entries, expected {n}")
+    return _solve(c_frac, a_frac, b_frac)
+
+
+@lru_cache(maxsize=LP_CACHE_SIZE)
+def _solve(c_frac: tuple, a_frac: tuple[tuple, ...], b_frac: tuple) -> LPResult:
+    """The two-phase solve of a well-formed LP (what ``maximize`` memoises)."""
+    n = len(c_frac)
+    m = len(a_frac)
 
     # Tableau layout: [original 0..n) | slack n..n+m) | artificial ...] | rhs.
     negated = [b_frac[i] < 0 for i in range(m)]
@@ -184,6 +206,10 @@ def maximize(
         if basic < n:
             x[basic] = table[i][-1]
     return LPResult(status=OPTIMAL, objective=-phase2_obj[-1], x=tuple(x))
+
+
+maximize.cache_info = _solve.cache_info
+maximize.cache_clear = _solve.cache_clear
 
 
 def minimize(

@@ -1,19 +1,28 @@
 """A stdlib HTTP client for the repro service (used by ``repro submit``).
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over :mod:`urllib.request` — submit, poll,
+:mod:`repro.service.server` over :mod:`http.client` — submit, poll,
 fetch results, cancel, read metrics, shut the server down.  Error
 responses become :class:`ServiceClientError` (with the HTTP status
 attached); a 429 queue rejection becomes :class:`ServiceBusyError` so
 callers can implement their own retry policy against backpressure.
+
+A client holds one persistent connection per thread that uses it (a
+submit/poll/fetch exchange is three or more requests, each cheaper than a
+TCP connection and a server thread), opened on first use and dropped by
+:meth:`ServiceClient.close`.  When a *reused* connection turns out dropped,
+a ``GET`` or ``DELETE`` reconnects once and is sent again; a ``POST`` never
+is — a submit that may have been accepted is reported as status 0, like an
+unreachable server, for the caller to decide.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 
 class ServiceClientError(RuntimeError):
@@ -34,8 +43,25 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
 
     # -- transport -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened by its first request)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                urlsplit(self.base_url).netloc, timeout=self.timeout
+            )
+            self._connections.append(connection)
+        return connection
+
+    def close(self) -> None:
+        """Drop every connection; the next request opens a new one."""
+        for connection in list(self._connections):
+            connection.close()
+
     def _request(self, method: str, path: str,
                  payload: object | None = None) -> dict:
         data = None
@@ -43,27 +69,34 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+        connection = self._connection()
+        # Only a connection that served a request before can have been
+        # dropped since, and only an idempotent request may be sent twice.
+        retry = connection.sock is not None and method in ("GET", "DELETE")
+        while True:
             try:
-                message = json.loads(exc.read().decode("utf-8")).get(
-                    "error", exc.reason
-                )
-            except (ValueError, OSError):
-                message = str(exc.reason)
-            if exc.code == 429:
-                raise ServiceBusyError(exc.code, message) from None
-            raise ServiceClientError(exc.code, message) from None
-        except urllib.error.URLError as exc:
-            raise ServiceClientError(
-                0, f"cannot reach {self.base_url}: {exc.reason}"
-            ) from None
+                connection.request(method, path, body=data, headers=headers)
+                response = connection.getresponse()
+                body = response.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                if retry and isinstance(exc, ConnectionError):
+                    retry = False
+                    continue
+                raise ServiceClientError(
+                    0, f"cannot reach {self.base_url}: {exc}"
+                ) from None
+        status = response.status
+        if 200 <= status < 300:
+            return json.loads(body)
+        try:
+            message = json.loads(body).get("error", response.reason)
+        except (ValueError, AttributeError):
+            message = response.reason
+        if status == 429:
+            raise ServiceBusyError(status, message)
+        raise ServiceClientError(status, message)
 
     # -- protocol --------------------------------------------------------
     def health(self) -> dict:

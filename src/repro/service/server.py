@@ -22,15 +22,27 @@ method       path                       semantics
 The server is threaded (``ThreadingHTTPServer``): handlers only touch the
 job table, so many concurrent clients can poll while the queue's worker
 threads grind through jobs.  Heavy work never runs in a handler.
+
+Connections are persistent (HTTP/1.1 keep-alive, what
+:class:`~repro.service.client.ServiceClient` uses): a handler thread serves
+one connection, request after request, until the client closes it.  So
+every response leaves in one write with Nagle's algorithm off — sent as
+headers, then body, the body waits for the client's delayed ACK of the
+headers, ≈44 ms on loopback against 0.2 ms — and
+:meth:`ReproService.shutdown` closes every accepted socket, or the daemon
+handler threads would go on answering for a service that has shut down.
+``service.http.{connections,requests}`` count both sides of the reuse.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..lp import enumerate_vertices, maximize
 from ..obs import Observation
 from .cache import CatalogCache
 from .jobs import BackpressureError, JobQueue, ServiceError
@@ -45,18 +57,33 @@ class _Handler(BaseHTTPRequestHandler):
     # the ThreadingHTTPServer instantiates per request.
     service: "ReproService"
     protocol_version = "HTTP/1.1"
+    # One segment per response, and no wait for an ACK when a large body
+    # overflows the buffer into a second one.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:  # dropped by the client or by shutdown()
+            _LOG.debug("%s dropped its connection", self.address_string())
+
     def log_message(self, format: str, *args: object) -> None:
         _LOG.debug("%s %s", self.address_string(), format % args)
 
-    def _send_json(self, code: int, payload: object) -> None:
+    def _send_json(self, code: int, payload: object,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
+        self.service.obs.count("service.http.requests")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _read_json(self) -> object:
         length = int(self.headers.get("Content-Length") or 0)
@@ -75,7 +102,7 @@ class _Handler(BaseHTTPRequestHandler):
             if segments == ["v1", "health"]:
                 self._send_json(200, self.service.health())
             elif segments == ["v1", "metrics"]:
-                self._send_json(200, queue.obs.metrics.to_dict())
+                self._send_json(200, self.service.metrics())
             elif segments == ["v1", "jobs"]:
                 self._send_json(200, {"jobs": queue.jobs()})
             elif len(segments) == 3 and segments[:2] == ["v1", "jobs"]:
@@ -104,11 +131,12 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         segments = self._segments()
         if segments == ["v1", "shutdown"]:
-            self._send_json(200, {"state": "shutting-down"})
+            self._send_json(200, {"state": "shutting-down"}, close=True)
             self.service.shutdown_async()
             return
-        if segments != ["v1", "jobs"]:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+        if segments != ["v1", "jobs"]:  # body unread, so close after it
+            self._send_json(404, {"error": f"unknown path {self.path}"},
+                            close=True)
             return
         try:
             payload = self._read_json()
@@ -137,6 +165,41 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": str(exc)})
         else:
             self._send_json(200, {"id": segments[2], "cancelled": cancelled})
+
+
+class _Server(ThreadingHTTPServer):
+    """A threading server that knows its accepted sockets, so that shutting
+    down can close them (handler threads are daemons: nothing else would)."""
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple, handler: type,
+                 obs: Observation) -> None:
+        super().__init__(address, handler)
+        self._obs = obs
+        self._connections: set[socket.socket] = set()
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        self._obs.count("service.http.connections")
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down (a blocked handler reads EOF)."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client closed it first
+                pass
 
 
 class ReproService:
@@ -168,8 +231,7 @@ class ReproService:
             cell_timeout=cell_timeout,
         )
         handler = type("_BoundHandler", (_Handler,), {"service": self})
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._server.daemon_threads = True
+        self._server = _Server((host, port), handler, self.obs)
         self._shutdown_started = False
 
     @property
@@ -193,6 +255,15 @@ class ReproService:
             "cache_hit_rate": self.cache.hit_rate,
         }
 
+    def metrics(self) -> dict:
+        """The registry's digest, the LP memo's gauges read as it is made."""
+        memos = (maximize.cache_info(), enumerate_vertices.cache_info())
+        for gauge, field in (("hits", "hits"), ("misses", "misses"),
+                             ("entries", "currsize")):
+            self.obs.set_gauge(f"lp.cache.{gauge}",
+                               sum(getattr(memo, field) for memo in memos))
+        return self.obs.metrics.to_dict()
+
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` (or Ctrl-C)."""
         _LOG.info("repro service listening on %s", self.url)
@@ -215,6 +286,7 @@ class ReproService:
             return
         self._shutdown_started = True
         self._server.shutdown()
+        self._server.close_connections()
 
     def shutdown_async(self) -> None:
         """Shut down from inside a request handler without deadlocking

@@ -18,6 +18,7 @@ from repro.api import (
     plan,
 )
 from repro.core import lower_bound
+from repro.lp import maximize
 from repro.data import uniform_relation, zipf_relation
 from repro.mpc import run_one_round
 from repro.query import parse_query
@@ -176,6 +177,27 @@ class TestAutoplan:
         assert skewed_choice in {"skew-join", "bin-hypercube"}
         # And the skewed choice must not be a skew-oblivious grid.
         assert skewed_choice not in {"hashjoin", "hypercube-lp"}
+
+    def test_one_share_lp_for_two_seeds_and_two_skews(self):
+        """The share LP (5) is a function of ``(q, M, p)``: the grid
+        algorithms' plans solve it for the first of four databases that
+        differ in seed and skew only, and never again."""
+        m, misses = 300, []
+        maximize.cache_clear()
+        for seed in (1, 2):
+            for skew in (0.8, 1.4):
+                db = Database.from_relations([
+                    zipf_relation("S1", m, 4 * m, skew=skew, seed=seed),
+                    zipf_relation("S2", m, 4 * m, skew=skew, seed=seed + 10),
+                ])
+                assert [db.relation(name).cardinality
+                        for name in ("S1", "S2")] == [m, m]
+                plan(JOIN, HeavyHitterStatistics.of(JOIN, db, 16), 16,
+                     algorithms=("hypercube-lp", "hypercube-broadcast"))
+                misses.append(maximize.cache_info().misses)
+        assert misses[0] >= 1
+        assert misses == [misses[0]] * 4
+        assert maximize.cache_info().hits >= 3
 
     def test_autoplan_runs_complete(self):
         """The planner's winner actually answers the query."""

@@ -2,6 +2,7 @@
 
 import json
 import weakref
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -482,6 +483,35 @@ class TestRecordSchema:
         record = self._record()
         clone = RunRecord.from_dict(record.to_dict())
         assert clone == record
+
+    def test_to_dict_is_asdict_plus_the_ratios(self):
+        """Built from the field tuple, not by ``asdict``'s recursive copy:
+        same keys, same order, same values — for an observed, an unobserved
+        and a failed record."""
+        cell = Cell(query=JOIN_TEXT, workload="zipf", m=80, skew=1.0, seed=0,
+                    p=4, algorithm="hypercube-lp")
+        observed = run_cell(replace(cell, observe=True))
+        two_rounds = run_cell(replace(
+            cell, query="q(x,y,z) :- R(x,y), S(y,z), T(z,x)", rounds=2,
+            algorithm="auto"))
+        assert two_rounds.rounds == 2 and len(two_rounds.round_load_bits) == 2
+        failed = Sweep(query=JOIN_TEXT, workload="uniform", m_values=(50,),
+                       p_values=(4,), domain=6,
+                       algorithms=("hashjoin",)).run().records[0]
+        assert observed.metrics and not failed.ok
+        for record in (observed, two_rounds, run_cell(cell), failed,
+                       self._record()):
+            payload = record.to_dict()
+            expected = asdict(record) | {
+                "optimality_gap": record.optimality_gap,
+                "prediction_error": record.prediction_error,
+            }
+            assert payload == expected
+            assert list(payload) == list(expected)
+            assert payload["metrics"] is record.metrics
+            assert payload["round_load_bits"] is record.round_load_bits
+            assert json.loads(json.dumps(payload)) == \
+                json.loads(json.dumps(expected))
 
     def test_derived_ratios(self):
         record = self._record()

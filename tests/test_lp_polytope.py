@@ -110,3 +110,17 @@ class TestDomination:
             (F(0), F(1), F(0)),
             (F(0), F(0), F(1)),
         }
+
+    def test_a_returned_list_is_the_callers_own(self):
+        """Vertices are enumerated once per polytope; mutating one answer
+        does not change the next."""
+        constraints = [HalfSpace.build([1, 1], 1)] + nonnegativity_constraints(2)
+        first = enumerate_vertices(constraints, 2)
+        expected = list(first)
+        before = enumerate_vertices.cache_info()
+        first.clear()
+        first.append("junk")
+        assert enumerate_vertices(constraints, 2) == expected
+        assert enumerate_vertices(iter(constraints), 2) == expected
+        after = enumerate_vertices.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)

