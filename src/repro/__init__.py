@@ -55,7 +55,6 @@ from .api import (
     plan,
     register,
     run_cell,
-    sweep,
 )
 
 from .core import (
@@ -137,7 +136,6 @@ __all__ = [
     "plan",
     "register",
     "run_cell",
-    "sweep",
     "BinHyperCubeAlgorithm",
     "BroadcastHyperCube",
     "CartesianProductAlgorithm",

@@ -78,7 +78,6 @@ from .experiment import (
     execute_cells,
     failure_record,
     run_cell,
-    sweep,
 )
 from .planner import (
     PlanError,
@@ -123,7 +122,6 @@ __all__ = [
     "execute_cells",
     "failure_record",
     "run_cell",
-    "sweep",
     "PlanError",
     "Prediction",
     "QueryPlan",

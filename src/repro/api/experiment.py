@@ -11,19 +11,19 @@ engine, and lands everything in a structured :class:`RunRecord`.
   database, statistics)``, and what the service's cache keys on.
 * :class:`Cell` — one fully-resolved grid point, a frozen dataclass of
   primitives (so it can be generated on one machine and executed on
-  another).  The path from a cell to a record is here, in one place:
-  :func:`_prepare` builds what cells at the same grid coordinates share
-  (their catalog's database and statistics, and the plan) and
-  :func:`_execute` runs one cell's algorithm through
-  :func:`repro.rounds.run_rounds`, for one round or many.
+  another).  There is one way from a cell to a record:
+  :class:`SharedContext` holds what cells at the same grid coordinates
+  share (their catalog's database and statistics, the plan, the oracle's
+  answers) and says under which key, and :func:`_execute` runs one cell's
+  algorithm through :func:`repro.rounds.run_rounds`, for one round or many.
 * :func:`execute_cells` — the *cell executor* the library and the service
-  (``repro serve``) share: a cell that raises becomes a structured
-  ``failed:<reason>`` record, a cell whose worker process dies a
-  ``failed:worker-died`` one, a cell past ``cell_timeout`` a ``timeout``
-  one (the lost worker is replaced), and every healthy record is returned
-  in grid order regardless of what its neighbors did.  With more than one
-  worker the cells run on :class:`repro.mpc.farm.Farm`, the one process
-  fan-out of the repo; what is here is only what is sweep-specific.
+  (``repro serve``) share: a cell that raises, loses its worker process or
+  outruns ``cell_timeout`` becomes a structured ``failed:<reason>`` /
+  ``timeout`` record, and every healthy record is returned in grid order
+  regardless of what its neighbors did.  In-process it prepares once per
+  coordinate group; on :class:`repro.mpc.farm.Farm`, the one process
+  fan-out of the repo, each worker runs :meth:`SharedContext.step` on a
+  context of its own — isolation costs a database per worker, not per cell.
 * :class:`Experiment` — one workload × one ``p`` × some algorithms.
 * :class:`Sweep` — the full grid ``p x m x skew x seed x stats x
   rounds x algorithm`` (the ``stats`` axis switches the statistics pass
@@ -43,6 +43,7 @@ on the ``repro.api.experiment`` logger.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import product
@@ -113,6 +114,10 @@ class WorkloadSpec:
             raise ExperimentError("workloads need m >= 1 tuples per relation")
         if self.domain is not None and self.domain < 1:
             raise ExperimentError("domain must be >= 1 when given")
+        if not 0 <= self.skew < math.inf:       # NaN fails both
+            raise ExperimentError(
+                f"skew must be a finite number >= 0, got {self.skew}"
+            )
 
     @property
     def domain_size(self) -> int:
@@ -154,12 +159,18 @@ def _spec_fields(
     """The fields of ``table`` — key -> (value types, list? — None when
     either will do, what the field must be[, a range check]) — present in
     a JSON-shaped ``spec``, shape- and type-checked; lists come back as
-    tuples."""
+    tuples.  A key outside the table is an error, not a default."""
     if not isinstance(spec, Mapping) or not spec.get("query") \
             or not isinstance(spec["query"], str):
         raise ExperimentError(
             f"a {what} spec must be an object with a 'query' string"
         )
+    for name in spec:
+        if name != "query" and name not in table:
+            raise ExperimentError(
+                f"a {what} spec has no field {name!r}; "
+                f"the fields are query, {', '.join(table)}"
+            )
     fields: dict[str, object] = {"query": spec["query"]}
     for name, (kinds, listed, wanted, *in_range) in table.items():
         if name not in spec:
@@ -256,12 +267,7 @@ class Catalog:
         self, obs: Observation | None = None
     ) -> tuple[ConjunctiveQuery, Database, Statistics]:
         """``(query, db, stats)``: :meth:`generate`, then the statistics."""
-        return self._with_statistics(*self.generate(obs), obs)
-
-    def _with_statistics(self, query, db, obs):
-        return query, db, resolve_statistics(
-            query, None, self.p, db, stats_method=self.stats, obs=obs
-        )
+        return SharedContext().build(self, obs)
 
 
 @dataclass(frozen=True)
@@ -309,113 +315,146 @@ def _cell_columns(cell: Cell) -> dict:
 
 
 class PreparedCache(Protocol):
-    """The cache :func:`_prepare` can reuse its builds through; the
+    """The cache a :class:`SharedContext` can keep its builds in; the
     service passes its :class:`repro.service.CatalogCache`."""
 
     def get_or_build(self, section: str, key: Hashable,
                      builder: Callable[[], object]) -> object: ...
 
 
-class _OneDatabase:
-    """A :class:`PreparedCache` over the caller's, if any, that adds a
-    one-slot ``data`` section: a database is a function of (query, workload)
-    alone, and grid order puts the groups that share one side by side.
-    Next to it, one slot for the sequential oracle's answers on the
-    database in use (:meth:`expected`) — never the caller's cache, whose
-    entries outlive the sweep."""
-
-    def __init__(self, cache: PreparedCache | None) -> None:
-        self.cache, self.held = cache, (None, None)
-        self.oracle = (None, None)      # (database, its answers or None)
+class _Slots(dict):
+    """A :class:`PreparedCache` of one entry, ``(key, value)``, per
+    section: the newest (a build that raises leaves what was there)."""
 
     def get_or_build(self, section, key, builder):
-        if section == "data":
-            if self.held[0] != key:
-                self.held = key, builder()
-            return self.held[1]
+        if self.get(section, (None,))[0] != key:
+            self[section] = key, builder()
+        return self[section][1]
+
+
+class SharedContext:
+    """What cells at equal coordinates share, and under which key — decided
+    here and nowhere else.  The database, under (query, workload), has one
+    slot of this context: grid order puts the groups that share one side by
+    side.  The catalog's ``(query, db, stats)``, under the catalog, and the
+    plan, under the catalog plus the round budget and the algorithm keys, go
+    through ``cache`` when there is one (the service's three job kinds all
+    pass its ``CatalogCache``: the second request on a catalog is a hit) and
+    are built for the asking otherwise — the serial executor asks once per
+    coordinate group.  The sequential oracle's answers on the database in
+    use have one slot, never ``cache``, whose entries outlive the sweep.
+
+    :meth:`step` is one cell end to end — :func:`run_cell`, and the task of
+    every farm worker: each owns a copy that starts empty, with
+    :class:`_Slots` for a ``cache`` (the server-wide one holds a lock
+    another thread may hold at fork), so it keeps from one cell to its next
+    what the serial executor keeps within a group, and a replacement keeps
+    nothing.
+    """
+
+    def __init__(self, cache: PreparedCache | None = None) -> None:
+        self.cache = cache
+        self._data = _Slots()
+        self._oracle = (None, None)     # (database, its answers or None)
+
+    def _cached(self, section, key, builder):
         if self.cache is None:
             return builder()
         return self.cache.get_or_build(section, key, builder)
 
-    def expected(
-        self, cell: Cell, query: ConjunctiveQuery, db: Database,
-        obs: Observation | None,
-    ) -> Answers | None:
+    def build(self, catalog: Catalog, obs: Observation | None = None):
+        """``(query, db, stats)`` of ``catalog``."""
+        def make():
+            query, db = self._data.get_or_build(
+                "data", (catalog.query, catalog.workload),
+                lambda: catalog.generate(obs))
+            return query, db, resolve_statistics(
+                query, None, catalog.p, db, stats_method=catalog.stats,
+                obs=obs)
+
+        return self._cached("stats", catalog, make)
+
+    def plan(
+        self, catalog: Catalog, obs: Observation | None = None,
+        rounds: int = 1, keys: tuple[str, ...] = ("auto",),
+    ):
+        """``(db, plan)`` on ``catalog``.  Plans only the algorithms in
+        ``keys`` ("auto" needs the full registry), so a single-algorithm
+        cell never pays for cost-estimating the ones it is not running."""
+        query, db, stats = self.build(catalog, obs)
+
+        def build_plan():
+            # ``rounds`` is the planner's budget.  Explicitly requesting a
+            # multi-round algorithm opts into its round count, so the budget
+            # lifts to admit every named key; only the "auto" pick is gated.
+            max_rounds = rounds
+            for key in keys:
+                if key == "auto":
+                    continue
+                spec = get_spec(key)
+                reason = spec.applicability(query)
+                if reason is not None:
+                    raise ExperimentError(
+                        f"algorithm {key!r} is not applicable to "
+                        f"{catalog.query!r}: {reason}"
+                    )
+                max_rounds = max(max_rounds, spec.rounds(query))
+            return plan(query, stats, catalog.p, max_rounds=max_rounds,
+                        algorithms=None if "auto" in keys else keys, obs=obs)
+
+        return db, self._cached("plan", (catalog, rounds, keys), build_plan)
+
+    def expected(self, cell: Cell, query, db, obs) -> Answers | None:
         """What a verifying ``cell`` compares its answers with (None for
         any other): evaluated by the first one on ``db``, shared by the
         rest, dropped by the first cell of another database."""
-        if self.oracle[0] is not db:
-            self.oracle = db, None
-        if not cell.verify:
-            return None
-        if self.oracle[1] is None:
-            self.oracle = db, oracle_answers(query, db, obs)
-        return self.oracle[1]
+        if self._oracle[0] is not db:
+            self._oracle = db, None
+        if cell.verify and self._oracle[1] is None:
+            self._oracle = db, oracle_answers(query, db, obs)
+        return self._oracle[1] if cell.verify else None
+
+    def step(self, cell: Cell) -> tuple[RunRecord, dict | None]:
+        """One cell end to end — generate, plan, run, record, whatever of
+        that the cell before it left to do — and, when the cell is observed,
+        the :meth:`~repro.obs.MetricsRegistry.snapshot` of all it caused,
+        generation, statistics and planning included: a farm worker's
+        channel to the sweep's registry (spans stop at the process)."""
+        obs = Observation.create() if cell.observe else None
+        db, query_plan = _prepare([cell], obs, self)
+        record = _execute(cell, db, query_plan, obs, self)
+        return record, obs.metrics.snapshot() if obs is not None else None
 
 
 def _prepare(
     cells: Sequence[Cell],
     obs: Observation | None = None,
-    cache: _OneDatabase | None = None,
+    cache: SharedContext | None = None,
 ):
-    """Shared (db, plan) context for cells at the same grid coordinates.
-
-    Plans only the algorithms the cells actually mention ("auto" needs
-    the full registry), so a single-algorithm cell never pays for
-    cost-estimating the algorithms it is not running.  With a ``cache``,
-    the catalog's build sits in its ``stats`` section under the catalog
-    itself (where the service's plan and stats jobs find it too) and the
-    plan in its ``plan`` section under the catalog plus what else
-    determines it: the round budget and the algorithm keys.
-    """
+    """Shared ``(db, plan)`` for cells at the same grid coordinates."""
     first = cells[0]
-    catalog = first.catalog
     keys = tuple(sorted({cell.algorithm for cell in cells}))
-    fetch = (cache or _OneDatabase(None)).get_or_build
-    query, db, stats = fetch("stats", catalog, lambda: catalog._with_statistics(
-        *fetch("data", (catalog.query, catalog.workload),
-               lambda: catalog.generate(obs)), obs))
-
-    def build_plan():
-        # ``rounds`` is the planner's budget.  Explicitly requesting a
-        # multi-round algorithm opts into its round count, so the budget
-        # lifts to admit every named key; only the "auto" pick is gated.
-        max_rounds = first.rounds
-        for key in keys:
-            if key == "auto":
-                continue
-            spec = get_spec(key)
-            reason = spec.applicability(query)
-            if reason is not None:
-                raise ExperimentError(
-                    f"algorithm {key!r} is not applicable to "
-                    f"{first.query!r}: {reason}"
-                )
-            max_rounds = max(max_rounds, spec.rounds(query))
-        return plan(query, stats, first.p, max_rounds=max_rounds,
-                    algorithms=None if "auto" in keys else keys, obs=obs)
-
-    return db, fetch("plan", (catalog, first.rounds, keys), build_plan)
+    return (cache or SharedContext()).plan(
+        first.catalog, obs, first.rounds, keys)
 
 
 def _execute(
     cell: Cell, db: Database, query_plan,
-    obs: Observation | None = None,
-    expected: Answers | None = None,
+    obs: Observation | None, shared: SharedContext,
 ) -> RunRecord:
     """Run one cell's algorithm in a prepared context; build the record.
 
-    One call into :func:`repro.rounds.run_rounds`, whatever the
-    algorithm's round count.  A verifying cell evaluates the sequential
-    oracle itself unless handed its answers as ``expected``.
+    One call into :func:`repro.rounds.run_rounds`, whatever the round
+    count.  A verifying cell compares with the oracle answers ``shared``
+    holds for ``db`` and, when it is the first to ask, evaluates them —
+    beside its own ``sweep.cell`` span, not inside.
 
     Observability: when the cell asks for it (``cell.observe``) or a
-    sweep-level ``obs`` is supplied, the round runs against a *fresh*
+    sweep-level ``obs`` is supplied, the cell runs against a *fresh*
     per-cell :class:`~repro.obs.MetricsRegistry` whose digest becomes the
-    record's ``metrics`` block; the per-cell registry is then folded into
-    the sweep-level one (counters add, histograms concatenate), so both
-    granularities stay exact.  Spans share the sweep tracer when there is
-    one.
+    record's ``metrics`` block and which is then folded into the sweep's
+    (counters add, histograms concatenate), so both granularities stay
+    exact.  Spans share the sweep tracer if there is one.
     """
     key = query_plan.chosen.key if cell.algorithm == "auto" else cell.algorithm
     prediction = query_plan.prediction(key)
@@ -426,6 +465,7 @@ def _execute(
             tracer=obs.tracer if obs is not None else Tracer(),
             metrics=MetricsRegistry(),
         )
+    expected = shared.expected(cell, query_plan.query, db, cell_obs)
     started = time.perf_counter()
     with maybe_timed(
         cell_obs, "sweep.cell",
@@ -506,14 +546,9 @@ def failure_record(
 
 
 def run_cell(cell: Cell) -> RunRecord:
-    """Execute one cell end to end: generate, plan, run, record.
-
-    Module-level (not a method): it is the task the sweep farm's workers
-    run.  A cell with ``observe=True`` carries its metrics digest back on
-    the record — the only channel a farm worker has.
-    """
-    db, query_plan = _prepare([cell])
-    return _execute(cell, db, query_plan)
+    """One cell end to end, sharing nothing: :meth:`SharedContext.step` on
+    a fresh context (``observe=True`` puts a metrics digest on the record)."""
+    return SharedContext().step(cell)[0]
 
 
 # ----------------------------------------------------------------------
@@ -533,12 +568,11 @@ def _execute_serial(
     cache: PreparedCache | None,
 ) -> None:
     """In-process execution: one ``_prepare`` per distinct coordinate
-    group (order-independent — shuffled grids do not re-prepare) and, for
-    verifying cells, one sequential-oracle evaluation per database, with
+    group (order-independent — shuffled grids do not re-prepare), with
     per-cell and per-group fault isolation (an oracle that raises fails
     the verifying cells of its database).  Timeouts need process
     isolation, so they are the farm's job."""
-    cache = _OneDatabase(cache)
+    shared = SharedContext(cache)
     groups: dict[tuple, list[int]] = {}
     for index, cell in enumerate(cells):
         groups.setdefault(_coordinates(cell), []).append(index)
@@ -547,7 +581,7 @@ def _execute_serial(
             group = [cells[i] for i in indexes]
             try:
                 with maybe_timed(obs, "sweep.prepare", cells=len(group)):
-                    db, query_plan = _prepare(group, obs, cache)
+                    db, query_plan = _prepare(group, obs, shared)
             except Exception as exc:
                 _LOG.warning("sweep: preparing %d cell(s) failed: %s",
                              len(group), exc)
@@ -557,11 +591,7 @@ def _execute_serial(
             for i in indexes:
                 started = time.perf_counter()
                 try:
-                    record = _execute(
-                        cells[i], db, query_plan, obs=obs,
-                        expected=cache.expected(
-                            cells[i], query_plan.query, db, obs),
-                    )
+                    record = _execute(cells[i], db, query_plan, obs, shared)
                 except Exception as exc:
                     _LOG.warning("sweep: cell %d failed: %s", i, exc)
                     record = failure_record(
@@ -578,40 +608,36 @@ def _execute_farmed(
     finish: Callable[[int, RunRecord], None],
     obs: Observation | None,
 ) -> None:
-    """Run the cells on ``farm`` (:func:`run_cell` in each of its
-    ``workers`` processes): every outcome becomes a record — the cell's
-    own, or a ``failed:<reason>`` / ``timeout`` one for a cell that
+    """Run the cells on ``farm`` (:meth:`SharedContext.step` in each of
+    its ``workers`` processes): every outcome becomes a record — the
+    cell's own, or a ``failed:<reason>`` / ``timeout`` one for a cell that
     raised, whose worker died, or that outran the farm's deadline."""
     if obs is not None:
         # Workers cannot write to this process' registry; ship the
-        # request with each cell and read the digest off the record.
+        # request with each cell and fold in the snapshot it answers with.
         cells = [replace(cell, observe=True) for cell in cells]
     busy_seconds = 0.0
     started = time.perf_counter()
 
     def land(index: int, outcome: Outcome) -> None:
         nonlocal busy_seconds
-        record = outcome.value
-        if not outcome.ok:
+        if outcome.ok:
+            record, snapshot = outcome.value
+        else:
             _LOG.warning("sweep: cell %d %s (%s)",
                          index, outcome.status, outcome.value)
             status = ("timeout" if outcome.status == "timeout"
                       else "failed:worker-died" if outcome.status == "died"
                       else f"failed:{outcome.value}")
-            record = failure_record(
-                cells[index], status, wall_seconds=outcome.seconds
-            )
+            record = failure_record(cells[index], status, outcome.seconds)
+            snapshot = {"histograms":
+                        {"sweep.cell.seconds": [outcome.seconds]}}
         if obs is not None:
             turnaround = time.perf_counter() - started
             obs.observe("sweep.queue_wait.seconds",
                         max(0.0, turnaround - record.wall_seconds))
-            obs.observe("sweep.cell.seconds", record.wall_seconds)
             busy_seconds += record.wall_seconds
-            if record.metrics is not None:
-                obs.metrics.merge_snapshot({
-                    "counters": record.metrics.get("counters", {}),
-                    "gauges": record.metrics.get("gauges", {}),
-                })
+            obs.metrics.merge_snapshot(snapshot)
         finish(index, record)
 
     with maybe_timed(obs, "sweep.run", cells=len(cells), workers=workers), \
@@ -642,17 +668,20 @@ def execute_cells(
     ``failed:worker-died``, and a cell past ``cell_timeout`` seconds a
     ``timeout`` record — none disturbs its neighbors.
 
-    ``max_workers`` > 1 runs the cells on a :class:`repro.mpc.farm.Farm`
-    — the process fan-out the ``mp`` engine and the sketch pass use too;
-    ``None``/1 runs in-process (sharing one database/statistics/plan per
-    distinct coordinate group, in any input order).  ``cell_timeout``
+    ``None``/1 workers run in-process, preparing once per distinct
+    coordinate group in any input order — through ``cache`` when given:
+    the service's sweep jobs pass the server-wide
+    :class:`~repro.service.cache.CatalogCache`.  More run the cells on a
+    :class:`repro.mpc.farm.Farm` — the process fan-out the ``mp`` engine
+    and the sketch pass use too — whose workers each keep a database,
+    statistics and oracle answers from one cell to their next
+    (:class:`SharedContext`; never ``cache``).  ``cell_timeout``
     requires process isolation, so setting it forces the farm even for a
     single worker.  If no worker process can be started the grid runs
     in-process — unless ``cell_timeout`` is set, which in-process
     execution cannot honour: then every cell gets a ``failed:`` record.
-    ``cache`` (a :class:`PreparedCache`) lets the serial path reuse
-    prepared contexts across calls — the service's sweep jobs pass the
-    server-wide :class:`~repro.service.cache.CatalogCache`.
+    ``obs`` collects every layer's metrics and, in-process, its spans (a
+    worker answers with a snapshot of its registry; spans stay behind).
     """
     workers = 1 if max_workers is None else check_workers(max_workers)
     if cell_timeout is not None and cell_timeout <= 0:
@@ -690,7 +719,7 @@ def execute_cells(
     farm = None
     if cell_timeout is not None or workers > 1:
         try:
-            farm = Farm(run_cell, workers, timeout=cell_timeout)
+            farm = Farm(SharedContext(_Slots()).step, workers, cell_timeout)
         except FarmUnavailable as exc:
             if cell_timeout is not None:
                 for index, cell in enumerate(cells):
@@ -866,20 +895,18 @@ _SPEC_FIELDS: Mapping[str, tuple] = {
     "workload": (str, False, "a string"),
     "p_values": (int, True, "a list of integers"),
     "m_values": (int, True, "a list of integers"),
-    "skews": ((int, float), True, "a list of numbers"),
+    "skews": ((int, float), True, "a list of finite numbers >= 0",
+              lambda value: 0 <= value < math.inf),
     "seeds": (int, True, "a list of integers"),
     "algorithms": (str, None, "a string or a list of strings"),
     "engine": (str, False, "a string"),
     "verify": (bool, False, "a boolean"),
     "domain": ((int, type(None)), False, "an integer or null"),
     "stats": (str, None, "a string or a list of strings"),
+    "stats_axis": (str, None, "a string or a list of strings"),
     "rounds": (int, None, "an integer or a list of integers"),
-}
-
-
-#: The executor settings a sweep job's spec may carry beside the grid
-#: (:func:`execute_cells`' ``max_workers`` and ``cell_timeout``).
-_EXECUTOR_FIELDS: Mapping[str, tuple] = {
+    # Not the sweep's: the executor settings a job's spec may carry beside
+    # the grid (:func:`execute_cells`' ``max_workers``, ``cell_timeout``).
     "workers": ((int, type(None)), False, "an integer >= 1 or null",
                 lambda value: value is None or value >= 1),
     "cell_timeout": ((int, float, type(None)), False,
@@ -891,13 +918,7 @@ _EXECUTOR_FIELDS: Mapping[str, tuple] = {
 @dataclass(frozen=True)
 class Sweep:
     """The full grid: ``p_values x m_values x skews x seeds x rounds x
-    algorithms``.
-
-    ``run(max_workers=N)`` farms cells through :func:`execute_cells` onto
-    the one process fan-out (:class:`repro.mpc.farm.Farm`: a dedicated
-    worker process per slot, one cell at a time over its own pipe); with
-    ``max_workers=None`` (or 1) the grid runs in-process.
-    """
+    algorithms``, executed by :func:`execute_cells`."""
 
     query: str | ConjunctiveQuery
     workload: str = "zipf"
@@ -920,8 +941,8 @@ class Sweep:
         submit sweep`` and the service's sweep jobs all describe it by.
 
         Keys are the field names (``stats_axis`` is accepted for
-        ``stats``); absent keys keep the field defaults and unknown keys
-        are ignored.  Only shapes and types are checked — no query parse,
+        ``stats``); absent keys keep the field defaults and an unknown key
+        is an error.  Only shapes and types are checked — no query parse,
         no grid expansion — so the service can run this on the request
         thread and answer a malformed spec with 400 instead of accepting a
         job that can only fail; grid values are validated where they
@@ -929,10 +950,12 @@ class Sweep:
         may carry (``workers``, ``cell_timeout``) are not the sweep's, but
         they are checked here, type and range, for the same reason.
         """
-        if isinstance(spec, Mapping) and "stats_axis" in spec:
-            spec = {**spec, "stats": spec["stats_axis"]}
-        _spec_fields(spec, _EXECUTOR_FIELDS, "sweep")
-        return cls(**_spec_fields(spec, _SPEC_FIELDS, "sweep"))
+        fields = _spec_fields(spec, _SPEC_FIELDS, "sweep")
+        if "stats_axis" in fields:
+            fields["stats"] = fields.pop("stats_axis")
+        for name in ("workers", "cell_timeout"):
+            fields.pop(name, None)
+        return cls(**fields)
 
     def _stats_axis(self) -> tuple[str, ...]:
         methods = ((self.stats,) if isinstance(self.stats, str)
@@ -971,10 +994,10 @@ class Sweep:
         # Validate the grid axes up front: a bad value must fail here,
         # not as a traceback from the middle of a half-finished run.
         text = str(query)
-        for m, p, method in product(self.m_values, self.p_values,
-                                    stats_methods):
-            Catalog(text, WorkloadSpec(self.workload, m, domain=self.domain),
-                    p, method)
+        for m, skew, p, method in product(self.m_values, self.skews,
+                                          self.p_values, stats_methods):
+            Catalog(text, WorkloadSpec(self.workload, m, skew,
+                                       domain=self.domain), p, method)
         return [
             Cell(
                 query=text,
@@ -1008,26 +1031,17 @@ class Sweep:
         cell_timeout: float | None = None,
     ) -> SweepResult:
         """Execute every cell through :func:`execute_cells` — the executor
-        ``repro serve`` runs sweep jobs on too; ``max_workers`` and
-        ``cell_timeout`` mean what they mean there (in-process by default,
-        on the process farm otherwise), and so does fault isolation: a
-        cell that raises, loses its worker or hangs past ``cell_timeout``
-        comes back as a ``failed:<reason>`` / ``timeout`` record in its
-        place in the grid, so check :attr:`RunRecord.status` before
-        trusting a row's measurements.
+        ``repro serve`` runs sweep jobs on too; ``max_workers``,
+        ``cell_timeout`` and ``obs`` mean what they mean there, and so does
+        fault isolation: a cell that raises, loses its worker or hangs past
+        ``cell_timeout`` comes back as a ``failed:<reason>`` / ``timeout``
+        record in its place in the grid, so check :attr:`RunRecord.status`
+        before trusting a row's measurements.
 
         ``progress`` (if given) is called with each finished record, in
         completion order — handy for long sweeps.  ``cells`` accepts a
         precomputed :meth:`cells` result (callers that already built the
         list to inspect it need not rebuild it).
-
-        ``obs`` (an :class:`repro.obs.Observation`) turns on sweep-level
-        instrumentation: per-cell wall-clock and metric aggregation
-        in-process, plus queue wait and worker utilization when farming.
-        Farm workers cannot share the parent's registry, so their cells
-        are flipped to ``observe=True`` and their metrics travel back on
-        the records, where the parent folds them in.  Per-cell progress
-        is logged on the ``repro.api.experiment`` logger either way.
         """
         if cells is None:
             cells = self.cells()
@@ -1039,11 +1053,3 @@ class Sweep:
         )
         return SweepResult(records=tuple(records))
 
-
-def sweep(
-    query: str | ConjunctiveQuery,
-    max_workers: int | None = None,
-    **grid,
-) -> SweepResult:
-    """One-call convenience: ``sweep(q, p_values=(8, 16), skews=(0, 1.5))``."""
-    return Sweep(query=query, **grid).run(max_workers=max_workers)

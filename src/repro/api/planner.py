@@ -29,8 +29,8 @@ from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..seq.relation import Database
 from ..sketch import SketchedHeavyHitterStatistics
-from ..stats.cardinality import SimpleStatistics
 from ..stats.heavy_hitters import HeavyHitterStatistics
+from ..stats.provider import simple_of
 
 
 class PlanError(ValueError):
@@ -331,7 +331,7 @@ def plan(
         stats = resolve_statistics(
             query, stats, p, db, stats_method=stats_method, obs=obs
         )
-        simple: SimpleStatistics = getattr(stats, "simple", stats)
+        simple = simple_of(stats)
         bits = simple.bits_vector(query)
         with maybe_timed(obs, "plan.lower_bound"):
             if p >= 2 and any(value > 0 for value in bits.values()):

@@ -32,6 +32,7 @@ from typing import Callable, Iterable
 
 from ..mpc.execution import MPCAlgorithm
 from ..query.atoms import ConjunctiveQuery
+from ..stats.provider import Statistics
 from .broadcast import BroadcastHyperCube
 from .cartesian import CartesianProductAlgorithm
 from .hashjoin import HashJoinAlgorithm
@@ -39,9 +40,6 @@ from .hypercube import HyperCubeAlgorithm
 from .skew_general import BinHyperCubeAlgorithm
 from .skew_join import SkewAwareJoin
 
-# ``stats`` arguments throughout accept SimpleStatistics or
-# HeavyHitterStatistics (richer statistics buy skew-aware predictions).
-Statistics = object
 Factory = Callable[[ConjunctiveQuery, Statistics, int], MPCAlgorithm]
 
 

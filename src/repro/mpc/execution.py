@@ -43,7 +43,7 @@ from ..seq.join import Answers
 from ..seq.relation import (
     Batch, Database, Tuple, distinct_values, expand_runs, starts_run,
 )
-from ..stats.provider import StatisticsProvider
+from ..stats.provider import heavy_of, simple_of
 from .cluster import LoadReport
 from .hashing import HashFamily
 
@@ -288,27 +288,9 @@ class MPCAlgorithm(ABC):
         simple = self._simple_stats(stats)
         return max(simple.bits(atom.name) for atom in self.query.atoms) / p
 
-    @staticmethod
-    def _simple_stats(stats: object):
-        """Accept Simple- or HeavyHitterStatistics; return the simple part."""
-        return getattr(stats, "simple", stats)
-
-    @staticmethod
-    def _heavy_stats(stats: object, p: int) -> StatisticsProvider | None:
-        """``stats`` as a usable heavy-hitter provider, or None.
-
-        The single arbiter every skew-aware cost hook (and the registry)
-        shares: statistics qualify only when they satisfy the
-        :class:`~repro.stats.provider.StatisticsProvider` protocol — the
-        exact :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics`
-        and the sketched
-        :class:`~repro.sketch.SketchedHeavyHitterStatistics` both do —
-        *and* their hitters were thresholded against this ``p``; hitters
-        computed for a different ``m/p`` threshold are unusable.
-        """
-        if isinstance(stats, StatisticsProvider) and stats.p == p:
-            return stats
-        return None
+    # The arbiters every cost hook (and the registry) shares.
+    _simple_stats = staticmethod(simple_of)
+    _heavy_stats = staticmethod(heavy_of)
 
 
 class OneRoundAlgorithm(MPCAlgorithm):

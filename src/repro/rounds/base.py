@@ -35,9 +35,8 @@ from ..core.registry import algorithm_specs
 from ..mpc.execution import MPCAlgorithm, OneRoundAlgorithm, RoundSpec
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..seq.relation import Database
-from ..stats.cardinality import SimpleStatistics
 from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
-from ..stats.provider import StatisticsProvider
+from ..stats.provider import StatisticsProvider, simple_of
 
 
 class RoundsError(ValueError):
@@ -72,7 +71,7 @@ def estimate_join_size(
     partial join is skewed on its shared variables.  Capped at the
     cross-product size.
     """
-    simple: SimpleStatistics = getattr(stats, "simple", stats)
+    simple = simple_of(stats)
     m_left = float(left_cardinality)
     m_right = float(simple.cardinality(right.name))
     shared = canonical_subset(set(left_variables) & right.variable_set)

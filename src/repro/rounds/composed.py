@@ -25,7 +25,7 @@ from functools import partial
 from ..mpc.execution import RoundSpec
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..stats.cardinality import SimpleStatistics
-from ..stats.provider import StatisticsProvider
+from ..stats.provider import heavy_of, simple_of
 from .base import (
     MultiRoundAlgorithm,
     RoundsError,
@@ -112,12 +112,12 @@ class RoundComposedJoin(MultiRoundAlgorithm):
                     raise RoundsError("query hypergraph is disconnected")
             return tuple(order)
 
-        simple: SimpleStatistics = getattr(stats, "simple", stats)
+        simple = simple_of(stats)
         estimate = partial(
             estimate_join_size,
             stats=simple,
             domain_size=simple.domain_size,
-            hh=stats if isinstance(stats, StatisticsProvider) else None,
+            hh=heavy_of(stats),
         )
 
         best_pair: tuple[float, int, int] | None = None
@@ -203,11 +203,11 @@ class RoundComposedJoin(MultiRoundAlgorithm):
         :class:`SimpleStatistics` whose intermediate cardinality is the
         (skew-refined) join-size estimate of the rounds before it.
         """
-        simple: SimpleStatistics = getattr(stats, "simple", stats)
+        simple = simple_of(stats)
         domain = simple.domain_size
         estimate = partial(
             estimate_join_size, stats=simple, domain_size=domain,
-            hh=self._heavy_stats(stats, p),
+            hh=heavy_of(stats, p),
         )
         loads: list[float] = []
         acc_size: float | None = None

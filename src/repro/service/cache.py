@@ -8,10 +8,12 @@ same slot.  "Communication Cost in Parallel Query Processing"
 reusable halves of a request, so a long-lived server should compute them
 once per catalog, not once per process.
 
-:class:`CatalogCache` keeps two LRU sections behind one lock — ``stats``:
-one ``(query, db, stats)`` per catalog, for all three job kinds;
-``plan``: ranked plans under the catalog plus the round budget and
-algorithm set — and reports every lookup through the observability layer:
+:class:`CatalogCache` keeps LRU sections behind one lock and reports every
+lookup through the observability layer; what goes into which section, and
+under which key, is :class:`repro.api.experiment.SharedContext`'s to say
+(``stats``: one ``(query, db, stats)`` per catalog, for all three job
+kinds; ``plan``: ranked plans under the catalog plus the round budget and
+algorithm set):
 
 * counters ``service.cache.hit`` / ``service.cache.miss`` (and the
   per-section ``service.cache.<section>.hit/miss``),
@@ -25,9 +27,6 @@ from collections import OrderedDict
 from typing import Callable, Hashable
 
 from ..obs import Observation
-
-#: The cache sections a :class:`CatalogCache` maintains.
-SECTIONS = ("stats", "plan")
 
 
 class CatalogCache:
@@ -47,9 +46,7 @@ class CatalogCache:
         self.capacity = capacity
         self.obs = obs
         self._lock = threading.Lock()
-        self._sections: dict[str, OrderedDict[Hashable, object]] = {
-            section: OrderedDict() for section in SECTIONS
-        }
+        self._sections: dict[str, OrderedDict[Hashable, object]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -75,10 +72,8 @@ class CatalogCache:
 
     def lookup(self, section: str, key: Hashable) -> tuple[bool, object]:
         """``(hit, value)`` for ``key``; a hit refreshes LRU recency."""
-        if section not in self._sections:
-            raise KeyError(f"unknown cache section {section!r}")
         with self._lock:
-            entries = self._sections[section]
+            entries = self._sections.setdefault(section, OrderedDict())
             if key in entries:
                 entries.move_to_end(key)
                 hit, value = True, entries[key]
@@ -89,7 +84,7 @@ class CatalogCache:
 
     def store(self, section: str, key: Hashable, value: object) -> None:
         with self._lock:
-            entries = self._sections[section]
+            entries = self._sections.setdefault(section, OrderedDict())
             entries[key] = value
             entries.move_to_end(key)
             while len(entries) > self.capacity:

@@ -5,11 +5,11 @@
 inside a long-lived ``repro serve`` process.  A full queue rejects with
 :class:`BackpressureError` (the server maps it to HTTP 429) instead of
 buffering without bound.  All three kinds build ``(query, database,
-statistics)`` from a :class:`repro.api.Catalog` through one shared
-:class:`~repro.service.cache.CatalogCache` keyed on that value, so the
-second request on a catalog, of any kind, is a cache hit, not a rebuild;
-sweep jobs hand the cache to the library's fault-isolated cell executor
-(:func:`repro.api.execute_cells`).
+statistics)`` from a :class:`repro.api.Catalog` through the executor's
+:class:`~repro.api.experiment.SharedContext` — which says what is kept
+under which key — over one shared
+:class:`~repro.service.cache.CatalogCache`, so the second request on a
+catalog, of any kind, is a cache hit, not a rebuild.
 
 Observability (all through the existing :mod:`repro.obs` layer):
 ``service.queue.depth`` gauge, ``service.jobs.*`` counters,
@@ -31,8 +31,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..api.experiment import Catalog, ExperimentError, Sweep, execute_cells
-from ..api.planner import plan as _plan
+from ..api.experiment import (
+    Catalog,
+    ExperimentError,
+    SharedContext,
+    Sweep,
+    execute_cells,
+)
 from ..mpc.farm import check_workers
 from ..obs import Observation
 from .cache import CatalogCache
@@ -112,8 +117,8 @@ class JobQueue:
     leaves it paused — jobs queue up and can be cancelled, which is what
     the backpressure tests use).  ``cell_workers``/``cell_timeout``
     configure the fault-isolated cell farm each sweep job executes
-    through; plan and stats jobs run in-thread against the shared
-    :class:`~repro.service.cache.CatalogCache`.
+    through, whose processes never see the shared
+    :class:`~repro.service.cache.CatalogCache` all else runs against.
     """
 
     def __init__(
@@ -296,25 +301,14 @@ class JobQueue:
                 return self._run_stats(job.spec, obs)
             return self._run_sweep(job.spec, obs)
 
-    def _catalog(self, spec: dict, obs: Observation):
-        """A plan/stats job's catalog and its ``(query, db, stats)``, from
-        the cache's ``stats`` section (where sweep cells look too)."""
-        catalog = Catalog.from_spec(spec).canonical()
-        return catalog, self.cache.get_or_build(
-            "stats", catalog, lambda: catalog.build(obs)
-        )
-
     def _run_plan(self, spec: dict, obs: Observation) -> dict:
-        catalog, (query, _, stats) = self._catalog(spec, obs)
-        # The key of an ``auto`` cell at a round budget of 1: same plan.
-        query_plan = self.cache.get_or_build(
-            "plan", (catalog, 1, ("auto",)),
-            lambda: _plan(query, stats, catalog.p, obs=obs),
-        )
-        return query_plan.to_dict()
+        # What an ``auto`` cell on the catalog plans at a round budget of 1.
+        catalog = Catalog.from_spec(spec).canonical()
+        return SharedContext(self.cache).plan(catalog, obs)[1].to_dict()
 
     def _run_stats(self, spec: dict, obs: Observation) -> dict:
-        catalog, (query, db, stats) = self._catalog(spec, obs)
+        catalog = Catalog.from_spec(spec).canonical()
+        query, db, stats = SharedContext(self.cache).build(catalog, obs)
         echo = catalog.to_spec()
         return {
             "query": str(query),

@@ -74,13 +74,6 @@ class SketchConfig:
     depth: int = 5
     base: int = 16
     seed: int = 0
-    #: Recovery slack in units of the sketch noise ``||f||_2/sqrt(width)``;
-    #: the search threshold is ``m_j/p - slack_factor * noise``.
-    slack_factor: float = 3.0
-    #: Cap on the prefix-descent frontier (inherited by ``find_heavy``).
-    max_candidates: int = 1 << 16
-    #: Tuples per vectorized update batch during the streaming pass.
-    chunk_size: int = 8192
 
     def __post_init__(self) -> None:
         if self.width < 2 or self.depth < 1 or self.base < 2:
@@ -88,8 +81,15 @@ class SketchConfig:
                 f"invalid sketch config: width={self.width}, "
                 f"depth={self.depth}, base={self.base}"
             )
-        if self.slack_factor < 0:
-            raise SketchError("slack_factor must be >= 0")
+
+
+#: Recovery slack in units of the sketch noise ``||f||_2/sqrt(width)``; the
+#: search threshold is ``m_j/p - SLACK_FACTOR * noise``.
+SLACK_FACTOR = 3.0
+#: Cap on the prefix-descent frontier (handed to ``find_heavy``).
+MAX_CANDIDATES = 1 << 16
+#: Tuples per vectorized update batch during the streaming pass.
+CHUNK_SIZE = 8192
 
 
 def _pair_seed(config_seed: int, atom_name: str, subset: VarSubset) -> list[int]:
@@ -227,7 +227,7 @@ class RelationSketchSet:
         chunk: list[Tuple] = []
         for tup in tuples:
             chunk.append(tup)
-            if len(chunk) >= self.config.chunk_size:
+            if len(chunk) >= CHUNK_SIZE:
                 self._flush(atom_name, keys, chunk)
                 chunk = []
         if chunk:
@@ -514,10 +514,10 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
                 m = simple.cardinality(atom_name)
                 threshold = threshold_factor * m / p
                 sketch = sketch_set.sketches[key]
-                slack = config.slack_factor * sketch.noise_scale()
+                slack = SLACK_FACTOR * sketch.noise_scale()
                 found = sketch.find_heavy(
                     threshold, slack=slack,
-                    max_candidates=config.max_candidates,
+                    max_candidates=MAX_CANDIDATES,
                 )
                 hitters[key] = {
                     spec.decode(item): max(1, min(m, round(freq)))

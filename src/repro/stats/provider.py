@@ -11,9 +11,8 @@ Everything downstream (the Section 4 algorithms' ``applicability()`` and
 ``predicted_load_bits()`` hooks, the planner, the bin machinery) talks to
 the :class:`StatisticsProvider` protocol instead of a concrete class, so
 exact and sketched statistics are interchangeable.  The protocol is
-``runtime_checkable``: the single arbiter
-:meth:`repro.mpc.execution.OneRoundAlgorithm._heavy_stats` uses an
-``isinstance`` check against it.
+``runtime_checkable``: :func:`heavy_of`, the single arbiter of "which
+statistics are these", uses an ``isinstance`` check against it.
 """
 
 from __future__ import annotations
@@ -73,3 +72,31 @@ class StatisticsProvider(Protocol):
 
     def total_heavy_count(self) -> int:
         ...
+
+
+#: What every ``stats`` argument accepts: cardinalities alone, or a
+#: provider (richer statistics buy skew-aware predictions).
+Statistics = SimpleStatistics | StatisticsProvider
+
+
+def simple_of(stats: Statistics) -> SimpleStatistics:
+    """The cardinalities: ``stats`` itself, or its ``simple`` part."""
+    return getattr(stats, "simple", stats)
+
+
+def heavy_of(
+    stats: Statistics | None, p: int | None = None
+) -> StatisticsProvider | None:
+    """``stats`` as a usable heavy-hitter provider, or None.
+
+    Statistics qualify only when they satisfy the
+    :class:`StatisticsProvider` protocol — the exact
+    :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics` and the
+    sketched :class:`~repro.sketch.SketchedHeavyHitterStatistics` both do
+    — *and*, when ``p`` is given, their hitters were thresholded against
+    this ``p``; hitters computed for a different ``m/p`` threshold are
+    unusable.
+    """
+    if isinstance(stats, StatisticsProvider) and (p is None or stats.p == p):
+        return stats
+    return None

@@ -48,7 +48,8 @@ class TestSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("p", 0), ("stats", "psychic"), ("m", 0), ("domain", 0),
-        ("workload", "nope"),
+        ("workload", "nope"), ("skew", -0.5), ("skew", float("nan")),
+        ("P", 4), ("kind", "worst"),      # no such field: not the defaults
     ])
     def test_ranges_checked_with_the_workload(self, field, value):
         with pytest.raises(ExperimentError, match=field):

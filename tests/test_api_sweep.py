@@ -111,6 +111,17 @@ class TestWorkloadSpec:
         with pytest.raises(ExperimentError, match="unknown workload"):
             WorkloadSpec("gaussian", m=10)
 
+    @pytest.mark.parametrize("skew", [-1.0, float("nan"), float("inf")])
+    def test_skew_must_be_finite_and_nonnegative(self, skew):
+        """-1 drew an inverse Zipf; NaN reached every record as ``NaN``,
+        which is not JSON."""
+        with pytest.raises(ExperimentError, match="skew"):
+            WorkloadSpec(kind="zipf", skew=skew)
+        with pytest.raises(ExperimentError, match="skew"):
+            Sweep(query=JOIN_TEXT, skews=(0.0, skew)).cells()
+        with pytest.raises(ExperimentError, match="skews"):
+            Sweep.from_spec({"query": JOIN_TEXT, "skews": [skew]})
+
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ExperimentError, match="m >= 1"):
             WorkloadSpec("uniform", m=0)
@@ -294,6 +305,20 @@ class TestSweep:
         summary = result.summary()
         assert "predicted" in summary and "measured" in summary
 
+    @pytest.mark.parametrize("key", ["p_value", "skew", "Workers"])
+    def test_a_spec_key_that_is_no_field_is_an_error(self, key):
+        """``{"p_value": [4], "skew": [2.0]}`` ran the default grid."""
+        with pytest.raises(ExperimentError) as excinfo:
+            Sweep.from_spec({"query": JOIN_TEXT, key: [4]})
+        assert repr(key) in str(excinfo.value)
+        assert "p_values" in str(excinfo.value)     # the accepted ones
+        # Everything the CLI and the service send is a field.
+        sweep = Sweep.from_spec({
+            "query": JOIN_TEXT, "stats_axis": ["exact", "sketch"],
+            "workers": 2, "cell_timeout": None, "p_values": [4],
+        })
+        assert sweep.stats == ("exact", "sketch") and sweep.p_values == (4,)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ExperimentError, match="empty"):
             self._sweep(p_values=()).run()
@@ -361,6 +386,82 @@ class TestOneDatabasePerWorkloadSpec:
                 assert record.ok and record.max_load_bits > 0
 
 
+def _builds(obs, name):
+    """How often ``name`` was observed, workers' observations included."""
+    return obs.metrics.histogram(f"{name}.seconds").count
+
+
+class TestWhatAWorkerKeepsBetweenCells:
+    """A farm worker runs the serial executor's step on a context of its
+    own: one database, one statistics build and one oracle answer set,
+    kept from one cell to that worker's next — so isolation costs a
+    database per worker, not per cell, and changes nothing on a record."""
+
+    GRID = TestOneDatabasePerWorkloadSpec.GRID
+    WORKERS = 2
+
+    def test_a_farmed_grid_builds_per_worker_not_per_cell(self):
+        sweep = Sweep(skews=(0.0, 1.2), seeds=(0, 3), **self.GRID)
+        cells = sweep.cells()
+        assert len(cells) > 5 * 32      # 32 groups, 4 databases
+        obs = Observation.create()
+        farmed = sweep.run(cells=cells, obs=obs, max_workers=self.WORKERS)
+        assert 4 <= _builds(obs, "data.generate") <= self.WORKERS * 4
+        assert 16 <= _builds(obs, "stats.build") <= self.WORKERS * 32
+        # A cell reports its own run once, not again at the parent.
+        assert _builds(obs, "sweep.cell") == len(cells)
+        serial = [measurements(r) for r in sweep.run(cells=cells)]
+        assert [measurements(r) for r in farmed] == serial
+        assert [measurements(run_cell(cell)) for cell in cells] == serial
+
+    def test_a_shuffled_farmed_grid_agrees_with_the_sorted_one(self):
+        sweep = Sweep(skews=(0.0, 1.2), algorithms=("hashjoin",), **self.GRID)
+        cells = sweep.cells()
+        shuffled = cells[::2] + cells[1::2]
+        by_cell = {cell: measurements(record) for cell, record in zip(
+            shuffled, sweep.run(cells=shuffled, max_workers=self.WORKERS))}
+        assert [by_cell[cell] for cell in cells] == [
+            measurements(r)
+            for r in sweep.run(cells=cells, max_workers=self.WORKERS)]
+
+    @pytest.mark.parametrize("executor", [
+        dict(max_workers=2), dict(cell_timeout=60)])
+    def test_a_failed_generation_does_not_stick_to_a_workers_slot(
+        self, executor
+    ):
+        """The grid of ``test_failed_generation_fails_exactly_its_own_
+        cells``: with one worker every good cell follows a failed build."""
+        sweep = Sweep(**{**self.GRID, "m_values": (50, 20), "rounds": 1},
+                      skews=(0.0,), domain=6,
+                      algorithms=("hashjoin", "hypercube-lp"))
+        result = sweep.run(**executor)
+        assert [measurements(r) for r in result] == \
+            [measurements(r) for r in sweep.run()]
+        assert [r.ok for r in result] == [False] * 8 + [True] * 8
+        assert all("a space of 36" in r.status
+                   for r in result.records[:8])
+
+    def test_a_farmed_sweep_reports_the_layers_a_serial_one_does(self):
+        """``--metrics`` of a farmed sweep used to hold the parent's own
+        four histograms: a record's digest cannot be merged."""
+        sweep = Sweep(query=JOIN_TEXT, workload="zipf", m_values=(100,),
+                      p_values=(4,), verify=True)
+        serial, farmed = Observation.create(), Observation.create()
+        sweep.run(obs=serial)
+        sweep.run(obs=farmed, max_workers=self.WORKERS)
+        layers = set(serial.metrics.histograms) - {"sweep.prepare.seconds"}
+        assert {"data.generate.seconds", "stats.build.seconds",
+                "plan.build.seconds", "engine.route.seconds",
+                "rounds.verify.seconds"} <= layers
+        assert layers <= set(farmed.metrics.histograms)
+        for name in ("engine.route.seconds", "rounds.compare.seconds"):
+            assert farmed.metrics.histogram(name).count == \
+                serial.metrics.histogram(name).count
+        assert farmed.metrics.counters.keys() == serial.metrics.counters.keys()
+        # Spans stop at the process boundary.
+        assert not farmed.tracer.finished_spans("sweep.cell")
+
+
 class TestOneOracleEvaluationPerDatabase:
     """A verified serial sweep joins sequentially once per database and
     compares in every cell; the answer set lives as long as the database
@@ -418,6 +519,16 @@ class TestOneOracleEvaluationPerDatabase:
         assert [by_cell[cell] for cell in cells] == serial
         farmed = sweep.run(cells=cells, max_workers=2)
         assert [measurements(r) for r in farmed] == serial
+
+    def test_a_farmed_grid_evaluates_once_per_worker_and_database(self):
+        """Read from the merged histograms: ``oracle_calls`` cannot see
+        into a worker."""
+        sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
+        obs = Observation.create()
+        result = sweep.run(obs=obs, max_workers=2)
+        assert len(result) == 12 and all(r.complete is True for r in result)
+        assert 2 <= _builds(obs, "rounds.verify") <= 2 * 2
+        assert _builds(obs, "rounds.compare") == 12
 
     def test_a_raising_oracle_fails_the_verifying_cells_of_its_database(
         self, monkeypatch

@@ -291,6 +291,14 @@ class TestSweepCommand:
                 "sweep", "q(x) :- S(x)", "--p", "four",
             ])
 
+    @pytest.mark.parametrize("skew", ["-1", "0.5,nan", "inf"])
+    def test_sweep_rejects_a_skew_that_is_not_finite_and_nonnegative(
+        self, skew
+    ):
+        with pytest.raises(SystemExit, match="skews.*finite numbers >= 0"):
+            main(["sweep", "q(x,y,z) :- S1(x,z), S2(y,z)", "--m", "50",
+                  "--p", "4", "--skew", skew])
+
     def test_sweep_rejects_inapplicable_algorithm(self):
         with pytest.raises(SystemExit):
             main([

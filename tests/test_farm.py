@@ -300,17 +300,31 @@ class DieAlgorithm(OneRoundAlgorithm):
         return 1.0
 
 
+class HangAlgorithm(DieAlgorithm):
+    """Passes planning, then sleeps past any deadline."""
+
+    def routing_plan(self, db, p, hashes):
+        time.sleep(300)
+
+
 @pytest.fixture
 def die_registry():
-    register(AlgorithmSpec(
-        key="die", algorithm_class=DieAlgorithm,
-        factory=lambda query, stats, p: DieAlgorithm(query),
-        summary="test: exits the process while routing",
-    ))
+    for key, cls in (("die", DieAlgorithm), ("hang", HangAlgorithm)):
+        register(AlgorithmSpec(
+            key=key, algorithm_class=cls,
+            factory=lambda query, stats, p, cls=cls: cls(query),
+            summary="test: takes its worker down while routing",
+        ))
     try:
         yield
     finally:
         unregister("die")
+        unregister("hang")
+
+
+def measurements(record):
+    """Everything on a record that is not a timing."""
+    return {**record.to_dict(), "wall_seconds": None, "metrics": None}
 
 
 def _sweep(algorithms):
@@ -341,6 +355,27 @@ class TestSweepChaos:
         counters = {n: c.value for n, c in obs.metrics.counters.items()}
         assert counters["sweep.cells.failed"] == 1
         assert counters["sweep.cells.ok"] == 4
+
+    @pytest.mark.parametrize("casualty, status, deadline", [
+        ("die", "failed:worker-died", 30.0), ("hang", "timeout", 1.0),
+    ])
+    def test_the_replacement_worker_starts_empty_and_runs_the_rest(
+        self, die_registry, casualty, status, deadline
+    ):
+        """One worker, so every cell after the casualty runs on its
+        replacement: a context that holds nothing of what the lost one had
+        built, and records equal to the serial ones all the same."""
+        algorithms = ("hashjoin", "hypercube-lp", casualty,
+                      "hypercube-equal", "skew-join", "bin-hypercube")
+        obs = Observation.create()
+        result = _sweep(algorithms).run(cell_timeout=deadline, obs=obs)
+        assert [r.status for r in result] == \
+            ["ok", "ok", status, "ok", "ok", "ok"]
+        healthy = tuple(key for key in algorithms if key != casualty)
+        assert [measurements(r) for r in result if r.ok] == \
+            [measurements(r) for r in _sweep(healthy).run()]
+        # Generated by the first worker, and again by its replacement.
+        assert obs.metrics.histogram("data.generate.seconds").count == 2
 
     def test_without_worker_processes_a_sweep_runs_serially(
         self, monkeypatch

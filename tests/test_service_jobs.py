@@ -1,9 +1,12 @@
 """The fault-isolated cell executor and the service job queue."""
 
+import ast
+import pickle
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,35 @@ class TestFarmFaultIsolation:
         with pytest.raises(ExperimentError, match="positive"):
             execute_cells(_sweep("applicable").cells(), cell_timeout=-1)
 
+    def test_a_worker_never_receives_the_callers_cache(self, monkeypatch):
+        """The server-wide cache holds a ``threading.Lock`` another job
+        thread may hold at fork: what the farm is handed is the step of a
+        fresh context that pickles, so it holds no lock at all."""
+        handed = []
+
+        class RecordingFarm(experiment_module.Farm):
+            def __init__(self, task, workers, timeout=None):
+                handed.append(task)
+                super().__init__(task, workers, timeout=timeout)
+
+        monkeypatch.setattr(experiment_module, "Farm", RecordingFarm)
+        cache = CatalogCache()
+        records = execute_cells(_sweep(("hashjoin", "hypercube-lp")).cells(),
+                                max_workers=2, cache=cache)
+        assert [r.status for r in records] == ["ok", "ok"]
+        (task,) = handed
+        context = task.__self__
+        assert isinstance(context, experiment_module.SharedContext)
+        assert task.__func__ is experiment_module.SharedContext.step
+        assert context.cache is not cache and len(cache) == 0
+        with pytest.raises(TypeError, match="lock"):
+            pickle.dumps(cache)
+        # Still empty: the parent never steps on the context it hands out,
+        # so a replacement worker forks an empty one too.
+        fresh = pickle.loads(pickle.dumps(context))
+        assert fresh.cache == {} and fresh._data == {}
+        assert context.cache == {} and context._data == {}
+
 
 class TestSerialGrouping:
     """Shuffled cells must not re-run workload generation + planning once
@@ -339,6 +371,10 @@ class TestJobQueueUnit:
         ("workers", -3),        # silently ran serial
         ("cell_timeout", "soon"),
         ("cell_timeout", 0),    # was accepted, then failed in the executor
+        ("p_value", [4]),       # these two ran the default grid, p=16 and
+        ("skew", [2.0]),        # skew=1.0, and answered with its numbers
+        ("skews", [-1.0]),      # drew an inverse Zipf, reported skew=-1.00
+        ("skews", [float("nan")]),  # "skew": NaN in every record: not JSON
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)
@@ -360,6 +396,10 @@ class TestJobQueueUnit:
         ("m", -5),
         ("stats", "bogus"),
         ("workload", "nope"),
+        ("P", 4),             # these two planned the default catalog:
+        ("kind", "worst"),    # uniform at p=16
+        ("skew", -1),
+        ("skew", float("inf")),
     ])
     def test_malformed_catalog_spec_rejected_at_submit(
         self, kind, field, value
@@ -600,6 +640,41 @@ class TestJobQueueUnit:
         for entry in result["records"]:
             validate_record(entry)
         queue.shutdown()
+
+    def test_a_sweep_job_under_a_cell_deadline_answers_as_in_thread(self):
+        spec = {"query": JOIN_TEXT, "workload": "zipf", "p_values": [4, 8],
+                "m_values": [40], "skews": [0.0, 1.2], "verify": True}
+        results = []
+        for settings in ({}, {"cell_timeout": 30.0}):
+            queue = JobQueue(workers=1, **settings)
+            job = queue.submit("sweep", spec)
+            assert queue.join(timeout=120)
+            results.append(queue.result(job.id))
+            queue.shutdown()
+        in_thread, isolated = results
+        assert isolated["count"] == 24 and isolated["failed"] == 0
+        strip = lambda record: {**record, "wall_seconds": None,
+                                "metrics": None}
+        assert [strip(r) for r in isolated["records"]] == \
+            [strip(r) for r in in_thread["records"]]
+
+    def test_cache_keys_are_built_in_one_class(self):
+        """What is cached under which key is ``SharedContext``'s to say:
+        the jobs hand it the server's cache and build no key themselves."""
+        source = Path(experiment_module.__file__).parents[1]
+        callers = set()
+        for path in sorted(source.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for scope in tree.body:         # classes, top-level functions
+                if any(isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("get_or_build", "lookup",
+                                              "store")
+                       for node in ast.walk(scope)):
+                    callers.add((path.name, scope.name))
+        # ``CatalogCache.get_or_build`` is its own ``lookup`` + ``store``.
+        assert callers == {("experiment.py", "SharedContext"),
+                           ("cache.py", "CatalogCache")}
 
     def test_verified_sweep_job_caches_what_an_unverified_one_does(self):
         """Oracle answers live with the executor, never in the 64-entry

@@ -122,6 +122,7 @@ class TestLifecycle:
     @pytest.mark.parametrize("field, value", [
         ("p_values", "16"), ("skews", 1.0), ("seeds", ["a"]),
         ("workers", "4"), ("workers", 0), ("cell_timeout", "soon"),
+        ("p_value", [4]), ("skew", [2.0]), ("skews", [-1.0]),
     ])
     def test_malformed_sweep_spec_is_400_naming_the_field(
             self, service, field, value):
@@ -135,6 +136,7 @@ class TestLifecycle:
     @pytest.mark.parametrize("field, value", [
         ("m", 2.7), ("seed", True), ("skew", "hot"), ("p", 0),
         ("stats", "bogus"), ("workload", "nope"),
+        ("P", 4), ("kind", "worst"), ("skew", -1),
     ])
     def test_malformed_catalog_spec_is_400_naming_the_field(
             self, service, kind, field, value):
