@@ -82,6 +82,12 @@ class ExperimentError(ValueError):
 WORKLOAD_KINDS = ("uniform", "zipf", "worst", "matching")
 
 
+def _in_int64(value: int) -> bool:
+    """Whether a seed is an int64: a hash family is keyed by 64 bits, so a
+    seed outside would silently alias one inside."""
+    return -2**63 <= value < 2**63
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """A deterministic workload for a query: one relation per atom.
@@ -117,6 +123,10 @@ class WorkloadSpec:
         if not 0 <= self.skew < math.inf:       # NaN fails both
             raise ExperimentError(
                 f"skew must be a finite number >= 0, got {self.skew}"
+            )
+        if not _in_int64(self.seed):
+            raise ExperimentError(
+                f"seed must lie in [-2**63, 2**63), got {self.seed}"
             )
 
     @property
@@ -199,7 +209,7 @@ _CATALOG_FIELDS: Mapping[str, tuple] = {
     "workload": (str, False, "a string"),
     "m": (int, False, "an integer"),
     "skew": ((int, float), False, "a number"),
-    "seed": (int, False, "an integer"),
+    "seed": (int, False, "an integer in [-2**63, 2**63)", _in_int64),
     "domain": ((int, type(None)), False, "an integer or null"),
     "p": (int, False, "an integer"),
     "stats": (str, False, "a string"),
@@ -897,7 +907,7 @@ _SPEC_FIELDS: Mapping[str, tuple] = {
     "m_values": (int, True, "a list of integers"),
     "skews": ((int, float), True, "a list of finite numbers >= 0",
               lambda value: 0 <= value < math.inf),
-    "seeds": (int, True, "a list of integers"),
+    "seeds": (int, True, "a list of integers in [-2**63, 2**63)", _in_int64),
     "algorithms": (str, None, "a string or a list of strings"),
     "engine": (str, False, "a string"),
     "verify": (bool, False, "a boolean"),
@@ -994,10 +1004,12 @@ class Sweep:
         # Validate the grid axes up front: a bad value must fail here,
         # not as a traceback from the middle of a half-finished run.
         text = str(query)
-        for m, skew, p, method in product(self.m_values, self.skews,
-                                          self.p_values, stats_methods):
-            Catalog(text, WorkloadSpec(self.workload, m, skew,
-                                       domain=self.domain), p, method)
+        for m, skew, seed, p, method in product(
+            self.m_values, self.skews, self.seeds, self.p_values,
+            stats_methods,
+        ):
+            Catalog(text, WorkloadSpec(self.workload, m, skew, seed,
+                                       self.domain), p, method)
         return [
             Cell(
                 query=text,

@@ -12,6 +12,8 @@ import random
 from collections import Counter
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..mpc.hashing import HashFamily
 from ..seq.relation import Relation
 
@@ -24,7 +26,9 @@ def hash_relation_loads(
     """Bucket loads when hashing each tuple attribute-wise onto the grid.
 
     ``shares[i]`` is the bucket count of attribute ``i``; tuples land in the
-    bucket ``(h_1(a_1), ..., h_r(a_r))`` as in Lemma 3.1.
+    bucket ``(h_1(a_1), ..., h_r(a_r))`` as in Lemma 3.1.  Each attribute's
+    column is hashed whole and the buckets are counted by their index in
+    the flattened grid.
     """
     if len(shares) != relation.arity:
         raise ValueError(
@@ -32,14 +36,15 @@ def hash_relation_loads(
             f"{relation.arity}"
         )
     hashes = HashFamily(seed)
-    loads: Counter = Counter()
-    for tup in relation.tuples:
-        bucket = tuple(
-            hashes.bucket(f"attr{i}", value, share)
-            for i, (value, share) in enumerate(zip(tup, shares))
-        )
-        loads[bucket] += 1
-    return loads
+    cells = np.zeros(len(relation), dtype=np.int64)
+    for i, (column, share) in enumerate(zip(relation.batch.columns, shares)):
+        cells *= share
+        cells += hashes.bucket_column(f"attr{i}", column, share)
+    counts = np.bincount(cells)
+    occupied = np.flatnonzero(counts)
+    buckets = zip(*(axis.tolist()
+                    for axis in np.unravel_index(occupied, tuple(shares))))
+    return Counter(dict(zip(buckets, counts[occupied].tolist())))
 
 
 def max_hash_load(

@@ -1,77 +1,151 @@
-"""Seeded hash families for the MPC simulator.
+"""Seeded hash families for the MPC simulator, and the arithmetic under them.
 
 The paper assumes perfectly random, independent hash functions ``h_i`` — one
-per query variable (Section 3.1).  We model them with keyed BLAKE2b digests:
-deterministic given ``(seed, salt, value)``, independent-looking across
-salts, and uniform enough at our scales for the concentration bounds of
-Lemma 3.1 to be observable (experiment E10 checks this empirically).
+per query variable (Section 3.1).  We model each with a seeded polynomial of
+degree :data:`DEGREE` = 4 over GF(2^61 - 1) — a 5-wise independent family —
+whose coefficients come from ``(seed, salt)`` by one keyed BLAKE2b per salt.
+A value is hashed as its int64 bit pattern reduced mod the Mersenne prime, so
+the function is deterministic across processes, engines and hash seeds by
+construction, and uniform enough at our scales for the concentration bounds
+of Lemma 3.1 to be observable (``tests/test_balls.py::TestHashFamilyGate``
+holds its max loads against perfectly random buckets over 200 seeds, and
+rejects the degree-1 family).
 
-The scalar :meth:`HashFamily.bucket` is the definition (and what
-:class:`repro.mpc.engine.ReferenceEngine` routes through); the routing
-plans hash whole int64 columns through :meth:`HashFamily.bucket_column`,
-which computes the same digests once per distinct ``(salt, value)`` —
-whatever the bucket count — and keeps them in a process-wide memo.
+The scalar :meth:`HashFamily.bucket` computes the polynomial in Python ints
+and is the definition (and what :class:`repro.mpc.engine.ReferenceEngine`
+routes through); the routing plans hash whole int64 columns through
+:meth:`HashFamily.bucket_column`, which evaluates the same polynomial by
+Horner's rule on the column, block by block and in place — no memo, no
+lock.  :func:`mulmod61`, exact multiplication mod ``2^61 - 1`` over
+``uint64`` arrays, is shared with the Count-Sketch of :mod:`repro.sketch`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import struct
-import threading
 
 import numpy as np
 
-from ..seq.relation import distinct_values, sorted_lookup
+#: The Mersenne prime 2^61 - 1 every hash polynomial works over.
+LARGE_PRIME = (1 << 61) - 1
 
-# What the memo holds for a salt it has not seen: no values, no digests.
-_NO_DIGESTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))
+#: The degree of the routing hash polynomials (independence ``DEGREE + 1``).
+DEGREE = 4
+
+_P = np.uint64(LARGE_PRIME)
+_ONE = np.uint64(1)
+_SHIFT_61 = np.uint64(61)
+_SHIFT_32 = np.uint64(32)
+_SHIFT_29 = np.uint64(29)
+_SHIFT_3 = np.uint64(3)
+_MASK_32 = np.uint64((1 << 32) - 1)
+_MASK_29 = np.uint64((1 << 29) - 1)
+
+# Columns are hashed this many values at a time, so that the temporaries of
+# the multiplications stay in cache.
+_BLOCK = 1 << 14
+
+
+def _reduce61(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x mod (2^61 - 1)`` for any ``uint64`` values, into ``out`` (which
+    may be ``x``) when given."""
+    carry = x >> _SHIFT_61                  # 2^61 == 1 (mod P)
+    out = np.bitwise_and(x, _P, out=out)
+    out += carry                            # at most P + 7
+    carry = out + _ONE                      # reaches 2^61 iff out >= P
+    carry >>= _SHIFT_61
+    out += carry
+    out &= _P
+    return out
+
+
+def mulmod61(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(a * b) mod (2^61 - 1)``, exact, vectorized over ``uint64``, into
+    ``out`` (of the broadcast shape; it may be ``a``) when given.
+
+    The 122-bit product never materializes: with ``a = a1 2^32 + a0`` and
+    ``b = b1 2^32 + b0``, use ``2^64 = 8 (mod P)`` and ``2^61 = 1 (mod P)``
+    to fold the partial products while every intermediate stays below
+    ``2^64``.  Operands must already lie in ``[0, 2^61)``.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    a_hi, a_lo = a >> _SHIFT_32, a & _MASK_32
+    b_hi, b_lo = b >> _SHIFT_32, b & _MASK_32
+    mid = a_hi * b_lo
+    mid += a_lo * b_hi                   # < 2^62; carries a 2^32 factor
+    high = a_hi * b_hi                   # < 2^58; * 2^64 == * 8 (mod P)
+    low = np.multiply(a_lo, b_lo, out=out)   # < 2^64, exact in uint64
+    # mid * 2^32 == (mid >> 29) * 2^61 + (mid & (2^29 - 1)) * 2^32
+    folded = mid & _MASK_29
+    folded <<= _SHIFT_32
+    mid >>= _SHIFT_29
+    folded += mid
+    high <<= _SHIFT_3
+    folded += high                       # < 2^62 + 2^33
+    carry = low >> _SHIFT_61
+    low &= _P
+    low += carry
+    low += folded                        # < 2^63
+    return _reduce61(low, out=low)
+
+
+def _horner(
+    coefficients: tuple[int, ...], values: np.ndarray, out: np.ndarray
+) -> None:
+    """The polynomial with ``coefficients`` (leading first) at every entry
+    of an int64 array, read as its bit patterns mod ``2^61 - 1``, into the
+    ``uint64`` array ``out``."""
+    x = _reduce61(values.view(np.uint64))
+    out.fill(coefficients[0])
+    for coefficient in coefficients[1:]:
+        mulmod61(out, x, out=out)
+        out += np.uint64(coefficient)
+        _reduce61(out, out=out)
 
 
 class HashFamily:
-    """A family of independent hash functions indexed by string salts."""
-
-    # Column-path memo: per (key, salt) the raw 64-bit digests computed so
-    # far, as one ``(values, raws)`` pair of arrays sorted by value — raw,
-    # so a salt hashed again under another bucket count (``hc:z`` for
-    # share 64 and for share 4) costs no digest.  Class-level because the
-    # digests are pure functions of (key, salt, value): re-running an
-    # experiment recreates HashFamily(seed) with the same key and reuses
-    # every entry.  Bounded three ways — salt count, values per salt, and
-    # total values — with oldest-first eviction, so huge-domain load-only
-    # runs cannot pin their whole value set in a process-lifetime cache
-    # and hot salts are not all dropped at once.  The skew-aware plans use
-    # private salts (one set per bin combination), so a long-lived process
-    # mints them fast; 64 covers a whole sweep coordinate (the busiest
-    # benchmark command touches 32) without letting a server retain
-    # hundreds.  The service routes several jobs at once on threads, so the
-    # registry's bookkeeping (never the hashing) runs under a lock, and an
-    # entry is only ever replaced whole: two jobs extending one salt at
-    # once can lose an update (recomputed next time), never read a torn one.
-    _shared_tables: dict[tuple[bytes, str], tuple[np.ndarray, np.ndarray]] = {}
-    _shared_lock = threading.Lock()
-    _MAX_SHARED_TABLES = 64
-    _MAX_TABLE_ENTRIES = 1 << 20
-    _MAX_TOTAL_ENTRIES = 1 << 23
+    """A family of independent hash functions indexed by string salts: per
+    salt a polynomial of degree :data:`DEGREE` over GF(2^61 - 1)."""
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._key = seed.to_bytes(8, "little", signed=True)
-        self._cache: dict[tuple[str, int], int] = {}
+        # The seed's 64-bit two's-complement pattern: an int64 seed is its
+        # own key, and a derived seed past the edge (round r of a
+        # multi-round run hashes under seed + r * stride) wraps.
+        self._key = (seed % (1 << 64)).to_bytes(8, "little")
+        self._polynomials: dict[str, tuple[int, ...]] = {}
 
     @property
     def seed(self) -> int:
         return self._seed
 
+    def _coefficients(self, salt: str) -> tuple[int, ...]:
+        """The polynomial named ``salt``, leading coefficient first: one
+        keyed BLAKE2b of the salt, cut into 8-byte words."""
+        coefficients = self._polynomials.get(salt)
+        if coefficients is None:
+            digest = hashlib.blake2b(
+                salt.encode(), key=self._key, digest_size=8 * (DEGREE + 1)
+            ).digest()
+            coefficients = tuple(
+                int.from_bytes(digest[i:i + 8], "little") % LARGE_PRIME
+                for i in range(0, len(digest), 8)
+            )
+            self._polynomials[salt] = coefficients
+        return coefficients
+
     def raw(self, salt: str, value: int) -> int:
-        """A 64-bit hash of ``value`` under the function named ``salt``."""
-        cached = self._cache.get((salt, value))
-        if cached is not None:
-            return cached
-        payload = salt.encode() + b"\x00" + value.to_bytes(16, "little", signed=True)
-        digest = hashlib.blake2b(payload, key=self._key, digest_size=8).digest()
-        result = int.from_bytes(digest, "little")
-        self._cache[(salt, value)] = result
+        """The hash of ``value`` in ``[0, 2^61 - 1)`` under the function
+        named ``salt``."""
+        x = value % (1 << 64) % LARGE_PRIME
+        result = 0
+        for coefficient in self._coefficients(salt):
+            result = (result * x + coefficient) % LARGE_PRIME
         return result
 
     def bucket(self, salt: str, value: int, buckets: int) -> int:
@@ -86,85 +160,17 @@ class HashFamily:
         self, salt: str, values: np.ndarray, buckets: int | np.ndarray
     ) -> np.ndarray:
         """:meth:`bucket` of every entry of an int64 array, as an int64
-        array; ``buckets`` is one count for all or one per entry.  One
-        digest per distinct value not in the memo, and ``raw % buckets``
-        as one vectorized pass."""
+        array; ``buckets`` is one count for all or one per entry."""
         counts = np.asarray(buckets)
         if (counts < 1).any():
             raise ValueError("bucket count must be >= 1")
         if counts.ndim == 0 and buckets == 1:
             return np.zeros(len(values), dtype=np.int64)
-        distinct, _, inverse, _ = distinct_values(values)
-        raws = self._raw_distinct(salt, distinct)[inverse]
-        return (raws % counts.astype(np.uint64)).astype(np.int64)
-
-    def _raw_distinct(self, salt: str, values: np.ndarray) -> np.ndarray:
-        """:meth:`raw` of ascending distinct int64 ``values`` as uint64s,
-        read from the memo where it has them and added to it where not."""
-        shared = HashFamily._shared_tables
-        memo_key = (self._key, salt)
-        with HashFamily._shared_lock:
-            known_values, known_raws = shared.get(memo_key, _NO_DIGESTS)
-        slot, hit = sorted_lookup(known_values, values)
-        if hit.all():
-            return known_raws[slot]
-        raws = np.empty(len(values), dtype=np.uint64)
-        raws[hit] = known_raws[slot[hit]]
-        missing = values[~hit]
-        fresh = self._digests(salt, missing)
-        raws[~hit] = fresh
-        values = np.concatenate((known_values, missing))
-        order = np.argsort(values)
-        entry = values[order], np.concatenate((known_raws, fresh))[order]
-        with HashFamily._shared_lock:
-            shared.pop(memo_key, None)
-            if len(values) <= HashFamily._MAX_TABLE_ENTRIES:
-                while len(shared) >= HashFamily._MAX_SHARED_TABLES:
-                    del shared[next(iter(shared))]  # evict oldest
-                shared[memo_key] = entry
-                total = sum(len(known) for known, _ in shared.values())
-                while total > HashFamily._MAX_TOTAL_ENTRIES:
-                    oldest = next(iter(shared))
-                    total -= len(shared[oldest][0])
-                    del shared[oldest]
-        return raws
-
-    def _digests(self, salt: str, values: np.ndarray) -> np.ndarray:
-        """One keyed BLAKE2b per value, bit for bit the digest of
-        :meth:`raw` (an incremental blake2b equals the one-shot call):
-        the values packed to their 16-byte little-endian signed payloads
-        in one ``tobytes``, the digests decoded by one ``frombuffer``."""
-        payload = np.empty((len(values), 2), dtype="<i8")
-        payload[:, 0] = values
-        payload[:, 1] = values >> 63  # the sign, extended to 16 bytes
-        packed = payload.tobytes()
-        salted = hashlib.blake2b(
-            salt.encode() + b"\x00", key=self._key, digest_size=8
-        ).copy
-        digests = []
-        for (chunk,) in struct.iter_unpack("16s", packed):
-            hasher = salted()
-            hasher.update(chunk)
-            digests.append(hasher.digest())
-        return np.frombuffer(b"".join(digests), dtype="<u8")
-
-    def subfamily(self, label: str) -> "HashFamily":
-        """An independent family derived from this one (for nested plans)."""
-        derived_seed = int.from_bytes(
-            hashlib.blake2b(
-                label.encode(), key=self._key, digest_size=8
-            ).digest(),
-            "little",
-            signed=True,
-        )
-        return HashFamily(derived_seed)
-
-
-def _fresh_table_lock() -> None:
-    HashFamily._shared_lock = threading.Lock()
-
-
-# A farm forked while another thread is inside the registry would hand its
-# workers a lock nobody will ever release.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_table_lock)
+        values = np.asarray(values, dtype=np.int64)
+        coefficients = self._coefficients(salt)
+        hashed = np.empty(len(values), dtype=np.uint64)
+        for start in range(0, len(values), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _horner(coefficients, values[block], hashed[block])
+        hashed %= counts.astype(np.uint64)
+        return hashed.view(np.int64)

@@ -18,8 +18,10 @@ prefixes — ``findHH`` style — in ``O(levels * base * |heavy|)`` estimate
 probes instead of enumerating the universe.
 
 All arithmetic is exact: tables are ``int64`` and the ``mod 2^61 - 1``
-hash products are computed with a 32-bit split (no silent ``uint64``
-overflow), so shard-merged sketches equal the single-pass sketch exactly.
+hash products are :func:`repro.mpc.hashing.mulmod61` — the arithmetic the
+routing hash polynomials use too — computed with a 32-bit split (no silent
+``uint64`` overflow), so shard-merged sketches equal the single-pass sketch
+exactly.
 """
 
 from __future__ import annotations
@@ -29,46 +31,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-#: The Mersenne prime 2^61 - 1 both hash families work over.
-LARGE_PRIME = (1 << 61) - 1
-
-_P = np.uint64(LARGE_PRIME)
-_SHIFT_61 = np.uint64(61)
-_SHIFT_32 = np.uint64(32)
-_SHIFT_29 = np.uint64(29)
-_SHIFT_3 = np.uint64(3)
-_MASK_32 = np.uint64((1 << 32) - 1)
-_MASK_29 = np.uint64((1 << 29) - 1)
+from ..mpc.hashing import LARGE_PRIME, _reduce61, mulmod61
 
 
 class SketchError(ValueError):
     """Raised for invalid sketch parameters or incompatible merges."""
-
-
-def _reduce61(x: np.ndarray) -> np.ndarray:
-    """``x mod (2^61 - 1)`` for ``uint64`` values below ``2^63``."""
-    x = (x & _P) + (x >> _SHIFT_61)
-    return x - np.where(x >= _P, _P, np.uint64(0))
-
-
-def mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a * b) mod (2^61 - 1)``, exact, vectorized over ``uint64``.
-
-    The 122-bit product never materializes: with ``a = a1 2^32 + a0`` and
-    ``b = b1 2^32 + b0``, use ``2^64 = 8 (mod P)`` and ``2^61 = 1 (mod P)``
-    to fold the partial products while every intermediate stays below
-    ``2^63``.  Operands must already lie in ``[0, 2^61)``.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    a_hi, a_lo = a >> _SHIFT_32, a & _MASK_32
-    b_hi, b_lo = b >> _SHIFT_32, b & _MASK_32
-    high = a_hi * b_hi                   # < 2^58; * 2^64 == * 8 (mod P)
-    mid = a_hi * b_lo + a_lo * b_hi      # < 2^62; carries a 2^32 factor
-    low = a_lo * b_lo                    # < 2^64, exact in uint64
-    mid_folded = (mid >> _SHIFT_29) + ((mid & _MASK_29) << _SHIFT_32)
-    total = _reduce61(low) + (high << _SHIFT_3) + _reduce61(mid_folded)
-    return _reduce61(total)
 
 
 class CountSketch:

@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.api import (
+    Catalog,
     Cell,
     Experiment,
     ExperimentError,
@@ -121,6 +122,28 @@ class TestWorkloadSpec:
             Sweep(query=JOIN_TEXT, skews=(0.0, skew)).cells()
         with pytest.raises(ExperimentError, match="skews"):
             Sweep.from_spec({"query": JOIN_TEXT, "skews": [skew]})
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
+    def test_seed_must_be_an_int64(self, seed):
+        """A seed outside int64 failed every cell at run time (``int too
+        big to convert``) and the sweep exited 0."""
+        with pytest.raises(ExperimentError, match="seed"):
+            WorkloadSpec(seed=seed)
+        with pytest.raises(ExperimentError, match="seed"):
+            Sweep(query=JOIN_TEXT, seeds=(0, seed)).cells()
+        with pytest.raises(ExperimentError, match="seeds"):
+            Sweep.from_spec({"query": JOIN_TEXT, "seeds": [seed]})
+        with pytest.raises(ExperimentError, match="seed"):
+            Catalog.from_spec({"query": JOIN_TEXT, "seed": seed})
+
+    def test_the_int64_edges_run_one_round_and_two(self):
+        """Round 1 hashes under ``seed + stride``, past the top edge."""
+        records = Sweep(query="q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+                        workload="uniform", m_values=(30,), p_values=(8,),
+                        seeds=(-(2**63), 2**63 - 1),
+                        algorithms=("hypercube-lp", "two-round-triangle")).run()
+        assert [(r.status, r.rounds) for r in records] == [("ok", 1),
+                                                           ("ok", 2)] * 2
 
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ExperimentError, match="m >= 1"):

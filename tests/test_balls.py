@@ -2,7 +2,9 @@
 (Appendices B and C, Lemma 3.1)."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.balls import (
@@ -17,6 +19,8 @@ from repro.balls import (
     worst_case_hash_bound,
 )
 from repro.data import matching_relation, single_value_relation, uniform_relation
+from repro.mpc import HashFamily, hashing
+from repro.seq import Relation
 
 
 class TestChernoffFormulas:
@@ -120,6 +124,16 @@ class TestRelationHashing:
             spread, ceiling = m / grid[1], worst_case_hash_bound(m, list(grid))
             assert spread <= measured <= 1.42 * spread <= 3 * ceiling, (m, grid)
 
+    def test_loads_are_the_scalar_hash_of_every_tuple(self):
+        """Columns hashed whole land every tuple where the scalar
+        ``bucket`` of each of its values puts it."""
+        rel = matching_relation("R", 600, 5000, arity=3, seed=8)
+        hashes, expected = HashFamily(4), Counter()
+        for tup in rel.tuples:
+            expected[tuple(hashes.bucket(f"attr{i}", v, s)
+                           for i, (v, s) in enumerate(zip(tup, (2, 3, 5))))] += 1
+        assert hash_relation_loads(rel, (2, 3, 5), seed=4) == expected
+
     def test_expected_load_is_m_over_p(self):
         """Lemma 3.1(1) / Lemma B.1: mean bucket load equals m/p over the
         occupied grid.  Rows: this file's, E10's."""
@@ -129,3 +143,83 @@ class TestRelationHashing:
             loads = hash_relation_loads(rel, grid, seed=1)
             p = math.prod(grid)
             assert math.isclose(sum(loads.values()) / p, m / p), (m, grid)
+
+
+class TestHashFamilyGate:
+    """The routing hash family against the paper's model: over 200 seeds on
+    an 8 x 8 grid, the max bucket load of the polynomial family must be
+    distributed like that of perfectly random buckets (independent uniform
+    draws per distinct key) — mean within 3 standard errors, standard
+    deviation within [0.8, 1.25] of the reference's — and every run must
+    stay under its Lemma 3.1 envelope.  The degree-1 family on the same
+    harness shows the test has power."""
+
+    SEEDS, GRID, N = 200, (8, 8), 4096
+
+    @classmethod
+    def key_sets(cls):
+        """name -> (relation, its Lemma 3.1 envelope on the grid)."""
+        n, p = cls.N, math.prod(cls.GRID)
+        matching = matching_hash_bound(n, p).threshold
+        skew_free = skew_free_hash_threshold(n, list(cls.GRID))
+        side = 128
+
+        def rows(tuples):
+            return Relation.build("R", tuples)
+
+        return {
+            "matching": (rows((i, i) for i in range(n)), matching),
+            "uniform": (uniform_relation("R", n, 16 * n, seed=1), skew_free),
+            # Example B.2: one value in the first column.
+            "single heavy value": (rows((0, i) for i in range(n)),
+                                   3 * worst_case_hash_bound(n, list(cls.GRID))),
+            "stride 64": (rows((64 * i, 64 * i) for i in range(n)), matching),
+            "stride 256": (rows((256 * i, 256 * i) for i in range(n)), matching),
+            "128-wide grid": (
+                rows((i, j) for i in range(side) for j in range(side)),
+                skew_free_hash_threshold(side * side, list(cls.GRID)),
+            ),
+        }
+
+    def random_max_loads(self, relation):
+        """The reference: one independent uniform bucket per distinct key
+        and attribute, from a seeded generator."""
+        from numpy.random import default_rng
+
+        inverses = [np.unique(column, return_inverse=True)[1]
+                    for column in relation.batch.columns]
+        loads = []
+        for seed in range(self.SEEDS):
+            rng = default_rng(seed)
+            cells = np.zeros(len(relation), dtype=np.int64)
+            for inverse, share in zip(inverses, self.GRID):
+                cells = cells * share + rng.integers(
+                    0, share, inverse.max() + 1)[inverse]
+            loads.append(np.bincount(cells).max())
+        return np.array(loads)
+
+    def rejected(self, references):
+        """The key sets on which the current family fails the gate."""
+        failed = []
+        for name, (relation, envelope) in self.key_sets().items():
+            family = np.array([
+                max(hash_relation_loads(relation, self.GRID, seed=s).values())
+                for s in range(self.SEEDS)
+            ])
+            reference = references[name]
+            error = math.sqrt((family.var(ddof=1) + reference.var(ddof=1))
+                              / self.SEEDS)
+            ratio = family.std(ddof=1) / reference.std(ddof=1)
+            if (abs(family.mean() - reference.mean()) > 3 * error
+                    or not 0.8 <= ratio <= 1.25
+                    or family.max() > envelope):
+                failed.append(name)
+        return failed
+
+    def test_the_family_is_as_good_as_random_buckets(self, monkeypatch):
+        references = {name: self.random_max_loads(relation)
+                      for name, (relation, _) in self.key_sets().items()}
+        assert self.rejected(references) == []
+        monkeypatch.setattr(hashing, "DEGREE", 1)
+        assert {"matching", "single heavy value"} <= set(
+            self.rejected(references))

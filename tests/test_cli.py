@@ -299,6 +299,14 @@ class TestSweepCommand:
             main(["sweep", "q(x,y,z) :- S1(x,z), S2(y,z)", "--m", "50",
                   "--p", "4", "--skew", skew])
 
+    @pytest.mark.parametrize("seeds", ["99999999999999999999",
+                                       "0,-9223372036854775809"])
+    def test_sweep_rejects_a_seed_outside_int64(self, seeds):
+        """Six ``failed:OverflowError`` records and exit 0, before."""
+        with pytest.raises(SystemExit, match="seeds.*-2\\*\\*63"):
+            main(["sweep", "q(x,y,z) :- S1(x,z), S2(y,z)", "--m", "20",
+                  "--p", "4", "--workload", "uniform", "--seeds", seeds])
+
     def test_sweep_rejects_inapplicable_algorithm(self):
         with pytest.raises(SystemExit):
             main([

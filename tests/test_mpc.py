@@ -4,12 +4,16 @@ execution."""
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro
 from repro.data import uniform_relation
 from repro.mpc import (
     Cluster,
@@ -63,11 +67,6 @@ class TestHashFamily:
         for count in counts:
             assert 0.85 * expected < count < 1.15 * expected
 
-    def test_subfamily_differs(self):
-        h = HashFamily(5)
-        sub = h.subfamily("inner")
-        assert sub.raw("a", 1) != h.raw("a", 1) or sub.seed != h.seed
-
     def test_negative_values_hash(self):
         h = HashFamily(0)
         assert isinstance(h.raw("s", -12), int)
@@ -98,47 +97,73 @@ class TestHashFamily:
         with pytest.raises(ValueError):
             HashFamily(9).bucket_column("each", values, 0)
 
-    def test_one_digest_per_distinct_salt_and_value(self, monkeypatch):
-        """The memo holds raw digests: another bucket count — or a second
-        family on the same seed — under the same salt computes none, and a
-        wider column only the values it adds."""
-        digested = []
-        real = HashFamily._digests
-        monkeypatch.setattr(
-            HashFamily, "_digests",
-            lambda self, salt, values: digested.append(len(values))
-            or real(self, salt, values),
+    @given(
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        counts=st.lists(st.integers(1, 2**62), min_size=40, max_size=40),
+        seed=st.integers(-(2**63), 2**63 - 1),
+    )
+    def test_bucket_column_equals_the_scalar_bucket_over_int64(
+        self, values, counts, seed
+    ):
+        """Over the whole int64 range, with one bucket count for all and
+        with one per value: the column is the scalar, value by value."""
+        column = np.array(values, dtype=np.int64)
+        scalar = HashFamily(seed)
+        for buckets in (counts[0], counts[1] % 64 + 1):
+            assert HashFamily(seed).bucket_column(
+                "any", column, buckets
+            ).tolist() == [scalar.bucket("any", v, buckets) for v in values]
+        each = np.array(counts[:len(values)], dtype=np.int64)
+        assert HashFamily(seed).bucket_column("each", column, each).tolist() \
+            == [scalar.bucket("each", v, b) for v, b in zip(values, counts)]
+
+    def test_a_family_has_no_class_level_mutable_state(self):
+        """Nothing is shared between families or threads: what a family
+        caches (its polynomials) lives on the instance."""
+        for name, value in vars(HashFamily).items():
+            if not name.startswith("__"):
+                assert callable(value) or isinstance(value, property), name
+        first, second = HashFamily(3), HashFamily(3)
+        first.bucket_column("only-here", np.arange(5), 7)
+        assert vars(second)["_polynomials"] == {}
+
+    def test_columns_do_not_depend_on_the_hash_seed(self):
+        program = (
+            "import numpy as np; from repro.mpc import HashFamily; "
+            "print(HashFamily(11).bucket_column('hc:z', "
+            "np.arange(-500, 500) * 7919, 64).tolist())"
         )
-        family = HashFamily(77)
-        column = np.array([3, 1, 3, 2, 1, 3], dtype=np.int64)
-        first = family.bucket_column("once", column, 64)
-        assert digested == [3]
-        assert (family.bucket_column("once", column, 4) == first % 4).all()
-        HashFamily(77).bucket_column("once", column, 7)
-        assert digested == [3]
-        family.bucket_column("once", np.arange(6, dtype=np.int64), 7)
-        assert digested == [3, 3]  # 0, 4 and 5
-        family.bucket_column("twice", column, 7)
-        assert digested == [3, 3, 3]
-        values, raws = HashFamily._shared_tables[
-            (77).to_bytes(8, "little", signed=True), "once"
-        ]
-        assert values.tolist() == [0, 1, 2, 3, 4, 5]
-        assert raws.tolist() == [family.raw("once", v) for v in range(6)]
+
+        def column(hash_seed):
+            source = os.path.dirname(os.path.dirname(repro.__file__))
+            done = subprocess.run(
+                [sys.executable, "-c", program], text=True,
+                capture_output=True, timeout=60, check=True,
+                env={**os.environ, "PYTHONPATH": source,
+                     "PYTHONHASHSEED": hash_seed},
+            )
+            return done.stdout
+
+        assert column("0") == column("1")
+        assert column("0").strip() == str(HashFamily(11).bucket_column(
+            "hc:z", np.arange(-500, 500) * 7919, 64).tolist())
 
     def test_bucket_table_registry_survives_threads(self):
-        """The service routes jobs on several threads at once; every call
-        here mints a memo entry, so the shared registry evicts
-        continuously."""
+        """The service routes jobs on several threads at once: four of them
+        hashing thousands of salts get exactly the scalar buckets."""
         errors = []
-        values = np.arange(40)
+        values = np.arange(-20, 20)
 
         def mint(t):
             family = HashFamily(t % 2)
+            scalar = HashFamily(t % 2)
             try:
-                for i in range(4000):
-                    table = family.bucket_column(f"s{t}:{i}", values, 7)
-                    assert len(table) == 40
+                for i in range(1000):
+                    salt = f"s{t}:{i}"
+                    table = family.bucket_column(salt, values, 7)
+                    assert table.tolist() == [
+                        scalar.bucket(salt, v, 7) for v in range(-20, 20)
+                    ]
             except Exception as exc:
                 errors.append(exc)
 
@@ -156,23 +181,25 @@ class TestHashFamily:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(HashFamily._shared_tables) <= HashFamily._MAX_SHARED_TABLES
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_bucket_table_in_a_child_forked_inside_the_registry(self):
-        """A farm forked while another thread holds the registry lock must
-        not hand its workers a lock nobody will release."""
-        with HashFamily._shared_lock:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                    signal.alarm(5)  # a deadlocked child is killed
-                    HashFamily(0).bucket_column("forked", np.arange(8), 5)
-                    status = 0
-                finally:
-                    os._exit(status)
+        """A farm worker forked from a process that has hashed computes the
+        parent's column — there is no state a fork could leave behind."""
+        family = HashFamily(0)
+        values = np.arange(-50, 50) * 104729
+        expected = family.bucket_column("forked", values, 5)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(5)  # a hung child is killed
+                same = (family.bucket_column("forked", values, 5) == expected)
+                fresh = HashFamily(0).bucket_column("forked", values, 5)
+                status = 0 if same.all() and (fresh == expected).all() else 2
+            finally:
+                os._exit(status)
         assert os.waitpid(pid, 0)[1] == 0
 
 

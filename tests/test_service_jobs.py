@@ -375,6 +375,7 @@ class TestJobQueueUnit:
         ("skew", [2.0]),        # skew=1.0, and answered with its numbers
         ("skews", [-1.0]),      # drew an inverse Zipf, reported skew=-1.00
         ("skews", [float("nan")]),  # "skew": NaN in every record: not JSON
+        ("seeds", [2**63]),     # every cell failed: int too big to convert
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)
@@ -400,6 +401,7 @@ class TestJobQueueUnit:
         ("kind", "worst"),    # uniform at p=16
         ("skew", -1),
         ("skew", float("inf")),
+        ("seed", -(2**63) - 1),
     ])
     def test_malformed_catalog_spec_rejected_at_submit(
         self, kind, field, value

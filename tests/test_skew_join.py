@@ -160,13 +160,15 @@ class TestLoadBehaviour:
             assert ratio < 0.5, (p, ratio)
 
     def test_hash_join_falls_behind_as_skew_grows(self):
-        """E6's crossover series: hash-join load over skew-join load."""
+        """E6's crossover series: hash-join load over skew-join load.  At
+        skew 0 there is no heavy hitter and skew-join is a hash join on
+        another salt, so the ratio is 1 up to the hash sample."""
         ratios = [
             _load("hash", db, 32) / _load("skew", db, 32)
             for db in map(_sweep_db, (0.0, 1.0, 2.0))
         ]
-        assert ratios == sorted(ratios)  # 0.942, 1.203, 2.831
-        assert ratios[0] < 1.0 and ratios[-1] > 2.26
+        assert ratios == sorted(ratios)  # 0.986, 1.190, 3.093
+        assert 1 / 1.25 <= ratios[0] <= 1.25 and ratios[-1] > 2.26
 
     def test_matches_hash_join_on_uniform(self):
         """No heavy hitters: the plan degenerates to the plain hash join."""
