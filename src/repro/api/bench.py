@@ -42,6 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..mpc.farm import split_contiguous
 from ..obs import Observation
 from ..sketch import (
     RelationSketchSet,
@@ -201,10 +202,9 @@ def _merge_bit_identical(query, db, config) -> bool:
     first = RelationSketchSet.empty(query, domains, config)
     second = RelationSketchSet.empty(query, domains, config)
     for name in dict.fromkeys(atom.name for atom in query.atoms):
-        tuples = sorted(db.relation(name).tuples)
-        half = len(tuples) // 2
-        first.update_relation(name, tuples[:half])
-        second.update_relation(name, tuples[half:])
+        halves = split_contiguous(db.relation(name).batch, 2)
+        for shard, half in zip((first, second), halves):
+            shard.update(name, half.columns)
     merged = first.merge(second)
     return all(
         np.array_equal(mine, theirs)

@@ -84,15 +84,6 @@ def reported_fraction_bound(
     return min(bounds.values(), default=1.0)
 
 
-def expected_answers_for_db_stats(
-    query: ConjunctiveQuery,
-    cardinalities: Mapping[str, int],
-    domain_size: int,
-) -> float:
-    """Alias of Lemma A.1 with explicit arguments."""
-    return expected_answer_count(query, dict(cardinalities), domain_size)
-
-
 def bits_of_cardinalities(
     query: ConjunctiveQuery,
     cardinalities: Mapping[str, int],

@@ -167,16 +167,6 @@ def dual_share_solution(
     )
 
 
-def equal_share_exponents(query: ConjunctiveQuery, p: int) -> ShareExponents:
-    """The skew-resilient allocation ``e_i = 1/k`` (Corollary 3.2(ii))."""
-    k = query.num_variables
-    exponents = {var: Fraction(1, k) for var in query.variables}
-    # lambda is not defined by an LP here; report the worst-case exponent
-    # max_j (mu_j - sum_{i in S_j} 1/k) lazily as 0 — callers use the
-    # exponents only.
-    return ShareExponents(query=query, p=p, exponents=exponents, lam=Fraction(0))
-
-
 def afrati_ullman_share_exponents(
     query: ConjunctiveQuery,
     bits: Mapping[str, float],

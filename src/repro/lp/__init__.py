@@ -2,10 +2,8 @@
 
 from .fraction_utils import (
     DEFAULT_MAX_DENOMINATOR,
-    fraction_dot,
     log_base_fraction,
     to_fraction,
-    to_fraction_vector,
 )
 from .linalg import matrix_rank, solve_square_system
 from .polytope import (
@@ -19,10 +17,8 @@ from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult, maximize
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
-    "fraction_dot",
     "log_base_fraction",
     "to_fraction",
-    "to_fraction_vector",
     "matrix_rank",
     "solve_square_system",
     "HalfSpace",

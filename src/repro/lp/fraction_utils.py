@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Number = Fraction | int | float
 
@@ -32,12 +31,6 @@ def to_fraction(value: Number, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-def to_fraction_vector(
-    values: Iterable[Number], max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> list[Fraction]:
-    return [to_fraction(v, max_denominator) for v in values]
-
-
 def log_base_fraction(
     value: float, base: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR
 ) -> Fraction:
@@ -51,9 +44,3 @@ def log_base_fraction(
     if base <= 1:
         raise ValueError(f"log base must exceed 1, got {base!r}")
     return Fraction(math.log(value) / math.log(base)).limit_denominator(max_denominator)
-
-
-def fraction_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError(f"dot product of mismatched lengths {len(a)} != {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), start=Fraction(0))

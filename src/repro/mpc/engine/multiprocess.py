@@ -42,7 +42,7 @@ from ...query.atoms import ConjunctiveQuery
 from ...seq.join import Answers
 from ...seq.relation import Batch
 from ..execution import RoutingPlan
-from ..farm import Farm, FarmUnavailable, check_workers
+from ..farm import Farm, FarmUnavailable, check_workers, split_contiguous
 from .base import EngineError
 from .batched import BatchedEngine
 from .shard import InProcessShards, Shard
@@ -56,21 +56,6 @@ def _shard_task(shards: InProcessShards, task: tuple) -> object:
     ``("join", delivered)`` against the round's shard kernel."""
     method, *args = task
     return getattr(shards, method)(*args)
-
-
-def _chunks(items: "list | Batch", pieces: int) -> list:
-    """Split ``items`` into at most ``pieces`` contiguous nonempty chunks
-    (slices: of a list, or of a batch's columns)."""
-    if not items:
-        return []
-    pieces = min(pieces, len(items))
-    size, extra = divmod(len(items), pieces)
-    out, start = [], 0
-    for i in range(pieces):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
 
 
 class _FarmShards:
@@ -87,7 +72,8 @@ class _FarmShards:
         self.local = local
 
     def route(self, relation_name: str, batch: Batch) -> list[Shard]:
-        chunks = _chunks(batch, self.workers) or [batch]  # at least one
+        # At least one chunk, also for an empty relation.
+        chunks = split_contiguous(batch, self.workers) or [batch]
         shards = [shard for (shard,) in self._run(
             "route", f"relation {relation_name!r}", "tuples", chunks,
             [(relation_name, chunk) for chunk in chunks],
@@ -104,7 +90,7 @@ class _FarmShards:
         occupied = np.flatnonzero(np.bincount(np.concatenate(
             [columns[-1] for columns in delivered.values()]
         )))
-        chunks = _chunks(occupied.tolist(), self.workers)
+        chunks = split_contiguous(occupied.tolist(), self.workers)
         parts = self._run("join", "the local joins", "servers", chunks, [
             ({name: columns[:, (chunk[0] <= columns[-1])
                             & (columns[-1] <= chunk[-1])]

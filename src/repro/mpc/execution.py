@@ -74,9 +74,8 @@ class RoutingPlan(ABC):
 
     What the batched engines consume — :meth:`deliveries` when the local
     joins are wanted, :meth:`destination_counts` for load-only rounds — is
-    derived from the claims here, once, for every plan, like
-    :meth:`destinations_batch`, the deliveries regrouped by tuple (all take
-    a plain sequence of tuples too and make the batch).  Every in-tree
+    derived from the claims here, once, for every plan (both take a plain
+    sequence of tuples too and make the batch).  Every in-tree
     plan implements :meth:`claims` natively, column-at-a-time
     (``tests/test_routing_contract.py`` checks it against the scalar
     definition and that no registered algorithm inherits the default).  The
@@ -135,22 +134,6 @@ class RoutingPlan(ABC):
             repeated[order] = ~starts_run(pairs[:, order])
             pairs = pairs[:, ~repeated]
         return pairs[0], pairs[1]
-
-    def destinations_batch(
-        self, relation_name: str, tuples: Batch | Sequence[Tuple]
-    ) -> list[tuple[int, ...]]:
-        """Destinations for a whole batch of tuples of one relation.
-
-        Returns one *duplicate-free* tuple of server indices per input
-        tuple, in input order: the :meth:`deliveries`, regrouped by tuple.
-        """
-        batch = Batch.of(tuples)
-        indices, servers = self.deliveries(relation_name, batch)
-        by_tuple = servers[np.argsort(indices, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(indices, minlength=len(batch))).tolist()
-        return [
-            tuple(by_tuple[start:end]) for start, end in zip([0] + ends, ends)
-        ]
 
     def destination_counts(
         self, relation_name: str, tuples: Batch | Sequence[Tuple]

@@ -35,7 +35,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Sized
 
 
 class FarmUnavailable(OSError):
@@ -51,6 +51,22 @@ def check_workers(workers: int) -> int:
             f"worker count must be an integer >= 1, got {workers!r}"
         )
     return workers
+
+
+def split_contiguous(items: Sized, pieces: int) -> list:
+    """Split ``items`` into at most ``pieces`` contiguous nonempty chunks
+    (slices: of a list, or of a batch's columns) — how the ``mp`` engine
+    and the sketch pass cut their work for the workers."""
+    if not items:
+        return []
+    pieces = min(pieces, len(items))
+    size, extra = divmod(len(items), pieces)
+    out, start = [], 0
+    for i in range(pieces):
+        end = start + size + (1 if i < extra else 0)
+        out.append(items[start:end])
+        start = end
+    return out
 
 
 @dataclass(frozen=True)

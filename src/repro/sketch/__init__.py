@@ -1,10 +1,11 @@
 """Sketch-based statistics: one-pass, mergeable heavy-hitter estimation.
 
-The streaming counterpart of :mod:`repro.stats` — Count-Sketches with
-hierarchical heavy-hitter recovery, combined into
-:class:`SketchedHeavyHitterStatistics`, a drop-in
-:class:`~repro.stats.provider.StatisticsProvider` for the planner and
-the Section 4 skew-aware algorithms.
+The estimating counterpart of :mod:`repro.stats` — Count-Sketches fed each
+relation's int64 columns in one pass (or one pass per column slice, merged
+by table addition), with hierarchical heavy-hitter recovery, combined into
+:class:`SketchedHeavyHitterStatistics`: a
+:class:`~repro.stats.provider.StatisticsProvider` subclass, like the exact
+statistics, for the planner and the Section 4 skew-aware algorithms.
 """
 
 from .count_sketch import (
@@ -20,7 +21,6 @@ from .statistics import (
     SketchConfig,
     SketchedHeavyHitterStatistics,
     build_sketch_set,
-    build_sketch_set_from_stream,
     sketch_fidelity,
 )
 
@@ -35,6 +35,5 @@ __all__ = [
     "SketchConfig",
     "SketchedHeavyHitterStatistics",
     "build_sketch_set",
-    "build_sketch_set_from_stream",
     "sketch_fidelity",
 ]

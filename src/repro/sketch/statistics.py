@@ -1,22 +1,25 @@
-"""Sketched heavy-hitter statistics: one streaming pass, mergeable shards.
+"""Sketched heavy-hitter statistics: one pass over int64 columns, mergeable
+shards.
 
-The exact :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics`
-materializes a frequency map per (relation, variable-subset) pair — fine
-for a simulator, but the thing the paper hand-waves as "first detecting
-the heavy hitters (e.g. using sampling)" is a *statistics pass* that real
-systems must run in bounded memory.  This module models that pass:
+The exact :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics` counts
+every frequency of every (relation, variable-subset) pair — fine for a
+simulator, but the thing the paper hand-waves as "first detecting the heavy
+hitters (e.g. using sampling)" is a *statistics pass* whose state must not
+grow with the data.  This module models that pass:
 
 * every (atom, subset) pair gets one
   :class:`~repro.sketch.count_sketch.HierarchicalCountSketch`; a partial
   assignment is encoded as a mixed-radix integer over the relation's
   domain, so the sketch universe is ``n^|subset|``;
 * :class:`RelationSketchSet` holds the sketches for a whole query and is
-  built in a single pass over each relation's tuples — or one pass per
-  *shard*, since same-config sketch sets :meth:`~RelationSketchSet.merge`
-  by exact integer addition (bit-identical to the single-pass build);
+  updated from each relation's ``(arity, m)`` int64 columns
+  (``Relation.batch.columns``), :data:`CHUNK_SIZE` tuples at a time — in
+  one pass, or one pass per contiguous column slice on the process farm,
+  since same-config sketch sets :meth:`~RelationSketchSet.merge` by exact
+  integer addition (bit-identical to the single pass);
 * :class:`SketchedHeavyHitterStatistics` recovers the heavy hitters from
-  the sketches by prefix descent and implements the same
-  :class:`~repro.stats.provider.StatisticsProvider` surface as the exact
+  the sketches by prefix descent; it is a
+  :class:`~repro.stats.provider.StatisticsProvider` like the exact
   statistics, so the planner and the skew-aware algorithms accept either.
 
 The recovery threshold is *slacked below* the true ``m_j / p`` cutoff by
@@ -31,21 +34,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..mpc.farm import Farm, FarmUnavailable, check_workers
+from ..mpc.farm import Farm, FarmUnavailable, check_workers, split_contiguous
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Batch, Database
 from ..stats.cardinality import SimpleStatistics, StatisticsError
-from ..stats.heavy_hitters import (
+from ..stats.heavy_hitters import HeavyHitterStatistics, nonempty_subsets
+from ..stats.provider import (
     Assignment,
-    HeavyHitterLookup,
-    HeavyHitterStatistics,
+    StatisticsProvider,
     VarSubset,
     canonical_subset,
-    nonempty_subsets,
 )
 from .count_sketch import LARGE_PRIME, HierarchicalCountSketch, SketchError
 
@@ -88,7 +90,7 @@ class SketchConfig:
 SLACK_FACTOR = 3.0
 #: Cap on the prefix-descent frontier (handed to ``find_heavy``).
 MAX_CANDIDATES = 1 << 16
-#: Tuples per vectorized update batch during the streaming pass.
+#: Tuples per vectorized sketch update: bounds the hashing temporaries.
 CHUNK_SIZE = 8192
 
 
@@ -143,13 +145,14 @@ class RelationSketchSpec:
             universe=max(1, universe),
         )
 
-    def encode_batch(self, tuples: np.ndarray) -> np.ndarray:
-        """Mixed-radix items for a 2-D ``(n_tuples, arity)`` value array."""
-        items = np.zeros(tuples.shape[0], dtype=np.uint64)
+    def encode(self, columns: np.ndarray) -> np.ndarray:
+        """Mixed-radix items for an ``(arity, n_tuples)`` int64 column
+        array."""
+        items = np.zeros(columns.shape[1], dtype=np.uint64)
         radix = np.uint64(1)
         n = np.uint64(self.domain_size)
         for pos in self.positions:
-            items += tuples[:, pos].astype(np.uint64) * radix
+            items += columns[pos].astype(np.uint64) * radix
             radix *= n
         return items
 
@@ -166,16 +169,14 @@ class RelationSketchSpec:
 class RelationSketchSet:
     """One hierarchical sketch per (atom, subset) pair of a query.
 
-    Built by streaming each relation's tuples through
-    :meth:`update_relation` (in bounded-size numpy batches); per-shard
-    sets with the same config merge by exact table addition, so the
-    sharded build is bit-identical to the single-pass one.
+    :meth:`update` feeds it a relation's int64 columns; sets with the
+    same config merge by exact table addition, so a build from column
+    slices is bit-identical to the single pass.
     """
 
     config: SketchConfig
     specs: Mapping[tuple[str, VarSubset], RelationSketchSpec]
     sketches: Mapping[tuple[str, VarSubset], HierarchicalCountSketch]
-    tuple_counts: dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, query: ConjunctiveQuery, db_domains: Mapping[str, int],
@@ -207,42 +208,21 @@ class RelationSketchSet:
                     base=config.base,
                     seed=_pair_seed(config.seed, atom.name, subset),
                 )
-        return cls(config=config, specs=specs, sketches=sketches,
-                   tuple_counts={})
+        return cls(config=config, specs=specs, sketches=sketches)
 
-    # ------------------------------------------------------------------
-    # the streaming pass
-    # ------------------------------------------------------------------
-    def update_relation(self, atom_name: str,
-                        tuples: Iterable[Tuple]) -> None:
-        """Stream one relation's tuples through all its subset sketches.
+    def update(self, atom_name: str, columns: np.ndarray) -> None:
+        """Add a relation's tuples, given as its ``(arity, n)`` int64
+        columns, to every subset sketch of that relation.
 
-        One pass: each bounded-size chunk is encoded once per subset and
-        pushed into that subset's sketch; nothing is retained besides the
-        sketch tables, so the pass runs in memory independent of ``m_j``.
+        The columns are hashed :data:`CHUNK_SIZE` tuples at a time, so the
+        temporaries stay bounded however many tuples there are; nothing
+        but the sketch tables is kept.
         """
         keys = [key for key in self.specs if key[0] == atom_name]
-        if not keys:
-            return
-        chunk: list[Tuple] = []
-        for tup in tuples:
-            chunk.append(tup)
-            if len(chunk) >= CHUNK_SIZE:
-                self._flush(atom_name, keys, chunk)
-                chunk = []
-        if chunk:
-            self._flush(atom_name, keys, chunk)
-
-    def _flush(self, atom_name: str,
-               keys: Sequence[tuple[str, VarSubset]],
-               chunk: Sequence[Tuple]) -> None:
-        array = np.asarray(chunk, dtype=np.uint64)
-        for key in keys:
-            items = self.specs[key].encode_batch(array)
-            self.sketches[key].update_batch(items)
-        self.tuple_counts[atom_name] = (
-            self.tuple_counts.get(atom_name, 0) + len(chunk)
-        )
+        for start in range(0, columns.shape[1], CHUNK_SIZE):
+            piece = columns[:, start:start + CHUNK_SIZE]
+            for key in keys:
+                self.sketches[key].update_batch(self.specs[key].encode(piece))
 
     @property
     def update_count(self) -> int:
@@ -261,8 +241,6 @@ class RelationSketchSet:
             )
         for key, sketch in self.sketches.items():
             sketch.merge(other.sketches[key])
-        for name, count in other.tuple_counts.items():
-            self.tuple_counts[name] = self.tuple_counts.get(name, 0) + count
         return self
 
 
@@ -270,12 +248,12 @@ def _build_shard(
     query: ConjunctiveQuery,
     domains: Mapping[str, int],
     config: SketchConfig,
-    chunks: list[tuple[str, list[Tuple]]],
+    pieces: list[tuple[str, Batch]],
 ) -> RelationSketchSet:
-    """Farm task: sketch one shard's tuple chunks into a fresh sketch set."""
+    """Farm task: sketch one shard's batches into a fresh sketch set."""
     shard = RelationSketchSet.empty(query, domains, config)
-    for atom_name, tuples in chunks:
-        shard.update_relation(atom_name, tuples)
+    for atom_name, batch in pieces:
+        shard.update(atom_name, batch.columns)
     return shard
 
 
@@ -287,31 +265,30 @@ def build_sketch_set(
 ) -> RelationSketchSet:
     """Sketch every relation of ``query`` in one pass over ``db``.
 
-    With ``workers > 1`` the relations' tuples are split into per-worker
-    shards, each worker of a :class:`repro.mpc.farm.Farm` sketches its
-    shard independently, and the parent merges — the result is
-    bit-identical to the single-pass build because same-seed sketches
-    merge by exact integer addition.  A shard whose worker raised or died
-    is a :class:`SketchError`; only when no worker process can be started
-    at all does the build run single-pass instead.
+    With ``workers > 1`` each relation's batch is cut into contiguous
+    slices as the ``mp`` engine cuts it, shard ``w`` takes the ``w``-th
+    slice of every relation, each worker of a :class:`repro.mpc.farm.Farm`
+    sketches its shard, and the parent merges — bit-identical to the
+    single pass because same-seed sketches merge by exact integer
+    addition.  A shard whose worker raised or died is a
+    :class:`SketchError`; only when no worker process can be started at
+    all does the build run single-pass instead.
     """
     domains = {
         atom.name: db.relation(atom.name).domain_size for atom in query.atoms
     }
-    names = list(dict.fromkeys(atom.name for atom in query.atoms))
-    single_pass = [(name, db.relation(name).tuples) for name in names]
+    single_pass = [
+        (name, db.relation(name).batch)
+        for name in dict.fromkeys(atom.name for atom in query.atoms)
+    ]
     if check_workers(workers) == 1:
         return _build_shard(query, domains, config, single_pass)
 
-    # Deal tuples round-robin into `workers` shards per relation.
-    shards: list[list[tuple[str, list[Tuple]]]] = [[] for _ in range(workers)]
-    for name in names:
-        tuples = list(db.relation(name).tuples)
-        for w in range(workers):
-            shard_tuples = tuples[w::workers]
-            if shard_tuples:
-                shards[w].append((name, shard_tuples))
-    tasks = [chunks for chunks in shards if chunks]
+    shards: list[list[tuple[str, Batch]]] = [[] for _ in range(workers)]
+    for name, batch in single_pass:
+        for shard, piece in zip(shards, split_contiguous(batch, workers)):
+            shard.append((name, piece))
+    tasks = [pieces for pieces in shards if pieces]
     if not tasks:
         return RelationSketchSet.empty(query, domains, config)
     try:
@@ -332,66 +309,16 @@ def build_sketch_set(
     return merged
 
 
-def build_sketch_set_from_stream(
-    query: ConjunctiveQuery,
-    streams: Mapping[str, Iterable[Tuple]],
-    domains: Mapping[str, int],
-    config: SketchConfig | None = None,
-) -> RelationSketchSet:
-    """Sketch every relation of ``query`` from *unmaterialized* sources.
-
-    The true streaming twin of :func:`build_sketch_set`: ``streams`` maps
-    each relation name to any tuple iterable — a generator over a file, a
-    socket, a cursor — which is consumed exactly once in bounded-size
-    chunks and never materialized as a :class:`~repro.seq.relation.Relation`.
-    ``domains`` declares each relation's domain size ``n`` (a stream
-    cannot be inspected for it up front).  Tuple counts are tallied
-    during the pass and land in
-    :attr:`RelationSketchSet.tuple_counts`, so downstream statistics
-    need no second pass.
-    """
-    config = config or SketchConfig()
-    names = dict.fromkeys(atom.name for atom in query.atoms)
-    missing = [name for name in names if name not in streams]
-    if missing:
-        raise StatisticsError(
-            f"streams are missing relations {missing} of query "
-            f"{query.name!r}"
-        )
-    unknown = [name for name in streams if name not in names]
-    if unknown:
-        raise StatisticsError(
-            f"streams name relations {unknown} that are not atoms of "
-            f"query {query.name!r}"
-        )
-    missing_domains = [name for name in names if name not in domains]
-    if missing_domains:
-        raise StatisticsError(
-            f"domains are missing relations {missing_domains}"
-        )
-    for name, domain in domains.items():
-        if domain < 1:
-            raise StatisticsError(
-                f"domain size for {name!r} must be >= 1, got {domain}"
-            )
-    sketch_set = RelationSketchSet.empty(query, domains, config)
-    for name in names:
-        sketch_set.update_relation(name, streams[name])
-        sketch_set.tuple_counts.setdefault(name, 0)  # empty streams count 0
-    return sketch_set
-
-
 # ----------------------------------------------------------------------
 # the provider
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SketchedHeavyHitterStatistics(HeavyHitterLookup):
+class SketchedHeavyHitterStatistics(StatisticsProvider):
     """Heavy hitters recovered from Count-Sketches, planner-compatible.
 
-    Satisfies :class:`~repro.stats.provider.StatisticsProvider` — the
-    same read surface as the exact
-    :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics` — so it
+    A :class:`~repro.stats.provider.StatisticsProvider` like the exact
+    :class:`~repro.stats.heavy_hitters.HeavyHitterStatistics`, so it
     drops into ``plan``/``autoplan`` and every skew-aware algorithm's
     cost hooks unchanged.  Frequencies in ``hitters`` are sketch
     *estimates* (clamped to ``[1, m_j]``); the recovery threshold is
@@ -399,10 +326,6 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
     than missed (see the module docstring for why that bias is safe).
     """
 
-    simple: SimpleStatistics
-    p: int
-    threshold_factor: float
-    hitters: Mapping[tuple[str, VarSubset], Mapping[Assignment, int]]
     config: SketchConfig
     update_count: int
     sketch_set: RelationSketchSet = field(compare=False, repr=False)
@@ -418,7 +341,7 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
         workers: int = 1,
         obs: "Observation | None" = None,
     ) -> "SketchedHeavyHitterStatistics":
-        """One streaming statistics pass over ``db`` for ``query``.
+        """One statistics pass over ``db`` for ``query``, then recovery.
 
         The sketched twin of :meth:`HeavyHitterStatistics.of`: same
         signature prefix, same thresholds, estimated frequencies.
@@ -433,85 +356,10 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
         with maybe_timed(obs, "stats.sketch_pass", workers=workers):
             sketch_set = build_sketch_set(query, db, config, workers=workers)
         simple = SimpleStatistics.of(db)
-        stats = cls.from_sketch_set(
-            query, simple, sketch_set, p,
-            threshold_factor=threshold_factor, obs=obs,
-        )
-        if obs is not None:
-            obs.set_gauge("sketch.width", config.width)
-            obs.set_gauge("sketch.depth", config.depth)
-            obs.count("sketch.updates", sketch_set.update_count)
-        return stats
-
-    @classmethod
-    def from_stream(
-        cls,
-        query: ConjunctiveQuery,
-        streams: Mapping[str, Iterable[Tuple]],
-        domains: Mapping[str, int],
-        p: int,
-        threshold_factor: float = 1.0,
-        config: SketchConfig | None = None,
-        obs: "Observation | None" = None,
-    ) -> "SketchedHeavyHitterStatistics":
-        """One statistics pass over *unmaterialized* tuple streams.
-
-        Consumes each stream exactly once through
-        :func:`build_sketch_set_from_stream`; relation cardinalities come
-        from the pass's own tuple tally, so no :class:`Database` (or
-        second pass) is ever needed.  ``domains`` maps each relation name
-        to its domain size ``n``.
-        """
-        from ..obs import maybe_timed
-
-        if p < 1:
-            raise StatisticsError("p must be >= 1")
-        config = config or SketchConfig()
-        with maybe_timed(obs, "stats.sketch_pass", workers=1, source="stream"):
-            sketch_set = build_sketch_set_from_stream(
-                query, streams, domains, config
-            )
-        simple = SimpleStatistics.from_cardinalities(
-            query, dict(sketch_set.tuple_counts),
-            max(domains[atom.name] for atom in query.atoms),
-        )
-        stats = cls.from_sketch_set(
-            query, simple, sketch_set, p,
-            threshold_factor=threshold_factor, obs=obs,
-        )
-        if obs is not None:
-            obs.set_gauge("sketch.width", config.width)
-            obs.set_gauge("sketch.depth", config.depth)
-            obs.count("sketch.updates", sketch_set.update_count)
-        return stats
-
-    @classmethod
-    def from_sketch_set(
-        cls,
-        query: ConjunctiveQuery,
-        simple: SimpleStatistics,
-        sketch_set: RelationSketchSet,
-        p: int,
-        threshold_factor: float = 1.0,
-        obs: "Observation | None" = None,
-    ) -> "SketchedHeavyHitterStatistics":
-        """Recover heavy hitters from already-built (merged) sketches.
-
-        This is the entry point for distributed builds: workers stream
-        their shards into per-shard :class:`RelationSketchSet`\\ s, the
-        coordinator merges them, then recovers here.  Only relation
-        cardinalities (``simple``) are needed besides the sketches.
-        """
-        from ..obs import maybe_timed
-
-        if p < 1:
-            raise StatisticsError("p must be >= 1")
-        config = sketch_set.config
         hitters: dict[tuple[str, VarSubset], dict[Assignment, int]] = {}
         with maybe_timed(obs, "stats.sketch_recover"):
             for key, spec in sketch_set.specs.items():
-                atom_name = key[0]
-                m = simple.cardinality(atom_name)
+                m = simple.cardinality(key[0])
                 threshold = threshold_factor * m / p
                 sketch = sketch_set.sketches[key]
                 slack = SLACK_FACTOR * sketch.noise_scale()
@@ -523,6 +371,10 @@ class SketchedHeavyHitterStatistics(HeavyHitterLookup):
                     spec.decode(item): max(1, min(m, round(freq)))
                     for item, freq in found.items()
                 }
+        if obs is not None:
+            obs.set_gauge("sketch.width", config.width)
+            obs.set_gauge("sketch.depth", config.depth)
+            obs.count("sketch.updates", sketch_set.update_count)
         return cls(
             simple=simple,
             p=p,

@@ -14,18 +14,18 @@ from .cardinality import SimpleStatistics, StatisticsError
 from .degrees import DegreeStatistics
 from .heavy_hitters import (
     MAX_SUBSET_VARIABLES,
-    Assignment,
-    HeavyHitterLookup,
     HeavyHitterStatistics,
-    VarSubset,
-    canonical_subset,
     nonempty_subsets,
 )
-from .provider import StatisticsProvider
+from .provider import (
+    Assignment,
+    StatisticsProvider,
+    VarSubset,
+    canonical_subset,
+)
 
 __all__ = [
     "MAX_SUBSET_VARIABLES",
-    "HeavyHitterLookup",
     "StatisticsProvider",
     "nonempty_subsets",
     "BinCombination",

@@ -8,21 +8,26 @@ exceeds ``m_j / p`` (Section 4.2).  There are fewer than ``p`` heavy hitters
 per (relation, subset) pair, so the statistics stay ``O(p)``-sized.
 
 The one-round algorithms assume every input server knows these statistics;
-:meth:`HeavyHitterStatistics.of` extracts them exactly from a database, which
-models the sampling/statistics pass of practical systems.
+:meth:`HeavyHitterStatistics.of` counts them exactly on a database's int64
+columns; :class:`repro.sketch.SketchedHeavyHitterStatistics` estimates them
+in one bounded-state pass over the same columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..query.atoms import ConjunctiveQuery
 from ..seq.relation import Database, Relation, distinct_values
 from .cardinality import SimpleStatistics, StatisticsError
-from .provider import Assignment, VarSubset
+from .provider import (
+    Assignment,
+    StatisticsProvider,
+    VarSubset,
+    canonical_subset,
+)
 
 
 #: Cap on the per-atom variable count before the ``2^n - 1`` subset
@@ -31,10 +36,6 @@ from .provider import Assignment, VarSubset
 #: thousands of frequency maps for a high-arity atom is a far worse
 #: failure mode than a clear error.
 MAX_SUBSET_VARIABLES = 12
-
-
-def canonical_subset(variables: Iterable[str]) -> VarSubset:
-    return tuple(sorted(set(variables)))
 
 
 def nonempty_subsets(variables: VarSubset) -> list[VarSubset]:
@@ -59,56 +60,6 @@ def nonempty_subsets(variables: VarSubset) -> list[VarSubset]:
     return subsets
 
 
-class HeavyHitterLookup:
-    """The read side of heavy-hitter statistics, shared by the exact and
-    the sketched providers (both satisfy
-    :class:`repro.stats.provider.StatisticsProvider`).
-
-    Implementations supply ``simple``, ``p``, ``threshold_factor`` and a
-    ``hitters`` mapping ``(atom_name, subset) -> {assignment: frequency}``
-    in canonical (sorted-variable) order.
-    """
-
-    simple: SimpleStatistics
-    p: int
-    threshold_factor: float
-    hitters: Mapping[tuple[str, VarSubset], Mapping[Assignment, int]]
-
-    def threshold(self, atom_name: str) -> float:
-        """The heavy-hitter frequency threshold ``m_j / p`` (scaled)."""
-        return self.threshold_factor * self.simple.cardinality(atom_name) / self.p
-
-    def heavy_hitters(
-        self, atom_name: str, variables: Iterable[str]
-    ) -> Mapping[Assignment, int]:
-        """Heavy assignments (and frequencies) for an atom/subset pair."""
-        key = (atom_name, canonical_subset(variables))
-        return self.hitters.get(key, {})
-
-    def frequency(
-        self, atom_name: str, variables: Iterable[str], assignment: Assignment
-    ) -> int | None:
-        """``m_j(h_j)`` if heavy; ``None`` means light (``<= m_j/p``)."""
-        return self.heavy_hitters(atom_name, variables).get(tuple(assignment))
-
-    def is_heavy(
-        self, atom_name: str, variables: Iterable[str], assignment: Assignment
-    ) -> bool:
-        return tuple(assignment) in self.heavy_hitters(atom_name, variables)
-
-    def frequency_or_light_bound(
-        self, atom_name: str, variables: Iterable[str], assignment: Assignment
-    ) -> float:
-        """Known frequency for heavy hitters; the ``m_j/p`` bound otherwise."""
-        freq = self.frequency(atom_name, variables, assignment)
-        if freq is not None:
-            return float(freq)
-        return self.threshold(atom_name)
-
-    def total_heavy_count(self) -> int:
-        return sum(len(mapping) for mapping in self.hitters.values())
-
-
 def _heavy_values(
     relation: Relation, position: int, threshold: float
 ) -> dict[Assignment, int]:
@@ -125,27 +76,8 @@ def _heavy_values(
 
 
 @dataclass(frozen=True)
-class HeavyHitterStatistics(HeavyHitterLookup):
-    """Exact heavy hitters of every (relation, variable-subset) pair.
-
-    Attributes
-    ----------
-    simple:
-        The underlying cardinality statistics.
-    p:
-        Number of servers the thresholds were computed against.
-    threshold_factor:
-        Heavy iff ``m_j(h_j) > threshold_factor * m_j / p``.  The paper uses
-        factor 1; lowering it (e.g. ``1 / log p``) is an ablation knob.
-    hitters:
-        ``(atom_name, subset) -> {assignment: frequency}`` with subsets and
-        assignments in canonical (sorted-variable) order.
-    """
-
-    simple: SimpleStatistics
-    p: int
-    threshold_factor: float
-    hitters: Mapping[tuple[str, VarSubset], Mapping[Assignment, int]]
+class HeavyHitterStatistics(StatisticsProvider):
+    """Exact heavy hitters of every (relation, variable-subset) pair."""
 
     @classmethod
     def of(
@@ -179,64 +111,6 @@ class HeavyHitterStatistics(HeavyHitterLookup):
                         in relation.frequencies(positions).items()
                         if count > threshold
                     }
-                hitters[(atom.name, subset)] = heavy
-        return cls(
-            simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters
-        )
-
-    @classmethod
-    def estimate(
-        cls,
-        query: ConjunctiveQuery,
-        db: Database,
-        p: int,
-        sample_rate: float = 0.1,
-        seed: int = 0,
-        threshold_factor: float = 1.0,
-    ) -> "HeavyHitterStatistics":
-        """Sampling-based heavy-hitter detection.
-
-        Models the statistics pass of practical systems (the paper's
-        introduction: "first detecting the heavy hitters (e.g. using
-        sampling)"): scan a Bernoulli sample of each relation, scale the
-        sampled frequencies by ``1/sample_rate``, and keep the assignments
-        whose *estimate* crosses the threshold.  Frequencies are therefore
-        approximate — which is all the algorithms need, since the Section
-        4.2 bins are factor-2 coarse by design.
-
-        The one-round algorithms stay *correct* with estimated statistics:
-        routing only requires every input server to classify values
-        consistently, and they all share the same statistics object.
-        """
-        import random
-
-        if not 0 < sample_rate <= 1:
-            raise StatisticsError("sample_rate must lie in (0, 1]")
-        if p < 1:
-            raise StatisticsError("p must be >= 1")
-        simple = SimpleStatistics.of(db)
-        rng = random.Random(f"hh-sample:{seed}")
-        hitters: dict[tuple[str, VarSubset], dict[Assignment, int]] = {}
-        for atom in query.atoms:
-            relation = db.relation(atom.name)
-            sampled = [
-                t for t in sorted(relation.tuples) if rng.random() < sample_rate
-            ]
-            threshold = threshold_factor * relation.cardinality / p
-            atom_vars = canonical_subset(atom.variables)
-            for subset in nonempty_subsets(atom_vars):
-                positions = [atom.positions_of(var)[0] for var in subset]
-                counts: dict[Assignment, int] = {}
-                for t in sampled:
-                    key = tuple(t[pos] for pos in positions)
-                    counts[key] = counts.get(key, 0) + 1
-                heavy = {}
-                for assignment, count in counts.items():
-                    estimate = count / sample_rate
-                    if estimate > threshold:
-                        heavy[assignment] = min(
-                            relation.cardinality, round(estimate)
-                        )
                 hitters[(atom.name, subset)] = heavy
         return cls(
             simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters

@@ -1,93 +1,8 @@
-"""Tests for the extension features: sampled heavy-hitter statistics and the
-Afrati-Ullman total-load share optimizer."""
+"""Tests for the Afrati-Ullman total-load share optimizer, the extension
+that E1's ablation compares LP (5) against."""
 
-import math
-
-import pytest
-
-from repro.core import (
-    BinHyperCubeAlgorithm,
-    SkewAwareJoin,
-    afrati_ullman_share_exponents,
-    optimal_share_exponents,
-)
-from repro.data import planted_heavy_relation, uniform_relation, zipf_relation
-from repro.mpc import run_one_round
+from repro.core import afrati_ullman_share_exponents, optimal_share_exponents
 from repro.query import chain_query, simple_join_query, star_query, triangle_query
-from repro.seq import Database
-from repro.stats import HeavyHitterStatistics, StatisticsError
-
-
-class TestSampledHeavyHitters:
-    def _skewed_db(self):
-        return Database.from_relations(
-            [
-                planted_heavy_relation(
-                    "S1", 600, 1800, heavy_values=[0, 1], heavy_fraction=0.6,
-                    seed=1,
-                ),
-                zipf_relation("S2", 600, 1800, skew=1.3, seed=2),
-            ]
-        )
-
-    def test_detects_planted_heavy_values(self):
-        q = simple_join_query()
-        db = self._skewed_db()
-        estimated = HeavyHitterStatistics.estimate(
-            q, db, p=8, sample_rate=0.3, seed=0
-        )
-        heavy = estimated.heavy_hitters("S1", ("z",))
-        assert (0,) in heavy and (1,) in heavy
-
-    def test_estimates_close_to_truth(self):
-        q = simple_join_query()
-        db = self._skewed_db()
-        exact = HeavyHitterStatistics.of(q, db, p=8)
-        estimated = HeavyHitterStatistics.estimate(
-            q, db, p=8, sample_rate=0.5, seed=3
-        )
-        for assignment, truth in exact.heavy_hitters("S1", ("z",)).items():
-            guess = estimated.frequency("S1", ("z",), assignment)
-            if guess is not None:
-                assert 0.5 * truth <= guess <= 2.0 * truth
-
-    def test_full_sample_rate_matches_exact_detection(self):
-        q = simple_join_query()
-        db = self._skewed_db()
-        exact = HeavyHitterStatistics.of(q, db, p=8)
-        full = HeavyHitterStatistics.estimate(q, db, p=8, sample_rate=1.0)
-        for key, hitters in exact.hitters.items():
-            assert set(full.hitters[key]) == set(hitters)
-
-    def test_algorithms_complete_with_estimated_statistics(self):
-        """Correctness only needs *consistent* statistics, not exact ones."""
-        q = simple_join_query()
-        db = self._skewed_db()
-        p = 8
-        estimated = HeavyHitterStatistics.estimate(
-            q, db, p=p, sample_rate=0.2, seed=4
-        )
-        for algorithm in (
-            SkewAwareJoin(q, stats=estimated),
-            BinHyperCubeAlgorithm(q, stats=estimated),
-        ):
-            result = run_one_round(algorithm, db, p, verify=True)
-            assert result.is_complete, algorithm.name
-
-    def test_validation(self):
-        q = simple_join_query()
-        db = self._skewed_db()
-        with pytest.raises(StatisticsError):
-            HeavyHitterStatistics.estimate(q, db, p=8, sample_rate=0.0)
-        with pytest.raises(StatisticsError):
-            HeavyHitterStatistics.estimate(q, db, p=0, sample_rate=0.5)
-
-    def test_deterministic_given_seed(self):
-        q = simple_join_query()
-        db = self._skewed_db()
-        a = HeavyHitterStatistics.estimate(q, db, p=8, sample_rate=0.3, seed=7)
-        b = HeavyHitterStatistics.estimate(q, db, p=8, sample_rate=0.3, seed=7)
-        assert a.hitters == b.hitters
 
 
 class TestAfratiUllmanShares:

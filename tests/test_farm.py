@@ -38,9 +38,15 @@ from repro.mpc import (
 )
 from repro.mpc.engine import shard as shard_module
 from repro.mpc.execution import OneRoundAlgorithm
-from repro.mpc.farm import Farm, FarmUnavailable, check_workers
+from repro.mpc.farm import (
+    Farm,
+    FarmUnavailable,
+    check_workers,
+    split_contiguous,
+)
 from repro.obs import Observation
 from repro.query import parse_query
+from repro.seq.relation import Batch
 from repro.sketch import SketchConfig, SketchError, build_sketch_set
 from repro.sketch.statistics import RelationSketchSet
 
@@ -191,6 +197,38 @@ class TestWorkerCount:
 
 
 # ----------------------------------------------------------------------
+# One way to cut work for the workers (mp engine shards, sketch shards).
+# ----------------------------------------------------------------------
+
+class TestSplitContiguous:
+    @pytest.mark.parametrize("length, pieces, sizes", [
+        (0, 3, []),
+        (1, 3, [1]),
+        (5, 2, [3, 2]),
+        (6, 3, [2, 2, 2]),
+        (7, 3, [3, 2, 2]),
+        (3, 8, [1, 1, 1]),
+    ])
+    def test_cuts_a_list_into_balanced_nonempty_runs(
+        self, length, pieces, sizes
+    ):
+        items = list(range(length))
+        chunks = split_contiguous(items, pieces)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [item for chunk in chunks for item in chunk] == items
+
+    def test_cuts_a_batch_into_column_slices(self):
+        batch = Batch.of([(i, 10 * i) for i in range(7)])
+        chunks = split_contiguous(batch, 3)
+        assert all(isinstance(chunk, Batch) for chunk in chunks)
+        assert [len(chunk) for chunk in chunks] == [3, 2, 2]
+        assert np.array_equal(
+            np.concatenate([chunk.columns for chunk in chunks], axis=1),
+            batch.columns,
+        )
+
+
+# ----------------------------------------------------------------------
 # The mp engine.
 # ----------------------------------------------------------------------
 
@@ -250,7 +288,7 @@ class TestSketchChaos:
     def test_a_dying_shard_worker_is_a_sketch_error(
         self, monkeypatch, query, db
     ):
-        monkeypatch.setattr(RelationSketchSet, "update_relation", _die)
+        monkeypatch.setattr(RelationSketchSet, "update", _die)
         started = time.perf_counter()
         with pytest.raises(SketchError, match="died"):
             build_sketch_set(query, db, SketchConfig(), workers=2)
@@ -261,10 +299,10 @@ class TestSketchChaos:
     ):
         # It used to be taken for "cannot start workers" and swallowed:
         # the build silently reran single-pass.
-        def unreadable(self, atom_name, tuples):
+        def unreadable(self, atom_name, columns):
             raise OSError("disk gone")
 
-        monkeypatch.setattr(RelationSketchSet, "update_relation", unreadable)
+        monkeypatch.setattr(RelationSketchSet, "update", unreadable)
         with pytest.raises(SketchError, match="OSError: disk gone"):
             build_sketch_set(query, db, SketchConfig(), workers=2)
 
@@ -274,7 +312,6 @@ class TestSketchChaos:
         single = build_sketch_set(query, db, SketchConfig(), workers=1)
         monkeypatch.setattr(Farm, "_spawn", lambda self: False)
         fallback = build_sketch_set(query, db, SketchConfig(), workers=2)
-        assert fallback.tuple_counts == single.tuple_counts
         for key, sketch in single.sketches.items():
             assert all(
                 np.array_equal(mine, theirs)

@@ -169,13 +169,23 @@ def test_sketch_does_not_reach_into_the_mp_engine():
             ), f"{name} imports the mp engine"
 
 
+def test_the_sketch_pass_reads_columns_not_tuples():
+    """Sketches are fed ``Relation.batch``'s int64 columns: no module of
+    ``sketch/`` reads a relation's tuple set."""
+    readers = [
+        name for name, tree in _modules() if name.startswith("sketch/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "tuples"
+    ]
+    assert readers == []
+
+
 def test_there_is_one_batch_routing_derivation():
     """A plan states its batch deliveries once, as ``claims``; only
-    ``RoutingPlan`` turns claims into deliveries, per-tuple destinations
-    and per-server counts, and the bin plan composes its inner HyperCube
-    through ``claims``, not through that plan's private tables."""
-    derived = {"deliveries": [], "destinations_batch": [],
-               "destination_counts": []}
+    ``RoutingPlan`` turns claims into deliveries and per-server counts,
+    and the bin plan composes its inner HyperCube through ``claims``, not
+    through that plan's private tables."""
+    derived = {"deliveries": [], "destination_counts": []}
     for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -185,7 +195,6 @@ def test_there_is_one_batch_routing_derivation():
                         derived[item.name].append(f"{name}:{node.name}")
     assert derived == {
         "deliveries": ["mpc/execution.py:RoutingPlan"],
-        "destinations_batch": ["mpc/execution.py:RoutingPlan"],
         "destination_counts": ["mpc/execution.py:RoutingPlan"],
     }
     source = (SRC / "core" / "skew_general.py").read_text(encoding="utf-8")

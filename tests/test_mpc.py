@@ -414,13 +414,18 @@ class TestEngineDispatch:
         )
         assert load_only.report == reference.report
 
-    def test_default_destinations_batch_matches_scalar(self):
+    def test_default_deliveries_match_scalar(self):
         plan = _RoundRobinPlan(4)
         tuples = [(1, 2), (3, 4), (0, 0)]
-        expected = [tuple(plan.destinations("S", t)) for t in tuples]
-        assert plan.destinations_batch("S", Batch(2, rows=tuples)) == expected
+        expected = [
+            (i, server)
+            for i, tup in enumerate(tuples)
+            for server in plan.destinations("S", tup)
+        ]
         # A plain sequence of tuples is made a batch at the boundary.
-        assert plan.destinations_batch("S", tuples) == expected
+        for given in (Batch(2, rows=tuples), tuples):
+            indices, servers = plan.deliveries("S", given)
+            assert list(zip(indices.tolist(), servers.tolist())) == expected
 
     def test_default_claims_number_the_distinct_destinations(self):
         """The scalar-loop fallback speaks the same contract as the native
@@ -439,13 +444,14 @@ class TestEngineDispatch:
         [(indices, keys, table)] = Duplicating().claims("S", batch[:0])
         assert (len(indices), len(keys), table) == (0, 0, {})
 
-    def test_default_destinations_batch_deduplicates(self):
+    def test_default_deliveries_deduplicate(self):
         class Duplicating(RoutingPlan):
             def destinations(self, relation_name, tup):
                 return (0, 1, 0, 1)
 
         plan = Duplicating()
-        assert plan.destinations_batch("S", [(1,)]) == [(0, 1)]
+        indices, servers = plan.deliveries("S", [(1,)])
+        assert (indices.tolist(), servers.tolist()) == ([0, 0], [0, 1])
         assert dict(plan.destination_counts("S", [(1,), (2,)])) == {
             0: 2, 1: 2,
         }
@@ -499,7 +505,7 @@ class TestEngineDispatch:
         tuples = Batch.of([(i, i + 1) for i in range(20)])
         counts = plan.destination_counts("S", tuples)
         expected: dict[int, int] = {}
-        for dests in plan.destinations_batch("S", tuples):
-            for server in dests:
+        for tup in tuples.rows:
+            for server in plan.destinations("S", tup):
                 expected[server] = expected.get(server, 0) + 1
         assert dict(counts) == expected

@@ -2,12 +2,11 @@
 
 A plan states its deliveries twice — scalar ``destinations`` and batch
 ``claims`` — and the engines consume what ``RoutingPlan`` derives from the
-claims: ``deliveries`` (and ``destinations_batch``, the same regrouped by
-tuple) and ``destination_counts``.  For each relation of each plan all of
-them must describe the same set of (tuple, server) deliveries::
+claims: ``deliveries`` and ``destination_counts``.  For each relation of
+each plan all of them must describe the same set of (tuple, server)
+deliveries::
 
-    deliveries == {(i, s) : s in destinations_batch[i]}
-               == {(i, s) : s in union of table[key] over claims of i}
+    deliveries == {(i, s) : s in union of table[key] over claims of i}
                == {(i, s) : s in destinations(t_i)}
     destination_counts == bincount(servers of deliveries)
 
@@ -106,11 +105,6 @@ def _assert_contract(plan: RoutingPlan, query, db: Database, p: int) -> None:
             for i, dests in enumerate(scalar) for server in sorted(dests)
         ], atom.name
 
-        delivered = plan.destinations_batch(atom.name, batch)
-        assert len(delivered) == len(tuples)
-        for dests in delivered:
-            assert len(set(dests)) == len(dests), "duplicate destination"
-        assert [set(dests) for dests in delivered] == scalar, atom.name
         counted = Counter(dict(plan.destination_counts(atom.name, batch)))
         assert +counted == Counter(
             server for dests in scalar for server in dests
