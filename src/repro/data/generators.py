@@ -69,7 +69,7 @@ def uniform_relation(
         # As many draws as tuples are missing: the set cannot fill early.
         tuples.update(islice(draws, cardinality - len(tuples)))
     return Relation(
-        name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
+        name=name, arity=arity, tuples=tuples, domain_size=domain_size
     )
 
 
@@ -85,9 +85,8 @@ def matching_relation(
     columns = [
         rng.sample(range(domain_size), cardinality) for _ in range(arity)
     ]
-    tuples = frozenset(zip(*columns)) if arity > 0 else frozenset()
     return Relation(
-        name=name, arity=arity, tuples=tuples, domain_size=domain_size
+        name=name, arity=arity, tuples=zip(*columns), domain_size=domain_size
     )
 
 
@@ -131,7 +130,7 @@ def zipf_relation(
             for position in range(arity)
         ))
     return Relation(
-        name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
+        name=name, arity=arity, tuples=tuples, domain_size=domain_size
     )
 
 
@@ -155,7 +154,7 @@ def single_value_relation(
         values[fixed_position] = fixed_value
         tuples.add(tuple(values))
     return Relation(
-        name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
+        name=name, arity=arity, tuples=tuples, domain_size=domain_size
     )
 
 
@@ -185,7 +184,7 @@ def degree_relation(
             else:
                 tuples.add((value, partner))
     return Relation(
-        name=name, arity=2, tuples=frozenset(tuples), domain_size=domain_size
+        name=name, arity=2, tuples=tuples, domain_size=domain_size
     )
 
 
@@ -226,7 +225,7 @@ def planted_heavy_relation(
     if len(tuples) < cardinality:
         raise GeneratorError("domain too small for the requested mixture")
     return Relation(
-        name=name, arity=arity, tuples=frozenset(tuples), domain_size=domain_size
+        name=name, arity=arity, tuples=tuples, domain_size=domain_size
     )
 
 
@@ -258,5 +257,5 @@ def graph_edges(
     if len(edges) < num_edges:
         raise GeneratorError("could not realize the requested edge count")
     return Relation(
-        name=name, arity=2, tuples=frozenset(edges), domain_size=num_nodes
+        name=name, arity=2, tuples=edges, domain_size=num_nodes
     )

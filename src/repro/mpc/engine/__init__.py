@@ -8,7 +8,7 @@ The engine subsystem separates *what* a one-round algorithm does (its
     fully materialized server fragments, routed through the scalar
     ``RoutingPlan.destinations``.  Slowest; the parity oracle.
 ``batched``
-    :class:`BatchedEngine` — routes each relation's cached columnar view
+    :class:`BatchedEngine` — routes each relation's int64 columns
     (``Relation.batch``) with one call into the batch primitive every
     in-tree plan implements natively, ``RoutingPlan.claims``, through the
     two methods ``RoutingPlan`` derives from it: ``destination_counts``

@@ -4,7 +4,7 @@ Both engines run the same kernel through the two methods
 :class:`RoutingPlan` derives from a plan's :meth:`RoutingPlan.claims`
 (:meth:`RoutingPlan.destination_counts` when only loads are wanted,
 :meth:`RoutingPlan.deliveries` when the local joins are): a *shard* — a
-:class:`~repro.seq.relation.Batch`: the relation's whole cached view
+:class:`~repro.seq.relation.Batch`: the relation's whole column store
 in-process, one slice of its columns per farm worker in ``mp`` — is routed
 by :func:`route_shard`, the shards of a relation are folded into the
 round's :class:`RoundLedger`, and what the servers received is joined by

@@ -207,11 +207,8 @@ def run_rounds(
                 )
             if not spec.is_final:
                 assert result.answers is not None
-                intermediates[spec.output] = Relation(
-                    name=spec.output,
-                    arity=len(spec.query.variables),
-                    tuples=frozenset(result.answers),
-                    domain_size=db.domain_size,
+                intermediates[spec.output] = Relation.from_columns(
+                    spec.output, result.answers.columns, db.domain_size
                 )
 
         answers = results[-1].answers

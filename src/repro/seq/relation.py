@@ -9,17 +9,21 @@ is ``m_j`` times that.  ``log2`` is used as a real number so the simulator's
 load accounting agrees exactly with the bound formulas; the degenerate
 ``n = 1`` domain is clamped to one bit per value.
 
-The routing and statistics layers do not read the tuples: they read
-:attr:`Relation.batch`, a :class:`Batch` — the same tuples in one fixed
-order, as rows and as one contiguous int64 array with a row per column.
+A relation stores exactly that: ``a_j`` int64 columns of ``m_j`` values,
+one contiguous ``(arity, m)`` array (:attr:`Relation.batch`, a
+:class:`Batch`) and nothing else — 8 bytes a value, where a ``frozenset``
+of tuples costs about 130 bytes a binary tuple.  Routing, statistics and
+the array join kernel read the columns; :attr:`Relation.tuples` is a
+read-only set view over them (:class:`TupleView`) for the tuple oracle
+and for anyone who wants set semantics.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -43,26 +47,12 @@ def bits_per_value(domain_size: int) -> float:
     return max(1.0, math.log2(domain_size))
 
 
-def project_columns(
-    tuples: Collection[Tuple], positions: Sequence[int]
-) -> list[Tuple]:
-    """Column-at-a-time projection: the values at ``positions`` of every
-    tuple, one key tuple per input tuple, in input order.
-
-    The shared primitive under :meth:`Relation.frequencies` and the join
-    kernel — one C-level pass per call instead of a generator per tuple.
-    """
-    if not positions:
-        return [()] * len(tuples)
-    if len(positions) == 1:
-        (position,) = positions
-        return [(tup[position],) for tup in tuples]
-    return list(map(itemgetter(*positions), tuples))
-
-
-def _flat_values(what: str, arity: int, tuples: Collection[Tuple]) -> list[int]:
-    """The values of ``tuples``, row after row, once every row is known to
-    have ``arity`` entries and every entry to be a plain ``int``.
+def _column_values(
+    what: str, arity: int, tuples: Collection[Tuple]
+) -> Iterator[list[int]]:
+    """The values of ``tuples`` position by position, one list a position,
+    once every row is known to have ``arity`` entries and each list to
+    hold plain ``int`` s only.
 
     Both checks are exact because an int64 column would hide what they
     catch: it takes ``1.5`` as ``1`` (``bool`` and numpy scalars are
@@ -74,13 +64,26 @@ def _flat_values(what: str, arity: int, tuples: Collection[Tuple]) -> list[int]:
             f"{what}: tuple {ragged} has length {len(ragged)}, "
             f"expected arity {arity}"
         )
-    flat = list(chain.from_iterable(tuples))
-    if set(map(type, flat)) - {int}:
-        value = next(v for v in flat if type(v) is not int)
+    for position in range(arity):
+        values = list(map(itemgetter(position), tuples))
+        if set(map(type, values)) - {int}:
+            value = next(v for v in values if type(v) is not int)
+            raise RelationError(
+                f"{what}: value {value!r} is a {type(value).__name__}, "
+                "not an int"
+            )
+        yield values
+
+
+def _check_domain(what: str, values: Iterable[int], low: int, high: int,
+                  domain_size: int) -> None:
+    """Raise unless every one of ``values`` (whose least and greatest are
+    ``low`` and ``high``) lies in ``[0, domain_size)``."""
+    if not 0 <= low <= high < domain_size:
+        value = next(v for v in values if not 0 <= v < domain_size)
         raise RelationError(
-            f"{what}: value {value!r} is a {type(value).__name__}, not an int"
+            f"{what}: value {value} outside domain [0, {domain_size})"
         )
-    return flat
 
 
 def starts_run(columns: np.ndarray) -> np.ndarray:
@@ -124,6 +127,26 @@ def distinct_values(
     return ranked[starts], first, inverse, np.diff(starts, append=len(ranked))
 
 
+def distinct_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, counts)`` of the distinct rows of ``(k, m)`` columns (a
+    row per position, a column per tuple): where each distinct tuple first
+    occurs, ascending, and how often it occurs.  What a ``Counter`` of the
+    tuples holds, in its order, without making a tuple."""
+    k, m = columns.shape
+    if k == 0:
+        return (np.zeros(min(m, 1), dtype=np.intp),
+                np.array([m] if m else [], dtype=np.intp))
+    if k == 1:
+        _, first, _, counts = distinct_values(columns[0])
+    else:
+        order = np.lexsort(columns[::-1])
+        starts = np.flatnonzero(starts_run(columns[:, order]))
+        # ``lexsort`` is stable: a run's leading index is its first.
+        first, counts = order[starts], np.diff(starts, append=m)
+    by_first = np.argsort(first)
+    return first[by_first], counts[by_first]
+
+
 def sorted_lookup(
     sorted_values: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +166,10 @@ class Batch:
 
     :attr:`rows` is the list of tuples; :attr:`columns` the same values as
     one contiguous ``(arity, m)`` int64 array, a row per column position.
-    A batch is made from either and builds the other on first use, so both
-    list the tuples in the same order.  What the routing layer takes in
+    A batch made from rows builds its columns on first use and keeps them;
+    one made from columns (a relation's, a slice, a pickle) lists its rows
+    afresh on every call and never holds a tuple.  What the routing layer
+    takes in
     (:meth:`repro.mpc.execution.RoutingPlan.claims`) and the ``mp`` engine
     ships to its workers — always as columns.  Treat it as read-only: a
     relation hands the same batch to every caller.
@@ -170,18 +195,18 @@ class Batch:
             return tuples
         rows = list(tuples)
         arity = len(rows[0]) if rows else 0
-        _flat_values("batch", arity, rows)
+        for _ in _column_values("batch", arity, rows):
+            pass
         return cls(arity, rows=rows)
 
     @property
     def rows(self) -> list[Tuple]:
-        if self._rows is None:
-            columns = self._columns
-            self._rows = (
-                list(zip(*columns.tolist())) if self.arity
-                else [()] * columns.shape[1]
-            )
-        return self._rows
+        if self._rows is not None:
+            return self._rows
+        columns = self._columns
+        if not self.arity:
+            return [()] * columns.shape[1]
+        return list(zip(*columns.tolist()))
 
     @property
     def columns(self) -> np.ndarray:
@@ -254,9 +279,82 @@ class Batch:
         return codes
 
 
+def _canonical(columns: np.ndarray) -> np.ndarray:
+    """``(arity, m)`` columns with the tuples in lexicographic order."""
+    if not len(columns):
+        return columns
+    return columns[:, np.lexsort(columns[::-1])]
+
+
+class TupleView(AbstractSet):
+    """A relation's tuples as a read-only set over its int64 columns.
+
+    A :class:`collections.abc.Set`: ``len``, ``in``, iteration (tuples of
+    Python ``int`` s, in column order, made afresh on every pass), set
+    comparisons and a hash equal to the ``frozenset`` of the same tuples,
+    so a view and a ``frozenset`` compare and hash alike both ways.
+    Pickles as its columns.  Made by :class:`Relation` only, which
+    guarantees the columns hold no tuple twice.
+    """
+
+    __slots__ = ("batch", "_hash")
+
+    def __init__(self, batch: Batch) -> None:
+        self.batch = batch
+        self._hash: int | None = None
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[Tuple]) -> frozenset[Tuple]:
+        # What ``&``, ``|`` and ``-`` return: a plain frozenset.
+        return frozenset(iterable)
+
+    def __len__(self) -> int:
+        return len(self.batch)
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return iter(self.batch.rows)
+
+    def __contains__(self, item: object) -> bool:
+        if not isinstance(item, tuple) or len(item) != self.batch.arity:
+            return False
+        try:
+            wanted = np.array(item, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            return False
+        if wanted.tolist() != list(item):  # 1.5 or "1" is no value here
+            return False
+        columns = self.batch.columns
+        return bool(
+            np.logical_and.reduce(columns == wanted[:, None], axis=0).any()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TupleView):
+            return super().__eq__(other)
+        if len(self) != len(other):
+            return False
+        mine, theirs = self.batch.columns, other.batch.columns
+        if mine is theirs or not len(self):
+            return True
+        return len(mine) == len(theirs) and np.array_equal(
+            _canonical(mine), _canonical(theirs)
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self))
+        return self._hash
+
+    def __reduce__(self):
+        return TupleView, (self.batch,)
+
+    def __repr__(self) -> str:
+        return f"TupleView({len(self)} tuples of arity {self.batch.arity})"
+
+
 @dataclass(frozen=True)
 class Relation:
-    """An instance of one relation symbol.
+    """An instance of one relation symbol, stored as its int64 columns.
 
     Parameters
     ----------
@@ -265,8 +363,13 @@ class Relation:
     arity:
         Number of columns; every tuple must have this length.
     tuples:
-        The tuples, deduplicated on construction (set semantics).  Values
-        are plain ``int`` s.
+        The tuples: any collection of ``arity``-tuples of plain ``int`` s,
+        deduplicated on construction (set semantics) and laid out as
+        columns in the iteration order of ``frozenset(tuples)`` (for a
+        frozenset, its own), after which no tuple object is kept.  Read
+        back, the field is a :class:`TupleView` over those columns; a
+        view handed in (``dataclasses.replace``, :meth:`rename`) is taken
+        as it is, columns shared.
     domain_size:
         The size ``n`` of the per-attribute domain ``[0, n)``, at most
         ``2**63`` (:data:`MAX_DOMAIN_SIZE`: values are stored as int64
@@ -275,7 +378,7 @@ class Relation:
 
     name: str
     arity: int
-    tuples: frozenset[Tuple]
+    tuples: TupleView
     domain_size: int
 
     def __post_init__(self) -> None:
@@ -288,23 +391,35 @@ class Relation:
             raise RelationError(
                 f"{what}: domain size {self.domain_size} exceeds 2**63"
             )
-        flat = _flat_values(what, self.arity, self.tuples)
-        if flat and not 0 <= min(flat) <= max(flat) < self.domain_size:
-            value = next(v for v in flat if not 0 <= v < self.domain_size)
-            raise RelationError(
-                f"{what}: value {value} outside domain [0, {self.domain_size})"
-            )
+        view = self.tuples
+        if isinstance(view, TupleView) and view.batch.arity == self.arity:
+            columns = view.batch.columns
+            if columns.size:
+                _check_domain(what, columns.ravel(),
+                              int(columns.min()), int(columns.max()),
+                              self.domain_size)
+            return
+        rows = view if isinstance(view, frozenset) else frozenset(view)
+        # Straight into the columns, one position at a time: no row-major
+        # copy of the values is made.
+        columns = np.empty((self.arity, len(rows)), dtype=np.int64)
+        for position, values in enumerate(_column_values(what, self.arity, rows)):
+            if values:
+                _check_domain(what, values, min(values), max(values),
+                              self.domain_size)
+            columns[position] = values
+        object.__setattr__(
+            self, "tuples", TupleView(Batch(self.arity, columns=columns))
+        )
 
-    @cached_property
+    @property
     def batch(self) -> Batch:
-        """The tuples in one fixed order (one iteration of the set), as
-        rows and as int64 columns — what routing and statistics read.
-
-        Built on first use and kept as long as the relation is, at
-        ``8 * arity`` bytes a tuple (plus a pointer per row); not part of
-        equality, hashing or the constructor.
-        """
-        return Batch(self.arity, rows=list(self.tuples))
+        """The tuples as one contiguous ``(arity, m)`` int64 array — the
+        relation's storage, what routing and statistics read.  Shared by
+        every caller (treat it as read-only) and by every relation made
+        from this one's view; not part of equality, hashing or the
+        constructor."""
+        return self.tuples.batch
 
     @classmethod
     def build(
@@ -324,9 +439,31 @@ class Relation:
             arity = len(next(iter(frozen)))
         if domain_size is None:
             # Checked before they are compared: max() of a str is not a size.
-            flat = _flat_values(f"relation {name!r}", arity, frozen)
-            domain_size = max(flat, default=0) + 1
+            domain_size = max((
+                max(values) for values
+                in _column_values(f"relation {name!r}", arity, frozen)
+                if values
+            ), default=0) + 1
         return cls(name=name, arity=arity, tuples=frozen, domain_size=domain_size)
+
+    @classmethod
+    def from_columns(
+        cls, name: str, columns: np.ndarray, domain_size: int
+    ) -> "Relation":
+        """A relation over ``(arity, m)`` int64 ``columns`` (a row per
+        position, a column per tuple), kept as they are — no tuple is made.
+        The tuples must be distinct: set semantics are checked, not
+        imposed."""
+        what = f"relation {name!r}"
+        if columns.ndim != 2 or columns.dtype != np.int64:
+            raise RelationError(
+                f"{what}: columns must be a 2-d int64 array, got "
+                f"{columns.ndim}-d {columns.dtype}"
+            )
+        if len(distinct_rows(columns)[0]) != columns.shape[1]:
+            raise RelationError(f"{what}: columns repeat a tuple")
+        batch = Batch(len(columns), columns=np.ascontiguousarray(columns))
+        return cls(name, len(columns), TupleView(batch), domain_size)
 
     # ------------------------------------------------------------------
     # sizes
@@ -347,58 +484,49 @@ class Relation:
         return self.cardinality * self.tuple_bits
 
     # ------------------------------------------------------------------
-    # relational operations
+    # relational operations, on the columns
     # ------------------------------------------------------------------
-    def project(self, positions: Sequence[int], name: str | None = None) -> "Relation":
-        """Projection onto the given column positions (duplicates removed)."""
+    def _check_positions(self, positions: Iterable[int], operation: str) -> None:
         for pos in positions:
             if not 0 <= pos < self.arity:
                 raise RelationError(
-                    f"relation {self.name!r}: projection position {pos} out of "
-                    f"range for arity {self.arity}"
+                    f"relation {self.name!r}: {operation} position {pos} out "
+                    f"of range for arity {self.arity}"
                 )
-        projected = frozenset(project_columns(self.tuples, positions))
-        return Relation(
-            name=name or self.name,
-            arity=len(positions),
-            tuples=projected,
-            domain_size=self.domain_size,
+
+    def project(self, positions: Sequence[int], name: str | None = None) -> "Relation":
+        """Projection onto the given column positions (duplicates removed)."""
+        self._check_positions(positions, "projection")
+        projected = self.batch.columns[list(positions)]
+        first, _ = distinct_rows(projected)
+        return Relation.from_columns(
+            name or self.name, projected[:, first], self.domain_size
         )
 
     def select(
         self, assignment: Mapping[int, int], name: str | None = None
     ) -> "Relation":
         """Selection ``sigma_{pos=value}`` for every ``pos: value`` given."""
-        for pos in assignment:
-            if not 0 <= pos < self.arity:
-                raise RelationError(
-                    f"relation {self.name!r}: selection position {pos} out of "
-                    f"range for arity {self.arity}"
-                )
-        kept = frozenset(
-            t for t in self.tuples
-            if all(t[pos] == value for pos, value in assignment.items())
-        )
-        return Relation(
-            name=name or self.name,
-            arity=self.arity,
-            tuples=kept,
-            domain_size=self.domain_size,
+        self._check_positions(assignment, "selection")
+        columns = self.batch.columns
+        kept = np.ones(columns.shape[1], dtype=bool)
+        for pos, value in assignment.items():
+            kept &= columns[pos] == value
+        return Relation.from_columns(
+            name or self.name, columns[:, kept], self.domain_size
         )
 
     def frequencies(self, positions: Sequence[int]) -> Counter:
-        """Frequency of each value combination at the given positions.
+        """Frequency of each value combination at the given positions, in
+        order of first occurrence (counted on the columns).
 
         ``frequencies([i])[v]`` is the degree ``d_i(v)`` of Appendix B;
         ``frequencies(positions)[h]`` is ``m_j(h) = |sigma_{x=h}(S_j)|``.
         """
-        if sorted(positions) == list(range(self.arity)):
-            # Set semantics: a key covering every column is the tuple
-            # itself (reordered), so every count is 1.
-            return Counter(
-                dict.fromkeys(project_columns(self.tuples, positions), 1)
-            )
-        return Counter(project_columns(self.tuples, positions))
+        keys = self.batch.columns[list(positions)]
+        first, counts = distinct_rows(keys)
+        rows = Batch(len(keys), columns=keys[:, first]).rows
+        return Counter(dict(zip(rows, counts.tolist())))
 
     def rename(self, name: str) -> "Relation":
         return Relation(

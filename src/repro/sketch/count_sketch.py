@@ -32,10 +32,33 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..mpc.hashing import LARGE_PRIME, _reduce61, mulmod61
+from ..seq.relation import distinct_values
 
 
 class SketchError(ValueError):
     """Raised for invalid sketch parameters or incompatible merges."""
+
+
+def _median_of_rows(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)`` — the middle of the sorted first axis,
+    or the mean of its two middles — without ``np.median``, which imports
+    ``numpy.ma`` (≈8 ms) on first use in every sketching process."""
+    ranked = np.sort(values, axis=0)
+    middle = len(ranked) // 2
+    if len(ranked) % 2:
+        return ranked[middle].astype(np.float64)
+    return (ranked[middle - 1].astype(np.float64) + ranked[middle]) / 2
+
+
+def _grouped(items: np.ndarray, counts: np.ndarray | None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``items`` with their ``counts`` (default 1 each) summed per distinct
+    item: what one weighted update per distinct item adds."""
+    distinct, _, inverse, multiplicity = distinct_values(items)
+    if counts is None:
+        return distinct, multiplicity
+    summed = np.bincount(inverse, weights=counts, minlength=len(distinct))
+    return distinct, summed.astype(np.int64)
 
 
 class CountSketch:
@@ -106,7 +129,13 @@ class CountSketch:
             values = signs
         else:
             values = signs * np.asarray(counts, dtype=np.int64)[None, :]
-        np.add.at(self.table, (self._rows, buckets), values)
+        # One ``bincount`` over the flattened table.  Its float64 sums are
+        # exact integers below 2**53 updates a cell, so the table is the
+        # one ``np.add.at`` would build.
+        cells = (self._rows * self.width + buckets).ravel()
+        self.table += np.bincount(
+            cells, weights=values.ravel(), minlength=self.table.size
+        ).astype(np.int64).reshape(self.table.shape)
 
     def update(self, item: int, count: int = 1) -> None:
         self.update_batch(np.asarray([item], dtype=np.uint64),
@@ -118,14 +147,14 @@ class CountSketch:
         if items.size == 0:
             return np.zeros(0, dtype=np.float64)
         buckets, signs = self._hash(items)
-        return np.median(self.table[self._rows, buckets] * signs, axis=0)
+        return _median_of_rows(self.table[self._rows, buckets] * signs)
 
     def estimate(self, item: int) -> float:
         return float(self.estimate_batch(np.asarray([item], dtype=np.uint64))[0])
 
     def l2_estimate(self) -> float:
         """The median-of-rows estimate of ``||f||_2`` (csh's l2estimate)."""
-        return math.sqrt(float(np.median(np.sum(
+        return math.sqrt(float(_median_of_rows(np.sum(
             self.table.astype(np.float64) ** 2, axis=1
         ))))
 
@@ -221,6 +250,11 @@ class HierarchicalCountSketch:
     # ------------------------------------------------------------------
     def update_batch(self, items: Iterable[int],
                      counts: np.ndarray | None = None) -> None:
+        """Add ``counts[i]`` (default 1) occurrences of each ``items[i]``
+        at every level.  Each distinct prefix of a level is hashed once,
+        weighted by its total count — the same integer table as one
+        update per item, at a fraction of the hashing (levels near the
+        top have at most a few hundred prefixes)."""
         items = np.asarray(items, dtype=np.uint64)
         if items.size == 0:
             return
@@ -229,6 +263,7 @@ class HierarchicalCountSketch:
         prefixes = items
         base = np.uint64(self.base)
         for sketch in self.sketches:
+            prefixes, counts = _grouped(prefixes, counts)
             sketch.update_batch(prefixes, counts)
             prefixes = prefixes // base
         self.update_count += int(items.size)

@@ -7,10 +7,12 @@ simulator, but the thing the paper hand-waves as "first detecting the heavy
 hitters (e.g. using sampling)" is a *statistics pass* whose state must not
 grow with the data.  This module models that pass:
 
-* every (atom, subset) pair gets one
+* every (atom, subset) pair whose subset leaves a column out gets one
   :class:`~repro.sketch.count_sketch.HierarchicalCountSketch`; a partial
   assignment is encoded as a mixed-radix integer over the relation's
-  domain, so the sketch universe is ``n^|subset|``;
+  domain, so the sketch universe is ``n^|subset|``.  A subset covering
+  every column needs no sketch: its key is the tuple itself, so by set
+  semantics every frequency is 1 and the answer is the exact one;
 * :class:`RelationSketchSet` holds the sketches for a whole query and is
   updated from each relation's ``(arity, m)`` int64 columns
   (``Relation.batch.columns``), :data:`CHUNK_SIZE` tuples at a time — in
@@ -34,15 +36,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..mpc.farm import Farm, FarmUnavailable, check_workers, split_contiguous
-from ..query.atoms import ConjunctiveQuery
+from ..query.atoms import Atom, ConjunctiveQuery
 from ..seq.relation import Batch, Database
 from ..stats.cardinality import SimpleStatistics, StatisticsError
-from ..stats.heavy_hitters import HeavyHitterStatistics, nonempty_subsets
+from ..stats.heavy_hitters import (
+    HeavyHitterStatistics,
+    heavy_values,
+    nonempty_subsets,
+)
 from ..stats.provider import (
     Assignment,
     StatisticsProvider,
@@ -107,6 +113,22 @@ def _pair_seed(config_seed: int, atom_name: str, subset: VarSubset) -> list[int]
     return [config_seed, zlib.crc32(key)]
 
 
+def subset_keys(
+    query: ConjunctiveQuery,
+) -> Iterator[tuple[Atom, VarSubset, list[int]]]:
+    """``(atom, subset, positions)`` for every (atom, variable-subset) key
+    of ``query``, once per key (self-joins share a relation's keys), in
+    the order the exact statistics list them.  The subset enumeration
+    reuses (and is capped by) the exact side's
+    :func:`~repro.stats.heavy_hitters.nonempty_subsets` guard."""
+    seen: set[tuple[str, VarSubset]] = set()
+    for atom in query.atoms:
+        for subset in nonempty_subsets(canonical_subset(atom.variables)):
+            if (atom.name, subset) not in seen:
+                seen.add((atom.name, subset))
+                yield atom, subset, [atom.positions_of(v)[0] for v in subset]
+
+
 @dataclass(frozen=True)
 class RelationSketchSpec:
     """How one (atom, variable-subset) pair maps into a sketch universe.
@@ -167,7 +189,7 @@ class RelationSketchSpec:
 
 @dataclass
 class RelationSketchSet:
-    """One hierarchical sketch per (atom, subset) pair of a query.
+    """One hierarchical sketch per sketched (atom, subset) pair of a query.
 
     :meth:`update` feeds it a relation's int64 columns; sets with the
     same config merge by exact table addition, so a build from column
@@ -181,33 +203,28 @@ class RelationSketchSet:
     @classmethod
     def empty(cls, query: ConjunctiveQuery, db_domains: Mapping[str, int],
               config: SketchConfig) -> "RelationSketchSet":
-        """Fresh zero sketches for every (atom, subset) pair of ``query``.
+        """Fresh zero sketches for every (atom, subset) pair of ``query``
+        whose subset leaves a column out (:func:`subset_keys`).
 
-        ``db_domains`` maps relation name to its domain size ``n``.  The
-        subset enumeration reuses (and is capped by) the exact side's
-        :func:`~repro.stats.heavy_hitters.nonempty_subsets` guard.
+        ``db_domains`` maps relation name to its domain size ``n``.
         """
         specs: dict[tuple[str, VarSubset], RelationSketchSpec] = {}
         sketches: dict[tuple[str, VarSubset], HierarchicalCountSketch] = {}
-        for atom in query.atoms:
-            domain = db_domains[atom.name]
-            atom_vars = canonical_subset(atom.variables)
-            for subset in nonempty_subsets(atom_vars):
-                key = (atom.name, subset)
-                if key in specs:
-                    continue  # self-joins share one sketch per relation
-                positions = [atom.positions_of(var)[0] for var in subset]
-                spec = RelationSketchSpec.build(
-                    atom.name, subset, positions, domain
-                )
-                specs[key] = spec
-                sketches[key] = HierarchicalCountSketch(
-                    universe=spec.universe,
-                    width=config.width,
-                    depth=config.depth,
-                    base=config.base,
-                    seed=_pair_seed(config.seed, atom.name, subset),
-                )
+        for atom, subset, positions in subset_keys(query):
+            if len(positions) == atom.arity:
+                continue
+            key = (atom.name, subset)
+            spec = RelationSketchSpec.build(
+                atom.name, subset, positions, db_domains[atom.name]
+            )
+            specs[key] = spec
+            sketches[key] = HierarchicalCountSketch(
+                universe=spec.universe,
+                width=config.width,
+                depth=config.depth,
+                base=config.base,
+                seed=_pair_seed(config.seed, atom.name, subset),
+            )
         return cls(config=config, specs=specs, sketches=sketches)
 
     def update(self, atom_name: str, columns: np.ndarray) -> None:
@@ -226,7 +243,7 @@ class RelationSketchSet:
 
     @property
     def update_count(self) -> int:
-        """Total sketch updates performed (tuples x subsets)."""
+        """Total sketch updates performed (tuples x sketched subsets)."""
         return sum(s.update_count for s in self.sketches.values())
 
     # ------------------------------------------------------------------
@@ -358,9 +375,18 @@ class SketchedHeavyHitterStatistics(StatisticsProvider):
         simple = SimpleStatistics.of(db)
         hitters: dict[tuple[str, VarSubset], dict[Assignment, int]] = {}
         with maybe_timed(obs, "stats.sketch_recover"):
-            for key, spec in sketch_set.specs.items():
-                m = simple.cardinality(key[0])
+            for atom, subset, positions in subset_keys(query):
+                key = (atom.name, subset)
+                m = simple.cardinality(atom.name)
                 threshold = threshold_factor * m / p
+                spec = sketch_set.specs.get(key)
+                if spec is None:
+                    # A key covering every column: by set semantics every
+                    # count is 1, as the exact statistics answer it.
+                    hitters[key] = heavy_values(
+                        db.relation(atom.name), positions, threshold
+                    )
+                    continue
                 sketch = sketch_set.sketches[key]
                 slack = SLACK_FACTOR * sketch.noise_scale()
                 found = sketch.find_heavy(

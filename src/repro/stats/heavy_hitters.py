@@ -16,11 +16,12 @@ in one bounded-state pass over the same columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database, Relation, distinct_values
+from ..seq.relation import Batch, Database, Relation, distinct_rows
 from .cardinality import SimpleStatistics, StatisticsError
 from .provider import (
     Assignment,
@@ -60,19 +61,30 @@ def nonempty_subsets(variables: VarSubset) -> list[VarSubset]:
     return subsets
 
 
-def _heavy_values(
-    relation: Relation, position: int, threshold: float
+def heavy_values(
+    relation: Relation, positions: Sequence[int], threshold: float
 ) -> dict[Assignment, int]:
-    """The values occurring more than ``threshold`` times in one column,
-    counted on the column; only those are materialized, in the order
-    ``relation.frequencies([position])`` lists them (first occurrence)."""
-    values, first, _, counts = distinct_values(relation.batch.columns[position])
-    heavy = np.flatnonzero(counts > threshold)
-    heavy = heavy[np.argsort(first[heavy])]
-    return {
-        (value,): count
-        for value, count in zip(values[heavy].tolist(), counts[heavy].tolist())
-    }
+    """The assignments to ``positions`` occurring more than ``threshold``
+    times, counted on the columns; only those are materialized, in the
+    order ``relation.frequencies(positions)`` lists them (first
+    occurrence).
+
+    A key covering every column is the tuple itself, so by set semantics
+    every count is 1: nothing is heavy when ``threshold >= 1`` and every
+    tuple is otherwise — no counting either way.
+    """
+    keys = relation.batch.columns[list(positions)]
+    if len(positions) == relation.arity:
+        if threshold >= 1:
+            return {}
+        first = np.arange(keys.shape[1])
+        counts = np.ones(keys.shape[1], dtype=np.int64)
+    else:
+        first, counts = distinct_rows(keys)
+        heavy = counts > threshold
+        first, counts = first[heavy], counts[heavy]
+    rows = Batch(len(keys), columns=keys[:, first]).rows
+    return dict(zip(rows, counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -98,20 +110,9 @@ class HeavyHitterStatistics(StatisticsProvider):
             atom_vars = canonical_subset(atom.variables)
             for subset in nonempty_subsets(atom_vars):
                 positions = [atom.positions_of(var)[0] for var in subset]
-                if len(positions) == 1:
-                    heavy = _heavy_values(relation, positions[0], threshold)
-                elif threshold >= 1 and len(positions) == relation.arity:
-                    # Set semantics: a key covering every column is the
-                    # tuple itself, so every count is 1.
-                    heavy = {}
-                else:
-                    heavy = {
-                        assignment: count
-                        for assignment, count
-                        in relation.frequencies(positions).items()
-                        if count > threshold
-                    }
-                hitters[(atom.name, subset)] = heavy
+                hitters[(atom.name, subset)] = heavy_values(
+                    relation, positions, threshold
+                )
         return cls(
             simple=simple, p=p, threshold_factor=threshold_factor, hitters=hitters
         )

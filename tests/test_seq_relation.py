@@ -3,10 +3,14 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
+from collections import Counter
+from collections.abc import Set as AbstractSet
 
 import numpy as np
 import pytest
 
+from repro.api import WorkloadSpec
 from repro.query import parse_query
 from repro.seq import (
     Database,
@@ -15,7 +19,9 @@ from repro.seq import (
     bits_per_value,
     local_join,
 )
-from repro.seq.relation import Batch, distinct_values, sorted_lookup
+from repro.seq.relation import (
+    Batch, TupleView, distinct_rows, distinct_values, sorted_lookup,
+)
 
 
 class TestBitsPerValue:
@@ -159,8 +165,110 @@ class TestRelationBatch:
             "name", "arity", "tuples", "domain_size",
         ]
         renamed = dataclasses.replace(viewed, name="T")
-        assert "batch" not in vars(renamed) and "batch" in vars(viewed)
+        # Stored in the tuple view, not cached beside the fields: ``replace``
+        # hands the view over and the columns with it.
+        assert "batch" not in vars(renamed) and "batch" not in vars(viewed)
+        assert renamed.batch is viewed.batch
         assert renamed.batch.rows == viewed.batch.rows
+
+
+class TestTupleView:
+    """``Relation.tuples`` is a read-only set over the int64 columns."""
+
+    TUPLES = frozenset({(0, 5), (1, 2), (4, 4), (3, 2)})
+
+    def relation(self, name="S"):
+        return Relation(name, 2, self.TUPLES, 6)
+
+    def test_is_a_set_view_over_the_columns(self):
+        r = self.relation()
+        assert isinstance(r.tuples, TupleView) and isinstance(r.tuples, AbstractSet)
+        assert r.tuples.batch is r.batch
+        assert list(r.tuples) == r.batch.rows == list(self.TUPLES)
+        assert all(type(v) is int for t in r.tuples for v in t)
+
+    def test_equality_and_hash_agree_with_a_frozenset_both_ways(self):
+        view = self.relation().tuples
+        assert view == self.TUPLES and self.TUPLES == view
+        assert view == set(self.TUPLES) and set(self.TUPLES) == view
+        assert hash(view) == hash(self.TUPLES)
+        other = self.TUPLES - {(0, 5)} | {(0, 4)}
+        assert view != other and other != view
+        assert view != self.TUPLES - {(0, 5)}
+        assert len({view, self.TUPLES}) == 1
+        assert (view & {(0, 5), (9, 9)}) == {(0, 5)}
+
+    def test_views_compare_by_content_not_order(self):
+        forward = Relation.from_columns(
+            "S", np.array([[0, 1, 4], [5, 2, 4]], dtype=np.int64), 6
+        )
+        backward = Relation.from_columns(
+            "S", np.array([[4, 1, 0], [4, 2, 5]], dtype=np.int64), 6
+        )
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward.tuples != self.relation().tuples
+        empty = Relation("E", 2, frozenset(), 6).tuples
+        assert empty == Relation("E", 3, frozenset(), 6).tuples == frozenset()
+
+    @pytest.mark.parametrize("item, member", [
+        ((0, 5), True), ((3, 2), True), ((5, 0), False), ((0,), False),
+        ((0, 5, 1), False), ([0, 5], False), ((0.0, 5), True),
+        ((0.5, 5), False), (("0", 5), False), ((2**70, 5), False),
+        ((-1, 5), False),
+    ])
+    def test_membership_is_frozenset_membership(self, item, member):
+        r = self.relation()
+        assert (item in r.tuples) is member
+        if isinstance(item, tuple):
+            assert (item in self.TUPLES) is member
+
+    def test_len_in_pickle_and_replace_share_the_columns(self):
+        r = self.relation()
+        columns = r.batch.columns
+        assert len(r.tuples) == len(r) == 4 and (1, 2) in r
+        assert r.rename("T").batch.columns is columns
+        assert dataclasses.replace(r, domain_size=7).batch.columns is columns
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy == r and hash(copy) == hash(r)
+        assert copy.tuples.batch is copy.batch
+        assert copy.batch.columns.tolist() == columns.tolist()
+        with pytest.raises(RelationError, match="value 5 outside"):
+            r.with_domain(5)
+
+    def test_built_from_tuples_or_from_columns_compares_equal(self):
+        by_tuples = self.relation()
+        by_columns = Relation.from_columns(
+            "S", by_tuples.batch.columns[:, ::-1].copy(), 6
+        )
+        assert by_tuples == by_columns and hash(by_tuples) == hash(by_columns)
+        assert by_columns.batch.rows == list(by_tuples.tuples)[::-1]
+
+    def test_from_columns_checks_what_it_keeps(self):
+        with pytest.raises(RelationError, match="repeat a tuple"):
+            Relation.from_columns("S", np.array([[1, 1], [2, 2]]), 4)
+        with pytest.raises(RelationError, match="int64"):
+            Relation.from_columns("S", np.array([[1.0, 2.0]]), 4)
+        with pytest.raises(RelationError, match="value 9 outside"):
+            Relation.from_columns("S", np.array([[1, 9]]), 4)
+
+    def test_a_set_is_laid_out_in_the_order_its_frozenset_iterates(self):
+        drawn = {(i * 7919 % 1000, i % 13) for i in range(300)}
+        r = Relation("S", 2, drawn, 1000)
+        assert list(r.tuples) == list(frozenset(drawn))
+
+    def test_a_database_keeps_columns_not_tuples(self):
+        """What a generated database retains: its int64 columns, 1.6 MB for
+        two relations of 50 000 binary tuples, not ~130 bytes a tuple."""
+        query = parse_query("q(x,y,z) :- S1(x,z), S2(y,z)")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db = WorkloadSpec("uniform", m=50_000).build(query)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert db.total_tuples == 100_000
+        assert retained < 3_000_000
 
 
 class TestBatch:
@@ -254,6 +362,20 @@ class TestArrayHelpers:
         for got, want in zip((distinct, first, inverse, counts), expected):
             assert got.tolist() == want.tolist()
         assert distinct[inverse].tolist() == values
+
+    @pytest.mark.parametrize("rows, positions", [
+        ([], (0, 1)), ([(3, 1, 3), (2, 1, 3), (3, 1, 3), (3, 0, 3)], (0, 1)),
+        ([(3, 1, 3), (2, 1, 3), (3, 1, 3)], (2,)),
+        ([(3, 1, 3), (2, 1, 3)], ()), ([], ()),
+        ([(i % 5, i % 7, i % 3) for i in range(60)], (2, 0, 1)),
+    ])
+    def test_distinct_rows_is_a_counter_in_its_order(self, rows, positions):
+        keys = [tuple(row[p] for p in positions) for row in rows]
+        expected = Counter(keys)
+        columns = np.array(keys, dtype=np.int64).reshape(len(keys), len(positions))
+        first, counts = distinct_rows(np.ascontiguousarray(columns.T))
+        assert [keys[i] for i in first.tolist()] == list(expected)
+        assert counts.tolist() == list(expected.values())
 
     def test_sorted_lookup(self):
         table = np.array([2, 5, 9], dtype=np.int64)

@@ -1,8 +1,13 @@
 """Tests for the Count-Sketch core (repro.sketch.count_sketch)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sketch import (
     CountSketch,
     HierarchicalCountSketch,
@@ -106,6 +111,39 @@ class TestCountSketch:
             CountSketch(1, 5, rng)
         with pytest.raises(SketchError):
             CountSketch(16, 0, rng)
+
+
+class TestMediansWithoutNumpyMa:
+    """Estimates take the middle of a sorted axis, not ``np.median``, which
+    imports ``numpy.ma`` in every process that sketches."""
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_estimates_equal_np_median(self, depth):
+        sketch = CountSketch(16, depth, np.random.default_rng(depth))
+        items = np.arange(300, dtype=np.uint64) % 37
+        sketch.update_batch(items)
+        buckets, signs = sketch._hash(items)
+        want = np.median(sketch.table[sketch._rows, buckets] * signs, axis=0)
+        got = sketch.estimate_batch(items)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        l2 = np.median(np.sum(sketch.table.astype(np.float64) ** 2, axis=1))
+        assert sketch.l2_estimate() == float(np.sqrt(l2))
+
+    def test_a_sketching_process_never_loads_numpy_ma(self):
+        program = (
+            "import sys; from repro.cli import main; "
+            "main(['stats', 'q(x,y,z) :- S1(x,z), S2(y,z)', '--workload', "
+            "'zipf', '-m', '500', '-p', '8', '--json']); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", program], text=True,
+            capture_output=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": source},
+        )
+        assert '"updates"' in done.stdout
+        assert done.stdout.split()[-1] == "False"
 
 
 class TestHierarchicalCountSketch:

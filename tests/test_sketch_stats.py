@@ -90,8 +90,8 @@ class TestSketchedStatistics:
         p = 8
         exact = HeavyHitterStatistics.of(query, zipf_db, p)
         sketched = SketchedHeavyHitterStatistics.of(query, zipf_db, p)
-        for key, true_map in exact.hitters.items():
-            sketch = sketched.sketch_set.sketches[key]
+        for key, sketch in sketched.sketch_set.sketches.items():
+            true_map = exact.hitters[key]
             tolerance = max(1.0, 4 * sketch.noise_scale())
             est_map = sketched.hitters.get(key, {})
             for assignment, true_freq in true_map.items():
@@ -205,13 +205,30 @@ class TestSketchedStatistics:
         assert "stats.sketch_pass" in span_names
 
     def test_oversized_universe_is_a_clean_error(self):
-        query = parse_query("q(a, b, c, d, e, f) :- R(a, b, c, d, e, f)")
+        # 3000^6 > 2^61: the six-variable subsets of a 7-ary relation.  Its
+        # full key is never sketched, so only a smaller subset can overflow.
+        query = parse_query("q(a, b, c, d, e, f, g) :- R(a, b, c, d, e, f, g)")
         relation = zipf_relation(
-            "R", 100, 3000, arity=6, skew=0.0, seed=0
+            "R", 100, 3000, arity=7, skew=0.0, seed=0
         )
         db = Database.from_relations([relation])
         with pytest.raises(StatisticsError, match="2\\^61"):
             SketchedHeavyHitterStatistics.of(query, db, p=4)
+
+    @pytest.mark.parametrize("p", [4, 8000])
+    def test_full_arity_keys_are_answered_by_set_semantics(self, query, zipf_db, p):
+        """A key covering every column is the tuple: no sketch is built for
+        it, and its hitters are the exact statistics' — none when
+        ``m/p >= 1``, else every tuple with frequency 1."""
+        sketched = SketchedHeavyHitterStatistics.of(query, zipf_db, p)
+        exact = HeavyHitterStatistics.of(query, zipf_db, p)
+        full = [key for key in exact.hitters if len(key[1]) == 2]
+        assert full and not set(full) & set(sketched.sketch_set.sketches)
+        assert list(sketched.hitters) == list(exact.hitters)
+        for key in full:
+            assert sketched.hitters[key] == exact.hitters[key]
+            m = zipf_db.relation(key[0]).cardinality
+            assert len(exact.hitters[key]) == (0 if m / p >= 1 else m)
 
 
 _PROVIDER_SURFACE = (
