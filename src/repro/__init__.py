@@ -39,154 +39,54 @@ or, sweeping a grid::
     print(result.summary())
 """
 
-from .api import (
-    AlgorithmSpec,
-    Experiment,
-    QueryPlan,
-    RunRecord,
-    Sweep,
-    SweepResult,
-    WorkloadSpec,
-    algorithm_keys,
-    algorithm_specs,
-    applicable_specs,
-    autoplan,
-    get_spec,
-    plan,
-    register,
-    run_cell,
-)
-
-from .core import (
-    BinHyperCubeAlgorithm,
-    BroadcastHyperCube,
-    CartesianProductAlgorithm,
-    HashJoinAlgorithm,
-    HyperCubeAlgorithm,
-    SkewAwareJoin,
-    agm_bound,
-    best_residual_lower_bound,
-    fractional_edge_cover_number,
-    fractional_vertex_cover_number,
-    lower_bound,
-    maximum_packing_value,
-    non_dominated_packing_vertices,
-    optimal_share_exponents,
-    replication_rate_lower_bound,
-    residual_lower_bound,
-    skew_join_load_bound,
-    space_exponent,
-    vertex_loads,
-)
-from .mpc import (
-    BatchedEngine,
-    Cluster,
-    ExecutionEngine,
-    ExecutionResult,
-    HashFamily,
-    LoadReport,
-    MultiprocessEngine,
-    ReferenceEngine,
-    available_engines,
-    run_one_round,
-)
-from .obs import (
-    MetricsRegistry,
-    Observation,
-    Tracer,
-)
-from .query import (
-    Atom,
-    ConjunctiveQuery,
-    QueryError,
-    parse_query,
-    residual_query,
-    triangle_query,
-)
-from .seq import Database, Relation, RelationError, count_answers, evaluate
-from .sketch import (
-    CountSketch,
-    HierarchicalCountSketch,
-    SketchConfig,
-    SketchedHeavyHitterStatistics,
-    sketch_fidelity,
-)
-from .stats import (
-    DegreeStatistics,
-    HeavyHitterStatistics,
-    SimpleStatistics,
-    StatisticsProvider,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgorithmSpec",
-    "Experiment",
-    "QueryPlan",
-    "RunRecord",
-    "Sweep",
-    "SweepResult",
-    "WorkloadSpec",
-    "algorithm_keys",
-    "algorithm_specs",
-    "applicable_specs",
-    "autoplan",
-    "get_spec",
-    "plan",
-    "register",
-    "run_cell",
-    "BinHyperCubeAlgorithm",
-    "BroadcastHyperCube",
-    "CartesianProductAlgorithm",
-    "HashJoinAlgorithm",
-    "HyperCubeAlgorithm",
-    "SkewAwareJoin",
-    "agm_bound",
-    "best_residual_lower_bound",
-    "fractional_edge_cover_number",
-    "fractional_vertex_cover_number",
-    "lower_bound",
-    "maximum_packing_value",
-    "non_dominated_packing_vertices",
-    "optimal_share_exponents",
-    "replication_rate_lower_bound",
-    "residual_lower_bound",
-    "skew_join_load_bound",
-    "space_exponent",
-    "vertex_loads",
-    "BatchedEngine",
-    "Cluster",
-    "ExecutionEngine",
-    "ExecutionResult",
-    "HashFamily",
-    "LoadReport",
-    "MultiprocessEngine",
-    "ReferenceEngine",
-    "available_engines",
-    "run_one_round",
-    "MetricsRegistry",
-    "Observation",
-    "Tracer",
-    "Atom",
-    "ConjunctiveQuery",
-    "QueryError",
-    "parse_query",
-    "residual_query",
-    "triangle_query",
-    "Database",
-    "Relation",
-    "RelationError",
-    "count_answers",
-    "evaluate",
-    "CountSketch",
-    "HierarchicalCountSketch",
-    "SketchConfig",
-    "SketchedHeavyHitterStatistics",
-    "sketch_fidelity",
-    "DegreeStatistics",
-    "HeavyHitterStatistics",
-    "SimpleStatistics",
-    "StatisticsProvider",
-    "__version__",
-]
+#: Every re-exported name → the subpackage it comes from, imported on
+#: first access (PEP 562): ``import repro`` loads none of them, so a
+#: command pays only for what it runs.
+_EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": (
+        "AlgorithmSpec", "Experiment", "QueryPlan", "RunRecord", "Sweep",
+        "SweepResult", "WorkloadSpec", "algorithm_keys",
+        "algorithm_specs", "applicable_specs", "autoplan", "get_spec",
+        "plan", "register", "run_cell",
+    ),
+    ".core": (
+        "BinHyperCubeAlgorithm", "BroadcastHyperCube",
+        "CartesianProductAlgorithm", "HashJoinAlgorithm",
+        "HyperCubeAlgorithm", "SkewAwareJoin", "agm_bound",
+        "best_residual_lower_bound", "fractional_edge_cover_number",
+        "fractional_vertex_cover_number", "lower_bound",
+        "maximum_packing_value", "non_dominated_packing_vertices",
+        "optimal_share_exponents", "replication_rate_lower_bound",
+        "residual_lower_bound", "skew_join_load_bound", "space_exponent",
+        "vertex_loads",
+    ),
+    ".mpc": (
+        "BatchedEngine", "Cluster", "ExecutionEngine", "ExecutionResult",
+        "HashFamily", "LoadReport", "MultiprocessEngine",
+        "ReferenceEngine", "available_engines", "run_one_round",
+    ),
+    ".obs": ("MetricsRegistry", "Observation", "Tracer"),
+    ".query": (
+        "Atom", "ConjunctiveQuery", "QueryError", "parse_query",
+        "residual_query", "triangle_query",
+    ),
+    ".seq": (
+        "Database", "Relation", "RelationError", "count_answers",
+        "evaluate",
+    ),
+    ".sketch": (
+        "CountSketch", "HierarchicalCountSketch", "SketchConfig",
+        "SketchedHeavyHitterStatistics", "sketch_fidelity",
+    ),
+    ".stats": (
+        "DegreeStatistics", "HeavyHitterStatistics", "SimpleStatistics",
+        "StatisticsProvider",
+    ),
+})
+
+__all__ = [*_EXPORTS, "__version__"]
+

@@ -45,106 +45,37 @@ Typical use::
 """
 
 from .. import rounds  # noqa: F401 - registers the multi-round algorithms
-from ..core.registry import (
-    AlgorithmSpec,
-    RegistryError,
-    algorithm_keys,
-    algorithm_specs,
-    applicable_specs,
-    get_spec,
-    register,
-    unregister,
-)
-from .bench import (
-    BENCH_SCHEMA,
-    BENCH_SUITES,
-    BenchError,
-    Suite,
-    calibrate,
-    compare_bench,
-    run_suite,
-    suite_gate_failures,
-    validate_bench,
-)
-from .experiment import (
-    Catalog,
-    Cell,
-    Experiment,
-    ExperimentError,
-    Sweep,
-    SweepResult,
-    WORKLOAD_KINDS,
-    WorkloadSpec,
-    execute_cells,
-    failure_record,
-    run_cell,
-)
-from .planner import (
-    PlanError,
-    Prediction,
-    QueryPlan,
-    STATS_METHODS,
-    TradeoffPoint,
-    autoplan,
-    plan,
-    resolve_statistics,
-    tradeoff,
-)
-from .records import (
-    RUN_RECORD_FIELDS,
-    RUN_RECORD_SCHEMA,
-    RecordError,
-    RunRecord,
-    records_from_json,
-    records_to_csv,
-    records_to_json,
-    validate_record,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BENCH_SUITES",
-    "BenchError",
-    "Suite",
-    "calibrate",
-    "compare_bench",
-    "run_suite",
-    "suite_gate_failures",
-    "validate_bench",
-    "Catalog",
-    "Cell",
-    "Experiment",
-    "ExperimentError",
-    "Sweep",
-    "SweepResult",
-    "WORKLOAD_KINDS",
-    "WorkloadSpec",
-    "execute_cells",
-    "failure_record",
-    "run_cell",
-    "PlanError",
-    "Prediction",
-    "QueryPlan",
-    "STATS_METHODS",
-    "TradeoffPoint",
-    "autoplan",
-    "plan",
-    "resolve_statistics",
-    "tradeoff",
-    "RUN_RECORD_FIELDS",
-    "RUN_RECORD_SCHEMA",
-    "RecordError",
-    "RunRecord",
-    "records_from_json",
-    "records_to_csv",
-    "records_to_json",
-    "validate_record",
-    "AlgorithmSpec",
-    "RegistryError",
-    "algorithm_keys",
-    "algorithm_specs",
-    "applicable_specs",
-    "get_spec",
-    "register",
-    "unregister",
-]
+#: Every re-exported name → its module, imported on first access (PEP
+#: 562): a sweep never loads :mod:`repro.api.bench` or the sketch.
+_EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".bench": (
+        "BENCH_SCHEMA", "BENCH_SUITES", "BenchError", "Suite",
+        "calibrate", "compare_bench", "run_suite", "suite_gate_failures",
+        "validate_bench",
+    ),
+    ".experiment": (
+        "Catalog", "Cell", "Experiment", "ExperimentError", "Sweep",
+        "SweepResult", "WORKLOAD_KINDS", "WorkloadSpec", "execute_cells",
+        "failure_record", "run_cell",
+    ),
+    ".planner": (
+        "PlanError", "Prediction", "QueryPlan", "STATS_METHODS",
+        "TradeoffPoint", "autoplan", "plan", "resolve_statistics",
+        "tradeoff",
+    ),
+    ".records": (
+        "RUN_RECORD_FIELDS", "RUN_RECORD_SCHEMA", "RecordError",
+        "RunRecord", "records_from_json", "records_to_csv",
+        "records_to_json", "validate_record",
+    ),
+    "..core.registry": (
+        "AlgorithmSpec", "RegistryError", "algorithm_keys",
+        "algorithm_specs", "applicable_specs", "get_spec", "register",
+        "unregister",
+    ),
+})
+
+__all__ = list(_EXPORTS)
+

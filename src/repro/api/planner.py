@@ -28,7 +28,6 @@ from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..seq.relation import Database
-from ..sketch import SketchedHeavyHitterStatistics
 from ..stats.heavy_hitters import HeavyHitterStatistics
 from ..stats.provider import simple_of
 
@@ -275,6 +274,8 @@ def resolve_statistics(
     if db is not None:
         with maybe_timed(obs, "stats.build", method=stats_method):
             if stats_method == "sketch":
+                from ..sketch import SketchedHeavyHitterStatistics
+
                 return SketchedHeavyHitterStatistics.of(query, db, p, obs=obs)
             return HeavyHitterStatistics.of(query, db, p)
     raise PlanError("plan() needs statistics or a database to extract them from")

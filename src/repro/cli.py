@@ -66,6 +66,7 @@ import time
 from dataclasses import replace
 from typing import Callable, Sequence
 
+from ._lazy import lazy_exports
 from .api import (
     Catalog,
     RunRecord,
@@ -75,36 +76,22 @@ from .api import (
     WorkloadSpec,
     plan as build_plan,
 )
-from .api.bench import (
-    BENCH_SUITES,
-    compare_bench,
-    run_suite,
-    suite_gate_failures,
-    validate_bench,
-)
 from .api.planner import STATS_METHODS
 from .obs import Observation, maybe_timed
-from .core import (
-    fractional_edge_cover_number,
-    fractional_vertex_cover_number,
-    lower_bound,
-    maximum_packing_value,
-    non_dominated_packing_vertices,
-    optimal_share_exponents,
-    space_exponent,
-    vertex_loads,
-)
 from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
 from .rounds import oracle_answers, run_rounds
-from .sketch import (
-    SketchConfig,
-    SketchedHeavyHitterStatistics,
-    sketch_fidelity,
-)
 from .stats import HeavyHitterStatistics, SimpleStatistics
 
 _LOG = logging.getLogger("repro.cli")
+
+#: What ``repro bench`` uses of :mod:`repro.api.bench`, which no other
+#: subcommand imports: attributes of this module resolved on first access,
+#: so ``repro.cli.run_suite`` is still the name to patch.
+_, __getattr__, __dir__ = lazy_exports(globals(), {".api.bench": (
+    "BENCH_SUITES", "compare_bench", "run_suite", "suite_gate_failures",
+    "validate_bench",
+)})
 
 
 def _configure_logging(args: argparse.Namespace) -> None:
@@ -199,6 +186,9 @@ def _stats_from_cardinalities(
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from .core.bounds import lower_bound, space_exponent, vertex_loads
+    from .core.shares import optimal_share_exponents
+
     query = parse_query(args.query)
     cardinalities = _parse_cardinalities(args.cardinality)
     stats = _stats_from_cardinalities(query, cardinalities, args.domain)
@@ -219,6 +209,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_packings(args: argparse.Namespace) -> int:
+    from .core.packing import (
+        fractional_edge_cover_number,
+        fractional_vertex_cover_number,
+        maximum_packing_value,
+        non_dominated_packing_vertices,
+    )
+
     query = parse_query(args.query)
     print(f"query: {query}")
     print(f"tau* (max fractional edge packing)   : {maximum_packing_value(query)}")
@@ -337,6 +334,12 @@ def cmd_race(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Exact-vs-sketched statistics fidelity report on one workload."""
+    from .sketch import (
+        SketchConfig,
+        SketchedHeavyHitterStatistics,
+        sketch_fidelity,
+    )
+
     obs = _make_observation(args)
     query, db = _catalog(args, lambda catalog: catalog.generate(obs))
     try:
@@ -484,6 +487,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--max-regression must be >= 0, got {args.max_regression}"
         )
+    cli = sys.modules[__name__]  # the bench names, patched or not
+    if args.suite not in cli.BENCH_SUITES:
+        raise SystemExit(
+            f"--suite: unknown suite {args.suite!r} (choose from "
+            f"{', '.join(cli.BENCH_SUITES)})"
+        )
     output = args.output
     if output is None:
         output = f"BENCH_{args.suite}.json"
@@ -494,7 +503,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         try:
             with open(args.baseline, "r", encoding="utf-8") as handle:
                 baseline = json.load(handle)
-            validate_bench(baseline)
+            cli.validate_bench(baseline)
         except (OSError, ValueError) as exc:
             raise SystemExit(
                 f"cannot read baseline {args.baseline}: {exc}"
@@ -503,8 +512,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     obs = _make_observation(args)
     _LOG.info("bench: running the pinned %s suite%s", args.suite,
               " (quick grid)" if args.quick else "")
-    document = run_suite(args.suite, quick=args.quick, obs=obs)
-    validate_bench(document)
+    document = cli.run_suite(args.suite, quick=args.quick, obs=obs)
+    cli.validate_bench(document)
     summary = document["summary"]
     _LOG.info(
         "bench: %d entries in %.2fs (%.1f calibration units), "
@@ -518,10 +527,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # The suite's absolute acceptance gates (sketch recall/merge identity,
     # two-round-beats-one-round) apply with or without a baseline.
-    failures = suite_gate_failures(document)
+    failures = cli.suite_gate_failures(document)
     if baseline is not None:
         try:
-            failures.extend(compare_bench(
+            failures.extend(cli.compare_bench(
                 baseline, document, max_regression=args.max_regression
             ))
         except ValueError as exc:
@@ -772,8 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run a pinned perf suite; emit/gate BENCH_<suite>.json",
     )
-    bench.add_argument("--suite", choices=list(BENCH_SUITES), default="core",
-                       help="core: the perf trajectory grid; sketch: the "
+    bench.add_argument("--suite", default="core",
+                       help="the BENCH_SUITES row to run — core: the perf "
+                            "trajectory grid; sketch: the "
                             "same grid under exact and sketched statistics "
                             "plus fidelity/regret gates; rounds: two- vs "
                             "one-round triangle (default %(default)s)")

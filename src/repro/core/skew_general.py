@@ -543,10 +543,12 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
         if hh is None:
             return base
         combos, lps = build_cprime(self.query, hh, p, bits, nbc=self.nbc)
+        # Summed in the combinations' fixed order: ``combos`` is built in
+        # heavy-hitter order, which follows the relations' row order.
         return base + sum(
             lps[combo].load_bits(p)
-            for combo, members in combos.items()
-            if members and combo.variables
+            for combo in sorted(combos, key=_combination_order)
+            if combos[combo] and combo.variables
         )
 
     def routing_plan(

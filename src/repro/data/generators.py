@@ -17,17 +17,27 @@ Each generator is deterministic given its seed and produces a
   and light uniform mass;
 * :func:`graph_edges` — random (optionally hub-heavy) graph edge relations
   for triangle workloads.
+
+The draw streams are the contract: a generator makes exactly the draws
+its per-draw loop made (``randrange`` per uniform value, ``random`` per
+skewed one, in tuple order) and keeps the distinct tuples of the shortest
+prefix of draws that holds ``cardinality`` of them.  The uniform, zipf and
+single-value generators make those draws without a Python call each: they
+read the rng's 32-bit words in blocks, cut them into draws with numpy,
+and build the relation from int64 columns laid out in first-draw order
+(``tests/test_data_generators.py`` keeps the loops as references).
 """
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect
-from functools import partial
-from itertools import accumulate, islice, repeat
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Mapping, Sequence
 
-from ..seq.relation import Relation
+import numpy as np
+
+from ..seq.relation import MAX_DOMAIN_SIZE, Relation, distinct_rows
 
 
 class GeneratorError(ValueError):
@@ -46,6 +56,126 @@ def _check_capacity(cardinality: int, domain_size: int, arity: int) -> None:
         )
 
 
+class _Words:
+    """The 32-bit outputs of ``rng.getrandbits(32)``, block by block, from
+    where the last parse stopped.
+
+    ``rng.getrandbits(32 * n)`` is the next ``n`` outputs, least
+    significant first, and advances ``rng`` exactly as ``n`` calls would;
+    a block is those bytes read as ``uint32``, behind the words the last
+    block left unparsed.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._rest = np.empty(0, dtype=np.uint32)
+
+    def block(self, fresh: int) -> np.ndarray:
+        words = np.frombuffer(
+            self._rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little"),
+            dtype="<u4",
+        )
+        return np.concatenate((self._rest, words)) if len(self._rest) else words
+
+    def parsed(self, block: np.ndarray, used: int) -> None:
+        self._rest = block[used:]
+
+
+def _words_per_draw(domain_size: int) -> int:
+    """Words one ``getrandbits(domain_size.bit_length())`` takes: one or
+    two, as no relation holds a domain past ``2**63``."""
+    if domain_size > MAX_DOMAIN_SIZE:
+        raise GeneratorError(f"domain size {domain_size} exceeds 2**63")
+    return 1 if domain_size.bit_length() <= 32 else 2
+
+
+def _words_per_value(domain_size: int) -> float:
+    """Words one ``randrange(domain_size)`` reads on average, redraws
+    included."""
+    return (_words_per_draw(domain_size)
+            * 2 ** domain_size.bit_length() / domain_size)
+
+
+def _randbelow_draws(words: np.ndarray, domain_size: int) -> np.ndarray:
+    """The ``getrandbits(k)`` that ``randrange(domain_size)`` would read
+    starting at every word of ``words`` (``k = domain_size.bit_length()``).
+
+    For ``k <= 32`` a draw is one word's top ``k`` bits.  Above, it is
+    CPython's two-word form: the first word low, the second word's top
+    ``k - 32`` bits above it; a pair that runs past the block is no draw.
+    A draw is accepted when it is below ``domain_size``, else redrawn.
+    """
+    k = domain_size.bit_length()
+    if k <= 32:
+        return words >> (32 - k)
+    high = (words[1:] >> (64 - k)).astype(np.uint64)
+    return words[:-1].astype(np.uint64) | (high << 32)
+
+
+def _randbelow(source: _Words, domain_size: int, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.randrange(domain_size)``, int64."""
+    size = _words_per_draw(domain_size)
+    pieces = []
+    while count:
+        block = source.block(
+            math.ceil(1.02 * count * _words_per_value(domain_size)) + 64)
+        # Draws start every ``size`` words from the block's first.
+        draws = _randbelow_draws(block, domain_size)[::size]
+        taken = np.flatnonzero(draws < domain_size)[:count]
+        pieces.append(draws[taken].astype(np.int64))
+        count -= len(taken)
+        source.parsed(block, size * (taken[-1] + 1 if not count else len(draws)))
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _expected_draws(space: int, cardinality: int) -> int:
+    """Uniform draws from ``space`` tuples that hold ``cardinality`` distinct
+    ones, on average, with a margin: what the first block is sized to."""
+    if space > 2**62:  # a repeat is too rare to plan for
+        return cardinality + 16
+    if cardinality < space:
+        draws = -space * math.log1p(-cardinality / space)
+    else:  # the whole space: the coupon collector
+        draws = space * (math.log(space) + 0.5773)
+    return math.ceil(1.05 * draws) + 16
+
+
+def _first_distinct(
+    draw: Callable[[int], np.ndarray],
+    arity: int,
+    cardinality: int,
+    space: int,
+    limit: int | None = None,
+) -> np.ndarray | None:
+    """The distinct tuples of the shortest prefix of draws that holds
+    ``cardinality`` of them, as ``(arity, m)`` columns in first-draw order:
+    what a set fed draw by draw holds when it reaches that size.
+
+    ``draw(n)`` gives the next ``n`` draws as ``(arity, n)`` columns;
+    ``space`` (how many distinct tuples there are) sizes the first block
+    and the rate at which a block found new tuples sizes the next.  None
+    if ``limit`` draws do not hold ``cardinality`` distinct tuples.
+    """
+    if not arity or not cardinality:  # the empty tuple takes no word
+        return np.empty((arity, cardinality), dtype=np.int64)
+    kept = np.empty((arity, 0), dtype=np.int64)
+    drawn, want = 0, _expected_draws(space, cardinality)
+    while kept.shape[1] < cardinality:
+        if limit is not None:
+            want = min(want, limit - drawn)
+            if not want:
+                return None
+        before = kept.shape[1]
+        both = np.concatenate((kept, draw(want)), axis=1)
+        kept = both[:, distinct_rows(both)[0][:cardinality]]
+        drawn += want
+        found = kept.shape[1] - before
+        missing = cardinality - kept.shape[1]
+        want = (2 * want if not found
+                else math.ceil(1.25 * missing * want / found) + 16)
+    return kept
+
+
 def uniform_relation(
     name: str,
     cardinality: int,
@@ -53,24 +183,20 @@ def uniform_relation(
     arity: int = 2,
     seed: int = 0,
 ) -> Relation:
-    """``cardinality`` distinct uniform tuples from ``[domain_size]^arity``."""
+    """``cardinality`` distinct uniform tuples from ``[domain_size]^arity``:
+    ``arity`` values of ``rng.randrange(domain_size)`` a tuple, drawn until
+    that many distinct tuples are held."""
     _check_capacity(cardinality, domain_size, arity)
-    rng = _rng(seed, f"uniform:{name}")
-    # The stream ``rng.randrange(domain_size)`` consumes — ``getrandbits``
-    # of the domain's bit length, redrawn until below it — cut into tuples
-    # without a Python-level call per value.
-    values = filter(
-        domain_size.__gt__,
-        iter(partial(rng.getrandbits, domain_size.bit_length()), None),
+    source = _Words(_rng(seed, f"uniform:{name}"))
+
+    def draw(count: int) -> np.ndarray:
+        return _randbelow(source, domain_size, count * arity).reshape(
+            count, arity).T
+
+    columns = _first_distinct(
+        draw, arity, cardinality, domain_size**arity
     )
-    draws = zip(*[values] * arity) if arity else repeat(())
-    tuples: set[tuple[int, ...]] = set()
-    while len(tuples) < cardinality:
-        # As many draws as tuples are missing: the set cannot fill early.
-        tuples.update(islice(draws, cardinality - len(tuples)))
-    return Relation(
-        name=name, arity=arity, tuples=tuples, domain_size=domain_size
-    )
+    return Relation.from_columns(name, columns, domain_size)
 
 
 def matching_relation(
@@ -90,6 +216,73 @@ def matching_relation(
     )
 
 
+def _zipf_draws(
+    source: _Words,
+    arity: int,
+    skewed: frozenset[int],
+    domain_size: int,
+    table: np.ndarray,
+    count: int,
+) -> np.ndarray:
+    """The next ``count`` tuples of the zipf stream as ``(arity, count)``
+    columns, position by position: a skewed position reads ``random()``
+    (two words) and bisects ``table``, any other one is
+    ``randrange(domain_size)``.
+
+    How many words a tuple takes depends on its uniform draws' rejections,
+    so the tuples are cut from a block by following, from each tuple's
+    first word, where the next one starts: the starts are walked one tuple
+    at a time, everything else is done on whole arrays.
+    """
+    columns = np.empty((arity, count), dtype=np.int64)
+    size = _words_per_draw(domain_size)
+    per_tuple = (2 * len(skewed)
+                 + (arity - len(skewed)) * _words_per_value(domain_size))
+    done = 0
+    while done < count:
+        block = source.block(math.ceil(1.02 * (count - done) * per_tuple) + 64)
+        end = len(block) + 1  # "runs past the block"
+        draws = _randbelow_draws(block, domain_size)
+        # next_draw[i]: the first accepted draw at i, i + size, ... or end.
+        next_draw = np.full(end + 1, end, dtype=np.intp)
+        accepted = np.flatnonzero(draws < domain_size)
+        next_draw[accepted] = accepted
+        for parity in range(size):
+            lane = next_draw[parity::size]
+            lane[:] = np.minimum.accumulate(lane[::-1])[::-1]
+        # after[i]: where a tuple starting at word i ends (end: past it).
+        after = np.arange(end + 1)
+        for position in range(arity):
+            after = (after + 2 if position in skewed
+                     else next_draw[after] + size)
+            after[after >= end] = end
+        starts, start, after = [], 0, after.tolist()
+        while len(starts) < count - done and after[start] < end:
+            starts.append(start)
+            start = after[start]
+        source.parsed(block, start)
+        at = np.array(starts, dtype=np.intp)
+        for position in range(arity):
+            if position in skewed:
+                # ``random()``: 53 bits from two words, as CPython builds it.
+                high = (block[at] >> 5).astype(np.float64)
+                low = (block[at + 1] >> 6).astype(np.float64)
+                real = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+                # ``bisect(table, x, 0, domain_size - 1)``.
+                values = np.minimum(
+                    np.searchsorted(table, real * table[-1], side="right"),
+                    domain_size - 1,
+                )
+                at = at + 2
+            else:
+                at = next_draw[at]
+                values = draws[at]
+                at = at + size
+            columns[position, done:done + len(starts)] = values
+        done += len(starts)
+    return columns
+
+
 def zipf_relation(
     name: str,
     cardinality: int,
@@ -103,35 +296,33 @@ def zipf_relation(
 
     ``skew = 0`` degenerates to uniform.  Distinctness is enforced by
     resampling, so the realized frequency of the top value is capped by the
-    number of distinct tuples it can participate in.
+    number of distinct tuples it can participate in.  A skewed value is
+    ``rng.choices(range(domain_size), weights)``'s, read off one
+    cumulative table.
     """
     _check_capacity(cardinality, domain_size, arity)
-    rng = _rng(seed, f"zipf:{name}")
-    skewed = set(skewed_positions)
+    skewed = frozenset(skewed_positions)
     for position in skewed:
         if not 0 <= position < arity:
             raise GeneratorError(f"skewed position {position} outside arity {arity}")
-    # One cumulative table per relation, bisected per draw: the stream
-    # ``rng.choices(range(n), weights)`` consumes, at O(log n) a value.
-    table = list(accumulate(1.0 / (rank + 1) ** skew for rank in range(domain_size)))
-    tuples: set[tuple[int, ...]] = set()
-    attempts = 0
-    max_attempts = 50 * cardinality + 1000
-    while len(tuples) < cardinality:
-        attempts += 1
-        if attempts > max_attempts:
-            raise GeneratorError(
-                f"could not realize {cardinality} distinct tuples with "
-                f"skew={skew}; lower the skew or enlarge the domain"
-            )
-        tuples.add(tuple(
-            bisect(table, rng.random() * table[-1], 0, domain_size - 1)
-            if position in skewed else rng.randrange(domain_size)
-            for position in range(arity)
-        ))
-    return Relation(
-        name=name, arity=arity, tuples=tuples, domain_size=domain_size
+    source = _Words(_rng(seed, f"zipf:{name}"))
+    # The cumulative weights ``rng.choices`` bisects, summed in Python.
+    table = np.fromiter(
+        accumulate(1.0 / (rank + 1) ** skew for rank in range(domain_size)),
+        dtype=np.float64, count=domain_size,
     )
+    columns = _first_distinct(
+        lambda count: _zipf_draws(
+            source, arity, skewed, domain_size, table, count),
+        arity, cardinality, domain_size**arity,
+        limit=50 * cardinality + 1000,
+    )
+    if columns is None:
+        raise GeneratorError(
+            f"could not realize {cardinality} distinct tuples with "
+            f"skew={skew}; lower the skew or enlarge the domain"
+        )
+    return Relation.from_columns(name, columns, domain_size)
 
 
 def single_value_relation(
@@ -144,18 +335,22 @@ def single_value_relation(
     seed: int = 0,
 ) -> Relation:
     """All tuples share ``fixed_value`` at ``fixed_position`` — the worst
-    case for hash joins (Example 3.3) and for hashing (Example B.2)."""
+    case for hash joins (Example 3.3) and for hashing (Example B.2).  The
+    uniform stream, ``arity`` values a tuple, the pinned one overwritten."""
     if cardinality > domain_size ** (arity - 1):
         raise GeneratorError("not enough distinct tuples with one pinned column")
-    rng = _rng(seed, f"single:{name}")
-    tuples: set[tuple[int, ...]] = set()
-    while len(tuples) < cardinality:
-        values = [rng.randrange(domain_size) for _ in range(arity)]
-        values[fixed_position] = fixed_value
-        tuples.add(tuple(values))
-    return Relation(
-        name=name, arity=arity, tuples=tuples, domain_size=domain_size
+    source = _Words(_rng(seed, f"single:{name}"))
+
+    def draw(count: int) -> np.ndarray:
+        columns = _randbelow(source, domain_size, count * arity).reshape(
+            count, arity).T
+        columns[fixed_position] = fixed_value
+        return columns
+
+    columns = _first_distinct(
+        draw, arity, cardinality, domain_size ** (arity - 1)
     )
+    return Relation.from_columns(name, columns, domain_size)
 
 
 def degree_relation(

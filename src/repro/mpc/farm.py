@@ -25,17 +25,19 @@ are non-daemonic, so a task may open a farm of its own (a sweep cell
 running the ``mp`` engine does).
 
 This is the only module of ``repro`` that imports ``multiprocessing``
-(``tests/test_layering.py`` holds it to that).
+(``tests/test_layering.py`` holds it to that), and only once a farm is
+made: a command that runs in one process never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait
-from typing import Callable, Sequence, Sized
+from typing import TYPE_CHECKING, Callable, Sequence, Sized
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 class FarmUnavailable(OSError):
@@ -131,6 +133,8 @@ class Farm:
 
     def __init__(self, task: Callable[[object], object], workers: int,
                  timeout: float | None = None) -> None:
+        import multiprocessing
+
         self._task = task
         self._timeout = timeout
         self._ctx = multiprocessing.get_context(
@@ -163,6 +167,8 @@ class Farm:
         ``each(index, outcome)`` is called as tasks end, in completion
         order.
         """
+        from multiprocessing.connection import wait
+
         outcomes: list[Outcome | None] = [None] * len(items)
         pending = deque(range(len(items)))
 

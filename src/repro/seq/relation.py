@@ -131,20 +131,52 @@ def distinct_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, counts)`` of the distinct rows of ``(k, m)`` columns (a
     row per position, a column per tuple): where each distinct tuple first
     occurs, ascending, and how often it occurs.  What a ``Counter`` of the
-    tuples holds, in its order, without making a tuple."""
+    tuples holds, in its order, without making a tuple.
+
+    Rows are counted as one mixed-radix int64 key (a digit a position, each
+    digit's base the span of its column) whenever those spans multiply to
+    at most ``2**63``, and sorted lexicographically otherwise."""
     k, m = columns.shape
     if k == 0:
         return (np.zeros(min(m, 1), dtype=np.intp),
                 np.array([m] if m else [], dtype=np.intp))
+    if not m:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     if k == 1:
         _, first, _, counts = distinct_values(columns[0])
+    elif (key := _row_key(columns)) is not None:
+        _, first, _, counts = distinct_values(key)
     else:
-        order = np.lexsort(columns[::-1])
-        starts = np.flatnonzero(starts_run(columns[:, order]))
-        # ``lexsort`` is stable: a run's leading index is its first.
-        first, counts = order[starts], np.diff(starts, append=m)
+        first, counts = _distinct_rows_sorted(columns)
     by_first = np.argsort(first)
     return first[by_first], counts[by_first]
+
+
+def _row_key(columns: np.ndarray) -> np.ndarray | None:
+    """Every row of nonempty ``(k, m)`` columns as one int64, equal for
+    equal rows only — or None when the columns' spans multiply past
+    ``2**63``."""
+    low, high = columns.min(axis=1).tolist(), columns.max(axis=1).tolist()
+    spans = [top - bottom + 1 for bottom, top in zip(low, high)]
+    if math.prod(spans) > 2**63:
+        return None
+    key = columns[0] - low[0]
+    for column, bottom, span in zip(columns[1:], low[1:], spans[1:]):
+        # ``+= column`` may wrap; int64 arithmetic is modular and the
+        # digit's sum is in range, so ``-= bottom`` lands on it exactly.
+        key *= span
+        key += column
+        key -= bottom
+    return key
+
+
+def _distinct_rows_sorted(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`distinct_rows`'s ``(first, counts)`` by one ``lexsort``, in
+    the rows' lexicographic order: for rows no int64 key can hold."""
+    order = np.lexsort(columns[::-1])
+    starts = np.flatnonzero(starts_run(columns[:, order]))
+    # ``lexsort`` is stable: a run's leading index is its first.
+    return order[starts], np.diff(starts, append=columns.shape[1])
 
 
 def sorted_lookup(
@@ -369,7 +401,9 @@ class Relation:
         frozenset, its own), after which no tuple object is kept.  Read
         back, the field is a :class:`TupleView` over those columns; a
         view handed in (``dataclasses.replace``, :meth:`rename`) is taken
-        as it is, columns shared.
+        as it is, columns shared.  A relation made by
+        :meth:`from_columns` keeps the order it is given: the generators
+        of :mod:`repro.data` give first-draw order.
     domain_size:
         The size ``n`` of the per-attribute domain ``[0, n)``, at most
         ``2**63`` (:data:`MAX_DOMAIN_SIZE`: values are stored as int64

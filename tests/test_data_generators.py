@@ -2,13 +2,17 @@
 
 import random
 import time
+from bisect import bisect
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from repro.api import WorkloadSpec
 from repro.data import (
     GeneratorError,
     degree_relation,
+    generators,
     graph_edges,
     matching_relation,
     planted_heavy_relation,
@@ -46,20 +50,23 @@ class TestUniform:
 
 
 def _per_randrange_uniform(name, cardinality, domain_size, arity=2, seed=0):
-    """The generator up to ISSUE 20, kept as the reference: one
-    ``rng.randrange`` per value, one ``add`` per tuple."""
+    """The per-draw loop, kept as the reference: one ``rng.randrange``
+    per value, one insertion per tuple — into a dict, so the tuples come
+    back in first-draw order."""
     rng = random.Random(f"uniform:{name}:{seed}")
-    tuples = set()
+    tuples = {}
     while len(tuples) < cardinality:
-        tuples.add(tuple(rng.randrange(domain_size) for _ in range(arity)))
-    return frozenset(tuples)
+        tuples.setdefault(tuple(
+            rng.randrange(domain_size) for _ in range(arity)
+        ))
+    return list(tuples)
 
 
 class TestUniformIdentity:
-    """Drawing through a bound ``getrandbits`` consumes the random stream
-    exactly as ``randrange`` does, so every database is the one it was —
-    and a CPython that changes ``randrange`` fails here instead of moving
-    data."""
+    """Cutting ``getrandbits(32 * n)`` words into draws consumes the random
+    stream exactly as ``randrange`` does, so every database is the one it
+    was — and a CPython that changes ``randrange`` fails here instead of
+    moving data."""
 
     @pytest.mark.parametrize("cardinality, domain, arity, seed", [
         (1, 1, 0, 0),    # the empty tuple
@@ -71,6 +78,11 @@ class TestUniformIdentity:
         (500, 23, 2, 5),    # most of a small space: many duplicates
         (150, 90, 3, 2),
         (64, 4, 3, 7),      # the whole space, arity 3
+        (300, 2**32 - 1, 2, 1),  # the widest one-word draw
+        (300, 2**32, 2, 2),      # the narrowest two-word draw
+        (100, 2**33 + 5, 3, 3),
+        (50, 2**63, 2, 4),       # the widest domain a column holds
+        (0, 10, 2, 0),
     ])
     def test_tuple_for_tuple(self, cardinality, domain, arity, seed):
         relation = uniform_relation(
@@ -79,17 +91,17 @@ class TestUniformIdentity:
         reference = _per_randrange_uniform(
             "R", cardinality, domain, arity=arity, seed=seed
         )
-        assert relation.tuples == reference
-        # Same set built by the same insertions: same iteration order,
-        # which heavy-hitter dicts and routing batches inherit.
-        assert list(relation.tuples) == list(reference)
+        assert relation.tuples == frozenset(reference)
+        # Laid out in first-draw order, which heavy-hitter dicts and
+        # routing batches inherit: the order a dict fed draw by draw keeps.
+        assert list(relation.tuples) == reference
         assert (relation.arity, relation.domain_size) == (arity, domain)
 
     def test_workload_spec_databases(self):
         query = parse_query("C3(x,y,z) :- R(x,y), S(y,z), T(z,x)")
         db = WorkloadSpec(kind="uniform", m=400, seed=7).build(query)
         for i, relation in enumerate(db):
-            assert relation.tuples == _per_randrange_uniform(
+            assert list(relation.tuples) == _per_randrange_uniform(
                 relation.name, 400, relation.domain_size, seed=7 + i
             )
 
@@ -153,44 +165,82 @@ class TestZipf:
 
 def _per_draw_zipf(name, cardinality, domain_size, arity=2, skew=1.0,
                    skewed_positions=(1,), seed=0):
-    """The generator up to ISSUE 16, kept as the reference: a full
-    ``rng.choices`` (O(domain) for its cumulative weights) per value."""
+    """The per-draw loop, kept as the reference: per value an
+    ``rng.choices`` over the cumulative weights or an ``rng.randrange``,
+    one insertion per tuple (into a dict: first-draw order), at most
+    ``50 m + 1000`` tuples."""
     rng = random.Random(f"zipf:{name}:{seed}")
-    weights = [1.0 / (rank + 1) ** skew for rank in range(domain_size)]
-    tuples = set()
+    table = list(accumulate(1.0 / (rank + 1) ** skew
+                            for rank in range(domain_size)))
+    tuples = {}
+    attempts = 0
     while len(tuples) < cardinality:
-        tuples.add(tuple(
-            rng.choices(range(domain_size), weights)[0]
+        attempts += 1
+        if attempts > 50 * cardinality + 1000:
+            raise GeneratorError("could not realize")
+        tuples.setdefault(tuple(
+            rng.choices(range(domain_size), cum_weights=table)[0]
             if position in skewed_positions else rng.randrange(domain_size)
             for position in range(arity)
         ))
-    return frozenset(tuples)
+    return list(tuples)
 
 
 class TestZipfIdentity:
-    """One cumulative table bisected per draw consumes the random stream
-    exactly as the per-draw ``rng.choices`` did: the same tuples, not just
-    the same distribution — which is why no pinned record had to move."""
+    """Word blocks parsed tuple by tuple consume the random stream exactly
+    as the per-draw ``rng.choices``/``rng.randrange`` loop did: the same
+    tuples in the same order, not just the same distribution — which is
+    why no pinned record had to move."""
 
     @pytest.mark.parametrize("skew", [0.0, 0.8, 1.2, 2.0])
     @pytest.mark.parametrize("cardinality, domain, arity, positions, seed", [
         (1, 1, 1, (0,), 0),
+        (1, 5, 0, (), 0),     # the empty tuple
         (30, 40, 1, (0,), 3),
         (200, 800, 2, (1,), 0),
         (200, 800, 2, (0,), 11),
         (60, 25, 2, (0, 1), 5),
+        (49, 7, 2, (1,), 4),  # the whole space
         (150, 90, 3, (1,), 2),
         (150, 90, 3, (0, 2), 7),
         (120, 400, 3, (), 1),
+        (3000, 12000, 2, (1,), 7),
     ])
     def test_tuple_for_tuple(self, cardinality, domain, arity, positions,
                              seed, skew):
         arguments = dict(arity=arity, skew=skew, skewed_positions=positions,
                          seed=seed)
         relation = zipf_relation("R", cardinality, domain, **arguments)
-        assert relation.tuples == _per_draw_zipf(
+        assert list(relation.tuples) == _per_draw_zipf(
             "R", cardinality, domain, **arguments)
         assert (relation.arity, relation.domain_size) == (arity, domain)
+
+    def test_unrealizable_skew_fails_where_the_loop_failed(self):
+        arguments = dict(skew=30.0, skewed_positions=(0, 1), seed=6)
+        with pytest.raises(GeneratorError):
+            _per_draw_zipf("R", 90, 10, **arguments)
+        with pytest.raises(GeneratorError, match="skew=30.0"):
+            zipf_relation("R", 90, 10, **arguments)
+
+    @pytest.mark.parametrize("domain", [2**32 + 1, 2**40 + 3, 2**63])
+    def test_two_word_draws_between_skewed_ones(self, domain):
+        """A uniform draw past 32 bits takes two words per attempt (no
+        zipf table that wide fits in memory, so a small one stands in)."""
+        table = np.array(list(accumulate(1.0 / (rank + 1) for rank in
+                                         range(50))))
+        rng = random.Random(9)
+        reference = [
+            (rng.randrange(domain), bisect(table, rng.random() * table[-1]),
+             rng.randrange(domain))
+            for _ in range(400)
+        ]
+        source = generators._Words(random.Random(9))
+        drawn = np.concatenate([
+            generators._zipf_draws(source, 3, frozenset({1}), domain, table,
+                                   count)
+            for count in (1, 150, 249)
+        ], axis=1)
+        assert list(zip(*drawn.tolist())) == reference
 
     @pytest.mark.parametrize("text", [
         "q(x,y,z) :- S1(x,z), S2(y,z)",
@@ -202,7 +252,7 @@ class TestZipfIdentity:
         spec = WorkloadSpec("zipf", m=150, skew=skew, seed=seed)
         db = spec.build(query)
         for i, atom in enumerate(query.atoms):
-            assert db.relation(atom.name).tuples == _per_draw_zipf(
+            assert list(db.relation(atom.name).tuples) == _per_draw_zipf(
                 atom.name, 150, 600, skew=skew, seed=seed + i)
 
     def test_unary_atoms_are_skewed_on_their_only_position(self):
@@ -210,9 +260,9 @@ class TestZipfIdentity:
         ``skewed position 1 outside arity 1``."""
         query = parse_query("q(x,y) :- R(x), S(x,y)")
         db = WorkloadSpec("zipf", m=60, skew=1.2, seed=3).build(query)
-        assert db.relation("R").tuples == _per_draw_zipf(
+        assert list(db.relation("R").tuples) == _per_draw_zipf(
             "R", 60, 240, arity=1, skew=1.2, skewed_positions=(0,), seed=3)
-        assert db.relation("S").tuples == _per_draw_zipf(
+        assert list(db.relation("S").tuples) == _per_draw_zipf(
             "S", 60, 240, skew=1.2, seed=4)
 
 
@@ -236,6 +286,47 @@ class TestSingleValue:
     def test_too_many_rejected(self):
         with pytest.raises(GeneratorError):
             single_value_relation("R", 100, 10, arity=2)
+
+
+def _per_draw_single_value(name, cardinality, domain_size, fixed_position=1,
+                           fixed_value=0, arity=2, seed=0):
+    """The per-draw loop, kept as the reference: ``arity`` values of
+    ``rng.randrange`` a tuple, the pinned one overwritten, one
+    insertion per tuple (into a dict: first-draw order)."""
+    rng = random.Random(f"single:{name}:{seed}")
+    tuples = {}
+    while len(tuples) < cardinality:
+        values = [rng.randrange(domain_size) for _ in range(arity)]
+        values[fixed_position] = fixed_value
+        tuples.setdefault(tuple(values))
+    return list(tuples)
+
+
+class TestSingleValueIdentity:
+    @pytest.mark.parametrize("cardinality, domain, position, arity, seed", [
+        (50, 200, 1, 2, 7),
+        (400, 401, 0, 2, 3),    # nearly the whole space
+        (20, 20, 1, 2, 0),      # the whole space
+        (1, 9, 0, 1, 2),        # arity 1: one tuple, the pinned value
+        (100, 30, 2, 3, 1),
+        (60, 2**40, 0, 2, 5),   # two words a draw
+    ])
+    def test_tuple_for_tuple(self, cardinality, domain, position, arity,
+                             seed):
+        arguments = dict(fixed_position=position, fixed_value=domain // 3,
+                         arity=arity, seed=seed)
+        relation = single_value_relation("R", cardinality, domain,
+                                         **arguments)
+        assert list(relation.tuples) == _per_draw_single_value(
+            "R", cardinality, domain, **arguments)
+
+    def test_workload_spec_databases(self):
+        query = parse_query("q(x,y,z) :- S1(x,z), S2(y,z)")
+        db = WorkloadSpec("worst", m=300, seed=4).build(query)
+        for i, atom in enumerate(query.atoms):
+            relation = db.relation(atom.name)
+            assert list(relation.tuples) == _per_draw_single_value(
+                atom.name, 300, relation.domain_size, seed=4 + i)
 
 
 class TestDegreeRelation:

@@ -20,7 +20,8 @@ from repro.seq import (
     local_join,
 )
 from repro.seq.relation import (
-    Batch, TupleView, distinct_rows, distinct_values, sorted_lookup,
+    Batch, TupleView, _distinct_rows_sorted, distinct_rows, distinct_values,
+    sorted_lookup,
 )
 
 
@@ -376,6 +377,30 @@ class TestArrayHelpers:
         first, counts = distinct_rows(np.ascontiguousarray(columns.T))
         assert [keys[i] for i in first.tolist()] == list(expected)
         assert counts.tolist() == list(expected.values())
+
+    @pytest.mark.parametrize("high", [2, 1000, 2**31, 2**62, 2**63 - 1])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_the_row_key_and_the_sort_count_alike(self, high, arity):
+        """Rows go through one int64 key while the columns' spans multiply
+        to at most ``2**63`` (``high`` up to 1000 here), through
+        ``lexsort`` past it.  Either way a Counter of the rows."""
+        rng = np.random.default_rng(high % 1000 + arity)
+        columns = rng.integers(-high, high, size=(arity, 400), dtype=np.int64)
+        columns = columns[:, rng.integers(0, 400, size=600)]  # repeats
+        first, counts = distinct_rows(columns)
+        rows = list(zip(*columns.tolist()))
+        expected = Counter(rows)
+        assert [rows[i] for i in first.tolist()] == list(expected)
+        assert counts.tolist() == list(expected.values())
+        by_sort, sort_counts = _distinct_rows_sorted(columns)
+        order = np.argsort(by_sort)
+        assert by_sort[order].tolist() == first.tolist()
+        assert sort_counts[order].tolist() == counts.tolist()
+        if high <= 1000:
+            # Near the top of int64 the key's digits wrap on the way.
+            top = columns + (2**63 - 1 - high)
+            assert [part.tolist() for part in distinct_rows(top)] == [
+                first.tolist(), counts.tolist()]
 
     def test_sorted_lookup(self):
         table = np.array([2, 5, 9], dtype=np.int64)

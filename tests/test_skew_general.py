@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import repro
@@ -26,7 +27,7 @@ from repro.data import (
 )
 from repro.mpc import HashFamily, run_one_round
 from repro.query import parse_query, simple_join_query, triangle_query
-from repro.seq import Database
+from repro.seq import Database, Relation
 from repro.stats import BinCombination, HeavyHitterStatistics
 
 
@@ -424,3 +425,29 @@ class TestHashSeedIndependence:
         first = records("1")
         assert first and first[0]["status"] == "ok"
         assert first == records("2")
+
+
+class TestRowOrderIndependence:
+    """The prediction sums the combinations' LP targets in their fixed
+    order: the order heavy hitters are found in follows the relations' row
+    order, and a float sum follows the order of its terms."""
+
+    def test_the_prediction_does_not_follow_row_order(self):
+        q = simple_join_query()
+        db = WorkloadSpec("zipf", m=2000, skew=1.2, seed=7).build(q)
+        rng = np.random.default_rng(0)
+        predictions = set()
+        for _ in range(20):  # the unsorted sum took two values here
+            shuffled = Database.from_relations(
+                Relation.from_columns(
+                    relation.name,
+                    relation.batch.columns[:, rng.permutation(len(relation))],
+                    relation.domain_size,
+                )
+                for relation in db
+            )
+            stats = HeavyHitterStatistics.of(q, shuffled, 64)
+            predictions.add(
+                BinHyperCubeAlgorithm(q).predicted_load_bits(stats, 64)
+            )
+        assert len(predictions) == 1
