@@ -8,7 +8,9 @@ this is the familiar ``Omega(sqrt(M/L))`` curve, matched by HyperCube run
 as the map phase.
 
 The script sweeps ``L`` and prints measured-vs-bound, plus the implied
-minimum reducer counts (Example 5.2).
+minimum reducer counts (Example 5.2).  It asserts that every measured rate
+is at least Theorem 5.1's bound, and that the smallest reducers compute
+every answer.
 
 Run:  python examples/mapreduce_replication.py
 """
@@ -48,17 +50,23 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    for divisor in (2, 8, 32, 128):
+    divisors = (2, 8, 32, 128)
+    for divisor in divisors:
         reducer_bits = m_bits / divisor
-        run = hypercube_mapreduce(query, db, reducer_bits=reducer_bits)
+        verify = divisor == divisors[-1]
+        run = hypercube_mapreduce(
+            query, db, reducer_bits=reducer_bits, verify=verify
+        )
         bound, _packing = replication_rate_lower_bound(query, bits, reducer_bits)
         shape = triangle_replication_shape(m_bits, reducer_bits)
         needed = minimum_reducers(bound, input_bits, reducer_bits)
         print(
-            f"{reducer_bits:>12,.0f} {run.reducers:>9} "
-            f"{run.result.replication_rate:>11.2f} {bound:>9.2f} "
+            f"{reducer_bits:>12,.0f} {run.p:>9} "
+            f"{run.replication_rate:>11.2f} {bound:>9.2f} "
             f"{shape:>10.2f} {needed:>13.1f}"
         )
+        assert bound <= run.replication_rate, (divisor, bound)
+        assert run.is_complete or not verify, divisor
 
     print(
         "\nThe measured rate tracks the sqrt(M/L) shape: every 4x cut in\n"

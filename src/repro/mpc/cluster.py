@@ -117,12 +117,6 @@ class Cluster:
             )
         self.servers[server_index].receive(relation_name, tup, tuple_bits)
 
-    def broadcast(
-        self, relation_name: str, tup: Tuple, tuple_bits: float
-    ) -> None:
-        for server in self.servers:
-            server.receive(relation_name, tup, tuple_bits)
-
     def send_many(
         self,
         server_indices: Iterable[int],

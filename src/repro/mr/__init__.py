@@ -1,17 +1,5 @@
-"""The Section 5 MapReduce model and HC-as-MapReduce."""
+"""The Section 5 MapReduce model: HyperCube as a map phase."""
 
-from .algorithms import (
-    HyperCubeMapReduceRun,
-    choose_reducers,
-    hypercube_mapreduce,
-)
-from .model import Mapper, MapReduceResult, run_mapreduce
+from .algorithms import choose_reducers, hypercube_mapreduce
 
-__all__ = [
-    "HyperCubeMapReduceRun",
-    "choose_reducers",
-    "hypercube_mapreduce",
-    "Mapper",
-    "MapReduceResult",
-    "run_mapreduce",
-]
+__all__ = ["choose_reducers", "hypercube_mapreduce"]

@@ -1,50 +1,55 @@
 """HyperCube as a MapReduce algorithm (Section 5).
 
-Given a reducer-size budget ``L``, pick the largest reducer count whose
+The MapReduce cost model of Afrati et al. [1]: the primary parameter is the
+*reducer size* ``L`` — the bits a reducer may receive.  An algorithm maps
+each input tuple to a set of reducers; reducer ``i`` receiving ``L_i`` bits
+yields replication rate
+
+    r = sum_i L_i / |I|,
+
+which is the ``replication_rate`` every engine reports for one round.  The
+paper strengthens the model (input servers may examine whole relations,
+algorithms may use statistics and randomness) and derives the bound of
+Theorem 5.1 (`repro.core.mr_bounds`).
+
+Given a reducer-size budget ``L``, pick the smallest reducer count whose
 expected HC load fits in ``L`` (from the closed-form bound of Theorem 3.6:
 ``p = (K(u*, M) / L^{u*})`` at the maximizing packing, searched numerically
-here), then run the HC map phase.  The measured replication rate matches
-the Theorem 5.1 lower bound up to constants — experiment E9.
+here), then run HC as the map phase on ``run_rounds``, the runner every
+experiment uses.  The measured replication rate matches the Theorem 5.1
+lower bound up to constants — experiment E9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.bounds import lower_bound
 from ..core.hypercube import HyperCubeAlgorithm
-from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
+from ..rounds import MultiRoundResult, run_rounds
 from ..seq.relation import Database
 from ..stats.cardinality import SimpleStatistics
-from .model import MapReduceResult, run_mapreduce
-
-
-@dataclass(frozen=True)
-class HyperCubeMapReduceRun:
-    result: MapReduceResult
-    reducers: int
-    predicted_load_bits: float
 
 
 def choose_reducers(
     query: ConjunctiveQuery, stats: SimpleStatistics, reducer_bits: float,
     max_reducers: int = 1 << 20,
 ) -> int:
-    """Largest ``p`` (power of two) with ``L_upper(p) <= reducer_bits``.
+    """Smallest ``p`` (power of two) with ``L_upper(p) <= reducer_bits``.
 
     ``L_upper`` is monotone decreasing in ``p``, so a doubling search
-    suffices; powers of two also round into HC shares gracefully.
+    suffices; powers of two also round into HC shares gracefully.  Raises
+    ``ValueError`` when no power of two up to ``max_reducers`` fits.
     """
     bits = stats.bits_vector(query)
     p = 2
-    best = 2
     while p <= max_reducers:
         if lower_bound(query, bits, p).bits <= reducer_bits:
-            best = p
-            break
+            return p
         p *= 2
-    return best
+    raise ValueError(
+        f"no reducer count up to {max_reducers} fits a reducer size of "
+        f"{reducer_bits} bits"
+    )
 
 
 def hypercube_mapreduce(
@@ -52,23 +57,13 @@ def hypercube_mapreduce(
     db: Database,
     reducer_bits: float,
     seed: int = 0,
-    compute_answers: bool = False,
     verify: bool = False,
-) -> HyperCubeMapReduceRun:
+) -> MultiRoundResult:
     """Run HC as the map phase with reducer budget ``reducer_bits``."""
     stats = SimpleStatistics.of(db)
     reducers = choose_reducers(query, stats, reducer_bits)
     algorithm = HyperCubeAlgorithm.with_optimal_shares(query, stats, reducers)
-    plan = algorithm.routing_plan(db, reducers, HashFamily(seed))
-    result = run_mapreduce(
-        query,
-        db,
-        mapper=plan.destinations,
-        num_reducers=reducers,
-        compute_answers=compute_answers or verify,
-        verify=verify,
-    )
-    predicted = lower_bound(query, stats.bits_vector(query), reducers).bits
-    return HyperCubeMapReduceRun(
-        result=result, reducers=reducers, predicted_load_bits=predicted
+    return run_rounds(
+        algorithm, db, reducers, seed=seed,
+        compute_answers=verify, verify=verify,
     )

@@ -1,8 +1,8 @@
-"""Conjunctive query substrate: atoms, parsing, catalog, residual queries."""
+"""Conjunctive query substrate: atoms, parsing, families, residual queries."""
 
 from .atoms import Atom, ConjunctiveQuery, QueryError
-from .catalog import (
-    CATALOG,
+from .families import (
+    FAMILIES,
     cartesian_product_query,
     chain_query,
     clique_query,
@@ -24,7 +24,7 @@ __all__ = [
     "Atom",
     "ConjunctiveQuery",
     "QueryError",
-    "CATALOG",
+    "FAMILIES",
     "cartesian_product_query",
     "chain_query",
     "clique_query",

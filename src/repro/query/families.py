@@ -1,4 +1,4 @@
-"""Catalog of the standard query families used throughout the paper.
+"""The standard query families used throughout the paper.
 
 These are the shapes the paper evaluates bounds on:
 
@@ -100,7 +100,7 @@ def two_path_query() -> ConjunctiveQuery:
     )
 
 
-CATALOG = {
+FAMILIES = {
     "join": simple_join_query,
     "path2": two_path_query,
     "triangle": triangle_query,

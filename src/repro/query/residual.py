@@ -101,7 +101,7 @@ def residual_query(
 ) -> ResidualQuery:
     """Build the residual query ``q_x`` for ``x = removed``.
 
-    >>> from .catalog import triangle_query
+    >>> from .families import triangle_query
     >>> r = residual_query(triangle_query(), {"x1"})
     >>> [str(a) for a in r.query.atoms]
     ['S1(x2)', 'S2(x2, x3)', 'S3(x3)']

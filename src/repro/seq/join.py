@@ -22,7 +22,7 @@ relation first, then atoms sharing the most bound variables):
   answers) an answer costs a few array writes and a share of one sort.
 * :func:`_answer_rows`, the set-at-a-time tuple kernel under
   :func:`iterate_answers` and :func:`local_join` only — what the reference
-  engine, :mod:`repro.mr` and the tests hold the array kernel against.
+  engine and the tests hold the array kernel against.
   Not worst-case optimal, but simple enough to trust as an oracle.
 """
 

@@ -219,11 +219,6 @@ class TestCluster:
         c.send(1, "S", (1, 2), 8.0)
         assert c.servers[1].received_tuples == 1
 
-    def test_broadcast(self):
-        c = Cluster(3)
-        c.broadcast("S", (0,), 4.0)
-        assert all(s.received_tuples == 1 for s in c.servers)
-
     def test_replication_rate(self):
         c = Cluster(2)
         c.send(0, "S", (1,), 4.0)

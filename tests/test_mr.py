@@ -1,4 +1,4 @@
-"""Unit tests for the MapReduce model and Theorem 5.1 bounds (Section 5)."""
+"""Unit tests for HyperCube as MapReduce and Theorem 5.1 bounds (Section 5)."""
 
 import math
 
@@ -11,8 +11,8 @@ from repro.core import (
     triangle_replication_shape,
 )
 from repro.data import uniform_relation
-from repro.mr import choose_reducers, hypercube_mapreduce, run_mapreduce
-from repro.query import parse_query, simple_join_query, triangle_query
+from repro.mr import choose_reducers, hypercube_mapreduce
+from repro.query import simple_join_query, triangle_query
 from repro.seq import Database
 from repro.stats import SimpleStatistics
 
@@ -25,52 +25,6 @@ def _triangle_db(m=400, n=300, seed=0):
             uniform_relation("S3", m, n, seed=seed + 3),
         ]
     )
-
-
-class TestModel:
-    def test_replication_rate_counts_bits(self):
-        q = parse_query("q(x, y) :- S(x, y)")
-        db = Database.from_relations([uniform_relation("S", 50, 64, seed=1)])
-        result = run_mapreduce(
-            q, db, mapper=lambda name, t: (t[0] % 2, ), num_reducers=2
-        )
-        assert math.isclose(result.replication_rate, 1.0)
-
-    def test_duplicate_delivery_charged_once(self):
-        q = parse_query("q(x, y) :- S(x, y)")
-        db = Database.from_relations([uniform_relation("S", 20, 64, seed=2)])
-        result = run_mapreduce(
-            q, db, mapper=lambda name, t: (0, 0, 1), num_reducers=2
-        )
-        assert math.isclose(result.replication_rate, 2.0)
-
-    def test_bad_reducer_id_rejected(self):
-        q = parse_query("q(x, y) :- S(x, y)")
-        db = Database.from_relations([uniform_relation("S", 5, 64, seed=3)])
-        with pytest.raises(ValueError):
-            run_mapreduce(q, db, mapper=lambda n, t: (99,), num_reducers=2)
-
-    def test_needs_a_reducer(self):
-        q = parse_query("q(x, y) :- S(x, y)")
-        db = Database.from_relations([uniform_relation("S", 5, 64, seed=3)])
-        with pytest.raises(ValueError):
-            run_mapreduce(q, db, mapper=lambda n, t: (0,), num_reducers=0)
-
-    def test_verification(self):
-        q = simple_join_query()
-        db = Database.from_relations(
-            [
-                uniform_relation("S1", 100, 300, seed=4),
-                uniform_relation("S2", 100, 300, seed=5),
-            ]
-        )
-        # Broadcast-everything is trivially complete.
-        result = run_mapreduce(
-            q, db, mapper=lambda n, t: range(2), num_reducers=2, verify=True
-        )
-        assert result.is_complete
-        assert result.within_cap(result.max_reducer_bits)
-        assert not result.within_cap(result.max_reducer_bits - 1)
 
 
 class TestTheorem51:
@@ -146,11 +100,22 @@ class TestHyperCubeAsMapReduce:
         assert counts == sorted(counts)
         assert counts[-1] >= 51 * counts[0]  # 64 = 16^(3/2), modulo rounding
 
+    @pytest.mark.parametrize("reducer_bits", [0.5, 0.0, -5.0, math.nan])
+    def test_choose_reducers_rejects_a_budget_no_count_meets(
+        self, reducer_bits
+    ):
+        """Theorem 3.6's bound at 2**20 reducers is 0.64 bits here: a
+        smaller budget has no reducer count, not the fewest."""
+        q = triangle_query()
+        stats = SimpleStatistics.of(_triangle_db())
+        with pytest.raises(ValueError):
+            choose_reducers(q, stats, reducer_bits)
+
     def test_run_is_complete(self):
         q = triangle_query()
         db = _triangle_db(m=200, n=150)
         run = hypercube_mapreduce(q, db, reducer_bits=4000.0, verify=True)
-        assert run.result.is_complete
+        assert run.is_complete
 
     def test_measured_rate_tracks_lower_bound(self):
         """HC's replication rate is between Theorem 5.1's bound and 4.68
@@ -165,7 +130,7 @@ class TestHyperCubeAsMapReduce:
                 reducer_bits = bits["S1"] / divisor
                 run = hypercube_mapreduce(q, db, reducer_bits=reducer_bits)
                 bound, _ = replication_rate_lower_bound(q, bits, reducer_bits)
-                rate[divisor] = run.result.replication_rate
+                rate[divisor] = run.replication_rate
                 assert 1.0 <= rate[divisor] / bound <= 4.68, (m, divisor)
         # A 16x smaller budget predicts a 4x rate; reducer counts move in
         # powers of two, and the measured factor is 10 / 2.

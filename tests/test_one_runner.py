@@ -24,7 +24,7 @@ from repro.mpc import (
     available_engines,
     run_one_round,
 )
-from repro.query.catalog import CATALOG, cartesian_product_query
+from repro.query.families import FAMILIES, cartesian_product_query
 from repro.rounds import run_rounds
 from repro.stats import HeavyHitterStatistics
 
@@ -32,7 +32,7 @@ P, SEED = 8, 3
 TRIANGLE_TEXT = "q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
 JOIN_TEXT = "q(x,y,z) :- S1(x,z), S2(y,z)"
 
-QUERIES = {**{name: build() for name, build in CATALOG.items()},
+QUERIES = {**{name: build() for name, build in FAMILIES.items()},
            "product": cartesian_product_query(2, arity=2)}
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query import Atom, ConjunctiveQuery, QueryError
-from repro.query.catalog import triangle_query
+from repro.query.families import triangle_query
 
 
 class TestAtom:

@@ -1,4 +1,4 @@
-"""Unit tests for the query catalog."""
+"""Unit tests for the standard query families."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.query import (
 )
 
 
-class TestCatalogShapes:
+class TestFamilyShapes:
     def test_simple_join(self):
         q = simple_join_query()
         assert q.head == ("x", "y", "z")
@@ -87,7 +87,7 @@ class TestCatalogShapes:
         with pytest.raises(ValueError):
             factory(bad)
 
-    def test_connectivity_of_catalog(self):
+    def test_connectivity_of_families(self):
         assert triangle_query().is_connected()
         assert chain_query(5).is_connected()
         assert star_query(4).is_connected()
