@@ -117,6 +117,40 @@ class TestHyperCubeAsMapReduce:
         run = hypercube_mapreduce(q, db, reducer_bits=4000.0, verify=True)
         assert run.is_complete
 
+    @pytest.mark.parametrize("divisor", [4, 16])
+    def test_a_tuple_goes_to_the_shares_of_its_missing_variables(
+        self, divisor
+    ):
+        """The map phase is one HC round on ``choose_reducers``' count: a
+        tuple of ``S_j`` reaches ``prod_{v not in S_j} share_v`` reducers,
+        so ``r = sum_i L_i / |I|`` counts exactly those copies."""
+        q = triangle_query()
+        db = _triangle_db(m=600, n=1200, seed=50)
+        stats = SimpleStatistics.of(db)
+        reducer_bits = stats.bits("S1") / divisor
+        run = hypercube_mapreduce(q, db, reducer_bits)
+        assert run.p == choose_reducers(q, stats, reducer_bits)
+        (map_round,) = run.rounds
+        shares = map_round.details["shares"]
+        assert math.prod(shares.values()) > 1
+        copies = sum(
+            len(db.relation(atom.name).tuples)
+            * math.prod(
+                share for var, share in shares.items()
+                if var not in atom.variables
+            )
+            for atom in q.atoms
+        )
+        assert sum(map_round.report.per_server_tuples) == copies
+        # The three relations share one domain, so every tuple has equal bits.
+        assert math.isclose(run.replication_rate, copies / run.input_tuples)
+
+    def test_answers_only_when_verifying(self):
+        q = triangle_query()
+        db = _triangle_db(m=200, n=150)
+        run = hypercube_mapreduce(q, db, reducer_bits=4000.0)
+        assert run.answers is None and run.is_complete is None
+
     def test_measured_rate_tracks_lower_bound(self):
         """HC's replication rate is between Theorem 5.1's bound and 4.68
         times it, at reducer budgets L = M / divisor (measured: 3.0, 3.0,
