@@ -72,6 +72,7 @@ from ..mpc.farm import (
     attempt,
     check_workers,
 )
+from ..mpc.hashing import ColumnHashes
 from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery, QueryError
 from ..query.parser import parse_query
@@ -351,6 +352,16 @@ class _Slots(dict):
         return self[section][1]
 
 
+@dataclass
+class _InUse:
+    """What a context keeps for the database in use, and drops with it:
+    the raw hashes of its columns and the sequential oracle's answers."""
+
+    db: Database | None
+    hashes: ColumnHashes | None = None
+    answers: Answers | None = None
+
+
 class SharedContext:
     """What cells at equal coordinates share, and under which key — decided
     here and nowhere else.  The database, under (query, workload), has one
@@ -360,21 +371,25 @@ class SharedContext:
     the catalog plus the budget, go through ``cache``: one slot per section
     unless a cache is passed (the service's three job kinds pass its
     ``CatalogCache``: the second request on a catalog is a hit).  The
-    sequential oracle's answers on the database in use have one slot, never
-    ``cache``, whose entries outlive the sweep.
+    database a cell runs on has one more slot, kept here and never in
+    ``cache`` (whose entries outlive the sweep): the raw hashes of its
+    columns (each hashed once per seed and salt, whichever algorithm and
+    share vector routes it) and the sequential oracle's answers; the first
+    cell on another database drops both.
 
     :meth:`step` is one cell end to end, wherever it runs: on a fresh
     context in :func:`run_cell`, on one context for the whole grid in the
     in-process executor, and in every farm worker on a copy of its own that
     starts empty (never the caller's ``cache``: the server-wide one holds a
     lock another thread may hold at fork) and keeps what it built from one
-    cell to its next; a replacement keeps nothing.
+    cell to its next; a replacement keeps nothing.  One thread uses a
+    context.
     """
 
     def __init__(self, cache: PreparedCache | None = None) -> None:
         self.cache = _Slots() if cache is None else cache
         self._data = _Slots()
-        self._oracle = (None, None)     # (database, its answers or None)
+        self._in_use = _InUse(None)
 
     def build(self, catalog: Catalog, obs: Observation | None = None):
         """``(query, db, stats)`` of ``catalog``."""
@@ -404,15 +419,23 @@ class SharedContext:
             lambda: plan(query, stats, catalog.p, max_rounds=rounds,
                          obs=obs))
 
+    def using(self, db: Database) -> _InUse:
+        """The slot of ``db``, made afresh — the last database's column
+        hashes and oracle answers dropped — when it is another one."""
+        if self._in_use.db is not db:
+            self._in_use = _InUse(
+                db, ColumnHashes(relation.batch.columns for relation in db)
+            )
+        return self._in_use
+
     def expected(self, cell: Cell, query, db, obs) -> Answers | None:
         """What a verifying ``cell`` compares its answers with (None for
         any other): evaluated by the first one on ``db``, shared by the
         rest, dropped by the first cell of another database."""
-        if self._oracle[0] is not db:
-            self._oracle = db, None
-        if cell.verify and self._oracle[1] is None:
-            self._oracle = db, oracle_answers(query, db, obs)
-        return self._oracle[1] if cell.verify else None
+        in_use = self.using(db)
+        if cell.verify and in_use.answers is None:
+            in_use.answers = oracle_answers(query, db, obs)
+        return in_use.answers if cell.verify else None
 
     def step(
         self, cell: Cell, tracer: Tracer | None = None
@@ -451,9 +474,10 @@ def _execute(
     """Run one cell's algorithm in a prepared context; build the record.
 
     One call into :func:`repro.rounds.run_rounds`, whatever the round
-    count.  A verifying cell compares with the oracle answers ``shared``
-    holds for ``db`` and, when it is the first to ask, evaluates them —
-    beside its own ``sweep.cell`` span, not inside.
+    count, on the column hashes ``shared`` holds for ``db``.  A verifying
+    cell compares with the oracle answers ``shared`` holds for ``db`` and,
+    when it is the first to ask, evaluates them — beside its own
+    ``sweep.cell`` span, not inside.
 
     Observability: when the cell asks for it (``cell.observe``) or a
     sweep-level ``obs`` is supplied, the cell runs against a *fresh*
@@ -488,6 +512,7 @@ def _execute(
             engine=cell.engine,
             obs=cell_obs,
             expected=expected,
+            column_hashes=shared.using(db).hashes,
         )
     wall = time.perf_counter() - started
     metrics_block = None

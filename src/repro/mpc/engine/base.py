@@ -35,6 +35,7 @@ from ...obs import maybe_timed
 from ...seq.join import evaluate
 from ...seq.relation import Database
 from ..execution import ExecutionResult, OneRoundAlgorithm
+from ..hashing import ColumnHashes, HashFamily
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs import Observation
@@ -61,18 +62,23 @@ class ExecutionEngine(ABC):
         compute_answers: bool = True,
         verify: bool = False,
         obs: "Observation | None" = None,
+        column_hashes: ColumnHashes | None = None,
     ) -> ExecutionResult:
         """Simulate one round; see :func:`repro.mpc.run_one_round`.
 
         ``obs`` (an :class:`repro.obs.Observation`) enables tracing and
         metrics for the round; the engine-independent result metrics are
         recorded here so every engine reports them identically.
+        ``column_hashes`` is the raw column hashes of the database ``db``
+        is drawn from, kept by the caller between rounds and runs on it
+        (see :class:`repro.mpc.hashing.ColumnHashes`); it moves no bucket.
         """
+        hashes = HashFamily(seed, column_hashes)
         with maybe_timed(
             obs, "engine.run",
             engine=self.name, algorithm=algorithm.name, p=p, seed=seed,
         ):
-            result = self._run(algorithm, db, p, seed, compute_answers, obs)
+            result = self._run(algorithm, db, p, hashes, compute_answers, obs)
             if verify:
                 with maybe_timed(obs, "engine.verify"):
                     result = replace(
@@ -89,11 +95,12 @@ class ExecutionEngine(ABC):
         algorithm: OneRoundAlgorithm,
         db: Database,
         p: int,
-        seed: int,
+        hashes: HashFamily,
         compute_answers: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
-        """Engine-specific round simulation (``obs`` may be None); leaves
+        """Engine-specific round simulation under the round's hash family
+        (its seed is the result's; ``obs`` may be None); leaves
         ``expected_answers`` unset — verification is :meth:`run`'s."""
 
     @staticmethod

@@ -56,7 +56,7 @@ class BatchedEngine(ExecutionEngine):
         algorithm: OneRoundAlgorithm,
         db: Database,
         p: int,
-        seed: int,
+        hashes: HashFamily,
         compute_answers: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
@@ -64,7 +64,6 @@ class BatchedEngine(ExecutionEngine):
             raise ValueError("cluster needs at least one server")
         query = algorithm.query
         db.validate_against(query)
-        hashes = HashFamily(seed)
         with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
             plan = algorithm.routing_plan(db, p, hashes)
 
@@ -100,7 +99,7 @@ class BatchedEngine(ExecutionEngine):
             algorithm=algorithm.name,
             query=query,
             p=p,
-            seed=seed,
+            seed=hashes.seed,
             report=ledger.report(input_tuples, input_bits),
             answers=answers,
             details=dict(plan.describe()),

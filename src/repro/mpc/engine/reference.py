@@ -36,14 +36,13 @@ class ReferenceEngine(ExecutionEngine):
         algorithm: OneRoundAlgorithm,
         db: Database,
         p: int,
-        seed: int,
+        hashes: HashFamily,
         compute_answers: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         query = algorithm.query
         db.validate_against(query)
         cluster = Cluster(p)
-        hashes = HashFamily(seed)
         with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
             plan = algorithm.routing_plan(db, p, hashes)
 
@@ -90,7 +89,7 @@ class ReferenceEngine(ExecutionEngine):
             algorithm=algorithm.name,
             query=query,
             p=p,
-            seed=seed,
+            seed=hashes.seed,
             report=cluster.load_report(input_tuples, input_bits),
             answers=answers,
             details=dict(plan.describe()),

@@ -309,6 +309,11 @@ class OneRoundAlgorithm(MPCAlgorithm):
 
         Implementations may consult database *statistics* (cardinalities,
         heavy hitters) but must route each tuple independently of the others.
+        ``hashes`` may hold the raw hashes of ``db``'s columns
+        (:class:`~repro.mpc.hashing.ColumnHashes`): a plan that hashes a
+        relation's own column (a row of ``batch.columns``) with
+        :meth:`HashFamily.bucket_column` reduces them instead of evaluating
+        the polynomial again.
         """
 
     def predicted_load_bits(self, stats: object, p: int) -> float:

@@ -7,9 +7,10 @@ per-cell wall clock and queue wait.  Three instrument kinds:
 
 * :class:`Counter` — monotone accumulator (``inc``); merges by addition.
 * :class:`Gauge` — last-written value (``set``); merges by overwrite.
-* :class:`Histogram` — stores every observation; reports count/min/max/
-  mean and nearest-rank percentiles (p50/p90/p99); merges by
-  concatenation, so per-worker histograms aggregate exactly.
+* :class:`Histogram` — reports count/min/max/mean of every observation
+  and nearest-rank percentiles (p50/p90/p99) of the ones it keeps: all of
+  them, or the newest ``window`` in a long-lived process's registry;
+  merges by concatenation, so per-worker histograms aggregate exactly.
 
 :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge_snapshot`
 round-trip through plain JSON-ready dicts — that is how
@@ -49,72 +50,96 @@ class Gauge:
 
 
 class Histogram:
-    """Exact histogram: stores observations, reports rank statistics.
+    """Count, total, min and max of every observation, and nearest-rank
+    percentiles of the newest ``window`` of them — of all of them when
+    ``window`` is None (the default).
 
-    Suited to the cardinalities this repo meets (per-server loads —
-    at most ``p`` values — and per-cell timings); a streaming sketch
-    would only be warranted far beyond that.
+    Unwindowed, it suits the cardinalities a run meets (per-server loads —
+    at most ``p`` values — and per-cell timings); a long-lived process
+    gives its registry a window, so that what it keeps does not grow with
+    its uptime.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "window", "count", "total", "_least", "_most")
 
-    def __init__(self, values: Iterable[float] = ()) -> None:
-        self.values: list[float] = list(values)
+    def __init__(
+        self, values: Iterable[float] = (), window: int | None = None
+    ) -> None:
+        if window is not None and window < 1:
+            raise ValueError(f"a histogram window is >= 1, got {window}")
+        #: The observations percentiles are taken over, oldest first.
+        self.values: list[float] = []
+        self.window = window
+        self.count = 0
+        self.total: float = 0
+        self._least = self._most = 0.0
+        self.extend(values)
 
     def observe(self, value: float) -> None:
+        if not self.count or value < self._least:
+            self._least = value
+        if not self.count or value > self._most:
+            self._most = value
+        self.count += 1
+        self.total += value
         self.values.append(value)
+        if self.window is not None and len(self.values) > self.window:
+            del self.values[0]
 
     def extend(self, values: Iterable[float]) -> None:
-        self.values.extend(values)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
+        for value in values:
+            self.observe(value)
 
     @property
     def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
+        return self.total / self.count if self.count else 0.0
 
     @property
     def max(self) -> float:
-        return max(self.values) if self.values else 0.0
+        return self._most
 
     @property
     def min(self) -> float:
-        return min(self.values) if self.values else 0.0
+        return self._least
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile, ``q`` in [0, 100]; 0.0 when empty."""
-        if not self.values:
-            return 0.0
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile wants q in [0, 100], got {q}")
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(q / 100 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self.values), q)
 
     def summary(self) -> dict[str, float]:
-        """A JSON-ready digest: count, total, min/mean/max, p50/p90/p99."""
+        """A JSON-ready digest: count, total, min/mean/max, p50/p90/p99
+        (one sort for the three)."""
+        ordered = sorted(self.values)
         return {
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "mean": self.mean,
             "max": self.max,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": _nearest_rank(ordered, 50),
+            "p90": _nearest_rank(ordered, 90),
+            "p99": _nearest_rank(ordered, 99),
         }
 
 
-class MetricsRegistry:
-    """Named instruments, created on first touch, mergeable across runs."""
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The nearest-rank ``q``-th percentile of ascending ``ordered``."""
+    if not ordered:
+        return 0.0
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile wants q in [0, 100], got {q}")
+    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
 
-    def __init__(self) -> None:
+
+class MetricsRegistry:
+    """Named instruments, created on first touch, mergeable across runs.
+
+    ``window``, when given, is every histogram's (:class:`Histogram`): a
+    windowed registry snapshots and merges each histogram's window only.
+    """
+
+    def __init__(self, window: int | None = None) -> None:
+        self.window = window
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -127,7 +152,10 @@ class MetricsRegistry:
         return self._gauges.setdefault(name, Gauge())
 
     def histogram(self, name: str) -> Histogram:
-        return self._histograms.setdefault(name, Histogram())
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(window=self.window)
+        return histogram
 
     # -- views ----------------------------------------------------------
     @property

@@ -25,6 +25,7 @@ from typing import Mapping
 
 from ..mpc.engine import ExecutionEngine, resolve_engine
 from ..mpc.execution import ExecutionResult, MPCAlgorithm, RoundSpec
+from ..mpc.hashing import ColumnHashes
 from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
 from ..seq.join import Answers, evaluate
@@ -144,6 +145,7 @@ def run_rounds(
     engine: str | ExecutionEngine = "batched",
     obs: Observation | None = None,
     expected: Answers | None = None,
+    column_hashes: ColumnHashes | None = None,
 ) -> MultiRoundResult:
     """Simulate every communication round of ``algorithm`` on ``db``.
 
@@ -158,6 +160,11 @@ def run_rounds(
     strongest completeness check available; it is evaluated here
     (:func:`oracle_answers`) unless the caller hands it in as ``expected``.
     The comparison runs under the ``rounds.compare`` span.
+    ``column_hashes`` is a caller's cache of raw hashes of ``db``'s
+    columns, handed to every round's engine: a caller that runs many
+    algorithms on one database hashes each column once per seed and salt
+    (the sweep executor keeps one per database).  It moves no bucket; an
+    intermediate's columns are never in it.
     """
     db.validate_against(algorithm.query)
     resolved = resolve_engine(engine)
@@ -197,6 +204,7 @@ def run_rounds(
                     compute_answers=compute_answers or not spec.is_final,
                     verify=False,
                     obs=obs,
+                    column_hashes=column_hashes,
                 )
             results.append(result)
             if obs is not None:

@@ -103,6 +103,11 @@ def expand_runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return positions
 
 
+#: Integer keys whose span ``max - min + 1`` is at most this many times
+#: their number are grouped by counting, not by sorting.
+_COUNTED_SPAN = 2
+
+
 def distinct_values(
     values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -110,10 +115,48 @@ def distinct_values(
     values in ascending order, where each first occurs, for every entry the
     index of its value in ``distinct``, and how often each occurs.
 
-    ``np.unique`` with every ``return_`` flag, from one ``argsort`` and a
-    diff: ``np.unique`` imports ``numpy.ma`` on its first call, which
-    every command would pay at start-up.
+    ``np.unique`` with every ``return_`` flag (which imports ``numpy.ma`` on
+    its first call, and every command would pay that at start-up), by one of
+    two paths with the same answer, bit for bit:
+
+    * *counting*, for integer keys whose span is at most
+      :data:`_COUNTED_SPAN` times their number — routing keys bounded by
+      the grid, ranks, values of a small domain: one ``np.bincount`` of
+      ``values - min``, the distinct values where a count is nonzero, each
+      entry's index the running number of them, and each first occurrence
+      by ``np.minimum.at`` — linear time;
+    * *sorting*, for everything else (a wider span, floats, booleans, an
+      empty array): one ``argsort`` and a diff.
     """
+    if len(values) and values.dtype.kind in "iu":
+        low = int(values.min())
+        if int(values.max()) - low < _COUNTED_SPAN * len(values):
+            return _distinct_counted(values, low)
+    return _distinct_sorted(values)
+
+
+def _distinct_counted(
+    values: np.ndarray, low: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`distinct_values` of a nonempty integer array whose minimum is
+    ``low``, by counting (memory linear in the span)."""
+    wide = (values.view(np.uint64)
+            if values.dtype.itemsize == 8 and values.dtype.isnative
+            else values.astype(np.uint64))
+    # Modular uint64 arithmetic: the difference is exact, below the span.
+    offsets = (wide - np.uint64(low % 2**64)).view(np.int64)
+    tally = np.bincount(offsets)
+    occupied = np.flatnonzero(tally)
+    inverse = (np.cumsum(tally > 0) - 1)[offsets]
+    first = np.full(len(occupied), len(values), dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    return values[first], first, inverse, tally[occupied]
+
+
+def _distinct_sorted(
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`distinct_values` of any 1-d array, by sorting."""
     order = np.argsort(values)
     ranked = values[order]
     new = np.ones(len(ranked), dtype=bool)
@@ -133,23 +176,28 @@ def distinct_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     occurs, ascending, and how often it occurs.  What a ``Counter`` of the
     tuples holds, in its order, without making a tuple.
 
-    Rows are counted as one mixed-radix int64 key (a digit a position, each
-    digit's base the span of its column) whenever those spans multiply to
-    at most ``2**63``, and sorted lexicographically otherwise."""
+    Rows are grouped as one mixed-radix int64 key (a digit a position, each
+    digit's base the span of its column) by :func:`distinct_values`
+    whenever those spans multiply to at most ``2**63``, and sorted
+    lexicographically otherwise."""
     k, m = columns.shape
     if k == 0:
         return (np.zeros(min(m, 1), dtype=np.intp),
                 np.array([m] if m else [], dtype=np.intp))
     if not m:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    if k == 1:
-        _, first, _, counts = distinct_values(columns[0])
-    elif (key := _row_key(columns)) is not None:
-        _, first, _, counts = distinct_values(key)
-    else:
+    key = columns[0] if k == 1 else _row_key(columns)
+    if key is None:
         first, counts = _distinct_rows_sorted(columns)
-    by_first = np.argsort(first)
-    return first[by_first], counts[by_first]
+        by_first = np.argsort(first)
+        return first[by_first], counts[by_first]
+    _, first, inverse, counts = distinct_values(key)
+    # First occurrences in their own order without a sort: marked where
+    # they are, each one's count read through its entry's group.
+    occurs = np.zeros(m, dtype=bool)
+    occurs[first] = True
+    first = np.flatnonzero(occurs)
+    return first, counts[inverse[first]]
 
 
 def _row_key(columns: np.ndarray) -> np.ndarray | None:

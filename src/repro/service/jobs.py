@@ -17,9 +17,11 @@ Observability (all through the existing :mod:`repro.obs` layer):
 metrics, and the cache's ``service.cache.{hit,miss}`` counters.
 
 The process is long-lived, so nothing here grows with its uptime: the
-queue keeps the newest :data:`RETAINED_JOBS` finished jobs, and each job
-runs under a tracer of its own (the metrics registry is the queue's), so
-its spans go when it is done.
+queue keeps the newest :data:`RETAINED_JOBS` finished jobs, each job runs
+under a tracer of its own (the metrics registry is the queue's), so its
+spans go when it is done, and the registry's histograms count every
+observation but keep only the newest :data:`METRICS_WINDOW` for their
+percentiles (:func:`service_observation`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..api.experiment import (
     execute_cells,
 )
 from ..mpc.farm import check_workers
-from ..obs import Observation
+from ..obs import MetricsRegistry, Observation
 from .cache import CatalogCache
 
 _LOG = logging.getLogger("repro.service.jobs")
@@ -52,6 +54,16 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: Finished jobs whose status and result the queue still answers for.
 RETAINED_JOBS = 256
+
+#: The newest observations each histogram of a service's registry takes
+#: its percentiles over; its count, total, min and max cover every one.
+METRICS_WINDOW = 1024
+
+
+def service_observation() -> Observation:
+    """The observation a long-lived service runs under when none is
+    given: histograms windowed at :data:`METRICS_WINDOW`."""
+    return Observation(metrics=MetricsRegistry(window=METRICS_WINDOW))
 
 
 class ServiceError(RuntimeError):
@@ -138,7 +150,7 @@ class JobQueue:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         if cell_workers is not None:
             check_workers(cell_workers)
-        self.obs = obs if obs is not None else Observation.create()
+        self.obs = obs if obs is not None else service_observation()
         self.cache = cache if cache is not None else CatalogCache(
             obs=self.obs
         )

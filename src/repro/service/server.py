@@ -45,7 +45,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..lp import enumerate_vertices, maximize
 from ..obs import Observation
 from .cache import CatalogCache
-from .jobs import BackpressureError, JobQueue, ServiceError
+from .jobs import (
+    BackpressureError, JobQueue, ServiceError, service_observation,
+)
 
 _LOG = logging.getLogger("repro.service.server")
 
@@ -220,7 +222,7 @@ class ReproService:
         cache_capacity: int = 64,
         obs: Observation | None = None,
     ) -> None:
-        self.obs = obs if obs is not None else Observation.create()
+        self.obs = obs if obs is not None else service_observation()
         self.cache = CatalogCache(capacity=cache_capacity, obs=self.obs)
         self.queue = JobQueue(
             queue_size=queue_size,

@@ -1,5 +1,6 @@
 """The experiment/sweep runner and the RunRecord schema."""
 
+import gc
 import json
 import weakref
 from dataclasses import asdict, replace
@@ -23,6 +24,8 @@ from repro.api import (
     run_cell,
     validate_record,
 )
+from repro.api.experiment import SharedContext
+from repro.mpc import hashing
 from repro.mpc.engine import EngineError
 from repro.obs import Observation
 from repro.query import parse_query
@@ -634,6 +637,52 @@ class TestOneOracleEvaluationPerDatabase:
         # first answer set is gone by the time the second is in use.
         assert alive_at_each_record == [[True]] * 6 + [[False, True]] * 6
         assert [ref() for ref in made] == [None, None]
+
+
+class TestColumnHashesPerDatabase:
+    """A context hashes each column of its database once per seed and
+    salt, whichever cell routes it, and drops the hashes with the
+    database."""
+
+    GRID = dict(query=JOIN_TEXT, workload="uniform", m_values=(200, 300),
+                p_values=(8, 27),
+                algorithms=("hypercube-lp", "hypercube-equal", "hashjoin"))
+
+    def test_a_sweep_evaluates_each_column_once(self, monkeypatch):
+        evaluated, real = [], hashing.HashFamily.raw_column
+
+        def counting(family, salt, values):
+            address = values.__array_interface__["data"][0]
+            evaluated.append((family.seed, salt, address, len(values)))
+            return real(family, salt, values)
+
+        monkeypatch.setattr(hashing.HashFamily, "raw_column", counting)
+        result = Sweep(**self.GRID).run()
+        assert len(result) == 12 and all(r.ok for r in result)
+        assert len(set(evaluated)) == len(evaluated) > 0
+        # Without a context every cell hashes its columns again.
+        cells = Sweep(**self.GRID).cells()
+        evaluated.clear()
+        assert [measurements(run_cell(cell)) for cell in cells] == \
+            [measurements(r) for r in result]
+        assert len(set(evaluated)) < len(evaluated)
+
+    def test_a_context_drops_its_hashes_with_its_database(self):
+        context = SharedContext()
+        cells = Sweep(**self.GRID).cells()
+        first = [cell for cell in cells if cell.m == 200]
+        context.step(first[0])
+        db = context.build(first[0].catalog)[1]
+        held = weakref.ref(context.using(db).hashes)
+        assert len(held()) > 0
+        for cell in first[1:]:
+            context.step(cell)
+        assert context.using(db).hashes is held()
+        other = next(cell for cell in cells if cell.m == 300)
+        context.step(other)
+        gc.collect()
+        assert held() is None
+        assert len(context.using(context.build(other.catalog)[1]).hashes) > 0
 
 
 class TestRecordSchema:

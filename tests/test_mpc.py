@@ -3,6 +3,7 @@ execution."""
 
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from repro.mpc import (
     ServerAllocator,
     run_one_round,
 )
+from repro.mpc import hashing
 from repro.mpc.execution import OneRoundAlgorithm, RoutingPlan
 from repro.query import parse_query
 from repro.seq import Database, Relation
@@ -201,6 +203,75 @@ class TestHashFamily:
             finally:
                 os._exit(status)
         assert os.waitpid(pid, 0)[1] == 0
+
+
+class TestColumnHashes:
+    """A family given a database's :class:`ColumnHashes` evaluates each
+    (seed, salt, column) once and reduces that into any bucket count: the
+    buckets of a family without one, and of the scalar definition."""
+
+    @given(
+        seed=st.integers(-(2**63), 2**63 - 1),
+        arity=st.integers(1, 3),
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=45),
+        salts=st.lists(st.sampled_from(["hc:x", "hc:z", "hj:z", "bin0:y"]),
+                       min_size=1, max_size=4),
+        shares=st.lists(st.integers(1, 2**40), min_size=2, max_size=2),
+        cut=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    )
+    def test_cached_buckets_are_the_scalar_buckets(
+        self, seed, arity, values, salts, shares, cut
+    ):
+        store = np.array(values[:len(values) // arity * arity],
+                         dtype=np.int64).reshape(arity, -1)
+        cache = hashing.ColumnHashes([store])
+        cached, scalar = HashFamily(seed, cache), HashFamily(seed)
+        for salt in salts:
+            for row in store:
+                each = (np.arange(len(row)) * shares[1]) % 97 + 1
+                for buckets in (shares[0], 1, each):
+                    want = [scalar.bucket(salt, v, int(b)) for v, b in zip(
+                        row.tolist(), np.broadcast_to(buckets, len(row)))]
+                    assert cached.bucket_column(salt, row, buckets).tolist() \
+                        == want
+                    assert HashFamily(seed).bucket_column(
+                        salt, row, buckets).tolist() == want
+                piece = row[slice(*cut)]
+                assert cached.bucket_column(salt, piece, shares[0]).tolist() \
+                    == [scalar.bucket(salt, v, shares[0])
+                        for v in piece.tolist()]
+        assert len(cache) == (len(set(salts)) * store.shape[0]
+                              if store.size else 0)
+
+    def test_each_column_is_evaluated_once_per_seed_and_salt(
+        self, monkeypatch
+    ):
+        evaluated = []
+        real = HashFamily.raw_column
+        monkeypatch.setattr(HashFamily, "raw_column", lambda self, salt, v: (
+            evaluated.append((self.seed, salt, len(v))) or real(self, salt, v)
+        ))
+        store = np.arange(-40, 40, dtype=np.int64).reshape(2, 40) * 7919
+        cache = hashing.ColumnHashes([store])
+        for share in (2, 4, 8, 64, np.arange(40) + 1):
+            HashFamily(3, cache).bucket_column("hc:z", store[1], share)
+        assert evaluated == [(3, "hc:z", 40)]
+        HashFamily(4, cache).bucket_column("hc:z", store[1], 8)
+        HashFamily(3, cache).bucket_column("hc:y", store[1], 8)
+        HashFamily(3, cache).bucket_column("hc:z", store[0], 8)
+        assert len(evaluated) == len(cache) == 4
+        # Not columns of the store: a piece, a copy, another store's row.
+        for values in (store[1, 1:], store[1].copy(), store.copy()[1]):
+            HashFamily(3, cache).bucket_column("hc:z", values, 8)
+        assert len(evaluated) == 7 and len(cache) == 4
+
+    def test_a_family_pickles_without_its_column_hashes(self):
+        store = np.arange(12, dtype=np.int64).reshape(2, 6)
+        family = HashFamily(5, hashing.ColumnHashes([store]))
+        shipped = pickle.loads(pickle.dumps(family))
+        assert shipped.seed == 5 and vars(shipped)["_columns"] is None
+        assert shipped.bucket_column("hc:x", store[0], 7).tolist() == \
+            family.bucket_column("hc:x", store[0], 7).tolist()
 
 
 class TestCluster:

@@ -66,6 +66,19 @@ class TestPercentiles:
             "max": 100, "p50": 50, "p90": 90, "p99": 99,
         }
 
+    def test_a_window_keeps_the_newest_and_counts_them_all(self):
+        histogram = Histogram(range(100, 0, -1), window=10)
+        assert histogram.values == list(range(10, 0, -1))
+        assert histogram.summary() == {
+            "count": 100, "total": 5050, "min": 1, "mean": 50.5,
+            "max": 100, "p50": 5, "p90": 9, "p99": 10,
+        }
+        registry = MetricsRegistry(window=3)
+        registry.histogram("h").extend([5.0, 1.0, 9.0, 3.0])
+        assert registry.histogram("h").values == [1.0, 9.0, 3.0]
+        with pytest.raises(ValueError):
+            Histogram(window=0)
+
 
 class TestRegistry:
     def test_get_or_create(self):

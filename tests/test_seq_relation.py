@@ -9,6 +9,8 @@ from collections.abc import Set as AbstractSet
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import WorkloadSpec
 from repro.query import parse_query
@@ -19,8 +21,10 @@ from repro.seq import (
     bits_per_value,
     local_join,
 )
+from repro.seq import relation as relation_module
 from repro.seq.relation import (
-    Batch, TupleView, _distinct_rows_sorted, distinct_rows, distinct_values,
+    Batch, TupleView, _distinct_counted, _distinct_rows_sorted,
+    _distinct_sorted, distinct_rows, distinct_values,
     sorted_lookup,
 )
 
@@ -363,6 +367,75 @@ class TestArrayHelpers:
         for got, want in zip((distinct, first, inverse, counts), expected):
             assert got.tolist() == want.tolist()
         assert distinct[inverse].tolist() == values
+
+    @given(
+        low=st.integers(-(2**63), 2**63 - 1),
+        length=st.integers(0, 40),
+        reach=st.sampled_from(["counted", "at", "past", "wide"]),
+        dtype=st.sampled_from(
+            ["int64", ">i8", "int32", "int8", "uint64", "uint16", "float64",
+             "bool"]
+        ),
+        data=st.data(),
+    )
+    def test_counting_and_sorting_agree_bit_for_bit(
+        self, low, length, reach, dtype, data
+    ):
+        """Keys of a span up to twice their number are counted, any other
+        sorted: both give the same four arrays, dtypes included — on
+        negative keys, at the int64 edges (where ``max - min`` overflows
+        int64), at the threshold and one past it, empty and single
+        arrays, narrow and byte-swapped integers, and dtypes that only
+        sort."""
+        span = {"counted": max(1, 2 * length), "at": 2 * length,
+                "past": 2 * length + 1, "wide": 2**64}[reach]
+        offsets = data.draw(st.lists(st.integers(0, max(span - 1, 0)),
+                                     min_size=length, max_size=length))
+        wide = [min(low + offset, 2**63 - 1) for offset in offsets]
+        if reach in ("at", "past") and length:
+            wide[0] = low                        # pin the span itself
+            wide[-1] = low + span - 1 if low + span <= 2**63 else wide[-1]
+        values = np.array(wide, dtype=np.int64).astype(dtype)
+        by_sort = _distinct_sorted(values)
+        got = distinct_values(values)
+        if len(values) and values.dtype.kind in "iu":
+            bottom = int(values.min())
+            if int(values.max()) - bottom < 2 * len(values):
+                by_count = _distinct_counted(values, bottom)
+                assert [a.dtype for a in by_count] == [a.dtype for a in by_sort]
+                assert all(map(np.array_equal, by_count, by_sort))
+        assert [a.dtype for a in got] == [a.dtype for a in by_sort]
+        assert all(map(np.array_equal, got, by_sort))
+        expected = np.unique(values, return_index=True, return_inverse=True,
+                             return_counts=True)
+        assert all(map(np.array_equal, got, expected))
+
+    @pytest.mark.parametrize("length", [2, 3, 50])
+    def test_keys_are_counted_up_to_twice_their_number(
+        self, length, monkeypatch
+    ):
+        """A span of ``2 * len`` is counted (byte-swapped keys too), one
+        more is sorted — each path checked by making the other one
+        fail."""
+        def refuse(*args):
+            raise AssertionError("the other path")
+
+        at = np.arange(length, dtype=np.int64) * 2 - 7
+        at[-1] = at[0] + 2 * length - 1
+        past = at.copy()
+        past[-1] += 1
+        real = relation_module._distinct_counted
+        monkeypatch.setattr(relation_module, "_distinct_sorted", refuse)
+        monkeypatch.setattr(relation_module, "_distinct_counted", real)
+        counted = distinct_values(at)
+        swapped = distinct_values(at.astype(">i8"))
+        assert all(map(np.array_equal, swapped, counted))
+        monkeypatch.undo()
+        monkeypatch.setattr(relation_module, "_distinct_counted", refuse)
+        sorted_ = distinct_values(past)
+        assert counted[1].tolist() == sorted_[1].tolist() == \
+            list(range(length))
+        assert counted[3].tolist() == sorted_[3].tolist() == [1] * length
 
     @pytest.mark.parametrize("rows, positions", [
         ([], (0, 1)), ([(3, 1, 3), (2, 1, 3), (3, 1, 3), (3, 0, 3)], (0, 1)),

@@ -1,13 +1,16 @@
 """The fault-isolated cell executor and the service job queue."""
 
 import ast
+import gc
 import pickle
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -24,6 +27,7 @@ from repro.api import (
 )
 from repro.api import experiment as experiment_module
 from repro.api.records import RUN_RECORD_FIELDS
+from repro.mpc import hashing
 from repro.mpc.execution import OneRoundAlgorithm
 from repro.obs import Observation
 from repro.service import jobs as jobs_module
@@ -494,6 +498,65 @@ class TestJobQueueUnit:
         assert histogram("service.job.seconds").count == 6
         assert histogram("data.generate.seconds").count == 1
         queue.shutdown()
+
+    def test_server_histograms_keep_a_window_of_ten_blocks(self):
+        """Ten blocks of the benchmark's mixed traffic: every histogram of
+        the queue's registry counts each observation and keeps at most
+        :data:`METRICS_WINDOW` of them."""
+        from perf.service import job_blocks
+
+        queue = JobQueue(queue_size=32, workers=1)
+        blocks = job_blocks(seed=7, quick=True)
+        jobs = 0
+        for _ in range(10):
+            ids = [queue.submit(job.kind, job.spec).id for job in next(blocks)]
+            jobs += len(ids)
+            assert queue.join(timeout=120)
+            assert all(queue.status(i)["state"] == "done" for i in ids)
+        queue.shutdown()
+        histograms = queue.obs.metrics.histograms
+        assert histograms["service.job.seconds"].count == jobs
+        loads = histograms["engine.server_load_bits"]
+        assert loads.count > jobs_module.METRICS_WINDOW
+        assert loads.summary()["count"] == loads.count
+        assert all(
+            len(histogram.values) <= jobs_module.METRICS_WINDOW
+            for histogram in histograms.values()
+        )
+
+    def test_a_served_sweep_leaves_no_column_hashes_in_the_cache(self):
+        """The raw column hashes a sweep job routes with belong to its
+        context: gone with the job, and never reachable from the
+        server-wide cache."""
+        made = []
+        real = hashing.ColumnHashes.__init__
+
+        def tracked(self, stores):
+            made.append(weakref.ref(self))
+            real(self, stores)
+
+        queue = JobQueue(queue_size=4, workers=1)
+        spec = {"query": JOIN_TEXT, "workload": "zipf", "m_values": [300],
+                "p_values": [8], "skews": [1.2]}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hashing.ColumnHashes, "__init__", tracked)
+            job = queue.submit("sweep", spec)
+            assert queue.join(timeout=120)
+        assert queue.result(job.id)["count"] > 1
+        queue.shutdown()
+        assert len(made) == 1
+        gc.collect()
+        assert made[0]() is None
+        seen, todo = set(), [queue.cache]
+        while todo:
+            item = todo.pop()
+            if id(item) in seen or isinstance(item, type):
+                continue
+            seen.add(id(item))
+            assert not isinstance(item, hashing.ColumnHashes)
+            assert not (isinstance(item, np.ndarray)
+                        and item.dtype == np.uint64), item
+            todo.extend(gc.get_referents(item))
 
     def test_concurrent_submits_at_capacity(self):
         """Racing submits at a full queue: exactly ``queue_size`` win,
