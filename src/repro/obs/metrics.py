@@ -87,8 +87,20 @@ class Histogram:
             del self.values[0]
 
     def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
+        """:meth:`observe` each of ``values`` in order, as one batch."""
+        batch = list(values)
+        if not batch:
+            return
+        least, most = min(batch), max(batch)
+        if not self.count or least < self._least:
+            self._least = least
+        if not self.count or most > self._most:
+            self._most = most
+        self.count += len(batch)
+        self.total = sum(batch, self.total)
+        self.values.extend(batch)
+        if self.window is not None and len(self.values) > self.window:
+            del self.values[:-self.window]
 
     @property
     def mean(self) -> float:

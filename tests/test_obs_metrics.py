@@ -80,6 +80,18 @@ class TestPercentiles:
             Histogram(window=0)
 
 
+    def test_extend_is_observe_in_order(self):
+        values = [3.0, -1.5, 7.25, 0.0, 2.0]
+        for window in (None, 2):
+            one, batch = Histogram([9.0], window), Histogram([9.0], window)
+            for value in values:
+                one.observe(value)
+            batch.extend(iter(values))
+            batch.extend([])
+            assert batch.values == one.values
+            assert batch.summary() == one.summary()
+
+
 class TestRegistry:
     def test_get_or_create(self):
         registry = MetricsRegistry()

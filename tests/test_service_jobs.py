@@ -500,16 +500,23 @@ class TestJobQueueUnit:
         queue.shutdown()
 
     def test_server_histograms_keep_a_window_of_ten_blocks(self):
-        """Ten blocks of the benchmark's mixed traffic: every histogram of
-        the queue's registry counts each observation and keeps at most
+        """Ten blocks of mixed plan, stats and sweep jobs: every histogram
+        of the queue's registry counts each observation and keeps at most
         :data:`METRICS_WINDOW` of them."""
-        from perf.service import job_blocks
-
+        triangle = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
         queue = JobQueue(queue_size=32, workers=1)
-        blocks = job_blocks(seed=7, quick=True)
         jobs = 0
-        for _ in range(10):
-            ids = [queue.submit(job.kind, job.spec).id for job in next(blocks)]
+        for block in range(10):
+            specs = [
+                ("plan", {"query": JOIN_TEXT, "p": 16, "m": 100 + block,
+                          "seed": block}),
+                ("stats", {"query": triangle, "workload": "zipf",
+                           "m": 60 + block, "seed": block, "stats": "exact"}),
+                ("sweep", {"query": JOIN_TEXT, "workload": "zipf",
+                           "m_values": [100 + block], "p_values": [27],
+                           "skews": [1.2], "seeds": [block]}),
+            ]
+            ids = [queue.submit(kind, spec).id for kind, spec in specs]
             jobs += len(ids)
             assert queue.join(timeout=120)
             assert all(queue.status(i)["state"] == "done" for i in ids)
