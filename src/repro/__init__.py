@@ -66,8 +66,8 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".mpc": (
         "BatchedEngine", "Cluster", "ExecutionEngine", "ExecutionResult",
-        "HashFamily", "LoadReport", "MultiprocessEngine",
-        "ReferenceEngine", "available_engines", "run_one_round",
+        "HashFamily", "LoadReport", "ReferenceEngine", "available_engines",
+        "run_one_round",
     ),
     ".obs": ("MetricsRegistry", "Observation", "Tracer"),
     ".query": (

@@ -64,7 +64,7 @@ from ..data.generators import (
     uniform_relation,
     zipf_relation,
 )
-from ..mpc.engine.base import resolve_engine
+from ..mpc.engine.base import available_engines, resolve_engine
 from ..mpc.farm import (
     Farm,
     FarmUnavailable,
@@ -355,11 +355,13 @@ class _Slots(dict):
 @dataclass
 class _InUse:
     """What a context keeps for the database in use, and drops with it:
-    the raw hashes of its columns and the sequential oracle's answers."""
+    the raw hashes of its columns and the sequential oracle's answers —
+    or the exception evaluating them raised."""
 
     db: Database | None
     hashes: ColumnHashes | None = None
     answers: Answers | None = None
+    failure: BaseException | None = None
 
 
 class SharedContext:
@@ -431,11 +433,21 @@ class SharedContext:
     def expected(self, cell: Cell, query, db, obs) -> Answers | None:
         """What a verifying ``cell`` compares its answers with (None for
         any other): evaluated by the first one on ``db``, shared by the
-        rest, dropped by the first cell of another database."""
+        rest, dropped by the first cell of another database.  An
+        evaluation that raised is not tried again: the rest of the
+        verifying cells on ``db`` raise the same exception."""
+        if not cell.verify:
+            return None
         in_use = self.using(db)
-        if cell.verify and in_use.answers is None:
-            in_use.answers = oracle_answers(query, db, obs)
-        return in_use.answers if cell.verify else None
+        if in_use.failure is not None:
+            raise in_use.failure.with_traceback(None)
+        if in_use.answers is None:
+            try:
+                in_use.answers = oracle_answers(query, db, obs)
+            except Exception as exc:
+                in_use.failure = exc
+                raise
+        return in_use.answers
 
     def step(
         self, cell: Cell, tracer: Tracer | None = None
@@ -638,8 +650,8 @@ def execute_cells(
     input order, keeping its builds in ``cache`` when given (the service's
     sweep jobs pass the server-wide
     :class:`~repro.service.cache.CatalogCache`).  More run the cells on a
-    :class:`repro.mpc.farm.Farm` — the process fan-out the ``mp`` engine
-    and the sketch pass use too — whose workers each step on a context of
+    :class:`repro.mpc.farm.Farm` — the process fan-out the sketch pass
+    uses too — whose workers each step on a context of
     their own (never ``cache``), kept from one cell to their next.
     ``cell_timeout`` requires process isolation, so setting it forces the
     farm even for a single worker.  If no worker process can be started
@@ -893,20 +905,29 @@ class Experiment:
         return execute_cells(self.cells(), obs=obs)
 
 
-#: The sweep spec, for :func:`_spec_fields`.
+def _one_of(names: Sequence[str]) -> str:
+    return f"one of {', '.join(names)}"
+
+
+_ENGINES = available_engines()
+_STATS_FIELD = (str, None, f"{_one_of(STATS_METHODS)}, or a list of them",
+                STATS_METHODS.__contains__)
+#: The sweep spec, for :func:`_spec_fields`.  The engine, the workload kind
+#: and the statistics methods must be names their registries know.
 _SPEC_FIELDS: Mapping[str, tuple] = {
-    "workload": (str, False, "a string"),
+    "workload": (str, False, _one_of(WORKLOAD_KINDS),
+                 WORKLOAD_KINDS.__contains__),
     "p_values": (int, True, "a list of integers"),
     "m_values": (int, True, "a list of integers"),
     "skews": ((int, float), True, "a list of finite numbers >= 0",
               lambda value: 0 <= value < math.inf),
     "seeds": (int, True, "a list of integers in [-2**63, 2**63)", _in_int64),
     "algorithms": (str, None, "a string or a list of strings"),
-    "engine": (str, False, "a string"),
+    "engine": (str, False, _one_of(_ENGINES), _ENGINES.__contains__),
     "verify": (bool, False, "a boolean"),
     "domain": ((int, type(None)), False, "an integer or null"),
-    "stats": (str, None, "a string or a list of strings"),
-    "stats_axis": (str, None, "a string or a list of strings"),
+    "stats": _STATS_FIELD,
+    "stats_axis": _STATS_FIELD,
     "rounds": (int, None, "an integer or a list of integers"),
     # Not the sweep's: the executor settings a job's spec may carry beside
     # the grid (:func:`execute_cells`' ``max_workers``, ``cell_timeout``).
@@ -945,11 +966,12 @@ class Sweep:
 
         Keys are the field names (``stats_axis`` is accepted for
         ``stats``); absent keys keep the field defaults and an unknown key
-        is an error.  Only shapes and types are checked — no query parse,
-        no grid expansion — so the service can run this on the request
-        thread and answer a malformed spec with 400 instead of accepting a
-        job that can only fail; grid values are validated where they
-        always were, in :meth:`cells`.  The executor settings a job spec
+        is an error.  Only shapes, types and the engine, workload and
+        statistics names are checked — no query parse, no grid expansion —
+        so the service can run this on the request thread and answer a
+        malformed spec with 400 instead of accepting a job that can only
+        fail; grid values are validated where they always were, in
+        :meth:`cells`.  The executor settings a job spec
         may carry (``workers``, ``cell_timeout``) are not the sweep's, but
         they are checked here, type and range, for the same reason.
         """

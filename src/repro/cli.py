@@ -653,8 +653,10 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated planner round budgets per "
                              "cell (e.g. '1,2' ranks one- and two-round "
                              "algorithms side by side)")
-    parser.add_argument("--engine", choices=available_engines(),
-                        default="batched")
+    parser.add_argument("--engine", default="batched",
+                        help="execution engine: "
+                             f"{' or '.join(available_engines())} "
+                             "(default batched)")
     parser.add_argument("--verify", action="store_true",
                         help="verify completeness in every cell (one "
                              "sequential join per database, plus every "
@@ -740,9 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     race.add_argument("--engine", choices=available_engines(),
                       default="batched",
                       help="execution engine simulating the round: batched "
-                           "(vectorized, default), reference (tuple-at-a-time "
-                           "parity oracle), mp (multiprocessing shards); all "
-                           "return identical answers and loads")
+                           "(vectorized, default) or reference (tuple-at-a-"
+                           "time parity oracle); both return identical "
+                           "answers and loads")
     _add_observability_arguments(race)
     _add_logging_arguments(race)
     race.set_defaults(func=cmd_race)

@@ -15,21 +15,15 @@ The engine subsystem separates *what* a one-round algorithm does (its
     when only loads are wanted (nothing is listed per tuple), ``deliveries``
     — ``(tuple index, server)`` arrays — when answers are, which the local
     joins of all servers consume as one array join.
-``mp``
-    :class:`MultiprocessEngine` — the same kernel
-    (:mod:`repro.mpc.engine.shard`) with each relation's batch sliced into
-    shards (int64 column slices on the wire) routed, and the local joins
-    run a range of servers at a time, on the process farm
-    (:mod:`repro.mpc.farm`).
 
-All engines are answer- and load-identical (``tests/test_engine_parity.py``);
-pick by speed/memory: ``batched`` for big single-process runs, ``mp`` when
-local joins dominate and cores are available.
+The two engines are answer- and load-identical
+(``tests/test_engine_parity.py``); ``batched`` is the default everywhere.
+Processes enter above the engines: a sweep farms whole cells
+(:mod:`repro.mpc.farm`), each running its rounds in-process.
 """
 
 from .base import EngineError, ExecutionEngine, available_engines, resolve_engine
 from .batched import BatchedEngine
-from .multiprocess import MultiprocessEngine
 from .reference import ReferenceEngine
 
 __all__ = [
@@ -39,5 +33,4 @@ __all__ = [
     "resolve_engine",
     "ReferenceEngine",
     "BatchedEngine",
-    "MultiprocessEngine",
 ]

@@ -9,7 +9,7 @@ and bit-identical per-server bit loads** as
 :class:`repro.mpc.engine.ReferenceEngine` for any algorithm and database,
 and the same ``IndexError`` for a server outside ``[0, p)``.
 ``tests/test_engine_parity.py`` enforces the contract for every registered
-engine; new engines should be added to :data:`ENGINES` and that test suite.
+engine; a new engine goes into :func:`_registry` and that test suite.
 
 Bit-identity is achievable because all load accounting computes per-server
 bits as ``received_count * tuple_bits`` per relation, folded in the query's
@@ -42,9 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class EngineError(ValueError):
-    """Raised for unknown engine names, malformed engine configuration, and
-    a round the ``mp`` engine could not finish (a shard worker raised or
-    died)."""
+    """Raised for an unknown engine name."""
 
 
 class ExecutionEngine(ABC):
@@ -135,13 +133,11 @@ class ExecutionEngine(ABC):
 
 def _registry() -> dict[str, type[ExecutionEngine]]:
     from .batched import BatchedEngine
-    from .multiprocess import MultiprocessEngine
     from .reference import ReferenceEngine
 
     return {
         ReferenceEngine.name: ReferenceEngine,
         BatchedEngine.name: BatchedEngine,
-        MultiprocessEngine.name: MultiprocessEngine,
     }
 
 

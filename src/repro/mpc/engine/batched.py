@@ -16,34 +16,87 @@ shared by every algorithm routed on it — by way of the two methods
   reference engine holds in memory;
 * with ``compute_answers=True`` each relation costs one
   :meth:`RoutingPlan.deliveries` call — ``(tuple index, server)`` arrays,
-  counted with ``np.bincount`` — and the ``p`` local joins are one array
-  join in which the server is one more shared variable
-  (:func:`repro.seq.join.join_columns`); no Python tuple is built.
+  counted with ``np.bincount`` and kept by the :class:`RoundLedger` as the
+  delivered tuples' columns with the receiving server one more row — and
+  the ``p`` local joins are one array join in which the server is one more
+  shared variable (:func:`repro.seq.join.join_columns`, ``tagged``); no
+  Python tuple is built.
 
-The kernel (:mod:`repro.mpc.engine.shard`) is shared with
-:class:`repro.mpc.engine.MultiprocessEngine`, which overrides only *where*
-shards are routed and joined (:meth:`BatchedEngine._shards`): this engine
-runs one shard per relation in the calling process.  Per-server bit loads are folded as
-``count * tuple_bits`` per relation in atom order exactly like the
-reference cluster, so all engines agree bit for bit.
+Per-server bit loads are folded as ``count * tuple_bits`` per relation in
+atom order exactly like the reference cluster, so the engines agree bit for
+bit.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 from ...obs import maybe_timed
-from ...query.atoms import ConjunctiveQuery
-from ...seq.join import Answers
-from ...seq.relation import Database
-from ..execution import ExecutionResult, OneRoundAlgorithm, RoutingPlan
+from ...seq.join import Answers, join_columns
+from ...seq.relation import Batch, Database
+from ..cluster import LoadReport
+from ..execution import ExecutionResult, OneRoundAlgorithm
 from ..hashing import HashFamily
 from .base import ExecutionEngine
-from .shard import InProcessShards, RoundLedger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs import Observation
+
+
+class RoundLedger:
+    """Per-server loads — and, with answers on, deliveries — of a round."""
+
+    def __init__(self, p: int, compute_answers: bool) -> None:
+        self.per_server_tuples = np.zeros(p, dtype=np.int64)
+        self.per_server_bits = np.zeros(p)
+        #: Per relation its deliveries as ``(arity + 1, d)`` columns: the
+        #: delivered tuple's values, the receiving server in the last row.
+        self.delivered: dict[str, np.ndarray] | None = (
+            {} if compute_answers else None
+        )
+
+    def add(
+        self, relation_name: str, tuple_bits: float, batch: Batch,
+        routed: Mapping[int, int] | tuple[np.ndarray, np.ndarray],
+    ) -> int:
+        """Fold one relation in: what routing ``batch`` gave — its
+        per-server counts (:meth:`RoutingPlan.destination_counts`) when
+        only loads are kept, its ``(indices, servers)`` arrays
+        (:meth:`RoutingPlan.deliveries`) when deliveries are; returns
+        tuples routed.  A server outside ``[0, p)`` charges nothing."""
+        p = len(self.per_server_tuples)
+        if self.delivered is None:
+            servers = np.fromiter(routed, dtype=np.int64, count=len(routed))
+            weights = list(routed.values())
+        else:
+            indices, servers = routed
+            weights = None
+        # The batched engine's one range check, raising what the reference
+        # does (``Cluster.send``): unchecked, -1 charges the last server.
+        outside = (servers < 0) | (servers >= p)
+        if outside.any():
+            raise IndexError(
+                f"server index {int(servers[outside][0])} outside [0, {p})"
+            )
+        if self.delivered is not None:
+            self.delivered[relation_name] = np.concatenate(
+                (np.take(batch.columns, indices, axis=1), servers[None])
+            )
+        counts = np.bincount(servers, weights, minlength=p).astype(np.int64)
+        self.per_server_tuples += counts
+        self.per_server_bits += counts * tuple_bits
+        return int(counts.sum())
+
+    def report(self, input_tuples: int, input_bits: float) -> LoadReport:
+        return LoadReport(
+            p=len(self.per_server_tuples),
+            per_server_tuples=tuple(self.per_server_tuples.tolist()),
+            per_server_bits=tuple(self.per_server_bits.tolist()),
+            input_tuples=input_tuples,
+            input_bits=input_bits,
+        )
 
 
 class BatchedEngine(ExecutionEngine):
@@ -66,34 +119,32 @@ class BatchedEngine(ExecutionEngine):
         db.validate_against(query)
         with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
             plan = algorithm.routing_plan(db, p, hashes)
+        route = plan.deliveries if compute_answers else plan.destination_counts
 
         ledger = RoundLedger(p, compute_answers)
         input_tuples = 0
         input_bits = 0.0
-        answers: Answers | None = None
-        with self._shards(
-            plan, query, db.domain_size, compute_answers, obs
-        ) as shards:
-            for atom in query.atoms:
-                relation = db.relation(atom.name)
-                tuple_bits = relation.tuple_bits
-                input_tuples += relation.cardinality
-                input_bits += relation.bits
-                with maybe_timed(obs, "engine.route", relation=atom.name):
-                    routed = ledger.add(
-                        atom.name,
-                        tuple_bits,
-                        relation.batch,
-                        shards.route(atom.name, relation.batch),
-                    )
-                if obs is not None:
-                    obs.count(f"engine.routed_tuples.{atom.name}", routed)
-                    obs.count(f"engine.shipped_bits.{atom.name}",
-                              routed * tuple_bits)
+        for atom in query.atoms:
+            relation = db.relation(atom.name)
+            tuple_bits = relation.tuple_bits
+            input_tuples += relation.cardinality
+            input_bits += relation.bits
+            batch = relation.batch
+            with maybe_timed(obs, "engine.route", relation=atom.name):
+                routed = ledger.add(atom.name, tuple_bits, batch,
+                                    route(atom.name, batch))
+            if obs is not None:
+                obs.count(f"engine.routed_tuples.{atom.name}", routed)
+                obs.count(f"engine.shipped_bits.{atom.name}",
+                          routed * tuple_bits)
 
-            if ledger.delivered is not None:
-                with maybe_timed(obs, "engine.local_join"):
-                    answers = shards.join(ledger.delivered)
+        answers: Answers | None = None
+        if ledger.delivered is not None:
+            with maybe_timed(obs, "engine.local_join"):
+                answers = Answers.of(
+                    join_columns(query, ledger.delivered, tagged=True),
+                    db.domain_size,
+                )
 
         return ExecutionResult(
             algorithm=algorithm.name,
@@ -104,16 +155,3 @@ class BatchedEngine(ExecutionEngine):
             answers=answers,
             details=dict(plan.describe()),
         )
-
-    @contextmanager
-    def _shards(
-        self,
-        plan: RoutingPlan,
-        query: ConjunctiveQuery,
-        domain_size: int,
-        compute_answers: bool,
-        obs: "Observation | None",
-    ) -> Iterator[InProcessShards]:
-        """Where the round's shards are routed and joined: here, in the
-        calling process; the mp engine overrides this with a farm."""
-        yield InProcessShards(plan, query, domain_size, compute_answers)

@@ -23,8 +23,8 @@ checks exactly that.
 
 The simulation itself is pluggable: :func:`run_one_round` delegates to an
 :class:`repro.mpc.engine.ExecutionEngine` selected by the ``engine``
-argument (``"reference"``, ``"batched"`` or ``"mp"``).  All engines are
-answer- and load-identical; they differ only in speed and memory
+argument (``"reference"`` or ``"batched"``).  The engines are answer- and
+load-identical; they differ only in speed and memory
 (``tests/test_engine_parity.py`` enforces this).
 """
 
@@ -389,11 +389,10 @@ def run_one_round(
         Which execution engine simulates the round: ``"batched"`` (the
         library-wide default — column-at-a-time routing, streams load
         accounting), ``"reference"`` (the tuple-at-a-time parity oracle),
-        ``"mp"`` (the batched kernel over multiprocessing shards), or any
-        :class:`repro.mpc.engine.ExecutionEngine` instance.  All engines
+        or any :class:`repro.mpc.engine.ExecutionEngine` instance.  Both
         return identical answers and loads, so the default is purely a
         speed choice; ``"reference"`` remains the oracle the parity suite
-        checks the others against.
+        checks ``"batched"`` against.
     obs:
         An :class:`repro.obs.Observation` collecting nested timed spans
         (plan-build, routing, local join, verify) and metrics (tuples

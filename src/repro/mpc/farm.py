@@ -1,11 +1,10 @@
 """The one process fan-out: a small farm of fault-isolated workers.
 
-The simulator stands real processes in for the model's servers in three
-places — the ``mp`` engine's shards, the sketch pass's shards and the
-sweep runner's cells — and all three run here.  A :class:`Farm` keeps
-long-lived worker processes, each fed one task at a time over its own
-pipe, so the parent always knows which task a worker holds.  Every task
-ends in a structured :class:`Outcome`:
+The simulator runs work in real processes in two places — the sketch
+pass's shards and the sweep runner's cells — and both run here.  A
+:class:`Farm` keeps long-lived worker processes, each fed one task at a
+time over its own pipe, so the parent always knows which task a worker
+holds.  Every task ends in a structured :class:`Outcome`:
 
 * ``ok`` — the task function returned; ``value`` is its result;
 * ``error`` — it raised; ``value`` is ``"ExcType: message"`` and the
@@ -21,8 +20,8 @@ every child (killing those still mid-task), also when the caller raised.
 The task function is captured when a worker starts: inherited under the
 ``fork`` start method (preferred where the platform has it — plans and
 cells cost nothing to ship), pickled once per worker otherwise.  Workers
-are non-daemonic, so a task may open a farm of its own (a sweep cell
-running the ``mp`` engine does).
+are non-daemonic, so a task may open a farm of its own; none in ``repro``
+does.
 
 This is the only module of ``repro`` that imports ``multiprocessing``
 (``tests/test_layering.py`` holds it to that), and only once a farm is
@@ -57,8 +56,8 @@ def check_workers(workers: int) -> int:
 
 def split_contiguous(items: Sized, pieces: int) -> list:
     """Split ``items`` into at most ``pieces`` contiguous nonempty chunks
-    (slices: of a list, or of a batch's columns) — how the ``mp`` engine
-    and the sketch pass cut their work for the workers."""
+    (slices: of a list, or of a batch's columns) — how the sketch pass
+    cuts its work for the workers."""
     if not items:
         return []
     pieces = min(pieces, len(items))

@@ -13,10 +13,9 @@ per-cell wall clock and queue wait.  Three instrument kinds:
   merges by concatenation, so per-worker histograms aggregate exactly.
 
 :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge_snapshot`
-round-trip through plain JSON-ready dicts — that is how
-:class:`~repro.mpc.engine.MultiprocessEngine` ships worker metrics back
-to the parent process, and how sweep workers attach per-cell metrics to
-their :class:`~repro.api.records.RunRecord`.
+round-trip through plain JSON-ready dicts — that is how every sweep cell,
+in-process or on a farm worker, reports what it caused to the sweep's
+registry (see :meth:`repro.api.experiment.SharedContext.step`).
 """
 
 from __future__ import annotations

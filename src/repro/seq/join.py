@@ -9,7 +9,7 @@ Two kernels share one greedy atom order (:func:`_atom_order`: smallest
 relation first, then atoms sharing the most bound variables):
 
 * :func:`join_columns`, the array kernel under :func:`evaluate`,
-  :func:`count_answers` and the ``batched``/``mp`` engines.  Relations come
+  :func:`count_answers` and the ``batched`` engine.  Relations come
   in as ``(arity, m)`` int64 columns; a step masks the rows that break a
   repeated variable, keys both sides on the shared columns, sorts the
   atom's keys once and emits every group's product (``searchsorted`` +

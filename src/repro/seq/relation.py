@@ -250,7 +250,7 @@ class Batch:
     one made from columns (a relation's, a slice, a pickle) lists its rows
     afresh on every call and never holds a tuple.  What the routing layer
     takes in
-    (:meth:`repro.mpc.execution.RoutingPlan.claims`) and the ``mp`` engine
+    (:meth:`repro.mpc.execution.RoutingPlan.claims`) and the sketch pass
     ships to its workers — always as columns.  Treat it as read-only: a
     relation hands the same batch to every caller.
     """
@@ -307,7 +307,7 @@ class Batch:
         return self._columns.shape[1]
 
     def __getitem__(self, piece: slice) -> "Batch":
-        """A contiguous run of the batch (an ``mp`` shard)."""
+        """A contiguous run of the batch (a sketch shard)."""
         return Batch(self.arity, columns=self.columns[:, piece])
 
     def __reduce__(self):

@@ -283,11 +283,11 @@ def build_sketch_set(
     """Sketch every relation of ``query`` in one pass over ``db``.
 
     With ``workers > 1`` each relation's batch is cut into contiguous
-    slices as the ``mp`` engine cuts it, shard ``w`` takes the ``w``-th
-    slice of every relation, each worker of a :class:`repro.mpc.farm.Farm`
-    sketches its shard, and the parent merges — bit-identical to the
-    single pass because same-seed sketches merge by exact integer
-    addition.  A shard whose worker raised or died is a
+    slices (:func:`repro.mpc.farm.split_contiguous`), shard ``w`` takes the
+    ``w``-th slice of every relation, each worker of a
+    :class:`repro.mpc.farm.Farm` sketches its shard, and the parent
+    merges — bit-identical to the single pass because same-seed sketches
+    merge by exact integer addition.  A shard whose worker raised or died is a
     :class:`SketchError`; only when no worker process can be started at
     all does the build run single-pass instead.
     """

@@ -24,9 +24,11 @@ from repro.api import (
     run_cell,
     validate_record,
 )
-from repro.api.experiment import SharedContext
+from repro.api import experiment as experiment_module
+from repro.api.experiment import WORKLOAD_KINDS, SharedContext
+from repro.api.planner import STATS_METHODS
 from repro.mpc import hashing
-from repro.mpc.engine import EngineError
+from repro.mpc.engine import EngineError, available_engines
 from repro.obs import Observation
 from repro.query import parse_query
 from repro.rounds import executor
@@ -50,7 +52,7 @@ class TestRegistryErrorMessages:
             sweep.cells()
         message = str(excinfo.value)
         assert "turbo" in message
-        for name in ("reference", "batched", "mp"):
+        for name in ("reference", "batched"):
             assert name in message
 
     def test_unknown_engine_rejected_by_experiment(self):
@@ -190,7 +192,7 @@ class TestRunCell:
         assert record.complete is True
         assert record.answer_count is not None
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_a_verifying_cell_round_trips_through_json(self, engine):
         """Answers are arrays inside the engines; what a record carries is
         plain Python on every one of them (``json`` refuses ``np.int64``)."""
@@ -298,23 +300,6 @@ class TestSweep:
             assert record.max_load_tuples == other.max_load_tuples
             assert record.predicted_load_bits == other.predicted_load_bits
 
-    def test_parallel_run_supports_the_mp_engine(self):
-        """Cells running the mp engine must be able to open that engine's
-        own pool inside a farm worker (non-daemonic executor processes)."""
-        sweep = self._sweep(
-            skews=(0.0,), p_values=(4,),
-            algorithms=("hypercube-lp", "hashjoin"), engine="mp",
-        )
-        result = sweep.run(max_workers=2)
-        assert len(result) == 2
-        batched = self._sweep(
-            skews=(0.0,), p_values=(4,),
-            algorithms=("hypercube-lp", "hashjoin"), engine="batched",
-        ).run()
-        # Engine parity: the farmed mp loads equal the batched loads.
-        assert [r.max_load_bits for r in result] == \
-            [r.max_load_bits for r in batched]
-
     def test_progress_callback_sees_every_record(self):
         seen = []
         self._sweep(skews=(0.0,), p_values=(4,)).run(progress=seen.append)
@@ -344,6 +329,47 @@ class TestSweep:
             "workers": 2, "cell_timeout": None, "p_values": [4],
         })
         assert sweep.stats == ("exact", "sketch") and sweep.p_values == (4,)
+
+    @pytest.mark.parametrize("field, value, names", [
+        ("engine", "mp", "reference, batched"),
+        ("workload", "nope", "uniform, zipf, worst, matching"),
+        ("stats", "bogus", "exact, sketch"),
+        ("stats", ["exact", "bogus"], "exact, sketch"),
+        ("stats_axis", ["bogus"], "exact, sketch"),
+    ])
+    def test_a_name_no_registry_knows_is_refused_by_the_spec(
+        self, field, value, names
+    ):
+        """Such a spec used to become a sweep whose cells could only
+        fail; now it is refused before any grid is expanded."""
+        with pytest.raises(ExperimentError) as excinfo:
+            Sweep.from_spec({"query": JOIN_TEXT, field: value})
+        message = str(excinfo.value)
+        assert repr(field) in message and names in message
+
+    @pytest.mark.parametrize("field, value", [
+        *(("engine", name) for name in available_engines()),
+        *(("workload", kind) for kind in WORKLOAD_KINDS),
+        *(("stats", method) for method in STATS_METHODS),
+    ])
+    def test_every_registered_name_reaches_the_cells(self, field, value):
+        sweep = Sweep.from_spec({"query": JOIN_TEXT, field: value,
+                                 "p_values": [4], "m_values": [20]})
+        assert {getattr(cell, field) for cell in sweep.cells()} == {value}
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_farm_workers_hash_their_own_columns_to_the_same_records(
+        self, engine, verify
+    ):
+        """Each farm worker's context hashes the database's columns afresh;
+        the records equal the in-process ones field for field."""
+        sweep = Sweep(query=JOIN_TEXT, workload="uniform", m_values=(300,),
+                      p_values=(16,), engine=engine, verify=verify)
+        serial = [measurements(r) for r in sweep.run()]
+        farmed = [measurements(r) for r in sweep.run(max_workers=2)]
+        assert len(serial) == 6 and all(r["status"] == "ok" for r in serial)
+        assert farmed == serial
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ExperimentError, match="empty"):
@@ -613,6 +639,33 @@ class TestOneOracleEvaluationPerDatabase:
             else:
                 assert record.ok and record.answer_count == cell.m ** 2
                 assert record.complete is (True if cell.verify else None)
+
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_a_failed_oracle_is_not_tried_again_on_its_database(
+        self, monkeypatch, max_workers
+    ):
+        """At m = 10^6 each verifying cell spent 0.75 s failing the same
+        allocation; now the first failure on a database is every cell's."""
+        calls = []
+
+        def out_of_memory(query, db, obs):
+            calls.append(db.relation("S1").cardinality)
+            raise MemoryError("no room for the answers")
+
+        monkeypatch.setattr(experiment_module, "oracle_answers",
+                            out_of_memory)
+        grid = {**self.GRID, "m_values": (20, 30)}
+        cells = Sweep(verify=True, **grid).cells() + \
+            Sweep(compute_answers=True, **grid).cells()
+        records = execute_cells(cells, max_workers=max_workers)
+        for cell, record in zip(cells, records):
+            if cell.verify:
+                assert record.status == \
+                    "failed:MemoryError: no room for the answers"
+            else:
+                assert record.ok and record.answer_count == cell.m ** 2
+        if max_workers is None:     # a worker's calls are its own
+            assert calls == [20, 30]
 
     def test_answers_are_held_no_longer_than_their_database(
         self, monkeypatch

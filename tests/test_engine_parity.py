@@ -23,12 +23,7 @@ from repro.core import (
     SkewAwareJoin,
 )
 from repro.data import single_value_relation, uniform_relation, zipf_relation
-from repro.mpc import (
-    BatchedEngine,
-    MultiprocessEngine,
-    ReferenceEngine,
-    run_one_round,
-)
+from repro.mpc import BatchedEngine, ReferenceEngine, run_one_round
 from repro.obs import Observation
 from repro.query import parse_query, simple_join_query
 from repro.seq import Database, evaluate
@@ -38,10 +33,7 @@ P = 8
 M = 120
 SEEDS = (0, 1)
 
-ENGINES = {
-    "batched": BatchedEngine(),
-    "mp": MultiprocessEngine(workers=2),
-}
+ENGINES = {"batched": BatchedEngine()}
 
 
 def _join_db(generator: str, seed: int) -> Database:
@@ -178,12 +170,12 @@ def test_seed_sensitivity_is_engine_independent():
 def test_verify_flag_round_trips_through_engines():
     db = _join_db("uniform", seed=0)
     algorithm = SkewAwareJoin(simple_join_query())
-    for engine in ("reference", "batched", "mp"):
+    for engine in ("reference", "batched"):
         result = run_one_round(algorithm, db, P, verify=True, engine=engine)
         assert result.is_complete, engine
 
 
-@pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+@pytest.mark.parametrize("engine", ["reference", "batched"])
 def test_verification_belongs_to_the_run_template(engine):
     """An engine's ``_run`` only simulates the round: ``run`` evaluates the
     oracle, inside the ``engine.run`` span, the same way for every engine

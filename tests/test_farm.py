@@ -1,8 +1,7 @@
 """Chaos tests for the one process fan-out (:mod:`repro.mpc.farm`) and the
-three things that run on it: ``mp`` engine shards, sketch shards, sweep
-cells.  A worker that raises, dies or hangs must end as a structured
-outcome (an ``EngineError``, a ``SketchError``, a ``failed:`` record),
-never as a hang or a leaked process.
+two things that run on it: sketch shards and sweep cells.  A worker that
+raises, dies or hangs must end as a structured outcome (a ``SketchError``,
+a ``failed:`` record), never as a hang or a leaked process.
 
 Every test runs under a wall-clock guard (SIGALRM), so a regression to
 "blocks forever" fails here instead of hanging CI.
@@ -20,23 +19,13 @@ import pytest
 
 from repro.api import (
     AlgorithmSpec,
-    Cell,
     Sweep,
     WorkloadSpec,
     execute_cells,
     register,
-    run_cell,
     unregister,
 )
 from repro.cli import main
-from repro.core import HashJoinAlgorithm
-from repro.mpc import (
-    BatchedEngine,
-    EngineError,
-    MultiprocessEngine,
-    run_one_round,
-)
-from repro.mpc.engine import shard as shard_module
 from repro.mpc.execution import OneRoundAlgorithm
 from repro.mpc.farm import (
     Farm,
@@ -46,6 +35,7 @@ from repro.mpc.farm import (
 )
 from repro.obs import Observation
 from repro.query import parse_query
+from repro.service import ReproService, ServiceClient
 from repro.seq.relation import Batch
 from repro.sketch import SketchConfig, SketchError, build_sketch_set
 from repro.sketch.statistics import RelationSketchSet
@@ -177,7 +167,6 @@ class TestWorkerCount:
         for call in (
             lambda: check_workers(workers),
             lambda: Farm(_task, workers),
-            lambda: MultiprocessEngine(workers=workers),
             lambda: build_sketch_set(query, db, SketchConfig(),
                                      workers=workers),
             lambda: execute_cells(cells, max_workers=workers),
@@ -197,7 +186,7 @@ class TestWorkerCount:
 
 
 # ----------------------------------------------------------------------
-# One way to cut work for the workers (mp engine shards, sketch shards).
+# One way to cut work for the workers (sketch shards).
 # ----------------------------------------------------------------------
 
 class TestSplitContiguous:
@@ -226,58 +215,6 @@ class TestSplitContiguous:
             np.concatenate([chunk.columns for chunk in chunks], axis=1),
             batch.columns,
         )
-
-
-# ----------------------------------------------------------------------
-# The mp engine.
-# ----------------------------------------------------------------------
-
-class TestEngineChaos:
-    @pytest.mark.parametrize("function, names", [
-        ("route_shard", "relation 'S1'"),
-        ("join_shard", "the local joins"),
-    ])
-    def test_a_dying_shard_worker_is_an_engine_error(
-        self, monkeypatch, query, db, function, names
-    ):
-        monkeypatch.setattr(shard_module, function, _die)
-        started = time.perf_counter()
-        with pytest.raises(EngineError, match=names) as excinfo:
-            run_one_round(HashJoinAlgorithm(query, 4), db, 4,
-                          engine=MultiprocessEngine(workers=2))
-        assert time.perf_counter() - started < PROMPT_SECONDS
-        assert "died" in str(excinfo.value)
-
-    def test_a_raising_shard_task_is_an_engine_error(
-        self, monkeypatch, query, db
-    ):
-        def refuse(*args):
-            raise OSError("no room")
-
-        monkeypatch.setattr(shard_module, "route_shard", refuse)
-        with pytest.raises(EngineError, match="OSError: no room"):
-            run_one_round(HashJoinAlgorithm(query, 4), db, 4,
-                          engine=MultiprocessEngine(workers=2))
-
-    def test_an_mp_cell_fails_promptly_instead_of_hanging(self, monkeypatch):
-        # The probe of ISSUE 15: this blocked forever in Pool.map.
-        monkeypatch.setattr(shard_module, "route_shard", _die)
-        started = time.perf_counter()
-        with pytest.raises(EngineError, match="died"):
-            run_cell(Cell(query=JOIN_TEXT, workload="uniform", m=80, skew=0.0,
-                          seed=0, p=4, algorithm="hashjoin", engine="mp"))
-        assert time.perf_counter() - started < PROMPT_SECONDS
-
-    def test_without_worker_processes_the_round_runs_in_process(
-        self, monkeypatch, query, db
-    ):
-        algorithm = HashJoinAlgorithm(query, 4)
-        expected = run_one_round(algorithm, db, 4, engine=BatchedEngine())
-        monkeypatch.setattr(Farm, "_spawn", lambda self: False)
-        result = run_one_round(algorithm, db, 4,
-                               engine=MultiprocessEngine(workers=2))
-        assert result.report == expected.report
-        assert result.answers == expected.answers
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +372,41 @@ class TestSweepChaos:
         assert [r.algorithm for r in result] == ["hashjoin", "hypercube-lp"]
         assert all(r.status.startswith("failed:FarmUnavailable")
                    for r in result)
+
+
+class TestServedSweepChaos:
+    @pytest.mark.parametrize("casualty, isolation, status", [
+        ("die", {"workers": 2}, "failed:worker-died"),
+        ("hang", {"workers": 2, "cell_timeout": 1.0}, "timeout"),
+    ])
+    def test_a_lost_cell_worker_costs_a_served_job_one_record(
+        self, die_registry, casualty, isolation, status
+    ):
+        """A sweep job farmed by the service: the job is ``done``, the
+        lost cell is one structured record among healthy ones, and the
+        service runs the next job."""
+        service = ReproService(port=0, job_workers=1)
+        service.serve_in_background()
+        client = ServiceClient(service.url, timeout=30.0)
+        spec = {
+            "query": JOIN_TEXT, "workload": "zipf", "p_values": [4],
+            "m_values": [50], "skews": [0.0], **isolation,
+            "algorithms": ["hashjoin", casualty, "hypercube-lp"],
+        }
+        try:
+            client.wait_until_healthy()
+            job = client.submit("sweep", spec)
+            assert client.wait(job["id"])["state"] == "done"
+            result = client.result(job["id"])["result"]
+            assert {r["algorithm"]: r["status"]
+                    for r in result["records"]} == {
+                "hashjoin": "ok", casualty: status, "hypercube-lp": "ok",
+            }
+            assert result["failed"] == 1
+            after = client.submit("sweep",
+                                  {**spec, "algorithms": ["hashjoin"]})
+            assert client.wait(after["id"])["state"] == "done"
+            assert client.result(after["id"])["result"]["failed"] == 0
+        finally:
+            client.close()
+            service.shutdown()

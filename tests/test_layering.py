@@ -142,9 +142,9 @@ def _imported_names(tree: ast.AST) -> set[str]:
 
 
 def test_there_is_one_process_fan_out():
-    """Engine shards, sketch shards and sweep cells all run on
-    ``repro.mpc.farm``: no other module touches ``multiprocessing``, and
-    nothing opens a ``Pool`` beside it."""
+    """Sketch shards and sweep cells both run on ``repro.mpc.farm``: no
+    other module touches ``multiprocessing``, and nothing opens a ``Pool``
+    beside it."""
     importers, pool_calls = [], []
     for name, tree in _modules():
         if any(module.split(".")[0] == "multiprocessing"
@@ -160,13 +160,15 @@ def test_there_is_one_process_fan_out():
     assert pool_calls == []
 
 
-def test_sketch_does_not_reach_into_the_mp_engine():
-    for name, tree in _modules():
-        if name.startswith("sketch/"):
-            assert not any(
-                module.endswith("engine.multiprocess")
-                for module in _imported_names(tree)
-            ), f"{name} imports the mp engine"
+def test_processes_enter_above_the_engines():
+    """A farm is opened for sketch shards and for sweep cells, nowhere
+    else: an engine simulates its round in the calling process."""
+    openers = sorted(
+        name for name, tree in _modules()
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "Farm" for node in ast.walk(tree))
+    )
+    assert openers == ["api/experiment.py", "sketch/statistics.py"]
 
 
 def test_the_sketch_pass_reads_columns_not_tuples():

@@ -23,6 +23,7 @@ from repro.mpc import (
     run_one_round,
 )
 from repro.mpc import hashing
+from repro.mpc.engine.batched import RoundLedger
 from repro.mpc.execution import OneRoundAlgorithm, RoutingPlan
 from repro.query import parse_query
 from repro.seq import Database, Relation
@@ -436,7 +437,7 @@ class TestEngineDispatch:
     def test_available_engines(self):
         from repro.mpc import available_engines
 
-        assert available_engines() == ("reference", "batched", "mp")
+        assert available_engines() == ("reference", "batched")
 
     def test_unknown_engine_rejected(self):
         from repro.mpc import EngineError
@@ -450,9 +451,9 @@ class TestEngineDispatch:
 
         instance = BatchedEngine()
         assert resolve_engine(instance) is instance
-        assert resolve_engine("mp").name == "mp"
+        assert resolve_engine("reference").name == "reference"
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_custom_plan_runs_on_every_engine(self, engine):
         """Plans without a fast batch path use the scalar fallback."""
         q, db = self._setup()
@@ -468,13 +469,13 @@ class TestEngineDispatch:
         duplicates included — rides the default ``claims`` on the batched
         engines and measures what the scalar reference measures."""
         q, db = self._setup()
-        reference, batched, mp = (
+        reference, batched = (
             run_one_round(_Neighbours(q), db, p=4, verify=True, engine=engine)
-            for engine in ("reference", "batched", "mp")
+            for engine in ("reference", "batched")
         )
         assert reference.report.replication_rate == 2.0
-        assert reference.report == batched.report == mp.report
-        assert reference.answers == batched.answers == mp.answers
+        assert reference.report == batched.report
+        assert reference.answers == batched.answers
         load_only = run_one_round(
             _Neighbours(q), db, p=4, compute_answers=False, engine="batched"
         )
@@ -523,13 +524,13 @@ class TestEngineDispatch:
         }
 
     @pytest.mark.parametrize("compute_answers", [True, False])
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     @pytest.mark.parametrize("stray", [-1, 4])
     def test_a_server_outside_the_cluster_is_the_same_error_everywhere(
         self, stray, engine, compute_answers
     ):
         """``-1`` used to be charged to the *last* server by ``batched``
-        and ``mp`` — ``status ok``, a wrong load — and ``p`` died with a
+        — ``status ok``, a wrong load — and ``p`` died with a
         bare ``list index out of range``; the reference always refused."""
         class Stray(_RoundRobinPlan):
             def destinations(self, relation_name, tup):
@@ -548,7 +549,7 @@ class TestEngineDispatch:
                           compute_answers=compute_answers)
         assert str(excinfo.value) == f"server index {stray} outside [0, 4)"
 
-    @pytest.mark.parametrize("engine", ["reference", "batched", "mp"])
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
     def test_what_leaves_the_arrays_is_python(self, engine):
         """Counts are ``int``, loads ``float``, answers tuples of ``int``:
         never a numpy scalar, which ``json`` refuses and ``repr`` shows."""
@@ -575,3 +576,84 @@ class TestEngineDispatch:
             for server in plan.destinations("S", tup):
                 expected[server] = expected.get(server, 0) + 1
         assert dict(counts) == expected
+
+
+class TestRoundLedger:
+    """The batched engine's accounting: one relation's routing folded in,
+    as per-server counts (loads only) or as deliveries (answers on)."""
+
+    BATCH = Batch.of([(i, 10 + i % 3) for i in range(9)])
+
+    @staticmethod
+    def _routed(batch, deliver, plan=None):
+        plan = plan or _NeighboursPlan(4)
+        if deliver:
+            return plan.deliveries("S", batch)
+        return plan.destination_counts("S", batch)
+
+    def test_counts_and_deliveries_charge_the_same_loads(self):
+        ledgers = {}
+        for deliver in (False, True):
+            ledger = RoundLedger(4, compute_answers=deliver)
+            routed = ledger.add("S", 12.5, self.BATCH,
+                                self._routed(self.BATCH, deliver))
+            assert routed == 2 * len(self.BATCH)  # two distinct servers each
+            ledgers[deliver] = ledger
+        assert ledgers[False].report(9, 112.5) == \
+            ledgers[True].report(9, 112.5)
+        assert ledgers[False].delivered is None
+
+    def test_deliveries_are_the_tuples_with_their_server_last(self):
+        ledger = RoundLedger(4, compute_answers=True)
+        ledger.add("S", 12.5, self.BATCH, self._routed(self.BATCH, True))
+        delivered = ledger.delivered["S"]
+        assert delivered.shape == (3, 2 * len(self.BATCH))
+        plan = _NeighboursPlan(4)
+        assert sorted(map(tuple, delivered.T.tolist())) == sorted(
+            (*tup, server) for tup in self.BATCH.rows
+            for server in set(plan.destinations("S", tup))
+        )
+
+    def test_bits_fold_as_count_times_tuple_bits_per_relation(self):
+        ledger = RoundLedger(4, compute_answers=False)
+        ledger.add("R", 12.5, self.BATCH, self._routed(self.BATCH, False))
+        ledger.add("S", 7.25, self.BATCH[:4],
+                   self._routed(self.BATCH[:4], False, _RoundRobinPlan(4)))
+        counts_r = np.bincount(
+            [s for tup in self.BATCH.rows
+             for s in set(_NeighboursPlan(4).destinations("S", tup))],
+            minlength=4)
+        counts_s = np.bincount(
+            [sum(tup) % 4 for tup in self.BATCH[:4].rows], minlength=4)
+        report = ledger.report(13, 0.0)
+        assert report.per_server_tuples == tuple(
+            (counts_r + counts_s).tolist())
+        assert report.per_server_bits == tuple(
+            (counts_r * 12.5 + counts_s * 7.25).tolist())
+
+    @pytest.mark.parametrize("deliver", [False, True])
+    def test_an_empty_relation_charges_nothing(self, deliver):
+        ledger = RoundLedger(4, compute_answers=deliver)
+        empty = self.BATCH[:0]
+        assert ledger.add("S", 12.5, empty,
+                          self._routed(empty, deliver)) == 0
+        assert ledger.report(0, 0.0).per_server_tuples == (0, 0, 0, 0)
+        if deliver:
+            assert ledger.delivered["S"].shape == (3, 0)
+
+    @pytest.mark.parametrize("deliver", [False, True])
+    @pytest.mark.parametrize("stray", [-1, 4])
+    def test_a_server_outside_the_cluster_charges_nothing(
+        self, stray, deliver
+    ):
+        class Stray(_RoundRobinPlan):
+            def destinations(self, relation_name, tup):
+                return (stray,) if tup == (2, 12) else (sum(tup) % self.p,)
+
+        ledger = RoundLedger(4, compute_answers=deliver)
+        with pytest.raises(IndexError) as excinfo:
+            ledger.add("S", 12.5, self.BATCH,
+                       self._routed(self.BATCH, deliver, Stray(4)))
+        assert str(excinfo.value) == f"server index {stray} outside [0, 4)"
+        assert ledger.report(0, 0.0).per_server_tuples == (0, 0, 0, 0)
+        assert ledger.delivered == ({} if deliver else None)

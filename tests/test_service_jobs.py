@@ -398,6 +398,10 @@ class TestJobQueueUnit:
         ("skews", [-1.0]),      # drew an inverse Zipf, reported skew=-1.00
         ("skews", [float("nan")]),  # "skew": NaN in every record: not JSON
         ("seeds", [2**63]),     # every cell failed: int too big to convert
+        ("engine", "mp"),       # these four were accepted as jobs that
+        ("workload", "nope"),   # could only fail
+        ("stats", "bogus"),
+        ("stats", ["exact", "bogus"]),
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import RUN_RECORD_FIELDS, validate_record
+from repro.cli import main
 from repro.service import (
     ReproService,
     ServiceBusyError,
@@ -123,6 +124,8 @@ class TestLifecycle:
         ("p_values", "16"), ("skews", 1.0), ("seeds", ["a"]),
         ("workers", "4"), ("workers", 0), ("cell_timeout", "soon"),
         ("p_value", [4]), ("skew", [2.0]), ("skews", [-1.0]),
+        ("engine", "mp"), ("workload", "nope"), ("stats", "bogus"),
+        ("stats", ["exact", "bogus"]),
     ])
     def test_malformed_sweep_spec_is_400_naming_the_field(
             self, service, field, value):
@@ -131,6 +134,17 @@ class TestLifecycle:
             client.submit("sweep", {**SWEEP_SPEC, field: value})
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
+
+    def test_a_client_asking_for_the_mp_engine_exits_with_the_400(
+            self, service):
+        instance, _ = service
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "sweep", JOIN_TEXT, "--server", instance.url,
+                  "--m", "40", "--p", "4", "--engine", "mp"])
+        message = str(excinfo.value.code)
+        assert message.startswith("HTTP 400")
+        assert "'engine'" in message and "reference, batched" in message
+        assert instance.queue.jobs() == []
 
     @pytest.mark.parametrize("kind", ["plan", "stats"])
     @pytest.mark.parametrize("field, value", [
