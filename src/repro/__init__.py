@@ -48,7 +48,7 @@ __version__ = "1.0.0"
 #: command pays only for what it runs.
 _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
     ".api": (
-        "AlgorithmSpec", "Experiment", "QueryPlan", "RunRecord", "Sweep",
+        "AlgorithmSpec", "QueryPlan", "RunRecord", "Sweep",
         "SweepResult", "WorkloadSpec", "algorithm_keys",
         "algorithm_specs", "applicable_specs", "autoplan", "get_spec",
         "plan", "register", "run_cell",

@@ -13,12 +13,13 @@ algorithms as *experiments* rather than hand-assembled scripts:
    optimality-gap reporting; :func:`tradeoff` is the round/load curve;
 3. :mod:`repro.api.experiment` — :class:`Catalog` (query x
    :class:`WorkloadSpec` x ``p`` x statistics method) is the one value
-   ``(query, database, statistics)`` is built from; :class:`Experiment`
-   and :class:`Sweep` describe declarative grids of cells; one path takes
-   a :class:`Cell` to a schema-checked :class:`RunRecord` (through
+   ``(query, database, statistics)`` is built from; :class:`Sweep`
+   describes a declarative grid of cells (one point of it is a sweep whose
+   axes hold one value each); one path takes a :class:`Cell` to a
+   schema-checked :class:`RunRecord` (through
    :func:`repro.rounds.run_rounds`, for one round or many), driven by
    :func:`execute_cells`, the fault-isolated executor shared with
-   ``repro serve``;
+   ``repro serve`` and ``repro race``;
 4. :mod:`repro.api.bench` — :data:`BENCH_SUITES`, one :class:`Suite` row
    per pinned perf suite behind ``repro bench`` and the committed
    ``BENCH_<suite>.json`` files (``core``, ``sketch``, ``rounds``);
@@ -56,7 +57,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
         "validate_bench",
     ),
     ".experiment": (
-        "Catalog", "Cell", "Experiment", "ExperimentError", "Sweep",
+        "Catalog", "Cell", "ExperimentError", "Sweep",
         "SweepResult", "WORKLOAD_KINDS", "WorkloadSpec", "execute_cells",
         "failure_record", "run_cell",
     ),

@@ -1,4 +1,4 @@
-"""Declarative experiments: a cell, one workload point, or a full sweep.
+"""Declarative experiments: a cell, or a sweep of them.
 
 The runner closes the loop the paper draws between theory and execution:
 each cell generates a workload, asks the planner for predictions and the
@@ -16,22 +16,22 @@ engine, and lands everything in a structured :class:`RunRecord`.
   share (their catalog's database and statistics, the plan, the oracle's
   answers) and says under which key, and :func:`_execute` runs one cell's
   algorithm through :func:`repro.rounds.run_rounds`, for one round or many.
-* :func:`execute_cells` — the *cell executor* the library and the service
-  (``repro serve``) share.  Every cell runs :meth:`SharedContext.step`,
-  in-process (a farm of none: one context for the grid) or on
-  :class:`repro.mpc.farm.Farm`, the one process fan-out of the repo, whose
-  workers each own a context — isolation costs a database per worker, not
-  per cell.  One function lands every outcome: a cell that raises, loses
+* :func:`execute_cells` — the *cell executor* the library, the service
+  (``repro serve``) and ``repro race`` share.  Every cell runs
+  :meth:`SharedContext.step`, in-process (a farm of none: one context for
+  the grid) or on :class:`repro.mpc.farm.Farm`, the one process fan-out
+  of the repo, whose workers each own a context — isolation costs a
+  database per worker, not per cell.  One function lands every outcome: a cell that raises, loses
   its worker process or outruns ``cell_timeout`` becomes a structured
   ``failed:<reason>`` / ``timeout`` record, and every healthy record is
   returned in grid order regardless of what its neighbors did.
-* :class:`Experiment` — one workload × one ``p`` × some algorithms.
 * :class:`Sweep` — the full grid ``p x m x skew x seed x stats x
   rounds x algorithm`` (the ``stats`` axis switches the statistics pass
   between exact frequencies and the one-pass Count-Sketch estimates;
   the ``rounds`` axis varies the planner's round budget, admitting the
   multi-round algorithms of :mod:`repro.rounds` when it exceeds 1);
   ``run(max_workers=N)`` farms the cells through :func:`execute_cells`.
+  One workload point is a sweep whose axes hold one value each.
   :meth:`Sweep.from_spec` builds one from the JSON-shaped mapping the CLI
   and the service exchange.
 
@@ -53,7 +53,6 @@ from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
 from ..core.registry import (
     RegistryError,
-    Statistics,
     algorithm_keys,
     applicable_specs,
     get_spec,
@@ -89,7 +88,21 @@ class ExperimentError(ValueError):
     """Raised for unsatisfiable experiment/sweep specifications."""
 
 
-WORKLOAD_KINDS = ("uniform", "zipf", "worst", "matching")
+#: Workload kind -> (default domain per tuple of ``m``, the generator call
+#: making one atom's relation: ``(atom, spec, domain, seed) -> Relation``).
+_WORKLOADS: Mapping[str, tuple[int, Callable]] = {
+    "uniform": (8, lambda atom, spec, domain, seed: uniform_relation(
+        atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
+    "zipf": (4, lambda atom, spec, domain, seed: zipf_relation(
+        atom.name, spec.m, domain, arity=atom.arity, skew=spec.skew,
+        seed=seed, skewed_positions=(min(1, atom.arity - 1),))),
+    "worst": (8, lambda atom, spec, domain, seed: single_value_relation(
+        atom.name, spec.m, domain, arity=atom.arity,
+        fixed_position=atom.arity - 1, seed=seed)),
+    "matching": (8, lambda atom, spec, domain, seed: matching_relation(
+        atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
+}
+WORKLOAD_KINDS = tuple(_WORKLOADS)
 
 
 def _in_int64(value: int) -> bool:
@@ -102,14 +115,16 @@ def _in_int64(value: int) -> bool:
 class WorkloadSpec:
     """A deterministic workload for a query: one relation per atom.
 
-    ``kind`` selects the generator family (mirroring the CLI):
+    ``kind`` selects a row of the kinds table, a generator family and its
+    default domain (mirroring the CLI):
 
     * ``uniform`` — distinct uniform tuples over a domain of ``8 m``;
     * ``zipf`` — Zipf(``skew``) values on position ``min(1, arity - 1)``
       over a domain of ``4 m`` (the skewed workloads of experiment E6);
-    * ``worst`` — every tuple shares one join value (Example 3.3);
-    * ``matching`` — every value occurs at most once per attribute (the
-      skew-free instances of Lemma 3.1).
+    * ``worst`` — every tuple shares one join value, on its last position,
+      over a domain of ``8 m`` (Example 3.3);
+    * ``matching`` — every value occurs at most once per attribute, over a
+      domain of ``8 m`` (the skew-free instances of Lemma 3.1).
 
     ``domain`` overrides the kind's default domain size.
     """
@@ -143,34 +158,15 @@ class WorkloadSpec:
     def domain_size(self) -> int:
         if self.domain is not None:
             return self.domain
-        return 4 * self.m if self.kind == "zipf" else 8 * self.m
+        return _WORKLOADS[self.kind][0] * self.m
 
     def build(self, query: ConjunctiveQuery) -> Database:
         """Generate the database (deterministic in the spec + query)."""
-        domain = self.domain_size
-        relations = []
-        for i, atom in enumerate(query.atoms):
-            seed = self.seed + i
-            if self.kind == "uniform":
-                relations.append(uniform_relation(
-                    atom.name, self.m, domain, arity=atom.arity, seed=seed
-                ))
-            elif self.kind == "zipf":
-                relations.append(zipf_relation(
-                    atom.name, self.m, domain, arity=atom.arity,
-                    skew=self.skew, seed=seed,
-                    skewed_positions=(min(1, atom.arity - 1),),
-                ))
-            elif self.kind == "worst":
-                relations.append(single_value_relation(
-                    atom.name, self.m, domain, arity=atom.arity,
-                    fixed_position=atom.arity - 1, seed=seed,
-                ))
-            else:  # matching
-                relations.append(matching_relation(
-                    atom.name, self.m, domain, arity=atom.arity, seed=seed
-                ))
-        return Database.from_relations(relations)
+        generate, domain = _WORKLOADS[self.kind][1], self.domain_size
+        return Database.from_relations([
+            generate(atom, self, domain, self.seed + i)
+            for i, atom in enumerate(query.atoms)
+        ])
 
 
 def _spec_fields(
@@ -178,8 +174,9 @@ def _spec_fields(
 ) -> dict[str, object]:
     """The fields of ``table`` — key -> (value types, list? — None when
     either will do, what the field must be[, a range check]) — present in
-    a JSON-shaped ``spec``, shape- and type-checked; lists come back as
-    tuples.  A key outside the table is an error, not a default."""
+    a JSON-shaped ``spec``, shape-, type- and range-checked; lists, never
+    empty, come back as tuples.  A key outside the table is an error, not
+    a default."""
     if not isinstance(spec, Mapping) or not spec.get("query") \
             or not isinstance(spec["query"], str):
         raise ExperimentError(
@@ -204,7 +201,8 @@ def _spec_fields(
             and all(check(item) for check in in_range)
             for item in (value if is_list else (value,))
         )
-        if not well_typed or (listed is not None and is_list != listed):
+        if not well_typed or (listed is not None and is_list != listed) \
+                or (is_list and not value):
             raise ExperimentError(
                 f"{what} spec field {name!r} must be {wanted}, "
                 f"got {value!r}"
@@ -282,12 +280,6 @@ class Catalog:
         with maybe_timed(obs, "data.generate",
                          workload=self.workload.kind, m=self.workload.m):
             return query, self.workload.build(query)
-
-    def build(
-        self, obs: Observation | None = None
-    ) -> tuple[ConjunctiveQuery, Database, Statistics]:
-        """``(query, db, stats)``: :meth:`generate`, then the statistics."""
-        return SharedContext().build(self, obs)
 
 
 @dataclass(frozen=True)
@@ -748,7 +740,7 @@ def execute_cells(
 
 
 # ----------------------------------------------------------------------
-# Grids: Experiment and Sweep.
+# Grids: Sweep.
 # ----------------------------------------------------------------------
 
 def _resolve_algorithms(
@@ -854,81 +846,33 @@ class SweepResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """One workload × one ``p`` × a set of algorithms.
-
-    The smallest unit of the experiment API::
-
-        records = Experiment(
-            "q(x, y, z) :- S1(x, z), S2(y, z)",
-            workload=WorkloadSpec("zipf", m=2000, skew=1.4),
-            p=32,
-            algorithms="applicable",
-        ).run()
-    """
-
-    query: str | ConjunctiveQuery
-    workload: WorkloadSpec = WorkloadSpec()
-    p: int = 16
-    algorithms: str | Sequence[str] = "auto"
-    engine: str = "batched"
-    compute_answers: bool = False
-    verify: bool = False
-    observe: bool = False      # attach a metrics block to every record
-    stats: str = "exact"       # statistics method: "exact" or "sketch"
-    rounds: int = 1            # the planner's round budget (max_rounds)
-
-    def cells(self) -> list[Cell]:
-        """The one-point grid, validated exactly as a :class:`Sweep` is."""
-        return Sweep(
-            query=self.query,
-            workload=self.workload.kind,
-            p_values=(self.p,),
-            m_values=(self.workload.m,),
-            skews=(self.workload.skew,),
-            seeds=(self.workload.seed,),
-            algorithms=self.algorithms,
-            engine=self.engine,
-            compute_answers=self.compute_answers,
-            verify=self.verify,
-            domain=self.workload.domain,
-            observe=self.observe,
-            stats=self.stats,
-            rounds=self.rounds,
-        ).cells()
-
-    def run(self, obs: Observation | None = None) -> list[RunRecord]:
-        """The records of :meth:`cells`, in grid order, through
-        :func:`execute_cells` — fault isolation included, so check
-        :attr:`RunRecord.status`."""
-        return execute_cells(self.cells(), obs=obs)
-
-
 def _one_of(names: Sequence[str]) -> str:
     return f"one of {', '.join(names)}"
 
 
 _ENGINES = available_engines()
-_STATS_FIELD = (str, None, f"{_one_of(STATS_METHODS)}, or a list of them",
-                STATS_METHODS.__contains__)
 #: The sweep spec, for :func:`_spec_fields`.  The engine, the workload kind
 #: and the statistics methods must be names their registries know.
 _SPEC_FIELDS: Mapping[str, tuple] = {
     "workload": (str, False, _one_of(WORKLOAD_KINDS),
                  WORKLOAD_KINDS.__contains__),
-    "p_values": (int, True, "a list of integers"),
-    "m_values": (int, True, "a list of integers"),
-    "skews": ((int, float), True, "a list of finite numbers >= 0",
+    "p_values": (int, True, "a non-empty list of integers >= 1",
+                 lambda value: value >= 1),
+    "m_values": (int, True, "a non-empty list of integers >= 1",
+                 lambda value: value >= 1),
+    "skews": ((int, float), True, "a non-empty list of finite numbers >= 0",
               lambda value: 0 <= value < math.inf),
-    "seeds": (int, True, "a list of integers in [-2**63, 2**63)", _in_int64),
-    "algorithms": (str, None, "a string or a list of strings"),
+    "seeds": (int, True, "a non-empty list of integers in [-2**63, 2**63)",
+              _in_int64),
+    "algorithms": (str, None, "a string or a non-empty list of strings"),
     "engine": (str, False, _one_of(_ENGINES), _ENGINES.__contains__),
     "verify": (bool, False, "a boolean"),
-    "domain": ((int, type(None)), False, "an integer or null"),
-    "stats": _STATS_FIELD,
-    "stats_axis": _STATS_FIELD,
-    "rounds": (int, None, "an integer or a list of integers"),
+    "domain": ((int, type(None)), False, "an integer >= 1 or null",
+               lambda value: value is None or value >= 1),
+    "stats": (str, None,
+              f"{_one_of(STATS_METHODS)}, or a non-empty list of them",
+              STATS_METHODS.__contains__),
+    "rounds": (int, None, "an integer or a non-empty list of integers"),
     # Not the sweep's: the executor settings a job's spec may carry beside
     # the grid (:func:`execute_cells`' ``max_workers``, ``cell_timeout``).
     "workers": ((int, type(None)), False, "an integer >= 1 or null",
@@ -964,20 +908,19 @@ class Sweep:
         """A sweep from the JSON-shaped mapping ``repro sweep``, ``repro
         submit sweep`` and the service's sweep jobs all describe it by.
 
-        Keys are the field names (``stats_axis`` is accepted for
-        ``stats``); absent keys keep the field defaults and an unknown key
-        is an error.  Only shapes, types and the engine, workload and
-        statistics names are checked — no query parse, no grid expansion —
-        so the service can run this on the request thread and answer a
-        malformed spec with 400 instead of accepting a job that can only
-        fail; grid values are validated where they always were, in
-        :meth:`cells`.  The executor settings a job spec
+        Keys are the field names; absent keys keep the field defaults and
+        an unknown key is an error.  Only shapes, types, the ranges of
+        ``p_values``, ``m_values``, ``skews``, ``seeds`` and ``domain``, and
+        the engine, workload and statistics names are checked — no query
+        parse, no grid expansion — so the service can run this on the
+        request thread and answer a malformed spec (an empty axis
+        included) with 400 instead of accepting a job that can only fail
+        or finish with no records; grid values are validated where they
+        always were, in :meth:`cells`.  The executor settings a job spec
         may carry (``workers``, ``cell_timeout``) are not the sweep's, but
         they are checked here, type and range, for the same reason.
         """
         fields = _spec_fields(spec, _SPEC_FIELDS, "sweep")
-        if "stats_axis" in fields:
-            fields["stats"] = fields.pop("stats_axis")
         for name in ("workers", "cell_timeout"):
             fields.pop(name, None)
         return cls(**fields)

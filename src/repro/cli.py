@@ -69,18 +69,20 @@ from typing import Callable, Sequence
 from ._lazy import lazy_exports
 from .api import (
     Catalog,
+    Cell,
     RunRecord,
     Sweep,
     SweepResult,
     WORKLOAD_KINDS,
     WorkloadSpec,
+    execute_cells,
     plan as build_plan,
 )
+from .api.experiment import SharedContext
 from .api.planner import STATS_METHODS
 from .obs import Observation, maybe_timed
 from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
-from .rounds import oracle_answers, run_rounds
 from .stats import HeavyHitterStatistics, SimpleStatistics
 
 _LOG = logging.getLogger("repro.cli")
@@ -265,9 +267,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
         stats = _stats_from_cardinalities(
             query, _parse_cardinalities(args.cardinality), args.domain
         )
+        query_plan = build_plan(query, stats, args.p,
+                                max_rounds=args.max_rounds)
     else:
-        query, _, stats = _catalog(args, Catalog.build)
-    query_plan = build_plan(query, stats, args.p, max_rounds=args.max_rounds)
+        _, query_plan = _catalog(args, lambda catalog: SharedContext().plan(
+            catalog, rounds=args.max_rounds))
     curve = query_plan.tradeoff() if args.max_rounds > 1 else None
     if args.json:
         document = query_plan.to_dict()
@@ -296,40 +300,43 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
+    """Every applicable algorithm of the catalog's plan as one cell of a
+    sweep, on the context the plan was built in: one database, statistics
+    pass and (with ``--verify``) sequential join for all of them."""
     obs = _make_observation(args)
-    query, db, stats = _catalog(args, lambda catalog: catalog.build(obs))
-    query_plan = build_plan(query, stats, args.p, obs=obs)
+    context = SharedContext()
+    _, query_plan = _catalog(args, lambda catalog: context.plan(catalog, obs))
+    records = execute_cells([
+        Cell(args.query, args.workload, args.m, args.skew, args.seed,
+             args.p, prediction.key, engine=args.engine, verify=args.verify)
+        for prediction in query_plan.applicable
+    ], obs=obs, cache=context.cache)
 
-    print(f"query: {query}")
+    print(f"query: {query_plan.query}")
     print(f"workload: {args.workload} (m={args.m}, skew={args.skew}), "
           f"p={args.p}, engine={args.engine}")
     print(f"Theorem 3.6 skew-free optimum: "
           f"{query_plan.lower_bound_bits:,.0f} bits\n")
     print(f"{'algorithm':>20} {'predicted':>12} {'max load bits':>14} "
           f"{'tuples':>7} {'repl.':>6} {'complete':>9}")
-    # One sequential join for all the algorithms; without --verify no
-    # answers are computed at all, only loads.
-    expected = oracle_answers(query, db, obs) if args.verify else None
-    for prediction in query_plan.applicable:
-        algorithm = query_plan.instantiate(prediction.key)
-        result = run_rounds(
-            algorithm, db, args.p, seed=args.seed,
-            compute_answers=args.verify, expected=expected,
-            engine=args.engine, obs=obs,
-        )
-        complete = "-" if result.is_complete is None else str(result.is_complete)
+    for record in records:
+        if not record.ok:
+            print(f"{record.algorithm_name:>20} {record.status}")
+            continue
+        complete = "-" if record.complete is None else str(record.complete)
         print(
-            f"{algorithm.name:>20} {prediction.predicted_load_bits:>12,.0f} "
-            f"{result.max_load_bits:>14,.0f} "
-            f"{result.max_load_tuples:>7} "
-            f"{result.replication_rate:>6.2f} {complete:>9}"
+            f"{record.algorithm_name:>20} "
+            f"{record.predicted_load_bits:>12,.0f} "
+            f"{record.max_load_bits:>14,.0f} "
+            f"{record.max_load_tuples:>7} "
+            f"{record.replication_rate:>6.2f} {complete:>9}"
         )
     skipped = [pr for pr in query_plan.predictions if not pr.applicable]
     if skipped:
         print("\nnot applicable: "
               + "; ".join(f"{pr.key} ({pr.reason})" for pr in skipped))
     _finish_observation(args, obs)
-    return 0
+    return 0 if all(record.ok for record in records) else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

@@ -74,12 +74,6 @@ class LowerBound:
     bits: float
     packing: Packing
 
-    @property
-    def tuples_estimate(self) -> float:
-        """Crude bits -> tuples conversion is workload-specific; exposed as
-        bits only.  Kept for interface symmetry."""
-        return self.bits
-
 
 def lower_bound(
     query: ConjunctiveQuery, bits: Mapping[str, float], p: int

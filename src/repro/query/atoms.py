@@ -149,13 +149,6 @@ class ConjunctiveQuery:
         except KeyError:
             raise QueryError(f"query {self.name!r} has no atom named {name!r}") from None
 
-    def atom_position(self, name: str) -> int:
-        """Index of the atom named ``name`` within :attr:`atoms`."""
-        try:
-            return self._atom_index[name]
-        except KeyError:
-            raise QueryError(f"query {self.name!r} has no atom named {name!r}") from None
-
     def has_atom(self, name: str) -> bool:
         return name in self._atom_index
 

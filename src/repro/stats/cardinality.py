@@ -76,9 +76,6 @@ class SimpleStatistics:
         """``M`` restricted (and validated) against the atoms of ``query``."""
         return {atom.name: self.bits(atom.name) for atom in query.atoms}
 
-    def cardinality_vector(self, query: ConjunctiveQuery) -> dict[str, int]:
-        return {atom.name: self.cardinality(atom.name) for atom in query.atoms}
-
     @property
     def total_bits(self) -> float:
         return sum(self.bits(name) for name in self.cardinalities)

@@ -10,7 +10,6 @@ import pytest
 from repro.api import (
     Catalog,
     Cell,
-    Experiment,
     ExperimentError,
     RecordError,
     RUN_RECORD_FIELDS,
@@ -56,9 +55,10 @@ class TestRegistryErrorMessages:
             assert name in message
 
     def test_unknown_engine_rejected_by_experiment(self):
-        experiment = Experiment(query=JOIN_TEXT, p=4, engine="turbo")
+        """A one-point sweep refuses it from ``run``, before any cell."""
+        sweep = Sweep(query=JOIN_TEXT, p_values=(4,), engine="turbo")
         with pytest.raises(EngineError, match="batched"):
-            experiment.cells()
+            sweep.run()
 
     def test_misspelled_algorithms_keyword_lists_registry(self):
         sweep = Sweep(query=JOIN_TEXT, p_values=(4,), m_values=(20,),
@@ -216,11 +216,11 @@ class TestRunCell:
 
 
 class TestExperiment:
+    """One workload point: a sweep whose axes hold one value each."""
+
     def test_applicable_expands_to_every_algorithm(self):
-        experiment = Experiment(
-            JOIN_TEXT,
-            workload=WorkloadSpec("uniform", m=60),
-            p=4,
+        experiment = Sweep(
+            JOIN_TEXT, workload="uniform", p_values=(4,), m_values=(60,),
             algorithms="applicable",
         )
         cells = experiment.cells()
@@ -232,7 +232,7 @@ class TestExperiment:
         assert len(records) == len(cells)
 
     def test_explicit_inapplicable_algorithm_rejected_early(self):
-        experiment = Experiment(
+        experiment = Sweep(
             "C3(x,y,z) :- R(x,y), S(y,z), T(z,x)",
             algorithms=["skew-join"],
         )
@@ -325,7 +325,7 @@ class TestSweep:
         assert "p_values" in str(excinfo.value)     # the accepted ones
         # Everything the CLI and the service send is a field.
         sweep = Sweep.from_spec({
-            "query": JOIN_TEXT, "stats_axis": ["exact", "sketch"],
+            "query": JOIN_TEXT, "stats": ["exact", "sketch"],
             "workers": 2, "cell_timeout": None, "p_values": [4],
         })
         assert sweep.stats == ("exact", "sketch") and sweep.p_values == (4,)
@@ -335,7 +335,7 @@ class TestSweep:
         ("workload", "nope", "uniform, zipf, worst, matching"),
         ("stats", "bogus", "exact, sketch"),
         ("stats", ["exact", "bogus"], "exact, sketch"),
-        ("stats_axis", ["bogus"], "exact, sketch"),
+        ("stats", ["bogus"], "exact, sketch"),
     ])
     def test_a_name_no_registry_knows_is_refused_by_the_spec(
         self, field, value, names
@@ -584,8 +584,9 @@ class TestOneOracleEvaluationPerDatabase:
             [20, 30]
 
     def test_an_experiment_evaluates_once(self, oracle_calls):
-        records = Experiment(JOIN_TEXT, WorkloadSpec("worst", m=30), p=4,
-                             algorithms="applicable", verify=True).run()
+        records = Sweep(JOIN_TEXT, workload="worst", m_values=(30,),
+                        p_values=(4,), algorithms="applicable",
+                        verify=True).run()
         assert len(records) > 1 and all(r.complete is True for r in records)
         assert len(oracle_calls) == 1
 

@@ -136,6 +136,32 @@ class TestRaceCommand:
             "rounds.verify.seconds": "n=1",
         }
 
+    def test_a_raising_algorithm_fails_its_row_only(self, capsys,
+                                                     monkeypatch):
+        """Every algorithm is a cell of the sweep executor: one that raises
+        while routing prints its ``failed:`` status in place of its
+        numbers, the other rows are measured and complete, and race exits
+        1."""
+        from repro.core.hashjoin import HashJoinAlgorithm
+
+        def poisoned(self, db, p, hashes):
+            raise ValueError("poisoned routing")
+
+        monkeypatch.setattr(HashJoinAlgorithm, "routing_plan", poisoned)
+        assert main([
+            "race", "q(x,y,z) :- S1(x,z), S2(y,z)",
+            "--workload", "zipf", "--skew", "1.2",
+            "-m", "200", "-p", "8", "--verify", "-q",
+        ]) == 1
+        out = capsys.readouterr().out
+        table = out.partition("complete\n")[2].partition("\n\n")[0]
+        rows = {line.split()[0]: line.split()[1:]
+                for line in table.splitlines()}
+        assert rows.pop("hashjoin") == \
+            ["failed:ValueError:", "poisoned", "routing"]
+        assert len(rows) == 5
+        assert all(row[-1] == "True" for row in rows.values()), rows
+
     def test_unknown_workload(self):
         with pytest.raises(SystemExit):
             main([
@@ -405,8 +431,8 @@ class TestStatsCommand:
 
 class TestCatalogErrorsExitCleanly:
     """A query that does not parse and a workload the generator cannot
-    realize surface in ``Catalog.build``; ``plan``, ``race`` and ``stats``
-    used to let them out as tracebacks (``sweep`` never did)."""
+    realize surface where the catalog is built; ``plan``, ``race`` and
+    ``stats`` used to let them out as tracebacks (``sweep`` never did)."""
 
     UNARY = "q(x,y) :- R(x), S(x,y)"
 

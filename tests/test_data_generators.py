@@ -395,3 +395,56 @@ class TestGraphEdges:
     def test_too_many_edges_rejected(self):
         with pytest.raises(GeneratorError):
             graph_edges("E", 3, 100)
+
+
+def _documented_relation(kind, atom, m, skew, domain, seed):
+    """The generator call :class:`WorkloadSpec`'s docstring names for one
+    atom of a ``kind`` workload."""
+    if kind == "uniform":
+        return uniform_relation(atom.name, m, domain, arity=atom.arity,
+                                seed=seed)
+    if kind == "zipf":
+        return zipf_relation(atom.name, m, domain, arity=atom.arity,
+                             skew=skew, seed=seed,
+                             skewed_positions=(min(1, atom.arity - 1),))
+    if kind == "worst":
+        return single_value_relation(atom.name, m, domain, arity=atom.arity,
+                                     fixed_position=atom.arity - 1,
+                                     seed=seed)
+    return matching_relation(atom.name, m, domain, arity=atom.arity,
+                             seed=seed)
+
+
+def _tuples_or_error(build):
+    try:
+        return list(build().tuples)
+    except GeneratorError as exc:
+        return f"GeneratorError: {exc}"
+
+
+class TestWorkloadSpecBuild:
+    """``WorkloadSpec(kind, ...).build(q)`` is, atom ``i`` by atom, the
+    generator call its docstring names at seed ``seed + i``, over the
+    kind's default domain: ``4 m`` for zipf, ``8 m`` for the others."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "zipf", "worst",
+                                      "matching"])
+    def test_each_atom_is_the_documented_call(self, kind, arity):
+        variables = ", ".join("xyz"[:arity])
+        query = parse_query(
+            f"q({variables}) :- R({variables}), S({variables})")
+        spec = WorkloadSpec(kind, m=40, skew=1.3, seed=5)
+        for i, atom in enumerate(query.atoms):
+            expected = _tuples_or_error(lambda: _documented_relation(
+                kind, atom, 40, 1.3, spec.domain_size, 5 + i))
+            built = _tuples_or_error(
+                lambda: spec.build(query).relation(atom.name))
+            assert built == expected
+
+    @pytest.mark.parametrize("kind, per_tuple", [
+        ("uniform", 8), ("zipf", 4), ("worst", 8), ("matching", 8),
+    ])
+    def test_default_domain(self, kind, per_tuple):
+        assert WorkloadSpec(kind, m=50).domain_size == per_tuple * 50
+        assert WorkloadSpec(kind, m=50, domain=7).domain_size == 7

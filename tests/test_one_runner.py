@@ -6,6 +6,8 @@ a user-defined algorithm that knows nothing of rounds must still plan,
 race and sweep; and ``repro race`` goes through the same path.
 """
 
+from functools import partialmethod
+
 import pytest
 
 from repro import cli
@@ -18,6 +20,7 @@ from repro.api import (
     register,
     unregister,
 )
+from repro.api.experiment import SharedContext
 from repro.mpc import (
     OneRoundAlgorithm,
     RoutingPlan,
@@ -138,10 +141,11 @@ class TestRaceSharesTheRunner:
 
     def test_a_multi_round_plan_races_through_the_same_path(
             self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli, "build_plan",
-            lambda *args, **kwargs: plan(*args, max_rounds=2, **kwargs),
-        )
+        """Race planned at a round budget of 2: the two-round key becomes
+        a cell beside the one-round ones, lifted to its rounds by the
+        step every sweep cell runs."""
+        monkeypatch.setattr(SharedContext, "plan",
+                            partialmethod(SharedContext.plan, rounds=2))
         assert cli.main(self.ARGV) == 0
         rows = {line.split()[0]: line.split()
                 for line in capsys.readouterr().out.splitlines()

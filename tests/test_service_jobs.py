@@ -16,7 +16,6 @@ import pytest
 from repro.api import (
     AlgorithmSpec,
     Cell,
-    Experiment,
     ExperimentError,
     Sweep,
     WorkloadSpec,
@@ -128,10 +127,10 @@ class TestSerialFaultIsolation:
             validate_record(record.to_dict())
 
     def test_an_experiment_isolates_a_failing_cell(self, poison_registry):
-        records = Experiment(
-            JOIN_TEXT, WorkloadSpec("zipf", m=50, skew=0.0), p=4,
-            algorithms=("hashjoin", "poison", "hypercube-lp"),
-        ).run()
+        records = Sweep(
+            JOIN_TEXT, workload="zipf", m_values=(50,), skews=(0.0,),
+            p_values=(4,), algorithms=("hashjoin", "poison", "hypercube-lp"),
+        ).run().records
         assert [r.algorithm for r in records] == \
             ["hashjoin", "poison", "hypercube-lp"]
         assert [r.status.split(":")[0] for r in records] == \
@@ -402,6 +401,16 @@ class TestJobQueueUnit:
         ("workload", "nope"),   # could only fail
         ("stats", "bogus"),
         ("stats", ["exact", "bogus"]),
+        ("algorithms", []),     # an empty axis was a job "done" with no
+        ("p_values", []),       # records, or one that failed later
+        ("m_values", []),
+        ("skews", []),
+        ("seeds", []),
+        ("stats", []),
+        ("rounds", []),
+        ("p_values", [0]),      # these three were accepted, then failed
+        ("m_values", [0]),
+        ("domain", 0),
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)

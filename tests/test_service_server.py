@@ -125,7 +125,8 @@ class TestLifecycle:
         ("workers", "4"), ("workers", 0), ("cell_timeout", "soon"),
         ("p_value", [4]), ("skew", [2.0]), ("skews", [-1.0]),
         ("engine", "mp"), ("workload", "nope"), ("stats", "bogus"),
-        ("stats", ["exact", "bogus"]),
+        ("stats", ["exact", "bogus"]), ("algorithms", []), ("p_values", []),
+        ("p_values", [0]), ("m_values", [0]), ("domain", 0),
     ])
     def test_malformed_sweep_spec_is_400_naming_the_field(
             self, service, field, value):
