@@ -21,11 +21,13 @@ algorithms as *experiments* rather than hand-assembled scripts:
    :func:`execute_cells`, the fault-isolated executor shared with
    ``repro serve`` and ``repro race``;
 4. :mod:`repro.api.bench` — :data:`BENCH_SUITES`, one :class:`Suite` row
-   per pinned perf suite behind ``repro bench`` and the committed
-   ``BENCH_<suite>.json`` files (``core``, ``sketch``, ``rounds``);
-   :func:`run_suite` runs a row by name into its bench document,
-   :func:`validate_bench` checks one, :func:`compare_bench` is the CI
-   regression gate and :func:`suite_gate_failures` the row's absolute one.
+   per pinned quality suite behind ``repro bench`` and the committed
+   ``BENCH_<suite>.json`` files (``core``, ``sketch``, ``rounds``: loads,
+   gaps, regret and recall, no wall-clock — ``perf/`` times);
+   :func:`run_suite` runs a row's grid once into its bench document,
+   :func:`validate_bench` checks one, :func:`compare_bench` lists its
+   differences from a baseline (the CI gate: none) and
+   :func:`suite_gate_failures` the row's absolute gates.
 
 The multi-round algorithms (two-round triangle, the generic
 round-composed join) and the runner ``run_rounds`` live one layer down in
@@ -53,7 +55,7 @@ from .._lazy import lazy_exports
 _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
     ".bench": (
         "BENCH_SCHEMA", "BENCH_SUITES", "BenchError", "Suite",
-        "calibrate", "compare_bench", "run_suite", "suite_gate_failures",
+        "compare_bench", "run_suite", "suite_gate_failures",
         "validate_bench",
     ),
     ".experiment": (

@@ -1,30 +1,29 @@
 """The pinned benchmark suites behind ``repro bench`` and ``BENCH_<suite>.json``.
 
-This is the repo's persisted perf trajectory.  A *suite* is one row of
-:data:`BENCH_SUITES`: a pinned workload grid (fixed query, generator
-kind, skews, seeds and server counts), the sweep axes, entry columns and
-summary numbers it adds, and its absolute acceptance gates.
-:func:`run_suite` — the only function that assembles a bench document —
-executes a row's grid through the sweep runner with full observability
-and reduces it to a JSON document with three regression-gateable
-families of numbers per grid cell:
+A *suite* is one row of :data:`BENCH_SUITES`: a pinned workload grid
+(fixed query, generator kind, skews, seeds and server counts), the sweep
+axes, entry columns and summary numbers it adds, and its absolute
+acceptance gates.  :func:`run_suite` — the only function that assembles a
+bench document — executes a row's grid once through the sweep runner and
+reduces it to a JSON document of the paper's quality numbers per grid
+cell:
 
-* **wall-clock** — per-cell and total, plus a machine-speed
-  ``calibration_seconds`` (a fixed pure-Python workload timed on the same
-  interpreter) so CI can compare *normalized* wall-clock across runners;
-* **max-load vs the Theorem 3.6 lower bound** — the optimality gap, which
-  is deterministic for a pinned grid (hashing is seeded), so any drift is
-  a real behavior change;
+* **max-load vs the Theorem 3.6 lower bound** — the optimality gap;
 * **planner optimality gap** — the regret of the minimum-*predicted*-load
   pick against the minimum-*measured*-load algorithm per cell.
 
+Both are deterministic for a pinned grid (hashing is seeded), so any
+drift is a real behaviour change.  No wall-clock is recorded: the quick
+grids run in milliseconds, where the interpreter's fixed costs dominate;
+``perf/`` is the timing benchmark.
+
 :func:`validate_bench` checks a document against :data:`BENCH_SCHEMA` and
 its suite's own columns (what CI runs over the emitted file);
-:func:`compare_bench` produces the list of regressions versus a committed
-baseline and :func:`suite_gate_failures` the row's absolute gate failures
-(empty = gate passes).  A committed ``BENCH_<suite>.json`` is refreshed
-with ``repro bench --suite <suite> --quick --output BENCH_<suite>.json``;
-its git history is the trajectory.
+:func:`compare_bench` lists every difference from a committed baseline
+and :func:`suite_gate_failures` the row's absolute gate failures (empty =
+gate passes).  A committed ``BENCH_<suite>.json`` is refreshed with
+``repro bench --suite <suite> --quick --output BENCH_<suite>.json``; its
+git history is the trajectory.
 
 The rows: ``core`` (the simple join on a Zipf grid), ``sketch`` (the core
 grid planned and executed twice per cell, from exact frequencies and from
@@ -35,14 +34,13 @@ the second round buys).  Adding a suite is adding a row.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..mpc.farm import split_contiguous
 from ..obs import Observation
 from ..sketch import (
     RelationSketchSet,
@@ -58,7 +56,7 @@ from .records import RunRecord, Schema, check_fields
 
 class BenchError(ValueError):
     """Raised when a bench document does not match :data:`BENCH_SCHEMA`,
-    or when a suite, baseline or tolerance cannot be used."""
+    or when a suite or baseline cannot be used."""
 
 
 _NUMBER = ((int, float), False)
@@ -68,10 +66,8 @@ BENCH_SCHEMA: Schema = {
     "schema_version": ((int,), False),
     "suite": ((str,), False),
     "quick": ((bool,), False),
-    "repeats": ((int,), False),
     "query": ((str,), False),
     "grid": ((dict,), False),
-    "calibration_seconds": _NUMBER,
     "entries": ((list,), False),
     "summary": ((dict,), False),
 }
@@ -88,7 +84,6 @@ _ENTRY_HEAD: Schema = {
     "seed": ((int,), False),
 }
 _ENTRY_TAIL: Schema = {
-    "wall_seconds": _NUMBER,   # the best across the run's passes
     "max_load_bits": _NUMBER,
     "lower_bound_bits": _NUMBER,
     "optimality_gap": ((int, float), True),
@@ -97,8 +92,6 @@ _ENTRY_TAIL: Schema = {
 
 #: what every suite's summary has; a row's ``summary_numbers`` come on top
 _SUMMARY_FIELDS = (
-    "total_wall_seconds",
-    "normalized_wall",
     "mean_optimality_gap",
     "max_optimality_gap",
     "planner_mean_regret",
@@ -129,33 +122,14 @@ class Suite:
     #: ``extend(document, records, grid, obs)``: the suite's own pass over
     #: the assembled document and the records it was assembled from
     extend: Callable[..., None] | None = None
-    #: absolute acceptance gates, beyond :func:`compare_bench`'s relative
-    #: ones: (summary key, what its value must satisfy, the failure
-    #: message, formatted with ``value``)
+    #: absolute acceptance gates, beyond :func:`compare_bench`'s equality
+    #: with a baseline: (summary key, what its value must satisfy, the
+    #: failure message, formatted with ``value``)
     gates: tuple[tuple[str, Callable[[float], bool], str], ...] = ()
 
     @property
     def entry_schema(self) -> Schema:
         return {**_ENTRY_HEAD, **self.entry_columns, **_ENTRY_TAIL}
-
-
-def calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed pure-Python workload on this interpreter.
-
-    The denominator that makes wall-clock portable across machines: a
-    regression gate compares ``total_wall_seconds / calibration_seconds``,
-    so a uniformly slower CI runner does not read as a regression.
-    Best-of-``rounds`` to shed scheduler noise.
-    """
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        acc = 0
-        for i in range(200_000):
-            acc += i * i % 7
-        best = min(best, time.perf_counter() - started)
-    # Guard against pathological clocks; the workload takes >1ms anywhere.
-    return max(best, 1e-4)
 
 
 def _entry_id(record: RunRecord) -> str:
@@ -202,9 +176,10 @@ def _merge_bit_identical(query, db, config) -> bool:
     first = RelationSketchSet.empty(query, domains, config)
     second = RelationSketchSet.empty(query, domains, config)
     for name in dict.fromkeys(atom.name for atom in query.atoms):
-        halves = split_contiguous(db.relation(name).batch, 2)
-        for shard, half in zip((first, second), halves):
-            shard.update(name, half.columns)
+        columns = db.relation(name).batch.columns
+        half = (columns.shape[1] + 1) // 2
+        first.update(name, columns[:, :half])
+        second.update(name, columns[:, half:])
     merged = first.merge(second)
     return all(
         np.array_equal(mine, theirs)
@@ -406,44 +381,21 @@ def _suite(name: object) -> Suite:
 
 
 def run_suite(
-    name: str,
-    quick: bool = False,
-    obs: Observation | None = None,
-    repeats: int = 3,
+    name: str, quick: bool = False, obs: Observation | None = None
 ) -> dict:
-    """Run the named row of :data:`BENCH_SUITES`; return its bench
-    document.  Unknown names list the valid choices.
-
-    Loads, gaps and regret are deterministic (seeded hashing), so one pass
-    suffices for them; wall-clock is not, so the grid runs ``repeats``
-    times and every timing is the best (minimum) across passes — the
-    standard way to shed scheduler noise from a sub-second suite.
+    """Run the named row of :data:`BENCH_SUITES` once; return its bench
+    document.  Unknown names list the valid choices.  Spans and metrics
+    go to ``obs`` when one is given.
     """
     suite = _suite(name)
-    if repeats < 1:
-        raise BenchError(f"the {name} suite needs repeats >= 1")
     grid = suite.quick_grid if quick else suite.full_grid
-    sweep = Sweep(query=suite.query, algorithms="applicable", observe=True,
-                  **grid, **suite.axes)
-    calibration = calibrate()
-    obs = obs if obs is not None else Observation.create()
-    total_wall = float("inf")
-    best_wall: dict[str, float] = {}
-    for _ in range(repeats):
-        started = time.perf_counter()
-        records = sweep.run(obs=obs).records
-        total_wall = min(total_wall, time.perf_counter() - started)
-        for record in records:
-            entry_id = _entry_id(record)
-            best_wall[entry_id] = min(
-                best_wall.get(entry_id, float("inf")), record.wall_seconds
-            )
+    records = Sweep(query=suite.query, algorithms="applicable",
+                    **grid, **suite.axes).run(obs=obs).records
     columns = [name for name in suite.entry_schema if name != "id"]
     entries = [
         {
             "id": _entry_id(record),
             **{name: _jsonable(getattr(record, name)) for name in columns},
-            "wall_seconds": best_wall[_entry_id(record)],
         }
         for record in records
     ]
@@ -451,17 +403,13 @@ def run_suite(
             if e["optimality_gap"] is not None]
     cell_regrets = regrets(records)
     document = {
-        "schema_version": 1,
+        "schema_version": 2,
         "suite": name,
         "quick": quick,
-        "repeats": repeats,
         "query": suite.query,
         "grid": {key: _jsonable(value) for key, value in grid.items()},
-        "calibration_seconds": calibration,
         "entries": entries,
         "summary": {
-            "total_wall_seconds": total_wall,
-            "normalized_wall": total_wall / calibration,
             "mean_optimality_gap": sum(gaps) / len(gaps) if gaps else 0.0,
             "max_optimality_gap": max(gaps, default=0.0),
             "planner_mean_regret":
@@ -507,27 +455,17 @@ def suite_gate_failures(document: Mapping) -> list[str]:
     return failures
 
 
-def compare_bench(
-    baseline: Mapping, current: Mapping, max_regression: float = 0.20
-) -> list[str]:
-    """Regressions of ``current`` vs ``baseline``; empty list = gate passes.
+def compare_bench(baseline: Mapping, current: Mapping) -> list[str]:
+    """Every difference of ``current`` from ``baseline``, one line each;
+    an empty list is the gate passing.
 
-    Gates, each tolerating a relative ``max_regression`` (default 20%):
-
-    * normalized wall-clock (total wall over the machine calibration);
-    * per-entry optimality gap, on entries present in both documents
-      (deterministic for a pinned grid, so the tolerance only absorbs
-      float noise and generator tweaks);
-    * planner worst-case regret.
-
-    Comparing documents from different suites, queries or grids is an
-    error — those numbers are not commensurable — and so is a negative
-    tolerance.
+    The numbers of a pinned grid are deterministic, so the comparison is
+    exact: the same keys in the same order, lists of the same length,
+    floats equal to a relative 1e-9 (what a JSON round trip and summation
+    order may move) and every other value equal.  An entry is named by
+    its ``id``.  Comparing documents from different suites, queries or
+    grids is an error — those numbers are not commensurable.
     """
-    if max_regression < 0:
-        raise BenchError(
-            f"the regression tolerance must be >= 0, got {max_regression}"
-        )
     for what in ("suite", "query", "grid"):
         if baseline.get(what) != current.get(what):
             raise BenchError(
@@ -535,28 +473,32 @@ def compare_bench(
                 f"baseline {baseline.get(what)!r}, "
                 f"current {current.get(what)!r}"
             )
-    base_entries = {e["id"]: e for e in baseline["entries"]}
-    base_summary, summary = baseline["summary"], current["summary"]
-    # (what, baseline, current, digits shown, what follows the numbers)
-    pairs = [
-        ("normalized wall-clock",
-         base_summary["normalized_wall"], summary["normalized_wall"], 1,
-         f" calibration units, tolerance {max_regression:.0%}"),
-        *((f"{entry['id']}: optimality gap",
-           base_entries[entry["id"]]["optimality_gap"],
-           entry["optimality_gap"], 3, "")
-          for entry in current["entries"] if entry["id"] in base_entries),
-        ("planner worst regret",
-         base_summary["planner_worst_regret"],
-         summary["planner_worst_regret"], 3, ""),
-    ]
-    failures = []
-    for what, base, value, digits, unit in pairs:
-        if base is None or value is None or base <= 0:
-            continue
-        if value > base * (1.0 + max_regression):
-            failures.append(
-                f"{what} regressed {value / base:.2f}x ({value:.{digits}f} "
-                f"vs baseline {base:.{digits}f}{unit})"
-            )
-    return failures
+    return list(_differences(baseline, current, "document"))
+
+
+def _differences(base: object, value: object, where: str) -> Iterator[str]:
+    """The lines of :func:`compare_bench`, for the values at ``where``."""
+    if isinstance(base, Mapping) and isinstance(value, Mapping):
+        if list(base) != list(value):
+            yield f"{where}: keys {list(value)} vs baseline {list(base)}"
+            return
+        for key in base:
+            yield from _differences(base[key], value[key], f"{where}.{key}")
+    elif isinstance(base, list) and isinstance(value, list):
+        if len(base) != len(value):
+            yield f"{where}: {len(value)} items vs baseline {len(base)}"
+            return
+        for index, (theirs, mine) in enumerate(zip(base, value)):
+            label = (mine.get("id", index) if isinstance(mine, Mapping)
+                     else index)
+            yield from _differences(theirs, mine, f"{where}[{label}]")
+    elif not _same(base, value):
+        yield f"{where}: {value!r} vs baseline {base!r}"
+
+
+def _same(base: object, value: object) -> bool:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (base, value))
+    if numbers and float in (type(base), type(value)):
+        return math.isclose(value, base, rel_tol=1e-9)
+    return type(base) is type(value) and base == value

@@ -523,7 +523,7 @@ def _execute(
     if cell_obs is not None:
         metrics_block = cell_obs.metrics.to_dict()
         if obs is not None:
-            obs.metrics.merge(cell_obs.metrics)
+            obs.metrics.merge_snapshot(cell_obs.metrics.snapshot())
     return RunRecord(
         **_cell_columns(cell),
         domain=db.domain_size,
@@ -820,11 +820,6 @@ class SweepResult:
             cell = (r.workload, r.m, r.skew, r.seed, r.p, r.stats)
             cells.setdefault(cell, []).append(r)
         return cells
-
-    def best_per_cell(self) -> dict[tuple, RunRecord]:
-        """Minimum measured load per cell."""
-        return {cell: min(records, key=lambda r: r.max_load_bits)
-                for cell, records in self.by_cell().items()}
 
     def summary(self) -> str:
         """A compact table: one row per record, sorted like the grid."""

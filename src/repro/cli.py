@@ -37,9 +37,10 @@ through the execution engines and emits schema-checked JSON/CSV records
 (``--stats exact,sketch`` runs every cell under both statistics methods);
 ``stats`` compares the one-pass Count-Sketch statistics against the exact
 heavy hitters on one workload (recall/precision, frequency error, pass
-times); ``bench`` runs a pinned perf suite (``--suite``: a row of
-:data:`repro.api.bench.BENCH_SUITES`) into ``BENCH_<suite>.json`` and
-gates it, absolutely and against a ``--baseline``;
+times); ``bench`` runs a pinned quality suite (``--suite``: a row of
+:data:`repro.api.bench.BENCH_SUITES`: loads, gaps, regret, recall) into
+``BENCH_<suite>.json`` and gates it, absolutely and by equality with a
+``--baseline``;
 ``packings`` prints ``pk(q)``, ``tau*`` and the cover numbers;
 ``serve`` runs the long-lived plan/sweep service (async job queue with
 backpressure, per-catalog plan/statistics cache, fault-isolated sweep
@@ -153,6 +154,11 @@ def _parse_cardinalities(pairs: Sequence[str]) -> dict[str, int]:
                 f"--cardinality expects an integer count, got {value!r} "
                 f"for {name!r}"
             ) from None
+        if count < 1:
+            raise SystemExit(
+                f"--cardinality expects a count >= 1, got {count} "
+                f"for {name!r}"
+            )
         out[name] = count
     return out
 
@@ -176,12 +182,18 @@ def _parse_grid(text: str, convert: Callable, flag: str) -> tuple:
     return tuple(values)
 
 
-def _stats_from_cardinalities(
-    query: ConjunctiveQuery, cardinalities: dict[str, int], domain: int
+def _declared_statistics(
+    args: argparse.Namespace, query: ConjunctiveQuery
 ) -> SimpleStatistics:
+    """The statistics ``--cardinality``/``--domain`` declare, for ``-p``
+    servers; bad values exit with one line, as a catalog's do."""
+    cardinalities = _parse_cardinalities(args.cardinality)
+    for flag, value in (("-p", args.p), ("--domain", args.domain)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
     try:
         return SimpleStatistics.from_cardinalities(
-            query, cardinalities, domain_size=domain
+            query, cardinalities, domain_size=args.domain
         )
     except ValueError as exc:  # e.g. missing relations
         raise SystemExit(str(exc)) from None
@@ -192,21 +204,24 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from .core.shares import optimal_share_exponents
 
     query = parse_query(args.query)
-    cardinalities = _parse_cardinalities(args.cardinality)
-    stats = _stats_from_cardinalities(query, cardinalities, args.domain)
-    bits = stats.bits_vector(query)
+    bits = _declared_statistics(args, query).bits_vector(query)
+    try:  # e.g. share optimization at p = 1
+        loads = vertex_loads(query, bits, args.p)
+        bound = lower_bound(query, bits, args.p)
+        solution = optimal_share_exponents(query, bits, args.p)
+        exponent = space_exponent(query, bits, args.p)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"query: {query}")
     print(f"p = {args.p}, domain = {args.domain}")
     print("\npacking-vertex load table (pk(q)):")
-    for packing, value in vertex_loads(query, bits, args.p):
+    for packing, value in loads:
         label = {k: str(v) for k, v in packing.items() if v != 0}
         print(f"  u = {label}: {value:,.0f} bits")
-    bound = lower_bound(query, bits, args.p)
-    solution = optimal_share_exponents(query, bits, args.p)
     print(f"\noptimal load (Theorem 3.6): {bound.bits:,.0f} bits")
     print(f"share exponents: "
           + ", ".join(f"{v}={float(e):.3f}" for v, e in solution.exponents.items()))
-    print(f"space exponent: {space_exponent(query, bits, args.p):.4f}")
+    print(f"space exponent: {exponent:.4f}")
     return 0
 
 
@@ -264,11 +279,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise SystemExit(f"--max-rounds must be >= 1, got {args.max_rounds}")
     if args.cardinality:  # explicit cardinalities beat a workload
         query = parse_query(args.query)
-        stats = _stats_from_cardinalities(
-            query, _parse_cardinalities(args.cardinality), args.domain
-        )
-        query_plan = build_plan(query, stats, args.p,
-                                max_rounds=args.max_rounds)
+        stats = _declared_statistics(args, query)
+        try:
+            query_plan = build_plan(query, stats, args.p,
+                                    max_rounds=args.max_rounds)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     else:
         _, query_plan = _catalog(args, lambda catalog: SharedContext().plan(
             catalog, rounds=args.max_rounds))
@@ -362,7 +378,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         sketched = SketchedHeavyHitterStatistics.of(
-            query, db, args.p, config=config, workers=args.workers, obs=obs
+            query, db, args.p, config=config, obs=obs
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
@@ -490,10 +506,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.max_regression < 0:
-        raise SystemExit(
-            f"--max-regression must be >= 0, got {args.max_regression}"
-        )
     cli = sys.modules[__name__]  # the bench names, patched or not
     if args.suite not in cli.BENCH_SUITES:
         raise SystemExit(
@@ -523,10 +535,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cli.validate_bench(document)
     summary = document["summary"]
     _LOG.info(
-        "bench: %d entries in %.2fs (%.1f calibration units), "
-        "max optimality gap %.3f, planner worst regret %.3f",
-        len(document["entries"]), summary["total_wall_seconds"],
-        summary["normalized_wall"], summary["max_optimality_gap"],
+        "bench: %d entries, max optimality gap %.3f, "
+        "planner worst regret %.3f",
+        len(document["entries"]), summary["max_optimality_gap"],
         summary["planner_worst_regret"],
     )
     _write_payload(json.dumps(document, indent=2), output, "bench document")
@@ -537,9 +548,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failures = cli.suite_gate_failures(document)
     if baseline is not None:
         try:
-            failures.extend(cli.compare_bench(
-                baseline, document, max_regression=args.max_regression
-            ))
+            failures.extend(cli.compare_bench(baseline, document))
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
     if failures:
@@ -547,8 +556,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         return 1
     if baseline is not None:
-        _LOG.info("bench: no regressions vs %s (tolerance %.0f%%)",
-                  args.baseline, args.max_regression * 100)
+        _LOG.info("bench: equal to %s", args.baseline)
     return 0
 
 
@@ -777,9 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="count-sketch rows (default %(default)s)")
     stats_cmd.add_argument("--base", type=int, default=16,
                            help="hierarchical digit base (default %(default)s)")
-    stats_cmd.add_argument("--workers", type=int, default=1,
-                           help="build per-shard sketches across N processes "
-                                "and merge them")
     stats_cmd.add_argument("--json", action="store_true",
                            help="emit the fidelity report as JSON")
     _add_observability_arguments(stats_cmd)
@@ -788,10 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run a pinned perf suite; emit/gate BENCH_<suite>.json",
+        help="run a pinned quality suite; emit/gate BENCH_<suite>.json",
     )
     bench.add_argument("--suite", default="core",
-                       help="the BENCH_SUITES row to run — core: the perf "
+                       help="the BENCH_SUITES row to run — core: the quality "
                             "trajectory grid; sketch: the "
                             "same grid under exact and sketched statistics "
                             "plus fidelity/regret gates; rounds: two- vs "
@@ -803,10 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "default BENCH_<suite>.json)")
     bench.add_argument("--baseline", default=None,
                        help="compare against this committed bench document "
-                            "and exit 1 on regressions")
-    bench.add_argument("--max-regression", type=float, default=0.20,
-                       help="relative tolerance for the regression gates "
-                            "(default %(default)s)")
+                            "and exit 1 on any difference")
     _add_observability_arguments(bench)
     _add_logging_arguments(bench)
     bench.set_defaults(func=cmd_bench)

@@ -1,10 +1,10 @@
 """The one process fan-out: a small farm of fault-isolated workers.
 
-The simulator runs work in real processes in two places — the sketch
-pass's shards and the sweep runner's cells — and both run here.  A
-:class:`Farm` keeps long-lived worker processes, each fed one task at a
-time over its own pipe, so the parent always knows which task a worker
-holds.  Every task ends in a structured :class:`Outcome`:
+The simulator runs work in real processes in one place — the sweep
+runner's cells (``repro sweep --workers``, the service's sweep jobs) —
+and it runs here.  A :class:`Farm` keeps long-lived worker processes,
+each fed one task at a time over its own pipe, so the parent always knows
+which task a worker holds.  Every task ends in a structured :class:`Outcome`:
 
 * ``ok`` — the task function returned; ``value`` is its result;
 * ``error`` — it raised; ``value`` is ``"ExcType: message"`` and the
@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Sized
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -52,22 +52,6 @@ def check_workers(workers: int) -> int:
             f"worker count must be an integer >= 1, got {workers!r}"
         )
     return workers
-
-
-def split_contiguous(items: Sized, pieces: int) -> list:
-    """Split ``items`` into at most ``pieces`` contiguous nonempty chunks
-    (slices: of a list, or of a batch's columns) — how the sketch pass
-    cuts its work for the workers."""
-    if not items:
-        return []
-    pieces = min(pieces, len(items))
-    size, extra = divmod(len(items), pieces)
-    out, start = [], 0
-    for i in range(pieces):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
 
 
 @dataclass(frozen=True)

@@ -185,17 +185,6 @@ class MetricsRegistry:
         return bool(self._counters or self._gauges or self._histograms)
 
     # -- aggregation -----------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` in: counters add, gauges overwrite, histograms
-        concatenate."""
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            if gauge.value is not None:
-                self.gauge(name).set(gauge.value)
-        for name, histogram in other._histograms.items():
-            self.histogram(name).extend(histogram.values)
-
     def snapshot(self) -> dict:
         """A picklable/JSON-ready full-fidelity dump (histogram values
         included), for shipping across process boundaries."""

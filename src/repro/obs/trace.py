@@ -88,10 +88,6 @@ class Tracer:
             if span.finished and (name is None or span.name == name)
         )
 
-    def total_seconds(self, name: str) -> float:
-        """Summed duration of every closed span called ``name``."""
-        return sum(span.duration for span in self.finished_spans(name))
-
     def to_events(self) -> list[dict]:
         """Chrome ``traceEvents``: one complete (``ph: "X"``) event per span."""
         events = []

@@ -152,15 +152,6 @@ class ConjunctiveQuery:
     def has_atom(self, name: str) -> bool:
         return name in self._atom_index
 
-    def variable_position(self, variable: str) -> int:
-        """Index of ``variable`` within :attr:`variables`."""
-        try:
-            return self._var_index[variable]
-        except KeyError:
-            raise QueryError(
-                f"query {self.name!r} has no variable named {variable!r}"
-            ) from None
-
     def has_variable(self, variable: str) -> bool:
         return variable in self._var_index
 
@@ -209,34 +200,6 @@ class ConjunctiveQuery:
             reached.add(var)
             stack.extend(adj[var] - reached)
         return len(reached) == len(self._head)
-
-    def connected_components(self) -> tuple[tuple[Atom, ...], ...]:
-        """Partition the atoms into hypergraph-connected components.
-
-        Atoms with no shared variables land in different components; a
-        component listing is exactly an (integral) edge-packing-friendly
-        decomposition, e.g. a cartesian product decomposes into singletons.
-        """
-        parent: dict[str, str] = {a.name: a.name for a in self._atoms}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: str, y: str) -> None:
-            parent[find(x)] = find(y)
-
-        for var in self._head:
-            containing = self.atoms_containing(var)
-            for other in containing[1:]:
-                union(containing[0].name, other.name)
-
-        groups: dict[str, list[Atom]] = {}
-        for atom in self._atoms:
-            groups.setdefault(find(atom.name), []).append(atom)
-        return tuple(tuple(group) for group in groups.values())
 
     # ------------------------------------------------------------------
     # dunder plumbing

@@ -54,14 +54,6 @@ class ResidualQuery:
     def remaining(self) -> tuple[str, ...]:
         return self.query.variables
 
-    def removed_positions(self, atom_name: str) -> tuple[int, ...]:
-        """Positions of ``atom_name`` (in the original query) holding removed
-        variables — the coordinates of ``h_j`` in Section 4.3."""
-        atom = self.original.atom(atom_name)
-        return tuple(
-            i for i, var in enumerate(atom.variables) if var in self.removed
-        )
-
     def kept_positions(self, atom_name: str) -> tuple[int, ...]:
         """Positions of ``atom_name`` that survive into the residual atom."""
         atom = self.original.atom(atom_name)
@@ -81,19 +73,6 @@ class ResidualQuery:
             if total < 1:
                 return False
         return True
-
-    def unsaturated_variables(self, packing: Mapping[str, Number]) -> frozenset[str]:
-        """The removed variables that ``packing`` fails to saturate."""
-        missing = set()
-        for var in self.removed:
-            total = sum(
-                Fraction(packing.get(atom.name, 0))
-                for atom in self.original.atoms
-                if var in atom.variable_set
-            )
-            if total < 1:
-                missing.add(var)
-        return frozenset(missing)
 
 
 def residual_query(

@@ -307,7 +307,7 @@ class Batch:
         return self._columns.shape[1]
 
     def __getitem__(self, piece: slice) -> "Batch":
-        """A contiguous run of the batch (a sketch shard)."""
+        """A contiguous run of the batch."""
         return Batch(self.arity, columns=self.columns[:, piece])
 
     def __reduce__(self):
@@ -585,19 +585,6 @@ class Relation:
             name or self.name, projected[:, first], self.domain_size
         )
 
-    def select(
-        self, assignment: Mapping[int, int], name: str | None = None
-    ) -> "Relation":
-        """Selection ``sigma_{pos=value}`` for every ``pos: value`` given."""
-        self._check_positions(assignment, "selection")
-        columns = self.batch.columns
-        kept = np.ones(columns.shape[1], dtype=bool)
-        for pos, value in assignment.items():
-            kept &= columns[pos] == value
-        return Relation.from_columns(
-            name or self.name, columns[:, kept], self.domain_size
-        )
-
     def frequencies(self, positions: Sequence[int]) -> Counter:
         """Frequency of each value combination at the given positions, in
         order of first occurrence (counted on the columns).
@@ -616,15 +603,6 @@ class Relation:
             arity=self.arity,
             tuples=self.tuples,
             domain_size=self.domain_size,
-        )
-
-    def with_domain(self, domain_size: int) -> "Relation":
-        """Re-declare the domain size (must still contain all values)."""
-        return Relation(
-            name=self.name,
-            arity=self.arity,
-            tuples=self.tuples,
-            domain_size=domain_size,
         )
 
     def __iter__(self) -> Iterator[Tuple]:

@@ -15,10 +15,10 @@ grow with the data.  This module models that pass:
   semantics every frequency is 1 and the answer is the exact one;
 * :class:`RelationSketchSet` holds the sketches for a whole query and is
   updated from each relation's ``(arity, m)`` int64 columns
-  (``Relation.batch.columns``), :data:`CHUNK_SIZE` tuples at a time — in
-  one pass, or one pass per contiguous column slice on the process farm,
-  since same-config sketch sets :meth:`~RelationSketchSet.merge` by exact
-  integer addition (bit-identical to the single pass);
+  (``Relation.batch.columns``), :data:`CHUNK_SIZE` tuples at a time, in
+  one pass; same-config sketch sets :meth:`~RelationSketchSet.merge` by
+  exact integer addition, so sketches of column slices merge
+  bit-identically to the single pass;
 * :class:`SketchedHeavyHitterStatistics` recovers the heavy hitters from
   the sketches by prefix descent; it is a
   :class:`~repro.stats.provider.StatisticsProvider` like the exact
@@ -35,14 +35,12 @@ block (correctness unaffected, a little parallelism wasted), while a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..mpc.farm import Farm, FarmUnavailable, check_workers, split_contiguous
 from ..query.atoms import Atom, ConjunctiveQuery
-from ..seq.relation import Batch, Database
+from ..seq.relation import Database
 from ..stats.cardinality import SimpleStatistics, StatisticsError
 from ..stats.heavy_hitters import (
     HeavyHitterStatistics,
@@ -104,8 +102,8 @@ def _pair_seed(config_seed: int, atom_name: str, subset: VarSubset) -> list[int]
     """A deterministic SeedSequence entropy for one (atom, subset) pair.
 
     Derived from the *content* of the key (not ``hash()``, which is
-    salted per process), so independently constructed sketch sets — e.g.
-    in forked shard workers — agree on every hash coefficient.
+    salted per process), so independently constructed sketch sets — in
+    this process or another — agree on every hash coefficient.
     """
     import zlib
 
@@ -261,69 +259,16 @@ class RelationSketchSet:
         return self
 
 
-def _build_shard(
-    query: ConjunctiveQuery,
-    domains: Mapping[str, int],
-    config: SketchConfig,
-    pieces: list[tuple[str, Batch]],
-) -> RelationSketchSet:
-    """Farm task: sketch one shard's batches into a fresh sketch set."""
-    shard = RelationSketchSet.empty(query, domains, config)
-    for atom_name, batch in pieces:
-        shard.update(atom_name, batch.columns)
-    return shard
-
-
 def build_sketch_set(
-    query: ConjunctiveQuery,
-    db: Database,
-    config: SketchConfig,
-    workers: int = 1,
+    query: ConjunctiveQuery, db: Database, config: SketchConfig
 ) -> RelationSketchSet:
-    """Sketch every relation of ``query`` in one pass over ``db``.
-
-    With ``workers > 1`` each relation's batch is cut into contiguous
-    slices (:func:`repro.mpc.farm.split_contiguous`), shard ``w`` takes the
-    ``w``-th slice of every relation, each worker of a
-    :class:`repro.mpc.farm.Farm` sketches its shard, and the parent
-    merges — bit-identical to the single pass because same-seed sketches
-    merge by exact integer addition.  A shard whose worker raised or died is a
-    :class:`SketchError`; only when no worker process can be started at
-    all does the build run single-pass instead.
-    """
-    domains = {
+    """Sketch every relation of ``query`` in one pass over ``db``."""
+    sketch_set = RelationSketchSet.empty(query, {
         atom.name: db.relation(atom.name).domain_size for atom in query.atoms
-    }
-    single_pass = [
-        (name, db.relation(name).batch)
-        for name in dict.fromkeys(atom.name for atom in query.atoms)
-    ]
-    if check_workers(workers) == 1:
-        return _build_shard(query, domains, config, single_pass)
-
-    shards: list[list[tuple[str, Batch]]] = [[] for _ in range(workers)]
-    for name, batch in single_pass:
-        for shard, piece in zip(shards, split_contiguous(batch, workers)):
-            shard.append((name, piece))
-    tasks = [pieces for pieces in shards if pieces]
-    if not tasks:
-        return RelationSketchSet.empty(query, domains, config)
-    try:
-        farm = Farm(partial(_build_shard, query, domains, config), len(tasks))
-    except FarmUnavailable:
-        return _build_shard(query, domains, config, single_pass)
-    with farm:
-        outcomes = farm.map(tasks)
-    for number, outcome in enumerate(outcomes, 1):
-        if not outcome.ok:
-            raise SketchError(
-                f"sketch shard {number}/{len(tasks)} "
-                f"{outcome.status}: {outcome.value}"
-            )
-    merged = outcomes[0].value
-    for outcome in outcomes[1:]:
-        merged.merge(outcome.value)
-    return merged
+    }, config)
+    for name in dict.fromkeys(atom.name for atom in query.atoms):
+        sketch_set.update(name, db.relation(name).batch.columns)
+    return sketch_set
 
 
 # ----------------------------------------------------------------------
@@ -355,23 +300,20 @@ class SketchedHeavyHitterStatistics(StatisticsProvider):
         p: int,
         threshold_factor: float = 1.0,
         config: SketchConfig | None = None,
-        workers: int = 1,
         obs: "Observation | None" = None,
     ) -> "SketchedHeavyHitterStatistics":
         """One statistics pass over ``db`` for ``query``, then recovery.
 
         The sketched twin of :meth:`HeavyHitterStatistics.of`: same
         signature prefix, same thresholds, estimated frequencies.
-        ``workers > 1`` builds per-shard sketches on the process farm and
-        merges them (bit-identical to ``workers=1``).
         """
         from ..obs import maybe_timed
 
         if p < 1:
             raise StatisticsError("p must be >= 1")
         config = config or SketchConfig()
-        with maybe_timed(obs, "stats.sketch_pass", workers=workers):
-            sketch_set = build_sketch_set(query, db, config, workers=workers)
+        with maybe_timed(obs, "stats.sketch_pass"):
+            sketch_set = build_sketch_set(query, db, config)
         simple = SimpleStatistics.of(db)
         hitters: dict[tuple[str, VarSubset], dict[Assignment, int]] = {}
         with maybe_timed(obs, "stats.sketch_recover"):

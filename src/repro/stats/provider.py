@@ -78,20 +78,6 @@ class StatisticsProvider:
         """``m_j(h_j)`` if heavy; ``None`` means light (``<= m_j/p``)."""
         return self.heavy_hitters(atom_name, variables).get(tuple(assignment))
 
-    def is_heavy(
-        self, atom_name: str, variables: Iterable[str], assignment: Assignment
-    ) -> bool:
-        return tuple(assignment) in self.heavy_hitters(atom_name, variables)
-
-    def frequency_or_light_bound(
-        self, atom_name: str, variables: Iterable[str], assignment: Assignment
-    ) -> float:
-        """Known frequency for heavy hitters; the ``m_j/p`` bound otherwise."""
-        freq = self.frequency(atom_name, variables, assignment)
-        if freq is not None:
-            return float(freq)
-        return self.threshold(atom_name)
-
     def total_heavy_count(self) -> int:
         return sum(len(mapping) for mapping in self.hitters.values())
 

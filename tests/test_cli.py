@@ -64,6 +64,48 @@ class TestBoundsCommand:
         with pytest.raises(SystemExit):
             main(["bounds", "q(x) :- S(x)", "--cardinality", "S=12.5"])
 
+    @pytest.mark.parametrize("command", ["bounds", "plan"])
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(["-p", "0"], "-p must be >= 1, got 0", id="p0"),
+        pytest.param(["-p", "-3"], "-p must be >= 1, got -3", id="p-3"),
+        pytest.param(["--cardinality", "S1=-5"],
+                     "--cardinality expects a count >= 1, got -5 for 'S1'",
+                     id="count-5"),
+        pytest.param(["--cardinality", "S1=0"],
+                     "--cardinality expects a count >= 1, got 0 for 'S1'",
+                     id="count0"),
+        pytest.param(["--domain", "0"], "--domain must be >= 1, got 0",
+                     id="domain0"),
+    ])
+    def test_bad_declared_statistics_exit_with_one_line(
+            self, command, extra, message):
+        """The declared-statistics path refuses what a catalog refuses,
+        with one line and no traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "q(x,y,z) :- S1(x,z), S2(y,z)",
+                  "--cardinality", "S1=4096", "--cardinality", "S2=1024",
+                  *extra])
+        assert excinfo.value.code == message
+
+    def test_bounds_at_one_server_exits_with_the_share_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bounds", "q(x,y,z) :- S1(x,z), S2(y,z)",
+                  "--cardinality", "S1=4096", "--cardinality", "S2=1024",
+                  "-p", "1"])
+        assert excinfo.value.code == "share optimization needs p >= 2"
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["stats", "q(x,y,z) :- S1(x,z), S2(y,z)", "--workers", "2"],
+        ["bench", "--quick", "--max-regression", "0.5"],
+    ])
+    def test_removed_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRaceCommand:
     def test_join_race_with_verification(self, capsys):

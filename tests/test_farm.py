@@ -1,7 +1,7 @@
 """Chaos tests for the one process fan-out (:mod:`repro.mpc.farm`) and the
-two things that run on it: sketch shards and sweep cells.  A worker that
-raises, dies or hangs must end as a structured outcome (a ``SketchError``,
-a ``failed:`` record), never as a hang or a leaked process.
+one thing that runs on it: sweep cells.  A worker that raises, dies or
+hangs must end as a structured outcome (a ``failed:`` record), never as a
+hang or a leaked process.
 
 Every test runs under a wall-clock guard (SIGALRM), so a regression to
 "blocks forever" fails here instead of hanging CI.
@@ -14,36 +14,23 @@ import os
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from repro.api import (
     AlgorithmSpec,
     Sweep,
-    WorkloadSpec,
     execute_cells,
     register,
     unregister,
 )
 from repro.cli import main
 from repro.mpc.execution import OneRoundAlgorithm
-from repro.mpc.farm import (
-    Farm,
-    FarmUnavailable,
-    check_workers,
-    split_contiguous,
-)
+from repro.mpc.farm import Farm, FarmUnavailable, check_workers
 from repro.obs import Observation
-from repro.query import parse_query
 from repro.service import ReproService, ServiceClient
-from repro.seq.relation import Batch
-from repro.sketch import SketchConfig, SketchError, build_sketch_set
-from repro.sketch.statistics import RelationSketchSet
 
 JOIN_TEXT = "q(x, y, z) :- S1(x, z), S2(y, z)"
 GUARD_SECONDS = 60
-#: What "within a few seconds" means for a death to surface.
-PROMPT_SECONDS = 10.0
 
 
 @pytest.fixture(autouse=True)
@@ -66,10 +53,6 @@ def no_surviving_children():
     assert multiprocessing.active_children() == []
 
 
-def _die(*args, **kwargs):
-    os._exit(1)
-
-
 def _task(item):
     """The primitive's test task: doubles numbers, obeys commands."""
     if item == "die":
@@ -81,16 +64,6 @@ def _task(item):
     if isinstance(item, float):
         time.sleep(item)
     return item * 2
-
-
-@pytest.fixture(scope="module")
-def query():
-    return parse_query(JOIN_TEXT)
-
-
-@pytest.fixture(scope="module")
-def db(query):
-    return WorkloadSpec(kind="zipf", m=200, skew=1.2, seed=3).build(query)
 
 
 # ----------------------------------------------------------------------
@@ -162,99 +135,22 @@ class TestFarm:
 
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "4"])
-    def test_must_be_an_integer_of_at_least_one(self, workers, query, db):
+    def test_must_be_an_integer_of_at_least_one(self, workers):
         cells = Sweep(query=JOIN_TEXT, m_values=(40,), p_values=(4,)).cells()
         for call in (
             lambda: check_workers(workers),
             lambda: Farm(_task, workers),
-            lambda: build_sketch_set(query, db, SketchConfig(),
-                                     workers=workers),
             lambda: execute_cells(cells, max_workers=workers),
         ):
             with pytest.raises(ValueError, match="worker count"):
                 call()
 
-    @pytest.mark.parametrize("argv", [
-        ["stats", JOIN_TEXT, "-m", "60", "-p", "4", "--workers", "0"],
-        ["sweep", JOIN_TEXT, "--m", "60", "--p", "4", "--workers", "0"],
-    ])
-    def test_cli_exits_with_one_line(self, argv):
+    def test_cli_exits_with_one_line(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(["sweep", JOIN_TEXT, "--m", "60", "--p", "4",
+                  "--workers", "0"])
         message = str(excinfo.value.code)
         assert "worker count" in message and "\n" not in message
-
-
-# ----------------------------------------------------------------------
-# One way to cut work for the workers (sketch shards).
-# ----------------------------------------------------------------------
-
-class TestSplitContiguous:
-    @pytest.mark.parametrize("length, pieces, sizes", [
-        (0, 3, []),
-        (1, 3, [1]),
-        (5, 2, [3, 2]),
-        (6, 3, [2, 2, 2]),
-        (7, 3, [3, 2, 2]),
-        (3, 8, [1, 1, 1]),
-    ])
-    def test_cuts_a_list_into_balanced_nonempty_runs(
-        self, length, pieces, sizes
-    ):
-        items = list(range(length))
-        chunks = split_contiguous(items, pieces)
-        assert [len(chunk) for chunk in chunks] == sizes
-        assert [item for chunk in chunks for item in chunk] == items
-
-    def test_cuts_a_batch_into_column_slices(self):
-        batch = Batch.of([(i, 10 * i) for i in range(7)])
-        chunks = split_contiguous(batch, 3)
-        assert all(isinstance(chunk, Batch) for chunk in chunks)
-        assert [len(chunk) for chunk in chunks] == [3, 2, 2]
-        assert np.array_equal(
-            np.concatenate([chunk.columns for chunk in chunks], axis=1),
-            batch.columns,
-        )
-
-
-# ----------------------------------------------------------------------
-# The sketch pass.
-# ----------------------------------------------------------------------
-
-class TestSketchChaos:
-    def test_a_dying_shard_worker_is_a_sketch_error(
-        self, monkeypatch, query, db
-    ):
-        monkeypatch.setattr(RelationSketchSet, "update", _die)
-        started = time.perf_counter()
-        with pytest.raises(SketchError, match="died"):
-            build_sketch_set(query, db, SketchConfig(), workers=2)
-        assert time.perf_counter() - started < PROMPT_SECONDS
-
-    def test_an_oserror_inside_a_shard_task_surfaces(
-        self, monkeypatch, query, db
-    ):
-        # It used to be taken for "cannot start workers" and swallowed:
-        # the build silently reran single-pass.
-        def unreadable(self, atom_name, columns):
-            raise OSError("disk gone")
-
-        monkeypatch.setattr(RelationSketchSet, "update", unreadable)
-        with pytest.raises(SketchError, match="OSError: disk gone"):
-            build_sketch_set(query, db, SketchConfig(), workers=2)
-
-    def test_without_worker_processes_the_build_is_single_pass(
-        self, monkeypatch, query, db
-    ):
-        single = build_sketch_set(query, db, SketchConfig(), workers=1)
-        monkeypatch.setattr(Farm, "_spawn", lambda self: False)
-        fallback = build_sketch_set(query, db, SketchConfig(), workers=2)
-        for key, sketch in single.sketches.items():
-            assert all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(sketch.tables(),
-                                        fallback.sketches[key].tables())
-            )
 
 
 # ----------------------------------------------------------------------

@@ -142,9 +142,8 @@ def _imported_names(tree: ast.AST) -> set[str]:
 
 
 def test_there_is_one_process_fan_out():
-    """Sketch shards and sweep cells both run on ``repro.mpc.farm``: no
-    other module touches ``multiprocessing``, and nothing opens a ``Pool``
-    beside it."""
+    """Sweep cells run on ``repro.mpc.farm``: no other module touches
+    ``multiprocessing``, and nothing opens a ``Pool`` beside it."""
     importers, pool_calls = [], []
     for name, tree in _modules():
         if any(module.split(".")[0] == "multiprocessing"
@@ -161,14 +160,20 @@ def test_there_is_one_process_fan_out():
 
 
 def test_processes_enter_above_the_engines():
-    """A farm is opened for sketch shards and for sweep cells, nowhere
-    else: an engine simulates its round in the calling process."""
-    openers = sorted(
-        name for name, tree in _modules()
+    """A farm is opened for sweep cells, nowhere else: an engine simulates
+    its round, and the sketch pass runs, in the calling process."""
+    openers, sketch_farm_imports = [], []
+    for name, tree in _modules():
         if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "Farm" for node in ast.walk(tree))
-    )
-    assert openers == ["api/experiment.py", "sketch/statistics.py"]
+               and node.func.id == "Farm" for node in ast.walk(tree)):
+            openers.append(name)
+        if name.startswith("sketch/"):
+            sketch_farm_imports += [
+                (name, module) for module in _imported_names(tree)
+                if ".mpc.farm." in f".{module}."
+            ]
+    assert openers == ["api/experiment.py"]
+    assert sketch_farm_imports == []
 
 
 def test_the_sketch_pass_reads_columns_not_tuples():

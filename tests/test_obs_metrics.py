@@ -110,7 +110,7 @@ class TestRegistry:
         left.histogram("h").observe(1.0)
         right.histogram("h").extend([2.0, 3.0])
         right.gauge("unset")  # never .set(): must not clobber on merge
-        left.merge(right)
+        left.merge_snapshot(right.snapshot())
         assert left.counter("n").value == 5       # counters add
         assert left.gauge("g").value == 9.0       # gauges overwrite
         assert left.histogram("h").values == [1.0, 2.0, 3.0]  # concat

@@ -88,12 +88,11 @@ class TestSpanTiming:
         for span in tracer.spans:
             assert span.duration >= 0.0
 
-    def test_total_seconds_sums_same_named_spans(self):
+    def test_finished_spans_filter_by_name(self):
         tracer = Tracer(clock=FakeClock(step=1.0))
         for _ in range(3):
             with tracer.span("work"):
                 pass
-        assert tracer.total_seconds("work") == 3.0
         assert len(tracer.finished_spans("work")) == 3
         assert tracer.finished_spans("missing") == ()
 

@@ -79,12 +79,6 @@ class TestConjunctiveQuery:
         with pytest.raises(QueryError):
             q.atom("nope")
 
-    def test_variable_position(self):
-        q = triangle_query()
-        assert q.variable_position("x2") == 1
-        with pytest.raises(QueryError):
-            q.variable_position("w")
-
     def test_atoms_containing(self):
         q = triangle_query()
         names = [a.name for a in q.atoms_containing("x2")]
@@ -108,14 +102,6 @@ class TestConjunctiveQuery:
         assert q.is_connected()
         product = ConjunctiveQuery([Atom("S1", ("x",)), Atom("S2", ("y",))])
         assert not product.is_connected()
-
-    def test_connected_components_of_product(self):
-        product = ConjunctiveQuery(
-            [Atom("S1", ("x", "y")), Atom("S2", ("y", "z")), Atom("S3", ("w",))]
-        )
-        components = product.connected_components()
-        sizes = sorted(len(c) for c in components)
-        assert sizes == [1, 2]
 
     def test_equality_and_hash(self):
         q1 = triangle_query()

@@ -100,7 +100,7 @@ class TestSketchedStatistics:
 
     def test_sharded_build_is_bit_identical(self, query, zipf_db):
         config = SketchConfig()
-        single = build_sketch_set(query, zipf_db, config, workers=1)
+        single = build_sketch_set(query, zipf_db, config)
         domains = {
             atom.name: zipf_db.relation(atom.name).domain_size
             for atom in query.atoms
@@ -119,24 +119,6 @@ class TestSketchedStatistics:
                 np.array_equal(mine, theirs)
                 for mine, theirs in zip(sketch.tables(),
                                         merged.sketches[key].tables())
-            )
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_process_parallel_build_matches_single_pass(self, query, workers):
-        # S2 has fewer tuples than five workers: shards 4 and 5 hold S1 only.
-        db = Database.from_relations([
-            zipf_relation("S1", 4000, 1600, skew=1.6, seed=1),
-            zipf_relation("S2", 4, 1600, skew=1.1, seed=2),
-        ])
-        config = SketchConfig()
-        single = build_sketch_set(query, db, config, workers=1)
-        pooled = build_sketch_set(query, db, config, workers=workers)
-        assert pooled.update_count == single.update_count
-        for key, sketch in single.sketches.items():
-            assert all(
-                np.array_equal(mine, theirs)
-                for mine, theirs in zip(sketch.tables(),
-                                        pooled.sketches[key].tables())
             )
 
     @pytest.mark.parametrize("chunk_size", [97, 1000])
@@ -233,8 +215,7 @@ class TestSketchedStatistics:
 
 _PROVIDER_SURFACE = (
     "simple", "p", "threshold_factor", "hitters", "threshold",
-    "heavy_hitters", "frequency", "is_heavy", "frequency_or_light_bound",
-    "total_heavy_count",
+    "heavy_hitters", "frequency", "total_heavy_count",
 )
 
 
@@ -341,13 +322,13 @@ class TestSweepIntegration:
         for record in result.records:
             assert record.max_load_bits > 0
 
-    def test_best_per_cell_separates_stats_methods(self):
+    def test_cells_separate_stats_methods(self):
         result = Sweep(
             QUERY, workload="zipf", p_values=(4,), m_values=(80,),
             skews=(1.2,), algorithms=("hashjoin", "skew-join"),
             stats=("exact", "sketch"),
         ).run()
-        assert len(result.best_per_cell()) == 2
+        assert len(result.by_cell()) == 2
 
     def test_unknown_stats_method_fails_before_running(self):
         with pytest.raises(ValueError, match="stats method"):

@@ -79,7 +79,6 @@ class TestHeavyHitterStatistics:
         stats = HeavyHitterStatistics.of(q, db, p=10)
         heavy = stats.heavy_hitters("S1", ("z",))
         assert heavy == {(0,): 100}
-        assert stats.is_heavy("S1", ("z",), (0,))
         assert stats.frequency("S1", ("z",), (0,)) == 100
 
     def test_uniform_relation_has_no_heavy_hitters_on_single_vars(self):
@@ -105,7 +104,7 @@ class TestHeavyHitterStatistics:
         )
         stats = HeavyHitterStatistics.of(q, db, p=4)
         assert stats.frequency("S1", ("z",), (99999,)) is None
-        assert stats.frequency_or_light_bound("S1", ("z",), (99999,)) == 25.0
+        assert stats.threshold("S1") == 25.0
 
     def test_pair_subsets_tracked(self):
         """Heavy hitters exist for every nonempty subset of atom variables."""
