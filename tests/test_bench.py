@@ -218,6 +218,34 @@ class TestCompareBench:
         assert len(failures) == 1
         assert f"entries[{document['entries'][0]['id']}].p" in failures[0]
 
+    def test_renamed_entries_are_differences(self, document):
+        current = copy.deepcopy(document)
+        for entry in current["entries"]:
+            entry["id"] = "other-" + entry["id"]
+        failures = compare_bench(document, current)
+        assert len(failures) == len(document["entries"])
+        assert all(".id: 'other-" in failure for failure in failures)
+
+    def test_a_bool_is_not_an_int(self, document):
+        current = copy.deepcopy(document)
+        current["quick"] = int(current["quick"])
+        assert compare_bench(document, current) == [
+            "document.quick: 1 vs baseline True",
+        ]
+
+    def test_none_and_a_number_differ(self, document):
+        baseline = copy.deepcopy(document)
+        entry = next(e for e in baseline["entries"]
+                     if e["optimality_gap"] is not None)
+        current = copy.deepcopy(baseline)
+        next(e for e in current["entries"]
+             if e["id"] == entry["id"])["optimality_gap"] = None
+        failures = compare_bench(baseline, current)
+        assert failures == [
+            f"document.entries[{entry['id']}].optimality_gap: None "
+            f"vs baseline {entry['optimality_gap']!r}",
+        ]
+
     def test_suite_mismatch_is_an_error(self, document):
         other = copy.deepcopy(document)
         other["suite"] = "micro"

@@ -145,10 +145,11 @@ class TestWorkerCount:
             with pytest.raises(ValueError, match="worker count"):
                 call()
 
-    def test_cli_exits_with_one_line(self):
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_cli_exits_with_one_line(self, workers):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", JOIN_TEXT, "--m", "60", "--p", "4",
-                  "--workers", "0"])
+                  "--workers", workers])
         message = str(excinfo.value.code)
         assert "worker count" in message and "\n" not in message
 

@@ -121,6 +121,47 @@ class TestSketchedStatistics:
                                         merged.sketches[key].tables())
             )
 
+    @pytest.mark.parametrize("shards", [2, 3, 5])
+    def test_uneven_contiguous_shards_merge_to_the_single_pass(
+        self, query, shards
+    ):
+        # S2 has fewer tuples than five shards: one S2 slice is empty.
+        db = Database.from_relations([
+            zipf_relation("S1", 4000, 1600, skew=1.6, seed=1),
+            zipf_relation("S2", 4, 1600, skew=1.1, seed=2),
+        ])
+        config = SketchConfig()
+        single = build_sketch_set(query, db, config)
+        domains = {atom.name: db.relation(atom.name).domain_size
+                   for atom in query.atoms}
+        parts = [RelationSketchSet.empty(query, domains, config)
+                 for _ in range(shards)]
+        for name in ("S1", "S2"):
+            columns = db.relation(name).batch.columns
+            for part, piece in zip(parts, np.array_split(columns, shards,
+                                                         axis=1)):
+                part.update(name, piece)
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        assert merged.update_count == single.update_count
+        for key, sketch in single.sketches.items():
+            assert all(
+                np.array_equal(mine, theirs)
+                for mine, theirs in zip(sketch.tables(),
+                                        merged.sketches[key].tables())
+            )
+
+    def test_an_error_inside_the_pass_surfaces_unchanged(
+        self, query, zipf_db, monkeypatch
+    ):
+        def unreadable(self, atom_name, columns):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(RelationSketchSet, "update", unreadable)
+        with pytest.raises(OSError, match="disk gone"):
+            build_sketch_set(query, zipf_db, SketchConfig())
+
     @pytest.mark.parametrize("chunk_size", [97, 1000])
     def test_chunked_column_pass_is_bit_identical(
         self, query, zipf_db, monkeypatch, chunk_size
