@@ -45,7 +45,7 @@ times); ``bench`` runs a pinned quality suite (``--suite``: a row of
 ``serve`` runs the long-lived plan/sweep service (async job queue with
 backpressure, per-catalog plan/statistics cache, fault-isolated sweep
 cells) and ``submit`` is its client — submit a ``plan``, ``stats`` or
-``sweep`` job, poll to completion, print the result.
+``sweep`` job, wait for it to finish, print the result.
 
 Observability: ``race``, ``sweep``, ``stats`` and ``bench`` accept
 ``--trace FILE`` (write a Chrome-trace JSON of the run's nested spans —
@@ -593,7 +593,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one job to a running service, poll it, print the result."""
+    """Submit one job to a running service, wait for it, print the result."""
     from .service.client import (
         ServiceBusyError,
         ServiceClient,
@@ -612,11 +612,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     client = ServiceClient(args.server)
     try:
-        job = client.submit(kind, spec)
-        job_id = job["id"]
+        status = client.submit(kind, spec)
+        job_id = status["id"]
         _LOG.info("submitted %s job %s to %s", kind, job_id, args.server)
-        status = client.wait(job_id, timeout=args.timeout,
-                             interval=args.poll_interval)
+        if status["state"] in ("queued", "running"):
+            status = client.wait(job_id, timeout=args.timeout)
         if status["state"] != "done":
             raise SystemExit(
                 f"job {job_id} {status['state']}: {status.get('error')}"
@@ -628,6 +628,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         ) from None
     except ServiceClientError as exc:
         raise SystemExit(str(exc)) from None
+    finally:
+        client.close()
 
     if kind == "sweep" and args.format != "json":
         records = tuple(
@@ -844,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit",
         help="submit a plan/stats/sweep job to a running 'repro serve' "
-             "instance, poll to completion, print the result",
+             "instance, wait for it to finish, print the result",
     )
     submit_sub = submit.add_subparsers(dest="job_kind", required=True)
 
@@ -852,11 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--server", default="http://127.0.0.1:8765",
                             help="service base URL (default %(default)s)")
         parser.add_argument("--timeout", type=float, default=300.0,
-                            help="give up polling after this many seconds "
-                                 "(default %(default)s)")
-        parser.add_argument("--poll-interval", type=float, default=0.2,
-                            help="seconds between status polls "
-                                 "(default %(default)s)")
+                            help="give up waiting for the job after this "
+                                 "many seconds (default %(default)s)")
         _add_logging_arguments(parser)
         parser.set_defaults(func=cmd_submit)
 

@@ -26,9 +26,15 @@ Typical in-process use::
     client = ServiceClient(service.url)
     job = client.submit("plan", {"query": "q(x,y,z) :- S1(x,z), S2(y,z)",
                                  "p": 16, "workload": "zipf", "m": 2000})
-    client.wait(job["id"])
+    if job["state"] in ("queued", "running"):  # not finished at the reply
+        job = client.wait(job["id"])           # long-polls, never sleeps
     print(client.result(job["id"])["result"]["chosen"])
     service.shutdown()
+
+A submit is answered with the job's status document, and when a worker
+was free to take the job the reply waits for it, up to
+:data:`repro.service.server.REPLY_WAIT_S`: a plan or stats job on a warm
+catalog comes back ``done``, and its result is one more request away.
 """
 
 from ..api.experiment import execute_cells

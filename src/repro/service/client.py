@@ -1,14 +1,14 @@
 """A stdlib HTTP client for the repro service (used by ``repro submit``).
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over :mod:`http.client` — submit, poll,
-fetch results, cancel, read metrics, shut the server down.  Error
-responses become :class:`ServiceClientError` (with the HTTP status
+:mod:`repro.service.server` over :mod:`http.client` — submit, poll or
+long-poll, fetch results, cancel, read metrics, shut the server down.
+Error responses become :class:`ServiceClientError` (with the HTTP status
 attached); a 429 queue rejection becomes :class:`ServiceBusyError` so
 callers can implement their own retry policy against backpressure.
 
 A client holds one persistent connection per thread that uses it (a
-submit/poll/fetch exchange is three or more requests, each cheaper than a
+submit/wait/fetch exchange is two or more requests, each cheaper than a
 TCP connection and a server thread), opened on first use and dropped by
 :meth:`ServiceClient.close`.  When a *reused* connection turns out dropped,
 a ``GET`` or ``DELETE`` reconnects once and is sent again; a ``POST`` never
@@ -125,16 +125,19 @@ class ServiceClient:
     def shutdown(self) -> dict:
         return self._request("POST", "/v1/shutdown")
 
-    def wait(self, job_id: str, timeout: float = 120.0,
-             interval: float = 0.05) -> dict:
-        """Poll until the job is terminal; return its final status.
+    def wait(self, job_id: str, timeout: float = 120.0) -> dict:
+        """Long-poll until the job is terminal; return its final status.
 
-        Raises :class:`ServiceClientError` on timeout — never silently
+        Each ``GET /v1/jobs/<id>?wait=1`` is answered when the job turns
+        terminal or after the server's bound on a held reply, so the
+        status arrives when the job finishes, with no sleep in between.
+        Raises :class:`ServiceClientError` once ``timeout`` seconds have
+        passed (overrun by at most one held reply) — never silently
         returns a non-terminal job.
         """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            status = self._request("GET", f"/v1/jobs/{job_id}?wait=1")
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
             if time.monotonic() >= deadline:
@@ -142,7 +145,6 @@ class ServiceClient:
                     0, f"job {job_id} still {status['state']} "
                        f"after {timeout:.0f}s"
                 )
-            time.sleep(interval)
 
     def wait_until_healthy(self, timeout: float = 30.0,
                            interval: float = 0.1) -> dict:

@@ -11,10 +11,20 @@ under which key — over one shared
 :class:`~repro.service.cache.CatalogCache`, so the second request on a
 catalog, of any kind, is a cache hit, not a rebuild.
 
+A caller that wants a job's outcome waits on the queue, not on a clock:
+one :class:`threading.Condition` on the queue's lock is notified whenever
+a job turns terminal (its worker finishes it, or :meth:`JobQueue.cancel`
+or :meth:`JobQueue.shutdown` cancels it), and :meth:`JobQueue.wait`
+returns a job's status document as soon as that happens or its timeout
+passes.  One condition for the queue, not one event per job, so a
+retained job costs no more than its record.
+
 Observability (all through the existing :mod:`repro.obs` layer):
-``service.queue.depth`` gauge, ``service.jobs.*`` counters,
-``service.job.seconds`` spans per job, the cell executor's ``sweep.*``
-metrics, and the cache's ``service.cache.{hit,miss}`` counters.
+``service.queue.depth`` gauge, ``service.jobs.*`` counters
+(``service.jobs.settled_at_submit`` counts the submits answered with a
+job already terminal), ``service.job.seconds`` spans per job, the cell
+executor's ``sweep.*`` metrics, a ``records.serialize`` span per sweep
+job, and the cache's ``service.cache.{hit,miss}`` counters.
 
 The process is long-lived, so nothing here grows with its uptime: the
 queue keeps the newest :data:`RETAINED_JOBS` finished jobs, each job runs
@@ -159,6 +169,8 @@ class JobQueue:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
+        # Notified, under the lock, each time a job turns terminal.
+        self._settled = threading.Condition(self._lock)
         self._closed = False
         self._threads = [
             threading.Thread(
@@ -173,6 +185,25 @@ class JobQueue:
     # -- client surface -------------------------------------------------
     def submit(self, kind: str, spec: dict) -> Job:
         """Enqueue a job; raises :class:`BackpressureError` when full."""
+        return self._enqueue(kind, spec)[0]
+
+    def submit_and_wait(self, kind: str, spec: dict, timeout: float) -> dict:
+        """Enqueue a job and return its status document, waiting for it as
+        :meth:`wait` does when a worker was free to take it at once.
+
+        A job that queues behind busy workers, or on a paused queue, is
+        answered ``queued`` without waiting, so that a caller submitting
+        a batch is never held up by the jobs ahead of it.
+        """
+        job, taken = self._enqueue(kind, spec)
+        with self._settled:
+            if self._settled.wait_for(lambda: job.terminal,
+                                      timeout if taken else 0.0):
+                self.obs.count("service.jobs.settled_at_submit")
+            return job.describe()
+
+    def _enqueue(self, kind: str, spec: dict) -> tuple[Job, bool]:
+        """The new job, and whether a worker was free to take it."""
         if kind not in JOB_KINDS:
             raise ServiceError(
                 f"unknown job kind {kind!r}; expected one of "
@@ -184,22 +215,22 @@ class JobQueue:
             (Sweep if kind == "sweep" else Catalog).from_spec(spec)
         except ExperimentError as exc:
             raise ServiceError(str(exc)) from None
-        if self._closed:
-            raise ServiceError("the job queue is shut down")
         job = Job(id=f"job-{next(_JOB_IDS)}", kind=kind, spec=dict(spec))
         with self._lock:
+            if self._closed:
+                raise ServiceError("the job queue is shut down")
+            # Every job not yet terminal holds a worker or waits for one.
+            ahead = sum(not other.terminal for other in self._jobs.values())
+            try:
+                self._queue.put_nowait(job)
+            except queue.Full:
+                self.obs.count("service.jobs.rejected")
+                raise BackpressureError(self._queue.maxsize) from None
             self._jobs[job.id] = job
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            with self._lock:
-                del self._jobs[job.id]
-            self.obs.count("service.jobs.rejected")
-            raise BackpressureError(self._queue.maxsize) from None
         self.obs.count("service.jobs.submitted")
         self.obs.set_gauge("service.queue.depth", self._queue.qsize())
         _LOG.info("job %s queued (%s)", job.id, kind)
-        return job
+        return job, ahead < len(self._threads)
 
     def get(self, job_id: str) -> Job:
         with self._lock:
@@ -234,7 +265,8 @@ class JobQueue:
                 return False
             job.state = "cancelled"
             job.finished_at = time.time()
-        self.obs.count("service.jobs.cancelled")
+            self.obs.count("service.jobs.cancelled")
+            self._settled.notify_all()
         _LOG.info("job %s cancelled", job.id)
         return True
 
@@ -242,26 +274,32 @@ class JobQueue:
         with self._lock:
             return [job.describe() for job in self._jobs.values()]
 
+    def wait(self, job: Job, timeout: float) -> dict:
+        """``job``'s status document once it is terminal or ``timeout``
+        seconds have passed, whichever is first."""
+        with self._settled:
+            self._settled.wait_for(lambda: job.terminal, timeout)
+            return job.describe()
+
     def join(self, timeout: float = 60.0) -> bool:
         """Wait until every submitted job is terminal (tests, shutdown)."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            with self._lock:
-                if all(job.terminal for job in self._jobs.values()):
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._settled:
+            return self._settled.wait_for(
+                lambda: all(job.terminal for job in self._jobs.values()),
+                timeout,
+            )
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker threads (queued jobs are left cancelled)."""
-        if self._closed:
-            return
-        self._closed = True
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             for job in self._jobs.values():
                 if job.state == "queued":
                     job.state = "cancelled"
                     job.finished_at = time.time()
+            self._settled.notify_all()
         for _ in self._threads:
             self._queue.put(None)
         if wait:
@@ -288,7 +326,8 @@ class JobQueue:
                 error = f"{type(exc).__name__}: {exc}"
             outcome = "done" if error is None else "failed"
             # One critical section, state last: a status poll never sees
-            # a finished job without its finished_at/result/error.
+            # a finished job without its finished_at/result/error, and a
+            # waiter it wakes finds the job counted.
             with self._lock:
                 job.result, job.error = result, error
                 job.finished_at = time.time()
@@ -297,8 +336,9 @@ class JobQueue:
                             if old.terminal]
                 for key in finished[:-RETAINED_JOBS]:
                     del self._jobs[key]
-            self.obs.count(f"service.jobs.{outcome}")
-            self.obs.count(f"service.jobs.{outcome}.{job.kind}")
+                self.obs.count(f"service.jobs.{outcome}")
+                self.obs.count(f"service.jobs.{outcome}.{job.kind}")
+                self._settled.notify_all()
             if error is None:
                 _LOG.info("job %s done", job.id)
             else:
@@ -347,8 +387,10 @@ class JobQueue:
             obs=obs,
             cache=self.cache,
         )
+        with obs.timed("records.serialize", records=len(records)):
+            rendered = [record.to_dict() for record in records]
         return {
             "count": len(records),
             "failed": sum(1 for record in records if not record.ok),
-            "records": [record.to_dict() for record in records],
+            "records": rendered,
         }

@@ -9,10 +9,16 @@ method       path                       semantics
 ``GET``      ``/v1/health``             liveness + job-state counts
 ``GET``      ``/v1/metrics``            the server's metrics registry digest
 ``POST``     ``/v1/jobs``               submit ``{"kind": ..., "spec": ...}``
-                                        → 202 with the job id, or **429**
-                                        when the bounded queue rejects
+                                        → 202 with the job's status
+                                        document, or **429** when the
+                                        bounded queue rejects; when a worker
+                                        is free it waits for the job up to
+                                        :data:`REPLY_WAIT_S` first
 ``GET``      ``/v1/jobs``               every known job's status document
-``GET``      ``/v1/jobs/<id>``          one job's status document
+``GET``      ``/v1/jobs/<id>``          one job's status document;
+                                        ``?wait=1`` holds it until the job is
+                                        terminal, up to :data:`REPLY_WAIT_S`
+                                        (``?wait=0``, the default, does not)
 ``GET``      ``/v1/jobs/<id>/result``   the result payload (**409** until
                                         the job is ``done``)
 ``DELETE``   ``/v1/jobs/<id>``          cancel a queued job
@@ -21,7 +27,10 @@ method       path                       semantics
 
 The server is threaded (``ThreadingHTTPServer``): handlers only touch the
 job table, so many concurrent clients can poll while the queue's worker
-threads grind through jobs.  Heavy work never runs in a handler.
+threads grind through jobs.  Heavy work never runs in a handler; a handler
+may *wait* for a job, on the queue's condition and for at most
+:data:`REPLY_WAIT_S`, so that a job that finishes within that bound is
+answered when it finishes rather than on the client's next poll.
 
 Connections are persistent (HTTP/1.1 keep-alive, what
 :class:`~repro.service.client.ServiceClient` uses): a handler thread serves
@@ -41,6 +50,7 @@ import logging
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs
 
 from ..lp import enumerate_vertices, maximize
 from ..obs import Observation
@@ -50,6 +60,9 @@ from .jobs import (
 )
 
 _LOG = logging.getLogger("repro.service.server")
+
+#: The longest a submit reply or a ``?wait=1`` status is held for its job.
+REPLY_WAIT_S = 0.1
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -96,6 +109,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _segments(self) -> list[str]:
         return [part for part in self.path.split("?")[0].split("/") if part]
 
+    def _wait_s(self) -> float:
+        """How long the request's ``?wait=`` asks a status to be held."""
+        wait = parse_qs(self.path.partition("?")[2],
+                        keep_blank_values=True).get("wait", ["0"])
+        if wait not in (["0"], ["1"]):
+            raise ValueError(f"wait must be 0 or 1, got {'&'.join(wait)!r}")
+        return REPLY_WAIT_S if wait == ["1"] else 0.0
+
     # -- verbs -----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         queue = self.service.queue
@@ -108,7 +129,13 @@ class _Handler(BaseHTTPRequestHandler):
             elif segments == ["v1", "jobs"]:
                 self._send_json(200, {"jobs": queue.jobs()})
             elif len(segments) == 3 and segments[:2] == ["v1", "jobs"]:
-                self._send_json(200, queue.status(segments[2]))
+                try:
+                    wait = self._wait_s()
+                except ValueError as exc:
+                    self._send_json(400, {"error": str(exc)})
+                else:
+                    self._send_json(200,
+                                    queue.wait(queue.get(segments[2]), wait))
             elif (len(segments) == 4 and segments[:2] == ["v1", "jobs"]
                     and segments[3] == "result"):
                 job = queue.get(segments[2])
@@ -146,7 +173,9 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError("request body must be a JSON object")
             kind = payload.get("kind")
             spec = payload.get("spec")
-            job = self.service.queue.submit(str(kind), spec)
+            status = self.service.queue.submit_and_wait(
+                str(kind), spec, REPLY_WAIT_S
+            )
         except BackpressureError as exc:
             self._send_json(429, {
                 "error": str(exc), "capacity": exc.capacity,
@@ -154,7 +183,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, ServiceError) as exc:
             self._send_json(400, {"error": str(exc)})
         else:
-            self._send_json(202, job.describe())
+            self._send_json(202, status)
 
     def do_DELETE(self) -> None:  # noqa: N802
         segments = self._segments()

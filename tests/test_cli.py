@@ -99,6 +99,8 @@ class TestRemovedFlags:
     @pytest.mark.parametrize("argv", [
         ["stats", "q(x,y,z) :- S1(x,z), S2(y,z)", "--workers", "2"],
         ["bench", "--quick", "--max-regression", "0.5"],
+        ["submit", "plan", "q(x,y,z) :- S1(x,z), S2(y,z)",
+         "--poll-interval", "0.1"],
     ])
     def test_removed_flags_are_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -493,6 +494,39 @@ class TestJobQueueUnit:
         assert queue.status(good.id)["state"] == "done"
         queue.shutdown()
 
+    def test_every_waiter_sees_its_job_settle(self):
+        """Eight submitters on four workers, more threads than cores and a
+        short switch interval: a lost notify leaves a waiter to its 30 s
+        timeout, a lost count shows in the counters."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        queue = JobQueue(queue_size=64, workers=4)
+        spec = {"query": JOIN_TEXT, "p": 4, "m": 40}
+
+        def submitter(_):
+            replies = [queue.submit_and_wait("plan", spec, 30.0)
+                       for _ in range(5)]
+            finals = [queue.wait(queue.get(reply["id"]), 30.0)
+                      for reply in replies]
+            return replies, finals
+
+        try:
+            started = time.perf_counter()
+            with ThreadPoolExecutor(8) as pool:
+                outcomes = list(pool.map(submitter, range(8), timeout=120))
+            assert time.perf_counter() - started < 30
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+        replies = [reply for batch, _ in outcomes for reply in batch]
+        finals = [final for _, batch in outcomes for final in batch]
+        assert [final["state"] for final in finals] == ["done"] * 40
+        counters = queue.obs.metrics.counters
+        assert counters["service.jobs.done"].value == 40
+        settled = sum(reply["state"] == "done" for reply in replies)
+        assert settled >= 1  # the first submit finds every worker free
+        assert counters["service.jobs.settled_at_submit"].value == settled
+
     def test_nothing_grows_with_the_number_of_jobs_served(self, monkeypatch):
         """A long-lived queue forgets all but the newest finished jobs and
         keeps no job's spans — its metrics still count every one."""
@@ -509,6 +543,7 @@ class TestJobQueueUnit:
         assert queue.obs.tracer.spans == ()
         histogram = queue.obs.metrics.histogram
         assert histogram("service.job.seconds").count == 6
+        assert histogram("records.serialize.seconds").count == 6
         assert histogram("data.generate.seconds").count == 1
         queue.shutdown()
 

@@ -12,11 +12,13 @@ import pytest
 from repro.api import RUN_RECORD_FIELDS, validate_record
 from repro.cli import main
 from repro.service import (
+    JobQueue,
     ReproService,
     ServiceBusyError,
     ServiceClient,
     ServiceClientError,
 )
+from repro.service import server as server_module
 
 JOIN_TEXT = "q(x, y, z) :- S1(x, z), S2(y, z)"
 
@@ -32,6 +34,15 @@ SWEEP_SPEC = {
 }
 
 
+def is_status_of(reply, final):
+    """Whether ``reply`` is the status document of the job whose final
+    status is ``final``, as that job stood when the reply left."""
+    return (reply.keys() == final.keys()
+            and all(reply[key] == final[key]
+                    for key in ("id", "kind", "submitted_at"))
+            and (reply["state"] in ("queued", "running") or reply == final))
+
+
 @pytest.fixture
 def service():
     """One live server on an ephemeral port, always shut down."""
@@ -42,6 +53,7 @@ def service():
     try:
         yield instance, client
     finally:
+        client.close()
         instance.shutdown()
 
 
@@ -55,6 +67,7 @@ def paused_service():
     try:
         yield instance, client
     finally:
+        client.close()
         instance.shutdown()
 
 
@@ -68,9 +81,9 @@ class TestLifecycle:
     def test_plan_job_submit_poll_result(self, service):
         _, client = service
         job = client.submit("plan", PLAN_SPEC)
-        assert job["state"] in ("queued", "running")
         final = client.wait(job["id"])
         assert final["state"] == "done"
+        assert is_status_of(job, final)
         plan = client.result(job["id"])["result"]
         assert plan["p"] == 8
         assert plan["chosen"] in {
@@ -271,6 +284,138 @@ class TestConcurrentClients:
             client.health()
 
 
+@pytest.fixture
+def gate(monkeypatch):
+    """Every job blocks before it runs: ``started`` is set when one does,
+    and all go on once ``release`` is set (at the latest on teardown)."""
+    started, release = threading.Event(), threading.Event()
+    run = JobQueue._run
+
+    def gated(queue, job):
+        started.set()
+        release.wait(timeout=60)
+        return run(queue, job)
+
+    monkeypatch.setattr(JobQueue, "_run", gated)
+    try:
+        yield started, release
+    finally:
+        release.set()
+
+
+class TestReplyWhenTheJobFinishes:
+    """A reply waits for its job only while a worker has it, and only up
+    to ``REPLY_WAIT_S``: 30 s here, so that a wrongful wait shows."""
+
+    def test_a_fast_job_on_an_idle_service_settles_at_submit(
+            self, service, monkeypatch):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+        _, client = service
+        before = client.metrics()["counters"]
+        job = client.submit("plan", PLAN_SPEC)
+        assert job["state"] == "done"
+        assert job["finished_at"] is not None
+        assert client.result(job["id"])["result"]["p"] == 8
+        after = client.metrics()["counters"]
+        # Submit and result; the first metrics request is counted only
+        # after its own digest was rendered, so it is in the delta too.
+        assert (after["service.http.requests"]
+                - before["service.http.requests"]) == 2 + 1
+        assert (after["service.jobs.settled_at_submit"]
+                - before.get("service.jobs.settled_at_submit", 0)) == 1
+
+    def test_repro_submit_fetches_a_settled_job_without_waiting(
+            self, service, monkeypatch, capsys):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+        _, client = service
+        before = client.metrics()["counters"]["service.http.requests"]
+        assert main(["submit", "plan", JOIN_TEXT, "--server", client.base_url,
+                     "--workload", "zipf", "-m", "60", "-p", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] == 8
+        after = client.metrics()["counters"]
+        assert after["service.jobs.settled_at_submit"] == 1
+        assert after["service.http.requests"] - before == 2 + 1
+
+    def test_a_paused_queue_replies_queued_at_once(
+            self, paused_service, monkeypatch):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+        _, client = paused_service
+        started = time.perf_counter()
+        assert client.submit("plan", PLAN_SPEC)["state"] == "queued"
+        assert time.perf_counter() - started < 5
+        counters = client.metrics()["counters"]
+        assert "service.jobs.settled_at_submit" not in counters
+
+    def test_a_job_behind_a_running_one_replies_queued_at_once(
+            self, gate, monkeypatch):
+        started, release = gate
+        instance = ReproService(port=0, job_workers=1)
+        instance.serve_in_background()
+        client = ServiceClient(instance.url, timeout=30.0)
+        try:
+            ahead = instance.queue.submit("plan", PLAN_SPEC)
+            assert started.wait(timeout=30)
+            monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+            clock = time.perf_counter()
+            job = client.submit("plan", PLAN_SPEC)
+            assert time.perf_counter() - clock < 5
+            assert job["state"] == "queued"
+            assert client.status(ahead.id)["state"] == "running"
+            release.set()
+            assert client.wait(job["id"])["state"] == "done"
+            assert client.status(ahead.id)["state"] == "done"
+        finally:
+            client.close()
+            instance.shutdown()
+
+    @pytest.mark.parametrize("stop", ["cancel", "shutdown"])
+    def test_cancel_and_shutdown_wake_a_long_poll(
+            self, paused_service, monkeypatch, stop):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+        instance, client = paused_service
+        job = client.submit("plan", PLAN_SPEC)
+        with ThreadPoolExecutor(1) as pool:
+            # The pool's thread holds its own connection to poll on.
+            polled = pool.submit(client.wait, job["id"])
+            time.sleep(0.3)  # long enough for the poll to be held
+            clock = time.perf_counter()
+            if stop == "cancel":
+                assert client.cancel(job["id"]) is True
+            else:
+                instance.queue.shutdown()
+            assert polled.result(timeout=5)["state"] == "cancelled"
+            assert time.perf_counter() - clock < 5
+
+    def test_wait_never_returns_a_job_that_is_not_terminal(
+            self, paused_service, monkeypatch):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 0.05)
+        _, client = paused_service
+        job = client.submit("plan", PLAN_SPEC)
+        before = client.metrics()["counters"]["service.http.requests"]
+        clock = time.perf_counter()
+        with pytest.raises(ServiceClientError, match="still queued"):
+            client.wait(job["id"], timeout=0.3)
+        assert 0.3 <= time.perf_counter() - clock < 5
+        # Several held replies, none of which ended the wait.
+        after = client.metrics()["counters"]["service.http.requests"]
+        assert after - before - 1 >= 3
+
+    @pytest.mark.parametrize("query", [
+        "wait=yes", "wait=2", "wait=", "wait=true", "wait=1&wait=1",
+    ])
+    def test_a_malformed_wait_is_400(self, service, query):
+        instance, client = service
+        job = client.submit("plan", PLAN_SPEC)
+        connection = http.client.HTTPConnection(*instance.address, timeout=30)
+        try:
+            connection.request("GET", f"/v1/jobs/{job['id']}?{query}")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "wait must be 0 or 1" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+
 def _http_counters(client):
     counters = client.metrics()["counters"]
     return (counters["service.http.connections"],
@@ -328,7 +473,8 @@ class TestPersistentConnections:
         assert not isinstance(excinfo.value, ServiceBusyError)
         assert instance.queue.jobs() == jobs  # nothing was sent twice
         # The client is not wedged: the next call opens a new connection.
-        assert client.submit("plan", PLAN_SPEC)["state"] in ("queued", "running")
+        job = client.submit("plan", PLAN_SPEC)
+        assert is_status_of(job, client.wait(job["id"]))
 
     def test_close_drops_the_connections_and_the_client_stays_usable(
             self, service):
