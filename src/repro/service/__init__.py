@@ -31,10 +31,10 @@ Typical in-process use::
     print(client.result(job["id"])["result"]["chosen"])
     service.shutdown()
 
-A submit is answered with the job's status document, and when a worker
-was free to take the job the reply waits for it, up to
-:data:`repro.service.server.REPLY_WAIT_S`: a plan or stats job on a warm
-catalog comes back ``done``, and its result is one more request away.
+A submit is answered with the job's status document once the job is
+terminal or :data:`repro.service.server.REPLY_WAIT_S` has passed: a plan
+or stats job on a warm catalog comes back ``done``, and its result is one
+more request away.
 """
 
 from ..api.experiment import execute_cells

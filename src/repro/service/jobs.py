@@ -20,11 +20,10 @@ passes.  One condition for the queue, not one event per job, so a
 retained job costs no more than its record.
 
 Observability (all through the existing :mod:`repro.obs` layer):
-``service.queue.depth`` gauge, ``service.jobs.*`` counters
-(``service.jobs.settled_at_submit`` counts the submits answered with a
-job already terminal), ``service.job.seconds`` spans per job, the cell
-executor's ``sweep.*`` metrics, a ``records.serialize`` span per sweep
-job, and the cache's ``service.cache.{hit,miss}`` counters.
+``service.queue.depth`` gauge, ``service.jobs.*`` counters,
+``service.job.seconds`` spans per job, the cell executor's ``sweep.*``
+metrics, a ``records.serialize`` span per sweep job, and the cache's
+``service.cache.{hit,miss}`` counters.
 
 The process is long-lived, so nothing here grows with its uptime: the
 queue keeps the newest :data:`RETAINED_JOBS` finished jobs, each job runs
@@ -61,6 +60,9 @@ JOB_KINDS = ("plan", "stats", "sweep")
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: The states a job never leaves.
+TERMINAL_STATES = JOB_STATES[2:]
 
 #: Finished jobs whose status and result the queue still answers for.
 RETAINED_JOBS = 256
@@ -127,7 +129,7 @@ class Job:
 
     @property
     def terminal(self) -> bool:
-        return self.state in ("done", "failed", "cancelled")
+        return self.state in TERMINAL_STATES
 
 
 class JobQueue:
@@ -185,25 +187,6 @@ class JobQueue:
     # -- client surface -------------------------------------------------
     def submit(self, kind: str, spec: dict) -> Job:
         """Enqueue a job; raises :class:`BackpressureError` when full."""
-        return self._enqueue(kind, spec)[0]
-
-    def submit_and_wait(self, kind: str, spec: dict, timeout: float) -> dict:
-        """Enqueue a job and return its status document, waiting for it as
-        :meth:`wait` does when a worker was free to take it at once.
-
-        A job that queues behind busy workers, or on a paused queue, is
-        answered ``queued`` without waiting, so that a caller submitting
-        a batch is never held up by the jobs ahead of it.
-        """
-        job, taken = self._enqueue(kind, spec)
-        with self._settled:
-            if self._settled.wait_for(lambda: job.terminal,
-                                      timeout if taken else 0.0):
-                self.obs.count("service.jobs.settled_at_submit")
-            return job.describe()
-
-    def _enqueue(self, kind: str, spec: dict) -> tuple[Job, bool]:
-        """The new job, and whether a worker was free to take it."""
         if kind not in JOB_KINDS:
             raise ServiceError(
                 f"unknown job kind {kind!r}; expected one of "
@@ -219,8 +202,6 @@ class JobQueue:
         with self._lock:
             if self._closed:
                 raise ServiceError("the job queue is shut down")
-            # Every job not yet terminal holds a worker or waits for one.
-            ahead = sum(not other.terminal for other in self._jobs.values())
             try:
                 self._queue.put_nowait(job)
             except queue.Full:
@@ -230,7 +211,7 @@ class JobQueue:
         self.obs.count("service.jobs.submitted")
         self.obs.set_gauge("service.queue.depth", self._queue.qsize())
         _LOG.info("job %s queued (%s)", job.id, kind)
-        return job, ahead < len(self._threads)
+        return job
 
     def get(self, job_id: str) -> Job:
         with self._lock:
@@ -239,10 +220,10 @@ class JobQueue:
             raise ServiceError(f"unknown job {job_id!r}")
         return job
 
-    def status(self, job_id: str) -> dict:
-        job = self.get(job_id)
-        with self._lock:
-            return job.describe()
+    def status(self, job_id: str, timeout: float = 0.0) -> dict:
+        """The status document of the job ``job_id``, waited for as
+        :meth:`wait` does."""
+        return self.wait(self.get(job_id), timeout)
 
     def result(self, job_id: str) -> object:
         """The result payload of a ``done`` job (error otherwise)."""

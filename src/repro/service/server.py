@@ -11,9 +11,9 @@ method       path                       semantics
 ``POST``     ``/v1/jobs``               submit ``{"kind": ..., "spec": ...}``
                                         → 202 with the job's status
                                         document, or **429** when the
-                                        bounded queue rejects; when a worker
-                                        is free it waits for the job up to
-                                        :data:`REPLY_WAIT_S` first
+                                        bounded queue rejects; it waits for
+                                        the job up to :data:`REPLY_WAIT_S`
+                                        first
 ``GET``      ``/v1/jobs``               every known job's status document
 ``GET``      ``/v1/jobs/<id>``          one job's status document;
                                         ``?wait=1`` holds it until the job is
@@ -30,7 +30,8 @@ job table, so many concurrent clients can poll while the queue's worker
 threads grind through jobs.  Heavy work never runs in a handler; a handler
 may *wait* for a job, on the queue's condition and for at most
 :data:`REPLY_WAIT_S`, so that a job that finishes within that bound is
-answered when it finishes rather than on the client's next poll.
+answered when it finishes rather than on the client's next poll
+(``service.jobs.settled_at_submit`` counts the submits answered so).
 
 Connections are persistent (HTTP/1.1 keep-alive, what
 :class:`~repro.service.client.ServiceClient` uses): a handler thread serves
@@ -56,7 +57,8 @@ from ..lp import enumerate_vertices, maximize
 from ..obs import Observation
 from .cache import CatalogCache
 from .jobs import (
-    BackpressureError, JobQueue, ServiceError, service_observation,
+    TERMINAL_STATES, BackpressureError, JobQueue, ServiceError,
+    service_observation,
 )
 
 _LOG = logging.getLogger("repro.service.server")
@@ -134,8 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError as exc:
                     self._send_json(400, {"error": str(exc)})
                 else:
-                    self._send_json(200,
-                                    queue.wait(queue.get(segments[2]), wait))
+                    self._send_json(200, queue.status(segments[2], wait))
             elif (len(segments) == 4 and segments[:2] == ["v1", "jobs"]
                     and segments[3] == "result"):
                 job = queue.get(segments[2])
@@ -173,9 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError("request body must be a JSON object")
             kind = payload.get("kind")
             spec = payload.get("spec")
-            status = self.service.queue.submit_and_wait(
-                str(kind), spec, REPLY_WAIT_S
-            )
+            queue = self.service.queue
+            status = queue.wait(queue.submit(str(kind), spec), REPLY_WAIT_S)
         except BackpressureError as exc:
             self._send_json(429, {
                 "error": str(exc), "capacity": exc.capacity,
@@ -183,6 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, ServiceError) as exc:
             self._send_json(400, {"error": str(exc)})
         else:
+            if status["state"] in TERMINAL_STATES:
+                self.service.obs.count("service.jobs.settled_at_submit")
             self._send_json(202, status)
 
     def do_DELETE(self) -> None:  # noqa: N802

@@ -504,11 +504,8 @@ class TestJobQueueUnit:
         spec = {"query": JOIN_TEXT, "p": 4, "m": 40}
 
         def submitter(_):
-            replies = [queue.submit_and_wait("plan", spec, 30.0)
-                       for _ in range(5)]
-            finals = [queue.wait(queue.get(reply["id"]), 30.0)
-                      for reply in replies]
-            return replies, finals
+            return [queue.wait(queue.submit("plan", spec), 30.0)["state"]
+                    for _ in range(5)]
 
         try:
             started = time.perf_counter()
@@ -518,14 +515,9 @@ class TestJobQueueUnit:
         finally:
             sys.setswitchinterval(interval)
             queue.shutdown()
-        replies = [reply for batch, _ in outcomes for reply in batch]
-        finals = [final for _, batch in outcomes for final in batch]
-        assert [final["state"] for final in finals] == ["done"] * 40
-        counters = queue.obs.metrics.counters
-        assert counters["service.jobs.done"].value == 40
-        settled = sum(reply["state"] == "done" for reply in replies)
-        assert settled >= 1  # the first submit finds every worker free
-        assert counters["service.jobs.settled_at_submit"].value == settled
+        assert [state for batch in outcomes for state in batch] == (
+            ["done"] * 40)
+        assert queue.obs.metrics.counters["service.jobs.done"].value == 40
 
     def test_nothing_grows_with_the_number_of_jobs_served(self, monkeypatch):
         """A long-lived queue forgets all but the newest finished jobs and

@@ -304,8 +304,9 @@ def gate(monkeypatch):
 
 
 class TestReplyWhenTheJobFinishes:
-    """A reply waits for its job only while a worker has it, and only up
-    to ``REPLY_WAIT_S``: 30 s here, so that a wrongful wait shows."""
+    """A reply waits for its job up to ``REPLY_WAIT_S``: 30 s where a
+    reply that ought not to wait out the bound would show, 0.3 s where
+    the bound itself is what is checked."""
 
     def test_a_fast_job_on_an_idle_service_settles_at_submit(
             self, service, monkeypatch):
@@ -336,18 +337,19 @@ class TestReplyWhenTheJobFinishes:
         assert after["service.jobs.settled_at_submit"] == 1
         assert after["service.http.requests"] - before == 2 + 1
 
-    def test_a_paused_queue_replies_queued_at_once(
+    def test_a_paused_queue_replies_queued_after_the_bound(
             self, paused_service, monkeypatch):
-        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 0.3)
         _, client = paused_service
         started = time.perf_counter()
         assert client.submit("plan", PLAN_SPEC)["state"] == "queued"
-        assert time.perf_counter() - started < 5
+        assert 0.3 <= time.perf_counter() - started < 5
         counters = client.metrics()["counters"]
         assert "service.jobs.settled_at_submit" not in counters
 
-    def test_a_job_behind_a_running_one_replies_queued_at_once(
+    def test_running_and_queued_jobs_reply_after_the_bound(
             self, gate, monkeypatch):
+        monkeypatch.setattr(server_module, "REPLY_WAIT_S", 0.3)
         started, release = gate
         instance = ReproService(port=0, job_workers=1)
         instance.serve_in_background()
@@ -355,12 +357,20 @@ class TestReplyWhenTheJobFinishes:
         try:
             ahead = instance.queue.submit("plan", PLAN_SPEC)
             assert started.wait(timeout=30)
-            monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
             clock = time.perf_counter()
             job = client.submit("plan", PLAN_SPEC)
-            assert time.perf_counter() - clock < 5
+            assert 0.3 <= time.perf_counter() - clock < 5
             assert job["state"] == "queued"
-            assert client.status(ahead.id)["state"] == "running"
+            connection = http.client.HTTPConnection(*instance.address,
+                                                    timeout=30)
+            clock = time.perf_counter()
+            connection.request("GET", f"/v1/jobs/{ahead.id}?wait=1")
+            held = json.loads(connection.getresponse().read())
+            assert 0.3 <= time.perf_counter() - clock < 5
+            connection.close()
+            assert held["state"] == "running"
+            assert "service.jobs.settled_at_submit" not in (
+                client.metrics()["counters"])
             release.set()
             assert client.wait(job["id"])["state"] == "done"
             assert client.status(ahead.id)["state"] == "done"
