@@ -383,14 +383,14 @@ class TestReplyWhenTheJobFinishes:
             self, paused_service, monkeypatch, stop):
         monkeypatch.setattr(server_module, "REPLY_WAIT_S", 30.0)
         instance, client = paused_service
-        job = client.submit("plan", PLAN_SPEC)
+        job = instance.queue.submit("plan", PLAN_SPEC)  # no held reply
         with ThreadPoolExecutor(1) as pool:
             # The pool's thread holds its own connection to poll on.
-            polled = pool.submit(client.wait, job["id"])
+            polled = pool.submit(client.wait, job.id)
             time.sleep(0.3)  # long enough for the poll to be held
             clock = time.perf_counter()
             if stop == "cancel":
-                assert client.cancel(job["id"]) is True
+                assert client.cancel(job.id) is True
             else:
                 instance.queue.shutdown()
             assert polled.result(timeout=5)["state"] == "cancelled"
