@@ -31,7 +31,7 @@ from repro import (
     skew_join_load_bound,
 )
 from repro.query import parse_query, simple_join_query
-from repro.stats import DegreeStatistics, HeavyHitterStatistics
+from repro.stats import HeavyHitterStatistics
 
 P = 32
 M = 3000
@@ -88,8 +88,9 @@ def main() -> None:
         db = workload.build(query)
         hh_stats = HeavyHitterStatistics.of(query, db, P)
         formula10 = skew_join_load_bound(hh_stats, query, in_bits=False)["bound"]
-        degree_stats = DegreeStatistics.of(query, db, {"z"})
-        residual = residual_lower_bound(query, degree_stats, P)
+        # threshold 0 keeps every degree: Eq. 12 on the whole database
+        degrees = HeavyHitterStatistics.of(query, db, P, threshold_factor=0)
+        residual = residual_lower_bound(query, degrees, {"z"}, P)
         tuple_bits = db.relation("S1").tuple_bits
         lower_tuples = residual.bits / tuple_bits if residual else 0.0
         chosen = plan(query, hh_stats, P).chosen.key

@@ -1,8 +1,18 @@
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# The version lives in one place: the package's ``__version__``.
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro-skew-parallel-query",
-    version="1.1.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Skew in Parallel Query Processing' "
         "(Beame, Koutris, Suciu, PODS 2014)"

@@ -41,7 +41,7 @@ or, sweeping a grid::
 
 from ._lazy import lazy_exports
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 #: Every re-exported name → the subpackage it comes from, imported on
 #: first access (PEP 562): ``import repro`` loads none of them, so a
@@ -83,8 +83,7 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
         "SketchedHeavyHitterStatistics", "sketch_fidelity",
     ),
     ".stats": (
-        "DegreeStatistics", "HeavyHitterStatistics", "SimpleStatistics",
-        "StatisticsProvider",
+        "HeavyHitterStatistics", "SimpleStatistics", "StatisticsProvider",
     ),
 })
 

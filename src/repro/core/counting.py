@@ -19,7 +19,7 @@ from typing import Mapping
 
 from ..query.atoms import ConjunctiveQuery
 from ..seq.join import expected_answer_count
-from ..seq.relation import bits_per_value
+from ..stats.cardinality import SimpleStatistics
 from .bounds import load as load_formula
 from .packing import packing_value, packing_vertices
 
@@ -84,33 +84,19 @@ def reported_fraction_bound(
     return min(bounds.values(), default=1.0)
 
 
-def bits_of_cardinalities(
-    query: ConjunctiveQuery,
-    cardinalities: Mapping[str, int],
-    domain_size: int,
-) -> dict[str, float]:
-    """``M_j = a_j m_j log2 n`` from tuple counts — convenience for bounds."""
-    per_value = bits_per_value(domain_size)
-    return {
-        atom.name: atom.arity * cardinalities[atom.name] * per_value
-        for atom in query.atoms
-    }
-
-
 def answers_per_server_bound(
     query: ConjunctiveQuery,
-    bits: Mapping[str, float],
+    stats: SimpleStatistics,
     p: int,
     load_bits: float,
-    cardinalities: Mapping[str, int],
-    domain_size: int,
     c: float = 1.0,
 ) -> float:
     """Expected number of answers ``p`` capped servers can report, i.e.
     ``min_u p (L/(cL))^u * E[|q(I)|]`` — the absolute version of the bound."""
+    bits = stats.bits_vector(query)
     fraction = reported_fraction_bound(query, bits, p, load_bits, c)
-    expected = expected_answer_count(query, dict(cardinalities), domain_size)
-    return fraction * expected
+    n = stats.domain_size
+    return fraction * expected_answer_count(query, dict(stats.cardinalities), n)
 
 
 def log_p(value: float, p: int) -> float:

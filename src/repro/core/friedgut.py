@@ -10,18 +10,17 @@ Setting 0/1 weights from relation membership recovers the AGM bound
 ``|q(I)| <= prod_j |S_j|^(u_j)``; e.g. ``|C3| <= sqrt(m1 m2 m3)``.
 
 The left side is a weighted join: only assignments inside the join of the
-weight supports contribute, so we evaluate it with the sequential join
-machinery rather than iterating over ``[n]^k``.
+weight supports contribute, so :func:`_weighted_support_sum` (which Eq. 12
+shares) evaluates it rather than iterating over ``[n]^k``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..query.atoms import ConjunctiveQuery, QueryError
-from ..seq.join import iterate_answers
-from ..seq.relation import Database, Relation, Tuple
+from ..seq.relation import Database, Tuple
 from .packing import is_edge_cover, minimum_edge_cover
 
 Weights = Mapping[str, Mapping[Tuple, float]]
@@ -44,43 +43,54 @@ def _validate_weights(query: ConjunctiveQuery, weights: Weights) -> None:
                 )
 
 
+def _weighted_support_sum(
+    factors: Sequence[tuple[tuple[str, ...], Mapping[tuple[int, ...], float]]],
+) -> float:
+    """``sum over joint assignments of prod factor weights``.
+
+    ``factors`` are (variables, table) pairs; tables map value tuples
+    (aligned with the variables) to nonnegative weights.  A variable
+    repeated within a factor keeps only the keys that agree on it.  Dynamic
+    programming over partial assignments keyed by the shared variables.
+    """
+    bound_vars: tuple[str, ...] = ()
+    partials: dict[tuple[int, ...], float] = {(): 1.0}
+    for variables, table in factors:
+        first = [variables.index(v) for v in variables]
+        distinct = [i for i, j in enumerate(first) if i == j]
+        # (slot in the partials, position in the factor) per shared variable
+        shared = [
+            (bound_vars.index(variables[i]), i)
+            for i in distinct if variables[i] in bound_vars
+        ]
+        new = [i for i in distinct if variables[i] not in bound_vars]
+
+        # Index the factor by its shared-variable values.
+        index: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
+        for values, weight in table.items():
+            if any(values[i] != values[j] for i, j in enumerate(first)):
+                continue  # disagrees on a repeated variable
+            key = tuple(values[i] for _, i in shared)
+            extension = tuple(values[i] for i in new)
+            index.setdefault(key, []).append((extension, weight))
+
+        merged: dict[tuple[int, ...], float] = {}
+        for partial, weight in partials.items():
+            key = tuple(partial[slot] for slot, _ in shared)
+            for extension, factor_weight in index.get(key, ()):
+                new_key = partial + extension
+                merged[new_key] = merged.get(new_key, 0.0) + weight * factor_weight
+        partials = merged
+        bound_vars += tuple(variables[i] for i in new)
+    return sum(partials.values(), 0.0)
+
+
 def friedgut_lhs(query: ConjunctiveQuery, weights: Weights) -> float:
-    """``sum_a prod_j w_j(a_j)`` via a weighted join over the supports."""
+    """``sum_a prod_j w_j(a_j)`` via a weighted join of the weight tables."""
     _validate_weights(query, weights)
-    supports = {
-        atom.name: frozenset(
-            key for key, value in weights[atom.name].items() if value > 0
-        )
-        for atom in query.atoms
-    }
-    domain = 1
-    for support in supports.values():
-        for t in support:
-            if t:
-                domain = max(domain, 1 + max(t))
-    db = Database.from_relations(
-        Relation(
-            name=atom.name,
-            arity=atom.arity,
-            tuples=supports[atom.name],
-            domain_size=domain,
-        )
-        for atom in query.atoms
+    return _weighted_support_sum(
+        [(atom.variables, weights[atom.name]) for atom in query.atoms]
     )
-    # Answers come back in head order; project onto each atom's positions.
-    head_index = {var: i for i, var in enumerate(query.head)}
-    atom_slots = {
-        atom.name: tuple(head_index[var] for var in atom.variables)
-        for atom in query.atoms
-    }
-    total = 0.0
-    for answer in iterate_answers(query, db):
-        product = 1.0
-        for atom in query.atoms:
-            key = tuple(answer[s] for s in atom_slots[atom.name])
-            product *= weights[atom.name][key]
-        total += product
-    return total
 
 
 def friedgut_rhs(

@@ -1,16 +1,22 @@
 """Residual-query lower bounds for skewed data (Section 4.3, Theorem 4.7).
 
-Fix a variable set ``x`` with degree statistics ``M`` of type ``x``.  For a
-fractional edge packing ``u`` of the residual query ``q_x`` that *saturates*
-``x``, any one-round algorithm needs load
+Fix a variable set ``x`` and the frequency maps ``m_j(h_j)`` on
+``x_j = x intersect vars(S_j)``.  For a fractional edge packing ``u`` of the
+residual query ``q_x`` that *saturates* ``x``, any one-round algorithm needs
+load
 
     L_x(u, M, p) = ( sum_{h in [n]^d}  prod_j M_j(h_j)^{u_j}  /  p )^{1/u}
 
-(Eq. 12).  Atoms with ``u_j = 0`` contribute factor 1 regardless of
-``M_j(h_j)`` (the ``0^0`` convention); atoms untouched by ``x`` contribute
-the constant ``M_j^{u_j}``.  The inner sum is evaluated as a weighted join
-over the supports of the positively-weighted frequency maps — saturation
-guarantees those atoms cover all of ``x``, so the sum is finite and cheap.
+(Eq. 12), ``M_j(h_j) = a_j m_j(h_j) log2 n``.  Atoms with ``u_j = 0``
+contribute factor 1 (the ``0^0`` convention); atoms untouched by ``x``
+contribute the constant ``M_j^{u_j}``.  The inner sum is the weighted join
+of :mod:`repro.core.friedgut` over the maps — saturation guarantees they
+cover all of ``x``, so the sum is finite and cheap.
+
+The maps are a :class:`~repro.stats.provider.StatisticsProvider`'s heavy
+hitters.  With ``threshold_factor=0`` they are Section 4.3's full degree
+maps (Eq. 12 on the whole database); the planner's own keep only the values
+above ``m_j / p``, still a lower bound, as every term is nonnegative.
 
 For ``x = emptyset`` the bound degenerates to Theorem 3.5's ``L(u, M, p)``.
 Example 4.8: the join gets ``sqrt(sum_h m1(h) m2(h) / p)`` via ``x = {z}``;
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations as subset_combinations
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 from ..lp.polytope import (
     HalfSpace,
@@ -33,8 +39,10 @@ from ..lp.polytope import (
 )
 from ..query.atoms import ConjunctiveQuery
 from ..query.residual import residual_query
-from ..seq.relation import Database
-from ..stats.degrees import DegreeStatistics
+from ..seq.relation import bits_per_value
+from ..stats.cardinality import StatisticsError
+from ..stats.provider import StatisticsProvider, canonical_subset
+from .friedgut import _weighted_support_sum
 from .packing import Packing
 
 
@@ -76,87 +84,62 @@ def saturating_packing_vertices(
 
     vertices = enumerate_vertices(constraints, num_atoms)
     names = [atom.name for atom in query.atoms]
-    return [
-        {name: value for name, value in zip(names, vertex)}
-        for vertex in non_dominated(vertices)
-    ]
+    return [dict(zip(names, vertex)) for vertex in non_dominated(vertices)]
 
 
-def _weighted_support_sum(
-    factors: Sequence[tuple[tuple[str, ...], Mapping[tuple[int, ...], float]]],
-) -> float:
-    """``sum over joint assignments of prod factor weights``.
-
-    ``factors`` are (variables, table) pairs; tables map value tuples
-    (aligned with the variables) to nonnegative weights.  Dynamic
-    programming over partial assignments keyed by the shared variables.
-    """
-    if not factors:
-        return 1.0
-    bound_vars: tuple[str, ...] = ()
-    partials: dict[tuple[int, ...], float] = {(): 1.0}
-    for variables, table in factors:
-        shared = [v for v in variables if v in bound_vars]
-        new = [v for v in variables if v not in bound_vars]
-        shared_slots = [bound_vars.index(v) for v in shared]
-        shared_in_factor = [variables.index(v) for v in shared]
-        new_in_factor = [variables.index(v) for v in new]
-
-        # Index the factor by its shared-variable values.
-        index: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
-        for values, weight in table.items():
-            key = tuple(values[i] for i in shared_in_factor)
-            extension = tuple(values[i] for i in new_in_factor)
-            index.setdefault(key, []).append((extension, weight))
-
-        merged: dict[tuple[int, ...], float] = {}
-        for partial, weight in partials.items():
-            key = tuple(partial[s] for s in shared_slots)
-            for extension, factor_weight in index.get(key, ()):  # noqa: B020
-                new_key = partial + extension
-                merged[new_key] = merged.get(new_key, 0.0) + weight * factor_weight
-        partials = merged
-        bound_vars = bound_vars + tuple(new)
-        if not partials:
-            return 0.0
-    return sum(partials.values())
+def _variable_set(
+    query: ConjunctiveQuery, variables: AbstractSet[str]
+) -> frozenset[str]:
+    """``x`` as a frozenset; a variable outside ``query`` is refused."""
+    var_set = frozenset(variables)
+    unknown = var_set - set(query.variables)
+    if unknown:
+        raise StatisticsError(
+            f"variables {sorted(unknown)} do not appear in {query.name}"
+        )
+    return var_set
 
 
 def residual_load(
     query: ConjunctiveQuery,
-    stats: DegreeStatistics,
+    stats: StatisticsProvider,
+    variables: AbstractSet[str],
     packing: Mapping[str, object],
     p: int,
 ) -> float:
-    """``L_x(u, M, p)`` of Eq. 12 for a concrete saturating packing."""
+    """``L_x(u, M, p)`` of Eq. 12 for ``x = variables`` and a concrete
+    saturating packing, summed over ``stats``' frequency maps."""
+    var_set = _variable_set(query, variables)
+    simple = stats.simple
+    per_value = bits_per_value(simple.domain_size)
     u_total = 0.0
-    constant = 0.0  # log2 of the x-independent factor
     factors: list[tuple[tuple[str, ...], dict[tuple[int, ...], float]]] = []
     for atom in query.atoms:
         u_j = float(Fraction(packing.get(atom.name, 0)))  # type: ignore[arg-type]
         u_total += u_j
         if u_j == 0:
             continue
-        subset = stats.subset_of(atom.name)
-        if not subset:
-            bits = stats.bits(atom.name, ())
-            if bits <= 0:
-                return 0.0
-            constant += u_j * math.log2(bits)
-            continue
-        table = {
-            assignment: stats.bits(atom.name, assignment) ** u_j
-            for assignment, freq in stats.frequency_maps[atom.name].items()
-            if freq > 0
-        }
-        factors.append((subset, table))
+        subset = canonical_subset(atom.variable_set & var_set)
+        if subset:
+            frequencies = stats.hitters.get((atom.name, subset))
+            if frequencies is None:
+                raise StatisticsError(
+                    f"the statistics hold no frequencies of {atom.name} "
+                    f"on {subset}"
+                )
+        else:  # untouched by x: the constant M_j^{u_j}
+            frequencies = {(): simple.cardinality(atom.name)}
+        arity = simple.arity(atom.name)
+        factors.append((subset, {
+            assignment: (arity * freq * per_value) ** u_j
+            for assignment, freq in frequencies.items()
+        }))
     if u_total == 0:
         raise ValueError("packing must have positive total weight")
     inner = _weighted_support_sum(factors)
     if inner <= 0:
         return 0.0
-    log_sum = math.log2(inner) + constant
-    return 2.0 ** ((log_sum - math.log2(p)) / u_total)
+    return 2.0 ** ((math.log2(inner) - math.log2(p)) / u_total)
 
 
 @dataclass(frozen=True)
@@ -169,55 +152,53 @@ class ResidualBound:
 
 
 def residual_lower_bound(
-    query: ConjunctiveQuery, stats: DegreeStatistics, p: int
+    query: ConjunctiveQuery,
+    stats: StatisticsProvider,
+    variables: AbstractSet[str],
+    p: int,
 ) -> ResidualBound | None:
-    """``max_u L_x(u, M, p)`` over saturating packing vertices for the
-    ``x`` fixed by ``stats``; ``None`` when no packing saturates ``x``."""
+    """``max_u L_x(u, M, p)`` over saturating packing vertices for
+    ``x = variables``; ``None`` when no packing saturates ``x``."""
+    var_set = _variable_set(query, variables)
     best: ResidualBound | None = None
-    for packing in saturating_packing_vertices(query, stats.variables):
-        value = residual_load(query, stats, packing, p)
+    for packing in saturating_packing_vertices(query, var_set):
+        value = residual_load(query, stats, var_set, packing, p)
         if best is None or value > best.bits:
-            best = ResidualBound(
-                bits=value, variables=stats.variables, packing=packing
-            )
+            best = ResidualBound(bits=value, variables=var_set, packing=packing)
     return best
-
-
-def _candidate_variable_sets(
-    query: ConjunctiveQuery, max_size: int | None
-) -> Iterable[frozenset[str]]:
-    variables = query.variables
-    limit = len(variables) if max_size is None else min(max_size, len(variables))
-    for size in range(1, limit + 1):
-        for combo in subset_combinations(variables, size):
-            yield frozenset(combo)
 
 
 def best_residual_lower_bound(
     query: ConjunctiveQuery,
-    db: Database,
+    stats: StatisticsProvider,
     p: int,
     candidate_sets: Iterable[AbstractSet[str]] | None = None,
     max_set_size: int | None = None,
 ) -> tuple[ResidualBound | None, dict[frozenset[str], float]]:
-    """Maximize the Theorem 4.7 bound over candidate sets ``x``.
+    """Maximize the Theorem 4.7 bound over candidate sets ``x``, every one
+    read from the same ``stats``.
 
     Returns the best bound plus the per-``x`` values (for experiment E8's
     breakdown).  ``x = emptyset`` (the Theorem 3.5 bound) is *not* included;
     combine with `repro.core.bounds.lower_bound` for the full picture.
+    Raises :class:`~repro.stats.cardinality.StatisticsError` for a
+    candidate naming a variable outside ``query``, or when ``stats`` lacks
+    an (atom, subset) map a bound needs.
     """
     if candidate_sets is None:
-        candidates = list(_candidate_variable_sets(query, max_set_size))
-    else:
-        candidates = [frozenset(s) for s in candidate_sets]
+        limit = len(query.variables) if max_set_size is None else max_set_size
+        candidate_sets = (
+            combo
+            for size in range(1, min(limit, len(query.variables)) + 1)
+            for combo in subset_combinations(query.variables, size)
+        )
     best: ResidualBound | None = None
     breakdown: dict[frozenset[str], float] = {}
-    for variables in candidates:
-        stats = DegreeStatistics.of(query, db, variables)
-        bound = residual_lower_bound(query, stats, p)
+    for variables in candidate_sets:
+        bound = residual_lower_bound(query, stats, variables, p)
         if bound is None:
             continue
-        breakdown[variables] = bound.bits
+        breakdown[bound.variables] = bound.bits
         if best is None or bound.bits > best.bits:
             best = bound
     return best, breakdown

@@ -114,7 +114,8 @@ class ServiceClient:
         return self._request("GET", f"/v1/jobs/{job_id}")
 
     def result(self, job_id: str) -> dict:
-        """The result payload of a ``done`` job (409 until then)."""
+        """The result payload of a ``done`` job: 409 until the job is
+        terminal, 410 if it failed or was cancelled."""
         return self._request("GET", f"/v1/jobs/{job_id}/result")
 
     def cancel(self, job_id: str) -> bool:

@@ -20,7 +20,8 @@ method       path                       semantics
                                         terminal, up to :data:`REPLY_WAIT_S`
                                         (``?wait=0``, the default, does not)
 ``GET``      ``/v1/jobs/<id>/result``   the result payload (**409** until
-                                        the job is ``done``)
+                                        the job is terminal, **410** if it
+                                        failed or was cancelled)
 ``DELETE``   ``/v1/jobs/<id>``          cancel a queued job
 ``POST``     ``/v1/shutdown``           stop the server (CI teardown)
 ===========  =========================  =====================================

@@ -34,6 +34,7 @@ block (correctness unaffected, a little parallelism wasted), while a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -305,12 +306,19 @@ class SketchedHeavyHitterStatistics(StatisticsProvider):
         """One statistics pass over ``db`` for ``query``, then recovery.
 
         The sketched twin of :meth:`HeavyHitterStatistics.of`: same
-        signature prefix, same thresholds, estimated frequencies.
+        signature prefix, same thresholds, estimated frequencies.  Only a
+        finite ``threshold_factor > 0`` is accepted: a sketch recovers
+        heavy values, never a full degree map.
         """
         from ..obs import maybe_timed
 
         if p < 1:
             raise StatisticsError("p must be >= 1")
+        if not (math.isfinite(threshold_factor) and threshold_factor > 0):
+            raise StatisticsError(
+                f"a sketch needs a finite threshold_factor > 0, "
+                f"got {threshold_factor!r}"
+            )
         config = config or SketchConfig()
         with maybe_timed(obs, "stats.sketch_pass"):
             sketch_set = build_sketch_set(query, db, config)

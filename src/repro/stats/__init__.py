@@ -1,5 +1,5 @@
-"""Database statistics: cardinalities, heavy hitters, frequency bins,
-degree sequences."""
+"""Database statistics: cardinalities, heavy hitters (at threshold factor 0,
+Section 4.3's degree maps) and frequency bins."""
 
 from .bins import (
     BinCombination,
@@ -11,7 +11,6 @@ from .bins import (
     num_heavy_bins,
 )
 from .cardinality import SimpleStatistics, StatisticsError
-from .degrees import DegreeStatistics
 from .heavy_hitters import (
     MAX_SUBSET_VARIABLES,
     HeavyHitterStatistics,
@@ -37,7 +36,6 @@ __all__ = [
     "num_heavy_bins",
     "SimpleStatistics",
     "StatisticsError",
-    "DegreeStatistics",
     "Assignment",
     "HeavyHitterStatistics",
     "VarSubset",

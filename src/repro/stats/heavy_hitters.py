@@ -15,6 +15,7 @@ in one bounded-state pass over the same columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,9 +100,15 @@ class HeavyHitterStatistics(StatisticsProvider):
         p: int,
         threshold_factor: float = 1.0,
     ) -> "HeavyHitterStatistics":
-        """Extract exact heavy-hitter statistics for ``query`` from ``db``."""
+        """Extract exact heavy-hitter statistics for ``query`` from ``db``;
+        ``threshold_factor=0`` counts the full degree maps."""
         if p < 1:
             raise StatisticsError("p must be >= 1")
+        if not (math.isfinite(threshold_factor) and threshold_factor >= 0):
+            raise StatisticsError(
+                f"threshold_factor must be finite and >= 0, "
+                f"got {threshold_factor!r}"
+            )
         simple = SimpleStatistics.of(db)
         hitters: dict[tuple[str, VarSubset], dict[Assignment, int]] = {}
         for atom in query.atoms:

@@ -50,7 +50,9 @@ class StatisticsProvider:
         thresholded for a different ``p`` are unusable.
     threshold_factor:
         Heavy iff ``m_j(h_j) > threshold_factor * m_j / p``.  The paper uses
-        factor 1; lowering it (e.g. ``1 / log p``) is an ablation knob.
+        factor 1; lowering it (e.g. ``1 / log p``) is an ablation knob, and
+        factor 0 keeps every value: Section 4.3's full degree maps, which
+        the residual lower bound of Theorem 4.7 sums over.
     hitters:
         ``(atom_name, subset) -> {assignment: frequency}`` with subsets and
         assignments in canonical (sorted-variable) order.

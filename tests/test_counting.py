@@ -10,7 +10,7 @@ from repro.core import (
     per_packing_fraction_bounds,
     reported_fraction_bound,
 )
-from repro.core.counting import bits_of_cardinalities, log_p
+from repro.core.counting import log_p
 from repro.data import matching_relation
 from repro.mpc import Cluster, HashFamily
 from repro.query import simple_join_query, triangle_query
@@ -126,28 +126,18 @@ class TestCappedServers:
 class TestAbsoluteBound:
     def test_answers_per_server(self):
         q = simple_join_query()
-        cardinalities = {"S1": 1000, "S2": 1000}
         n = 10_000
-        bits = bits_of_cardinalities(q, cardinalities, n)
-        value = answers_per_server_bound(
-            q, bits, p=16, load_bits=100.0, cardinalities=cardinalities,
-            domain_size=n,
+        stats = SimpleStatistics.from_cardinalities(
+            q, {"S1": 1000, "S2": 1000}, n
         )
+        value = answers_per_server_bound(q, stats, p=16, load_bits=100.0)
         assert value >= 0.0
         # Full-load servers report everything.
-        full = answers_per_server_bound(
-            q, bits, p=16, load_bits=2.0**40, cardinalities=cardinalities,
-            domain_size=n,
-        )
+        full = answers_per_server_bound(q, stats, p=16, load_bits=2.0**40)
         expected = 1000 * 1000 / n  # Lemma A.1
         assert math.isclose(full, expected, rel_tol=1e-9)
 
 
 class TestHelpers:
-    def test_bits_of_cardinalities(self):
-        q = simple_join_query()
-        bits = bits_of_cardinalities(q, {"S1": 10, "S2": 20}, 1024)
-        assert bits == {"S1": 200.0, "S2": 400.0}
-
     def test_log_p(self):
         assert math.isclose(log_p(64.0, 4), 3.0)

@@ -76,7 +76,7 @@ from repro.data import single_value_relation, uniform_relation
 from repro.mpc import run_one_round
 from repro.query import simple_join_query, triangle_query
 from repro.seq import Database
-from repro.stats import DegreeStatistics, SimpleStatistics
+from repro.stats import HeavyHitterStatistics, SimpleStatistics
 
 
 class TestExample33:
@@ -221,8 +221,8 @@ class TestExample48:
             ]
         )
         p = 16
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, p)
         # sqrt(sum_h M1(h) M2(h) / p) with a single h carrying everything.
         bits_1 = db.relation("S1").bits
         bits_2 = db.relation("S2").bits
@@ -239,8 +239,8 @@ class TestExample48:
                 uniform_relation("S3", 120, 100, seed=9),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"x1"})
-        bound = residual_lower_bound(q, stats, 16)
+        stats = HeavyHitterStatistics.of(q, db, 16, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"x1"}, 16)
         assert bound is not None
         # The witness packing must saturate x1 (S1 and S3 jointly).
         assert bound.packing["S1"] + bound.packing["S3"] >= 1

@@ -8,12 +8,14 @@ statistics, and databases rather than hand-picked examples:
   (Theorem 3.6), and tau* equals the fractional vertex-cover number;
 * HyperCube is complete for *any* share vector on *any* database;
 * Friedgut's inequality holds for random nonnegative weights;
+* Theorem 4.7 over the heavy hitters alone stays below the full bound;
 * the bin algorithm is complete on random skewed instances;
 * simplex agrees with scipy.optimize.linprog on random LPs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,12 +36,14 @@ from repro.core import (
     optimal_share_exponents,
     packing_value,
     packing_vertices,
+    residual_lower_bound,
     saturating_packing_vertices,
 )
 from repro.lp import maximize as exact_maximize
 from repro.mpc import run_one_round
-from repro.query import Atom, ConjunctiveQuery, residual_query
+from repro.query import Atom, ConjunctiveQuery, parse_query, residual_query
 from repro.seq import Database, Relation
+from repro.stats import HeavyHitterStatistics
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,34 @@ def test_saturating_vertices_saturate(q, data):
     for vertex in saturating_packing_vertices(q, subset):
         assert residual.saturates(vertex)
         assert all(0 <= value <= 1 for value in vertex.values())
+
+
+#: Random joins, triangles and paths: the shapes Eq. 12 is quoted on.
+RESIDUAL_SHAPES = (
+    "q(x,y,z) :- S1(x,z), S2(y,z)",
+    "q(x,y,z) :- S1(x,y), S2(y,z), S3(z,x)",
+    "q(x,y,z,w) :- S1(x,y), S2(y,z), S3(z,w)",
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RESIDUAL_SHAPES), st.sampled_from([2, 4, 8]), st.data())
+def test_heavy_only_residual_bound_is_below_the_full_one(text, p, data):
+    """Theorem 4.7 summed over the heavy hitters alone never exceeds the
+    sum over every degree (``threshold_factor=0``), for every ``x``: the
+    terms of Eq. 12 are nonnegative, so the heavy part is a lower bound."""
+    q = parse_query(text)
+    db = data.draw(small_databases(q, max_m=30, domain=6))  # dense: skew
+    heavy = HeavyHitterStatistics.of(q, db, p)
+    full = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+    for size in range(len(q.variables) + 1):
+        for combo in itertools.combinations(q.variables, size):
+            x = set(combo)
+            partial = residual_lower_bound(q, heavy, x, p)
+            whole = residual_lower_bound(q, full, x, p)
+            assert (partial is None) == (whole is None), x
+            if whole is not None:
+                assert partial.bits <= whole.bits * (1 + 1e-12), x
 
 
 # ---------------------------------------------------------------------------

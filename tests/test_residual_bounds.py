@@ -10,12 +10,13 @@ from repro.core import (
     residual_load,
     residual_lower_bound,
     saturating_packing_vertices,
+    skew_join_load_bound,
 )
 from repro.data import degree_relation, single_value_relation, uniform_relation
 from repro.mpc import run_one_round
 from repro.query import residual_query, simple_join_query, triangle_query
 from repro.seq import Database, Relation, bits_per_value
-from repro.stats import DegreeStatistics
+from repro.stats import HeavyHitterStatistics
 
 
 def _degree_sequence_db(skew: float, m: int = 1024) -> Database:
@@ -88,8 +89,8 @@ class TestResidualLoad:
             ]
         )
         p = 16
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, p)
         simple = lower_bound(
             q,
             {"S1": db.relation("S1").bits, "S2": db.relation("S2").bits},
@@ -110,8 +111,8 @@ class TestResidualLoad:
             ]
         )
         p = 16
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, p)
         tuple_bits = 2 * bits_per_value(256)
         expected = math.sqrt((m * tuple_bits) ** 2 / p)
         assert bound is not None
@@ -128,8 +129,8 @@ class TestResidualLoad:
             ]
         )
         p = 64
-        stats = DegreeStatistics.of(q, db, {"z"})
-        residual = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        residual = residual_lower_bound(q, stats, {"z"}, p)
         simple = lower_bound(
             q, {"S1": db.relation("S1").bits, "S2": db.relation("S2").bits}, p
         ).bits
@@ -148,8 +149,8 @@ class TestResidualLoad:
             ]
         )
         p = 16
-        stats = DegreeStatistics.of(q, db, {"x1"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"x1"}, p)
         assert bound is not None
         # Hand-compute sum_h M1(h) M3(h) over the degree maps.
         per_bit = 2 * bits_per_value(128)
@@ -170,8 +171,8 @@ class TestResidualLoad:
                 Relation.build("S2", [(0, 5), (1, 5)], domain_size=8),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"z"})
-        value = residual_load(q, stats, {"S1": 1, "S2": 1}, 4)
+        stats = HeavyHitterStatistics.of(q, db, 4, threshold_factor=0)
+        value = residual_load(q, stats, {"z"}, {"S1": 1, "S2": 1}, 4)
         assert value == 0.0
 
 
@@ -187,7 +188,7 @@ class TestEmptySetDegenerates:
             ]
         )
         p = 16
-        stats = DegreeStatistics.of(q, db, set())
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
         from repro.core import load as load_formula
 
         bits = {name: db.relation(name).bits for name in ("S1", "S2")}
@@ -197,7 +198,7 @@ class TestEmptySetDegenerates:
             {"S1": 1, "S2": 1},
         ):
             expected = load_formula(packing, bits, p)
-            measured = residual_load(q, stats, packing, p)
+            measured = residual_load(q, stats, set(), packing, p)
             assert math.isclose(measured, expected, rel_tol=1e-9), packing
 
 
@@ -212,8 +213,9 @@ class TestBestResidualBound:
             ]
         )
         for db, max_set_size in [(single_db, 1), (_degree_sequence_db(2.0), 2)]:
+            stats = HeavyHitterStatistics.of(q, db, 16, threshold_factor=0)
             best, breakdown = best_residual_lower_bound(
-                q, db, 16, max_set_size=max_set_size)
+                q, stats, 16, max_set_size=max_set_size)
             assert best is not None
             assert frozenset({"z"}) in breakdown
             assert best.bits == max(breakdown.values())
@@ -227,8 +229,9 @@ class TestBestResidualBound:
                 uniform_relation("S2", 100, 300, seed=13),
             ]
         )
+        stats = HeavyHitterStatistics.of(q, db, 8, threshold_factor=0)
         best, breakdown = best_residual_lower_bound(
-            q, db, 8, candidate_sets=[{"z"}]
+            q, stats, 8, candidate_sets=[{"z"}]
         )
         assert set(breakdown) == {frozenset({"z"})}
 
@@ -239,7 +242,8 @@ class TestDegreeSequences:
     def _bounds(self, db):
         """(residual bound with x = {z}, cardinality bound), in bits."""
         q = simple_join_query()
-        residual = residual_lower_bound(q, DegreeStatistics.of(q, db, {"z"}), 16)
+        stats = HeavyHitterStatistics.of(q, db, 16, threshold_factor=0)
+        residual = residual_lower_bound(q, stats, {"z"}, 16)
         bits = {name: db.relation(name).bits for name in ("S1", "S2")}
         return residual.bits, lower_bound(q, bits, 16).bits
 
@@ -253,6 +257,16 @@ class TestDegreeSequences:
         ]
         assert advantage == sorted(advantage)  # 0.25, 0.326, 0.837, 2.536
         assert advantage[1] <= 0.407 and advantage[2] < 1.0 < advantage[3]
+
+    def test_formula_10_l12_is_eq_12_on_the_heavy_hitters(self):
+        """Section 4.1's L12 term is Theorem 4.7 with x = {z} and the
+        packing (1, 1), summed over the heavy hitters the planner holds."""
+        q, p = simple_join_query(), 16
+        stats = HeavyHitterStatistics.of(q, _degree_sequence_db(2.0), p)
+        l12 = skew_join_load_bound(stats, q)["L12"]
+        eq12 = residual_load(q, stats, {"z"}, {"S1": 1, "S2": 1}, p)
+        assert l12 > 0
+        assert math.isclose(l12, eq12, rel_tol=1e-12)
 
     def test_skew_join_load_is_sandwiched_at_skew_2(self):
         """Measured load between the residual bound and 4.84 times it."""

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import residual_load, residual_lower_bound, solve_bin_lp
-from repro.core.residual_bounds import _weighted_support_sum
+from repro.core.friedgut import _weighted_support_sum
 from repro.data import single_value_relation
 from repro.query import simple_join_query
 from repro.seq import Database
-from repro.stats import BinCombination, DegreeStatistics
+from repro.stats import BinCombination, HeavyHitterStatistics
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +43,10 @@ def test_weighted_support_sum_matches_brute_force(data):
     factors = []
     for _ in range(num_factors):
         arity = data.draw(st.integers(1, 2))
+        # Repeats allowed: a factor on (u, u) counts only keys (a, a).
         vars_ = tuple(
-            data.draw(st.permutations(all_vars))[:arity]
+            data.draw(st.lists(st.sampled_from(all_vars),
+                               min_size=arity, max_size=arity))
         )
         table = data.draw(
             st.dictionaries(
@@ -99,8 +101,8 @@ class TestBinLPDuality:
         lp = solve_bin_lp(q, combo, Fraction(0), bits, p)
         lp_load = float(p) ** float(lp.lam)
 
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, p)
         assert bound is not None
         # p^lambda(B) ~ sqrt(M1 M2 / p): equality up to LP rational rounding.
         assert math.isclose(lp_load, bound.bits, rel_tol=1e-3)
@@ -121,8 +123,8 @@ class TestBinLPDuality:
             {"z"}, {"S1": Fraction(0), "S2": Fraction(0)}
         )
         lp = solve_bin_lp(q, combo, Fraction(0), bits, p)
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, p)
+        stats = HeavyHitterStatistics.of(q, db, p, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, p)
         assert float(p) ** float(lp.lam) >= bound.bits * 0.99
 
     def test_residual_load_uses_saturating_packing(self):
@@ -135,8 +137,8 @@ class TestBinLPDuality:
                 single_value_relation("S2", 64, 256, seed=6),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"z"})
-        bound = residual_lower_bound(q, stats, 16)
+        stats = HeavyHitterStatistics.of(q, db, 16, threshold_factor=0)
+        bound = residual_lower_bound(q, stats, {"z"}, 16)
         assert bound.packing == {"S1": Fraction(1), "S2": Fraction(1)}
-        direct = residual_load(q, stats, bound.packing, 16)
+        direct = residual_load(q, stats, {"z"}, bound.packing, 16)
         assert math.isclose(direct, bound.bits, rel_tol=1e-12)

@@ -1,6 +1,7 @@
 """Tests for sketched heavy-hitter statistics (repro.sketch.statistics)
 and their integration with the planner, sweep runner and records."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -237,6 +238,17 @@ class TestSketchedStatistics:
         db = Database.from_relations([relation])
         with pytest.raises(StatisticsError, match="2\\^61"):
             SketchedHeavyHitterStatistics.of(query, db, p=4)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_factor_must_be_finite_and_positive(
+        self, query, zipf_db, factor
+    ):
+        """A sketch recovers heavy values, never a full degree map: factor
+        0 would silently report only part of it."""
+        with pytest.raises(StatisticsError, match="threshold_factor"):
+            SketchedHeavyHitterStatistics.of(
+                query, zipf_db, 16, threshold_factor=factor
+            )
 
     @pytest.mark.parametrize("p", [4, 8000])
     def test_full_arity_keys_are_answered_by_set_semantics(self, query, zipf_db, p):

@@ -12,14 +12,15 @@ from repro.data import (
     uniform_relation,
     zipf_relation,
 )
+from repro.core import residual_load, residual_lower_bound
 from repro.query import parse_query, simple_join_query
 from repro.seq import Database, Relation
 from repro.stats import (
     BinCombination,
-    DegreeStatistics,
     HeavyHitterStatistics,
     SimpleStatistics,
     StatisticsError,
+    StatisticsProvider,
     assignment_bin_exponent,
     bin_exponent,
     bin_index,
@@ -144,6 +145,20 @@ class TestHeavyHitterStatistics:
         with pytest.raises(StatisticsError):
             HeavyHitterStatistics.of(q, db, p=0)
 
+    @pytest.mark.parametrize("factor", [-0.5, math.nan, math.inf])
+    def test_bad_threshold_factor_rejected(self, factor):
+        """A factor must be finite and >= 0: NaN would report nothing heavy
+        on the partial subsets yet every tuple on the full-key ones."""
+        q = simple_join_query()
+        db = Database.from_relations(
+            [
+                uniform_relation("S1", 10, 100, seed=1),
+                uniform_relation("S2", 10, 100, seed=2),
+            ]
+        )
+        with pytest.raises(StatisticsError):
+            HeavyHitterStatistics.of(q, db, p=4, threshold_factor=factor)
+
     def test_heavy_count_is_bounded(self):
         """At most p heavy hitters per (relation, subset) (Section 1)."""
         q = simple_join_query()
@@ -191,6 +206,7 @@ class TestHeavyHitterIdentity:
         (1, 1.0), (7, 1.0), (64, 1.0),
         (64, 0.25),  # threshold < 1 with m = 150: every tuple is heavy
         (400, 1.0),  # threshold < 1 on the all-columns subsets too
+        (64, 0.0),  # the full degree maps the residual bound reads
     ])
     @pytest.mark.parametrize("workload", ["zipf", "planted"])
     def test_equal_including_order(self, text, workload, p, factor):
@@ -292,7 +308,10 @@ class TestBins:
         assert empty.beta("anything") == 0
 
 
-class TestDegreeStatistics:
+class TestDegreeMaps:
+    """Section 4.3's degree maps are the heavy hitters at factor 0, and the
+    residual bound reads them off the provider."""
+
     def test_degree_maps(self):
         q = simple_join_query()
         db = Database.from_relations(
@@ -301,13 +320,14 @@ class TestDegreeStatistics:
                 Relation.build("S2", [(0, 1), (3, 3)], domain_size=4),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"z"})
-        assert stats.frequency("S1", (1,)) == 2
-        assert stats.frequency("S1", (2,)) == 1
-        assert stats.frequency("S1", (3,)) == 0
-        assert stats.cardinality("S1") == 3
+        stats = HeavyHitterStatistics.of(q, db, p=4, threshold_factor=0)
+        assert stats.frequency("S1", ("z",), (1,)) == 2
+        assert stats.frequency("S1", ("z",), (2,)) == 1
+        assert stats.frequency("S1", ("z",), (3,)) is None
+        assert sum(stats.heavy_hitters("S1", ("z",)).values()) == 3
 
-    def test_empty_subset_records_cardinality(self):
+    def test_untouched_atom_reads_cardinality(self):
+        """x = {x} leaves S2 untouched: it contributes the constant M_2."""
         q = simple_join_query()
         db = Database.from_relations(
             [
@@ -315,12 +335,12 @@ class TestDegreeStatistics:
                 Relation.build("S2", [(0, 1), (1, 1)], domain_size=4),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"x"})
-        # S2 does not contain x: its map holds () -> cardinality.
-        assert stats.frequency("S2", ()) == 2
-        assert stats.subset_of("S2") == ()
+        stats = HeavyHitterStatistics.of(q, db, p=2, threshold_factor=0)
+        # sqrt(M1(0) * M2 / p) = sqrt((2 * 1 * 2) * (2 * 2 * 2) / 2)
+        assert residual_load(q, stats, {"x"}, {"S1": 1, "S2": 1}, 2) == 4.0
 
     def test_bits(self):
+        """``M_j(h_j) = a_j m_j(h_j) log2 n``."""
         q = simple_join_query()
         db = Database.from_relations(
             [
@@ -328,8 +348,9 @@ class TestDegreeStatistics:
                 Relation.build("S2", [(0, 1)], domain_size=16),
             ]
         )
-        stats = DegreeStatistics.of(q, db, {"z"})
-        assert math.isclose(stats.bits("S1", (1,)), 2 * 2 * 4.0)
+        stats = HeavyHitterStatistics.of(q, db, p=1, threshold_factor=0)
+        value = residual_load(q, stats, {"z"}, {"S1": 1, "S2": 0}, 1)
+        assert math.isclose(value, 2 * 2 * 4.0)
 
     def test_unknown_variable_rejected(self):
         q = simple_join_query()
@@ -339,8 +360,24 @@ class TestDegreeStatistics:
                 Relation.build("S2", [(0, 1)], domain_size=4),
             ]
         )
+        stats = HeavyHitterStatistics.of(q, db, p=4, threshold_factor=0)
         with pytest.raises(StatisticsError):
-            DegreeStatistics.of(q, db, {"w"})
+            residual_lower_bound(q, stats, {"w"}, 4)
+
+    def test_missing_map_rejected(self):
+        """A provider without the (atom, subset) map a bound needs."""
+        q = simple_join_query()
+        db = Database.from_relations(
+            [
+                Relation.build("S1", [(0, 1)], domain_size=4),
+                Relation.build("S2", [(0, 1)], domain_size=4),
+            ]
+        )
+        stats = StatisticsProvider(
+            simple=SimpleStatistics.of(db), p=4, threshold_factor=0, hitters={}
+        )
+        with pytest.raises(StatisticsError):
+            residual_lower_bound(q, stats, {"z"}, 4)
 
 
 class TestCanonicalSubset:
