@@ -75,8 +75,7 @@ from ..mpc.hashing import ColumnHashes
 from ..obs import MetricsRegistry, Observation, Tracer, maybe_timed
 from ..query.atoms import ConjunctiveQuery, QueryError
 from ..query.parser import parse_query
-from ..rounds import oracle_answers, run_rounds
-from ..seq.join import Answers
+from ..rounds import Oracle, run_rounds
 from ..seq.relation import Database
 from .planner import STATS_METHODS, plan, resolve_statistics
 from .records import RunRecord, records_to_csv, records_to_json
@@ -347,12 +346,12 @@ class _Slots(dict):
 @dataclass
 class _InUse:
     """What a context keeps for the database in use, and drops with it:
-    the raw hashes of its columns and the sequential oracle's answers —
-    or the exception evaluating them raised."""
+    the raw hashes of its columns and the sequential oracle — or the
+    exception evaluating it raised."""
 
     db: Database | None
     hashes: ColumnHashes | None = None
-    answers: Answers | None = None
+    oracle: Oracle | None = None
     failure: BaseException | None = None
 
 
@@ -368,8 +367,9 @@ class SharedContext:
     database a cell runs on has one more slot, kept here and never in
     ``cache`` (whose entries outlive the sweep): the raw hashes of its
     columns (each hashed once per seed and salt, whichever algorithm and
-    share vector routes it) and the sequential oracle's answers; the first
-    cell on another database drops both.
+    share vector routes it) and the sequential oracle (an answer
+    fingerprint, and the answers only when a comparison needs them); the
+    first cell on another database drops both.
 
     :meth:`step` is one cell end to end, wherever it runs: on a fresh
     context in :func:`run_cell`, on one context for the whole grid in the
@@ -415,31 +415,31 @@ class SharedContext:
 
     def using(self, db: Database) -> _InUse:
         """The slot of ``db``, made afresh — the last database's column
-        hashes and oracle answers dropped — when it is another one."""
+        hashes and oracle dropped — when it is another one."""
         if self._in_use.db is not db:
             self._in_use = _InUse(
                 db, ColumnHashes(relation.batch.columns for relation in db)
             )
         return self._in_use
 
-    def expected(self, cell: Cell, query, db, obs) -> Answers | None:
-        """What a verifying ``cell`` compares its answers with (None for
-        any other): evaluated by the first one on ``db``, shared by the
-        rest, dropped by the first cell of another database.  An
-        evaluation that raised is not tried again: the rest of the
-        verifying cells on ``db`` raise the same exception."""
+    def expected(self, cell: Cell, query, db, obs) -> Oracle | None:
+        """What a verifying ``cell`` compares its run with (None for any
+        other): evaluated by the first one on ``db``, shared by the rest,
+        dropped by the first cell of another database.  An evaluation that
+        raised is not tried again: the rest of the verifying cells on
+        ``db`` raise the same exception."""
         if not cell.verify:
             return None
         in_use = self.using(db)
         if in_use.failure is not None:
             raise in_use.failure.with_traceback(None)
-        if in_use.answers is None:
+        if in_use.oracle is None:
             try:
-                in_use.answers = oracle_answers(query, db, obs)
+                in_use.oracle = Oracle(query, db, obs)
             except Exception as exc:
                 in_use.failure = exc
                 raise
-        return in_use.answers
+        return in_use.oracle
 
     def step(
         self, cell: Cell, tracer: Tracer | None = None
@@ -479,9 +479,12 @@ def _execute(
 
     One call into :func:`repro.rounds.run_rounds`, whatever the round
     count, on the column hashes ``shared`` holds for ``db``.  A verifying
-    cell compares with the oracle answers ``shared`` holds for ``db`` and,
-    when it is the first to ask, evaluates them — beside its own
-    ``sweep.cell`` span, not inside.
+    cell compares with the oracle ``shared`` holds for ``db`` and, when it
+    is the first to ask, evaluates it — beside its own ``sweep.cell``
+    span, not inside.  An acyclic query's oracle is a fingerprint: the
+    first cell on ``db`` whose fingerprint differs evaluates the oracle's
+    answer set inside its ``sweep.cell`` span (as
+    ``rounds.verify.answers``), and its ``wall_seconds`` pays for it.
 
     Observability: when the cell asks for it (``cell.observe``) or a
     sweep-level ``obs`` is supplied, the cell runs against a *fresh*
@@ -511,7 +514,7 @@ def _execute(
             db,
             cell.p,
             seed=cell.seed,
-            compute_answers=cell.compute_answers or cell.verify,
+            compute_answers=cell.compute_answers,
             verify=cell.verify,
             engine=cell.engine,
             obs=cell_obs,

@@ -20,7 +20,11 @@ One HyperCube instance per *bin combination* ``B = (x, (beta_j)_j)``:
 4. A tuple of ``S_j`` participates in ``B`` for the assignments it extends,
    unless it contains an overweight-for-``B`` proper extension — in which
    case a finer bin combination owns it (Lemma 4.5 guarantees every answer
-   is produced by some ``B``).
+   is produced by some ``B``).  That is *at least once*: ownership is not
+   exclusive, so an answer may also be produced by other bin combinations
+   whose blocks hold all its tuples, and the servers' local answers may
+   repeat one (a verifying run counts the repeats as
+   ``verify.duplicate_answers``; see :mod:`repro.rounds.executor`).
 
 All bin combinations share the same ``p`` physical servers; their loads add,
 which costs the ``polylog(p)`` factor of Theorem 4.6.  The theoretical load

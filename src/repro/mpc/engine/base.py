@@ -61,6 +61,7 @@ class ExecutionEngine(ABC):
         verify: bool = False,
         obs: "Observation | None" = None,
         column_hashes: ColumnHashes | None = None,
+        keep_deliveries: bool = False,
     ) -> ExecutionResult:
         """Simulate one round; see :func:`repro.mpc.run_one_round`.
 
@@ -70,13 +71,17 @@ class ExecutionEngine(ABC):
         ``column_hashes`` is the raw column hashes of the database ``db``
         is drawn from, kept by the caller between rounds and runs on it
         (see :class:`repro.mpc.hashing.ColumnHashes`); it moves no bucket.
+        ``keep_deliveries`` puts what every server received on the result
+        (:attr:`ExecutionResult.deliveries`), whether or not the local
+        joins run: what a verifier above the engines fingerprints.
         """
         hashes = HashFamily(seed, column_hashes)
         with maybe_timed(
             obs, "engine.run",
             engine=self.name, algorithm=algorithm.name, p=p, seed=seed,
         ):
-            result = self._run(algorithm, db, p, hashes, compute_answers, obs)
+            result = self._run(algorithm, db, p, hashes, compute_answers,
+                               keep_deliveries, obs)
             if verify:
                 with maybe_timed(obs, "engine.verify"):
                     result = replace(
@@ -95,6 +100,7 @@ class ExecutionEngine(ABC):
         p: int,
         hashes: HashFamily,
         compute_answers: bool,
+        keep_deliveries: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         """Engine-specific round simulation under the round's hash family

@@ -14,13 +14,14 @@ shared by every algorithm routed on it — by way of the two methods
   per-tuple destination list is materialized and the batch's rows are
   never read, so load experiments scale to inputs far beyond what the
   reference engine holds in memory;
-* with ``compute_answers=True`` each relation costs one
-  :meth:`RoutingPlan.deliveries` call — ``(tuple index, server)`` arrays,
-  counted with ``np.bincount`` and kept by the :class:`RoundLedger` as the
-  delivered tuples' columns with the receiving server one more row — and
-  the ``p`` local joins are one array join in which the server is one more
-  shared variable (:func:`repro.seq.join.join_columns`, ``tagged``); no
-  Python tuple is built.
+* with ``compute_answers=True`` (or ``keep_deliveries=True``) each
+  relation costs one :meth:`RoutingPlan.deliveries` call — ``(tuple
+  index, server)`` arrays, counted with ``np.bincount`` and kept by the
+  :class:`RoundLedger` as the delivered tuples' columns with the
+  receiving server one more row — and, with answers on, the ``p`` local
+  joins are one array join in which the server is one more shared
+  variable (:func:`repro.seq.join.join_columns`, ``tagged``); no Python
+  tuple is built.  Kept deliveries go on the result as they are.
 
 Per-server bit loads are folded as ``count * tuple_bits`` per relation in
 atom order exactly like the reference cluster, so the engines agree bit for
@@ -111,6 +112,7 @@ class BatchedEngine(ExecutionEngine):
         p: int,
         hashes: HashFamily,
         compute_answers: bool,
+        keep_deliveries: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         if p < 1:
@@ -119,9 +121,10 @@ class BatchedEngine(ExecutionEngine):
         db.validate_against(query)
         with maybe_timed(obs, "engine.plan_build", algorithm=algorithm.name):
             plan = algorithm.routing_plan(db, p, hashes)
-        route = plan.deliveries if compute_answers else plan.destination_counts
+        delivering = compute_answers or keep_deliveries
+        route = plan.deliveries if delivering else plan.destination_counts
 
-        ledger = RoundLedger(p, compute_answers)
+        ledger = RoundLedger(p, delivering)
         input_tuples = 0
         input_bits = 0.0
         for atom in query.atoms:
@@ -139,7 +142,7 @@ class BatchedEngine(ExecutionEngine):
                           routed * tuple_bits)
 
         answers: Answers | None = None
-        if ledger.delivered is not None:
+        if compute_answers:
             with maybe_timed(obs, "engine.local_join"):
                 answers = Answers.of(
                     join_columns(query, ledger.delivered, tagged=True),
@@ -153,5 +156,6 @@ class BatchedEngine(ExecutionEngine):
             seed=hashes.seed,
             report=ledger.report(input_tuples, input_bits),
             answers=answers,
+            deliveries=ledger.delivered if keep_deliveries else None,
             details=dict(plan.describe()),
         )

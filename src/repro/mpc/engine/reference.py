@@ -38,6 +38,7 @@ class ReferenceEngine(ExecutionEngine):
         p: int,
         hashes: HashFamily,
         compute_answers: bool,
+        keep_deliveries: bool,
         obs: "Observation | None",
     ) -> ExecutionResult:
         query = algorithm.query
@@ -85,6 +86,17 @@ class ReferenceEngine(ExecutionEngine):
                 db.domain_size,
             )
 
+        deliveries = None
+        if keep_deliveries:
+            # A received tuple with its server appended is a delivery.
+            deliveries = {
+                atom.name: Batch(atom.arity + 1, rows=[
+                    (*tup, server.index) for server in cluster.servers
+                    for tup in server.fragments.get(atom.name, ())
+                ]).columns
+                for atom in query.atoms
+            }
+
         return ExecutionResult(
             algorithm=algorithm.name,
             query=query,
@@ -92,5 +104,6 @@ class ReferenceEngine(ExecutionEngine):
             seed=hashes.seed,
             report=cluster.load_report(input_tuples, input_bits),
             answers=answers,
+            deliveries=deliveries,
             details=dict(plan.describe()),
         )

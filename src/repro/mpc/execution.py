@@ -343,6 +343,10 @@ class ExecutionResult:
     answers: Answers | None
     #: The sequential oracle's answers, when the run verified.
     expected_answers: Answers | None = None
+    #: Per relation what the servers received, as ``(arity + 1, d)``
+    #: columns with the server in the last row — when the engine was asked
+    #: to keep them (``keep_deliveries``).
+    deliveries: Mapping[str, np.ndarray] | None = None
     details: Mapping[str, object] = field(default_factory=dict)
 
     @property

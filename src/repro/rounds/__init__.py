@@ -36,7 +36,7 @@ from .composed import RoundComposedJoin
 from .executor import (
     ROUND_SEED_STRIDE,
     MultiRoundResult,
-    oracle_answers,
+    Oracle,
     run_rounds,
 )
 from .triangle import TwoRoundTriangle
@@ -61,6 +61,7 @@ register(AlgorithmSpec(
 __all__ = [
     "MultiRoundAlgorithm",
     "MultiRoundResult",
+    "Oracle",
     "ROUND_SEED_STRIDE",
     "RoundComposedJoin",
     "RoundSpec",
@@ -68,7 +69,6 @@ __all__ = [
     "TwoRoundTriangle",
     "estimate_join_size",
     "intermediate_name",
-    "oracle_answers",
     "predict_one_round",
     "run_rounds",
     "select_one_round",

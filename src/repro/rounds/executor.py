@@ -16,11 +16,21 @@ hence every subsequent round's input, cannot differ.
 Loads are reported per round (:attr:`MultiRoundResult.round_load_bits`)
 and summarized as the max across rounds, matching the planner's
 ``max per-round load x rounds`` cost scale.
+
+Verification compares the final round with the sequential oracle of the
+*original* query on the *base* database, held by an :class:`Oracle`.  For
+an acyclic query the comparison is of answer fingerprints
+(:mod:`repro.mpc.fingerprint`): the oracle's in ``O(m)``, the servers' off
+the final round's deliveries in ``O(deliveries)``; equal fingerprints mean
+every answer was found exactly once, and no answer is listed.  When they
+differ — an answer missed, or found more than once (bin-hypercube may) —
+the run falls back to comparing answer sets, as a cyclic query always
+does, so ``complete`` still means "every answer found at least once".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from ..mpc.engine import ExecutionEngine, resolve_engine
@@ -28,7 +38,7 @@ from ..mpc.execution import ExecutionResult, MPCAlgorithm, RoundSpec
 from ..mpc.hashing import ColumnHashes
 from ..obs import Observation, maybe_timed
 from ..query.atoms import ConjunctiveQuery
-from ..seq.join import Answers, evaluate
+from ..seq.join import Answers, evaluate, join_columns
 from ..seq.relation import Database, Relation
 from .base import RoundsError
 
@@ -46,9 +56,12 @@ class MultiRoundResult:
     p: int
     seed: int
     rounds: tuple[ExecutionResult, ...]
+    #: The final answers, when the run computed them.
     answers: Answers | None
-    expected_answers: Answers | None
-    #: ``answers == expected_answers``; None unless both are there.
+    #: How many distinct answers the run found; None when it neither
+    #: computed nor verified them.
+    answer_count: int | None
+    #: Whether the run found every answer; None unless it verified.
     is_complete: bool | None
     input_bits: float
     input_tuples: int
@@ -96,10 +109,6 @@ class MultiRoundResult:
         busiest = max(self.rounds, key=lambda r: r.max_load_bits)
         return busiest.report.balance
 
-    @property
-    def answer_count(self) -> int | None:
-        return None if self.answers is None else len(self.answers)
-
     def describe(self) -> str:
         loads = ", ".join(f"{bits:,.0f}" for bits in self.round_load_bits)
         return (
@@ -122,17 +131,76 @@ def _round_database(
     return Database.from_relations(relations)
 
 
-def oracle_answers(
-    query: ConjunctiveQuery, db: Database, obs: Observation | None = None
-) -> Answers:
-    """The sequential oracle's answers, under the ``rounds.verify`` span.
+class Oracle:
+    """The sequential oracle of ``query`` on ``db``, for every run verified
+    against it: evaluated once, under the ``rounds.verify`` span — the
+    answers' fingerprint when the query is acyclic, else the answers.
 
-    What ``run_rounds(verify=True)`` compares with.  A caller that runs
-    many algorithms on one database evaluates once, here, and hands the
-    set to each run as ``expected=``.
-    """
-    with maybe_timed(obs, "rounds.verify"):
-        return evaluate(query, db)
+    A caller that runs many algorithms on one database makes one and hands
+    it to each run as ``expected=``.  The answers of an acyclic query are
+    evaluated only when a run's fingerprint differs (:meth:`answers`).
+    The fingerprint kernel is imported by the first oracle: a command that
+    verifies nothing does not compile it."""
+
+    def __init__(
+        self, query: ConjunctiveQuery, db: Database,
+        obs: Observation | None = None,
+    ) -> None:
+        from ..mpc.fingerprint import fingerprint
+
+        self.query, self._db = query, db
+        self._answers: Answers | None = None
+        self._failure: BaseException | None = None
+        with maybe_timed(obs, "rounds.verify"):
+            self.fingerprint = fingerprint(query, {
+                atom.name: db.relation(atom.name).batch.columns
+                for atom in query.atoms
+            })
+            if self.fingerprint is None:
+                self._answers = evaluate(query, db)
+
+    def answers(self, obs: Observation | None = None) -> Answers:
+        """``q(I)``, evaluated on the first call, under the
+        ``rounds.verify.answers`` span; an evaluation that raised raises
+        again rather than running twice."""
+        if self._failure is not None:
+            raise self._failure.with_traceback(None)
+        if self._answers is None:
+            try:
+                with maybe_timed(obs, "rounds.verify.answers"):
+                    self._answers = evaluate(self.query, self._db)
+            except Exception as exc:
+                self._failure = exc
+                raise
+        return self._answers
+
+    def compare(
+        self, final: ExecutionResult, obs: Observation | None = None
+    ) -> tuple[bool, int]:
+        """``(complete, distinct answers found)`` of a run's final round:
+        by fingerprint when the round kept its deliveries, by answer sets
+        when it has none or its fingerprint differs.  A fallback counts
+        ``verify.fallbacks`` and, as ``verify.duplicate_answers``, the
+        answers emitted beyond the distinct ones.  The first fallback on a
+        database evaluates the oracle's answers (:meth:`answers`), inside
+        this comparison."""
+        from ..mpc.fingerprint import fingerprint
+
+        answers = final.answers
+        if final.deliveries is not None:
+            emitted = fingerprint(final.query, final.deliveries, tagged=True)
+            if emitted is not None and emitted == self.fingerprint:
+                return True, emitted[0]
+            if answers is None:
+                answers = Answers.of(
+                    join_columns(final.query, final.deliveries, tagged=True),
+                    self._db.domain_size,
+                )
+            if obs is not None and emitted is not None:
+                obs.count("verify.fallbacks")
+                obs.count("verify.duplicate_answers",
+                          emitted[0] - len(answers))
+        return answers == self.answers(obs), len(answers)
 
 
 def run_rounds(
@@ -144,7 +212,7 @@ def run_rounds(
     verify: bool = False,
     engine: str | ExecutionEngine = "batched",
     obs: Observation | None = None,
-    expected: Answers | None = None,
+    expected: Oracle | None = None,
     column_hashes: ColumnHashes | None = None,
 ) -> MultiRoundResult:
     """Simulate every communication round of ``algorithm`` on ``db``.
@@ -155,11 +223,13 @@ def run_rounds(
     algorithm measures exactly what a direct ``run_one_round`` does).
     Non-final rounds always compute answers — their output *is* the next
     round's input; the final round honors ``compute_answers``.
-    ``verify=True`` checks the final answers against the sequential
+    ``verify=True`` checks the final round against the sequential
     evaluation of the *original* query on the *base* database, the
     strongest completeness check available; it is evaluated here
-    (:func:`oracle_answers`) unless the caller hands it in as ``expected``.
-    The comparison runs under the ``rounds.compare`` span.
+    (:class:`Oracle`, before the first round) unless the caller hands it in
+    as ``expected``.  When the oracle is a fingerprint the final round
+    keeps its deliveries and joins them only if ``compute_answers`` asks;
+    :meth:`Oracle.compare` runs under the ``rounds.compare`` span.
     ``column_hashes`` is a caller's cache of raw hashes of ``db``'s
     columns, handed to every round's engine: a caller that runs many
     algorithms on one database hashes each column once per seed and salt
@@ -185,6 +255,9 @@ def run_rounds(
     with maybe_timed(
         obs, "rounds.run", algorithm=algorithm.name, rounds=len(plan)
     ):
+        if verify and expected is None:
+            expected = Oracle(algorithm.query, db, obs)
+        fingerprinted = verify and expected.fingerprint is not None
         for spec in plan:
             round_db = _round_database(spec, db, intermediates)
             round_algorithm = algorithm.round_algorithm(spec, round_db, p)
@@ -201,10 +274,12 @@ def run_rounds(
                     round_db,
                     p,
                     seed=seed + spec.index * ROUND_SEED_STRIDE,
-                    compute_answers=compute_answers or not spec.is_final,
+                    compute_answers=(compute_answers or not spec.is_final
+                                     or (verify and not fingerprinted)),
                     verify=False,
                     obs=obs,
                     column_hashes=column_hashes,
+                    keep_deliveries=spec.is_final and fingerprinted,
                 )
             results.append(result)
             if obs is not None:
@@ -219,13 +294,14 @@ def run_rounds(
                     spec.output, result.answers.columns, db.domain_size
                 )
 
-        answers = results[-1].answers
-        if verify and expected is None:
-            expected = oracle_answers(algorithm.query, db, obs)
+        final = results[-1]
+        answers = final.answers
+        answer_count = None if answers is None else len(answers)
         is_complete = None
-        if answers is not None and expected is not None:
+        if verify:
             with maybe_timed(obs, "rounds.compare"):
-                is_complete = answers == expected
+                is_complete, answer_count = expected.compare(final, obs)
+            results[-1] = replace(final, deliveries=None)
         if obs is not None:
             obs.set_gauge("rounds.max_load_bits", max(
                 r.max_load_bits for r in results
@@ -238,7 +314,7 @@ def run_rounds(
         seed=seed,
         rounds=tuple(results),
         answers=answers,
-        expected_answers=expected,
+        answer_count=answer_count,
         is_complete=is_complete,
         input_bits=input_bits,
         input_tuples=input_tuples,

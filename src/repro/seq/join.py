@@ -9,11 +9,12 @@ Two kernels share one greedy atom order (:func:`_atom_order`: smallest
 relation first, then atoms sharing the most bound variables):
 
 * :func:`join_columns`, the array kernel under :func:`evaluate`,
-  :func:`count_answers` and the ``batched`` engine.  Relations come
-  in as ``(arity, m)`` int64 columns; a step masks the rows that break a
-  repeated variable, keys both sides on the shared columns, sorts the
-  atom's keys once and emits every group's product (``searchsorted`` +
-  ``np.repeat``); the last step writes its columns in head order.  With
+  :func:`count_answers` of a cyclic query and the ``batched`` engine.
+  Relations come in as ``(arity, m)`` int64 columns; a step masks the rows
+  that break a repeated variable (:func:`consistent_rows`), keys both
+  sides on the shared columns, sorts the atom's keys once and emits every
+  group's product (``searchsorted`` + ``np.repeat``); the last step
+  writes its columns in head order.  With
   ``tagged=True`` each relation carries one more row, the server that
   received the tuple, which joins like one more shared variable and is
   dropped from the head: the ``p`` local joins of a round are this one
@@ -288,7 +289,29 @@ def _matching_rows(
 
 
 #: The variable the server column of a tagged join is bound to.
-_SERVER = object()
+SERVER = object()
+
+
+def consistent_rows(
+    atom: Atom, columns: np.ndarray, tagged: bool
+) -> tuple[dict[object, int], np.ndarray]:
+    """``(first, columns)``: the position where each of ``atom``'s
+    variables first occurs — with ``tagged``, :data:`SERVER` at the
+    extra last row — and the rows of ``columns`` that agree wherever a
+    variable repeats."""
+    first: dict[object, int] = {}
+    consistent = None
+    for position, variable in enumerate(
+        (*atom.variables, SERVER) if tagged else atom.variables
+    ):
+        if variable in first:  # repeated: both positions must agree
+            same = columns[first[variable]] == columns[position]
+            consistent = same if consistent is None else consistent & same
+        else:
+            first[variable] = position
+    if consistent is not None:
+        columns = columns[:, consistent]
+    return first, columns
 
 
 def join_columns(
@@ -311,19 +334,7 @@ def join_columns(
     bound: list[object] = []
     partial = np.empty((0, 1), dtype=np.int64)  # the one empty binding
     for atom in order:
-        columns = relations[atom.name]
-        first: dict[object, int] = {}
-        consistent = None
-        for position, variable in enumerate(
-            (*atom.variables, _SERVER) if tagged else atom.variables
-        ):
-            if variable in first:  # repeated: both positions must agree
-                same = columns[first[variable]] == columns[position]
-                consistent = same if consistent is None else consistent & same
-            else:
-                first[variable] = position
-        if consistent is not None:
-            columns = columns[:, consistent]
+        first, columns = consistent_rows(atom, relations[atom.name], tagged)
         shared = [v for v in first if v in bound]
         count, matches = _matching_rows(
             partial[[bound.index(v) for v in shared]],
@@ -359,10 +370,26 @@ def evaluate(query: ConjunctiveQuery, db: Database) -> Answers:
 
 
 def count_answers(query: ConjunctiveQuery, db: Database) -> int:
-    """``|q(I)|`` — without sorting the answers when the head keeps every
-    variable: the kernel's rows are distinct then."""
+    """``|q(I)|`` — for an acyclic query that keeps every variable in its
+    head, by :func:`repro.seq.acyclic.fold` without building the join;
+    otherwise from the array join, sorting the answers only when the head
+    projects (a :class:`ConjunctiveQuery` is full, but the kernel also
+    serves any query-like object with a projecting head)."""
+    # Loaded on first use: a command that counts nothing does not compile it.
+    from .acyclic import Count, fold
+
+    db.validate_against(query)
+    full = {v for atom in query.atoms for v in atom.variables} \
+        <= set(query.head)
+    if full:
+        counted = fold(query, {
+            atom.name: db.relation(atom.name).batch.columns
+            for atom in query.atoms
+        }, (Count(),))
+        if counted is not None:
+            return counted[0]
     columns = _joined(query, db)
-    if {v for atom in query.atoms for v in atom.variables} <= set(query.head):
+    if full:
         return columns.shape[1]
     return len(Answers.of(columns, db.domain_size))
 

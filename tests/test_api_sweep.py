@@ -26,6 +26,7 @@ from repro.api import (
 from repro.api import experiment as experiment_module
 from repro.api.experiment import WORKLOAD_KINDS, SharedContext
 from repro.api.planner import STATS_METHODS
+from repro.mpc import fingerprint as fingerprint_module
 from repro.mpc import hashing
 from repro.mpc.engine import EngineError, available_engines
 from repro.obs import Observation
@@ -543,9 +544,9 @@ class TestWhatAWorkerKeepsBetweenCells:
 
 
 class TestOneOracleEvaluationPerDatabase:
-    """A verified serial sweep joins sequentially once per database and
-    compares in every cell; the answer set lives as long as the database
-    is the one in use."""
+    """A verified serial sweep evaluates the sequential oracle once per
+    database and compares in every cell; the oracle lives as long as the
+    database is the one in use."""
 
     GRID = dict(query=JOIN_TEXT, workload="worst", m_values=(30,),
                 p_values=(4, 8),
@@ -553,8 +554,20 @@ class TestOneOracleEvaluationPerDatabase:
 
     @pytest.fixture
     def oracle_calls(self, monkeypatch):
-        """The databases the sequential oracle was evaluated on (local
-        joins do not come this way)."""
+        """The databases the sequential oracle was evaluated on (the
+        servers' fingerprints do not come this way)."""
+        calls, real = [], executor.Oracle.__init__
+
+        def counting(oracle, query, db, obs=None):
+            calls.append(db)
+            real(oracle, query, db, obs)
+
+        monkeypatch.setattr(executor.Oracle, "__init__", counting)
+        return calls
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        """The databases the oracle listed the answers of."""
         calls, real = [], executor.evaluate
 
         def counting(query, db):
@@ -564,12 +577,14 @@ class TestOneOracleEvaluationPerDatabase:
         monkeypatch.setattr(executor, "evaluate", counting)
         return calls
 
-    def test_one_evaluation_for_six_cells(self, oracle_calls):
+    def test_one_evaluation_for_six_cells(self, oracle_calls, listed):
         result = Sweep(verify=True, **self.GRID).run()
         assert len(result) == 6
         assert all(r.ok and r.complete is True and r.answer_count == 900
                    for r in result)
         assert len(oracle_calls) == 1
+        # An acyclic query is verified by fingerprint: no answer listed.
+        assert listed == []
 
     def test_one_evaluation_per_database(self, oracle_calls):
         sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
@@ -614,14 +629,14 @@ class TestOneOracleEvaluationPerDatabase:
     def test_a_raising_oracle_fails_the_verifying_cells_of_its_database(
         self, monkeypatch
     ):
-        real = executor.evaluate
+        real = fingerprint_module.fingerprint
 
-        def flaky(query, db):
-            if db.relation("S1").cardinality == 20:
+        def flaky(query, relations, tagged=False):
+            if not tagged and relations["S1"].shape[1] == 20:
                 raise RuntimeError("oracle out of memory")
-            return real(query, db)
+            return real(query, relations, tagged)
 
-        monkeypatch.setattr(executor, "evaluate", flaky)
+        monkeypatch.setattr(fingerprint_module, "fingerprint", flaky)
         grid = {**self.GRID, "m_values": (20, 30)}
         cells = Sweep(verify=True, **grid).cells() + \
             Sweep(compute_answers=True, **grid).cells()
@@ -647,8 +662,7 @@ class TestOneOracleEvaluationPerDatabase:
             calls.append(db.relation("S1").cardinality)
             raise MemoryError("no room for the answers")
 
-        monkeypatch.setattr(experiment_module, "oracle_answers",
-                            out_of_memory)
+        monkeypatch.setattr(experiment_module, "Oracle", out_of_memory)
         grid = {**self.GRID, "m_values": (20, 30)}
         cells = Sweep(verify=True, **grid).cells() + \
             Sweep(compute_answers=True, **grid).cells()
@@ -665,24 +679,21 @@ class TestOneOracleEvaluationPerDatabase:
     def test_answers_are_held_no_longer_than_their_database(
         self, monkeypatch
     ):
-        class Answers(frozenset):
-            """A frozenset that can be weakly referenced."""
+        made, real = [], executor.Oracle
 
-        made, real = [], executor.evaluate
+        def tracked(query, db, obs):
+            oracle = real(query, db, obs)
+            made.append(weakref.ref(oracle))
+            return oracle
 
-        def tracked(query, db):
-            answers = Answers(real(query, db))
-            made.append(weakref.ref(answers))
-            return answers
-
-        monkeypatch.setattr(executor, "evaluate", tracked)
+        monkeypatch.setattr(experiment_module, "Oracle", tracked)
         alive_at_each_record = []
         sweep = Sweep(verify=True, **{**self.GRID, "m_values": (20, 30)})
         result = sweep.run(progress=lambda record: alive_at_each_record.append(
             [ref() is not None for ref in made]))
         assert all(r.complete is True for r in result)
         # Six cells on the first database, then six on the second: the
-        # first answer set is gone by the time the second is in use.
+        # first oracle is gone by the time the second is in use.
         assert alive_at_each_record == [[True]] * 6 + [[False, True]] * 6
         assert [ref() for ref in made] == [None, None]
 

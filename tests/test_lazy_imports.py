@@ -3,7 +3,8 @@
 ``repro``, ``repro.api`` and ``repro.core`` resolve their re-exports on
 first access (PEP 562), ``repro.cli`` imports the bench, the sketch and the
 bound functions inside the subcommands that use them, and the farm imports
-``multiprocessing`` when a farm is made.  A process that sweeps with exact
+``multiprocessing`` when a farm is made, and the answer fingerprint is
+loaded by the first verifying run.  A process that sweeps with exact
 statistics therefore never loads any of them.
 """
 
@@ -22,7 +23,8 @@ JOIN = "q(x,y,z) :- S1(x,z), S2(y,z)"
 NEVER_FOR_A_SWEEP = ("multiprocessing", "numpy.random", "numpy.ma",
                      "repro.sketch", "repro.api.bench", "repro.core.friedgut",
                      "repro.core.counting", "repro.core.mr_bounds",
-                     "repro.core.residual_bounds")
+                     "repro.core.residual_bounds", "repro.mpc.fingerprint",
+                     "repro.seq.acyclic")
 
 
 def _loaded(argv, tmp_path):
