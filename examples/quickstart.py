@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro import (
-    Database,
-    available_engines,
-    plan,
-    run_one_round,
-)
+from repro import Database, available_engines, plan
 from repro.data import uniform_relation
+from repro.rounds import run_rounds
 
 
 def main() -> None:
@@ -57,8 +53,8 @@ def main() -> None:
     # 3. One communication round with the planner's winner.
     algorithm = query_plan.instantiate()
     print(f"\n-- one round of {algorithm.name} ({args.engine} engine) --")
-    result = run_one_round(algorithm, db, p, seed=0, verify=True,
-                           engine=args.engine)
+    result = run_rounds(algorithm, db, p, seed=0, verify=True,
+                        engine=args.engine)
 
     # 4. Completeness and load, against prediction and bound.
     assert result.is_complete, "the planner's winner must find every answer"
@@ -69,8 +65,8 @@ def main() -> None:
           f"({result.max_load_tuples} tuples)")
     print(f"  load vs predicted: {result.max_load_bits / predicted:.2f}x")
     print(f"  load vs bound   : {result.max_load_bits / bound:.2f}x")
-    print(f"  replication     : {result.report.replication_rate:.2f}x input")
-    print(f"  balance         : {result.report.balance:.2f} (max/mean)")
+    print(f"  replication     : {result.replication_rate:.2f}x input")
+    print(f"  balance         : {result.balance:.2f} (max/mean)")
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ from repro import (
     available_engines,
     plan,
     residual_lower_bound,
-    run_one_round,
     skew_join_load_bound,
 )
 from repro.query import parse_query, simple_join_query
+from repro.rounds import run_rounds
 from repro.stats import HeavyHitterStatistics
 
 P = 32
@@ -112,13 +112,14 @@ def main() -> None:
         "planner's pick flips to them exactly when it starts to matter."
     )
 
-    # Verify completeness once at the heaviest skew (outputs are large).
+    # Verify completeness once at the heaviest skew: only the count is
+    # printed, so no answer is listed.
     db = WorkloadSpec("zipf", m=M, skew=2.0, seed=11, domain=4 * M).build(query)
     query_plan = plan(parse_query(str(query)), db=db, p=P)
     for key in ("skew-join", "bin-hypercube"):
         algorithm = query_plan.instantiate(key)
-        result = run_one_round(algorithm, db, P, verify=True,
-                               engine=args.engine)
+        result = run_rounds(algorithm, db, P, compute_answers=False,
+                            verify=True, engine=args.engine)
         status = "complete" if result.is_complete else "INCOMPLETE"
         print(f"verification at skew=2.0: {algorithm.name} is {status} "
               f"({result.answer_count} answers)")

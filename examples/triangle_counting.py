@@ -27,11 +27,11 @@ from repro import (
     available_engines,
     lower_bound,
     plan,
-    run_one_round,
     vertex_loads,
 )
 from repro.data import graph_edges
 from repro.query import triangle_query
+from repro.rounds import run_rounds
 
 P = 27
 NODES = 1200
@@ -82,8 +82,8 @@ def main() -> None:
         query_plan = plan(query, db=db, p=P)
         for key in ("hypercube-lp", "bin-hypercube"):
             algorithm = query_plan.instantiate(key)
-            result = run_one_round(algorithm, db, P, verify=True,
-                                   engine=args.engine)
+            result = run_rounds(algorithm, db, P, compute_answers=False,
+                                verify=True, engine=args.engine)
             print(
                 f"{hub_fraction:>6.1f} {algorithm.name:>14} "
                 f"{result.max_load_tuples:>10} {result.answer_count:>10} "

@@ -15,8 +15,9 @@ declarative grids through the pluggable execution engines.
 
 Quickstart::
 
-    from repro import Database, autoplan, plan, run_one_round
+    from repro import Database, autoplan, plan
     from repro.data import uniform_relation
+    from repro.rounds import run_rounds
 
     q = "q(x, y, z) :- S1(x, z), S2(y, z)"
     db = Database.from_relations([
@@ -26,7 +27,7 @@ Quickstart::
     query_plan = plan(q, db=db, p=64)       # ranked predictions + bound
     print(query_plan.explain())
     algo = query_plan.instantiate()         # minimum-predicted-load winner
-    result = run_one_round(algo, db, p=64, verify=True)
+    result = run_rounds(algo, db, p=64, verify=True)
     assert result.is_complete
     print(result.max_load_bits, query_plan.lower_bound_bits)
 

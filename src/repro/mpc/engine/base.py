@@ -17,22 +17,19 @@ atom order — never as an order-dependent running float sum.
 
 :meth:`ExecutionEngine.run` is a template method — it opens the
 ``engine.run`` span, delegates to the engine-specific
-:meth:`ExecutionEngine._run`, evaluates the sequential oracle when asked to
-verify (``engine.verify``; an engine cannot forget it or do it differently),
-then records the standard result metrics (tuples routed, bits shipped,
-per-server load histogram, skew ratio) every engine must agree on.  With
-``obs=None`` (the default) no instrument is touched, so disabled
-observability is free.
+:meth:`ExecutionEngine._run`, then records the standard result metrics
+(tuples routed, bits shipped, per-server load histogram, skew ratio) every
+engine must agree on.  With ``obs=None`` (the default) no instrument is
+touched, so disabled observability is free.  An engine checks no answers:
+completeness is :func:`repro.rounds.run_rounds`' (``verify=True``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ...obs import maybe_timed
-from ...seq.join import evaluate
 from ...seq.relation import Database
 from ..execution import ExecutionResult, OneRoundAlgorithm
 from ..hashing import ColumnHashes, HashFamily
@@ -58,7 +55,6 @@ class ExecutionEngine(ABC):
         p: int,
         seed: int = 0,
         compute_answers: bool = True,
-        verify: bool = False,
         obs: "Observation | None" = None,
         column_hashes: ColumnHashes | None = None,
         keep_deliveries: bool = False,
@@ -82,12 +78,6 @@ class ExecutionEngine(ABC):
         ):
             result = self._run(algorithm, db, p, hashes, compute_answers,
                                keep_deliveries, obs)
-            if verify:
-                with maybe_timed(obs, "engine.verify"):
-                    result = replace(
-                        result,
-                        expected_answers=evaluate(algorithm.query, db),
-                    )
         if obs is not None:
             self._record_result_metrics(obs, result)
         return result
@@ -104,8 +94,7 @@ class ExecutionEngine(ABC):
         obs: "Observation | None",
     ) -> ExecutionResult:
         """Engine-specific round simulation under the round's hash family
-        (its seed is the result's; ``obs`` may be None); leaves
-        ``expected_answers`` unset — verification is :meth:`run`'s."""
+        (its seed is the result's; ``obs`` may be None)."""
 
     @staticmethod
     def _record_result_metrics(

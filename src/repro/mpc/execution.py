@@ -18,8 +18,8 @@ The executor:
 
 Every locally produced tuple is a genuine answer (fragments are subsets of
 the true relations), so correctness of an algorithm means *completeness*:
-the union must equal the sequential join.  ``run_one_round(..., verify=True)``
-checks exactly that.
+the union must equal the sequential join.  ``run_rounds(..., verify=True)``
+(:mod:`repro.rounds`) checks exactly that, for one round or many.
 
 The simulation itself is pluggable: :func:`run_one_round` delegates to an
 :class:`repro.mpc.engine.ExecutionEngine` selected by the ``engine``
@@ -341,8 +341,6 @@ class ExecutionResult:
     seed: int
     report: LoadReport
     answers: Answers | None
-    #: The sequential oracle's answers, when the run verified.
-    expected_answers: Answers | None = None
     #: Per relation what the servers received, as ``(arity + 1, d)``
     #: columns with the server in the last row — when the engine was asked
     #: to keep them (``keep_deliveries``).
@@ -352,13 +350,6 @@ class ExecutionResult:
     @property
     def answer_count(self) -> int | None:
         return None if self.answers is None else len(self.answers)
-
-    @property
-    def is_complete(self) -> bool | None:
-        """True iff the algorithm found every answer (needs ``verify=True``)."""
-        if self.answers is None or self.expected_answers is None:
-            return None
-        return self.answers == self.expected_answers
 
     @property
     def max_load_bits(self) -> float:
@@ -375,20 +366,20 @@ def run_one_round(
     p: int,
     seed: int = 0,
     compute_answers: bool = True,
-    verify: bool = False,
     engine: "str | ExecutionEngine" = "batched",
     obs: "Observation | None" = None,
 ) -> ExecutionResult:
     """Simulate one communication round of ``algorithm`` on ``db``.
+
+    It measures and, when asked, lists the answers, but checks none of
+    them: a completeness check is :func:`repro.rounds.run_rounds` with
+    ``verify=True``, which runs this same round.
 
     Parameters
     ----------
     compute_answers:
         When False, skip the local joins and only measure communication —
         useful for load-focused experiments whose output would be huge.
-    verify:
-        When True, also run the sequential join and record it for
-        :attr:`ExecutionResult.is_complete`.
     engine:
         Which execution engine simulates the round: ``"batched"`` (the
         library-wide default — column-at-a-time routing, streams load
@@ -399,7 +390,7 @@ def run_one_round(
         checks ``"batched"`` against.
     obs:
         An :class:`repro.obs.Observation` collecting nested timed spans
-        (plan-build, routing, local join, verify) and metrics (tuples
+        (plan-build, routing, local join) and metrics (tuples
         routed, bits shipped per relation, per-server load histogram,
         skew ratio) for the round.  ``None`` (the default) disables
         instrumentation entirely.
@@ -412,6 +403,5 @@ def run_one_round(
         p,
         seed=seed,
         compute_answers=compute_answers,
-        verify=verify,
         obs=obs,
     )

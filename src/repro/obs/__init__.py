@@ -6,7 +6,8 @@ add-on.  This package provides the two halves and a carrier object:
 
 1. :mod:`repro.obs.trace` — :class:`Tracer`, producing nested timed
    :class:`Span` records (plan-build, routing, shuffle accounting, local
-   join, verify) with a Chrome-trace JSON exporter;
+   join, and the completeness check of :func:`repro.rounds.run_rounds`)
+   with a Chrome-trace JSON exporter;
 2. :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
    gauges and histograms (tuples routed, bits shipped per relation,
    per-server load histogram, skew ratio), mergeable across processes;

@@ -276,7 +276,6 @@ def run_rounds(
                     seed=seed + spec.index * ROUND_SEED_STRIDE,
                     compute_answers=(compute_answers or not spec.is_final
                                      or (verify and not fingerprinted)),
-                    verify=False,
                     obs=obs,
                     column_hashes=column_hashes,
                     keep_deliveries=spec.is_final and fingerprinted,

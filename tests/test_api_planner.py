@@ -22,6 +22,7 @@ from repro.lp import maximize
 from repro.data import uniform_relation, zipf_relation
 from repro.mpc import run_one_round
 from repro.query import parse_query
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.stats import HeavyHitterStatistics, SimpleStatistics
 
@@ -204,5 +205,5 @@ class TestAutoplan:
         for query in CANONICAL.values():
             db = _uniform_db(query, m=80)
             algorithm = autoplan(query, db=db, p=4)
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, query.name

@@ -22,6 +22,7 @@ from repro.query import (
     simple_join_query,
     triangle_query,
 )
+from repro.rounds import run_rounds
 from repro.seq import Database
 
 
@@ -55,7 +56,7 @@ class TestHashJoin:
                 uniform_relation("S2", 300, 900, seed=2),
             ]
         )
-        result = run_one_round(HashJoinAlgorithm(q, 8), db, 8, verify=True)
+        result = run_rounds(HashJoinAlgorithm(q, 8), db, 8, verify=True)
         assert result.is_complete
 
     def test_collapses_under_skew_example_3_3(self):
@@ -68,7 +69,7 @@ class TestHashJoin:
                 single_value_relation("S2", m, 200, seed=4),
             ]
         )
-        result = run_one_round(HashJoinAlgorithm(q, 8), db, 8, verify=True)
+        result = run_rounds(HashJoinAlgorithm(q, 8), db, 8, verify=True)
         assert result.is_complete
         assert result.max_load_tuples == 2 * m  # total collapse
 
@@ -93,9 +94,9 @@ class TestBroadcastRule:
                 uniform_relation("S2", 4, 2000, seed=6),  # tiny: broadcast
             ]
         )
-        result = run_one_round(BroadcastHyperCube(q), db, 16, verify=True)
+        result = run_rounds(BroadcastHyperCube(q), db, 16, verify=True)
         assert result.is_complete
-        assert "S2" in result.details["broadcast"]
+        assert "S2" in result.rounds[0].details["broadcast"]
 
     def test_no_broadcast_when_balanced(self):
         q = simple_join_query()
@@ -105,9 +106,9 @@ class TestBroadcastRule:
                 uniform_relation("S2", 400, 2000, seed=8),
             ]
         )
-        result = run_one_round(BroadcastHyperCube(q), db, 16, verify=True)
+        result = run_rounds(BroadcastHyperCube(q), db, 16, verify=True)
         assert result.is_complete
-        assert result.details["broadcast"] == []
+        assert result.rounds[0].details["broadcast"] == []
 
     def test_broadcast_load_stays_small(self):
         """Broadcasting M_j <= M/p adds at most ~M/p per server."""
@@ -174,7 +175,7 @@ class TestCartesianGrid:
                 uniform_relation("S2", 25, 500, arity=1, seed=12),
             ]
         )
-        result = run_one_round(CartesianProductAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(CartesianProductAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
         assert result.answer_count == 40 * 25
 
@@ -203,6 +204,6 @@ class TestCartesianGrid:
                 uniform_relation("S3", 8, 100, arity=1, seed=17),
             ]
         )
-        result = run_one_round(CartesianProductAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(CartesianProductAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
         assert result.answer_count == 12 * 10 * 8

@@ -27,9 +27,9 @@ def test_package_quickstart_docstring_runs():
         SimpleStatistics,
         lower_bound,
         parse_query,
-        run_one_round,
     )
     from repro.data import uniform_relation
+    from repro.rounds import run_rounds
 
     q = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
     db = Database.from_relations(
@@ -40,6 +40,6 @@ def test_package_quickstart_docstring_runs():
     )
     stats = SimpleStatistics.of(db)
     algo = HyperCubeAlgorithm.with_optimal_shares(q, stats, p=16)
-    result = run_one_round(algo, db, p=16, verify=True)
+    result = run_rounds(algo, db, p=16, verify=True)
     assert result.is_complete
     assert lower_bound(q, stats.bits_vector(q), 16).bits > 0

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.data import uniform_relation
 from repro.mpc import run_one_round
 from repro.query import parse_query, simple_join_query
+from repro.rounds import run_rounds
 from repro.seq import Database, Relation
 
 
@@ -35,7 +36,7 @@ class TestEmptyRelations:
             ]
         )
         for algorithm in _algorithms(query, 4):
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, algorithm.name
             assert result.answer_count == 0
 
@@ -48,9 +49,9 @@ class TestEmptyRelations:
             ]
         )
         for algorithm in _algorithms(query, 4):
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, algorithm.name
-            assert result.report.total_bits == 0
+            assert result.total_bits == 0
 
 
 class TestSingleServer:
@@ -63,10 +64,10 @@ class TestSingleServer:
             ]
         )
         for algorithm in _algorithms(query, 1):
-            result = run_one_round(algorithm, db, 1, verify=True)
+            result = run_rounds(algorithm, db, 1, verify=True)
             assert result.is_complete, algorithm.name
             # One server receives everything exactly once.
-            assert result.report.replication_rate == pytest.approx(1.0)
+            assert result.replication_rate == pytest.approx(1.0)
 
 
 class TestTinyDomains:
@@ -79,7 +80,7 @@ class TestTinyDomains:
             ]
         )
         for algorithm in _algorithms(query, 4):
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, algorithm.name
             assert result.answers == frozenset({(0, 0, 0)})
 
@@ -92,7 +93,7 @@ class TestTinyDomains:
             ]
         )
         for algorithm in _algorithms(query, 8):
-            result = run_one_round(algorithm, db, 8, verify=True)
+            result = run_rounds(algorithm, db, 8, verify=True)
             assert result.is_complete, algorithm.name
             assert result.answers == frozenset({(3, 5, 7)})
 
@@ -112,7 +113,7 @@ class TestUnaryAtoms:
             BroadcastHyperCube(query),
             SkewAwareJoin(query),
         ):
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, algorithm.name
 
     def test_all_unary(self):
@@ -128,7 +129,7 @@ class TestUnaryAtoms:
             BinHyperCubeAlgorithm(query),
             SkewAwareJoin(query),
         ):
-            result = run_one_round(algorithm, db, 4, verify=True)
+            result = run_rounds(algorithm, db, 4, verify=True)
             assert result.is_complete, algorithm.name
 
 
@@ -147,7 +148,7 @@ class TestPrimeServerCounts:
             ]
         )
         for algorithm in _algorithms(query, p):
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, (algorithm.name, p)
 
 
@@ -168,11 +169,10 @@ class TestEnginesOnDegenerateInputs:
             ]
         )
         for algorithm in _algorithms(query, 1):
-            result = run_one_round(algorithm, db, 1, verify=True,
-                                   engine=engine)
+            result = run_rounds(algorithm, db, 1, verify=True, engine=engine)
             assert result.is_complete, (algorithm.name, engine)
-            assert result.report.replication_rate == pytest.approx(1.0)
-            assert result.report.per_server_tuples == (80,)
+            assert result.replication_rate == pytest.approx(1.0)
+            assert result.rounds[0].report.per_server_tuples == (80,)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_relation(self, engine):
@@ -184,8 +184,7 @@ class TestEnginesOnDegenerateInputs:
             ]
         )
         for algorithm in _algorithms(query, 4):
-            result = run_one_round(algorithm, db, 4, verify=True,
-                                   engine=engine)
+            result = run_rounds(algorithm, db, 4, verify=True, engine=engine)
             assert result.is_complete, (algorithm.name, engine)
             assert result.answer_count == 0
 
@@ -203,8 +202,7 @@ class TestEnginesOnDegenerateInputs:
             ]
         )
         for algorithm in _algorithms(query, 8):
-            result = run_one_round(algorithm, db, 8, verify=True,
-                                   engine=engine)
+            result = run_rounds(algorithm, db, 8, verify=True, engine=engine)
             assert result.is_complete, (algorithm.name, engine)
             assert result.answer_count == m * m
 

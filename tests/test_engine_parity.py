@@ -26,6 +26,7 @@ from repro.data import single_value_relation, uniform_relation, zipf_relation
 from repro.mpc import BatchedEngine, ReferenceEngine, run_one_round
 from repro.obs import Observation
 from repro.query import parse_query, simple_join_query
+from repro.rounds import run_rounds
 from repro.seq import Database, evaluate
 from repro.stats import SimpleStatistics
 
@@ -171,35 +172,34 @@ def test_verify_flag_round_trips_through_engines():
     db = _join_db("uniform", seed=0)
     algorithm = SkewAwareJoin(simple_join_query())
     for engine in ("reference", "batched"):
-        result = run_one_round(algorithm, db, P, verify=True, engine=engine)
+        result = run_rounds(algorithm, db, P, verify=True, engine=engine)
         assert result.is_complete, engine
 
 
 @pytest.mark.parametrize("engine", ["reference", "batched"])
-def test_verification_belongs_to_the_run_template(engine):
-    """An engine's ``_run`` only simulates the round: ``run`` evaluates the
-    oracle, inside the ``engine.run`` span, the same way for every engine
-    — and not at all unless asked."""
+def test_verification_belongs_to_run_rounds(engine):
+    """An engine only simulates the round: a verified run evaluates one
+    oracle (``rounds.verify``) and makes one comparison
+    (``rounds.compare``), neither inside ``engine.run``, the same way for
+    every engine — and an unverified ``run_one_round`` has no oracle."""
     db = _join_db("zipf", seed=1)
     algorithm = SkewAwareJoin(simple_join_query())
     obs = Observation.create()
     plain = run_one_round(algorithm, db, P, engine=engine, obs=obs)
-    assert plain.expected_answers is None and plain.is_complete is None
-    assert obs.tracer.finished_spans("engine.verify") == ()
-    verified = run_one_round(
+    assert [span.name for span in obs.tracer.finished_spans()
+            if span.name.startswith("rounds.")] == []
+    verified = run_rounds(
         algorithm, db, P, verify=True, engine=engine, obs=obs
     )
-    assert verified.expected_answers == evaluate(algorithm.query, db)
     assert verified.is_complete is True
-    assert verified.answers == plain.answers
-    assert verified.report == plain.report
-    (span,) = obs.tracer.finished_spans("engine.verify")
-    assert span.parent.name == "engine.run"
-    load_only = run_one_round(
-        algorithm, db, P, verify=True, compute_answers=False, engine=engine
-    )
-    assert load_only.expected_answers is not None
-    assert load_only.is_complete is None
+    assert verified.answers == plain.answers == evaluate(algorithm.query, db)
+    assert verified.rounds[0].report == plain.report
+    for name in ("rounds.verify", "rounds.compare"):
+        (span,) = obs.tracer.finished_spans(name)
+        ancestor = span.parent
+        while ancestor is not None:
+            assert ancestor.name != "engine.run", name
+            ancestor = ancestor.parent
 
 
 def test_engine_instances_accepted():

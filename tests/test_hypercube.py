@@ -24,6 +24,7 @@ from repro.query import (
     simple_join_query,
     triangle_query,
 )
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.stats import SimpleStatistics
 
@@ -151,7 +152,7 @@ class TestCorrectness:
             ]
         )
         algo = HyperCubeAlgorithm.with_equal_shares(q, p)
-        result = run_one_round(algo, db, p, verify=True)
+        result = run_rounds(algo, db, p, verify=True)
         assert result.is_complete
 
     def test_complete_on_triangles(self):
@@ -164,7 +165,7 @@ class TestCorrectness:
             ]
         )
         algo = HyperCubeAlgorithm.with_equal_shares(q, 27)
-        result = run_one_round(algo, db, 27, verify=True)
+        result = run_rounds(algo, db, 27, verify=True)
         assert result.is_complete
 
     def test_complete_under_adversarial_skew(self):
@@ -176,7 +177,7 @@ class TestCorrectness:
             ]
         )
         algo = HyperCubeAlgorithm.with_equal_shares(q, 8)
-        result = run_one_round(algo, db, 8, verify=True)
+        result = run_rounds(algo, db, 8, verify=True)
         assert result.is_complete
 
     def test_complete_with_lp_shares_many_seeds(self):
@@ -191,7 +192,7 @@ class TestCorrectness:
             q, SimpleStatistics.of(db), 16
         )
         for seed in range(5):
-            assert run_one_round(algo, db, 16, seed=seed, verify=True).is_complete
+            assert run_rounds(algo, db, 16, seed=seed, verify=True).is_complete
 
     def test_repeated_variable_atom(self):
         from repro.seq import Relation
@@ -204,7 +205,7 @@ class TestCorrectness:
             ]
         )
         algo = HyperCubeAlgorithm(q, {"x": 2, "y": 2})
-        result = run_one_round(algo, db, 4, verify=True)
+        result = run_rounds(algo, db, 4, verify=True)
         assert result.is_complete
 
 

@@ -20,6 +20,7 @@ from repro.data import (
 )
 from repro.mpc import run_one_round
 from repro.query import chain_query, simple_join_query, star_query, triangle_query
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.stats import SimpleStatistics
 
@@ -91,7 +92,7 @@ class TestJoinAlgorithmsComplete:
         query = simple_join_query()
         db = JOIN_WORKLOADS[workload]()
         for algorithm in _join_algorithms(query, p):
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, (algorithm.name, workload, p)
 
 
@@ -108,7 +109,7 @@ class TestOtherQueryShapes:
         query = triangle_query()
         db = self._db_for(query, 150, 130, seed=20)
         for algorithm in _generic_algorithms(query, p):
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, algorithm.name
 
     def test_chain_4(self):
@@ -120,7 +121,7 @@ class TestOtherQueryShapes:
             HyperCubeAlgorithm.with_optimal_shares(query, stats, p)
         ]
         for algorithm in algorithms:
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, algorithm.name
 
     def test_star_3(self):
@@ -128,7 +129,7 @@ class TestOtherQueryShapes:
         db = self._db_for(query, 150, 250, seed=40)
         p = 16
         for algorithm in _generic_algorithms(query, p):
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, algorithm.name
 
     def test_star_with_heavy_center(self):
@@ -147,7 +148,7 @@ class TestOtherQueryShapes:
         )
         p = 16
         for algorithm in _generic_algorithms(query, p):
-            result = run_one_round(algorithm, db, p, verify=True)
+            result = run_rounds(algorithm, db, p, verify=True)
             assert result.is_complete, algorithm.name
 
 

@@ -20,12 +20,15 @@ from repro.mpc import (
     Cluster,
     HashFamily,
     ServerAllocator,
+    available_engines,
     run_one_round,
 )
 from repro.mpc import hashing
 from repro.mpc.engine.batched import RoundLedger
 from repro.mpc.execution import OneRoundAlgorithm, RoutingPlan
-from repro.query import parse_query
+from repro.obs import Observation
+from repro.query import parse_query, triangle_query
+from repro.rounds import run_rounds
 from repro.seq import Database, Relation
 from repro.seq.relation import Batch
 
@@ -386,7 +389,7 @@ class TestRunOneRound:
 
     def test_single_atom_query_complete(self):
         q, db = self._single_atom_setup()
-        result = run_one_round(_RoundRobin(q), db, p=4, verify=True)
+        result = run_rounds(_RoundRobin(q), db, p=4, verify=True)
         assert result.is_complete
         assert result.answer_count == 50
 
@@ -402,19 +405,41 @@ class TestRunOneRound:
         result = run_one_round(_RoundRobin(q), db, p=4, compute_answers=False)
         assert result.answers is None
         assert result.answer_count is None
-        assert result.is_complete is None
 
-    def test_incomplete_algorithm_detected(self):
-        """Sum-partitioning a join is wrong; verification must catch it."""
-        q = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
-        db = Database.from_relations(
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_incomplete_algorithm_detected(self, engine):
+        """Sum-partitioning a join or a triangle is wrong; verification
+        must catch it on both of the oracle's paths: the join's
+        fingerprints differ and the set comparison that follows fails, the
+        triangle is compared by answer sets from the start."""
+        join = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
+        join_db = Database.from_relations(
             [
                 Relation.build("S1", [(0, 1), (2, 3)], domain_size=8),
                 Relation.build("S2", [(1, 1), (5, 3)], domain_size=8),
             ]
         )
-        result = run_one_round(_RoundRobin(q), db, p=4, verify=True)
-        assert result.is_complete is False
+        # The one triangle (0, 1, 2): its edges sum to 1, 3 and 2, so no
+        # server receives all three.
+        triangle = triangle_query()
+        triangle_db = Database.from_relations(
+            [
+                Relation.build(name, [edge], domain_size=8)
+                for name, edge in zip(
+                    (atom.name for atom in triangle.atoms),
+                    ((0, 1), (1, 2), (2, 0)),
+                )
+            ]
+        )
+        cases = ((join, join_db, 1), (triangle, triangle_db, 0))
+        for q, db, fallbacks in cases:
+            obs = Observation.create()
+            result = run_rounds(_RoundRobin(q), db, p=4, verify=True,
+                                compute_answers=False, engine=engine, obs=obs)
+            assert result.is_complete is False, q
+            assert result.answer_count == 0, q
+            counter = obs.metrics.counters.get("verify.fallbacks")
+            assert (counter.value if counter else 0) == fallbacks, q
 
     def test_details_from_plan(self):
         q, db = self._single_atom_setup()
@@ -457,12 +482,12 @@ class TestEngineDispatch:
     def test_custom_plan_runs_on_every_engine(self, engine):
         """Plans without a fast batch path use the scalar fallback."""
         q, db = self._setup()
-        result = run_one_round(
+        result = run_rounds(
             _RoundRobin(q), db, p=4, verify=True, engine=engine
         )
         assert result.is_complete
-        assert result.details == {"policy": "round-robin"}
-        assert math.isclose(result.report.replication_rate, 1.0)
+        assert result.rounds[0].details == {"policy": "round-robin"}
+        assert math.isclose(result.replication_rate, 1.0)
 
     def test_scalar_only_plan_reports_agree_across_engines(self):
         """A user plan that writes only ``destinations`` — replication and
@@ -470,7 +495,7 @@ class TestEngineDispatch:
         engines and measures what the scalar reference measures."""
         q, db = self._setup()
         reference, batched = (
-            run_one_round(_Neighbours(q), db, p=4, verify=True, engine=engine)
+            run_one_round(_Neighbours(q), db, p=4, engine=engine)
             for engine in ("reference", "batched")
         )
         assert reference.report.replication_rate == 2.0

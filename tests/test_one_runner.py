@@ -29,6 +29,7 @@ from repro.mpc import (
 )
 from repro.query.families import FAMILIES, cartesian_product_query
 from repro.rounds import run_rounds
+from repro.seq import count_answers
 from repro.stats import HeavyHitterStatistics
 
 P, SEED = 8, 3
@@ -55,15 +56,15 @@ def test_unified_runner_equals_direct_one_round(query_name, key, engine):
     algorithm = plan(query, stats, P, algorithms=[key]).instantiate(key)
     unified = run_rounds(algorithm, db, P, seed=SEED, verify=True,
                          engine=engine)
-    direct = run_one_round(algorithm, db, P, seed=SEED, verify=True,
-                           engine=engine)
+    direct = run_one_round(algorithm, db, P, seed=SEED, engine=engine)
     assert unified.round_count == 1
     assert unified.max_load_bits == direct.max_load_bits
     assert unified.max_load_tuples == direct.max_load_tuples
     assert unified.replication_rate == direct.report.replication_rate
     assert unified.balance == direct.report.balance
     assert unified.answers == direct.answers
-    assert unified.is_complete is direct.is_complete is True
+    assert unified.is_complete is True
+    assert unified.answer_count == count_answers(query, db)
 
 
 class _EverythingToZero(RoutingPlan):

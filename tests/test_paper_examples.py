@@ -75,6 +75,7 @@ from repro.core import (
 from repro.data import single_value_relation, uniform_relation
 from repro.mpc import run_one_round
 from repro.query import simple_join_query, triangle_query
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.stats import HeavyHitterStatistics, SimpleStatistics
 
@@ -110,7 +111,7 @@ class TestExample33:
         q = simple_join_query()
         algo = (HashJoinAlgorithm(q, p) if shares == "hash"
                 else HyperCubeAlgorithm.with_equal_shares(q, p))
-        return run_one_round(algo, db, p, **how)
+        return run_rounds(algo, db, p, **how)
 
     def test_cube_shares_on_skewed_data(self):
         """Shares (p^(1/3))^3: load O(m/p^(1/3)) even under worst skew."""

@@ -40,8 +40,8 @@ from repro.core import (
     saturating_packing_vertices,
 )
 from repro.lp import maximize as exact_maximize
-from repro.mpc import run_one_round
 from repro.query import Atom, ConjunctiveQuery, parse_query, residual_query
+from repro.rounds import run_rounds
 from repro.seq import Database, Relation
 from repro.stats import HeavyHitterStatistics
 
@@ -232,7 +232,7 @@ def test_hypercube_always_complete(data):
     }
     p = math.prod(shares.values())
     algo = HyperCubeAlgorithm(q, shares)
-    result = run_one_round(algo, db, p, verify=True)
+    result = run_rounds(algo, db, p, verify=True)
     assert result.is_complete
 
 
@@ -246,7 +246,7 @@ def test_bin_hypercube_always_complete(data):
     q = data.draw(queries(max_variables=3, max_atoms=2, max_arity=2))
     db = data.draw(small_databases(q, max_m=40, domain=10))  # dense: skew
     p = data.draw(st.sampled_from([2, 4, 8]))
-    result = run_one_round(BinHyperCubeAlgorithm(q), db, p, verify=True)
+    result = run_rounds(BinHyperCubeAlgorithm(q), db, p, verify=True)
     assert result.is_complete
 
 
@@ -270,7 +270,7 @@ def test_skew_join_always_complete(data):
     q = ConjunctiveQuery(atoms, name="rand-join")
     db = data.draw(small_databases(q, max_m=50, domain=8))  # dense: skew
     p = data.draw(st.sampled_from([1, 3, 8]))
-    result = run_one_round(SkewAwareJoin(q), db, p, verify=True)
+    result = run_rounds(SkewAwareJoin(q), db, p, verify=True)
     assert result.is_complete
 
 

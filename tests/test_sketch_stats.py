@@ -11,9 +11,9 @@ from repro.api import Sweep, plan, resolve_statistics
 from repro.api.experiment import Cell, run_cell
 from repro.core import BinHyperCubeAlgorithm, SkewAwareJoin
 from repro.data import zipf_relation
-from repro.mpc import run_one_round
 from repro.obs import Observation
 from repro.query import parse_query
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.sketch import (
     RelationSketchSet,
@@ -348,7 +348,7 @@ class TestPlannerIntegration:
             HeavyHitterStatistics.of(query, zipf_db, p), sketched
         )
         assert report["false_positives"] > 0
-        result = run_one_round(
+        result = run_rounds(
             algorithm(query, stats=sketched), zipf_db, p, verify=True
         )
         assert result.is_complete

@@ -27,6 +27,7 @@ from repro.data import (
 )
 from repro.mpc import HashFamily, run_one_round
 from repro.query import parse_query, simple_join_query, triangle_query
+from repro.rounds import run_rounds
 from repro.seq import Database, Relation
 from repro.stats import BinCombination, HeavyHitterStatistics
 
@@ -183,7 +184,7 @@ class TestAlgorithmCorrectness:
                 uniform_relation("S2", 250, 2000, seed=8),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, p, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, p, verify=True)
         assert result.is_complete
 
     @pytest.mark.parametrize("p", [4, 16])
@@ -195,7 +196,7 @@ class TestAlgorithmCorrectness:
                 zipf_relation("S2", 300, 900, skew=1.3, seed=10),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, p, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, p, verify=True)
         assert result.is_complete
 
     def test_complete_on_single_value(self):
@@ -206,7 +207,7 @@ class TestAlgorithmCorrectness:
                 single_value_relation("S2", 80, 300, seed=12),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
 
     def test_complete_on_one_sided_skew(self):
@@ -220,7 +221,7 @@ class TestAlgorithmCorrectness:
                 uniform_relation("S2", 240, 720, seed=14),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
 
     def test_complete_on_skewed_triangle(self):
@@ -235,7 +236,7 @@ class TestAlgorithmCorrectness:
                 uniform_relation("S3", 150, 200, seed=17),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
 
     def test_complete_with_pair_heavy_hitters(self):
@@ -253,7 +254,7 @@ class TestAlgorithmCorrectness:
                 ),
             ]
         )
-        result = run_one_round(BinHyperCubeAlgorithm(q), db, 8, verify=True)
+        result = run_rounds(BinHyperCubeAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
 
     def test_two_level_overweight_chain(self):
@@ -282,7 +283,7 @@ class TestAlgorithmCorrectness:
         )
         p = 8
         algo = BinHyperCubeAlgorithm(q)
-        result = run_one_round(algo, db, p, verify=True)
+        result = run_rounds(algo, db, p, verify=True)
         assert result.is_complete
         # The plan must contain a combination over two or more variables —
         # the end of the overweight chain.
@@ -304,7 +305,7 @@ class TestAlgorithmCorrectness:
         for db, p, nbcs in [(zipf_db, 8, (0.25, 1.0, 4.0, 64.0)),
                             (_planted_join_db(0.8), 16, (0.25, 1.0, 16.0))]:
             for nbc in nbcs:
-                result = run_one_round(
+                result = run_rounds(
                     BinHyperCubeAlgorithm(q, nbc=nbc), db, p, verify=True
                 )
                 assert result.is_complete, nbc
@@ -374,7 +375,7 @@ class TestStatisticsReuse:
         )
         stats = HeavyHitterStatistics.of(q, db, 8)
         algo = BinHyperCubeAlgorithm(q, stats=stats)
-        result = run_one_round(algo, db, 8, verify=True)
+        result = run_rounds(algo, db, 8, verify=True)
         assert result.is_complete
 
     def test_mismatched_p_rebuilds_statistics(self):
@@ -388,7 +389,7 @@ class TestStatisticsReuse:
         stats = HeavyHitterStatistics.of(q, db, 4)
         algo = BinHyperCubeAlgorithm(q, stats=stats)
         # Run with a different p: the algorithm must rebuild stats for p=16.
-        result = run_one_round(algo, db, 16, verify=True)
+        result = run_rounds(algo, db, 16, verify=True)
         assert result.is_complete
 
 

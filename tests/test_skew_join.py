@@ -19,6 +19,7 @@ from repro.data import (
 from repro.core.skew_join import _mix, _mix_columns
 from repro.mpc import run_one_round
 from repro.query import QueryError, parse_query, simple_join_query, triangle_query
+from repro.rounds import run_rounds
 from repro.seq import Database
 from repro.seq.relation import Batch
 from repro.stats import HeavyHitterStatistics
@@ -95,14 +96,14 @@ class TestCorrectness:
     def test_complete_on_all_skew_profiles(self, kind, p):
         q = simple_join_query()
         db = _join_db(kind)
-        result = run_one_round(SkewAwareJoin(q), db, p, verify=True)
+        result = run_rounds(SkewAwareJoin(q), db, p, verify=True)
         assert result.is_complete, (kind, p)
 
     def test_complete_across_seeds(self):
         q = simple_join_query()
         db = _join_db("zipf", seed=100)
         for seed in range(4):
-            result = run_one_round(SkewAwareJoin(q), db, 8, seed=seed, verify=True)
+            result = run_rounds(SkewAwareJoin(q), db, 8, seed=seed, verify=True)
             assert result.is_complete
 
     def test_multi_variable_join_keys(self):
@@ -117,7 +118,7 @@ class TestCorrectness:
                 uniform_relation("S2", 200, 300, arity=3, seed=6),
             ]
         )
-        result = run_one_round(SkewAwareJoin(q), db, 8, verify=True)
+        result = run_rounds(SkewAwareJoin(q), db, 8, verify=True)
         assert result.is_complete
 
 
@@ -204,7 +205,7 @@ class TestLoadBehaviour:
         q, db, loads = simple_join_query(), _sweep_db(1.5), []
         for factor in (0.5, 1.0, 2.0):
             stats = HeavyHitterStatistics.of(q, db, 32, threshold_factor=factor)
-            result = run_one_round(
+            result = run_rounds(
                 SkewAwareJoin(q, stats=stats), db, 32, verify=True)
             assert result.is_complete, factor
             loads.append(result.max_load_tuples)
