@@ -642,8 +642,8 @@ def execute_cells(
 
     ``None``/1 workers run in-process, a farm of none: one context steps
     through the cells, each coordinate group's one after another in any
-    input order, keeping its builds in ``cache`` when given (the service's
-    sweep jobs pass the server-wide
+    input order, keeping its builds in ``cache`` when given (a service's
+    sweep job passes its job worker's
     :class:`~repro.service.cache.CatalogCache`).  More run the cells on a
     :class:`repro.mpc.farm.Farm` — the process fan-out the sketch pass
     uses too — whose workers each step on a context of

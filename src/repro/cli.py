@@ -97,6 +97,20 @@ _, __getattr__, __dir__ = lazy_exports(globals(), {".api.bench": (
 )})
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on whatever ``sys.stderr`` is when a record is
+    emitted, not on the stream it was when the handler was made (a test's
+    capture, closed by the time a later test logs)."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass
+
+
 def _configure_logging(args: argparse.Namespace) -> None:
     """Wire the ``repro`` logger hierarchy to stderr.
 
@@ -112,7 +126,7 @@ def _configure_logging(args: argparse.Namespace) -> None:
         level = logging.INFO
     root = logging.getLogger("repro")
     if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         root.addHandler(handler)
     root.setLevel(level)
@@ -828,17 +842,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max queued jobs before submissions are "
                             "rejected with HTTP 429 (default %(default)s)")
     serve.add_argument("--job-workers", type=int, default=2,
-                       help="concurrent job worker threads "
-                            "(default %(default)s)")
+                       help="concurrent job workers, each a process with "
+                            "its own catalog cache (default %(default)s)")
     serve.add_argument("--workers", type=int, default=None,
                        help="farm each sweep job's cells across N worker "
-                            "processes (default: in-thread, cached)")
+                            "processes (default: in the job worker, "
+                            "cached)")
     serve.add_argument("--cell-timeout", type=float, default=None,
                        help="per-cell deadline in seconds for sweep jobs; "
                             "late cells are recorded as 'timeout' and "
                             "their worker replaced")
     serve.add_argument("--cache-size", type=int, default=64,
-                       help="per-section catalog cache capacity "
+                       help="per-section catalog cache capacity, split "
+                            "evenly over the job workers "
                             "(default %(default)s)")
     _add_logging_arguments(serve)
     serve.set_defaults(func=cmd_serve)

@@ -1,27 +1,34 @@
 """The one process fan-out: a small farm of fault-isolated workers.
 
-The simulator runs work in real processes in one place — the sweep
-runner's cells (``repro sweep --workers``, the service's sweep jobs) —
-and it runs here.  A :class:`Farm` keeps long-lived worker processes,
-each fed one task at a time over its own pipe, so the parent always knows
-which task a worker holds.  Every task ends in a structured :class:`Outcome`:
+The simulator runs work in real processes in two places, and both run
+here: the sweep runner's cells (``repro sweep --workers``, a served sweep
+job's ``workers``) and the service's job workers (``repro serve
+--job-workers``: one single-worker farm per worker, kept for the server's
+lifetime).  A :class:`Farm` keeps long-lived worker processes, each fed
+one task at a time over its own pipe, so the parent always knows which
+task a worker holds.  Every task ends in a structured :class:`Outcome`:
 
 * ``ok`` — the task function returned; ``value`` is its result;
 * ``error`` — it raised; ``value`` is ``"ExcType: message"`` and the
   worker lives on;
 * ``died`` — its worker process exited mid-task (crash, ``os._exit``, OOM
-  kill); the parent sees the closed pipe and replaces the worker;
+  kill); the parent sees the closed pipe and replaces the worker (one
+  that died while idle is replaced before it is handed a task, so its
+  death costs none);
 * ``timeout`` — no result within the farm's per-task deadline; the worker
   is killed and replaced.
 
 Nothing here hangs on a lost worker, and leaving the ``with`` block joins
 every child (killing those still mid-task), also when the caller raised.
+A farm never left does not hold the interpreter's exit: the exit closes
+its pipes first, so its workers leave before ``multiprocessing`` joins
+them.
 
 The task function is captured when a worker starts: inherited under the
 ``fork`` start method (preferred where the platform has it — plans and
 cells cost nothing to ship), pickled once per worker otherwise.  Workers
-are non-daemonic, so a task may open a farm of its own; none in ``repro``
-does.
+are non-daemonic, so a task may open a farm of its own: a served sweep
+job with ``workers`` opens its cell farm inside its job worker.
 
 This is the only module of ``repro`` that imports ``multiprocessing``
 (``tests/test_layering.py`` holds it to that), and only once a farm is
@@ -30,6 +37,7 @@ made: a command that runs in one process never loads it.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -93,13 +101,32 @@ class _Worker:
     dispatched_at: float = 0.0
 
 
-def _serve(conn: Connection, task: Callable[[object], object]) -> None:
+def _hang_up(workers: list[_Worker]) -> None:
+    """Close the parent's end of every worker's pipe: an idle worker reads
+    EOF and exits, a busy one once its task is done."""
+    for worker in workers:
+        worker.conn.close()
+
+
+def _serve(conn: Connection, task: Callable[[object], object],
+           inherited: Sequence[Connection] = ()) -> None:
     """Worker loop: receive ``(item,)``, answer ``(status, value, seconds)``.
 
     Exceptions are caught *here* and shipped back as structured errors, so
     a poisoned task costs one message, not the worker.  Only a hard crash
-    (or a kill from the parent) loses the process.
+    (or a kill from the parent) loses the process.  ``inherited`` are the
+    parent's pipe ends a fork handed down — this worker's own and its
+    elder siblings': closed first, so that the worker reads EOF once the
+    parent is gone (killed, or exiting with the farm open), and so that
+    no sibling waits on this worker to see the same.
     """
+    if inherited:  # forked
+        # Keep what the fork copied out of this process's collections,
+        # whose traversal writes to, and so copies, every page holding an
+        # object: the worker then shares more of the parent's memory.
+        gc.freeze()
+    for end in inherited:
+        end.close()
     while True:
         try:
             message = conn.recv()
@@ -127,6 +154,7 @@ class Farm:
     def __init__(self, task: Callable[[object], object], workers: int,
                  timeout: float | None = None) -> None:
         import multiprocessing
+        from multiprocessing import util
 
         self._task = task
         self._timeout = timeout
@@ -138,6 +166,9 @@ class Farm:
         for _ in range(check_workers(workers)):
             if not self._spawn() and not self._workers:
                 raise FarmUnavailable("no worker process could be started")
+        # Run at exit before ``multiprocessing`` joins its children, which
+        # would otherwise wait on workers blocked reading an open pipe.
+        util.Finalize(self, _hang_up, args=(self._workers,), exitpriority=0)
 
     def __enter__(self) -> "Farm":
         return self
@@ -171,8 +202,13 @@ class Farm:
                 each(index, outcomes[index])
 
         while pending or any(w.index is not None for w in self._workers):
-            for worker in self._workers:
+            for worker in list(self._workers):
                 if worker.index is None and pending:
+                    if not worker.process.is_alive():  # died while idle
+                        self._retire(worker, kill=False)
+                        if not self._spawn():
+                            continue
+                        worker = self._workers[-1]
                     worker.index = pending.popleft()
                     worker.dispatched_at = time.perf_counter()
                     try:
@@ -218,8 +254,12 @@ class Farm:
     def _spawn(self) -> bool:
         """Start one more worker; False when the platform refuses."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn, *(w.conn for w in self._workers)]
         process = self._ctx.Process(
-            target=_serve, args=(child_conn, self._task), daemon=False
+            target=_serve, args=(child_conn, self._task, inherited),
+            daemon=False,
         )
         try:
             process.start()

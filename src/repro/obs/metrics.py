@@ -10,7 +10,8 @@ per-cell wall clock and queue wait.  Three instrument kinds:
 * :class:`Histogram` — reports count/min/max/mean of every observation
   and nearest-rank percentiles (p50/p90/p99) of the ones it keeps: all of
   them, or the newest ``window`` in a long-lived process's registry;
-  merges by concatenation, so per-worker histograms aggregate exactly.
+  merges by concatenation (a windowed one's count, total, min and max
+  travel with its window), so per-worker histograms aggregate exactly.
 
 :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge_snapshot`
 round-trip through plain JSON-ready dicts — that is how every sweep cell,
@@ -101,6 +102,22 @@ class Histogram:
         if self.window is not None and len(self.values) > self.window:
             del self.values[:-self.window]
 
+    def absorb(self, values: Iterable[float], count: int, total: float,
+               least: float, most: float) -> None:
+        """Fold in another histogram's observations: the ``values`` it
+        kept, and the ``count``, ``total``, min and max of all of them."""
+        if not count:
+            return
+        if not self.count or least < self._least:
+            self._least = least
+        if not self.count or most > self._most:
+            self._most = most
+        self.count += count
+        self.total += total
+        self.values.extend(values)
+        if self.window is not None and len(self.values) > self.window:
+            del self.values[:-self.window]
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -146,7 +163,8 @@ class MetricsRegistry:
     """Named instruments, created on first touch, mergeable across runs.
 
     ``window``, when given, is every histogram's (:class:`Histogram`): a
-    windowed registry snapshots and merges each histogram's window only.
+    windowed registry snapshots each histogram's window, and the count,
+    total, min and max of all it observed.
     """
 
     def __init__(self, window: int | None = None) -> None:
@@ -187,8 +205,11 @@ class MetricsRegistry:
     # -- aggregation -----------------------------------------------------
     def snapshot(self) -> dict:
         """A picklable/JSON-ready full-fidelity dump (histogram values
-        included), for shipping across process boundaries."""
-        return {
+        included), for shipping across process boundaries.  A histogram
+        whose window dropped observations also ships the count, total,
+        min and max of all of them, under ``"windowed"``, so that a merge
+        keeps those exact."""
+        snapshot = {
             "counters": {k: c.value for k, c in self._counters.items()},
             "gauges": {
                 k: g.value for k, g in self._gauges.items()
@@ -198,6 +219,13 @@ class MetricsRegistry:
                 k: list(h.values) for k, h in self._histograms.items()
             },
         }
+        windowed = {
+            k: [h.count, h.total, h.min, h.max]
+            for k, h in self._histograms.items() if h.count > len(h.values)
+        }
+        if windowed:
+            snapshot["windowed"] = windowed
+        return snapshot
 
     def merge_snapshot(self, snapshot: Mapping[str, Mapping]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) in."""
@@ -205,8 +233,12 @@ class MetricsRegistry:
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
+        windowed = snapshot.get("windowed", {})
         for name, values in snapshot.get("histograms", {}).items():
-            self.histogram(name).extend(values)
+            if name in windowed:
+                self.histogram(name).absorb(values, *windowed[name])
+            else:
+                self.histogram(name).extend(values)
 
     def to_dict(self) -> dict:
         """The JSON-ready digest attached to records and printed by

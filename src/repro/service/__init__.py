@@ -5,14 +5,15 @@ the ROADMAP's "planner-as-a-service" first step.  Three layers:
 
 1. :mod:`repro.service.jobs` — :class:`JobQueue`, a bounded
    submit/status/result/cancel queue with explicit
-   :class:`BackpressureError` rejection.  Its sweep jobs run through the
+   :class:`BackpressureError` rejection, drained by job workers that each
+   run their jobs in a process of their own.  Its sweep jobs run through the
    library's fault-isolated executor, :func:`repro.api.execute_cells`
    (structured ``failed:``/``timeout`` records, per-cell deadlines,
    worker replacement), re-exported here.
 2. :mod:`repro.service.cache` — :class:`CatalogCache`, LRU sections for
    catalog builds (database + heavy-hitter/sketch statistics) and ranked
    plans, keyed on the :class:`repro.api.Catalog` value and instrumented
-   through :mod:`repro.obs`.
+   through :mod:`repro.obs`; one per job worker.
 3. :mod:`repro.service.server` / :mod:`repro.service.client` —
    :class:`ReproService` (the stdlib HTTP server behind ``repro serve``)
    and :class:`ServiceClient` (behind ``repro submit``).

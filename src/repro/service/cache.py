@@ -3,10 +3,11 @@
 The cache keys on the :class:`repro.api.Catalog` value itself (its query
 text as the parser prints it), so two requests that describe the same
 catalog — whatever their job kind, key order or spacing — address the
-same slot.  "Communication Cost in Parallel Query Processing"
-(PAPERS.md) is the motivation: statistics and plans are the expensive,
-reusable halves of a request, so a long-lived server should compute them
-once per catalog, not once per process.
+same slot.  A server holds one per job worker, in that worker's process
+(:mod:`repro.service.jobs`).  "Communication Cost in Parallel Query
+Processing" (PAPERS.md) is the motivation: statistics and plans are the
+expensive, reusable halves of a request, so a long-lived server should
+compute them once per catalog, not once per process.
 
 :class:`CatalogCache` keeps LRU sections behind one lock and reports every
 lookup through the observability layer; what goes into which section, and
@@ -32,11 +33,13 @@ from ..obs import Observation
 class CatalogCache:
     """Bounded LRU sections for catalog builds and plans.
 
-    Thread-safe: the server's job workers and HTTP handlers share one
-    instance.  The builder runs *outside* the lock, so a slow statistics
+    Thread-safe: a service's job worker uses its own from one thread, but
+    a caller of :func:`repro.api.execute_cells` may share one between
+    threads.  The builder runs *outside* the lock, so a slow statistics
     pass never blocks unrelated lookups; if two threads race on the same
     key, both build and the second result wins (builds are deterministic,
-    so the duplicates are identical).
+    so the duplicates are identical).  ``obs`` is where lookups are
+    counted; a job worker points it at the job it is running.
     """
 
     def __init__(self, capacity: int = 64,
@@ -53,11 +56,6 @@ class CatalogCache:
     def __len__(self) -> int:
         with self._lock:
             return sum(len(entries) for entries in self._sections.values())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def _count(self, section: str, hit: bool) -> None:
         outcome = "hit" if hit else "miss"

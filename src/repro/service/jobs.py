@@ -1,15 +1,31 @@
 """The service's async job queue.
 
 :class:`JobQueue` is a bounded submit/status/result/cancel queue over
-``plan``, ``stats`` and ``sweep`` jobs, drained by daemon worker threads
-inside a long-lived ``repro serve`` process.  A full queue rejects with
-:class:`BackpressureError` (the server maps it to HTTP 429) instead of
-buffering without bound.  All three kinds build ``(query, database,
-statistics)`` from a :class:`repro.api.Catalog` through the executor's
+``plan``, ``stats`` and ``sweep`` jobs inside a long-lived ``repro serve``
+process.  A full queue rejects with :class:`BackpressureError` (the server
+maps it to HTTP 429) instead of buffering without bound.
+
+Each job worker is a thread of the server and a process of its own: the
+thread takes a job off the queue and hands it to a one-worker
+:class:`~repro.mpc.farm.Farm`, which runs it and answers with the result.
+So two workers compute on two cores instead of taking turns on one
+interpreter lock, while the job table and the HTTP front stay in the
+server process.  The farms are started with the queue, before any of its
+threads and before the server binds its socket, so that no worker
+inherits a lock another thread holds, or the listening socket.  A worker
+that dies fails the job it held (``worker-died: ...``) and the farm
+replaces it — the one fork made while the server's threads run, whose
+child holds the listening socket until the queue shuts down.  Where no
+process can be started, the thread runs the same jobs itself.
+
+All three kinds build ``(query, database, statistics)`` from a
+:class:`repro.api.Catalog` through the executor's
 :class:`~repro.api.experiment.SharedContext` — which says what is kept
-under which key — over one shared
+under which key — over the worker's own
 :class:`~repro.service.cache.CatalogCache`, so the second request on a
-catalog, of any kind, is a cache hit, not a rebuild.
+catalog that a worker has served, of any kind, is a cache hit there, not
+a rebuild.  ``cache_capacity`` is the server's total, split evenly over
+the workers.
 
 A caller that wants a job's outcome waits on the queue, not on a clock:
 one :class:`threading.Condition` on the queue's lock is notified whenever
@@ -19,27 +35,35 @@ returns a job's status document as soon as that happens or its timeout
 passes.  One condition for the queue, not one event per job, so a
 retained job costs no more than its record.
 
-Observability (all through the existing :mod:`repro.obs` layer):
-``service.queue.depth`` gauge, ``service.jobs.*`` counters,
-``service.job.seconds`` spans per job, the cell executor's ``sweep.*``
-metrics, a ``records.serialize`` span per sweep job, and the cache's
-``service.cache.{hit,miss}`` counters.
+Observability (all through the existing :mod:`repro.obs` layer): a job
+runs under an observation of its own in its worker, which answers with a
+snapshot of its registry — the ``service.job.seconds`` span, the cell
+executor's ``sweep.*`` metrics, a ``records.serialize`` span per sweep
+job, the cache's ``service.cache.{hit,miss}`` counters — and the thread
+merges it into the queue's registry, which also holds the
+``service.queue.depth`` gauge and the ``service.jobs.*`` counters.  A job
+that raised answers with no snapshot.  With each job a worker reports its
+cache's size and its process's LP memo counts; summed over the workers
+they are the gauges ``service.cache.entries`` and
+``lp.cache.{hits,misses,entries}``.
 
 The process is long-lived, so nothing here grows with its uptime: the
 queue keeps the newest :data:`RETAINED_JOBS` finished jobs, each job runs
-under a tracer of its own (the metrics registry is the queue's), so its
-spans go when it is done, and the registry's histograms count every
-observation but keep only the newest :data:`METRICS_WINDOW` for their
-percentiles (:func:`service_observation`).
+under a tracer of its own, so its spans go when it is done, and the
+registry's histograms count every observation but keep only the newest
+:data:`METRICS_WINDOW` for their percentiles (:func:`service_observation`).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import os
 import queue
 import threading
 import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..api.experiment import (
@@ -49,7 +73,8 @@ from ..api.experiment import (
     Sweep,
     execute_cells,
 )
-from ..mpc.farm import check_workers
+from ..lp import enumerate_vertices, maximize
+from ..mpc.farm import Farm, FarmUnavailable, attempt, check_workers
 from ..obs import MetricsRegistry, Observation
 from .cache import CatalogCache
 
@@ -132,24 +157,118 @@ class Job:
         return self.state in TERMINAL_STATES
 
 
+class _JobRunner:
+    """What a job worker's process runs: one job at a time, against a
+    catalog cache of its own.  The cache is made by the first job, so the
+    runner the server holds — and every worker forked from it, a
+    replacement included — starts empty and holds no lock."""
+
+    def __init__(self, capacity: int, cell_workers: int | None,
+                 cell_timeout: float | None) -> None:
+        self.capacity = capacity
+        self.cell_workers = cell_workers
+        self.cell_timeout = cell_timeout
+        self.cache: CatalogCache | None = None
+
+    def __call__(self, item: tuple[str, dict, str]) -> tuple:
+        """``(result, snapshot, report)`` of the job ``(kind, spec, id)``:
+        its result, its registry's snapshot, and the worker's own state —
+        its process id, its cache's entries and its LP memo counts."""
+        kind, spec, job_id = item
+        obs = service_observation()
+        if self.cache is None:
+            self.cache = CatalogCache(self.capacity)
+        self.cache.obs = obs  # the cache counts into the job looking it up
+        with obs.timed("service.job", kind=kind, job=job_id):
+            if kind == "plan":
+                result = self._run_plan(spec, obs)
+            elif kind == "stats":
+                result = self._run_stats(spec, obs)
+            else:
+                result = self._run_sweep(spec, obs)
+        memos = (maximize.cache_info(), enumerate_vertices.cache_info())
+        report = {
+            "pid": os.getpid(),
+            "cache_entries": len(self.cache),
+            "lp": tuple(sum(getattr(memo, name) for memo in memos)
+                        for name in ("hits", "misses", "currsize")),
+        }
+        return result, obs.metrics.snapshot(), report
+
+    def _run_plan(self, spec: dict, obs: Observation) -> dict:
+        # What an ``auto`` cell on the catalog plans at a round budget of 1.
+        catalog = Catalog.from_spec(spec).canonical()
+        return SharedContext(self.cache).plan(catalog, obs)[1].to_dict()
+
+    def _run_stats(self, spec: dict, obs: Observation) -> dict:
+        catalog = Catalog.from_spec(spec).canonical()
+        query, db, stats = SharedContext(self.cache).build(catalog, obs)
+        echo = catalog.to_spec()
+        return {
+            "query": str(query),
+            "p": catalog.p,
+            "method": catalog.stats,
+            "workload": {name: echo[name] for name in
+                         ("workload", "m", "skew", "seed", "domain")},
+            "relations": {
+                atom.name: db.relation(atom.name).cardinality
+                for atom in query.atoms
+            },
+            "total_heavy_count": stats.total_heavy_count(),
+            "heavy_hitters": {
+                f"{atom}[{','.join(subset)}]": len(heavy)
+                for (atom, subset), heavy in stats.hitters.items()
+            },
+        }
+
+    def _run_sweep(self, spec: dict, obs: Observation) -> dict:
+        records = execute_cells(
+            Sweep.from_spec(spec).cells(),
+            max_workers=spec.get("workers", self.cell_workers),
+            cell_timeout=spec.get("cell_timeout", self.cell_timeout),
+            obs=obs,
+            cache=self.cache,
+        )
+        with obs.timed("records.serialize", records=len(records)):
+            rendered = [record.to_dict() for record in records]
+        return {
+            "count": len(records),
+            "failed": sum(1 for record in records if not record.ok),
+            "records": rendered,
+        }
+
+
+@dataclass
+class _Lane:
+    """One job worker as the server sees it: the runner its process runs,
+    the farm that process lives in (None where no process could be
+    started: the thread runs the runner itself), and the worker's last
+    report (None until its first job, and again once it died)."""
+
+    runner: _JobRunner
+    farm: Farm | None
+    report: dict | None = None
+
+
 class JobQueue:
-    """A bounded async job queue with worker threads and backpressure.
+    """A bounded async job queue with worker processes and backpressure.
 
     ``queue_size`` bounds the number of *queued* (not yet running) jobs;
     :meth:`submit` on a full queue raises :class:`BackpressureError`
-    immediately.  ``workers`` threads drain the queue (``workers=0``
-    leaves it paused — jobs queue up and can be cancelled, which is what
-    the backpressure tests use).  ``cell_workers``/``cell_timeout``
-    configure the fault-isolated cell farm each sweep job executes
-    through, whose processes never see the shared
-    :class:`~repro.service.cache.CatalogCache` all else runs against.
+    immediately.  ``workers`` job workers drain the queue, each a thread
+    feeding a process of its own with a ``cache_capacity // workers``-entry
+    catalog cache (``workers=0`` leaves it paused — jobs queue up and can
+    be cancelled, which is what the backpressure tests use).
+    ``cell_workers``/``cell_timeout`` configure the fault-isolated cell
+    farm each sweep job executes through, whose processes never see their
+    job worker's :class:`~repro.service.cache.CatalogCache`.
     """
 
     def __init__(
         self,
         queue_size: int = 32,
         workers: int = 2,
-        cache: CatalogCache | None = None,
+        cache_capacity: int = 64,
         obs: Observation | None = None,
         cell_workers: int | None = None,
         cell_timeout: float | None = None,
@@ -160,26 +279,39 @@ class JobQueue:
             )
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
+        if cache_capacity < 1:
+            raise ServiceError(
+                f"cache_capacity must be >= 1, got {cache_capacity}"
+            )
         if cell_workers is not None:
             check_workers(cell_workers)
         self.obs = obs if obs is not None else service_observation()
-        self.cache = cache if cache is not None else CatalogCache(
-            obs=self.obs
-        )
-        self.cell_workers = cell_workers
-        self.cell_timeout = cell_timeout
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._jobs: dict[str, Job] = {}
+        # Finished job ids, oldest first: the retention order.
+        self._finished: deque[str] = deque()
         self._lock = threading.Lock()
         # Notified, under the lock, each time a job turns terminal.
         self._settled = threading.Condition(self._lock)
         self._closed = False
+        # Every worker process is forked here, before any thread starts.
+        self._lanes = []
+        for _ in range(workers):
+            runner = _JobRunner(max(1, cache_capacity // workers),
+                                cell_workers, cell_timeout)
+            try:
+                farm = Farm(runner, 1)
+            except FarmUnavailable as exc:
+                _LOG.warning("job worker runs in the server process: %s",
+                             exc)
+                farm = None
+            self._lanes.append(_Lane(runner, farm))
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, name=f"repro-job-worker-{i}",
-                daemon=True,
+                target=self._worker_loop, args=(lane,),
+                name=f"repro-job-worker-{i}", daemon=True,
             )
-            for i in range(workers)
+            for i, lane in enumerate(self._lanes)
         ]
         for thread in self._threads:
             thread.start()
@@ -244,8 +376,7 @@ class JobQueue:
         with self._lock:
             if job.state != "queued":
                 return False
-            job.state = "cancelled"
-            job.finished_at = time.time()
+            self._settle(job, "cancelled")
             self.obs.count("service.jobs.cancelled")
             self._settled.notify_all()
         _LOG.info("job %s cancelled", job.id)
@@ -271,107 +402,96 @@ class JobQueue:
             )
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker threads (queued jobs are left cancelled)."""
+        """Stop the job workers (queued jobs are left cancelled); with
+        ``wait``, return once their threads and processes are gone —
+        also when another caller began the shutdown."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for job in self._jobs.values():
-                if job.state == "queued":
-                    job.state = "cancelled"
-                    job.finished_at = time.time()
-            self._settled.notify_all()
-        for _ in self._threads:
-            self._queue.put(None)
+            first = not self._closed
+            if first:
+                self._closed = True
+                for job in list(self._jobs.values()):
+                    if job.state == "queued":
+                        self._settle(job, "cancelled")
+                self._settled.notify_all()
+        if first:
+            for _ in self._threads:
+                self._queue.put(None)
         if wait:
             for thread in self._threads:
                 thread.join(timeout=30)
 
     # -- the worker side ------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            self.obs.set_gauge("service.queue.depth", self._queue.qsize())
-            with self._lock:
-                if job.state != "queued":  # cancelled while waiting
-                    continue
-                job.state = "running"
-                job.started_at = time.time()
-            _LOG.info("job %s running (%s)", job.id, job.kind)
-            result, error = None, None
-            try:
-                result = self._run(job)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            outcome = "done" if error is None else "failed"
-            # One critical section, state last: a status poll never sees
-            # a finished job without its finished_at/result/error, and a
-            # waiter it wakes finds the job counted.
-            with self._lock:
-                job.result, job.error = result, error
-                job.finished_at = time.time()
-                job.state = outcome
-                finished = [key for key, old in self._jobs.items()
-                            if old.terminal]
-                for key in finished[:-RETAINED_JOBS]:
-                    del self._jobs[key]
-                self.obs.count(f"service.jobs.{outcome}")
-                self.obs.count(f"service.jobs.{outcome}.{job.kind}")
-                self._settled.notify_all()
-            if error is None:
-                _LOG.info("job %s done", job.id)
-            else:
-                _LOG.warning("job %s failed: %s", job.id, error)
+    def _settle(self, job: Job, state: str) -> None:
+        """Under the lock: end ``job`` in ``state`` and retain it, forgetting
+        the oldest finished job past :data:`RETAINED_JOBS`."""
+        job.finished_at = time.time()
+        job.state = state
+        self._finished.append(job.id)
+        while len(self._finished) > RETAINED_JOBS:
+            del self._jobs[self._finished.popleft()]
 
-    def _run(self, job: Job) -> object:
-        obs = Observation(metrics=self.obs.metrics)
-        with obs.timed("service.job", kind=job.kind, job=job.id):
-            if job.kind == "plan":
-                return self._run_plan(job.spec, obs)
-            if job.kind == "stats":
-                return self._run_stats(job.spec, obs)
-            return self._run_sweep(job.spec, obs)
+    def _worker_loop(self, lane: _Lane) -> None:
+        # Leaving the loop closes the farm: its process is joined.
+        with lane.farm if lane.farm is not None else nullcontext():
+            while True:
+                job = self._queue.get()
+                if job is None:
+                    return
+                self.obs.set_gauge("service.queue.depth",
+                                   self._queue.qsize())
+                with self._lock:
+                    if job.state != "queued":  # cancelled while waiting
+                        continue
+                    job.state = "running"
+                    job.started_at = time.time()
+                _LOG.info("job %s running (%s)", job.id, job.kind)
+                try:
+                    result, error = self._run(job, lane)
+                except Exception as exc:
+                    result, error = None, f"{type(exc).__name__}: {exc}"
+                outcome = "done" if error is None else "failed"
+                # One critical section, state last: a status poll never
+                # sees a finished job without its finished_at/result/error,
+                # and a waiter it wakes finds the job counted.
+                with self._lock:
+                    job.result, job.error = result, error
+                    self._settle(job, outcome)
+                    self.obs.count(f"service.jobs.{outcome}")
+                    self.obs.count(f"service.jobs.{outcome}.{job.kind}")
+                    self._settled.notify_all()
+                if error is None:
+                    _LOG.info("job %s done", job.id)
+                else:
+                    _LOG.warning("job %s failed: %s", job.id, error)
 
-    def _run_plan(self, spec: dict, obs: Observation) -> dict:
-        # What an ``auto`` cell on the catalog plans at a round budget of 1.
-        catalog = Catalog.from_spec(spec).canonical()
-        return SharedContext(self.cache).plan(catalog, obs)[1].to_dict()
+    def _run(self, job: Job, lane: _Lane) -> tuple[object, str | None]:
+        """``(result, None)`` of ``job`` run by ``lane``'s worker, or
+        ``(None, error)``.  What the worker answers with is merged into the
+        queue's registry before the job is settled."""
+        item = (job.kind, job.spec, job.id)
+        if lane.farm is None:
+            outcome = attempt(lane.runner, item)
+        else:
+            (outcome,) = lane.farm.map([item])
+        if outcome.status == "died":  # replaced empty by the farm
+            lane.report = None
+            self._report_gauges()
+            return None, f"worker-died: {outcome.value}"
+        if not outcome.ok:
+            return None, outcome.value
+        result, snapshot, lane.report = outcome.value
+        self.obs.metrics.merge_snapshot(snapshot)
+        self._report_gauges()
+        return result, None
 
-    def _run_stats(self, spec: dict, obs: Observation) -> dict:
-        catalog = Catalog.from_spec(spec).canonical()
-        query, db, stats = SharedContext(self.cache).build(catalog, obs)
-        echo = catalog.to_spec()
-        return {
-            "query": str(query),
-            "p": catalog.p,
-            "method": catalog.stats,
-            "workload": {name: echo[name] for name in
-                         ("workload", "m", "skew", "seed", "domain")},
-            "relations": {
-                atom.name: db.relation(atom.name).cardinality
-                for atom in query.atoms
-            },
-            "total_heavy_count": stats.total_heavy_count(),
-            "heavy_hitters": {
-                f"{atom}[{','.join(subset)}]": len(heavy)
-                for (atom, subset), heavy in stats.hitters.items()
-            },
-        }
-
-    def _run_sweep(self, spec: dict, obs: Observation) -> dict:
-        records = execute_cells(
-            Sweep.from_spec(spec).cells(),
-            max_workers=spec.get("workers", self.cell_workers),
-            cell_timeout=spec.get("cell_timeout", self.cell_timeout),
-            obs=obs,
-            cache=self.cache,
-        )
-        with obs.timed("records.serialize", records=len(records)):
-            rendered = [record.to_dict() for record in records]
-        return {
-            "count": len(records),
-            "failed": sum(1 for record in records if not record.ok),
-            "records": rendered,
-        }
+    def _report_gauges(self) -> None:
+        """The workers' reports, summed: their caches' entries, and the LP
+        memos of their processes (each process counted once)."""
+        reports = [lane.report for lane in self._lanes
+                   if lane.report is not None]
+        self.obs.set_gauge("service.cache.entries",
+                           sum(report["cache_entries"] for report in reports))
+        memos = {report["pid"]: report["lp"] for report in reports}
+        for index, name in enumerate(("hits", "misses", "entries")):
+            self.obs.set_gauge(f"lp.cache.{name}",
+                               sum(memo[index] for memo in memos.values()))

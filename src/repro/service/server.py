@@ -27,8 +27,9 @@ method       path                       semantics
 ===========  =========================  =====================================
 
 The server is threaded (``ThreadingHTTPServer``): handlers only touch the
-job table, so many concurrent clients can poll while the queue's worker
-threads grind through jobs.  Heavy work never runs in a handler; a handler
+job table, so many concurrent clients can poll while the queue's job
+workers — each a thread of this process feeding a process of its own —
+grind through jobs.  Heavy work never runs in a handler; a handler
 may *wait* for a job, on the queue's condition and for at most
 :data:`REPLY_WAIT_S`, so that a job that finishes within that bound is
 answered when it finishes rather than on the client's next poll
@@ -54,9 +55,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
-from ..lp import enumerate_vertices, maximize
 from ..obs import Observation
-from .cache import CatalogCache
 from .jobs import (
     TERMINAL_STATES, BackpressureError, JobQueue, ServiceError,
     service_observation,
@@ -237,7 +236,7 @@ class _Server(ThreadingHTTPServer):
 
 
 class ReproService:
-    """One server process: a job queue, a catalog cache, an HTTP front.
+    """One server process: a job queue, its job workers, an HTTP front.
 
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`address`) — what the tests use to avoid collisions.
@@ -255,11 +254,11 @@ class ReproService:
         obs: Observation | None = None,
     ) -> None:
         self.obs = obs if obs is not None else service_observation()
-        self.cache = CatalogCache(capacity=cache_capacity, obs=self.obs)
+        # Forks the job workers: before the socket below is bound.
         self.queue = JobQueue(
             queue_size=queue_size,
             workers=job_workers,
-            cache=self.cache,
+            cache_capacity=cache_capacity,
             obs=self.obs,
             cell_workers=cell_workers,
             cell_timeout=cell_timeout,
@@ -279,23 +278,26 @@ class ReproService:
         return f"http://{host}:{port}"
 
     def health(self) -> dict:
+        """Job-state counts, and the job workers' caches as they reported
+        them: entries now, hits over lookups since the start."""
         states: dict[str, int] = {}
         for job in self.queue.jobs():
             states[job["state"]] = states.get(job["state"], 0) + 1
+        counters = self.obs.metrics.counters
+        hits, misses = (counters[name].value if name in counters else 0
+                        for name in ("service.cache.hit",
+                                     "service.cache.miss"))
+        entries = self.obs.metrics.gauges.get("service.cache.entries")
         return {
             "state": "ok",
             "jobs": states,
-            "cache_entries": len(self.cache),
-            "cache_hit_rate": self.cache.hit_rate,
+            "cache_entries": int(entries.value) if entries else 0,
+            "cache_hit_rate": hits / (hits + misses) if hits + misses
+            else 0.0,
         }
 
     def metrics(self) -> dict:
-        """The registry's digest, the LP memo's gauges read as it is made."""
-        memos = (maximize.cache_info(), enumerate_vertices.cache_info())
-        for gauge, field in (("hits", "hits"), ("misses", "misses"),
-                             ("entries", "currsize")):
-            self.obs.set_gauge(f"lp.cache.{gauge}",
-                               sum(getattr(memo, field) for memo in memos))
+        """The registry's digest (the job workers' metrics merged in)."""
         return self.obs.metrics.to_dict()
 
     def serve_forever(self) -> None:
@@ -316,11 +318,13 @@ class ReproService:
         return thread
 
     def shutdown(self) -> None:
-        if self._shutdown_started:
-            return
-        self._shutdown_started = True
-        self._server.shutdown()
-        self._server.close_connections()
+        """Stop serving, close every connection, and stop the job workers:
+        their processes are gone when this returns."""
+        if not self._shutdown_started:
+            self._shutdown_started = True
+            self._server.shutdown()
+            self._server.close_connections()
+        self.queue.shutdown(wait=True)
 
     def shutdown_async(self) -> None:
         """Shut down from inside a request handler without deadlocking

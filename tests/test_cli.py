@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -565,3 +566,22 @@ class TestUnwritableDestinations:
         with pytest.raises(SystemExit, match="cannot parse query"):
             main(["sweep", "garbage", "--output", str(target), "-q"])
         assert target.read_text() == "kept"
+
+
+class TestLogging:
+    def test_each_call_logs_to_the_stderr_it_runs_under(self, monkeypatch):
+        """The ``repro`` handler writes to ``sys.stderr`` as it is when a
+        record is emitted: the first call's stream, closed since, is never
+        written to again."""
+        argv = ["sweep", "q(x,y,z) :- S1(x,z), S2(y,z)", "--workload", "zipf",
+                "--m", "40", "--p", "4", "--algorithms", "hashjoin",
+                "--format", "summary"]
+        logs = []
+        for stream in (io.StringIO(), io.StringIO()):
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert main(argv) == 0
+            logs.append(stream.getvalue())
+            stream.close()
+        for log in logs:
+            assert "cell 1/1: hashjoin" in log
+            assert "Logging error" not in log

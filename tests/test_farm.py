@@ -12,10 +12,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     AlgorithmSpec,
     Sweep,
@@ -122,6 +126,33 @@ class TestFarm:
             assert len(multiprocessing.active_children()) == 3
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_died_idle_costs_no_task(self):
+        with Farm(_task, 1) as farm:
+            assert farm.map([1])[0].value == 2
+            (worker,) = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGKILL)
+            while worker.is_alive():
+                time.sleep(0.01)
+            outcomes = farm.map([2, 3])
+            assert [(o.status, o.value) for o in outcomes] == \
+                [("ok", 4), ("ok", 6)]
+            (replacement,) = multiprocessing.active_children()
+            assert replacement.pid != worker.pid
+
+    def test_a_farm_never_left_does_not_hold_the_exit(self):
+        """A process that exits with a farm still open (a long-lived one,
+        say) exits: its idle workers are not joined while they wait on a
+        pipe the exit has yet to close."""
+        program = ("from repro.mpc.farm import Farm; "
+                   "farm = Farm(abs, 2); print(farm.map([-3])[0].value)")
+        done = subprocess.run(
+            [sys.executable, "-c", program], text=True, capture_output=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH":
+                 os.path.dirname(os.path.dirname(repro.__file__))},
+        )
+        assert (done.returncode, done.stdout) == (0, "3\n"), done.stderr
+
     def test_no_startable_worker_is_one_exception_type(self, monkeypatch):
         monkeypatch.setattr(Farm, "_spawn", lambda self: False)
         with pytest.raises(FarmUnavailable):
@@ -178,9 +209,22 @@ class HangAlgorithm(DieAlgorithm):
         time.sleep(300)
 
 
+class StallAlgorithm(DieAlgorithm):
+    """Passes planning, makes the file :attr:`marker` (set before the
+    worker forks), then sleeps past any deadline."""
+
+    marker = ""
+
+    def routing_plan(self, db, p, hashes):
+        Path(StallAlgorithm.marker).touch()
+        time.sleep(300)
+
+
 @pytest.fixture
 def die_registry():
-    for key, cls in (("die", DieAlgorithm), ("hang", HangAlgorithm)):
+    casualties = (("die", DieAlgorithm), ("hang", HangAlgorithm),
+                  ("stall", StallAlgorithm))
+    for key, cls in casualties:
         register(AlgorithmSpec(
             key=key, algorithm_class=cls,
             factory=lambda query, stats, p, cls=cls: cls(query),
@@ -189,8 +233,8 @@ def die_registry():
     try:
         yield
     finally:
-        unregister("die")
-        unregister("hang")
+        for key, _ in casualties:
+            unregister(key)
 
 
 def measurements(record):
@@ -304,6 +348,44 @@ class TestServedSweepChaos:
                                   {**spec, "algorithms": ["hashjoin"]})
             assert client.wait(after["id"])["state"] == "done"
             assert client.result(after["id"])["result"]["failed"] == 0
+        finally:
+            client.close()
+            service.shutdown()
+
+    def test_a_job_worker_killed_mid_job_fails_that_job_only(
+        self, die_registry, monkeypatch, tmp_path
+    ):
+        """SIGKILL the process of the one job worker while it runs a sweep
+        job: that job is ``failed`` with the farm's ``died`` message, the
+        next job runs on the replacement, and the service stays healthy."""
+        marker = tmp_path / "routing"
+        monkeypatch.setattr(StallAlgorithm, "marker", str(marker))
+        service = ReproService(port=0, job_workers=1)
+        service.serve_in_background()
+        client = ServiceClient(service.url, timeout=30.0)
+        spec = {
+            "query": JOIN_TEXT, "workload": "zipf", "p_values": [4],
+            "m_values": [50], "skews": [0.0], "algorithms": ["stall"],
+        }
+        try:
+            (worker,) = multiprocessing.active_children()
+            job = client.submit("sweep", spec)
+            while not marker.exists():
+                time.sleep(0.01)
+            os.kill(worker.pid, signal.SIGKILL)
+            final = client.wait(job["id"])
+            assert final["state"] == "failed"
+            assert final["error"] == (
+                f"worker-died: its worker exited with code {-signal.SIGKILL}")
+            after = client.submit("sweep",
+                                  {**spec, "algorithms": ["hashjoin"]})
+            assert client.wait(after["id"])["state"] == "done"
+            assert client.result(after["id"])["result"]["failed"] == 0
+            (replacement,) = multiprocessing.active_children()
+            assert replacement.pid != worker.pid
+            health = client.health()
+            assert health["state"] == "ok"
+            assert health["jobs"] == {"failed": 1, "done": 1}
         finally:
             client.close()
             service.shutdown()

@@ -160,8 +160,9 @@ def test_there_is_one_process_fan_out():
 
 
 def test_processes_enter_above_the_engines():
-    """A farm is opened for sweep cells, nowhere else: an engine simulates
-    its round, and the sketch pass runs, in the calling process."""
+    """A farm is opened for sweep cells and for the service's job workers,
+    nowhere else: an engine simulates its round, and the sketch pass runs,
+    in the calling process."""
     openers, sketch_farm_imports = [], []
     for name, tree in _modules():
         if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -172,7 +173,7 @@ def test_processes_enter_above_the_engines():
                 (name, module) for module in _imported_names(tree)
                 if ".mpc.farm." in f".{module}."
             ]
-    assert openers == ["api/experiment.py"]
+    assert openers == ["api/experiment.py", "service/jobs.py"]
     assert sketch_farm_imports == []
 
 

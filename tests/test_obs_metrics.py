@@ -135,6 +135,19 @@ class TestRegistry:
         assert target.gauge("skew").value == 1.5
         assert target.histogram("load").values == [4.0, 8.0]
 
+    def test_a_windowed_snapshot_merges_every_observation_it_counted(self):
+        """A service job runs under a windowed registry and answers with
+        its snapshot: what the window dropped still counts where it is
+        merged."""
+        source, target = MetricsRegistry(window=4), MetricsRegistry(window=4)
+        source.histogram("load").extend([5.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+        target.histogram("load").extend([9.0, 0.5])
+        target.merge_snapshot(source.snapshot())
+        summary = target.histogram("load").summary()
+        assert (summary["count"], summary["total"]) == (8, 30.5)
+        assert (summary["min"], summary["max"]) == (0.5, 9.0)
+        assert target.histogram("load").values == [2.0, 3.0, 4.0, 6.0]
+
     def test_to_dict_digests_histograms(self):
         registry = MetricsRegistry()
         registry.histogram("h").extend([1.0, 2.0])

@@ -529,13 +529,19 @@ class TestJobQueueUnit:
         ids = [queue.submit("sweep", spec).id for _ in range(6)]
         assert queue.join(timeout=120)
         assert [entry["id"] for entry in queue.jobs()] == ids[-3:]
+        # One more at a time: each that finishes forgets the oldest one.
+        for _ in range(2):
+            job = queue.submit("sweep", spec)
+            ids.append(job.id)
+            assert queue.wait(job, 120)["state"] == "done"
+            assert [entry["id"] for entry in queue.jobs()] == ids[-3:]
         assert queue.result(ids[-1])["count"] == 1
         with pytest.raises(ServiceError, match="unknown job"):
             queue.status(ids[0])
         assert queue.obs.tracer.spans == ()
         histogram = queue.obs.metrics.histogram
-        assert histogram("service.job.seconds").count == 6
-        assert histogram("records.serialize.seconds").count == 6
+        assert histogram("service.job.seconds").count == 8
+        assert histogram("records.serialize.seconds").count == 8
         assert histogram("data.generate.seconds").count == 1
         queue.shutdown()
 
@@ -571,10 +577,31 @@ class TestJobQueueUnit:
             for histogram in histograms.values()
         )
 
-    def test_a_served_sweep_leaves_no_column_hashes_in_the_cache(self):
+    def test_a_served_sweep_counts_what_the_executor_counts(self):
+        """A sweep job observes more server loads than a histogram window
+        keeps; the server's registry still counts every one."""
+        spec = {"query": JOIN_TEXT, "workload": "zipf", "m_values": [200],
+                "p_values": [64], "skews": [0.0, 1.2], "seeds": [0, 1]}
+        obs = Observation.create()
+        records = execute_cells(Sweep.from_spec(spec).cells(), obs=obs)
+        queue = JobQueue(workers=1)
+        job = queue.submit("sweep", spec)
+        assert queue.join(timeout=120)
+        assert queue.result(job.id)["count"] == len(records)
+        queue.shutdown()
+        served = queue.obs.metrics.histogram("engine.server_load_bits")
+        local = obs.metrics.histogram("engine.server_load_bits")
+        assert local.count > jobs_module.METRICS_WINDOW
+        assert (served.count, served.min, served.max) == \
+            (local.count, local.min, local.max)
+        assert served.total == pytest.approx(local.total)
+
+    def test_a_served_sweep_leaves_no_column_hashes_in_the_cache(
+            self, monkeypatch):
         """The raw column hashes a sweep job routes with belong to its
-        context: gone with the job, and never reachable from the
-        server-wide cache."""
+        context: gone with the job, and never reachable from its worker's
+        cache.  With no worker process to start, the job worker runs its
+        jobs in this process, where both can be seen."""
         made = []
         real = hashing.ColumnHashes.__init__
 
@@ -582,7 +609,10 @@ class TestJobQueueUnit:
             made.append(weakref.ref(self))
             real(self, stores)
 
+        monkeypatch.setattr(jobs_module.Farm, "_spawn", lambda self: False)
         queue = JobQueue(queue_size=4, workers=1)
+        (lane,) = queue._lanes
+        assert lane.farm is None
         spec = {"query": JOIN_TEXT, "workload": "zipf", "m_values": [300],
                 "p_values": [8], "skews": [1.2]}
         with pytest.MonkeyPatch.context() as patch:
@@ -594,7 +624,7 @@ class TestJobQueueUnit:
         assert len(made) == 1
         gc.collect()
         assert made[0]() is None
-        seen, todo = set(), [queue.cache]
+        seen, todo = set(), [lane.runner.cache]
         while todo:
             item = todo.pop()
             if id(item) in seen or isinstance(item, type):
@@ -645,10 +675,11 @@ class TestJobQueueUnit:
         queue.shutdown()
 
     def _gate_runs(self, queue, gate):
-        """Make every job block on ``gate`` instead of doing real work."""
-        def run(job):
+        """Make every job's dispatch to its worker block on ``gate`` instead
+        of doing real work."""
+        def run(job, lane):
             gate.wait(timeout=30)
-            return {"ran": job.id}
+            return {"ran": job.id}, None
         queue._run = run
 
     def _wait_running(self, queue, job, timeout=30.0):
@@ -711,10 +742,10 @@ class TestJobQueueUnit:
         terminal state with ``finished_at`` still null."""
         queue = JobQueue(queue_size=16, workers=2)
 
-        def run(job):
+        def run(job, lane):
             if int(job.id.rsplit("-", 1)[1]) % 2:
                 raise ValueError("odd jobs fail")
-            return {"ran": job.id}
+            return {"ran": job.id}, None
         queue._run = run
 
         recent: list[str] = []
@@ -808,7 +839,9 @@ class TestJobQueueUnit:
 
     def test_verified_sweep_job_caches_what_an_unverified_one_does(self):
         """Oracle answers live with the executor, never in the 64-entry
-        catalog cache, where they would outlive the job."""
+        catalog cache, where they would outlive the job.  The worker's
+        cache is seen through what it reports: its lookups by section and
+        outcome, and its entries."""
         spec = {"query": JOIN_TEXT, "workload": "worst", "p_values": [4, 8],
                 "m_values": [20, 30], "algorithms": ["hashjoin", "skew-join"],
                 "rounds": [1, 2]}
@@ -821,11 +854,18 @@ class TestJobQueueUnit:
             queue.shutdown()
             assert [r["complete"] for r in records] == \
                 [True if verify else None] * 16
+            metrics = queue.obs.metrics.to_dict()
             contents[verify] = {
-                section: sorted(map(repr, entries))
-                for section, entries in queue.cache._sections.items()
+                "lookups": {name: value
+                            for name, value in metrics["counters"].items()
+                            if name.startswith("service.cache.")},
+                "entries": metrics["gauges"]["service.cache.entries"],
             }
         assert contents[True] == contents[False]
-        # A plan per catalog and round budget, whatever the algorithms.
-        assert {s: len(keys) for s, keys in contents[True].items()} == \
+        # A plan per catalog and round budget, whatever the algorithms:
+        # each stored once, on its one miss, and never evicted.
+        lookups = contents[True]["lookups"]
+        assert {section: lookups[f"service.cache.{section}.miss"]
+                for section in ("stats", "plan")} == \
             {"stats": 4, "plan": 4 * 2}
+        assert contents[True]["entries"] == 4 + 4 * 2

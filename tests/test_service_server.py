@@ -58,6 +58,20 @@ def service():
 
 
 @pytest.fixture
+def one_worker_service():
+    """A live server with one job worker: every job meets the same cache."""
+    instance = ReproService(port=0, job_workers=1)
+    instance.serve_in_background()
+    client = ServiceClient(instance.url, timeout=30.0)
+    client.wait_until_healthy()
+    try:
+        yield instance, client
+    finally:
+        client.close()
+        instance.shutdown()
+
+
+@pytest.fixture
 def paused_service():
     """A server whose queue never drains — deterministic backpressure."""
     instance = ReproService(port=0, job_workers=0, queue_size=2)
@@ -209,8 +223,10 @@ class TestBackpressure:
 
 
 class TestCatalogCache:
-    def test_repeated_catalog_hits_the_cache(self, service):
-        instance, client = service
+    def test_repeated_catalog_hits_the_cache(self, one_worker_service):
+        # Each job worker has a cache of its own; with one, the second job
+        # is sure to meet the first one's.
+        _, client = one_worker_service
         first = client.submit("plan", PLAN_SPEC)
         client.wait(first["id"])
         cold = client.metrics()["counters"]
@@ -224,7 +240,7 @@ class TestCatalogCache:
         assert warm["service.cache.miss"] == cold["service.cache.miss"]
         assert client.result(second["id"])["result"] == \
             client.result(first["id"])["result"]
-        assert instance.queue.cache.hit_rate > 0
+        assert client.health()["cache_hit_rate"] > 0
 
     def test_health_exposes_cache_occupancy(self, service):
         _, client = service
@@ -286,15 +302,16 @@ class TestConcurrentClients:
 
 @pytest.fixture
 def gate(monkeypatch):
-    """Every job blocks before it runs: ``started`` is set when one does,
-    and all go on once ``release`` is set (at the latest on teardown)."""
+    """Every job blocks before it is dispatched to its worker: ``started``
+    is set when one does, and all go on once ``release`` is set (at the
+    latest on teardown)."""
     started, release = threading.Event(), threading.Event()
     run = JobQueue._run
 
-    def gated(queue, job):
+    def gated(queue, job, lane):
         started.set()
         release.wait(timeout=60)
-        return run(queue, job)
+        return run(queue, job, lane)
 
     monkeypatch.setattr(JobQueue, "_run", gated)
     try:
