@@ -454,6 +454,7 @@ def _sweep_spec(args: argparse.Namespace) -> dict:
         "m_values": list(_parse_grid(args.m, int, "--m")),
         "skews": list(_parse_grid(args.skew, float, "--skew")),
         "seeds": list(_parse_grid(args.seeds, int, "--seeds")),
+        "domain": args.domain,
         "algorithms": algorithms,
         "stats": list(_parse_grid(args.stats, str, "--stats")),
         "rounds": list(_parse_grid(args.rounds, int, "--rounds")),
@@ -673,6 +674,10 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated skew parameters")
     parser.add_argument("--seeds", default="0",
                         help="comma-separated generator seeds")
+    parser.add_argument("--domain", type=int, default=None,
+                        help="domain size of every generated relation "
+                             "(default: the workload's, 4 m for zipf and "
+                             "8 m for the others)")
     parser.add_argument("--algorithms", default="applicable",
                         help="'applicable' (default), 'auto' (planner pick "
                              "per cell), or comma-separated registry keys")

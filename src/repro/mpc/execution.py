@@ -58,6 +58,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Claim = tuple[np.ndarray, np.ndarray, Mapping[int, tuple[int, ...]]]
 
 
+def _expand(
+    covered: np.ndarray, keys: np.ndarray, table: Mapping[int, tuple[int, ...]]
+) -> np.ndarray:
+    """One claim's ``(tuple, server)`` pairs as ``(2, n)`` int64 columns:
+    tuple ``covered[i]`` with each server of ``table[keys[i]]``, in the
+    row's order — the one place a claim is expanded."""
+    distinct, _, slot, _ = distinct_values(keys)
+    rows = [table[key] for key in distinct.tolist()]
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    flat = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+    count = sizes[slot]
+    first = (np.cumsum(sizes) - sizes)[slot]
+    return np.stack(
+        (np.repeat(covered, count), flat[expand_runs(first, count)])
+    )
+
+
 class RoutingPlan(ABC):
     """Maps each input tuple to the servers that must receive it.
 
@@ -110,24 +127,17 @@ class RoutingPlan(ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The batch's deliveries as two int64 arrays ``(indices,
         servers)``: tuple ``indices[k]`` goes to server ``servers[k]``, no
-        pair twice.  The one place claims are expanded: pairs come claim by
-        claim, a tuple's servers in its table row's order, and where
-        several claims cover a tuple a repeated pair keeps its first place.
+        pair twice.  Pairs come claim by claim, a tuple's servers in its
+        table row's order, and where several claims cover a tuple a
+        repeated pair keeps its first place.
         """
         batch = Batch.of(tuples)
         claims = self.claims(relation_name, batch)
-        parts = [np.empty((2, 0), dtype=np.int64)]
-        for covered, keys, table in claims:
-            distinct, _, slot, _ = distinct_values(keys)
-            rows = [table[key] for key in distinct.tolist()]
-            sizes = np.array([len(row) for row in rows], dtype=np.int64)
-            flat = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-            count = sizes[slot]
-            first = (np.cumsum(sizes) - sizes)[slot]
-            parts.append(np.stack(
-                (np.repeat(covered, count), flat[expand_runs(first, count)])
-            ))
-        pairs = np.concatenate(parts, axis=1)
+        pairs = np.concatenate(
+            [np.empty((2, 0), dtype=np.int64)]
+            + [_expand(covered, keys, table) for covered, keys, table in claims],
+            axis=1,
+        )
         if len(claims) > 1:
             order = np.lexsort(pairs[::-1])  # stable: first places first
             repeated = np.empty(len(order), dtype=bool)
@@ -144,30 +154,37 @@ class RoutingPlan(ABC):
         *which* tuples a server received, only *how many*, so no per-tuple
         destination list is built: a tuple covered by a single claim is
         counted through its routing key — distinct keys are counted in one
-        array pass and each key's destinations folded once.  Only tuples
-        that several claims cover are unioned per tuple.
+        array pass and each key's destinations folded once.  Only the
+        tuples that several claims cover are expanded into ``(tuple,
+        server)`` pairs, as :meth:`deliveries` expands them; one sort drops
+        the repeated pairs, and the servers left are counted.
         """
         batch = Batch.of(tuples)
         claims = self.claims(relation_name, batch)
-        contested: dict[int, set[int]] = {}
+        shared = None
         if len(claims) > 1:
-            shared = np.bincount(
+            covers = np.bincount(
                 np.concatenate([indices for indices, _, _ in claims])
-            ) > 1
-            contested = {i: set() for i in np.flatnonzero(shared).tolist()}
+            )
+            if (covers > 1).any():
+                shared = covers > 1
         counts: Counter[int] = Counter()
+        contested = []
         for indices, keys, table in claims:
-            if contested:
+            if shared is not None:
                 mine = shared[indices]
-                for i, key in zip(indices[mine].tolist(), keys[mine].tolist()):
-                    contested[i].update(table[key])
+                contested.append(_expand(indices[mine], keys[mine], table))
                 keys = keys[~mine]
             distinct, _, _, occurrences = distinct_values(keys)
             for key, n in zip(distinct.tolist(), occurrences.tolist()):
                 for server in table[key]:
                     counts[server] += n
-        for dests in contested.values():
-            counts.update(dests)
+        if contested:
+            pairs = np.concatenate(contested, axis=1)
+            pairs = pairs[:, np.lexsort(pairs[::-1])]
+            servers, _, _, n = distinct_values(pairs[1, starts_run(pairs)])
+            for server, k in zip(servers.tolist(), n.tolist()):
+                counts[server] += k
         return counts
 
     def describe(self) -> Mapping[str, object]:

@@ -22,17 +22,29 @@ evaluates the polynomial once per (seed, salt, column) of the database
 that cache covers, and every later claim on that column costs one
 ``% buckets``.  The cache belongs to whoever holds the database — the
 sweep executor's per-database slot — and is freed with it; nothing is
-kept per value, per relation or per process.  :func:`mulmod61`, exact
-multiplication mod ``2^61 - 1`` over ``uint64`` arrays, is shared with the
-Count-Sketch of :mod:`repro.sketch`.
+kept per value, per relation or per process.
+
+This module is the program's one source of hash randomness.
+:meth:`HashFamily.coefficients` — up to 8 words mod ``2^61 - 1`` from one
+keyed BLAKE2b of ``(seed, salt)`` — gives the routing polynomials their
+coefficients and the Count-Sketch of :mod:`repro.sketch` its bucket and
+sign coefficients, and the exact arithmetic mod ``2^61 - 1`` over
+``uint64`` arrays (:func:`mulmod61`) evaluates both.  BLAKE2b is CPython's
+builtin ``_blake2`` — the function ``hashlib.blake2b`` names — imported
+directly, as :mod:`random` imports ``_sha512``: ``hashlib`` loads
+OpenSSL's ``_hashlib`` first (3.6 MB of peak RSS), which nothing here uses.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
 
 import numpy as np
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - an interpreter built without it
+    from hashlib import blake2b
 
 #: The Mersenne prime 2^61 - 1 every hash polynomial works over.
 LARGE_PRIME = (1 << 61) - 1
@@ -204,27 +216,38 @@ class HashFamily:
     def seed(self) -> int:
         return self._seed
 
-    def _coefficients(self, salt: str) -> tuple[int, ...]:
-        """The polynomial named ``salt``, leading coefficient first: one
-        keyed BLAKE2b of the salt, cut into 8-byte words."""
-        coefficients = self._polynomials.get(salt)
-        if coefficients is None:
-            digest = hashlib.blake2b(
-                salt.encode(), key=self._key, digest_size=8 * (DEGREE + 1)
-            ).digest()
-            coefficients = tuple(
-                int.from_bytes(digest[i:i + 8], "little") % LARGE_PRIME
-                for i in range(0, len(digest), 8)
+    def coefficients(self, salt: str, count: int) -> tuple[int, ...]:
+        """``count`` (1 to 8) numbers in ``[0, 2^61 - 1)`` named ``salt``:
+        one keyed BLAKE2b of the salt, ``8 * count`` bytes long, cut into
+        8-byte words, each reduced mod ``2^61 - 1``.
+
+        A function of ``(seed, salt, count)`` alone, so every process
+        derives the same numbers; different salts give independent ones.
+        The routing polynomial named ``salt`` is ``coefficients(salt,
+        DEGREE + 1)``, leading coefficient first."""
+        digest = blake2b(
+            salt.encode(), key=self._key, digest_size=8 * count
+        ).digest()
+        return tuple(
+            int.from_bytes(digest[i:i + 8], "little") % LARGE_PRIME
+            for i in range(0, len(digest), 8)
+        )
+
+    def _polynomial(self, salt: str) -> tuple[int, ...]:
+        """The routing polynomial named ``salt``, derived once per family."""
+        polynomial = self._polynomials.get(salt)
+        if polynomial is None:
+            polynomial = self._polynomials[salt] = self.coefficients(
+                salt, DEGREE + 1
             )
-            self._polynomials[salt] = coefficients
-        return coefficients
+        return polynomial
 
     def raw(self, salt: str, value: int) -> int:
         """The hash of ``value`` in ``[0, 2^61 - 1)`` under the function
         named ``salt``."""
         x = value % (1 << 64) % LARGE_PRIME
         result = 0
-        for coefficient in self._coefficients(salt):
+        for coefficient in self._polynomial(salt):
             result = (result * x + coefficient) % LARGE_PRIME
         return result
 
@@ -240,7 +263,7 @@ class HashFamily:
         """:meth:`raw` of every entry of an int64 array, as a new ``uint64``
         array: the polynomial by Horner's rule, block by block."""
         values = np.asarray(values, dtype=np.int64)
-        coefficients = self._coefficients(salt)
+        coefficients = self._polynomial(salt)
         hashed = np.empty(len(values), dtype=np.uint64)
         for start in range(0, len(values), _BLOCK):
             block = slice(start, start + _BLOCK)

@@ -6,10 +6,12 @@ of signed counters where row ``r`` adds ``s_r(x) * c`` at column
 median over rows of ``table[r, b_r(x)] * s_r(x)``.  Bucket hashes are
 2-wise independent (``(a x + b) mod P mod width``) and sign hashes 4-wise
 independent (a degree-3 polynomial mod P mod 2), both over the Mersenne
-prime ``P = 2^61 - 1``.  Hash coefficients come from an explicit
-per-sketch :class:`numpy.random.Generator` — never the module-global
-numpy RNG — so two sketches built from the same seed are *identical*
-functions and their integer tables merge bit-for-bit associatively.
+prime ``P = 2^61 - 1``.  Row ``r``'s six coefficients are
+:meth:`repro.mpc.hashing.HashFamily.coefficients` of the sketch's
+``(seed, salt)`` — the keyed BLAKE2b the routing polynomials come from,
+never a random generator — so two sketches built from equal ``(seed,
+salt)``, in one process or two, are *identical* functions and their
+integer tables merge bit-for-bit associatively.
 
 :class:`HierarchicalCountSketch` stacks one sketch per digit level of a
 base-``b`` decomposition of the universe (level ``l`` counts
@@ -27,11 +29,11 @@ exactly.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..mpc.hashing import LARGE_PRIME, _reduce61, mulmod61
+from ..mpc.hashing import LARGE_PRIME, HashFamily, _reduce61, mulmod61
 from ..seq.relation import distinct_values
 
 
@@ -70,31 +72,35 @@ class CountSketch:
         Columns per row; the estimate error scales as ``||f||_2 / sqrt(width)``.
     depth:
         Rows (independent repetitions) the median is taken over.
-    rng:
-        The :class:`numpy.random.Generator` the hash coefficients are
-        drawn from.  Pass a freshly seeded generator; equal seeds yield
-        identical hash functions (asserted by the test suite), which is
-        what makes same-seed sketches mergeable.
+    seed, salt:
+        Name the hash functions: row ``r`` takes its bucket pair ``(a, b)``,
+        ``a`` in ``[1, P)``, and its 4 sign coefficients from
+        ``HashFamily(seed).coefficients(f"{salt}#{r}", 6)``.  Equal
+        ``(seed, salt)`` yield identical hash functions (asserted by the
+        test suite), which is what makes such sketches mergeable.
     """
 
     __slots__ = ("width", "depth", "table", "_bucket_a", "_bucket_b",
                  "_sign_coeffs", "_rows")
 
-    def __init__(self, width: int, depth: int, rng: np.random.Generator) -> None:
+    def __init__(self, width: int, depth: int, seed: int = 0,
+                 salt: str = "") -> None:
         if width < 2:
             raise SketchError(f"width must be >= 2, got {width}")
         if depth < 1:
             raise SketchError(f"depth must be >= 1, got {depth}")
         self.width = width
         self.depth = depth
-        # 2 coefficients per row for the bucket hash (2-wise independence),
-        # 4 per row for the sign polynomial (4-wise independence).
-        self._bucket_a = rng.integers(1, LARGE_PRIME, size=depth,
-                                      dtype=np.uint64)[:, None]
-        self._bucket_b = rng.integers(0, LARGE_PRIME, size=depth,
-                                      dtype=np.uint64)[:, None]
-        self._sign_coeffs = rng.integers(0, LARGE_PRIME, size=(depth, 4),
-                                         dtype=np.uint64)
+        # Per row 2 coefficients for the bucket hash (2-wise independence)
+        # and 4 for the sign polynomial (4-wise independence).
+        family = HashFamily(seed)
+        coefficients = np.array(
+            [family.coefficients(f"{salt}#{row}", 6) for row in range(depth)],
+            dtype=np.uint64,
+        )
+        self._bucket_a = coefficients[:, :1] % np.uint64(LARGE_PRIME - 1) + 1
+        self._bucket_b = coefficients[:, 1:2]
+        self._sign_coeffs = coefficients[:, 2:]
         self._rows = np.arange(depth)[:, None]
         self.table = np.zeros((depth, width), dtype=np.int64)
 
@@ -178,14 +184,15 @@ class CountSketch:
     def merge(self, other: "CountSketch") -> "CountSketch":
         """Fold ``other`` into this sketch (integer table addition).
 
-        Only sketches with identical hash functions (same width, depth
-        and seed) merge; the result is bit-identical to having streamed
+        Only sketches with identical hash functions (same width, depth,
+        seed and salt) merge; the result is bit-identical to having streamed
         both update sequences through one sketch, in any order.
         """
         if not self.compatible_with(other):
             raise SketchError(
                 "cannot merge count sketches with different shapes or "
-                "hash seeds; build all shards from the same SketchConfig"
+                "hash seeds or salts; build all shards from the same "
+                "SketchConfig"
             )
         self.table += other.table
         return self
@@ -201,6 +208,10 @@ class HierarchicalCountSketch:
     the sum of its children's, so any item above the threshold keeps its
     whole prefix chain above it too — the recursion never prunes a true
     heavy hitter (up to estimate noise, absorbed by ``slack``).
+
+    Level ``l``'s sketch is ``CountSketch(width, depth, seed,
+    f"{salt}@{l}")``: every level hashes with functions of its own, all
+    named by the one ``(seed, salt)``.
     """
 
     __slots__ = ("universe", "base", "width", "depth", "levels",
@@ -212,7 +223,8 @@ class HierarchicalCountSketch:
         width: int,
         depth: int,
         base: int = 16,
-        seed: "int | Sequence[int]" = 0,
+        seed: int = 0,
+        salt: str = "",
     ) -> None:
         if universe < 1:
             raise SketchError(f"universe must be >= 1, got {universe}")
@@ -232,12 +244,9 @@ class HierarchicalCountSketch:
             levels += 1
             span *= base
         self.levels = levels
-        # One child generator per level: all hash coefficients derive from
-        # the explicit per-sketch seed, never from numpy's global RNG.
-        children = np.random.SeedSequence(seed).spawn(levels)
         self.sketches = [
-            CountSketch(width, depth, np.random.default_rng(child))
-            for child in children
+            CountSketch(width, depth, seed, f"{salt}@{level}")
+            for level in range(levels)
         ]
         self.update_count = 0
 
@@ -348,7 +357,7 @@ class HierarchicalCountSketch:
         if not self.compatible_with(other):
             raise SketchError(
                 "cannot merge hierarchical sketches with different "
-                "universes, bases, or hash seeds"
+                "universes, bases, or hash seeds or salts"
             )
         for mine, theirs in zip(self.sketches, other.sketches):
             mine.merge(theirs)

@@ -8,7 +8,9 @@ hitters (e.g. using sampling)" is a *statistics pass* whose state must not
 grow with the data.  This module models that pass:
 
 * every (atom, subset) pair whose subset leaves a column out gets one
-  :class:`~repro.sketch.count_sketch.HierarchicalCountSketch`; a partial
+  :class:`~repro.sketch.count_sketch.HierarchicalCountSketch`, hashing
+  under the config's seed and the salt ``"atom|subset"`` (the
+  keyed BLAKE2b of :mod:`repro.mpc.hashing`); a partial
   assignment is encoded as a mixed-radix integer over the relation's
   domain, so the sketch universe is ``n^|subset|``.  A subset covering
   every column needs no sketch: its key is the tuple itself, so by set
@@ -72,9 +74,12 @@ class SketchConfig:
     width 2048 keeps the noise ``||f||_2 / sqrt(width)`` under the
     ``m_j / p`` thresholds there is not asserted anywhere.
 
-    ``seed`` pins every hash coefficient: equal configs build identical
-    sketch functions, which is what lets per-shard sketch sets merge
-    bit-identically.  Never seed from global state.
+    ``seed`` pins every hash coefficient: the sketch of an (atom, subset)
+    pair hashes under ``(seed, "atom|subset")`` — a salt of the key's
+    content, never ``hash()``, which is salted per process — so equal
+    configs build identical sketch functions in any process, which is what
+    lets per-shard sketch sets merge bit-identically.  Never seed from
+    global state.
     """
 
     width: int = 2048
@@ -97,19 +102,6 @@ SLACK_FACTOR = 3.0
 MAX_CANDIDATES = 1 << 16
 #: Tuples per vectorized sketch update: bounds the hashing temporaries.
 CHUNK_SIZE = 8192
-
-
-def _pair_seed(config_seed: int, atom_name: str, subset: VarSubset) -> list[int]:
-    """A deterministic SeedSequence entropy for one (atom, subset) pair.
-
-    Derived from the *content* of the key (not ``hash()``, which is
-    salted per process), so independently constructed sketch sets — in
-    this process or another — agree on every hash coefficient.
-    """
-    import zlib
-
-    key = f"{atom_name}|{','.join(subset)}".encode()
-    return [config_seed, zlib.crc32(key)]
 
 
 def subset_keys(
@@ -222,7 +214,8 @@ class RelationSketchSet:
                 width=config.width,
                 depth=config.depth,
                 base=config.base,
-                seed=_pair_seed(config.seed, atom.name, subset),
+                seed=config.seed,
+                salt=f"{atom.name}|{','.join(subset)}",
             )
         return cls(config=config, specs=specs, sketches=sketches)
 

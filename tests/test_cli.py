@@ -385,6 +385,24 @@ class TestSweepCommand:
         assert len(payload) == 1
         validate_record(payload[0])
 
+    def test_sweep_domain_reaches_the_records(self, capsys):
+        grid = ["sweep", "q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+                "--workload", "zipf", "--skew", "1.2", "--p", "8",
+                "--m", "60", "--algorithms", "hypercube-equal",
+                "--verify", "--format", "json"]
+        assert main(grid) == 0
+        default, = json.loads(capsys.readouterr().out)
+        assert default["domain"] == 240  # zipf's 4 m
+        assert main(grid + ["--domain", "12"]) == 0
+        narrow, = json.loads(capsys.readouterr().out)
+        validate_record(narrow)
+        assert narrow["domain"] == 12 and narrow["complete"] is True
+        assert narrow["answer_count"] > default["answer_count"]
+
+    def test_sweep_rejects_a_domain_below_one(self):
+        with pytest.raises(SystemExit, match="domain"):
+            main(self.GRID + ["--domain", "0"])
+
     def test_sweep_rejects_bad_grid(self):
         with pytest.raises(SystemExit):
             main([

@@ -266,6 +266,20 @@ class TestZipfIdentity:
             "S", 60, 240, skew=1.2, seed=4)
 
 
+class TestZipfTable:
+    """The cumulative weights are the loop's, bit for bit."""
+
+    @pytest.mark.parametrize("skew", [0.0, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5,
+                                      2.0, 30.0])
+    @pytest.mark.parametrize("domain", [1, 2, 8000, 400_000])
+    def test_equals_the_python_running_sum(self, domain, skew):
+        table = generators._zipf_table(domain, skew)
+        loop = list(accumulate(1.0 / (rank + 1) ** skew
+                               for rank in range(domain)))
+        assert table.dtype == np.float64
+        assert table.tolist() == loop
+
+
 class TestZipfScaling:
     def test_a_draw_costs_a_bisection_not_a_pass_over_the_domain(self):
         """O(m log n), not O(m n): about 0.05 s here, about 39 s when every

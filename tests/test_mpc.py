@@ -50,6 +50,31 @@ class TestHashFamily:
         buckets_b = [h.bucket("b", v, 16) for v in range(100)]
         assert buckets_a != buckets_b
 
+    @pytest.mark.parametrize("seed", [0, 11, -1, 2**64 + 11])
+    def test_coefficients_are_keyed_blake2b_words(self, seed):
+        """``coefficients`` is ``hashlib.blake2b`` keyed by the seed's 64-bit
+        pattern, cut into words mod ``2^61 - 1``, whichever module supplies
+        the function; the routing polynomial is its first ``DEGREE + 1``
+        words."""
+        import hashlib
+
+        key = (seed % 2**64).to_bytes(8, "little")
+        for salt, count in (("hc:z", 5), ("S1|x#0", 6), ("", 1), ("w", 8)):
+            digest = hashlib.blake2b(
+                salt.encode(), key=key, digest_size=8 * count).digest()
+            assert HashFamily(seed).coefficients(salt, count) == tuple(
+                int.from_bytes(digest[i:i + 8], "little")
+                % hashing.LARGE_PRIME for i in range(0, 8 * count, 8)
+            )
+        family = HashFamily(seed)
+        polynomial = family.coefficients("hc:z", hashing.DEGREE + 1)
+        for value in (0, 1, 12345, -7):
+            x = value % 2**64 % hashing.LARGE_PRIME
+            want = 0
+            for coefficient in polynomial:
+                want = (want * x + coefficient) % hashing.LARGE_PRIME
+            assert family.raw("hc:z", value) == want
+
     def test_bucket_range(self):
         h = HashFamily(1)
         for v in range(200):
@@ -547,6 +572,29 @@ class TestEngineDispatch:
         assert dict(plan.destination_counts("S", [(1,), (2,)])) == {
             0: 2, 1: 2,
         }
+
+    def test_a_contested_tuple_counts_once_per_server(self):
+        """Where claims overlap, a tuple's servers are the union of its
+        rows: counted once each, a stray server included (the ledger
+        refuses it), as ``deliveries`` lists them."""
+        class Overlapping(RoutingPlan):
+            def destinations(self, relation_name, tup):
+                raise AssertionError("routed through the claims")
+
+            def claims(self, relation_name, batch):
+                n = len(batch)
+                return [
+                    (np.arange(n), np.arange(n) % 2, {0: (0, 1), 1: (2,)}),
+                    (np.arange(0, n, 2), np.zeros((n + 1) // 2, np.int64),
+                     {0: (1, -1, 2)}),
+                ]
+
+        plan = Overlapping()
+        tuples = [(i,) for i in range(5)]
+        counts = plan.destination_counts("S", tuples)
+        assert dict(counts) == {0: 3, 1: 3, 2: 5, -1: 3}
+        _, servers = plan.deliveries("S", tuples)
+        assert dict(zip(*np.unique(servers, return_counts=True))) == counts
 
     @pytest.mark.parametrize("compute_answers", [True, False])
     @pytest.mark.parametrize("engine", ["reference", "batched"])

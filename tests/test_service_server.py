@@ -174,6 +174,16 @@ class TestLifecycle:
         assert "'engine'" in message and "reference, batched" in message
         assert instance.queue.jobs() == []
 
+    def test_submit_sweep_domain_reaches_the_records(self, service,
+                                                     tmp_path):
+        instance, _ = service
+        target = tmp_path / "records.json"
+        assert main(["submit", "sweep", JOIN_TEXT, "--server", instance.url,
+                     "--m", "40", "--p", "4", "--algorithms", "hashjoin",
+                     "--domain", "50", "--output", str(target)]) == 0
+        records = json.loads(target.read_text())["records"]
+        assert [record["domain"] for record in records] == [50]
+
     @pytest.mark.parametrize("kind", ["plan", "stats"])
     @pytest.mark.parametrize("field, value", [
         ("m", 2.7), ("seed", True), ("skew", "hot"), ("p", 0),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.mpc.hashing import HashFamily
 from repro.sketch import (
     CountSketch,
     HierarchicalCountSketch,
@@ -50,7 +51,7 @@ class TestCountSketch:
                          10 * (np.arange(64) + 1))
 
     def test_estimates_track_true_frequencies(self):
-        sketch = CountSketch(1024, 5, np.random.default_rng(1))
+        sketch = CountSketch(1024, 5, seed=1)
         sketch.update_batch(self._stream())
         noise = 4 * sketch.noise_scale()
         for item in (0, 31, 63):
@@ -59,58 +60,71 @@ class TestCountSketch:
 
     def test_update_order_is_irrelevant(self):
         items = self._stream()
-        forward = CountSketch(256, 3, np.random.default_rng(2))
+        forward = CountSketch(256, 3, seed=2)
         forward.update_batch(items)
-        backward = CountSketch(256, 3, np.random.default_rng(2))
+        backward = CountSketch(256, 3, seed=2)
         backward.update_batch(items[::-1])
         assert np.array_equal(forward.table, backward.table)
 
     def test_counts_weight_updates(self):
-        weighted = CountSketch(256, 3, np.random.default_rng(3))
+        weighted = CountSketch(256, 3, seed=3)
         weighted.update_batch(np.array([7], dtype=np.uint64),
                               np.array([5], dtype=np.int64))
-        repeated = CountSketch(256, 3, np.random.default_rng(3))
+        repeated = CountSketch(256, 3, seed=3)
         repeated.update_batch(np.full(5, 7, dtype=np.uint64))
         assert np.array_equal(weighted.table, repeated.table)
 
     def test_same_seed_sketches_merge_bit_identically(self):
         items = self._stream()
-        whole = CountSketch(512, 5, np.random.default_rng(4))
+        whole = CountSketch(512, 5, seed=4)
         whole.update_batch(items)
-        left = CountSketch(512, 5, np.random.default_rng(4))
-        right = CountSketch(512, 5, np.random.default_rng(4))
+        left = CountSketch(512, 5, seed=4)
+        right = CountSketch(512, 5, seed=4)
         left.update_batch(items[: len(items) // 2])
         right.update_batch(items[len(items) // 2:])
         left.merge(right)
         assert np.array_equal(left.table, whole.table)
 
     def test_merge_rejects_different_seeds(self):
-        a = CountSketch(512, 5, np.random.default_rng(4))
-        b = CountSketch(512, 5, np.random.default_rng(5))
+        a = CountSketch(512, 5, seed=4)
+        b = CountSketch(512, 5, seed=5)
         with pytest.raises(SketchError, match="hash seeds"):
             a.merge(b)
 
     def test_merge_rejects_different_shapes(self):
-        a = CountSketch(512, 5, np.random.default_rng(4))
-        b = CountSketch(256, 5, np.random.default_rng(4))
+        a = CountSketch(512, 5, seed=4)
+        b = CountSketch(256, 5, seed=4)
         with pytest.raises(SketchError):
             a.merge(b)
 
-    def test_coefficients_come_from_the_given_generator_only(self):
-        """Same-seed sketches are identical hash functions (RNG hygiene:
-        nothing global leaks in)."""
+    def test_coefficients_come_from_the_seed_and_salt_only(self):
+        """Sketches of equal ``(seed, salt)`` are identical hash functions
+        (nothing global leaks in)."""
         np.random.seed(12345)  # a polluted module-global RNG must not matter
-        a = CountSketch(128, 4, np.random.default_rng(9))
+        a = CountSketch(128, 4, seed=9, salt="R|x")
         np.random.seed(54321)
-        b = CountSketch(128, 4, np.random.default_rng(9))
+        b = CountSketch(128, 4, seed=9, salt="R|x")
         assert a.compatible_with(b)
+        assert not a.compatible_with(CountSketch(128, 4, seed=9, salt="R|y"))
+
+    def test_rows_take_keyed_blake2b_coefficients(self):
+        """Row ``r`` is ``HashFamily(seed).coefficients(f"{salt}#{r}", 6)``:
+        the bucket pair ``(a, b)`` with ``a`` in ``[1, P)``, then the sign
+        polynomial's 4 coefficients."""
+        sketch = CountSketch(64, 3, seed=-5, salt="S1|x")
+        family = HashFamily(-5)
+        for row in range(3):
+            a, b, *signs = family.coefficients(f"S1|x#{row}", 6)
+            assert int(sketch._bucket_a[row, 0]) == a % (LARGE_PRIME - 1) + 1
+            assert int(sketch._bucket_b[row, 0]) == b
+            assert sketch._sign_coeffs[row].tolist() == signs
+        assert sketch._bucket_a.min() >= 1
 
     def test_invalid_parameters(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(SketchError):
-            CountSketch(1, 5, rng)
+            CountSketch(1, 5, seed=0)
         with pytest.raises(SketchError):
-            CountSketch(16, 0, rng)
+            CountSketch(16, 0, seed=0)
 
 
 class TestMediansWithoutNumpyMa:
@@ -119,7 +133,7 @@ class TestMediansWithoutNumpyMa:
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_estimates_equal_np_median(self, depth):
-        sketch = CountSketch(16, depth, np.random.default_rng(depth))
+        sketch = CountSketch(16, depth, seed=depth)
         items = np.arange(300, dtype=np.uint64) % 37
         sketch.update_batch(items)
         buckets, signs = sketch._hash(items)
@@ -183,6 +197,54 @@ class TestHierarchicalCountSketch:
             for mine, theirs in zip(merged.tables(), single.tables())
         )
         assert merged.update_count == single.update_count
+
+    def test_levels_hash_under_salts_of_their_own(self):
+        sketch = HierarchicalCountSketch(10**6, width=64, depth=3, base=10,
+                                         seed=2, salt="S|y")
+        for level, mine in enumerate(sketch.sketches):
+            assert mine.compatible_with(
+                CountSketch(64, 3, seed=2, salt=f"S|y@{level}"))
+        first, second = sketch.sketches[:2]
+        assert not np.array_equal(first._sign_coeffs, second._sign_coeffs)
+
+    def test_merge_rejects_different_seeds_or_salts(self):
+        a = HierarchicalCountSketch(10**6, width=64, depth=3, seed=1,
+                                    salt="S|y")
+        for other in (
+            HierarchicalCountSketch(10**6, width=64, depth=3, seed=2,
+                                    salt="S|y"),
+            HierarchicalCountSketch(10**6, width=64, depth=3, seed=1,
+                                    salt="S|x"),
+        ):
+            with pytest.raises(SketchError, match="hash seeds or salts"):
+                a.merge(other)
+
+    def test_equal_seed_and_salt_build_equal_tables_in_two_processes(self):
+        """The coefficients are a function of ``(seed, salt)`` alone — no
+        per-process state such as ``hash()``'s salt — so a sketch built in
+        another process, under another ``PYTHONHASHSEED``, has this
+        process's tables bit for bit."""
+        program = (
+            "import numpy as np; "
+            "from repro.sketch import HierarchicalCountSketch; "
+            "s = HierarchicalCountSketch(10**6, width=256, depth=4, "
+            "seed=7, salt='S1|z'); "
+            "s.update_batch(np.arange(20000, dtype=np.uint64) ** 2 "
+            "% np.uint64(10**6)); "
+            "print([t.tolist() for t in s.tables()])"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", program], text=True,
+            capture_output=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": source,
+                 "PYTHONHASHSEED": "12345"},
+        )
+        here = HierarchicalCountSketch(10**6, width=256, depth=4, seed=7,
+                                       salt="S1|z")
+        here.update_batch(np.arange(20000, dtype=np.uint64) ** 2
+                          % np.uint64(10**6))
+        assert done.stdout.strip() == str([t.tolist() for t in here.tables()])
 
     def test_merge_rejects_different_universes(self):
         a = HierarchicalCountSketch(10**6, width=64, depth=3, seed=1)
