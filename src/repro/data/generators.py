@@ -290,9 +290,6 @@ def _zipf_table(domain_size: int, skew: float) -> np.ndarray:
     rounds differently from the C library's ``pow`` in about one weight in
     twenty on x86-64 with AVX-512, enough to move the sums), the
     reciprocals and the left-to-right running sum numpy's, in place."""
-    if skew == 0:
-        # ``x ** 0.0`` is 1.0 for every x: the sums are the ranks.
-        return np.arange(1, domain_size + 1, dtype=np.float64)
     table = np.fromiter(map(pow, range(1, domain_size + 1), repeat(skew)),
                         dtype=np.float64, count=domain_size)
     np.divide(1.0, table, out=table)
