@@ -47,7 +47,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
@@ -58,6 +58,7 @@ from ..core.registry import (
     get_spec,
 )
 from ..data.generators import (
+    _zipf_table,
     matching_relation,
     single_value_relation,
     uniform_relation,
@@ -87,19 +88,23 @@ class ExperimentError(ValueError):
     """Raised for unsatisfiable experiment/sweep specifications."""
 
 
-#: Workload kind -> (default domain per tuple of ``m``, the generator call
-#: making one atom's relation: ``(atom, spec, domain, seed) -> Relation``).
-_WORKLOADS: Mapping[str, tuple[int, Callable]] = {
-    "uniform": (8, lambda atom, spec, domain, seed: uniform_relation(
+#: Workload kind -> (default domain per tuple of ``m``, whether the generator
+#: reads ``skew``, the call making one atom's relation: ``(atom, spec, domain,
+#: seed, tables) -> Relation``, ``tables`` the database's zipf table memo).
+_WORKLOADS: Mapping[str, tuple[int, bool, Callable]] = {
+    "uniform": (8, False, lambda atom, spec, domain, seed, _: uniform_relation(
         atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
-    "zipf": (4, lambda atom, spec, domain, seed: zipf_relation(
+    "zipf": (4, True, lambda atom, spec, domain, seed, tables: zipf_relation(
         atom.name, spec.m, domain, arity=atom.arity, skew=spec.skew,
-        seed=seed, skewed_positions=(min(1, atom.arity - 1),))),
-    "worst": (8, lambda atom, spec, domain, seed: single_value_relation(
-        atom.name, spec.m, domain, arity=atom.arity,
-        fixed_position=atom.arity - 1, seed=seed)),
-    "matching": (8, lambda atom, spec, domain, seed: matching_relation(
-        atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
+        seed=seed, skewed_positions=(min(1, atom.arity - 1),),
+        table=tables(domain, spec.skew))),
+    "worst": (8, False, lambda atom, spec, domain, seed, _:
+              single_value_relation(atom.name, spec.m, domain,
+                                    arity=atom.arity,
+                                    fixed_position=atom.arity - 1, seed=seed)),
+    "matching": (8, False, lambda atom, spec, domain, seed, _:
+                 matching_relation(atom.name, spec.m, domain,
+                                   arity=atom.arity, seed=seed)),
 }
 WORKLOAD_KINDS = tuple(_WORKLOADS)
 
@@ -161,21 +166,37 @@ class WorkloadSpec:
 
     def build(self, query: ConjunctiveQuery) -> Database:
         """Generate the database (deterministic in the spec + query)."""
-        generate, domain = _WORKLOADS[self.kind][1], self.domain_size
+        generate, domain = _WORKLOADS[self.kind][2], self.domain_size
+        tables = cache(_zipf_table)
         return Database.from_relations([
-            generate(atom, self, domain, self.seed + i)
+            generate(atom, self, domain, self.seed + i, tables)
             for i, atom in enumerate(query.atoms)
         ])
 
 
+@dataclass(frozen=True)
+class _Field:
+    """A spec field: its flag, the JSON value it takes — its types (the
+    first converts the flag's text), a list or not (None: either), what it
+    must be, a check on each value — the words a list flag passes on as
+    one string, and the flag's help."""
+
+    flag: str
+    kinds: tuple[type, ...]
+    listed: bool | None
+    wanted: str
+    check: Callable[[object], bool] = lambda value: True
+    words: tuple[str, ...] = ()
+    help: str | None = None
+
+
 def _spec_fields(
-    spec: object, table: Mapping[str, tuple], what: str
+    spec: object, table: Mapping[str, _Field], what: str
 ) -> dict[str, object]:
-    """The fields of ``table`` — key -> (value types, list? — None when
-    either will do, what the field must be[, a range check]) — present in
-    a JSON-shaped ``spec``, shape-, type- and range-checked; lists, never
-    empty, come back as tuples.  A key outside the table is an error, not
-    a default."""
+    """The fields of ``table`` present in a JSON-shaped ``spec``, shape-,
+    type- and range-checked, its query parsed; lists, never empty, come
+    back as tuples.  A key outside the table is an error, not a
+    default."""
     if not isinstance(spec, Mapping) or not spec.get("query") \
             or not isinstance(spec["query"], str):
         raise ExperimentError(
@@ -188,38 +209,59 @@ def _spec_fields(
                 f"the fields are query, {', '.join(table)}"
             )
     fields: dict[str, object] = {"query": spec["query"]}
-    for name, (kinds, listed, wanted, *in_range) in table.items():
+    for name, field in table.items():
         if name not in spec:
             continue
         value = spec[name]
         is_list = isinstance(value, (list, tuple))
         well_typed = all(
             # bool is an int to isinstance; JSON true is not a number.
-            isinstance(item, kinds)
-            and (kinds is bool or not isinstance(item, bool))
-            and all(check(item) for check in in_range)
+            isinstance(item, field.kinds)
+            and (bool in field.kinds or not isinstance(item, bool))
+            and field.check(item)
             for item in (value if is_list else (value,))
         )
-        if not well_typed or (listed is not None and is_list != listed) \
+        if not well_typed or field.listed not in (None, is_list) \
                 or (is_list and not value):
             raise ExperimentError(
-                f"{what} spec field {name!r} must be {wanted}, "
+                f"{what} spec field {name!r} must be {field.wanted}, "
                 f"got {value!r}"
             )
         fields[name] = tuple(value) if is_list else value
+    try:
+        parse_query(spec["query"])
+    except QueryError as exc:
+        raise ExperimentError(f"{what} spec field 'query': {exc}") from None
     return fields
 
 
+def _one_of(names: Sequence[str]) -> str:
+    return f"one of {', '.join(names)}"
+
+
+#: The two fields a catalog and a sweep spec share.
+_WORKLOAD = _Field("--workload", (str,), False, _one_of(WORKLOAD_KINDS),
+                   WORKLOAD_KINDS.__contains__,
+                   help=f"workload kind, {_one_of(WORKLOAD_KINDS)} "
+                        "(default %(default)s)")
+_DOMAIN = _Field("--domain", (int, type(None)), False,
+                 "an integer >= 1 or null",
+                 lambda value: value is None or value >= 1,
+                 help="domain size of every generated relation (default: "
+                      "the workload's, 4 m for zipf and 8 m for the others)")
 #: The catalog spec, for :func:`_spec_fields`; the first five keys are the
 #: :class:`WorkloadSpec`'s (``workload`` is its ``kind``).
-_CATALOG_FIELDS: Mapping[str, tuple] = {
-    "workload": (str, False, "a string"),
-    "m": (int, False, "an integer"),
-    "skew": ((int, float), False, "a number"),
-    "seed": (int, False, "an integer in [-2**63, 2**63)", _in_int64),
-    "domain": ((int, type(None)), False, "an integer or null"),
-    "p": (int, False, "an integer"),
-    "stats": (str, False, "a string"),
+_CATALOG_FIELDS: Mapping[str, _Field] = {
+    "workload": _WORKLOAD,
+    "m": _Field("-m", (int,), False, "an integer"),
+    "skew": _Field("--skew", (float, int), False, "a number"),
+    "seed": _Field("--seed", (int,), False, "an integer in [-2**63, 2**63)",
+                   _in_int64),
+    "domain": _DOMAIN,
+    "p": _Field("-p", (int,), False, "an integer"),
+    "stats": _Field("--stats", (str,), False, "a string",
+                    help=f"statistics method, {_one_of(STATS_METHODS)} "
+                         "(default %(default)s)"),
 }
 _WORKLOAD_KEYS = ("workload", "m", "skew", "seed", "domain")
 
@@ -248,8 +290,8 @@ class Catalog:
     def from_spec(cls, spec: Mapping[str, object]) -> "Catalog":
         """A catalog from the flat mapping plan/stats jobs carry: ``query,
         workload, m, skew, seed, domain, p, stats``; absent keys keep the
-        field defaults.  Types and ranges are checked, the query is not
-        parsed — cheap enough for the service's request thread."""
+        field defaults.  Types and ranges are checked and the query is
+        parsed, no more — cheap enough for the service's request thread."""
         fields = _spec_fields(spec, _CATALOG_FIELDS, "catalog")
         workload = {
             "kind" if name == "workload" else name: fields.pop(name)
@@ -299,6 +341,15 @@ class Cell:
     observe: bool = False      # collect a per-cell metrics block on the record
     stats: str = "exact"       # statistics method: "exact" or "sketch"
     rounds: int = 1            # the plan's round budget (max_rounds)
+
+    @classmethod
+    def of(cls, catalog: Catalog, algorithm: str, **settings) -> "Cell":
+        """The cell running ``algorithm`` on ``catalog`` (whose
+        :attr:`catalog` it is), with the other fields ``settings``."""
+        w = catalog.workload
+        return cls(catalog.query, w.kind, w.m, w.skew, w.seed, catalog.p,
+                   algorithm, domain=w.domain, stats=catalog.stats,
+                   **settings)
 
     @property
     def catalog(self) -> Catalog:
@@ -357,15 +408,17 @@ class _InUse:
 
 class SharedContext:
     """What cells at equal coordinates share, and under which key — decided
-    here and nowhere else.  The database, under (query, workload), has one
-    slot of this context: grid order puts the cells that share one side by
-    side.  The catalog's ``(query, db, stats)``, under the catalog, and its
-    plan — every registered algorithm ranked within a round budget — under
-    the catalog plus the budget, go through ``cache``: one slot per section
-    unless a cache is passed (the service's three job kinds pass its
-    ``CatalogCache``: the second request on a catalog is a hit).  The
-    database a cell runs on has one more slot, kept here and never in
-    ``cache`` (whose entries outlive the sweep): the raw hashes of its
+    here and nowhere else, in the sections of ``cache``: ``data``, the
+    database, under what its generator reads (catalogs that differ only in
+    ``p``, statistics method or a skew their kind ignores share one);
+    ``stats``, the catalog's ``(query, db, stats)``, under the catalog;
+    ``plan``, every registered algorithm ranked within a round budget,
+    under the catalog plus the budget.  One slot per section (grid order
+    puts the cells that share one side by side) unless a cache is passed:
+    the service's three job kinds pass its ``CatalogCache``, so the second
+    request on a catalog is a hit.  The database a cell runs on has one
+    more slot, kept here and never in ``cache`` (whose entries outlive the
+    sweep): the raw hashes of its
     columns (each hashed once per seed and salt, whichever algorithm and
     share vector routes it) and the sequential oracle (an answer
     fingerprint, and the answers only when a comparison needs them); the
@@ -382,20 +435,19 @@ class SharedContext:
 
     def __init__(self, cache: PreparedCache | None = None) -> None:
         self.cache = _Slots() if cache is None else cache
-        self._data = _Slots()
         self._in_use = _InUse(None)
 
     def build(self, catalog: Catalog, obs: Observation | None = None):
         """``(query, db, stats)`` of ``catalog``."""
-        def make():
-            query, db = self._data.get_or_build(
-                "data", (catalog.query, catalog.workload),
-                lambda: catalog.generate(obs))
-            return query, db, resolve_statistics(
+        w = catalog.workload
+        query, db = self.cache.get_or_build(
+            "data", (catalog.query, w.kind, w.m, w.seed, w.domain_size,
+                     w.skew if _WORKLOADS[w.kind][1] else None),
+            lambda: catalog.generate(obs))
+        return self.cache.get_or_build(
+            "stats", catalog, lambda: (query, db, resolve_statistics(
                 query, None, catalog.p, db, stats_method=catalog.stats,
-                obs=obs)
-
-        return self.cache.get_or_build("stats", catalog, make)
+                obs=obs)))
 
     def plan(
         self, catalog: Catalog, obs: Observation | None = None,
@@ -844,40 +896,68 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _one_of(names: Sequence[str]) -> str:
-    return f"one of {', '.join(names)}"
-
-
 _ENGINES = available_engines()
 #: The sweep spec, for :func:`_spec_fields`.  The engine, the workload kind
 #: and the statistics methods must be names their registries know.
-_SPEC_FIELDS: Mapping[str, tuple] = {
-    "workload": (str, False, _one_of(WORKLOAD_KINDS),
-                 WORKLOAD_KINDS.__contains__),
-    "p_values": (int, True, "a non-empty list of integers >= 1",
-                 lambda value: value >= 1),
-    "m_values": (int, True, "a non-empty list of integers >= 1",
-                 lambda value: value >= 1),
-    "skews": ((int, float), True, "a non-empty list of finite numbers >= 0",
-              lambda value: 0 <= value < math.inf),
-    "seeds": (int, True, "a non-empty list of integers in [-2**63, 2**63)",
-              _in_int64),
-    "algorithms": (str, None, "a string or a non-empty list of strings"),
-    "engine": (str, False, _one_of(_ENGINES), _ENGINES.__contains__),
-    "verify": (bool, False, "a boolean"),
-    "domain": ((int, type(None)), False, "an integer >= 1 or null",
-               lambda value: value is None or value >= 1),
-    "stats": (str, None,
-              f"{_one_of(STATS_METHODS)}, or a non-empty list of them",
-              STATS_METHODS.__contains__),
-    "rounds": (int, None, "an integer or a non-empty list of integers"),
+_SPEC_FIELDS: Mapping[str, _Field] = {
+    "workload": _WORKLOAD,
+    "p_values": _Field("--p", (int,), True,
+                       "a non-empty list of integers >= 1",
+                       lambda value: value >= 1,
+                       help="comma-separated server counts (e.g. 8,16,64)"),
+    "m_values": _Field("--m", (int,), True,
+                       "a non-empty list of integers >= 1",
+                       lambda value: value >= 1,
+                       help="comma-separated relation cardinalities"),
+    "skews": _Field("--skew", (float, int), True,
+                    "a non-empty list of finite numbers >= 0",
+                    lambda value: 0 <= value < math.inf,
+                    help="comma-separated skew parameters"),
+    "seeds": _Field("--seeds", (int,), True,
+                    "a non-empty list of integers in [-2**63, 2**63)",
+                    _in_int64, help="comma-separated generator seeds"),
+    "domain": _DOMAIN,
+    "algorithms": _Field("--algorithms", (str,), None,
+                         "a string or a non-empty list of strings",
+                         words=("applicable", "auto"),
+                         help="'applicable' (default), 'auto' (planner pick "
+                              "per cell), or comma-separated registry keys"),
+    "stats": _Field("--stats", (str,), None,
+                    f"{_one_of(STATS_METHODS)}, or a non-empty list of them",
+                    STATS_METHODS.__contains__, words=STATS_METHODS,
+                    help="comma-separated statistics methods per cell: "
+                         "exact, sketch (e.g. 'exact,sketch' runs every "
+                         "cell under both)"),
+    "rounds": _Field("--rounds", (int,), None,
+                     "an integer or a non-empty list of integers",
+                     help="comma-separated planner round budgets per cell "
+                          "(e.g. '1,2' ranks one- and two-round algorithms "
+                          "side by side)"),
+    "engine": _Field("--engine", (str,), False, _one_of(_ENGINES),
+                     _ENGINES.__contains__,
+                     help=f"execution engine: {' or '.join(_ENGINES)} "
+                          "(default batched)"),
+    "verify": _Field("--verify", (bool,), False, "a boolean",
+                     help="check completeness against the sequential "
+                          "oracle, once per database: answer fingerprints "
+                          "in O(input) for an acyclic query; the servers' "
+                          "joins and a set comparison only on a mismatch "
+                          "or for a cyclic query"),
     # Not the sweep's: the executor settings a job's spec may carry beside
     # the grid (:func:`execute_cells`' ``max_workers``, ``cell_timeout``).
-    "workers": ((int, type(None)), False, "an integer >= 1 or null",
-                lambda value: value is None or value >= 1),
-    "cell_timeout": ((int, float, type(None)), False,
-                     "a positive number or null",
-                     lambda value: value is None or value > 0),
+    "workers": _Field("--workers", (int, type(None)), False,
+                      "a worker count (an integer >= 1) or null",
+                      lambda value: value is None or value >= 1,
+                      help="farm cells across N worker processes (on "
+                           "submit: instead of the server's setting)"),
+    "cell_timeout": _Field("--cell-timeout", (float, int, type(None)),
+                           False,
+                           "a positive number or null",
+                           lambda value: value is None or value > 0,
+                           help="kill any cell running longer than this "
+                                "many seconds and record it with status "
+                                "'timeout' (forces process isolation; on "
+                                "submit: instead of the server's setting)"),
 }
 
 
@@ -908,15 +988,16 @@ class Sweep:
 
         Keys are the field names; absent keys keep the field defaults and
         an unknown key is an error.  Only shapes, types, the ranges of
-        ``p_values``, ``m_values``, ``skews``, ``seeds`` and ``domain``, and
-        the engine, workload and statistics names are checked — no query
-        parse, no grid expansion — so the service can run this on the
-        request thread and answer a malformed spec (an empty axis
-        included) with 400 instead of accepting a job that can only fail
-        or finish with no records; grid values are validated where they
-        always were, in :meth:`cells`.  The executor settings a job spec
-        may carry (``workers``, ``cell_timeout``) are not the sweep's, but
-        they are checked here, type and range, for the same reason.
+        ``p_values``, ``m_values``, ``skews``, ``seeds`` and ``domain``, the
+        engine, workload and statistics names, and that the query parses
+        are checked — no grid expansion — so the service can run this on
+        the request thread and answer a malformed spec (an empty axis or
+        an unparsable query included) with 400 instead of accepting a job
+        that can only fail or finish with no records; grid values are
+        validated where they always were, in :meth:`cells`.  The executor
+        settings a job spec may carry (``workers``, ``cell_timeout``) are
+        not the sweep's, but they are checked here, type and range, for
+        the same reason.
         """
         fields = _spec_fields(spec, _SPEC_FIELDS, "sweep")
         for name in ("workers", "cell_timeout"):
@@ -960,33 +1041,19 @@ class Sweep:
         # Validate the grid axes up front: a bad value must fail here,
         # not as a traceback from the middle of a half-finished run.
         text = str(query)
-        for m, skew, seed, p, method in product(
-            self.m_values, self.skews, self.seeds, self.p_values,
-            stats_methods,
-        ):
+        catalogs = [
             Catalog(text, WorkloadSpec(self.workload, m, skew, seed,
                                        self.domain), p, method)
-        return [
-            Cell(
-                query=text,
-                workload=self.workload,
-                m=m,
-                skew=skew,
-                seed=seed,
-                p=p,
-                algorithm=key,
-                engine=self.engine,
-                compute_answers=self.compute_answers,
-                verify=self.verify,
-                domain=self.domain,
-                observe=self.observe,
-                stats=stats_method,
-                rounds=budget,
-            )
-            for m, skew, seed, p, stats_method, budget in product(
+            for m, skew, seed, p, method in product(
                 self.m_values, self.skews, self.seeds, self.p_values,
-                stats_methods, rounds_axis
-            )
+                stats_methods)
+        ]
+        return [
+            Cell.of(catalog, key, engine=self.engine,
+                    compute_answers=self.compute_answers, verify=self.verify,
+                    observe=self.observe, rounds=budget)
+            for catalog in catalogs
+            for budget in rounds_axis
             for key in keys_by_budget[budget]
         ]
 

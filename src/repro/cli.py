@@ -74,13 +74,10 @@ from .api import (
     RunRecord,
     Sweep,
     SweepResult,
-    WORKLOAD_KINDS,
-    WorkloadSpec,
     execute_cells,
     plan as build_plan,
 )
-from .api.experiment import SharedContext
-from .api.planner import STATS_METHODS
+from .api.experiment import _CATALOG_FIELDS, _SPEC_FIELDS, SharedContext
 from .obs import Observation, maybe_timed
 from .mpc import available_engines
 from .query import ConjunctiveQuery, parse_query
@@ -191,23 +188,24 @@ def _parse_grid(text: str, convert: Callable, flag: str) -> tuple:
                 f"{flag} expects comma-separated {convert.__name__} values, "
                 f"got {token!r}"
             ) from None
-    if not values:
-        raise SystemExit(f"{flag} needs at least one value")
     return tuple(values)
 
 
 def _declared_statistics(
-    args: argparse.Namespace, query: ConjunctiveQuery
-) -> SimpleStatistics:
-    """The statistics ``--cardinality``/``--domain`` declare, for ``-p``
-    servers; bad values exit with one line, as a catalog's do."""
+    args: argparse.Namespace,
+) -> tuple[ConjunctiveQuery, SimpleStatistics]:
+    """The query and the statistics ``--cardinality``/``--domain`` declare,
+    for ``-p`` servers; a query that does not parse and bad values exit
+    with one line, as a catalog's do."""
     cardinalities = _parse_cardinalities(args.cardinality)
-    for flag, value in (("-p", args.p), ("--domain", args.domain)):
+    domain = 1_000_000 if args.domain is None else args.domain
+    for flag, value in (("-p", args.p), ("--domain", domain)):
         if value < 1:
             raise SystemExit(f"{flag} must be >= 1, got {value}")
     try:
-        return SimpleStatistics.from_cardinalities(
-            query, cardinalities, domain_size=args.domain
+        query = parse_query(args.query)
+        return query, SimpleStatistics.from_cardinalities(
+            query, cardinalities, domain_size=domain
         )
     except ValueError as exc:  # e.g. missing relations
         raise SystemExit(str(exc)) from None
@@ -217,8 +215,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from .core.bounds import lower_bound, space_exponent, vertex_loads
     from .core.shares import optimal_share_exponents
 
-    query = parse_query(args.query)
-    bits = _declared_statistics(args, query).bits_vector(query)
+    query, stats = _declared_statistics(args)
+    bits = stats.bits_vector(query)
     try:  # e.g. share optimization at p = 1
         loads = vertex_loads(query, bits, args.p)
         bound = lower_bound(query, bits, args.p)
@@ -263,27 +261,55 @@ def cmd_packings(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_catalog_arguments(parser: argparse.ArgumentParser) -> None:
-    """One catalog's flags, for ``plan``, ``race``, ``stats`` and ``submit
-    plan|stats``; the dataclasses' defaults, so argv and JSON specs agree."""
+#: The two schemas: a spec table — each field's flag and JSON shape — and
+#: the defaults of the dataclasses it builds (``workers``/``cell_timeout``
+#: are the executor's, unset by default).
+_CATALOG = _CATALOG_FIELDS, Catalog("").to_spec()
+_SWEEP = _SPEC_FIELDS, {name: getattr(Sweep, name, None)
+                        for name in _SPEC_FIELDS}
+
+
+def _add_spec_arguments(
+    parser: argparse.ArgumentParser, schema: tuple, skip: Sequence[str] = ()
+) -> None:
+    """The query and a flag for each field of ``schema`` (:data:`_CATALOG`
+    or :data:`_SWEEP`) but ``skip``, defaulting to the dataclass's value: a
+    list field takes comma-separated values (:func:`_spec` splits them)."""
+    table, defaults = schema
     parser.add_argument("query")
-    parser.add_argument("--workload", choices=list(WORKLOAD_KINDS),
-                        default=WorkloadSpec.kind)
-    parser.add_argument("--skew", type=float, default=WorkloadSpec.skew)
-    parser.add_argument("-m", type=int, default=WorkloadSpec.m)
-    parser.add_argument("--seed", type=int, default=WorkloadSpec.seed)
-    parser.add_argument("-p", type=int, default=Catalog.p)
+    for name, field in table.items():
+        if name in skip:
+            continue
+        if field.kinds == (bool,):
+            parser.add_argument(field.flag, action="store_true",
+                                help=field.help)
+        else:
+            parser.add_argument(
+                field.flag, default=defaults[name], help=field.help,
+                type=field.kinds[0] if field.listed is False else str)
+
+
+def _spec(args: argparse.Namespace, schema: tuple) -> dict:
+    """The JSON-shaped spec — what ``from_spec`` checks and the service's
+    jobs carry — of the flags :func:`_add_spec_arguments` added; a flag
+    left unset (None) is left out, a list flag's text split."""
+    table, _ = schema
+    fields = {"query": args.query}
+    for name, field in table.items():
+        value = getattr(args, field.flag.lstrip("-").replace("-", "_"), None)
+        if isinstance(value, str) and field.listed is not False \
+                and value not in field.words:
+            value = list(_parse_grid(value, field.kinds[0], field.flag))
+        if value is not None:
+            fields[name] = value
+    return fields
 
 
 def _catalog(args: argparse.Namespace, step: Callable = lambda catalog: catalog):
     """``step`` of the catalog those flags describe; a bad ``-m``/``-p``, a
     query that does not parse or an unrealizable workload exits cleanly."""
     try:
-        return step(Catalog(
-            args.query,
-            WorkloadSpec(args.workload, args.m, args.skew, args.seed),
-            args.p, getattr(args, "stats", Catalog.stats),
-        ))
+        return step(Catalog.from_spec(_spec(args, _CATALOG)))
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -292,8 +318,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.max_rounds < 1:
         raise SystemExit(f"--max-rounds must be >= 1, got {args.max_rounds}")
     if args.cardinality:  # explicit cardinalities beat a workload
-        query = parse_query(args.query)
-        stats = _declared_statistics(args, query)
+        query, stats = _declared_statistics(args)
         try:
             query_plan = build_plan(query, stats, args.p,
                                     max_rounds=args.max_rounds)
@@ -335,10 +360,11 @@ def cmd_race(args: argparse.Namespace) -> int:
     pass and (with ``--verify``) sequential join for all of them."""
     obs = _make_observation(args)
     context = SharedContext()
-    _, query_plan = _catalog(args, lambda catalog: context.plan(catalog, obs))
+    catalog, (_, query_plan) = _catalog(
+        args, lambda catalog: (catalog, context.plan(catalog, obs)))
     records = execute_cells([
-        Cell(args.query, args.workload, args.m, args.skew, args.seed,
-             args.p, prediction.key, engine=args.engine, verify=args.verify)
+        Cell.of(catalog, prediction.key, engine=args.engine,
+                verify=args.verify)
         for prediction in query_plan.applicable
     ], obs=obs, cache=context.cache)
 
@@ -441,28 +467,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0 if report["false_negatives"] == 0 else 1
 
 
-def _sweep_spec(args: argparse.Namespace) -> dict:
-    """The sweep spec (:meth:`repro.api.Sweep.from_spec`'s mapping, also the
-    service's job payload) of ``repro sweep`` / ``repro submit sweep``."""
-    algorithms: object = args.algorithms
-    if algorithms not in ("applicable", "auto"):
-        algorithms = list(_parse_grid(algorithms, str, "--algorithms"))
-    return {
-        "query": args.query,
-        "workload": args.workload,
-        "p_values": list(_parse_grid(args.p, int, "--p")),
-        "m_values": list(_parse_grid(args.m, int, "--m")),
-        "skews": list(_parse_grid(args.skew, float, "--skew")),
-        "seeds": list(_parse_grid(args.seeds, int, "--seeds")),
-        "domain": args.domain,
-        "algorithms": algorithms,
-        "stats": list(_parse_grid(args.stats, str, "--stats")),
-        "rounds": list(_parse_grid(args.rounds, int, "--rounds")),
-        "engine": args.engine,
-        "verify": args.verify,
-    }
-
-
 def _check_writable(*paths: str | None) -> None:
     """Exit now if a destination cannot be written — not after the run it
     would lose.  Leaves no file behind."""
@@ -494,15 +498,12 @@ def _write_payload(payload: str, output: str | None, what: str) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     obs = _make_observation(args)
-    try:
-        sweep = replace(Sweep.from_spec(_sweep_spec(args)),
+    try:  # a cell's error is its record's; these are the spec's
+        sweep = replace(Sweep.from_spec(_spec(args, _SWEEP)),
                         observe=args.metrics)
         cells = sweep.cells()
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    _LOG.info("sweep: %d cells, engine=%s, workers=%s",
-              len(cells), args.engine, args.workers)
-    try:
+        _LOG.info("sweep: %d cells, engine=%s, workers=%s",
+                  len(cells), args.engine, args.workers)
         result = sweep.run(max_workers=args.workers, cells=cells, obs=obs,
                            cell_timeout=args.cell_timeout)
     except ValueError as exc:
@@ -616,15 +617,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     )
 
     kind = args.job_kind
-    if kind == "sweep":
-        spec = _sweep_spec(args)
-        if args.workers is not None:
-            spec["workers"] = args.workers
-        if args.cell_timeout is not None:
-            spec["cell_timeout"] = args.cell_timeout
-    else:
-        spec = _catalog(args).to_spec()
-
+    spec = _spec(args, _SWEEP if kind == "sweep" else _CATALOG)
     client = ServiceClient(args.server)
     try:
         status = client.submit(kind, spec)
@@ -661,52 +654,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """The grid flags ``repro sweep`` and ``repro submit sweep`` share
-    (:func:`_sweep_spec` reads them back)."""
-    parser.add_argument("query")
-    parser.add_argument("--workload", choices=list(WORKLOAD_KINDS),
-                        default="zipf")
-    parser.add_argument("--p", default="16",
-                        help="comma-separated server counts (e.g. 8,16,64)")
-    parser.add_argument("--m", default="1000",
-                        help="comma-separated relation cardinalities")
-    parser.add_argument("--skew", default="1.0",
-                        help="comma-separated skew parameters")
-    parser.add_argument("--seeds", default="0",
-                        help="comma-separated generator seeds")
-    parser.add_argument("--domain", type=int, default=None,
-                        help="domain size of every generated relation "
-                             "(default: the workload's, 4 m for zipf and "
-                             "8 m for the others)")
-    parser.add_argument("--algorithms", default="applicable",
-                        help="'applicable' (default), 'auto' (planner pick "
-                             "per cell), or comma-separated registry keys")
-    parser.add_argument("--stats", default="exact",
-                        help="comma-separated statistics methods per cell: "
-                             "exact, sketch (e.g. 'exact,sketch' runs every "
-                             "cell under both)")
-    parser.add_argument("--rounds", default="1",
-                        help="comma-separated planner round budgets per "
-                             "cell (e.g. '1,2' ranks one- and two-round "
-                             "algorithms side by side)")
-    parser.add_argument("--engine", default="batched",
-                        help="execution engine: "
-                             f"{' or '.join(available_engines())} "
-                             "(default batched)")
-    parser.add_argument("--verify", action="store_true",
-                        help="verify completeness in every cell (one "
-                             "sequential join per database, plus every "
-                             "cell's local joins and a set comparison)")
+    """The flags ``repro sweep`` and ``repro submit sweep`` share."""
+    _add_spec_arguments(parser, _SWEEP)
     parser.add_argument("--format", choices=["json", "csv", "summary"],
                         default="json")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="farm cells across N worker processes (on "
-                             "submit: instead of the server's setting)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        help="kill any cell running longer than this many "
-                             "seconds and record it with status 'timeout' "
-                             "(forces process isolation; on submit: instead "
-                             "of the server's setting)")
     parser.add_argument("--output", default=None,
                         help="write the result to this file instead of "
                              "stdout")
@@ -752,11 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
         "plan",
         help="rank registered algorithms by predicted load (no execution)",
     )
-    _add_catalog_arguments(plan_cmd)
+    _add_spec_arguments(plan_cmd, _CATALOG, skip=("stats",))
     plan_cmd.add_argument("--cardinality", action="append", default=[],
                           help="NAME=COUNT (repeatable); skew-free "
-                               "predictions from declared statistics")
-    plan_cmd.add_argument("--domain", type=int, default=1_000_000)
+                               "predictions from declared statistics "
+                               "(--domain: 10**6 unless given)")
     plan_cmd.add_argument("--max-rounds", type=int, default=1,
                           dest="max_rounds", metavar="R",
                           help="round budget: rank multi-round algorithms "
@@ -772,9 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(planned at a round budget of 1; 'sweep --rounds' runs "
              "multi-round plans)",
     )
-    _add_catalog_arguments(race)
+    _add_spec_arguments(race, _CATALOG, skip=("stats",))
     race.add_argument("--verify", action="store_true",
-                      help="also run the sequential join and check completeness")
+                      help=_SPEC_FIELDS["verify"].help)
     race.add_argument("--engine", choices=available_engines(),
                       default="batched",
                       help="execution engine simulating the round: batched "
@@ -798,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="compare sketched statistics against exact heavy hitters",
     )
-    _add_catalog_arguments(stats_cmd)
+    _add_spec_arguments(stats_cmd, _CATALOG, skip=("stats",))
     stats_cmd.add_argument("--width", type=int, default=2048,
                            help="count-sketch columns per row "
                                 "(default %(default)s)")
@@ -871,31 +822,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_sub = submit.add_subparsers(dest="job_kind", required=True)
 
-    def _add_submit_common(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--server", default="http://127.0.0.1:8765",
-                            help="service base URL (default %(default)s)")
-        parser.add_argument("--timeout", type=float, default=300.0,
-                            help="give up waiting for the job after this "
-                                 "many seconds (default %(default)s)")
-        _add_logging_arguments(parser)
-        parser.set_defaults(func=cmd_submit)
-
     for kind, blurb in (
         ("plan", "rank algorithms for one catalog (served, cached)"),
         ("stats", "build one catalog's statistics (served, cached)"),
+        ("sweep", "run a full grid on the server with fault isolation"),
     ):
         job = submit_sub.add_parser(kind, help=blurb)
-        _add_catalog_arguments(job)
-        job.add_argument("--stats", choices=list(STATS_METHODS),
-                         default=Catalog.stats,
-                         help="statistics method (default %(default)s)")
-        _add_submit_common(job)
-
-    sweep_job = submit_sub.add_parser(
-        "sweep", help="run a full grid on the server with fault isolation"
-    )
-    _add_sweep_arguments(sweep_job)
-    _add_submit_common(sweep_job)
+        if kind == "sweep":
+            _add_sweep_arguments(job)
+        else:
+            _add_spec_arguments(job, _CATALOG)
+        job.add_argument("--server", default="http://127.0.0.1:8765",
+                         help="service base URL (default %(default)s)")
+        job.add_argument("--timeout", type=float, default=300.0,
+                         help="give up waiting for the job after this "
+                              "many seconds (default %(default)s)")
+        _add_logging_arguments(job)
+        job.set_defaults(func=cmd_submit)
 
     return parser
 

@@ -67,6 +67,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..api.experiment import (
+    _WORKLOAD_KEYS,
     Catalog,
     ExperimentError,
     SharedContext,
@@ -208,8 +209,7 @@ class _JobRunner:
             "query": str(query),
             "p": catalog.p,
             "method": catalog.stats,
-            "workload": {name: echo[name] for name in
-                         ("workload", "m", "skew", "seed", "domain")},
+            "workload": {name: echo[name] for name in _WORKLOAD_KEYS},
             "relations": {
                 atom.name: db.relation(atom.name).cardinality
                 for atom in query.atoms
@@ -324,8 +324,9 @@ class JobQueue:
                 f"unknown job kind {kind!r}; expected one of "
                 f"{', '.join(JOB_KINDS)}"
             )
-        # Shape check only (the job rebuilds it): a malformed spec is the
-        # client's error (400), not a job that can only fail.
+        # Shape check and query parse only (the job rebuilds it): a
+        # malformed spec is the client's error (400), not a job that can
+        # only fail.
         try:
             (Sweep if kind == "sweep" else Catalog).from_spec(spec)
         except ExperimentError as exc:

@@ -2,12 +2,15 @@
 the same (database, statistics, plan) from the CLI, the service and a
 sweep cell."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import Catalog, ExperimentError, Sweep, WorkloadSpec
-from repro.cli import build_parser, _catalog, main
+from repro.api.experiment import _CATALOG_FIELDS, _SPEC_FIELDS
+from repro.cli import _SWEEP, _catalog, _spec, build_parser, main
 from repro.service import JobQueue
 
 JOIN = "q(x,y,z) :- S1(x,z), S2(y,z)"
@@ -41,6 +44,12 @@ class TestSpec:
         args = build_parser().parse_args(argv)
         assert _catalog(args) == Catalog.from_spec({"query": JOIN})
 
+    @pytest.mark.parametrize("argv", [["sweep", JOIN],
+                                      ["submit", "sweep", JOIN]])
+    def test_argv_and_sweep_spec_share_their_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert Sweep.from_spec(_spec(args, _SWEEP)) == Sweep(JOIN)
+
     def test_integer_skew_is_the_same_catalog(self):
         one = Catalog.from_spec({"query": JOIN, "skew": 1})
         assert one == Catalog.from_spec({"query": JOIN, "skew": 1.0})
@@ -59,6 +68,78 @@ class TestSpec:
         spaced = Catalog("q(x, y,z)  :-  S1(x,z),S2(y,  z)")
         assert spaced != Catalog(JOIN)
         assert spaced.canonical() == Catalog(JOIN).canonical()
+
+
+def _flags(*path: str) -> dict:
+    """Flag -> default of the subcommand at ``path`` of the CLI."""
+    parser = build_parser()
+    for name in path:
+        (subcommands,) = [action for action in parser._actions if
+                          isinstance(action, argparse._SubParsersAction)]
+        parser = subcommands.choices[name]
+    return {flag: action.default for action in parser._actions
+            for flag in action.option_strings}
+
+
+#: What each field defaults to: the dataclasses' values (the executor
+#: settings ``workers`` and ``cell_timeout`` are unset).
+CATALOG_DEFAULTS = {
+    "workload": WorkloadSpec.kind, "m": WorkloadSpec.m,
+    "skew": WorkloadSpec.skew, "seed": WorkloadSpec.seed,
+    "domain": WorkloadSpec.domain, "p": Catalog.p, "stats": Catalog.stats,
+}
+SWEEP_DEFAULTS = {"workers": None, "cell_timeout": None, **{
+    field.name: field.default for field in dataclasses.fields(Sweep)
+    if field.name in _SPEC_FIELDS}}
+
+
+class TestOneSchema:
+    """The spec tables are the CLI's flags: each catalog and sweep
+    subcommand has a flag for every field it takes, defaulting to the
+    dataclass's value, and ``--domain`` reaches the catalog everywhere."""
+
+    @pytest.mark.parametrize("path, table, defaults, flagless", [
+        (("plan",), _CATALOG_FIELDS, CATALOG_DEFAULTS, {"stats"}),
+        (("race",), _CATALOG_FIELDS, CATALOG_DEFAULTS, {"stats"}),
+        (("stats",), _CATALOG_FIELDS, CATALOG_DEFAULTS, {"stats"}),
+        (("submit", "plan"), _CATALOG_FIELDS, CATALOG_DEFAULTS, set()),
+        (("submit", "stats"), _CATALOG_FIELDS, CATALOG_DEFAULTS, set()),
+        (("sweep",), _SPEC_FIELDS, SWEEP_DEFAULTS, set()),
+        (("submit", "sweep"), _SPEC_FIELDS, SWEEP_DEFAULTS, set()),
+    ])
+    def test_every_field_is_a_flag_with_the_dataclass_default(
+            self, path, table, defaults, flagless):
+        """``plan``, ``race`` and ``stats`` take no ``--stats``, as before."""
+        assert set(table) == set(defaults)
+        flags = _flags(*path)
+        for name in set(table) - flagless:
+            assert flags[table[name].flag] == defaults[name], name
+        assert not {table[name].flag for name in flagless} & set(flags)
+
+    @pytest.mark.parametrize("command", ["plan", "race", "stats"])
+    def test_domain_reaches_every_database(self, command, monkeypatch):
+        """One database, generated over the declared domain: ``race``'s
+        cells run on the catalog its plan was built on."""
+        domains = []
+        generate = Catalog.generate
+
+        def recorded(self, obs=None):
+            domains.append(self.workload.domain_size)
+            return generate(self, obs)
+
+        monkeypatch.setattr(Catalog, "generate", recorded)
+        main([command, JOIN, "--workload", "zipf", "-m", "60", "-p", "4",
+              "--domain", "50", "-q" if command != "plan" else "--json"])
+        assert domains == [50]
+
+    def test_plan_domain_changes_the_plan(self, capsys):
+        argv = ["plan", JOIN, "--workload", "zipf", "-m", "400", "-p", "8",
+                "--json"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--domain", "50"]) == 0
+        narrow = json.loads(capsys.readouterr().out)
+        assert narrow != default
 
 
 class TestCrossPathParity:

@@ -410,6 +410,22 @@ class TestOneDatabasePerWorkloadSpec:
         assert [measurements(r) for r in result] == \
             [measurements(run_cell(cell)) for cell in cells]
 
+    def test_a_skew_the_kind_ignores_shares_one_database(self):
+        """``uniform`` never reads the skew: three skews and two ``p`` are
+        six catalogs on one database."""
+        sweep = Sweep(JOIN_TEXT, workload="uniform", m_values=(60,),
+                      p_values=(4, 8), skews=(0.0, 0.5, 1.2),
+                      algorithms=("hashjoin",))
+        cells = sweep.cells()
+        obs = Observation.create()
+        result = sweep.run(cells=cells, obs=obs)
+        assert [record.status for record in result] == ["ok"] * 6
+        count = lambda name: obs.metrics.histogram(f"{name}.seconds").count
+        assert count("data.generate") == 1
+        assert count("stats.build") == 6
+        assert [measurements(r) for r in result] == \
+            [measurements(run_cell(cell)) for cell in cells]
+
     def test_shuffled_groups_regenerate_but_agree(self):
         sweep = Sweep(skews=(0.0, 1.2), algorithms=("hashjoin",), **self.GRID)
         cells = sweep.cells()

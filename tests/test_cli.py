@@ -88,6 +88,13 @@ class TestBoundsCommand:
                   *extra])
         assert excinfo.value.code == message
 
+    @pytest.mark.parametrize("command", ["bounds", "plan"])
+    def test_an_unparsable_query_exits_with_one_line(self, command):
+        """It used to escape as a ``QueryError`` traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "garbage", "--cardinality", "S=10"])
+        assert str(excinfo.value.code).startswith("cannot parse query")
+
     def test_bounds_at_one_server_exits_with_the_share_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["bounds", "q(x,y,z) :- S1(x,z), S2(y,z)",

@@ -257,8 +257,8 @@ class TestFarmFaultIsolation:
         # Still empty: the parent never steps on the context it hands out,
         # so a replacement worker forks an empty one too.
         fresh = pickle.loads(pickle.dumps(context))
-        assert fresh.cache == {} and fresh._data == {}
-        assert context.cache == {} and context._data == {}
+        assert fresh.cache == {}
+        assert context.cache == {}
 
 
 class TestSerialGrouping:
@@ -412,6 +412,7 @@ class TestJobQueueUnit:
         ("p_values", [0]),      # these three were accepted, then failed
         ("m_values", [0]),
         ("domain", 0),
+        ("query", "q(x :- R(x"),   # accepted, then failed as QueryError
     ])
     def test_malformed_sweep_spec_rejected_at_submit(self, field, value):
         queue = JobQueue(workers=0)
@@ -438,6 +439,7 @@ class TestJobQueueUnit:
         ("skew", -1),
         ("skew", float("inf")),
         ("seed", -(2**63) - 1),
+        ("query", "q(x :- R(x"),   # accepted, then failed as QueryError
     ])
     def test_malformed_catalog_spec_rejected_at_submit(
         self, kind, field, value
@@ -485,8 +487,11 @@ class TestJobQueueUnit:
         queue.shutdown()
 
     def test_bad_spec_fails_the_job_not_the_queue(self):
+        """A spec that passes the submit check but names a workload the
+        generator cannot realize fails in its job worker."""
         queue = JobQueue(workers=1)
-        bad = queue.submit("plan", {"query": "this is not a query"})
+        bad = queue.submit("plan", {"query": "q(x,y) :- R(x), S(x,y)",
+                                    "workload": "worst", "m": 50})
         good = queue.submit("plan", {"query": JOIN_TEXT, "p": 4, "m": 40})
         assert queue.join(timeout=60)
         assert queue.status(bad.id)["state"] == "failed"
@@ -862,10 +867,11 @@ class TestJobQueueUnit:
                 "entries": metrics["gauges"]["service.cache.entries"],
             }
         assert contents[True] == contents[False]
-        # A plan per catalog and round budget, whatever the algorithms:
-        # each stored once, on its one miss, and never evicted.
+        # A database per m (two catalogs, p = 4 and 8, on each), a plan
+        # per catalog and round budget, whatever the algorithms: each
+        # stored once, on its one miss, and never evicted.
         lookups = contents[True]["lookups"]
         assert {section: lookups[f"service.cache.{section}.miss"]
-                for section in ("stats", "plan")} == \
-            {"stats": 4, "plan": 4 * 2}
-        assert contents[True]["entries"] == 4 + 4 * 2
+                for section in ("data", "stats", "plan")} == \
+            {"data": 2, "stats": 4, "plan": 4 * 2}
+        assert contents[True]["entries"] == 2 + 4 + 4 * 2

@@ -184,6 +184,17 @@ class TestLifecycle:
         records = json.loads(target.read_text())["records"]
         assert [record["domain"] for record in records] == [50]
 
+    def test_submit_plan_domain_is_repro_plan_domain(self, service, capsys):
+        instance, _ = service
+        argv = [JOIN_TEXT, "--workload", "zipf", "-m", "400", "-p", "8",
+                "--domain", "50"]
+        assert main(["plan", *argv, "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        assert main(["submit", "plan", *argv, "--server", instance.url]) == 0
+        assert json.loads(capsys.readouterr().out) == local
+        assert main(["submit", "stats", *argv, "--server", instance.url]) == 0
+        assert json.loads(capsys.readouterr().out)["workload"]["domain"] == 50
+
     @pytest.mark.parametrize("kind", ["plan", "stats"])
     @pytest.mark.parametrize("field, value", [
         ("m", 2.7), ("seed", True), ("skew", "hot"), ("p", 0),
@@ -198,9 +209,30 @@ class TestLifecycle:
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
 
+    @pytest.mark.parametrize("kind, spec", [
+        ("plan", PLAN_SPEC), ("sweep", SWEEP_SPEC),
+    ])
+    def test_an_unparsable_query_is_400(self, service, kind, spec):
+        """It used to be accepted with 202, then failed as ``QueryError``;
+        ``repro submit`` exits with the 400, and no job is made."""
+        instance, client = service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(kind, {**spec, "query": "q(x :- R(x"})
+        assert excinfo.value.status == 400
+        assert "'query'" in str(excinfo.value)
+        assert "cannot parse query" in str(excinfo.value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", kind, "q(x :- R(x", "--server", instance.url])
+        assert str(excinfo.value.code).startswith("HTTP 400: ")
+        assert "cannot parse query" in str(excinfo.value.code)
+        assert instance.queue.jobs() == []
+
     def test_failed_job_reports_error(self, service):
+        """A spec that passes the submit check but names a workload the
+        generator cannot realize fails in its job worker."""
         _, client = service
-        job = client.submit("plan", {"query": "not a query at all"})
+        job = client.submit("plan", {"query": "q(x,y) :- R(x), S(x,y)",
+                                     "workload": "worst", "m": 50})
         final = client.wait(job["id"])
         assert final["state"] == "failed"
         assert final["error"]
