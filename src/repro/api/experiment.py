@@ -47,7 +47,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from typing import Callable, Hashable, Mapping, Protocol, Sequence
 
@@ -58,7 +58,6 @@ from ..core.registry import (
     get_spec,
 )
 from ..data.generators import (
-    _zipf_table,
     matching_relation,
     single_value_relation,
     uniform_relation,
@@ -88,23 +87,19 @@ class ExperimentError(ValueError):
     """Raised for unsatisfiable experiment/sweep specifications."""
 
 
-#: Workload kind -> (default domain per tuple of ``m``, whether the generator
-#: reads ``skew``, the call making one atom's relation: ``(atom, spec, domain,
-#: seed, tables) -> Relation``, ``tables`` the database's zipf table memo).
+#: Workload kind -> (default domain per tuple of ``m``, whether ``skew`` is
+#: read, one atom's relation: ``(atom, spec, domain, seed) -> Relation``).
 _WORKLOADS: Mapping[str, tuple[int, bool, Callable]] = {
-    "uniform": (8, False, lambda atom, spec, domain, seed, _: uniform_relation(
+    "uniform": (8, False, lambda atom, spec, domain, seed: uniform_relation(
         atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
-    "zipf": (4, True, lambda atom, spec, domain, seed, tables: zipf_relation(
+    "zipf": (4, True, lambda atom, spec, domain, seed: zipf_relation(
         atom.name, spec.m, domain, arity=atom.arity, skew=spec.skew,
-        seed=seed, skewed_positions=(min(1, atom.arity - 1),),
-        table=tables(domain, spec.skew))),
-    "worst": (8, False, lambda atom, spec, domain, seed, _:
-              single_value_relation(atom.name, spec.m, domain,
-                                    arity=atom.arity,
-                                    fixed_position=atom.arity - 1, seed=seed)),
-    "matching": (8, False, lambda atom, spec, domain, seed, _:
-                 matching_relation(atom.name, spec.m, domain,
-                                   arity=atom.arity, seed=seed)),
+        seed=seed, skewed_positions=(min(1, atom.arity - 1),))),
+    "worst": (8, False, lambda atom, spec, domain, seed: single_value_relation(
+        atom.name, spec.m, domain, arity=atom.arity,
+        fixed_position=atom.arity - 1, seed=seed)),
+    "matching": (8, False, lambda atom, spec, domain, seed: matching_relation(
+        atom.name, spec.m, domain, arity=atom.arity, seed=seed)),
 }
 WORKLOAD_KINDS = tuple(_WORKLOADS)
 
@@ -167,19 +162,17 @@ class WorkloadSpec:
     def build(self, query: ConjunctiveQuery) -> Database:
         """Generate the database (deterministic in the spec + query)."""
         generate, domain = _WORKLOADS[self.kind][2], self.domain_size
-        tables = cache(_zipf_table)
         return Database.from_relations([
-            generate(atom, self, domain, self.seed + i, tables)
+            generate(atom, self, domain, self.seed + i)
             for i, atom in enumerate(query.atoms)
         ])
 
 
 @dataclass(frozen=True)
 class _Field:
-    """A spec field: its flag, the JSON value it takes — its types (the
-    first converts the flag's text), a list or not (None: either), what it
-    must be, a check on each value — the words a list flag passes on as
-    one string, and the flag's help."""
+    """A spec field: its flag; its JSON value's types (the first converts
+    flag text), list or not (None: either), description and check on each
+    value; the words a list flag passes on unsplit; the flag's help."""
 
     flag: str
     kinds: tuple[type, ...]
@@ -193,10 +186,9 @@ class _Field:
 def _spec_fields(
     spec: object, table: Mapping[str, _Field], what: str
 ) -> dict[str, object]:
-    """The fields of ``table`` present in a JSON-shaped ``spec``, shape-,
-    type- and range-checked, its query parsed; lists, never empty, come
-    back as tuples.  A key outside the table is an error, not a
-    default."""
+    """The fields of ``table`` present in a JSON-shaped ``spec``, checked,
+    its query parsed; lists, never empty, come back as tuples.  A key
+    outside the table is an error, not a default."""
     if not isinstance(spec, Mapping) or not spec.get("query") \
             or not isinstance(spec["query"], str):
         raise ExperimentError(
@@ -344,8 +336,7 @@ class Cell:
 
     @classmethod
     def of(cls, catalog: Catalog, algorithm: str, **settings) -> "Cell":
-        """The cell running ``algorithm`` on ``catalog`` (whose
-        :attr:`catalog` it is), with the other fields ``settings``."""
+        """The cell running ``algorithm`` on ``catalog``, with ``settings``."""
         w = catalog.workload
         return cls(catalog.query, w.kind, w.m, w.skew, w.seed, catalog.p,
                    algorithm, domain=w.domain, stats=catalog.stats,
@@ -409,20 +400,19 @@ class _InUse:
 class SharedContext:
     """What cells at equal coordinates share, and under which key — decided
     here and nowhere else, in the sections of ``cache``: ``data``, the
-    database, under what its generator reads (catalogs that differ only in
+    database, under what its generator reads (catalogs differing only in
     ``p``, statistics method or a skew their kind ignores share one);
     ``stats``, the catalog's ``(query, db, stats)``, under the catalog;
     ``plan``, every registered algorithm ranked within a round budget,
     under the catalog plus the budget.  One slot per section (grid order
     puts the cells that share one side by side) unless a cache is passed:
-    the service's three job kinds pass its ``CatalogCache``, so the second
-    request on a catalog is a hit.  The database a cell runs on has one
-    more slot, kept here and never in ``cache`` (whose entries outlive the
-    sweep): the raw hashes of its
-    columns (each hashed once per seed and salt, whichever algorithm and
-    share vector routes it) and the sequential oracle (an answer
-    fingerprint, and the answers only when a comparison needs them); the
-    first cell on another database drops both.
+    the service's three job kinds pass its ``CatalogCache``.  The database
+    a cell runs on has one more slot, kept here and never in ``cache``
+    (whose entries outlive the sweep): the raw hashes of its columns (each
+    hashed once per seed and salt, whichever algorithm and share vector
+    routes it) and the sequential oracle (an answer fingerprint, and the
+    answers only when a comparison needs them); the first cell on another
+    database drops both.
 
     :meth:`step` is one cell end to end, wherever it runs: on a fresh
     context in :func:`run_cell`, on one context for the whole grid in the
@@ -935,8 +925,10 @@ _SPEC_FIELDS: Mapping[str, _Field] = {
                           "side by side)"),
     "engine": _Field("--engine", (str,), False, _one_of(_ENGINES),
                      _ENGINES.__contains__,
-                     help=f"execution engine: {' or '.join(_ENGINES)} "
-                          "(default batched)"),
+                     help="execution engine simulating a round: batched "
+                          "(vectorized, default) or reference (tuple-at-a-"
+                          "time parity oracle); both return identical "
+                          "answers and loads"),
     "verify": _Field("--verify", (bool,), False, "a boolean",
                      help="check completeness against the sequential "
                           "oracle, once per database: answer fingerprints "
@@ -987,17 +979,15 @@ class Sweep:
         submit sweep`` and the service's sweep jobs all describe it by.
 
         Keys are the field names; absent keys keep the field defaults and
-        an unknown key is an error.  Only shapes, types, the ranges of
-        ``p_values``, ``m_values``, ``skews``, ``seeds`` and ``domain``, the
-        engine, workload and statistics names, and that the query parses
-        are checked — no grid expansion — so the service can run this on
-        the request thread and answer a malformed spec (an empty axis or
-        an unparsable query included) with 400 instead of accepting a job
-        that can only fail or finish with no records; grid values are
-        validated where they always were, in :meth:`cells`.  The executor
-        settings a job spec may carry (``workers``, ``cell_timeout``) are
-        not the sweep's, but they are checked here, type and range, for
-        the same reason.
+        an unknown key is an error.  Shapes, types, the ranges of the grid
+        axes and ``domain``, the engine, workload and statistics names and
+        the query's parse are checked — no grid expansion — so the service
+        can run this on the request thread and answer a malformed spec (an
+        empty axis or an unparsable query too) with 400 instead of
+        accepting a job that can only fail or finish with no records; grid
+        values are validated where they always were, in :meth:`cells`.
+        The executor settings a job spec may carry (``workers``,
+        ``cell_timeout``) are not the sweep's, but are checked here too.
         """
         fields = _spec_fields(spec, _SPEC_FIELDS, "sweep")
         for name in ("workers", "cell_timeout"):

@@ -174,21 +174,8 @@ def _parse_cardinalities(pairs: Sequence[str]) -> dict[str, int]:
     return out
 
 
-def _parse_grid(text: str, convert: Callable, flag: str) -> tuple:
-    """A comma-separated grid axis (``--p 8,16``), cleanly rejected."""
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(convert(token))
-        except ValueError:
-            raise SystemExit(
-                f"{flag} expects comma-separated {convert.__name__} values, "
-                f"got {token!r}"
-            ) from None
-    return tuple(values)
+#: The domain ``--cardinality`` declares unless ``--domain`` is given.
+_DECLARED_DOMAIN = 1_000_000
 
 
 def _declared_statistics(
@@ -198,7 +185,7 @@ def _declared_statistics(
     for ``-p`` servers; a query that does not parse and bad values exit
     with one line, as a catalog's do."""
     cardinalities = _parse_cardinalities(args.cardinality)
-    domain = 1_000_000 if args.domain is None else args.domain
+    domain = _DECLARED_DOMAIN if args.domain is None else args.domain
     for flag, value in (("-p", args.p), ("--domain", domain)):
         if value < 1:
             raise SystemExit(f"{flag} must be >= 1, got {value}")
@@ -225,7 +212,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     print(f"query: {query}")
-    print(f"p = {args.p}, domain = {args.domain}")
+    print(f"p = {args.p}, domain = {stats.domain_size}")
     print("\npacking-vertex load table (pk(q)):")
     for packing, value in loads:
         label = {k: str(v) for k, v in packing.items() if v != 0}
@@ -261,9 +248,8 @@ def cmd_packings(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The two schemas: a spec table — each field's flag and JSON shape — and
-#: the defaults of the dataclasses it builds (``workers``/``cell_timeout``
-#: are the executor's, unset by default).
+#: The two schemas: a spec table and the defaults of the dataclass it builds
+#: (``workers``/``cell_timeout`` are the executor's, unset by default).
 _CATALOG = _CATALOG_FIELDS, Catalog("").to_spec()
 _SWEEP = _SPEC_FIELDS, {name: getattr(Sweep, name, None)
                         for name in _SPEC_FIELDS}
@@ -278,31 +264,40 @@ def _add_spec_arguments(
     table, defaults = schema
     parser.add_argument("query")
     for name, field in table.items():
-        if name in skip:
-            continue
-        if field.kinds == (bool,):
-            parser.add_argument(field.flag, action="store_true",
-                                help=field.help)
-        else:
-            parser.add_argument(
-                field.flag, default=defaults[name], help=field.help,
-                type=field.kinds[0] if field.listed is False else str)
+        flag = {"action": "store_true"} if field.kinds == (bool,) else {
+            "default": defaults[name],
+            "type": field.kinds[0] if field.listed is False else str}
+        if name not in skip:
+            parser.add_argument(field.flag, help=field.help, **flag)
 
 
 def _spec(args: argparse.Namespace, schema: tuple) -> dict:
-    """The JSON-shaped spec — what ``from_spec`` checks and the service's
-    jobs carry — of the flags :func:`_add_spec_arguments` added; a flag
-    left unset (None) is left out, a list flag's text split."""
+    """The JSON-shaped spec ``from_spec`` checks, of the flags
+    :func:`_add_spec_arguments` added: an unset (None) flag left out, a list
+    flag's comma-separated text converted (a bad token exits with a line)."""
     table, _ = schema
     fields = {"query": args.query}
     for name, field in table.items():
         value = getattr(args, field.flag.lstrip("-").replace("-", "_"), None)
         if isinstance(value, str) and field.listed is not False \
                 and value not in field.words:
-            value = list(_parse_grid(value, field.kinds[0], field.flag))
+            text, convert, value = value, field.kinds[0], []
+            for token in filter(None, map(str.strip, text.split(","))):
+                try:
+                    value.append(convert(token))
+                except ValueError:
+                    raise SystemExit(
+                        f"{field.flag} expects comma-separated "
+                        f"{convert.__name__} values, got {token!r}"
+                    ) from None
         if value is not None:
             fields[name] = value
     return fields
+
+
+def _domain_note(args: argparse.Namespace) -> str:
+    """``, domain=N`` for a report when ``--domain`` set the domain."""
+    return "" if args.domain is None else f", domain={args.domain}"
 
 
 def _catalog(args: argparse.Namespace, step: Callable = lambda catalog: catalog):
@@ -338,7 +333,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("statistics: declared cardinalities (skew-free predictions)")
     else:
         print(f"statistics: {args.workload} workload "
-              f"(m={args.m}, skew={args.skew}, seed={args.seed})")
+              f"(m={args.m}, skew={args.skew}, seed={args.seed}"
+              f"{_domain_note(args)})")
     print(query_plan.explain())
     if curve is not None:
         print("\nround/load tradeoff (cost = max per-round load x rounds):")
@@ -369,8 +365,8 @@ def cmd_race(args: argparse.Namespace) -> int:
     ], obs=obs, cache=context.cache)
 
     print(f"query: {query_plan.query}")
-    print(f"workload: {args.workload} (m={args.m}, skew={args.skew}), "
-          f"p={args.p}, engine={args.engine}")
+    print(f"workload: {args.workload} (m={args.m}, skew={args.skew}"
+          f"{_domain_note(args)}), p={args.p}, engine={args.engine}")
     print(f"Theorem 3.6 skew-free optimum: "
           f"{query_plan.lower_bound_bits:,.0f} bits\n")
     print(f"{'algorithm':>20} {'predicted':>12} {'max load bits':>14} "
@@ -429,7 +425,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps({
             "query": str(query),
             "workload": {"kind": args.workload, "m": args.m,
-                         "skew": args.skew, "seed": args.seed},
+                         "skew": args.skew, "seed": args.seed,
+                         **({} if args.domain is None
+                            else {"domain": args.domain})},
             "p": args.p,
             "sketch": {"width": config.width, "depth": config.depth,
                        "base": config.base,
@@ -441,7 +439,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(f"query: {query}")
         print(f"workload: {args.workload} (m={args.m}, skew={args.skew}, "
-              f"seed={args.seed}), p={args.p}")
+              f"seed={args.seed}{_domain_note(args)}), p={args.p}")
         print(f"sketch: width={config.width} depth={config.depth} "
               f"base={config.base} ({sketched.update_count} updates)")
         print(f"statistics pass: exact {exact_seconds:.3f}s, "
@@ -691,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("query")
     bounds.add_argument("--cardinality", action="append", default=[],
                         help="NAME=COUNT (repeatable)")
-    bounds.add_argument("--domain", type=int, default=1_000_000)
+    bounds.add_argument("--domain", type=int, default=None)
     bounds.add_argument("-p", type=int, default=64)
     bounds.set_defaults(func=cmd_bounds)
 
@@ -707,7 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan_cmd.add_argument("--cardinality", action="append", default=[],
                           help="NAME=COUNT (repeatable); skew-free "
                                "predictions from declared statistics "
-                               "(--domain: 10**6 unless given)")
+                               f"(--domain: {_DECLARED_DOMAIN:,} unless "
+                               "given)")
     plan_cmd.add_argument("--max-rounds", type=int, default=1,
                           dest="max_rounds", metavar="R",
                           help="round budget: rank multi-round algorithms "
@@ -727,11 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     race.add_argument("--verify", action="store_true",
                       help=_SPEC_FIELDS["verify"].help)
     race.add_argument("--engine", choices=available_engines(),
-                      default="batched",
-                      help="execution engine simulating the round: batched "
-                           "(vectorized, default) or reference (tuple-at-a-"
-                           "time parity oracle); both return identical "
-                           "answers and loads")
+                      default=Sweep.engine, help=_SPEC_FIELDS["engine"].help)
     _add_observability_arguments(race)
     _add_logging_arguments(race)
     race.set_defaults(func=cmd_race)

@@ -304,7 +304,6 @@ def zipf_relation(
     skew: float = 1.0,
     skewed_positions: Sequence[int] = (1,),
     seed: int = 0,
-    table: np.ndarray | None = None,
 ) -> Relation:
     """Zipf(``skew``) values on ``skewed_positions``, uniform elsewhere.
 
@@ -312,9 +311,7 @@ def zipf_relation(
     resampling, so the realized frequency of the top value is capped by the
     number of distinct tuples it can participate in.  A skewed value is
     ``rng.choices(range(domain_size), weights)``'s, read off one
-    cumulative table: ``table``, when the caller already holds
-    ``_zipf_table(domain_size, skew)`` (one for all the relations of a
-    database), else built here.
+    cumulative table.
     """
     _check_capacity(cardinality, domain_size, arity)
     skewed = frozenset(skewed_positions)
@@ -322,8 +319,7 @@ def zipf_relation(
         if not 0 <= position < arity:
             raise GeneratorError(f"skewed position {position} outside arity {arity}")
     source = _Words(_rng(seed, f"zipf:{name}"))
-    if table is None:
-        table = _zipf_table(domain_size, skew)
+    table = _zipf_table(domain_size, skew)
     columns = _first_distinct(
         lambda count: _zipf_draws(
             source, arity, skewed, domain_size, table, count),

@@ -12,14 +12,13 @@ compute them once per catalog, not once per process.
 :class:`CatalogCache` keeps LRU sections behind one lock and reports every
 lookup through the observability layer; what goes into which section, and
 under which key, is :class:`repro.api.experiment.SharedContext`'s to say
-(``data``: the databases; ``stats``: one ``(query, db, stats)`` per
-catalog, for all three job kinds; ``plan``: every registered algorithm
-ranked, under the catalog plus the round budget — a sweep job's budget-1
-cells share a plan job's entry).  A section holds at most ``capacity``
-entries: a job worker keeps at most ``capacity`` databases in ``data``.
+(``data``: at most ``capacity`` databases, as every section holds at most
+``capacity`` entries; ``stats``: one ``(query, db, stats)`` per catalog;
+``plan``: every registered algorithm ranked, under the catalog plus the
+round budget — a sweep job's budget-1 cells share a plan job's entry):
 
-* counters ``service.cache.hit`` / ``service.cache.miss``, ``data``
-  included (and the per-section ``service.cache.<section>.hit/miss``),
+* counters ``service.cache.hit`` / ``service.cache.miss`` (and the
+  per-section ``service.cache.<section>.hit/miss``), ``data`` included,
 * gauge ``service.cache.entries``.
 """
 

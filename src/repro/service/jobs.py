@@ -324,9 +324,8 @@ class JobQueue:
                 f"unknown job kind {kind!r}; expected one of "
                 f"{', '.join(JOB_KINDS)}"
             )
-        # Shape check and query parse only (the job rebuilds it): a
-        # malformed spec is the client's error (400), not a job that can
-        # only fail.
+        # Shape check and query parse (the job rebuilds it): a malformed
+        # spec is the client's error (400), not a job that can only fail.
         try:
             (Sweep if kind == "sweep" else Catalog).from_spec(spec)
         except ExperimentError as exc:

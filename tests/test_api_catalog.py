@@ -141,6 +141,29 @@ class TestOneSchema:
         narrow = json.loads(capsys.readouterr().out)
         assert narrow != default
 
+    def test_stats_json_reports_a_given_domain(self, capsys):
+        """Without ``--domain`` the report is what it always was."""
+        argv = ["stats", JOIN, "--workload", "zipf", "-m", "60", "-p", "4",
+                "--json"]
+        main(argv)
+        default = json.loads(capsys.readouterr().out)["workload"]
+        assert default == {"kind": "zipf", "m": 60, "skew": 1.0, "seed": 0}
+        main(argv + ["--domain", "50"])
+        narrow = json.loads(capsys.readouterr().out)["workload"]
+        assert narrow == {**default, "domain": 50}
+
+    @pytest.mark.parametrize("command, header", [
+        ("plan", "statistics: zipf workload (m=60, skew=1.0, seed=0"),
+        ("race", "workload: zipf (m=60, skew=1.0"),
+        ("stats", "workload: zipf (m=60, skew=1.0, seed=0"),
+    ])
+    def test_text_headers_name_a_given_domain(self, command, header, capsys):
+        argv = [command, JOIN, "--workload", "zipf", "-m", "60", "-p", "4"]
+        main(argv)
+        assert f"{header})" in capsys.readouterr().out
+        main(argv + ["--domain", "50"])
+        assert f"{header}, domain=50)" in capsys.readouterr().out
+
 
 class TestCrossPathParity:
     """``repro plan --json``, a served plan job and the ``auto`` cell of a

@@ -37,6 +37,15 @@ class TestBoundsCommand:
         assert "share exponents" in out
         assert "space exponent" in out
 
+    @pytest.mark.parametrize("extra, domain", [
+        ([], 1_000_000), (["--domain", "100000"], 100_000)])
+    def test_bounds_prints_the_domain_it_declared(self, capsys, extra,
+                                                  domain):
+        assert main(["bounds", "q(x,y,z) :- S1(x,z), S2(y,z)",
+                     "--cardinality", "S1=4096", "--cardinality", "S2=1024",
+                     *extra]) == 0
+        assert f"p = 64, domain = {domain}\n" in capsys.readouterr().out
+
     def test_missing_cardinality_errors(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["bounds", "q(x) :- S(x)", "-p", "4"])

@@ -279,26 +279,6 @@ class TestZipfTable:
         assert table.dtype == np.float64
         assert table.tolist() == loop
 
-    def test_one_table_per_database(self, monkeypatch):
-        """Every relation of a zipf database draws from the same ``(domain,
-        skew)`` table: built once for the database, not once per relation
-        (``test_workload_spec_databases`` holds the relations to the
-        per-draw loop)."""
-        from repro.api import experiment
-
-        calls = []
-        build = generators._zipf_table
-
-        def counted(domain, skew):
-            calls.append((domain, skew))
-            return build(domain, skew)
-
-        monkeypatch.setattr(generators, "_zipf_table", counted)
-        monkeypatch.setattr(experiment, "_zipf_table", counted)
-        query = parse_query("q(x,y,z) :- S1(x,z), S2(y,z)")
-        WorkloadSpec("zipf", m=150, skew=1.2, seed=7).build(query)
-        assert calls == [(600, 1.2)]
-
 
 class TestZipfScaling:
     def test_a_draw_costs_a_bisection_not_a_pass_over_the_domain(self):
