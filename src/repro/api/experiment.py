@@ -523,10 +523,10 @@ def _execute(
     count, on the column hashes ``shared`` holds for ``db``.  A verifying
     cell compares with the oracle ``shared`` holds for ``db`` and, when it
     is the first to ask, evaluates it — beside its own ``sweep.cell``
-    span, not inside.  An acyclic query's oracle is a fingerprint: the
-    first cell on ``db`` whose fingerprint differs evaluates the oracle's
-    answer set inside its ``sweep.cell`` span (as
-    ``rounds.verify.answers``), and its ``wall_seconds`` pays for it.
+    span, not inside.  The oracle is a fingerprint: the first cell on
+    ``db`` whose fingerprint differs evaluates the oracle's answer set
+    inside its ``sweep.cell`` span (as ``rounds.verify.answers``), and its
+    ``wall_seconds`` pays for it.
 
     Observability: when the cell asks for it (``cell.observe``) or a
     sweep-level ``obs`` is supplied, the cell runs against a *fresh*
@@ -908,7 +908,10 @@ _SPEC_FIELDS: Mapping[str, _Field] = {
                     _in_int64, help="comma-separated generator seeds"),
     "domain": _DOMAIN,
     "algorithms": _Field("--algorithms", (str,), None,
-                         "a string or a non-empty list of strings",
+                         "'applicable', 'auto' or registered keys, "
+                         + _one_of(algorithm_keys()),
+                         lambda value: value in ("applicable", "auto")
+                         or value in algorithm_keys(),
                          words=("applicable", "auto"),
                          help="'applicable' (default), 'auto' (planner pick "
                               "per cell), or comma-separated registry keys"),
@@ -919,7 +922,8 @@ _SPEC_FIELDS: Mapping[str, _Field] = {
                          "exact, sketch (e.g. 'exact,sketch' runs every "
                          "cell under both)"),
     "rounds": _Field("--rounds", (int,), None,
-                     "an integer or a non-empty list of integers",
+                     "an integer >= 1 or a non-empty list of them",
+                     lambda value: value >= 1,
                      help="comma-separated planner round budgets per cell "
                           "(e.g. '1,2' ranks one- and two-round algorithms "
                           "side by side)"),
@@ -931,10 +935,9 @@ _SPEC_FIELDS: Mapping[str, _Field] = {
                           "answers and loads"),
     "verify": _Field("--verify", (bool,), False, "a boolean",
                      help="check completeness against the sequential "
-                          "oracle, once per database: answer fingerprints "
+                          "oracle, once per database: answer fingerprints, "
                           "in O(input) for an acyclic query; the servers' "
-                          "joins and a set comparison only on a mismatch "
-                          "or for a cyclic query"),
+                          "joins and a set comparison only on a mismatch"),
     # Not the sweep's: the executor settings a job's spec may carry beside
     # the grid (:func:`execute_cells`' ``max_workers``, ``cell_timeout``).
     "workers": _Field("--workers", (int, type(None)), False,

@@ -80,7 +80,7 @@ from .api import (
 from .api.experiment import _CATALOG_FIELDS, _SPEC_FIELDS, SharedContext
 from .obs import Observation, maybe_timed
 from .mpc import available_engines
-from .query import ConjunctiveQuery, parse_query
+from .query import ConjunctiveQuery, QueryError, parse_query
 from .stats import HeavyHitterStatistics, SimpleStatistics
 
 _LOG = logging.getLogger("repro.cli")
@@ -232,7 +232,10 @@ def cmd_packings(args: argparse.Namespace) -> int:
         non_dominated_packing_vertices,
     )
 
-    query = parse_query(args.query)
+    try:
+        query = parse_query(args.query)
+    except QueryError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"query: {query}")
     print(f"tau* (max fractional edge packing)   : {maximum_packing_value(query)}")
     print(f"fractional vertex cover number (dual): "

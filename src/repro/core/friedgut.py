@@ -10,16 +10,19 @@ Setting 0/1 weights from relation membership recovers the AGM bound
 ``|q(I)| <= prod_j |S_j|^(u_j)``; e.g. ``|C3| <= sqrt(m1 m2 m3)``.
 
 The left side is a weighted join: only assignments inside the join of the
-weight supports contribute, so :func:`_weighted_support_sum` (which Eq. 12
-shares) evaluates it rather than iterating over ``[n]^k``.
+weight supports contribute, so one :func:`repro.seq.acyclic.fold` (which
+Eq. 12 shares) sums it rather than iterating over ``[n]^k``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from ..query.atoms import ConjunctiveQuery, QueryError
+from ..seq.acyclic import Count, fold
 from ..seq.relation import Database, Tuple
 from .packing import is_edge_cover, minimum_edge_cover
 
@@ -31,8 +34,9 @@ def _validate_weights(query: ConjunctiveQuery, weights: Weights) -> None:
         table = weights.get(atom.name)
         if table is None:
             raise QueryError(f"missing weights for atom {atom.name!r}")
+        arity = atom.arity
         for key, value in table.items():
-            if len(key) != atom.arity:
+            if len(key) != arity:
                 raise QueryError(
                     f"weight key {key} has length {len(key)}, expected "
                     f"arity {atom.arity} of {atom.name}"
@@ -43,54 +47,36 @@ def _validate_weights(query: ConjunctiveQuery, weights: Weights) -> None:
                 )
 
 
-def _weighted_support_sum(
-    factors: Sequence[tuple[tuple[str, ...], Mapping[tuple[int, ...], float]]],
-) -> float:
-    """``sum over joint assignments of prod factor weights``.
+class _Weighed(Count):
+    """:class:`~repro.seq.acyclic.Count` in floats, which need no guard
+    against int64 wrapping; a tuple of atom ``name`` starts at its entry
+    of ``tuples[name]``, or at 1."""
 
-    ``factors`` are (variables, table) pairs; tables map value tuples
-    (aligned with the variables) to nonnegative weights.  A variable
-    repeated within a factor keeps only the keys that agree on it.  Dynamic
-    programming over partial assignments keyed by the shared variables.
-    """
-    bound_vars: tuple[str, ...] = ()
-    partials: dict[tuple[int, ...], float] = {(): 1.0}
-    for variables, table in factors:
-        first = [variables.index(v) for v in variables]
-        distinct = [i for i, j in enumerate(first) if i == j]
-        # (slot in the partials, position in the factor) per shared variable
-        shared = [
-            (bound_vars.index(variables[i]), i)
-            for i in distinct if variables[i] in bound_vars
-        ]
-        new = [i for i in distinct if variables[i] not in bound_vars]
+    def __init__(self, tuples: Mapping[str, np.ndarray]) -> None:
+        self._tuples = tuples
 
-        # Index the factor by its shared-variable values.
-        index: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
-        for values, weight in table.items():
-            if any(values[i] != values[j] for i, j in enumerate(first)):
-                continue  # disagrees on a repeated variable
-            key = tuple(values[i] for _, i in shared)
-            extension = tuple(values[i] for i in new)
-            index.setdefault(key, []).append((extension, weight))
+    def start(self, name: str, n: int) -> np.ndarray:
+        return self._tuples[name] if name in self._tuples else self.ones(n)
 
-        merged: dict[tuple[int, ...], float] = {}
-        for partial, weight in partials.items():
-            key = tuple(partial[slot] for slot, _ in shared)
-            for extension, factor_weight in index.get(key, ()):
-                new_key = partial + extension
-                merged[new_key] = merged.get(new_key, 0.0) + weight * factor_weight
-        partials = merged
-        bound_vars += tuple(variables[i] for i in new)
-    return sum(partials.values(), 0.0)
+    def times(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * b
 
 
 def friedgut_lhs(query: ConjunctiveQuery, weights: Weights) -> float:
-    """``sum_a prod_j w_j(a_j)`` via a weighted join of the weight tables."""
+    """``sum_a prod_j w_j(a_j)``: one fold over the weight tables, each
+    key a tuple starting at its weight."""
     _validate_weights(query, weights)
-    return _weighted_support_sum(
-        [(atom.variables, weights[atom.name]) for atom in query.atoms]
-    )
+    keys, starts = {}, {}
+    for atom in query.atoms:
+        table = weights[atom.name]
+        try:  # the fold's relations hold int64 values
+            keys[atom.name] = np.array(list(table), dtype=np.int64).reshape(
+                len(table), atom.arity).T
+        except (OverflowError, TypeError, ValueError):
+            raise QueryError(f"weight keys of {atom.name} must be int64 "
+                             "values") from None
+        starts[atom.name] = np.fromiter(table.values(), float, len(table))
+    return float(fold(query, keys, (_Weighed(starts),))[0])
 
 
 def friedgut_rhs(

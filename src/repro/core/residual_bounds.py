@@ -9,9 +9,10 @@ load
 
 (Eq. 12), ``M_j(h_j) = a_j m_j(h_j) log2 n``.  Atoms with ``u_j = 0``
 contribute factor 1 (the ``0^0`` convention); atoms untouched by ``x``
-contribute the constant ``M_j^{u_j}``.  The inner sum is the weighted join
-of :mod:`repro.core.friedgut` over the maps — saturation guarantees they
-cover all of ``x``, so the sum is finite and cheap.
+contribute the constant ``M_j^{u_j}``, outside the sum (``x = emptyset``
+is all constants).  The inner sum is Friedgut's left side over the maps
+(:func:`repro.core.friedgut.friedgut_lhs`, one fold) — saturation
+guarantees they cover all of ``x``, so the sum is finite and cheap.
 
 The maps are a :class:`~repro.stats.provider.StatisticsProvider`'s heavy
 hitters.  With ``threshold_factor=0`` they are Section 4.3's full degree
@@ -37,12 +38,12 @@ from ..lp.polytope import (
     non_dominated,
     nonnegativity_constraints,
 )
-from ..query.atoms import ConjunctiveQuery
+from ..query.atoms import Atom, ConjunctiveQuery
 from ..query.residual import residual_query
 from ..seq.relation import bits_per_value
 from ..stats.cardinality import StatisticsError
 from ..stats.provider import StatisticsProvider, canonical_subset
-from .friedgut import _weighted_support_sum
+from .friedgut import friedgut_lhs
 from .packing import Packing
 
 
@@ -112,31 +113,33 @@ def residual_load(
     var_set = _variable_set(query, variables)
     simple = stats.simple
     per_value = bits_per_value(simple.domain_size)
-    u_total = 0.0
-    factors: list[tuple[tuple[str, ...], dict[tuple[int, ...], float]]] = []
+    u_total, inner = 0.0, 1.0
+    factors, tables = [], {}
     for atom in query.atoms:
         u_j = float(Fraction(packing.get(atom.name, 0)))  # type: ignore[arg-type]
         u_total += u_j
         if u_j == 0:
             continue
-        subset = canonical_subset(atom.variable_set & var_set)
-        if subset:
-            frequencies = stats.hitters.get((atom.name, subset))
-            if frequencies is None:
-                raise StatisticsError(
-                    f"the statistics hold no frequencies of {atom.name} "
-                    f"on {subset}"
-                )
-        else:  # untouched by x: the constant M_j^{u_j}
-            frequencies = {(): simple.cardinality(atom.name)}
         arity = simple.arity(atom.name)
-        factors.append((subset, {
+        subset = canonical_subset(atom.variable_set & var_set)
+        if not subset:  # untouched by x: the constant M_j^{u_j}
+            inner *= (arity * simple.cardinality(atom.name) * per_value) ** u_j
+            continue
+        frequencies = stats.hitters.get((atom.name, subset))
+        if frequencies is None:
+            raise StatisticsError(
+                f"the statistics hold no frequencies of {atom.name} "
+                f"on {subset}"
+            )
+        factors.append(Atom(atom.name, subset))
+        tables[atom.name] = {
             assignment: (arity * freq * per_value) ** u_j
             for assignment, freq in frequencies.items()
-        }))
+        }
     if u_total == 0:
         raise ValueError("packing must have positive total weight")
-    inner = _weighted_support_sum(factors)
+    if factors:
+        inner *= friedgut_lhs(ConjunctiveQuery(factors), tables)
     if inner <= 0:
         return 0.0
     return 2.0 ** ((math.log2(inner) - math.log2(p)) / u_total)

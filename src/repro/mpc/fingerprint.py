@@ -5,12 +5,11 @@ An answer multiset ``A`` of a query with head ``(v_1, ..., v_k)`` has the
 fingerprint ``(|A|, F(A))``, ``F(A) = Σ_{a ∈ A} Π_i g_{v_i}(a_i) mod
 (2^61 - 1)``, where ``g_v`` is the hash polynomial of a
 :class:`~repro.mpc.hashing.HashFamily` under the fixed seed :data:`SEED`
-and the salt ``answers:<v>`` — no routing hash uses that salt.  For an
-acyclic query both parts are one :func:`repro.seq.acyclic.fold` over a
-join tree, linear in the input: on a database, ``q(I)``'s fingerprint in
-``O(m)``; on a round's deliveries tagged with their servers, the
-fingerprint of every answer the servers emit, once per emission, in
-``O(deliveries)``.  No answer is listed.
+and the salt ``answers:<v>`` — no routing hash uses that salt.  Both
+parts are one :func:`repro.seq.acyclic.fold`: on a database, ``q(I)``'s
+fingerprint; on a round's deliveries tagged with their servers, that of
+every answer the servers emit, once per emission — for an acyclic query
+in ``O(m)`` and ``O(deliveries)``, over a join tree that lists no answer.
 
 Equal sets have equal fingerprints.  Two different multisets of ``k``-ary
 answers with the same count differ by a nonzero polynomial of degree ``k``
@@ -67,9 +66,9 @@ def fingerprint(
     query: ConjunctiveQuery,
     relations: Mapping[str, np.ndarray],
     tagged: bool = False,
-) -> tuple[int, int] | None:
+) -> tuple[int, int]:
     """``(count, F)`` of the answers of ``query`` on ``relations``
     (:func:`repro.seq.acyclic.fold`'s columns: with ``tagged``, every
-    server's local answers), or None when ``query`` is cyclic."""
+    server's local answers)."""
     salts = {v: f"answers:{v}" for v in query.head}
     return fold(query, relations, (Count(), _Hashed(salts)), tagged)

@@ -65,5 +65,5 @@ def hypercube_mapreduce(
     algorithm = HyperCubeAlgorithm.with_optimal_shares(query, stats, reducers)
     return run_rounds(
         algorithm, db, reducers, seed=seed,
-        compute_answers=verify, verify=verify,
+        compute_answers=False, verify=verify,
     )

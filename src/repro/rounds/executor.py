@@ -18,14 +18,14 @@ and summarized as the max across rounds, matching the planner's
 ``max per-round load x rounds`` cost scale.
 
 Verification compares the final round with the sequential oracle of the
-*original* query on the *base* database, held by an :class:`Oracle`.  For
-an acyclic query the comparison is of answer fingerprints
-(:mod:`repro.mpc.fingerprint`): the oracle's in ``O(m)``, the servers' off
-the final round's deliveries in ``O(deliveries)``; equal fingerprints mean
-every answer was found exactly once, and no answer is listed.  When they
-differ — an answer missed, or found more than once (bin-hypercube may) —
-the run falls back to comparing answer sets, as a cyclic query always
-does, so ``complete`` still means "every answer found at least once".
+*original* query on the *base* database, held by an :class:`Oracle`.  The
+comparison is of answer fingerprints (:mod:`repro.mpc.fingerprint`): the
+oracle's off the database, the servers' off the final round's deliveries
+— for an acyclic query in ``O(m)`` and ``O(deliveries)``, no answer
+listed; equal fingerprints mean every answer was found exactly once.
+When they differ — an answer missed, or found more than once
+(bin-hypercube may) — the run falls back to comparing answer sets, so
+``complete`` still means "every answer found at least once".
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ def _round_database(
 
 class Oracle:
     """The sequential oracle of ``query`` on ``db``, for every run verified
-    against it: evaluated once, under the ``rounds.verify`` span — the
-    answers' fingerprint when the query is acyclic, else the answers.
+    against it: the answers' fingerprint, evaluated once, under the
+    ``rounds.verify`` span.
 
     A caller that runs many algorithms on one database makes one and hands
-    it to each run as ``expected=``.  The answers of an acyclic query are
-    evaluated only when a run's fingerprint differs (:meth:`answers`).
+    it to each run as ``expected=``.  The answers themselves are evaluated
+    only when a run's fingerprint differs (:meth:`answers`).
     The fingerprint kernel is imported by the first oracle: a command that
     verifies nothing does not compile it."""
 
@@ -156,8 +156,6 @@ class Oracle:
                 atom.name: db.relation(atom.name).batch.columns
                 for atom in query.atoms
             })
-            if self.fingerprint is None:
-                self._answers = evaluate(query, db)
 
     def answers(self, obs: Observation | None = None) -> Answers:
         """``q(I)``, evaluated on the first call, under the
@@ -177,29 +175,26 @@ class Oracle:
     def compare(
         self, final: ExecutionResult, obs: Observation | None = None
     ) -> tuple[bool, int]:
-        """``(complete, distinct answers found)`` of a run's final round:
-        by fingerprint when the round kept its deliveries, by answer sets
-        when it has none or its fingerprint differs.  A fallback counts
-        ``verify.fallbacks`` and, as ``verify.duplicate_answers``, the
-        answers emitted beyond the distinct ones.  The first fallback on a
-        database evaluates the oracle's answers (:meth:`answers`), inside
-        this comparison."""
+        """``(complete, distinct answers found)`` of a run's final round,
+        which kept its deliveries: by fingerprint, by answer sets when the
+        fingerprint differs.  A fallback counts ``verify.fallbacks`` and,
+        as ``verify.duplicate_answers``, the answers emitted beyond the
+        distinct ones; the first on a database evaluates the oracle's
+        answers (:meth:`answers`), inside this comparison."""
         from ..mpc.fingerprint import fingerprint
 
+        emitted = fingerprint(final.query, final.deliveries, tagged=True)
+        if emitted == self.fingerprint:
+            return True, emitted[0]
         answers = final.answers
-        if final.deliveries is not None:
-            emitted = fingerprint(final.query, final.deliveries, tagged=True)
-            if emitted is not None and emitted == self.fingerprint:
-                return True, emitted[0]
-            if answers is None:
-                answers = Answers.of(
-                    join_columns(final.query, final.deliveries, tagged=True),
-                    self._db.domain_size,
-                )
-            if obs is not None and emitted is not None:
-                obs.count("verify.fallbacks")
-                obs.count("verify.duplicate_answers",
-                          emitted[0] - len(answers))
+        if answers is None:
+            answers = Answers.of(
+                join_columns(final.query, final.deliveries, tagged=True),
+                self._db.domain_size,
+            )
+        if obs is not None:
+            obs.count("verify.fallbacks")
+            obs.count("verify.duplicate_answers", emitted[0] - len(answers))
         return answers == self.answers(obs), len(answers)
 
 
@@ -227,9 +222,9 @@ def run_rounds(
     evaluation of the *original* query on the *base* database, the
     strongest completeness check available; it is evaluated here
     (:class:`Oracle`, before the first round) unless the caller hands it in
-    as ``expected``.  When the oracle is a fingerprint the final round
-    keeps its deliveries and joins them only if ``compute_answers`` asks;
-    :meth:`Oracle.compare` runs under the ``rounds.compare`` span.
+    as ``expected``.  The final round then keeps its deliveries and joins
+    them only if ``compute_answers`` asks; :meth:`Oracle.compare` runs
+    under the ``rounds.compare`` span.
     ``column_hashes`` is a caller's cache of raw hashes of ``db``'s
     columns, handed to every round's engine: a caller that runs many
     algorithms on one database hashes each column once per seed and salt
@@ -257,7 +252,6 @@ def run_rounds(
     ):
         if verify and expected is None:
             expected = Oracle(algorithm.query, db, obs)
-        fingerprinted = verify and expected.fingerprint is not None
         for spec in plan:
             round_db = _round_database(spec, db, intermediates)
             round_algorithm = algorithm.round_algorithm(spec, round_db, p)
@@ -274,11 +268,10 @@ def run_rounds(
                     round_db,
                     p,
                     seed=seed + spec.index * ROUND_SEED_STRIDE,
-                    compute_answers=(compute_answers or not spec.is_final
-                                     or (verify and not fingerprinted)),
+                    compute_answers=compute_answers or not spec.is_final,
                     obs=obs,
                     column_hashes=column_hashes,
-                    keep_deliveries=spec.is_final and fingerprinted,
+                    keep_deliveries=spec.is_final and verify,
                 )
             results.append(result)
             if obs is not None:

@@ -1,25 +1,25 @@
-"""Acyclic queries: a join tree, and one pass over it that sums a weight
-over the answers without listing them.
+"""One sum-product kernel: :func:`fold` sums a weight over the answers of
+any query.
 
-A query is acyclic when the GYO reduction empties it: an atom is an *ear*
-when the variables it shares with the other atoms all lie in one of them,
-its *parent*; remove ears until one atom, the root, is left.
-:func:`join_tree` is that order, or None for a cyclic query (the
-triangle).
-
-:func:`fold` sums ``Π_v w_v(a_v)`` over the answers ``a`` in one pass
-over the tree: every atom carries a weight per tuple; an ear, its tuples
-weighed by the variables no other atom has, is grouped by the variables
-it shares with its parent, and each group's sum is multiplied into the
-parent's tuples that agree with it.  Every variable is weighed once, at
-the last atom holding it, so the root's total is the sum over the join —
-in time linear in the input plus one sort per ear, whatever the number of
-answers.  With ``tagged`` every relation has the receiving server as one
-more row, a variable of every atom that weighs 1: the pass sums over the
-union of the servers' local answers, an answer once per server that finds
-it.  The arithmetic is a :class:`Count`: this module's own counts the
-answers, exactly (:func:`repro.seq.count_answers`);
-:mod:`repro.mpc.fingerprint` weighs them by hashes mod ``2^61 - 1``.
+An answer ``a`` weighs ``Π_j t_j(a_j) Π_v w_v(a_v)``: every atom's tuples
+start at a weight (1 unless the arithmetic gives one) and every variable
+weighs ``w_v``.  A query is acyclic when the GYO reduction empties it: an
+atom is an *ear* when the variables it shares with the other atoms all lie
+in one of them, its *parent*; remove ears until one atom, the root, is
+left (:func:`join_tree`; None for a cyclic query, the triangle).  Over that
+tree an ear, its tuples weighed by the variables no other atom has, is
+grouped by the variables it shares with its parent, and each group's sum
+is multiplied into the parent's tuples that agree with it: the root's
+total is the sum over the join, in time linear in the input plus one sort
+per ear, whatever the number of answers.  A cyclic query has a tree
+once :func:`repro.seq.join.join_columns`' listing of its answers is one
+more atom, holding every variable: every other atom is its ear.  With
+``tagged`` every relation has the receiving server as one more row, a
+variable of every atom that weighs 1: the sum is over the union of the
+servers' local answers, an answer once per server that finds it.  The
+arithmetic is a :class:`Count`: this module's own counts the answers,
+exactly; :mod:`repro.mpc.fingerprint` weighs them by hashes mod
+``2^61 - 1``; :mod:`repro.core.friedgut` sums floats from tuple weights.
 """
 
 from __future__ import annotations
@@ -29,11 +29,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..query.atoms import Atom, ConjunctiveQuery
-from .join import SERVER, _joint_keys, consistent_rows
+from .join import SERVER, _joint_keys, consistent_rows, join_columns
 from .relation import sorted_lookup, starts_run
 
 #: Past this an int64 product or sum may wrap.
 _INT64_LIMIT = 2**63
+
+#: The relation of a cyclic query's listed answers.
+_ANSWERS = object()
 
 
 def join_tree(
@@ -64,7 +67,7 @@ def join_tree(
 
 
 def _may_wrap(values: np.ndarray, factor: int) -> bool:
-    return (values.dtype != object and len(values) > 0
+    return (values.dtype == np.int64 and len(values) > 0
             and int(values.max()) * factor >= _INT64_LIMIT)
 
 
@@ -76,6 +79,10 @@ class Count:
 
     def ones(self, n: int) -> np.ndarray:
         return np.ones(n, dtype=np.int64)
+
+    def start(self, name: str, n: int) -> np.ndarray:
+        """The weights the ``n`` tuples of atom ``name`` start at: 1."""
+        return self.ones(n)
 
     def weight(self, variable: str, values: np.ndarray) -> np.ndarray | None:
         """The weights of ``variable`` taking ``values``; None for all 1."""
@@ -95,7 +102,7 @@ class Count:
     def total(self, values: np.ndarray) -> int:
         if not len(values):
             return 0
-        return int(self.sums(values, np.zeros(1, dtype=np.intp))[0])
+        return self.sums(values, np.zeros(1, dtype=np.intp)).tolist()[0]
 
 
 def fold(
@@ -103,10 +110,9 @@ def fold(
     relations: Mapping[str, np.ndarray],
     counts: Sequence[Count],
     tagged: bool = False,
-) -> tuple[int, ...] | None:
+) -> tuple:
     """Per :class:`Count` of ``counts``, the sum over the answers of
-    ``query`` of their weights — one pass over the join tree for all of
-    them — or None when ``query`` is cyclic.
+    ``query`` of their weights, all in one pass.
 
     ``relations[name]`` holds that atom's tuples as ``(arity, m)``
     duplicate-free columns; with ``tagged`` one more row at the bottom
@@ -114,15 +120,24 @@ def fold(
     server), and the sum is over every server's local answers."""
     tree = join_tree(query)
     if tree is None:
-        return None
+        # The listed answers (per server, with ``tagged``) are one more
+        # atom, holding every variable: every other atom is its ear.
+        head = (*query.variables, SERVER) if tagged else query.variables
+        listed = join_columns(query, relations, tagged, head)
+        return fold(
+            ConjunctiveQuery([*query.atoms, Atom(_ANSWERS, query.variables)]),
+            {**relations, _ANSWERS: listed}, counts, tagged,
+        )
     columns: dict[str, dict[object, np.ndarray]] = {}
     weights: dict[str, list[np.ndarray]] = {}
     for atom in query.atoms:
-        first, store = consistent_rows(atom, relations[atom.name], tagged)
+        first, kept = consistent_rows(atom, relations[atom.name], tagged)
+        store = relations[atom.name][:, kept]
         if not store.shape[1]:
             return tuple(0 for _ in counts)
         columns[atom.name] = {v: store[p] for v, p in first.items()}
-        weights[atom.name] = [count.ones(store.shape[1]) for count in counts]
+        n = relations[atom.name].shape[1]
+        weights[atom.name] = [c.start(atom.name, n)[kept] for c in counts]
 
     def weigh(atom: Atom, kept: Sequence[str]) -> None:
         """Multiply in the weights of ``atom``'s variables not in ``kept``

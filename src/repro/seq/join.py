@@ -8,8 +8,9 @@ that iterates as tuples in head-variable order and equals a ``set`` of them.
 Two kernels share one greedy atom order (:func:`_atom_order`: smallest
 relation first, then atoms sharing the most bound variables):
 
-* :func:`join_columns`, the array kernel under :func:`evaluate`,
-  :func:`count_answers` of a cyclic query and the ``batched`` engine.
+* :func:`join_columns`, the array kernel under :func:`evaluate`, the
+  ``batched`` engine and :func:`repro.seq.acyclic.fold` of a cyclic
+  query.
   Relations come in as ``(arity, m)`` int64 columns; a step masks the rows
   that break a repeated variable (:func:`consistent_rows`), keys both
   sides on the shared columns, sorts the atom's keys once and emits every
@@ -294,30 +295,29 @@ SERVER = object()
 
 def consistent_rows(
     atom: Atom, columns: np.ndarray, tagged: bool
-) -> tuple[dict[object, int], np.ndarray]:
-    """``(first, columns)``: the position where each of ``atom``'s
-    variables first occurs — with ``tagged``, :data:`SERVER` at the
-    extra last row — and the rows of ``columns`` that agree wherever a
-    variable repeats."""
+) -> tuple[dict[object, int], np.ndarray | slice]:
+    """``(first, kept)``: the position where each of ``atom``'s variables
+    first occurs — with ``tagged``, :data:`SERVER` at the extra last row —
+    and which columns of ``columns`` agree wherever a variable repeats (a
+    mask, or every one as ``slice(None)``)."""
     first: dict[object, int] = {}
-    consistent = None
+    kept: np.ndarray | slice = slice(None)
     for position, variable in enumerate(
         (*atom.variables, SERVER) if tagged else atom.variables
     ):
         if variable in first:  # repeated: both positions must agree
             same = columns[first[variable]] == columns[position]
-            consistent = same if consistent is None else consistent & same
+            kept = same if isinstance(kept, slice) else kept & same
         else:
             first[variable] = position
-    if consistent is not None:
-        columns = columns[:, consistent]
-    return first, columns
+    return first, kept
 
 
 def join_columns(
     query: ConjunctiveQuery,
     relations: Mapping[str, np.ndarray],
     tagged: bool = False,
+    head: Sequence[object] | None = None,
 ) -> np.ndarray:
     """The array kernel: the answers as ``(len(head), n)`` int64 columns,
     unsorted — and with repeats when the head projects or the join is
@@ -326,7 +326,8 @@ def join_columns(
     ``relations[name]`` holds that atom's tuples as ``(arity, m)``
     columns.  With ``tagged`` each has one more row at the bottom, the
     server holding that copy of the tuple, and tuples join only where
-    their servers agree: the union of every server's local join.
+    their servers agree: the union of every server's local join.  ``head``
+    (default ``query.head``) may list :data:`SERVER` as a column too.
     """
     order = _atom_order(
         query, {name: columns.shape[1] for name, columns in relations.items()}
@@ -334,13 +335,14 @@ def join_columns(
     bound: list[object] = []
     partial = np.empty((0, 1), dtype=np.int64)  # the one empty binding
     for atom in order:
-        first, columns = consistent_rows(atom, relations[atom.name], tagged)
+        first, kept = consistent_rows(atom, relations[atom.name], tagged)
+        columns = relations[atom.name][:, kept]
         shared = [v for v in first if v in bound]
         count, matches = _matching_rows(
             partial[[bound.index(v) for v in shared]],
             columns[[first[v] for v in shared]],
         )
-        wanted = (query.head if atom is order[-1]
+        wanted = ((query.head if head is None else head) if atom is order[-1]
                   else bound + [v for v in first if v not in bound])
         extended = np.empty((len(wanted), len(matches)), dtype=np.int64)
         for slot, variable in enumerate(wanted):
@@ -370,28 +372,21 @@ def evaluate(query: ConjunctiveQuery, db: Database) -> Answers:
 
 
 def count_answers(query: ConjunctiveQuery, db: Database) -> int:
-    """``|q(I)|`` — for an acyclic query that keeps every variable in its
-    head, by :func:`repro.seq.acyclic.fold` without building the join;
-    otherwise from the array join, sorting the answers only when the head
-    projects (a :class:`ConjunctiveQuery` is full, but the kernel also
-    serves any query-like object with a projecting head)."""
-    # Loaded on first use: a command that counts nothing does not compile it.
-    from .acyclic import Count, fold
-
+    """``|q(I)|`` — by :func:`repro.seq.acyclic.fold` when the head keeps
+    every variable, else by sorting the array join's answers (a
+    :class:`ConjunctiveQuery` is full, but the kernel also serves any
+    query-like object with a projecting head)."""
     db.validate_against(query)
-    full = {v for atom in query.atoms for v in atom.variables} \
-        <= set(query.head)
-    if full:
-        counted = fold(query, {
+    if {v for atom in query.atoms for v in atom.variables} <= set(query.head):
+        # Loaded on first use: a command that counts nothing does not
+        # compile it.
+        from .acyclic import Count, fold
+
+        return fold(query, {
             atom.name: db.relation(atom.name).batch.columns
             for atom in query.atoms
-        }, (Count(),))
-        if counted is not None:
-            return counted[0]
-    columns = _joined(query, db)
-    if full:
-        return columns.shape[1]
-    return len(Answers.of(columns, db.domain_size))
+        }, (Count(),))[0]
+    return len(Answers.of(_joined(query, db), db.domain_size))
 
 
 def local_join(query: ConjunctiveQuery, fragments: dict[str, set[Tuple]],

@@ -21,8 +21,10 @@ class TestPackingsCommand:
         assert "4 non-dominated vertices" in out
 
     def test_bad_query_errors(self):
-        with pytest.raises(Exception):
+        """One line, as ``bounds`` and ``plan --cardinality`` give."""
+        with pytest.raises(SystemExit) as excinfo:
             main(["packings", "not a query"])
+        assert str(excinfo.value.code).startswith("cannot parse query")
 
 
 class TestBoundsCommand:

@@ -1,10 +1,12 @@
-"""Answer fingerprints and the join-tree pass under them.
+"""Answer fingerprints and the sum-product kernel under them.
 
-``repro.seq.acyclic.fold`` sums over the answers of an acyclic query
-without listing them; ``repro.mpc.fingerprint`` weighs them by hashes.
-Held here against the listed answers — untagged, and tagged with the
-server as the servers' local joins emit them — and, through the verifier
-above the engines, against the set comparison it replaces.
+``repro.seq.acyclic.fold`` sums over the answers of any query — over a
+join tree, without listing them, when it is acyclic;
+``repro.mpc.fingerprint`` weighs them by hashes.  Held here against the
+listed answers — untagged, and tagged with the server as the servers'
+local joins emit them — from the array kernel and from the tuple kernel,
+and, through the verifier above the engines, against the set comparison
+it replaces.
 """
 
 from collections import Counter
@@ -22,7 +24,14 @@ from repro.mpc.fingerprint import SEED, fingerprint
 from repro.mpc.hashing import LARGE_PRIME, HashFamily
 from repro.query import Atom, ConjunctiveQuery, parse_query
 from repro.rounds import Oracle
-from repro.seq import Answers, Database, Relation, count_answers, evaluate
+from repro.seq import (
+    Answers,
+    Database,
+    Relation,
+    count_answers,
+    evaluate,
+    iterate_answers,
+)
 from repro.seq.acyclic import join_tree
 from repro.seq.join import join_columns
 from repro.seq.relation import Batch
@@ -177,6 +186,51 @@ class TestFingerprintAgainstTheListedAnswers:
         assert fingerprint(query, again, tagged=True) != exact
 
 
+#: Cyclic and acyclic shapes for the kernel against the tuple kernel.
+KERNEL_SHAPES = {
+    "triangle": parse_query("q(x, y, z) :- R(x, y), S(y, z), T(z, x)"),
+    "4-cycle": parse_query("q(w, x, y, z) :- R(w, x), S(x, y), T(y, z), "
+                           "U(z, w)"),
+    "K4": parse_query("q(a, b, c, d) :- R1(a, b), R2(a, c), R3(a, d), "
+                      "R4(b, c), R5(b, d), R6(c, d)"),
+    "path": SHAPES["3-path"],
+    "star": SHAPES["star"],
+}
+
+
+def tuple_kernel_emissions(query, delivered, domain):
+    """Every server's local answers by the tuple kernel
+    (``iterate_answers``), once per server that finds each."""
+    servers = {int(s) for columns in delivered.values() for s in columns[-1]}
+    rows = []
+    for server in sorted(servers):
+        local = Database.from_relations(
+            Relation(atom.name, atom.arity, frozenset(
+                tuple(row[:-1]) for row in delivered[atom.name].T.tolist()
+                if row[-1] == server), domain)
+            for atom in query.atoms)
+        rows.extend(iterate_answers(query, local))
+    return rows
+
+
+class TestTheKernelAgainstTheTupleKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_untagged_and_tagged(self, data):
+        """Count and fingerprint of every answer, and of every server's
+        emissions, cyclic query or not."""
+        query = KERNEL_SHAPES[data.draw(st.sampled_from(
+            sorted(KERNEL_SHAPES)))]
+        db = data.draw(databases(query))
+        listed = list(iterate_answers(query, db))
+        assert fingerprint(query, columns_of(db)) == \
+            defining_sum(query, listed)
+        assert count_answers(query, db) == len(listed)
+        delivered = data.draw(deliveries(db, data.draw(st.integers(1, 4))))
+        assert fingerprint(query, delivered, tagged=True) == defining_sum(
+            query, tuple_kernel_emissions(query, delivered, db.domain_size))
+
+
 class TestTheJoinTreePass:
     def test_a_cyclic_query_has_no_tree(self):
         triangle = parse_query("q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
@@ -184,8 +238,10 @@ class TestTheJoinTreePass:
         db = Database.from_relations(
             Relation.build(name, [(0, 1), (1, 0), (0, 0)], domain_size=2)
             for name in "RST")
-        assert fingerprint(triangle, columns_of(db)) is None
-        assert count_answers(triangle, db) == len(evaluate(triangle, db))
+        listed = list(iterate_answers(triangle, db))
+        assert fingerprint(triangle, columns_of(db)) == \
+            defining_sum(triangle, listed)
+        assert count_answers(triangle, db) == len(listed) == 4
 
     def test_counts_past_int64_are_exact(self):
         """Five unary relations of 10^4 values: 10^20 answers."""
@@ -226,6 +282,24 @@ class TestVerifiedCells:
             else:
                 assert "verify.fallbacks" not in counters, key
                 assert lazy is None, key
+
+    def test_a_verified_triangle_joins_nothing(self):
+        """Every applicable plan emits each of the 4 480 answers once: the
+        fingerprints agree, so no server's local join runs and no set is
+        compared."""
+        sweep = Sweep(query="q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+                      workload="zipf", skews=(1.2,), m_values=(5000,),
+                      p_values=(64,), seeds=(7,), domain=300, verify=True,
+                      algorithms="applicable")
+        cells = [replace(cell, observe=True) for cell in sweep.cells()]
+        records = execute_cells(cells)
+        assert len(records) == 4
+        for record in records:
+            assert record.ok and record.complete is True, record.algorithm
+            assert record.answer_count == 4480
+            assert "verify.fallbacks" not in record.metrics["counters"]
+            assert "engine.local_join.seconds" not in \
+                record.metrics["histograms"], record.algorithm
 
     @pytest.mark.parametrize("text", [
         JOIN_TEXT,

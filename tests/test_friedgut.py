@@ -102,6 +102,12 @@ class TestFriedgutInequality:
         with pytest.raises(QueryError):
             friedgut_lhs(q, {"S1": {}})
 
+    def test_a_key_outside_int64_is_rejected(self):
+        q = parse_query("q(a) :- R(a)")
+        for key in ((2**63,), ("a",)):
+            with pytest.raises(QueryError, match="int64"):
+                friedgut_lhs(q, {"R": {key: 1.0}})
+
     def test_wrong_key_arity_rejected(self):
         q = parse_query("q(a, b) :- R(a, b)")
         with pytest.raises(QueryError):

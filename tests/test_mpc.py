@@ -434,9 +434,8 @@ class TestRunOneRound:
     @pytest.mark.parametrize("engine", available_engines())
     def test_incomplete_algorithm_detected(self, engine):
         """Sum-partitioning a join or a triangle is wrong; verification
-        must catch it on both of the oracle's paths: the join's
-        fingerprints differ and the set comparison that follows fails, the
-        triangle is compared by answer sets from the start."""
+        must catch it, acyclic query or not: the fingerprints differ and
+        the set comparison that follows fails."""
         join = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
         join_db = Database.from_relations(
             [
@@ -456,15 +455,14 @@ class TestRunOneRound:
                 )
             ]
         )
-        cases = ((join, join_db, 1), (triangle, triangle_db, 0))
-        for q, db, fallbacks in cases:
+        for q, db in ((join, join_db), (triangle, triangle_db)):
             obs = Observation.create()
             result = run_rounds(_RoundRobin(q), db, p=4, verify=True,
                                 compute_answers=False, engine=engine, obs=obs)
             assert result.is_complete is False, q
             assert result.answer_count == 0, q
             counter = obs.metrics.counters.get("verify.fallbacks")
-            assert (counter.value if counter else 0) == fallbacks, q
+            assert counter.value == 1, q
 
     def test_details_from_plan(self):
         q, db = self._single_atom_setup()

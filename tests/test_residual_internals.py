@@ -1,6 +1,7 @@
-"""Deep checks of the residual-bound internals: the weighted support sum
-against brute force, and the Section 4.2 duality between the bin LP (11)
-and the residual bound of Theorem 4.7."""
+"""Deep checks of the residual-bound internals: Friedgut's left side — the
+weighted join sum Eq. 12 shares, one fold over the weight tables — against
+brute force, and the Section 4.2 duality between the bin LP (11) and the
+residual bound of Theorem 4.7."""
 
 import itertools
 import math
@@ -9,10 +10,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import residual_load, residual_lower_bound, solve_bin_lp
-from repro.core.friedgut import _weighted_support_sum
+from repro.core import (
+    friedgut_lhs,
+    residual_load,
+    residual_lower_bound,
+    solve_bin_lp,
+)
 from repro.data import single_value_relation
-from repro.query import simple_join_query
+from repro.query import Atom, ConjunctiveQuery, simple_join_query
 from repro.seq import Database
 from repro.stats import BinCombination, HeavyHitterStatistics
 
@@ -34,9 +39,19 @@ def _brute_force_sum(factors, domain):
     return total
 
 
+def _lhs(factors):
+    """Friedgut's left side with one atom per ``(variables, table)``."""
+    query = ConjunctiveQuery(
+        Atom(f"F{number}", vars_) for number, (vars_, _) in enumerate(factors))
+    return friedgut_lhs(query, {
+        f"F{number}": table for number, (_, table) in enumerate(factors)})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_weighted_support_sum_matches_brute_force(data):
+def test_friedgut_lhs_matches_brute_force(data):
+    """Three factors over three variables may close a cycle, (u, v),
+    (v, w), (w, u): the sum then runs over the listed answers."""
     domain = 4
     num_factors = data.draw(st.integers(1, 3))
     all_vars = ["u", "v", "w"]
@@ -58,20 +73,31 @@ def test_weighted_support_sum_matches_brute_force(data):
         )
         factors.append((vars_, table))
     expected = _brute_force_sum(factors, domain)
-    measured = _weighted_support_sum(factors)
+    measured = _lhs(factors)
     assert math.isclose(measured, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_weighted_support_sum_empty_factors():
-    assert _weighted_support_sum([]) == 1.0
+def test_friedgut_lhs_of_a_cycle_matches_brute_force():
+    """The triangle, one factor with a repeated variable beside it: no
+    join tree, so the weights are looked up along the listed answers."""
+    domain = 5
+    factors = [
+        (vars_, {key: 1.0 + (7 * number + sum(key)) % 4
+                 for key in itertools.product(range(domain), repeat=2)
+                 if (3 * key[0] + key[1] + number) % 3})
+        for number, vars_ in enumerate(
+            [("u", "v"), ("v", "w"), ("w", "u"), ("u", "u")])
+    ]
+    assert math.isclose(_lhs(factors), _brute_force_sum(factors, domain),
+                        rel_tol=1e-12)
 
 
-def test_weighted_support_sum_disjoint_variables_multiplies():
+def test_friedgut_lhs_of_disjoint_variables_multiplies():
     factors = [
         (("u",), {(0,): 2.0, (1,): 3.0}),
         (("v",), {(0,): 5.0}),
     ]
-    assert math.isclose(_weighted_support_sum(factors), (2 + 3) * 5)
+    assert math.isclose(_lhs(factors), (2 + 3) * 5)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,9 @@ class TestLifecycle:
         ("engine", "mp"), ("workload", "nope"), ("stats", "bogus"),
         ("stats", ["exact", "bogus"]), ("algorithms", []), ("p_values", []),
         ("p_values", [0]), ("m_values", [0]), ("domain", 0),
+        # Accepted with 202 once, then failed in the worker.
+        ("rounds", 0), ("rounds", [1, 0]), ("algorithms", ["bogus"]),
+        ("algorithms", ["hashjoin", "bogus"]), ("algorithms", "bogus"),
     ])
     def test_malformed_sweep_spec_is_400_naming_the_field(
             self, service, field, value):
@@ -162,6 +165,17 @@ class TestLifecycle:
             client.submit("sweep", {**SWEEP_SPEC, field: value})
         assert excinfo.value.status == 400
         assert field in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [
+        "applicable", "auto", ["auto"], ["hashjoin", "skew-join"],
+    ])
+    def test_algorithm_words_and_registered_keys_are_accepted(
+            self, service, value):
+        """What the ``algorithms`` check lets through runs to the end."""
+        _, client = service
+        job = client.submit("sweep", {**SWEEP_SPEC, "algorithms": value,
+                                      "rounds": [1, 2]})
+        assert client.wait(job["id"])["state"] == "done"
 
     def test_a_client_asking_for_the_mp_engine_exits_with_the_400(
             self, service):
