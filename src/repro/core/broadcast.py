@@ -3,24 +3,24 @@
 A relation with ``M_j <= M/p`` can be shipped whole to every server at a
 load increase of at most ``M/p`` — no more than doubling the cost of any
 algorithm — after which it disappears from the share optimization.  This
-wrapper applies the rule, optimizes HyperCube shares for the *reduced*
-query, and broadcasts the small relations across the reduced grid.
+is HyperCube on the *reduced* query: its LP-optimal shares make the grid,
+the surviving atoms fix their variables' dimensions, and a broadcast atom
+fixes none, so it reaches every server.  Routing and the load formula are
+:class:`~repro.core.hypercube.HyperCubeAlgorithm`'s.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-import numpy as np
-
-from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
-from ..query.atoms import Atom, ConjunctiveQuery
-from ..seq.relation import Batch, Database, Tuple
+from ..query.atoms import ConjunctiveQuery
+from ..seq.relation import Database
 from ..stats.cardinality import SimpleStatistics
+from ..stats.provider import simple_of
 from .bounds import broadcast_reduction
-from .hypercube import HyperCubeAlgorithm, HyperCubePlan, grid_claim
-from .shares import shares_product
+from .hypercube import HyperCubeAlgorithm, Key, variable_keys
 
 
 def reduced_query(query: ConjunctiveQuery, dropped: Iterable[str]) -> ConjunctiveQuery:
@@ -35,45 +35,8 @@ def reduced_query(query: ConjunctiveQuery, dropped: Iterable[str]) -> Conjunctiv
         # grid is well-defined; callers never hit this on sensible inputs.
         atoms = [max(query.atoms, key=lambda a: a.arity)]
         dropped_set.discard(atoms[0].name)
-    kept_vars = []
-    seen: set[str] = set()
-    for atom in atoms:
-        for var in atom.variables:
-            if var not in seen:
-                seen.add(var)
-                kept_vars.append(var)
-    return ConjunctiveQuery(atoms, head=tuple(kept_vars), name=f"{query.name}_bc")
-
-
-class _BroadcastPlan(RoutingPlan):
-    def __init__(
-        self,
-        inner: HyperCubePlan,
-        dropped: frozenset[str],
-        grid_size: int,
-    ) -> None:
-        self.inner = inner
-        self.dropped = dropped
-        self.grid_size = grid_size
-
-    def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        if relation_name in self.dropped:
-            return range(self.grid_size)
-        return self.inner.destinations(relation_name, tup)
-
-    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
-        """A broadcast atom is one claim with one key, the whole grid; the
-        rest delegate to the inner HyperCube."""
-        if relation_name in self.dropped:
-            return [grid_claim(
-                np.zeros(len(batch), dtype=np.int64), range(self.grid_size)
-            )]
-        return self.inner.claims(relation_name, batch)
-
-    def describe(self) -> Mapping[str, object]:
-        description = dict(self.inner.describe())
-        description["broadcast"] = sorted(self.dropped)
-        return description
+    head = tuple(dict.fromkeys(var for atom in atoms for var in atom.variables))
+    return ConjunctiveQuery(atoms, head=head, name=f"{query.name}_bc")
 
 
 class BroadcastHyperCube(OneRoundAlgorithm):
@@ -82,43 +45,30 @@ class BroadcastHyperCube(OneRoundAlgorithm):
     def __init__(self, query: ConjunctiveQuery) -> None:
         super().__init__(query, name="hypercube-broadcast")
 
+    def _grid(self, simple: SimpleStatistics, p: int) -> HyperCubeAlgorithm:
+        """The reduced query's LP HyperCube grid, in its variable order,
+        over which every broadcast atom fixes no dimension.  On one server
+        or an empty database the grid is a single cell and every atom is
+        broadcast to it."""
+        bits = simple.bits_vector(self.query)
+        shares: dict[str, int] = {}
+        kept: dict[str, dict[str, Key]] = {}
+        if p >= 2 and any(value > 0 for value in bits.values()):
+            dropped, _remaining = broadcast_reduction(self.query, bits, p)
+            reduced = reduced_query(self.query, dropped)
+            shares = HyperCubeAlgorithm.with_optimal_shares(reduced, simple, p).shares
+            kept = variable_keys(reduced)
+        return HyperCubeAlgorithm(
+            self.query,
+            shares,
+            name=self.name,
+            keys={atom.name: kept.get(atom.name, {}) for atom in self.query.atoms},
+        )
+
     def predicted_load_bits(self, stats: object, p: int) -> float:
         """Broadcast relations cost their full ``M_j`` per server; the
         survivors cost whatever the reduced-query HyperCube predicts."""
-        simple = self._simple_stats(stats)
-        bits = simple.bits_vector(self.query)
-        if p < 2 or all(value <= 0 for value in bits.values()):
-            return sum(bits.values())
-        dropped, _remaining = broadcast_reduction(self.query, bits, p)
-        reduced = reduced_query(self.query, dropped)
-        dropped_names = [
-            atom.name
-            for atom in self.query.atoms
-            if not reduced.has_atom(atom.name)
-        ]
-        inner = HyperCubeAlgorithm.with_optimal_shares(reduced, simple, p)
-        return sum(bits[name] for name in dropped_names) + inner.predicted_load_bits(
-            stats, p
-        )
+        return self._grid(simple_of(stats), p).predicted_load_bits(stats, p)
 
     def routing_plan(self, db: Database, p: int, hashes: HashFamily) -> RoutingPlan:
-        stats = SimpleStatistics.of(db)
-        bits = stats.bits_vector(self.query)
-        if p < 2 or all(value <= 0 for value in bits.values()):
-            # One server or an empty database: a trivial all-ones grid.
-            trivial = HyperCubePlan(
-                self.query, {var: 1 for var in self.query.variables}, hashes
-            )
-            return _BroadcastPlan(inner=trivial, dropped=frozenset(), grid_size=1)
-        dropped, _remaining = broadcast_reduction(self.query, bits, p)
-        reduced = reduced_query(self.query, dropped)
-        dropped_set = frozenset(
-            atom.name for atom in self.query.atoms if not reduced.has_atom(atom.name)
-        )
-        inner_algorithm = HyperCubeAlgorithm.with_optimal_shares(reduced, stats, p)
-        inner_plan = inner_algorithm.routing_plan(db, p, hashes)
-        return _BroadcastPlan(
-            inner=inner_plan,
-            dropped=dropped_set,
-            grid_size=shares_product(inner_algorithm.shares),
-        )
+        return self._grid(SimpleStatistics.of(db), p).routing_plan(db, p, hashes)

@@ -8,22 +8,25 @@ The optimal dimensions are ``p_j ~ m_j (p / prod_i m_i)^{1/u}``, giving load
 relations, which footnote 2 proves optimal.  When some ``m_j`` is tiny
 (``m_j < max_i m_i / p``) the rounding naturally degrades to broadcasting it
 (``p_j = 1``), mirroring footnote 1.
+
+The grid is a HyperCube grid with one dimension per relation, fixed by
+hashing the whole tuple (Python's tuple hash, so this is the one plan that
+reads ``batch.rows``); routing and the load formula are
+:class:`~repro.core.hypercube.HyperCubeAlgorithm`'s.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
-import numpy as np
-
-from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery, QueryError
-from ..seq.relation import Batch, Database, Tuple
+from ..seq.relation import Database
 from ..stats.cardinality import SimpleStatistics
-from .hypercube import grid_claim
+from ..stats.provider import simple_of
+from .hypercube import WHOLE_TUPLE, HyperCubeAlgorithm
 
 
 def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
@@ -53,78 +56,6 @@ def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
             return dims
 
 
-class CartesianGridPlan(RoutingPlan):
-    """One grid dimension per atom; tuples hash on their full content."""
-
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        dims: Mapping[str, int],
-        hashes: HashFamily,
-    ) -> None:
-        self.query = query
-        self.dims = dict(dims)
-        self.hashes = hashes
-        names = [atom.name for atom in query.atoms]
-        strides: dict[str, int] = {}
-        stride = 1
-        for name in reversed(names):
-            strides[name] = stride
-            stride *= self.dims[name]
-        self._strides = strides
-        self._names = names
-        # Batch-path tables: the replication offsets across the *other*
-        # relations' dimensions, enumerated once per relation.
-        self._free_offsets: dict[str, tuple[int, ...]] = {}
-        for name in names:
-            free = [
-                (strides[other], self.dims[other])
-                for other in names
-                if other != name
-            ]
-            if free:
-                self._free_offsets[name] = tuple(
-                    sum(stride * coord for (stride, _), coord in zip(free, coords))
-                    for coords in product(*(range(size) for _, size in free))
-                )
-            else:
-                self._free_offsets[name] = (0,)
-
-    def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        # Hash the whole tuple into this atom's dimension.
-        mixed = hash(tup) & 0x7FFFFFFF
-        base = self._strides[relation_name] * self.hashes.bucket(
-            f"grid:{relation_name}", mixed, self.dims[relation_name]
-        )
-        free = [
-            (self._strides[name], self.dims[name])
-            for name in self._names
-            if name != relation_name
-        ]
-        if not free:
-            return (base,)
-        return (
-            base + sum(stride * coord for (stride, _), coord in zip(free, coords))
-            for coords in product(*(range(size) for _, size in free))
-        )
-
-    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
-        """One claim over the whole batch, keyed by grid base: the whole
-        tuple's Python hash (the one plan that reads ``batch.rows``)
-        bucketed into this atom's dimension, the precomputed offsets for
-        each distinct base."""
-        mixed = np.fromiter(
-            map(hash, batch.rows), dtype=np.int64, count=len(batch)
-        ) & 0x7FFFFFFF
-        bases = self._strides[relation_name] * self.hashes.bucket_column(
-            f"grid:{relation_name}", mixed, self.dims[relation_name]
-        )
-        return [grid_claim(bases, self._free_offsets[relation_name])]
-
-    def describe(self) -> Mapping[str, object]:
-        return {"grid": dict(self.dims)}
-
-
 class CartesianProductAlgorithm(OneRoundAlgorithm):
     """The optimal one-round algorithm for cartesian products."""
 
@@ -138,37 +69,39 @@ class CartesianProductAlgorithm(OneRoundAlgorithm):
     def applicability(cls, query: ConjunctiveQuery) -> str | None:
         seen: dict[str, str] = {}
         for atom in query.atoms:
-            for var in atom.variable_set:
-                if var in seen:
+            for var in atom.variables:
+                if seen.setdefault(var, atom.name) != atom.name:
                     return (
                         f"not a cartesian product: variable {var!r} is "
                         f"shared by {seen[var]} and {atom.name}"
                     )
-                seen[var] = atom.name
         return None
+
+    def _grid(self, simple: SimpleStatistics, p: int) -> HyperCubeAlgorithm:
+        """The :func:`optimal_grid` as a HyperCube grid: one dimension per
+        atom, which it fixes by its whole tuple."""
+        dims = optimal_grid(
+            {
+                atom.name: max(1, simple.cardinality(atom.name))
+                for atom in self.query.atoms
+            },
+            p,
+        )
+        return HyperCubeAlgorithm(
+            self.query,
+            dims,
+            name=self.name,
+            keys={name: {name: WHOLE_TUPLE} for name in dims},
+            salt_prefix="grid",
+        )
 
     def predicted_load_bits(self, stats: object, p: int) -> float:
         """``sum_j M_j / p_j`` for the optimal integer grid: each
         ``S_j``-tuple reaches a ``1/p_j`` fraction of the grid."""
-        simple = self._simple_stats(stats)
-        cardinalities = {
-            atom.name: max(1, simple.cardinality(atom.name))
-            for atom in self.query.atoms
-        }
-        dims = optimal_grid(cardinalities, p)
-        return sum(
-            simple.bits(atom.name) / dims[atom.name]
-            for atom in self.query.atoms
-        )
+        return self._grid(simple_of(stats), p).predicted_load_bits(stats, p)
 
     def routing_plan(self, db: Database, p: int, hashes: HashFamily) -> RoutingPlan:
-        stats = SimpleStatistics.of(db)
-        cardinalities = {
-            atom.name: max(1, stats.cardinality(atom.name))
-            for atom in self.query.atoms
-        }
-        dims = optimal_grid(cardinalities, p)
-        return CartesianGridPlan(self.query, dims, hashes)
+        return self._grid(SimpleStatistics.of(db), p).routing_plan(db, p, hashes)
 
 
 def cartesian_lower_bound_bits(

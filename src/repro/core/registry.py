@@ -32,7 +32,7 @@ from typing import Callable, Iterable
 
 from ..mpc.execution import MPCAlgorithm
 from ..query.atoms import ConjunctiveQuery
-from ..stats.provider import Statistics
+from ..stats.provider import Statistics, heavy_of, simple_of
 from .broadcast import BroadcastHyperCube
 from .cartesian import CartesianProductAlgorithm
 from .hashjoin import HashJoinAlgorithm
@@ -102,11 +102,6 @@ class AlgorithmSpec:
         return self.build(query, stats, p).predicted_load_bits(stats, p)
 
 
-# The same arbiters every cost hook uses, shared via MPCAlgorithm.
-_simple = MPCAlgorithm._simple_stats
-_hh_or_none = MPCAlgorithm._heavy_stats
-
-
 _REGISTRY: dict[str, AlgorithmSpec] = {}
 
 
@@ -171,7 +166,7 @@ register(AlgorithmSpec(
     key="hypercube-lp",
     algorithm_class=HyperCubeAlgorithm,
     factory=lambda query, stats, p: HyperCubeAlgorithm.with_optimal_shares(
-        query, _simple(stats), p
+        query, simple_of(stats), p
     ),
     summary="HyperCube, LP-optimal integer shares (Theorem 3.4)",
 ))
@@ -203,7 +198,7 @@ register(AlgorithmSpec(
     key="skew-join",
     algorithm_class=SkewAwareJoin,
     factory=lambda query, stats, p: SkewAwareJoin(
-        query, stats=_hh_or_none(stats, p)
+        query, stats=heavy_of(stats, p)
     ),
     summary="skew-aware two-relation join (Section 4.1)",
 ))
@@ -212,7 +207,7 @@ register(AlgorithmSpec(
     key="bin-hypercube",
     algorithm_class=BinHyperCubeAlgorithm,
     factory=lambda query, stats, p: BinHyperCubeAlgorithm(
-        query, stats=_hh_or_none(stats, p)
+        query, stats=heavy_of(stats, p)
     ),
     summary="per-bin-combination HyperCube (Theorem 4.6)",
 ))

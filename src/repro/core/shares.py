@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Iterable, Literal, Mapping
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
@@ -269,31 +269,36 @@ def integer_shares(
     if bits is None:
         raise ShareError("greedy rounding needs the bit-size statistics")
 
-    def estimated_max_load(current: Mapping[str, int]) -> float:
-        worst = 0.0
-        for atom in query.atoms:
-            denominator = 1
-            for var in atom.variable_set:
-                denominator *= current[var]
-            worst = max(worst, bits[atom.name] / denominator)
-        return worst
-
+    fixed = {atom.name: atom.variable_set for atom in query.atoms}
     while True:
         product = math.prod(shares.values())
         best_var: str | None = None
-        best_load = estimated_max_load(shares)
+        best_load = max_atom_load(fixed, shares, bits)
         for var in query.variables:
             if product // shares[var] * (shares[var] + 1) > p:
                 continue
             candidate = dict(shares)
             candidate[var] += 1
-            candidate_load = estimated_max_load(candidate)
+            candidate_load = max_atom_load(fixed, candidate, bits)
             if candidate_load < best_load - 1e-12:
                 best_load = candidate_load
                 best_var = var
         if best_var is None:
             return shares
         shares[best_var] += 1
+
+
+def max_atom_load(
+    fixed: Mapping[str, Iterable[str]],
+    shares: Mapping[str, int],
+    bits: Mapping[str, float],
+) -> float:
+    """``max_j M_j / prod_{i in S_j} p_i``, the skew-free expected load of
+    the busiest atom, where atom ``j`` fixes the dimensions ``fixed[j]``."""
+    worst = 0.0
+    for name, dims in fixed.items():
+        worst = max(worst, bits[name] / math.prod(shares[dim] for dim in dims))
+    return worst
 
 
 def equal_integer_shares(query: ConjunctiveQuery, p: int) -> dict[str, int]:

@@ -53,7 +53,7 @@ from ..query.atoms import ConjunctiveQuery
 from ..query.residual import residual_query
 from ..seq.relation import Batch, Database, Tuple
 from ..stats.bins import BinCombination, combination_for_assignment
-from ..stats.provider import StatisticsProvider
+from ..stats.provider import StatisticsProvider, heavy_of, simple_of
 from ..stats.heavy_hitters import (
     HeavyHitterStatistics,
     VarSubset,
@@ -536,14 +536,14 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
         """
         from .hypercube import HyperCubeAlgorithm
 
-        simple = self._simple_stats(stats)
+        simple = simple_of(stats)
         bits = simple.bits_vector(self.query)
         if p < 2 or all(value <= 0 for value in bits.values()):
             return sum(bits.values())
         base = HyperCubeAlgorithm.with_optimal_shares(
             self.query, simple, p
         ).predicted_load_bits(simple, p)
-        hh = self._heavy_stats(stats, p) or self._heavy_stats(self._stats, p)
+        hh = heavy_of(stats, p) or heavy_of(self._stats, p)
         if hh is None:
             return base
         combos, lps = build_cprime(self.query, hh, p, bits, nbc=self.nbc)

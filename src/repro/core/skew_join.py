@@ -34,7 +34,7 @@ from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
 from ..seq.relation import Batch, Database, Tuple
-from ..stats.provider import StatisticsProvider
+from ..stats.provider import StatisticsProvider, heavy_of, simple_of
 from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
 
 
@@ -315,10 +315,10 @@ class SkewAwareJoin(OneRoundAlgorithm):
         servers, but a prediction must cover whichever block is busiest,
         so the terms are summed for a safe-side estimate).
         """
-        simple = self._simple_stats(stats)
+        simple = simple_of(stats)
         first, second, _ = _split_variables(self.query)
         light = (simple.bits(first.name) + simple.bits(second.name)) / p
-        hh = self._heavy_stats(stats, p) or self._heavy_stats(self._stats, p)
+        hh = heavy_of(stats, p) or heavy_of(self._stats, p)
         if hh is None:
             return light
         components = skew_join_load_bound(hh, self.query, in_bits=True)

@@ -43,7 +43,7 @@ from ..seq.join import Answers
 from ..seq.relation import (
     Batch, Database, Tuple, distinct_values, expand_runs, starts_run,
 )
-from ..stats.provider import heavy_of, simple_of
+from ..stats.provider import simple_of
 from .cluster import LoadReport
 from .hashing import HashFamily
 
@@ -285,12 +285,8 @@ class MPCAlgorithm(ABC):
         rounds: each base relation is reshuffled in some round, so some
         server receives a ``1/p`` fraction of its bits.  (The planner
         attaches the sharper Theorem 3.6 bound to one-round plans.)"""
-        simple = self._simple_stats(stats)
+        simple = simple_of(stats)
         return max(simple.bits(atom.name) for atom in self.query.atoms) / p
-
-    # The arbiters every cost hook (and the registry) shares.
-    _simple_stats = staticmethod(simple_of)
-    _heavy_stats = staticmethod(heavy_of)
 
 
 class OneRoundAlgorithm(MPCAlgorithm):

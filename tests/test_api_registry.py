@@ -20,6 +20,7 @@ from repro.mpc import OneRoundAlgorithm
 from repro.query import parse_query
 from repro.seq import Database
 from repro.stats import HeavyHitterStatistics, SimpleStatistics
+from repro.stats.provider import simple_of
 
 JOIN = parse_query("q(x, y, z) :- S1(x, z), S2(y, z)")
 TRIANGLE = parse_query("C3(x, y, z) :- R(x, y), S(y, z), T(z, x)")
@@ -173,7 +174,7 @@ class TestCustomRegistration:
                 raise NotImplementedError
 
             def predicted_load_bits(self, stats, p):
-                simple = self._simple_stats(stats)
+                simple = simple_of(stats)
                 return sum(
                     simple.bits(a.name) for a in self.query.atoms
                 )

@@ -1,20 +1,27 @@
 """Unit tests for the baselines: hash join, broadcast rule, cartesian grid."""
 
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     BroadcastHyperCube,
     CartesianProductAlgorithm,
     HashJoinAlgorithm,
+    HyperCubeAlgorithm,
+    HyperCubePlan,
     cartesian_lower_bound_bits,
     default_partition_variables,
     optimal_grid,
     reduced_query,
 )
 from repro.data import single_value_relation, uniform_relation
-from repro.mpc import run_one_round
+from repro.mpc import HashFamily, run_one_round
 from repro.query import (
     QueryError,
     cartesian_product_query,
@@ -24,6 +31,7 @@ from repro.query import (
 )
 from repro.rounds import run_rounds
 from repro.seq import Database
+from repro.stats import SimpleStatistics
 
 
 class TestHashJoin:
@@ -126,6 +134,83 @@ class TestBroadcastRule:
         assert result.max_load_bits <= 4 * m_bits / p
 
 
+    # The loads below are pinned to the values of the dedicated broadcast
+    # plan the HyperCube grid replaced: the two must stay the same numbers.
+
+    def test_a_dropped_middle_atom_costs_its_whole_size(self):
+        q = parse_query("q(x,y,z) :- S1(x,y), S2(z), S3(y,z)")
+        stats = SimpleStatistics.from_cardinalities(
+            q, {"S1": 100000, "S2": 7, "S3": 100000}, 10**6
+        )
+        assert BroadcastHyperCube(q).predicted_load_bits(stats, 64) == (
+            124711.82453826137
+        )
+        db = Database.from_relations([
+            uniform_relation("S1", 400, 200, seed=1),
+            uniform_relation("S2", 3, 200, arity=1, seed=2),
+            uniform_relation("S3", 400, 200, seed=3),
+        ])
+        for engine in ("reference", "batched"):
+            result = run_rounds(
+                BroadcastHyperCube(q), db, 16, seed=5, verify=True,
+                engine=engine,
+            )
+            assert result.is_complete and result.answer_count == 17
+            assert result.max_load_bits == 1276.523983692379
+            assert result.rounds[0].details["broadcast"] == ["S2"]
+
+    def test_a_variable_only_in_a_dropped_atom_is_no_dimension(self):
+        q = parse_query("q(x,y,w) :- S1(x,y), S2(y,w)")
+        stats = SimpleStatistics.from_cardinalities(
+            q, {"S1": 100000, "S2": 5}, 10**6
+        )
+        assert BroadcastHyperCube(q).predicted_load_bits(stats, 64) == (
+            62485.46746483129
+        )
+        db = Database.from_relations([
+            uniform_relation("S1", 1500, 3000, seed=4),
+            uniform_relation("S2", 5, 3000, seed=6),
+        ])
+        for engine in ("reference", "batched"):
+            result = run_rounds(
+                BroadcastHyperCube(q), db, 16, seed=5, verify=True,
+                engine=engine,
+            )
+            assert result.is_complete and result.answer_count == 4
+            assert result.max_load_bits == 2887.686696345811
+            assert result.rounds[0].details["shares"] == {"x": 16, "y": 1}
+
+    def test_kept_atoms_route_as_the_reduced_hypercube(self):
+        """The grid runs in the reduced query's variable order (here
+        ``y, z, x``, not the head's); a dropped atom reaches every server
+        of it."""
+        q = parse_query("q(x,y,z) :- S1(y,z), S2(x), S3(x,y)")
+        db = Database.from_relations([
+            uniform_relation("S1", 300, 100, seed=21),
+            uniform_relation("S2", 3, 100, arity=1, seed=22),
+            uniform_relation("S3", 300, 100, seed=23),
+        ])
+        p = 16
+        plan = BroadcastHyperCube(q).routing_plan(db, p, HashFamily(5))
+        reduced = reduced_query(q, ["S2"])
+        assert reduced.variables == ("y", "z", "x")
+        shares = HyperCubeAlgorithm.with_optimal_shares(
+            reduced, SimpleStatistics.of(db), p
+        ).shares
+        inner = HyperCubePlan(reduced, shares, HashFamily(5))
+        for name in ("S1", "S3"):
+            batch = db.relation(name).batch
+            for got, want in zip(
+                plan.deliveries(name, batch), inner.deliveries(name, batch)
+            ):
+                assert np.array_equal(got, want), name
+        indices, servers = plan.deliveries("S2", db.relation("S2").batch)
+        grid = math.prod(shares.values())
+        assert sorted(zip(indices.tolist(), servers.tolist())) == [
+            (i, server) for i in range(3) for server in range(grid)
+        ]
+
+
 class TestCartesianGrid:
     def _run(self, cardinalities, seed, p):
         """The grid algorithm, load only, on unary uniform relations."""
@@ -159,7 +244,7 @@ class TestCartesianGrid:
         assert dims["S1"] == 1
         assert dims["S2"] == 16
         result, db = self._run((16, 32768), seed=73, p=16)
-        assert result.details["grid"]["S1"] == 1
+        assert result.details["shares"]["S1"] == 1
         assert result.max_load_bits <= 1.29 * db.relation("S2").bits / 16
 
     def test_grid_product_bounded(self):
@@ -207,3 +292,56 @@ class TestCartesianGrid:
         result = run_rounds(CartesianProductAlgorithm(q), db, 8, verify=True)
         assert result.is_complete
         assert result.answer_count == 12 * 10 * 8
+
+    def test_three_way_product_with_a_two_column_atom(self):
+        """Pinned to the values of the dedicated grid plan the HyperCube
+        grid replaced."""
+        q = parse_query("q(a,b,c,d) :- S1(a,b), S2(c), S3(d)")
+        stats = SimpleStatistics.from_cardinalities(
+            q, {"S1": 400, "S2": 300, "S3": 200}, 10**6
+        )
+        assert optimal_grid(stats.cardinalities, 27) == {
+            "S1": 4, "S2": 3, "S3": 2
+        }
+        assert CartesianProductAlgorithm(q).predicted_load_bits(stats, 27) == (
+            7972.62742772967
+        )
+        db = Database.from_relations([
+            uniform_relation("S1", 60, 500, seed=7),
+            uniform_relation("S2", 30, 500, arity=1, seed=8),
+            uniform_relation("S3", 20, 500, arity=1, seed=9),
+        ])
+        for engine in ("reference", "batched"):
+            result = run_rounds(
+                CartesianProductAlgorithm(q), db, 27, seed=5, verify=True,
+                engine=engine,
+            )
+            assert result.is_complete and result.answer_count == 36000
+            assert result.max_load_bits == 502.0839199410769
+            assert result.max_load_tuples == 42
+            assert result.rounds[0].details["shares"] == {
+                "S1": 6, "S2": 2, "S3": 2
+            }
+
+    def test_the_rejection_does_not_depend_on_the_hash_seed(self):
+        """The shared variable named is the first in atom order, under
+        every ``PYTHONHASHSEED`` (a variable set iterates in hash order)."""
+        program = (
+            "from repro.core import CartesianProductAlgorithm; "
+            "from repro.query import parse_query; "
+            "print(CartesianProductAlgorithm.applicability(parse_query("
+            "'q(x,y,z) :- S1(x,y), S2(z), S3(y,z)')))"
+        )
+
+        def reason(hash_seed):
+            source = os.path.dirname(os.path.dirname(repro.__file__))
+            return subprocess.run(
+                [sys.executable, "-c", program], text=True,
+                capture_output=True, timeout=60, check=True,
+                env={**os.environ, "PYTHONPATH": source,
+                     "PYTHONHASHSEED": hash_seed},
+            ).stdout
+
+        assert reason("0") == reason("3") == (
+            "not a cartesian product: variable 'y' is shared by S1 and S3\n"
+        )

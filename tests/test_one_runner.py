@@ -31,6 +31,7 @@ from repro.query.families import FAMILIES, cartesian_product_query
 from repro.rounds import run_rounds
 from repro.seq import count_answers
 from repro.stats import HeavyHitterStatistics
+from repro.stats.provider import simple_of
 
 P, SEED = 8, 3
 TRIANGLE_TEXT = "q(x,y,z) :- R(x,y), S(y,z), T(z,x)"
@@ -82,7 +83,7 @@ class EverythingToZero(OneRoundAlgorithm):
         return _EverythingToZero()
 
     def predicted_load_bits(self, stats, p):
-        return float(sum(self._simple_stats(stats).bits_vector(
+        return float(sum(simple_of(stats).bits_vector(
             self.query).values()))
 
 
