@@ -51,11 +51,11 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
         "optimal_share_exponents", "shares_product",
     ),
     ".skew_general": (
-        "BinHyperCubeAlgorithm", "BinHyperCubePlan", "BinLP",
+        "BinHyperCubeAlgorithm", "BinLP",
         "build_cprime", "solve_bin_lp",
     ),
     ".skew_join": (
-        "SkewAwareJoin", "SkewAwareJoinPlan", "skew_join_load_bound",
+        "SkewAwareJoin", "skew_join_load_bound",
     ),
 })
 

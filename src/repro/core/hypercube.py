@@ -17,15 +17,23 @@ The grid is every one-round skew-free plan here: the hash join spends all
 shares on its keys, the broadcast rule (:mod:`.broadcast`) is the reduced
 query's grid with the small atoms fixing no dimension, and the cartesian
 grid (:mod:`.cartesian`) has one dimension per atom, fixed by the whole
-tuple.  :class:`HyperCubePlan` routes them all and
-:meth:`HyperCubeAlgorithm.predicted_load_bits` prices them all.
+tuple.  :meth:`HyperCubeAlgorithm.predicted_load_bits` prices them all.
+
+:class:`HyperCubePlan` routes every one-round plan, skew-aware ones too,
+as :class:`Family` s of :class:`Block` s — share vectors placed from a
+first server on — each family filtering which blocks a tuple reaches by
+its heavy values.  A HyperCube grid is one unfiltered family with one
+block at server 0; the skew-aware join (:mod:`.skew_join`) is one family
+with a block per heavy hitter, the bin algorithm (:mod:`.skew_general`) a
+family per bin combination with a block per assignment.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,8 +54,9 @@ from .shares import (
 )
 
 
-#: A key: a column position, or ``WHOLE_TUPLE`` for the tuple's hash.
-Key = int | None
+#: A key: a column position, a tuple of column positions folded into one
+#: value (:func:`_mix`), or ``WHOLE_TUPLE`` for the tuple's hash.
+Key = int | tuple[int, ...] | None
 WHOLE_TUPLE: Key = None
 
 
@@ -64,110 +73,325 @@ def variable_keys(query: ConjunctiveQuery) -> dict[str, dict[str, Key]]:
     }
 
 
-class HyperCubePlan(RoutingPlan):
-    """Routing over a grid of shares.
+def _mix(values: Iterable[int]) -> int:
+    """Fold several attribute values into one hashable integer."""
+    mixed = 0
+    for value in values:
+        mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
+    return mixed
 
-    The grid is linearized in mixed radix over the order of ``shares``;
-    dimension ``i`` has stride ``prod_{i' > i} p_{i'}``.  ``keys`` maps
-    each atom to the ``{dimension: key}`` pairs it fixes (default
-    :func:`variable_keys`): a key is a column position, or
-    :data:`WHOLE_TUPLE` (Python's tuple hash, the one key that reads
-    ``batch.rows``), hashed under the salt ``f"{salt_prefix}:{dimension}"``.
-    An atom is replicated along every dimension it does not fix; one that
-    fixes none is broadcast to the whole grid.
+
+def _mix_columns(batch: Batch, positions: Sequence[int]) -> np.ndarray:
+    """:func:`_mix` of every tuple's values at ``positions``.  The fold
+    runs in uint64, where the product wraps; the 47-bit mask keeps only
+    bits the wrap leaves exact."""
+    mixed = np.zeros(len(batch), dtype=np.uint64)
+    for position in positions:
+        mixed *= np.uint64(1_000_003)
+        mixed += batch.columns[position].astype(np.uint64) + np.uint64(1)
+        mixed &= np.uint64(0x7FFFFFFFFFFF)
+    return mixed.astype(np.int64)
+
+
+def _key_value(tup: Tuple, key: Key) -> int:
+    if key is WHOLE_TUPLE:
+        return hash(tup) & 0x7FFFFFFF
+    if isinstance(key, tuple):
+        return _mix(tup[i] for i in key)
+    return tup[key]
+
+
+def _key_column(batch: Batch, key: Key) -> np.ndarray:
+    """:func:`_key_value` of every tuple.  A column key is the batch's own
+    column, so its raw hashes may come from :class:`ColumnHashes`; the
+    whole-tuple key is the one that reads ``batch.rows``."""
+    if key is WHOLE_TUPLE:
+        return np.fromiter(
+            map(hash, batch.rows), dtype=np.int64, count=len(batch)
+        ) & 0x7FFFFFFF
+    if isinstance(key, tuple):
+        return _mix_columns(batch, key)
+    return batch.columns[key]
+
+
+@dataclass(frozen=True)
+class Block:
+    """One grid placed on the servers: cell ``d`` of the grid over
+    ``shares`` (mixed radix, the last dimension fastest) is server
+    ``(start + d) % p``."""
+
+    label: str
+    shares: tuple[int, ...]
+    start: int = 0
+
+
+@dataclass(frozen=True)
+class Filter:
+    """The blocks of a family that an atom's tuple reaches.
+
+    A tuple whose values at some ``excluded`` positions are among that
+    row's values reaches none.  Otherwise its values at ``positions`` pick
+    the blocks ``accepted`` maps them to (at least one), and any other
+    tuple reaches the ``default`` blocks.  The blocks one value reaches
+    share a share vector.
+    """
+
+    positions: tuple[int, ...] = ()
+    accepted: Mapping[Tuple, tuple[int, ...]] = field(default_factory=dict)
+    default: tuple[int, ...] = ()
+    excluded: tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...] = ()
+
+
+@dataclass
+class Family:
+    """Blocks over one set of dimensions and keys.
+
+    Dimension ``i`` is hashed under the salt ``f"{salt_prefix}:{dims[i]}"``;
+    two dimensions may share a name, and so a salt, and are told apart by
+    position.  ``keys`` maps every atom to the ``{dimension index: key}``
+    pairs it fixes; an atom is replicated along every dimension it does not
+    fix.  An atom without a filter reaches every block.
+    """
+
+    dims: tuple[str, ...]
+    keys: Mapping[str, Mapping[int, Key]]
+    blocks: tuple[Block, ...]
+    salt_prefix: str = "hc"
+    filters: Mapping[str, Filter] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        every = Filter(default=tuple(range(len(self.blocks))))
+        self.filters = {
+            name: self.filters.get(name, every) for name in self.keys
+        }
+
+    def reach(self, relation_name: str, tup: Tuple) -> tuple[int, ...]:
+        """The blocks ``tup`` reaches, in block order."""
+        rule = self.filters[relation_name]
+        for positions, values in rule.excluded:
+            if tuple(tup[i] for i in positions) in values:
+                return ()
+        return rule.accepted.get(
+            tuple(tup[i] for i in rule.positions), rule.default
+        )
+
+
+class HyperCubePlan(RoutingPlan):
+    """Routing over families of placed grid blocks — every one-round plan.
+
+    In every family a tuple reaches the blocks its filter gives it; in a
+    block, the cells whose coordinate on each dimension it fixes is the
+    hash of its key there (``% share``), along every other dimension.  A
+    tuple several blocks or families reach goes to the union of their
+    servers.  ``summary`` is what :meth:`describe` reports beside the
+    blocks, and ``title`` and ``notes`` frame :meth:`explain`.
     """
 
     def __init__(
         self,
-        query: ConjunctiveQuery,
-        shares: Mapping[str, int],
+        families: Sequence[Family],
         hashes: HashFamily,
-        salt_prefix: str = "hc",
-        keys: Mapping[str, Mapping[str, Key]] | None = None,
+        p: int,
+        summary: Mapping[str, object] | None = None,
+        title: str = "",
+        notes: Sequence[str] = (),
     ) -> None:
-        self.query = query
-        self.shares = dict(shares)
+        self.families = tuple(families)
         self.hashes = hashes
-        self.salt_prefix = salt_prefix
-        self.keys = variable_keys(query) if keys is None else keys
+        self.p = p
+        self.summary = dict(summary or {})
+        self.title = title
+        self.notes = tuple(notes)
+        self._layouts: dict[tuple, tuple] = {}
+        self._groups: dict[tuple, tuple] = {}
 
-        dims = list(self.shares)
-        strides: dict[str, int] = {}
-        stride = 1
-        for dim in reversed(dims):
-            strides[dim] = stride
-            stride *= self.shares[dim]
-
-        # Per atom: the (dimension, key, stride) triples fixing its grid
-        # base, and the replication offsets along its free dimensions,
-        # enumerated once.
-        self._fixed: dict[str, list[tuple[str, Key, int]]] = {}
-        self._free_offsets: dict[str, tuple[int, ...]] = {}
-        for name, fixed in self.keys.items():
-            self._fixed[name] = [
-                (dim, fixed[dim], strides[dim]) for dim in dims if dim in fixed
-            ]
-            free = [
-                (strides[dim], self.shares[dim])
-                for dim in dims
-                if dim not in fixed
-            ]
-            self._free_offsets[name] = tuple(
-                sum(stride * coord for (stride, _), coord in zip(free, coords))
-                for coords in product(*(range(share) for _, share in free))
+    def _layout(
+        self, number: int, relation_name: str, shares: tuple[int, ...]
+    ) -> tuple[tuple[tuple[str, Key, int, int], ...], tuple[int, ...]]:
+        """An atom of family ``number`` on ``shares``, derived once: the
+        ``(salt, key, stride, share)`` of each dimension it fixes with a
+        share above 1, and its offsets along the ones it does not fix."""
+        layout = self._layouts.get((number, relation_name, shares))
+        if layout is None:
+            family = self.families[number]
+            fixed = family.keys[relation_name]
+            strides = [math.prod(shares[i + 1:]) for i in range(len(shares))]
+            free = [(strides[i], share) for i, share in enumerate(shares)
+                    if i not in fixed]
+            layout = self._layouts[number, relation_name, shares] = (
+                tuple((f"{family.salt_prefix}:{family.dims[i]}", fixed[i],
+                       strides[i], shares[i])
+                      for i in sorted(fixed) if shares[i] > 1),
+                tuple(sum(stride * coord
+                          for (stride, _), coord in zip(free, coords))
+                      for coords in product(*(range(s) for _, s in free))),
             )
+        return layout
+
+    def _place(
+        self, cells: Sequence[int], base: int, several: bool
+    ) -> tuple[int, ...]:
+        """The servers of grid base ``base`` over ``cells`` (each reached
+        block's first server plus the offsets), each once: only
+        ``several`` blocks can repeat one."""
+        servers = [(cell + base) % self.p for cell in cells]
+        return tuple(dict.fromkeys(servers) if several else servers)
 
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        base = 0
-        for dim, key, stride in self._fixed[relation_name]:
-            value = hash(tup) & 0x7FFFFFFF if key is WHOLE_TUPLE else tup[key]
-            base += stride * self.hashes.bucket(
-                f"{self.salt_prefix}:{dim}", value, self.shares[dim]
-            )
-        return tuple(base + offset for offset in self._free_offsets[relation_name])
+        servers: dict[int, None] = {}
+        for number, family in enumerate(self.families):
+            blocks = family.reach(relation_name, tup)
+            if blocks:
+                fixed, offsets = self._layout(
+                    number, relation_name, family.blocks[blocks[0]].shares
+                )
+                base = sum(
+                    stride * self.hashes.bucket(salt, _key_value(tup, key), share)
+                    for salt, key, stride, share in fixed
+                )
+                cells = [family.blocks[block].start + offset
+                         for block in blocks for offset in offsets]
+                servers.update(dict.fromkeys(
+                    self._place(cells, base, len(blocks) > 1)
+                ))
+        return tuple(servers)
 
     def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
-        """One claim over the whole batch, in batch order, keyed by grid
-        base: a tuple at base ``b`` goes to ``b + o`` for every replication
-        offset ``o`` enumerated at plan construction (duplicate-free: the
-        offsets are distinct points of a mixed-radix grid).  The table has
-        a row per distinct base — at most ``prod_{i in S_j} p_i``, so they
-        are found by counting, not sorting — however large the batch.
+        """One claim per family that reaches a tuple of the batch."""
+        claims = (
+            self._claim(number, relation_name, batch)
+            for number in range(len(self.families))
+        )
+        return [claim for claim in claims if claim is not None]
 
-        Each fixed dimension is resolved for the whole batch at once — its
-        key column hashed by :meth:`HashFamily.bucket_column` and folded
-        into the bases as ``stride * bucket``.  A dimension of share 1 adds
-        nothing and its column is never read; an atom with no other sits
-        at base 0.
+    def _claim(
+        self, number: int, relation_name: str, batch: Batch
+    ) -> Claim | None:
+        """Column-at-a-time :meth:`destinations` of one family.
+
+        A tuple's *group* (:meth:`Batch.codes` over the filter) is its
+        accepted value's or the default's, and its routing key the
+        group's first key plus its grid base.  Each fixed dimension is one
+        :meth:`HashFamily.bucket_column` call over the tuples whose group
+        gives it a share above 1 — the whole key column under one share
+        when every group spreads it alike, as a HyperCube grid does.  A
+        key's servers are placed once, not per tuple.
         """
-        bases = np.zeros(len(batch), dtype=np.int64)
-        for dim, key, stride in self._fixed[relation_name]:
-            if self.shares[dim] == 1:
-                continue
-            if key is WHOLE_TUPLE:
-                column = np.fromiter(
-                    map(hash, batch.rows), dtype=np.int64, count=len(batch)
-                ) & 0x7FFFFFFF
+        rule = self.families[number].filters[relation_name]
+        kept, rows = None, batch  # kept: the rows' places, if not all
+        for positions, values in rule.excluded:
+            keep = rows.codes(positions, list(values)) < 0
+            if not keep.all():
+                kept = np.flatnonzero(keep) if kept is None else kept[keep]
+                rows = rows.take(keep)
+        firsts, dims, placements = self._grid(number, relation_name)
+        which = None  # every tuple is in group 0
+        if rule.positions:
+            which = rows.codes(rule.positions, list(rule.accepted))
+            if rule.default:
+                which[which < 0] = len(rule.accepted)
             else:
-                column = batch.columns[key]
-            bases += stride * self.hashes.bucket_column(
-                f"{self.salt_prefix}:{dim}", column, self.shares[dim]
+                keep = which >= 0
+                if not keep.all():
+                    kept = np.flatnonzero(keep) if kept is None else kept[keep]
+                    rows, which = rows.take(keep), which[keep]
+        if not placements or not len(rows):
+            return None
+
+        keys = (np.zeros(len(rows), dtype=np.int64) if which is None
+                else firsts[which])
+        for salt, key, share, stride, spreads in dims:
+            if spreads is None:  # one share and stride, on every tuple
+                keys += stride * self.hashes.bucket_column(
+                    salt, _key_column(rows, key), share
+                )
+                continue
+            chosen = np.flatnonzero(spreads[which])
+            if isinstance(share, np.ndarray):
+                group = which[chosen]
+                share, stride = share[group], stride[group]
+            keys[chosen] += stride * self.hashes.bucket_column(
+                salt, _key_column(rows, key)[chosen], share
             )
-        offsets = self._free_offsets[relation_name]
-        table = {
-            base: tuple(base + offset for offset in offsets)
-            for base in np.flatnonzero(np.bincount(bases)).tolist()
-        }
-        return [(np.arange(len(bases)), bases, table)]
+
+        used = np.flatnonzero(np.bincount(keys))
+        group_of = np.searchsorted(firsts, used, side="right") - 1
+        table = {}
+        for key, group, base in zip(used.tolist(), group_of.tolist(),
+                                    (used - firsts[group_of]).tolist()):
+            cells, several = placements[group]
+            table[key] = self._place(cells, base, several)
+        return (np.arange(len(batch)) if kept is None else kept), keys, table
+
+    def _grid(
+        self, number: int, relation_name: str
+    ) -> tuple[np.ndarray, list[tuple], list[tuple]]:
+        """The batch path of an atom in family ``number``, derived once.
+
+        Its groups are the blocks of each accepted value, then the
+        default's (of ``()`` alone when the filter reads no position).
+        Returned: each group's first routing key; per dimension some group
+        spreads, its salt, key, the groups' shares and strides (one
+        ``int`` each where the spreading groups agree) and which groups
+        spread it (None: all, alike); per group its cells and whether it
+        has several blocks (:meth:`_place`).
+        """
+        grid = self._groups.get((number, relation_name))
+        if grid is None:
+            family = self.families[number]
+            rule = family.filters[relation_name]
+            if rule.positions:
+                groups = [*rule.accepted.values(), rule.default]
+            else:  # every tuple projects to ()
+                groups = [rule.accepted.get((), rule.default)]
+            if not groups[-1]:
+                groups.pop()
+            shares = [family.blocks[blocks[0]].shares for blocks in groups]
+            dims = []
+            for dim, key in sorted(family.keys[relation_name].items()):
+                share = [s[dim] for s in shares]
+                stride = [math.prod(s[dim + 1:]) for s in shares]
+                pairs = {pair for pair in zip(share, stride) if pair[0] > 1}
+                if not pairs:
+                    continue
+                spreads = None  # every group, alike
+                if len(pairs) > 1 or min(share) == 1:
+                    spreads = np.array([s > 1 for s in share])
+                if len(pairs) == 1:  # one share and stride where spread
+                    share, stride = next(iter(pairs))
+                else:
+                    share, stride = np.array(share), np.array(stride)
+                dims.append((f"{family.salt_prefix}:{family.dims[dim]}",
+                             key, share, stride, spreads))
+            placements = []
+            for blocks, share_vector in zip(groups, shares):
+                _, offsets = self._layout(number, relation_name, share_vector)
+                placements.append((
+                    tuple(family.blocks[block].start + offset
+                          for block in blocks for offset in offsets),
+                    len(blocks) > 1,
+                ))
+            sizes = [math.prod(share_vector) for share_vector in shares]
+            grid = self._groups[number, relation_name] = (
+                np.cumsum([0, *sizes[:-1]], dtype=np.int64), dims, placements
+            )
+        return grid
 
     def describe(self) -> Mapping[str, object]:
-        return {
-            "shares": dict(self.shares),
-            "grid_size": shares_product(self.shares),
-            "broadcast": sorted(
-                name for name, fixed in self.keys.items() if not fixed
-            ),
-        }
+        return {**self.summary, "blocks": [
+            {"label": block.label, "shares": block.shares,
+             "start": block.start, "cells": math.prod(block.shares)}
+            for family in self.families for block in family.blocks
+        ]}
+
+    def explain(self) -> str:
+        """The title, each distinct block label once, and the notes."""
+        labels = dict.fromkeys(
+            block.label for family in self.families for block in family.blocks
+        )
+        return "\n".join(
+            [self.title] + [f"  {line}" for line in (*labels, *self.notes)]
+        )
 
 
 class HyperCubeAlgorithm(OneRoundAlgorithm):
@@ -238,8 +462,20 @@ class HyperCubeAlgorithm(OneRoundAlgorithm):
             raise ShareError(
                 f"share product {grid} exceeds the {p} available servers"
             )
+        dims = tuple(self.shares)
+        keys = {name: {dims.index(dim): key for dim, key in fixed.items()}
+                for name, fixed in self.keys.items()}
+        block = Block(f"grid {self.shares}", tuple(self.shares.values()))
+        family = Family(dims, keys, (block,), self.salt_prefix)
+        summary = {
+            "shares": dict(self.shares),
+            "grid_size": grid,
+            "broadcast": sorted(
+                name for name, fixed in self.keys.items() if not fixed
+            ),
+        }
         return HyperCubePlan(
-            self.query, self.shares, hashes, self.salt_prefix, self.keys
+            [family], hashes, p, summary, f"{self.name} over p={p}"
         )
 
     def predicted_load_bits(self, stats: object, p: int) -> float:

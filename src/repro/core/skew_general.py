@@ -26,9 +26,15 @@ One HyperCube instance per *bin combination* ``B = (x, (beta_j)_j)``:
    repeat one (a verifying run counts the repeats as
    ``verify.duplicate_answers``; see :mod:`repro.rounds.executor`).
 
-All bin combinations share the same ``p`` physical servers; their loads add,
-which costs the ``polylog(p)`` factor of Theorem 4.6.  The theoretical load
-``max_B p^(lambda(B))`` is exposed via :meth:`BinHyperCubePlan.describe`.
+Routing is :class:`~repro.core.hypercube.HyperCubePlan`'s: each ``B`` is
+one :class:`~repro.core.hypercube.Family` salted ``bin{number}`` (numbered
+in sorted order), HyperCube on ``V - x`` keyed by the original columns,
+one block per assignment of ``C'(B)``, and a filter per atom — the
+assignments its values on ``x`` agree with, less the tuples carrying an
+overweight value.  All bin combinations share the same ``p`` physical
+servers; their loads add, which costs the ``polylog(p)`` factor of Theorem
+4.6.  The theoretical load ``max_B p^(lambda(B))`` is the plan's
+``describe()["theoretical_load_bits"]``.
 
 ``Nbc`` is the paper's bin-combination count; we expose it as a knob
 (default 1.0).  Smaller values make more hitters overweight — more dedicated
@@ -38,20 +44,17 @@ overweight chains always terminate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterator, Mapping
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
-from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
+from ..mpc.execution import OneRoundAlgorithm
 from ..mpc.hashing import HashFamily
-from ..query.atoms import ConjunctiveQuery
+from ..query.atoms import Atom, ConjunctiveQuery
 from ..query.residual import residual_query
-from ..seq.relation import Batch, Database, Tuple
+from ..seq.relation import Database, Tuple
 from ..stats.bins import BinCombination, combination_for_assignment
 from ..stats.provider import StatisticsProvider, heavy_of, simple_of
 from ..stats.heavy_hitters import (
@@ -59,8 +62,10 @@ from ..stats.heavy_hitters import (
     VarSubset,
     canonical_subset,
 )
-from .hypercube import HyperCubePlan
-from .shares import integer_shares, shares_product
+from .hypercube import (
+    Block, Family, Filter, HyperCubeAlgorithm, HyperCubePlan,
+)
+from .shares import integer_shares
 
 # An assignment to a variable set, canonically sorted by variable name.
 Assg = tuple[tuple[str, int], ...]
@@ -177,6 +182,35 @@ def build_cprime(
     )
 
 
+def _overweight(
+    query: ConjunctiveQuery,
+    stats: StatisticsProvider,
+    p: int,
+    nbc: float,
+    combo: BinCombination,
+    lp: BinLP,
+    atom: Atom,
+) -> Iterator[tuple[VarSubset, list[Tuple]]]:
+    """Per proper superset ``xj`` of the atom's variables that ``combo``
+    binds, the atom's heavy hitters on ``xj`` overweight for ``combo``:
+    more than ``nbc * m_j / p^(beta_j + sum of e_i over the new
+    variables)`` tuples (``stats.frequency`` is ``heavy_hitters(...).get``
+    for every provider, so these are recorded hitters)."""
+    m_j = stats.simple.cardinality(atom.name)
+    if m_j == 0:
+        return
+    xj_prime = combo.atom_subset(query, atom.name)
+    for xj in _proper_supersets(canonical_subset(atom.variables), xj_prime):
+        heavy = stats.heavy_hitters(atom.name, xj)
+        if not heavy:
+            continue
+        exponent = float(combo.beta(atom.name)) + sum(
+            float(lp.exponents[v]) for v in xj if v not in set(xj_prime)
+        )
+        threshold = nbc * m_j / (float(p) ** exponent)
+        yield xj, [hj for hj, freq in heavy.items() if freq > threshold]
+
+
 def _generate_extensions(
     query: ConjunctiveQuery,
     stats: StatisticsProvider,
@@ -189,26 +223,12 @@ def _generate_extensions(
 ) -> None:
     """Push overweight extensions of ``C'(combo)`` into finer combinations."""
     for atom in query.atoms:
-        m_j = stats.simple.cardinality(atom.name)
-        if m_j == 0:
-            continue
-        atom_vars = canonical_subset(atom.variables)
-        xj_prime = combo.atom_subset(query, atom.name)
-        beta_prime = combo.beta(atom.name)
-        for xj in _proper_supersets(atom_vars, xj_prime):
-            heavy = stats.heavy_hitters(atom.name, xj)
-            if not heavy:
-                continue
-            new_vars = [v for v in xj if v not in set(xj_prime)]
-            exponent = float(beta_prime) + sum(
-                float(lp.exponents[v]) for v in new_vars
-            )
-            threshold = nbc * m_j / (float(p) ** exponent)
+        for xj, overweight in _overweight(
+            query, stats, p, nbc, combo, lp, atom
+        ):
             for h_prime in members:
                 h_dict = dict(h_prime)
-                for hj, freq in heavy.items():
-                    if freq <= threshold:
-                        continue
+                for hj in overweight:
                     values = dict(zip(xj, hj))
                     # hj must agree with h' on the previously bound subset.
                     if any(
@@ -222,291 +242,6 @@ def _generate_extensions(
                     combos.setdefault(target, set()).add(
                         tuple(sorted(merged.items()))
                     )
-
-
-@dataclass
-class _CombinationPlan:
-    """Everything needed to route tuples for one bin combination."""
-
-    combo: BinCombination
-    lp: BinLP
-    assignments: tuple[Assg, ...]
-    inner: HyperCubePlan
-    kept_positions: Mapping[str, tuple[int, ...]]
-    # Per atom with x_j nonempty: projection positions and the index from
-    # projected values to assignment slots.
-    heavy_index: Mapping[str, Mapping[Tuple, tuple[int, ...]]]
-    heavy_positions: Mapping[str, tuple[int, ...]]
-    # Overweight filter: per atom, (projection positions, the projected
-    # values that are overweight for this combination) — a tuple carrying
-    # one belongs to a finer combination.  Rows with no overweight value
-    # are dropped at build time.
-    overweight: Mapping[str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]]
-    p: int
-
-    def __post_init__(self) -> None:
-        self.blocks = tuple(
-            self._block(slot) for slot in range(len(self.assignments))
-        )
-
-    def _block(self, slot: int) -> tuple[int, int]:
-        """(start, size) of the server block of assignment ``slot``."""
-        count = len(self.assignments)
-        if count <= self.p:
-            start = slot * self.p // count
-            end = (slot + 1) * self.p // count
-            return start, max(1, end - start)
-        return slot % self.p, 1
-
-    def _place(
-        self, slots: Iterable[int], inner: Sequence[int]
-    ) -> tuple[int, ...]:
-        """Inner-grid destinations placed into the blocks of ``slots``."""
-        blocks = self.blocks
-        return tuple(dict.fromkeys(
-            start + d
-            for start, size in (blocks[slot] for slot in slots)
-            for d in inner
-            if d < size
-        ))
-
-    def destinations_for(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        for positions, overweight in self.overweight.get(relation_name, ()):
-            if tuple(tup[i] for i in positions) in overweight:
-                return ()
-        positions = self.heavy_positions.get(relation_name)
-        if positions is not None:
-            projected = tuple(tup[i] for i in positions)
-            slots = self.heavy_index[relation_name].get(projected, ())
-        else:
-            slots = range(len(self.assignments))
-        if not slots:
-            return ()
-        residual_tuple = tuple(
-            tup[i] for i in self.kept_positions[relation_name]
-        )
-        return self._place(
-            slots, tuple(self.inner.destinations(relation_name, residual_tuple))
-        )
-
-    def claim(self, relation_name: str, batch: Batch) -> Claim | None:
-        """Column-at-a-time :meth:`destinations_for` over a whole batch.
-
-        Overweight filters and the heavy-slot lookup are
-        :meth:`Batch.codes` over the projected columns; the surviving
-        tuples' residuals are one inner HyperCube claim, and block
-        placement is computed once per distinct routing key — heavy
-        assignment times the inner grid's size plus inner base, at most
-        ``p`` inner bases per heavy assignment — not per tuple.  Returns
-        None when the combination owns no tuple of the batch.
-        """
-        indices = np.arange(len(batch))
-        owned = batch
-        for positions, overweight in self.overweight.get(relation_name, ()):
-            keep = owned.codes(positions, list(overweight)) < 0
-            indices, owned = indices[keep], owned.take(keep)
-        which = None
-        positions = self.heavy_positions.get(relation_name)
-        if positions is not None:
-            index = self.heavy_index[relation_name]
-            which = owned.codes(positions, list(index))
-            keep = which >= 0
-            indices, owned, which = indices[keep], owned.take(keep), which[keep]
-        if not len(owned):
-            return None
-
-        if self.combo.variables:  # the empty combination removes nothing
-            owned = owned.project(self.kept_positions[relation_name])
-        # A HyperCube claim is one, over its whole batch in batch order.
-        [(_, bases, inner_table)] = self.inner.claims(relation_name, owned)
-        if which is None:
-            every_slot = range(len(self.assignments))
-            table = {
-                base: self._place(every_slot, dests)
-                for base, dests in inner_table.items()
-            }
-            return indices, bases, table
-        width = shares_product(self.inner.shares)
-        slots = list(index.values())
-        keys = which * width + bases
-        table = {
-            key: self._place(slots[key // width], inner_table[key % width])
-            for key in np.flatnonzero(np.bincount(keys)).tolist()
-        }
-        return indices, keys, table
-
-
-class BinHyperCubePlan(RoutingPlan):
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        stats: StatisticsProvider,
-        p: int,
-        hashes: HashFamily,
-        nbc: float = 1.0,
-    ) -> None:
-        self.query = query
-        self.stats = stats
-        self.p = p
-        self._nbc = nbc
-        bits = {
-            atom.name: stats.simple.bits(atom.name) for atom in query.atoms
-        }
-        combos, lps = build_cprime(query, stats, p, bits, nbc=nbc)
-        self.combo_plans: list[_CombinationPlan] = []
-        for combo_id, (combo, members) in enumerate(sorted(
-            combos.items(), key=lambda item: _combination_order(item[0])
-        )):
-            if not members:
-                continue
-            plan = self._build_combination_plan(
-                combo_id, combo, members, lps[combo], bits, hashes
-            )
-            self.combo_plans.append(plan)
-
-    def _build_combination_plan(
-        self,
-        combo_id: int,
-        combo: BinCombination,
-        members: frozenset[Assg],
-        lp: BinLP,
-        bits: Mapping[str, float],
-        hashes: HashFamily,
-    ) -> _CombinationPlan:
-        assignments = tuple(sorted(members))
-        count = len(assignments)
-        min_block = max(1, self.p // count) if count <= self.p else 1
-
-        residual = residual_query(self.query, combo.variables)
-        residual_bits = {
-            atom.name: max(
-                1.0, bits[atom.name] / float(self.p) ** float(combo.beta(atom.name))
-            )
-            for atom in self.query.atoms
-        }
-        shares = integer_shares(
-            residual.query,
-            lp.exponents,
-            min_block,
-            strategy="greedy",
-            bits=residual_bits,
-        )
-        inner = HyperCubePlan(
-            residual.query,
-            shares,
-            hashes,
-            salt_prefix=f"bin{combo_id}",
-        )
-
-        kept_positions = {
-            atom.name: residual.kept_positions(atom.name)
-            for atom in self.query.atoms
-        }
-
-        heavy_index: dict[str, dict[Tuple, tuple[int, ...]]] = {}
-        heavy_positions: dict[str, tuple[int, ...]] = {}
-        for atom in self.query.atoms:
-            xj = combo.atom_subset(self.query, atom.name)
-            if not xj:
-                continue
-            heavy_positions[atom.name] = tuple(
-                atom.positions_of(var)[0] for var in xj
-            )
-            index: dict[Tuple, list[int]] = {}
-            for slot, assignment in enumerate(assignments):
-                h_dict = dict(assignment)
-                projected = tuple(h_dict[var] for var in xj)
-                index.setdefault(projected, []).append(slot)
-            heavy_index[atom.name] = {
-                key: tuple(slots) for key, slots in index.items()
-            }
-
-        overweight: dict[
-            str, tuple[tuple[tuple[int, ...], frozenset[Tuple]], ...]
-        ] = {}
-        for atom in self.query.atoms:
-            m_j = self.stats.simple.cardinality(atom.name)
-            if m_j == 0:
-                continue
-            xj = combo.atom_subset(self.query, atom.name)
-            beta = combo.beta(atom.name)
-            rows = []
-            for superset in _proper_supersets(
-                canonical_subset(atom.variables), xj
-            ):
-                new_vars = [v for v in superset if v not in set(xj)]
-                exponent = float(beta) + sum(
-                    float(lp.exponents[v]) for v in new_vars
-                )
-                threshold = self._nbc * m_j / (float(self.p) ** exponent)
-                # ``stats.frequency`` is ``heavy_hitters(...).get`` for
-                # every provider, so the overweight values are exactly the
-                # recorded hitters above the threshold.
-                heavy = self.stats.heavy_hitters(atom.name, superset)
-                values = frozenset(
-                    h for h, freq in heavy.items() if freq > threshold
-                )
-                if values:
-                    positions = tuple(
-                        atom.positions_of(var)[0] for var in superset
-                    )
-                    rows.append((positions, values))
-            overweight[atom.name] = tuple(rows)
-
-        return _CombinationPlan(
-            combo=combo,
-            lp=lp,
-            assignments=assignments,
-            inner=inner,
-            kept_positions=kept_positions,
-            heavy_index=heavy_index,
-            heavy_positions=heavy_positions,
-            overweight=overweight,
-            p=self.p,
-        )
-
-    def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
-        out: set[int] = set()
-        for plan in self.combo_plans:
-            out.update(plan.destinations_for(relation_name, tup))
-        return out
-
-    def claims(self, relation_name: str, batch: Batch) -> list[Claim]:
-        """One claim per bin combination that owns a tuple of the batch
-        (:meth:`_CombinationPlan.claim`); a tuple several combinations own
-        gets the union of their destinations, like the scalar path."""
-        claims = (plan.claim(relation_name, batch) for plan in self.combo_plans)
-        return [claim for claim in claims if claim is not None]
-
-    def theoretical_load_bits(self) -> float:
-        """``max_B p^(lambda(B))`` — the Theorem 4.6 target (sans polylog)."""
-        return max(plan.lp.load_bits(self.p) for plan in self.combo_plans)
-
-    def describe(self) -> Mapping[str, object]:
-        return {
-            "bin_combinations": len(self.combo_plans),
-            "assignments": sum(len(c.assignments) for c in self.combo_plans),
-            "theoretical_load_bits": self.theoretical_load_bits(),
-        }
-
-    def explain(self) -> str:
-        """A human-readable summary: one line per bin combination."""
-        lines = [
-            f"bin-hypercube over p={self.p} "
-            f"({len(self.combo_plans)} bin combinations)"
-        ]
-        for plan in self.combo_plans:
-            shares = plan.inner.shares
-            lines.append(
-                f"  {plan.combo.describe()}: {len(plan.assignments)} "
-                f"assignment(s), residual shares {shares}, "
-                f"p^lambda = {plan.lp.load_bits(self.p):,.0f} bits"
-            )
-        lines.append(
-            f"  predicted load max_B p^lambda(B) = "
-            f"{self.theoretical_load_bits():,.0f} bits"
-        )
-        return "\n".join(lines)
 
 
 class BinHyperCubeAlgorithm(OneRoundAlgorithm):
@@ -534,8 +269,6 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
         combination contributes its LP target ``p^lambda(B)``; with simple
         statistics only the empty combination exists.
         """
-        from .hypercube import HyperCubeAlgorithm
-
         simple = simple_of(stats)
         bits = simple.bits_vector(self.query)
         if p < 2 or all(value <= 0 for value in bits.values()):
@@ -557,8 +290,103 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
 
     def routing_plan(
         self, db: Database, p: int, hashes: HashFamily
-    ) -> BinHyperCubePlan:
+    ) -> HyperCubePlan:
+        """One family per populated bin combination, numbered in sorted
+        order and salted ``bin{number}``, with a block per assignment."""
         stats = self._stats
         if stats is None or stats.p != p:
             stats = HeavyHitterStatistics.of(self.query, db, p)
-        return BinHyperCubePlan(self.query, stats, p, hashes, nbc=self.nbc)
+        bits = {
+            atom.name: stats.simple.bits(atom.name) for atom in self.query.atoms
+        }
+        combos, lps = build_cprime(self.query, stats, p, bits, nbc=self.nbc)
+        populated = [
+            (combo_id, combo, sorted(members))
+            for combo_id, (combo, members) in enumerate(sorted(
+                combos.items(), key=lambda item: _combination_order(item[0])
+            ))
+            if members
+        ]
+        families = [
+            self._family(combo_id, combo, members, lps[combo], bits, stats, p)
+            for combo_id, combo, members in populated
+        ]
+        theoretical = max(lps[combo].load_bits(p) for _, combo, _ in populated)
+        return HyperCubePlan(
+            families, hashes, p,
+            summary={
+                "bin_combinations": len(families),
+                "assignments": sum(len(f.blocks) for f in families),
+                "theoretical_load_bits": theoretical,
+            },
+            title=f"bin-hypercube over p={p} ({len(families)} bin combinations)",
+            notes=[
+                f"predicted load max_B p^lambda(B) = {theoretical:,.0f} bits"
+            ],
+        )
+
+    def _family(
+        self,
+        combo_id: int,
+        combo: BinCombination,
+        assignments: list[Assg],
+        lp: BinLP,
+        bits: Mapping[str, float],
+        stats: StatisticsProvider,
+        p: int,
+    ) -> Family:
+        """Bin combination ``combo`` as a family: HyperCube on the residual
+        query, its LP shares rounded into the smallest block, and a block
+        per assignment — from server ``slot * p // count`` on, or at
+        ``slot % p`` when there are more than ``p``.  An atom's tuple
+        reaches the blocks of the assignments its values on ``x`` agree
+        with, unless it carries a finer combination's overweight value."""
+        query = self.query
+        count = len(assignments)
+        residual = residual_query(query, combo.variables)
+        residual_bits = {
+            atom.name: max(
+                1.0, bits[atom.name] / float(p) ** float(combo.beta(atom.name))
+            )
+            for atom in query.atoms
+        }
+        shares = integer_shares(
+            residual.query,
+            lp.exponents,
+            max(1, p // count) if count <= p else 1,
+            strategy="greedy",
+            bits=residual_bits,
+        )
+        label = (
+            f"{combo.describe()}: {count} assignment(s), residual shares "
+            f"{shares}, p^lambda = {lp.load_bits(p):,.0f} bits"
+        )
+        blocks = tuple(
+            Block(label, tuple(shares.values()),
+                  slot * p // count if count <= p else slot % p)
+            for slot in range(count)
+        )
+
+        dims = tuple(shares)
+        keys, filters = {}, {}
+        for atom in query.atoms:
+            column = {var: atom.positions_of(var)[0] for var in atom.variables}
+            keys[atom.name] = {
+                dim: column[var] for dim, var in enumerate(dims) if var in column
+            }
+            xj = combo.atom_subset(query, atom.name)
+            slots: dict[Tuple, list[int]] = {}
+            for slot, assignment in enumerate(map(dict, assignments)):
+                slots.setdefault(tuple(assignment[v] for v in xj), []).append(slot)
+            filters[atom.name] = Filter(
+                positions=tuple(column[var] for var in xj),
+                accepted={value: tuple(s) for value, s in slots.items()},
+                excluded=tuple(
+                    (tuple(column[var] for var in superset), frozenset(hitters))
+                    for superset, hitters in _overweight(
+                        query, stats, p, self.nbc, combo, lp, atom
+                    )
+                    if hitters
+                ),
+            )
+        return Family(dims, keys, blocks, f"bin{combo_id}", filters)

@@ -54,13 +54,6 @@ class ResidualQuery:
     def remaining(self) -> tuple[str, ...]:
         return self.query.variables
 
-    def kept_positions(self, atom_name: str) -> tuple[int, ...]:
-        """Positions of ``atom_name`` that survive into the residual atom."""
-        atom = self.original.atom(atom_name)
-        return tuple(
-            i for i, var in enumerate(atom.variables) if var not in self.removed
-        )
-
     def saturates(self, packing: Mapping[str, Number]) -> bool:
         """Does ``packing`` (atom name -> weight) saturate every removed
         variable?  Membership is judged on the *original* atoms."""

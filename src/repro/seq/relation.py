@@ -319,12 +319,6 @@ class Batch:
             selector = np.flatnonzero(selector)
         return Batch(self.arity, columns=np.take(self.columns, selector, axis=1))
 
-    def project(self, positions: Sequence[int]) -> "Batch":
-        """Every tuple's values at ``positions`` (duplicates kept)."""
-        return Batch(
-            len(positions), columns=np.take(self.columns, positions, axis=0)
-        )
-
     def codes(
         self, positions: Sequence[int], wanted: Sequence[Tuple]
     ) -> np.ndarray:

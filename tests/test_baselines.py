@@ -14,7 +14,6 @@ from repro.core import (
     CartesianProductAlgorithm,
     HashJoinAlgorithm,
     HyperCubeAlgorithm,
-    HyperCubePlan,
     cartesian_lower_bound_bits,
     default_partition_variables,
     optimal_grid,
@@ -197,7 +196,9 @@ class TestBroadcastRule:
         shares = HyperCubeAlgorithm.with_optimal_shares(
             reduced, SimpleStatistics.of(db), p
         ).shares
-        inner = HyperCubePlan(reduced, shares, HashFamily(5))
+        inner = HyperCubeAlgorithm(reduced, shares).routing_plan(
+            db, p, HashFamily(5)
+        )
         for name in ("S1", "S3"):
             batch = db.relation(name).batch
             for got, want in zip(

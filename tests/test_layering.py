@@ -191,8 +191,8 @@ def test_the_sketch_pass_reads_columns_not_tuples():
 def test_there_is_one_batch_routing_derivation():
     """A plan states its batch deliveries once, as ``claims``; only
     ``RoutingPlan`` turns claims into deliveries and per-server counts,
-    and the bin plan composes its inner HyperCube through ``claims``, not
-    through that plan's private tables."""
+    and the bin algorithm reads none of ``HyperCubePlan``'s private
+    tables."""
     derived = {"deliveries": [], "destination_counts": []}
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -207,3 +207,26 @@ def test_there_is_one_batch_routing_derivation():
     }
     source = (SRC / "core" / "skew_general.py").read_text(encoding="utf-8")
     assert "_grid_bases" not in source and "_free_offsets" not in source
+
+
+def test_there_is_one_routing_plan():
+    """Every one-round plan is a list of placed HyperCube blocks, routed by
+    ``HyperCubePlan``: ``src/repro`` defines one ``RoutingPlan`` subclass,
+    directly or through another."""
+    bases: dict[str, set[str]] = {}
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{name}:{node.name}"] = {
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                }
+    names = {"RoutingPlan"}
+    while True:
+        plans = sorted(q for q, named in bases.items() if named & names)
+        grown = {"RoutingPlan"} | {q.split(":")[1] for q in plans}
+        if grown == names:
+            break
+        names = grown
+    assert plans == ["core/hypercube.py:HyperCubePlan"]

@@ -60,5 +60,5 @@ class TestBinPlanExplain:
         q = simple_join_query()
         db = _uniform_db()
         plan = BinHyperCubeAlgorithm(q).routing_plan(db, 8, HashFamily(0))
-        assert len(plan.combo_plans) == 1
+        assert len(plan.families) == 1
         assert "1 bin combinations" in plan.explain()

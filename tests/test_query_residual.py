@@ -44,16 +44,6 @@ class TestResidualQuery:
         with pytest.raises(QueryError):
             residual_query(triangle_query(), {"nope"})
 
-    def test_positions(self):
-        r = residual_query(simple_join_query(), {"z"})
-        assert r.kept_positions("S1") == (0,)
-        assert r.kept_positions("S2") == (0,)
-
-    def test_positions_with_repeats(self):
-        q = parse_query("q(x, y) :- S(x, y, x)")
-        r = residual_query(q, {"x"})
-        assert r.kept_positions("S") == (1,)
-
 
 class TestSaturation:
     def test_join_packing_saturates_z(self):

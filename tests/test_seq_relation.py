@@ -284,17 +284,13 @@ class TestBatch:
         assert len(back) == 4 and back.rows == self.ROWS
         assert all(type(v) is int for row in back.rows for v in row)
 
-    def test_take_project_and_slice(self):
+    def test_take_and_slice(self):
         batch = Batch(3, rows=self.ROWS)
         mask = np.array([True, False, True, True])
         assert batch.take(mask).rows == [self.ROWS[0], *self.ROWS[2:]]
         assert batch.take(np.array([3, 0])).rows == [self.ROWS[3], self.ROWS[0]]
         assert batch.take(np.array([], dtype=np.int64)).rows == []
         assert batch.take(mask).columns.flags["C_CONTIGUOUS"]
-        projected = batch.project((2, 0))
-        assert projected.arity == 2
-        assert projected.rows == [(7, 0), (7, 1), (9, 4), (8, 1)]
-        assert batch.project(()).rows == [()] * 4
         assert batch[1:3].rows == self.ROWS[1:3] and len(batch[1:3]) == 2
         assert len(batch[4:]) == 0
 

@@ -290,7 +290,7 @@ class TestAlgorithmCorrectness:
         from repro.mpc import HashFamily
 
         plan = algo.routing_plan(db, p, HashFamily(0))
-        depths = {len(c.combo.variables) for c in plan.combo_plans}
+        depths = {q.num_variables - len(f.dims) for f in plan.families}
         assert max(depths) >= 2
 
     def test_nbc_variants_all_correct(self):
@@ -404,7 +404,7 @@ class TestHashSeedIndependence:
         q = parse_query(self.TRIANGLE)
         db = WorkloadSpec(kind="zipf", m=1500, skew=1.3, seed=7).build(q)
         plan = BinHyperCubeAlgorithm(q).routing_plan(db, 64, HashFamily(7))
-        assert any(len(c.combo.variables) >= 2 for c in plan.combo_plans)
+        assert any(q.num_variables - len(f.dims) >= 2 for f in plan.families)
 
     def test_records_do_not_depend_on_the_hash_seed(self):
         def records(hash_seed):

@@ -16,8 +16,8 @@ from repro.data import (
     uniform_relation,
     zipf_relation,
 )
-from repro.core.skew_join import _mix, _mix_columns
-from repro.mpc import run_one_round
+from repro.core.hypercube import _mix, _mix_columns
+from repro.mpc import HashFamily, run_one_round
 from repro.query import QueryError, parse_query, simple_join_query, triangle_query
 from repro.rounds import run_rounds
 from repro.seq import Database
@@ -150,6 +150,33 @@ class TestMixColumns:
         mixed = _mix_columns(Batch(4, rows=rows), positions)
         assert mixed.dtype == np.int64
         assert mixed.tolist() == scalar
+
+
+class TestBlocks:
+    def test_describe_lists_the_placed_blocks(self):
+        """Block 0 is the light hash join over all ``p`` servers; a value
+        heavy in both relations is a ``(1, p1, p2)`` grid (here clamped to
+        the 8 servers and shrunk to 3x2), one heavy in S1 alone a
+        ``(1, n, 1)`` partition of S1, laid out one after another."""
+        light = {"label": "light hitters: hash join across all 8 servers",
+                 "shares": (8, 1, 1), "start": 0, "cells": 8}
+        partition = "partition S1 over 4 servers, broadcast the other side"
+        expected = {
+            "single": [light, {
+                "label": "H12 (0,): 3x2 cartesian grid on 6 servers",
+                "shares": (1, 3, 2), "start": 0, "cells": 6,
+            }],
+            "one-sided": [light, *(
+                {"label": f"H1/H2 ({value},): {partition}",
+                 "shares": (1, 4, 1), "start": 4 * value, "cells": 4}
+                for value in (0, 1)
+            )],
+        }
+        for kind, blocks in expected.items():
+            plan = SkewAwareJoin(simple_join_query()).routing_plan(
+                _join_db(kind), 8, HashFamily(0)
+            )
+            assert plan.describe()["blocks"] == blocks, kind
 
 
 class TestLoadBehaviour:
