@@ -109,7 +109,8 @@ def main() -> None:
         "\nReading the table: the hash join deteriorates as skew grows, the\n"
         "equal-share cube pays a fixed p^(1/3) replication but never\n"
         "collapses, the skew-aware algorithms track the bounds — and the\n"
-        "planner's pick flips to them exactly when it starts to matter."
+        "planner's pick leaves the hash join once skew matters (hc-equal's\n"
+        "prediction counts only its worst heavy hitter, so it can win)."
     )
 
     # Verify completeness once at the heaviest skew: only the count is

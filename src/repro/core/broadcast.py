@@ -5,22 +5,19 @@ load increase of at most ``M/p`` — no more than doubling the cost of any
 algorithm — after which it disappears from the share optimization.  This
 is HyperCube on the *reduced* query: its LP-optimal shares make the grid,
 the surviving atoms fix their variables' dimensions, and a broadcast atom
-fixes none, so it reaches every server.  Routing and the load formula are
-:class:`~repro.core.hypercube.HyperCubeAlgorithm`'s.
+fixes none, so it reaches every server.  Its layout is that grid's.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
-from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery
-from ..seq.relation import Database
-from ..stats.cardinality import SimpleStatistics
-from ..stats.provider import simple_of
+from ..stats.provider import Statistics, simple_of
 from .bounds import broadcast_reduction
-from .hypercube import HyperCubeAlgorithm, Key, variable_keys
+from .hypercube import (
+    BlockAlgorithm, HyperCubeAlgorithm, Key, Layout, variable_keys,
+)
 
 
 def reduced_query(query: ConjunctiveQuery, dropped: Iterable[str]) -> ConjunctiveQuery:
@@ -39,17 +36,18 @@ def reduced_query(query: ConjunctiveQuery, dropped: Iterable[str]) -> Conjunctiv
     return ConjunctiveQuery(atoms, head=head, name=f"{query.name}_bc")
 
 
-class BroadcastHyperCube(OneRoundAlgorithm):
+class BroadcastHyperCube(BlockAlgorithm):
     """HyperCube plus the small-relation broadcast rule."""
 
     def __init__(self, query: ConjunctiveQuery) -> None:
         super().__init__(query, name="hypercube-broadcast")
 
-    def _grid(self, simple: SimpleStatistics, p: int) -> HyperCubeAlgorithm:
+    def layout(self, stats: Statistics, p: int) -> Layout:
         """The reduced query's LP HyperCube grid, in its variable order,
         over which every broadcast atom fixes no dimension.  On one server
         or an empty database the grid is a single cell and every atom is
         broadcast to it."""
+        simple = simple_of(stats)
         bits = simple.bits_vector(self.query)
         shares: dict[str, int] = {}
         kept: dict[str, dict[str, Key]] = {}
@@ -63,12 +61,4 @@ class BroadcastHyperCube(OneRoundAlgorithm):
             shares,
             name=self.name,
             keys={atom.name: kept.get(atom.name, {}) for atom in self.query.atoms},
-        )
-
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """Broadcast relations cost their full ``M_j`` per server; the
-        survivors cost whatever the reduced-query HyperCube predicts."""
-        return self._grid(simple_of(stats), p).predicted_load_bits(stats, p)
-
-    def routing_plan(self, db: Database, p: int, hashes: HashFamily) -> RoutingPlan:
-        return self._grid(SimpleStatistics.of(db), p).routing_plan(db, p, hashes)
+        ).layout(stats, p)

@@ -11,8 +11,7 @@ relations, which footnote 2 proves optimal.  When some ``m_j`` is tiny
 
 The grid is a HyperCube grid with one dimension per relation, fixed by
 hashing the whole tuple (Python's tuple hash, so this is the one plan that
-reads ``batch.rows``); routing and the load formula are
-:class:`~repro.core.hypercube.HyperCubeAlgorithm`'s.
+reads ``batch.rows``).
 """
 
 from __future__ import annotations
@@ -20,13 +19,9 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from ..mpc.execution import OneRoundAlgorithm, RoutingPlan
-from ..mpc.hashing import HashFamily
 from ..query.atoms import ConjunctiveQuery, QueryError
-from ..seq.relation import Database
-from ..stats.cardinality import SimpleStatistics
-from ..stats.provider import simple_of
-from .hypercube import WHOLE_TUPLE, HyperCubeAlgorithm
+from ..stats.provider import Statistics, simple_of
+from .hypercube import WHOLE_TUPLE, BlockAlgorithm, HyperCubeAlgorithm, Layout
 
 
 def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
@@ -56,7 +51,7 @@ def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
             return dims
 
 
-class CartesianProductAlgorithm(OneRoundAlgorithm):
+class CartesianProductAlgorithm(BlockAlgorithm):
     """The optimal one-round algorithm for cartesian products."""
 
     def __init__(self, query: ConjunctiveQuery) -> None:
@@ -77,9 +72,10 @@ class CartesianProductAlgorithm(OneRoundAlgorithm):
                     )
         return None
 
-    def _grid(self, simple: SimpleStatistics, p: int) -> HyperCubeAlgorithm:
+    def layout(self, stats: Statistics, p: int) -> Layout:
         """The :func:`optimal_grid` as a HyperCube grid: one dimension per
         atom, which it fixes by its whole tuple."""
+        simple = simple_of(stats)
         dims = optimal_grid(
             {
                 atom.name: max(1, simple.cardinality(atom.name))
@@ -93,15 +89,7 @@ class CartesianProductAlgorithm(OneRoundAlgorithm):
             name=self.name,
             keys={name: {name: WHOLE_TUPLE} for name in dims},
             salt_prefix="grid",
-        )
-
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """``sum_j M_j / p_j`` for the optimal integer grid: each
-        ``S_j``-tuple reaches a ``1/p_j`` fraction of the grid."""
-        return self._grid(simple_of(stats), p).predicted_load_bits(stats, p)
-
-    def routing_plan(self, db: Database, p: int, hashes: HashFamily) -> RoutingPlan:
-        return self._grid(SimpleStatistics.of(db), p).routing_plan(db, p, hashes)
+        ).layout(stats, p)
 
 
 def cartesian_lower_bound_bits(

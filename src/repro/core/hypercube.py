@@ -17,15 +17,17 @@ The grid is every one-round skew-free plan here: the hash join spends all
 shares on its keys, the broadcast rule (:mod:`.broadcast`) is the reduced
 query's grid with the small atoms fixing no dimension, and the cartesian
 grid (:mod:`.cartesian`) has one dimension per atom, fixed by the whole
-tuple.  :meth:`HyperCubeAlgorithm.predicted_load_bits` prices them all.
+tuple.
 
-:class:`HyperCubePlan` routes every one-round plan, skew-aware ones too,
-as :class:`Family` s of :class:`Block` s — share vectors placed from a
-first server on — each family filtering which blocks a tuple reaches by
-its heavy values.  A HyperCube grid is one unfiltered family with one
-block at server 0; the skew-aware join (:mod:`.skew_join`) is one family
-with a block per heavy hitter, the bin algorithm (:mod:`.skew_general`) a
-family per bin combination with a block per assignment.
+Every one-round algorithm is a :class:`BlockAlgorithm`, stated once from
+statistics alone as a :class:`Layout`: :class:`Family` s of :class:`Block`
+s — share vectors placed from a first server on — each family filtering
+which blocks a tuple reaches by its heavy values.  A HyperCube grid is one
+unfiltered family with one block at server 0; the skew-aware join
+(:mod:`.skew_join`) is one family with a block per heavy hitter, the bin
+algorithm (:mod:`.skew_general`) a family per bin combination with a block
+per assignment.  :class:`HyperCubePlan` routes every layout, and
+:func:`layout_load_bits` prices every layout.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ import numpy as np
 
 from ..mpc.execution import Claim, OneRoundAlgorithm, RoutingPlan
 from ..mpc.hashing import HashFamily
-from ..query.atoms import ConjunctiveQuery
+from ..query.atoms import Atom, ConjunctiveQuery
 from ..seq.relation import Batch, Database, Tuple
 from ..stats.cardinality import SimpleStatistics
-from ..stats.provider import heavy_of, simple_of
+from ..stats.heavy_hitters import HeavyHitterStatistics
+from ..stats.provider import (
+    Statistics, StatisticsProvider, heavy_of, simple_of,
+)
 from .shares import (
     RoundingStrategy,
     ShareError,
@@ -176,49 +181,50 @@ class Family:
         )
 
 
+@dataclass(frozen=True)
+class Layout:
+    """A one-round plan as statistics alone state it: its families of
+    placed blocks, the ``summary`` :meth:`HyperCubePlan.describe` reports
+    beside them, and the ``title`` and ``notes`` of its explanation."""
+
+    families: tuple[Family, ...]
+    summary: Mapping[str, object] = field(default_factory=dict)
+    title: str = ""
+    notes: tuple[str, ...] = ()
+
+
 class HyperCubePlan(RoutingPlan):
-    """Routing over families of placed grid blocks — every one-round plan.
+    """Routing over a :class:`Layout` — every one-round plan.
 
     In every family a tuple reaches the blocks its filter gives it; in a
     block, the cells whose coordinate on each dimension it fixes is the
     hash of its key there (``% share``), along every other dimension.  A
     tuple several blocks or families reach goes to the union of their
-    servers.  ``summary`` is what :meth:`describe` reports beside the
-    blocks, and ``title`` and ``notes`` frame :meth:`explain`.
+    servers.
     """
 
-    def __init__(
-        self,
-        families: Sequence[Family],
-        hashes: HashFamily,
-        p: int,
-        summary: Mapping[str, object] | None = None,
-        title: str = "",
-        notes: Sequence[str] = (),
-    ) -> None:
-        self.families = tuple(families)
+    def __init__(self, layout: Layout, hashes: HashFamily, p: int) -> None:
+        self.layout = layout
+        self.families = layout.families
         self.hashes = hashes
         self.p = p
-        self.summary = dict(summary or {})
-        self.title = title
-        self.notes = tuple(notes)
-        self._layouts: dict[tuple, tuple] = {}
+        self._spreads: dict[tuple, tuple] = {}
         self._groups: dict[tuple, tuple] = {}
 
-    def _layout(
+    def _spread(
         self, number: int, relation_name: str, shares: tuple[int, ...]
     ) -> tuple[tuple[tuple[str, Key, int, int], ...], tuple[int, ...]]:
         """An atom of family ``number`` on ``shares``, derived once: the
         ``(salt, key, stride, share)`` of each dimension it fixes with a
         share above 1, and its offsets along the ones it does not fix."""
-        layout = self._layouts.get((number, relation_name, shares))
-        if layout is None:
+        grid = self._spreads.get((number, relation_name, shares))
+        if grid is None:
             family = self.families[number]
             fixed = family.keys[relation_name]
             strides = [math.prod(shares[i + 1:]) for i in range(len(shares))]
             free = [(strides[i], share) for i, share in enumerate(shares)
                     if i not in fixed]
-            layout = self._layouts[number, relation_name, shares] = (
+            grid = self._spreads[number, relation_name, shares] = (
                 tuple((f"{family.salt_prefix}:{family.dims[i]}", fixed[i],
                        strides[i], shares[i])
                       for i in sorted(fixed) if shares[i] > 1),
@@ -226,7 +232,7 @@ class HyperCubePlan(RoutingPlan):
                           for (stride, _), coord in zip(free, coords))
                       for coords in product(*(range(s) for _, s in free))),
             )
-        return layout
+        return grid
 
     def _place(
         self, cells: Sequence[int], base: int, several: bool
@@ -242,7 +248,7 @@ class HyperCubePlan(RoutingPlan):
         for number, family in enumerate(self.families):
             blocks = family.reach(relation_name, tup)
             if blocks:
-                fixed, offsets = self._layout(
+                fixed, offsets = self._spread(
                     number, relation_name, family.blocks[blocks[0]].shares
                 )
                 base = sum(
@@ -365,7 +371,7 @@ class HyperCubePlan(RoutingPlan):
                              key, share, stride, spreads))
             placements = []
             for blocks, share_vector in zip(groups, shares):
-                _, offsets = self._layout(number, relation_name, share_vector)
+                _, offsets = self._spread(number, relation_name, share_vector)
                 placements.append((
                     tuple(family.blocks[block].start + offset
                           for block in blocks for offset in offsets),
@@ -378,7 +384,7 @@ class HyperCubePlan(RoutingPlan):
         return grid
 
     def describe(self) -> Mapping[str, object]:
-        return {**self.summary, "blocks": [
+        return {**self.layout.summary, "blocks": [
             {"label": block.label, "shares": block.shares,
              "start": block.start, "cells": math.prod(block.shares)}
             for family in self.families for block in family.blocks
@@ -390,11 +396,146 @@ class HyperCubePlan(RoutingPlan):
             block.label for family in self.families for block in family.blocks
         )
         return "\n".join(
-            [self.title] + [f"  {line}" for line in (*labels, *self.notes)]
+            [self.layout.title]
+            + [f"  {line}" for line in (*labels, *self.layout.notes)]
         )
 
 
-class HyperCubeAlgorithm(OneRoundAlgorithm):
+def layout_load_bits(
+    query: ConjunctiveQuery, layout: Layout, stats: Statistics, p: int
+) -> float:
+    """The busiest server's expected bits under ``layout``, as
+    ``ExecutionResult.max_load_bits`` counts them: every one-round
+    prediction.  Each cell of a group's blocks (:func:`_groups`) expects
+    the group's mass over the shares the atom fixes there, ``M_j /
+    prod_{i in S_j} p_i`` for a whole relation — all of it for a
+    broadcast atom.  An unfiltered atom is raised to the hash-forced mass
+    of its worst hitter on a column-keyed dimension ``v``: its ``m_j(h)``
+    tuples collide on one coordinate of ``v`` (Example 3.3's collapse).
+    Cell ``d`` of a block is server ``(start + d) % p``, so blocks that
+    share a server add up there.
+    """
+    simple, heavy = simple_of(stats), heavy_of(stats, p)
+    loads = np.zeros(p)
+    for family in layout.families:
+        cells = [[0, 0] for _ in family.blocks]  # broadcast atoms, the rest
+        for atom in query.atoms:
+            bits = simple.bits(atom.name)
+            if bits <= 0:
+                continue
+            fixed = family.keys[atom.name]
+            tuple_bits = bits / simple.cardinality(atom.name)
+            rule = family.filters[atom.name]
+            forcing = []  # an unfiltered atom's worst hitter per column key
+            if heavy is not None and not (rule.positions or rule.excluded):
+                for dim, key in fixed.items():
+                    hitters = isinstance(key, int) and heavy.heavy_hitters(
+                        atom.name, (atom.variables[key],)
+                    )
+                    if hitters:
+                        forcing.append((dim, max(hitters.values())))
+            for blocks, mass in _groups(atom, rule, heavy, bits, tuple_bits):
+                shares = family.blocks[blocks[0]].shares
+                grid = math.prod(shares[dim] for dim in fixed)
+                per_cell = mass / grid
+                for dim, top in forcing:
+                    per_cell = max(per_cell,
+                                   top * tuple_bits * shares[dim] / grid)
+                for number in blocks:
+                    cells[number][bool(fixed)] += per_cell
+        for block, (broadcast, spread) in zip(family.blocks, cells):
+            end = block.start + math.prod(block.shares)  # at most p cells
+            loads[block.start:end] += broadcast + spread
+            if end > p:  # wrapped around
+                loads[:end - p] += broadcast + spread
+    return float(loads.max())
+
+
+def _groups(
+    atom: Atom,
+    rule: Filter,
+    heavy: StatisticsProvider | None,
+    bits: float,
+    tuple_bits: float,
+) -> list[tuple[tuple[int, ...], float]]:
+    """The blocks and the mass, in bits, of each group of ``atom``'s
+    tuples under ``rule``: one per accepted value, of its heavy-hitter
+    count, and the default's, of the rest of ``bits``; each excluded value
+    is taken from the group it would otherwise join."""
+
+    def counts(positions: tuple[int, ...]):  # values there -> bits
+        names = [atom.variables[i] for i in positions]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        found = {} if heavy is None else heavy.heavy_hitters(atom.name, names)
+        return lambda value: tuple_bits * found.get(
+            tuple(value[i] for i in order), 0)
+
+    if rule.positions:  # None: the default
+        count = counts(rule.positions)
+        mass = {value: count(value) for value in rule.accepted}
+        mass[None] = bits - sum(mass.values())
+    else:  # every tuple projects to ()
+        mass = {() if () in rule.accepted else None: bits}
+    for positions, values in rule.excluded:
+        count = counts(positions)
+        kept = [positions.index(i) for i in rule.positions]
+        for value in sorted(values):
+            key = tuple(value[i] for i in kept)
+            key = key if key in rule.accepted else None
+            if key in mass:
+                mass[key] -= count(value)
+    return [(rule.accepted.get(key, rule.default), max(0.0, m))
+            for key, m in mass.items() if rule.default or key is not None]
+
+
+class BlockAlgorithm(OneRoundAlgorithm):
+    """A one-round algorithm stated once, as the :class:`Layout` it places
+    from statistics alone: :meth:`routing_plan` routes by the layout of
+    ``db``'s own statistics, and :meth:`predicted_load_bits` reads the
+    prediction off the layout of the planner's (:func:`layout_load_bits`).
+    """
+
+    def layout(self, stats: Statistics, p: int) -> Layout:
+        """The families of placed blocks for ``p`` servers."""
+        raise NotImplementedError
+
+    def statistics(self, stats: Statistics, p: int) -> Statistics:
+        """What the layout reads when the planner holds ``stats``."""
+        return stats
+
+    def routing_statistics(self, db: Database, p: int) -> Statistics:
+        """What the layout reads when routing ``db``: its cardinalities."""
+        return SimpleStatistics.of(db)
+
+    def routing_plan(
+        self, db: Database, p: int, hashes: HashFamily
+    ) -> HyperCubePlan:
+        stats = self.routing_statistics(db, p)
+        return HyperCubePlan(self.layout(stats, p), hashes, p)
+
+    def predicted_load_bits(self, stats: object, p: int) -> float:
+        stats = self.statistics(stats, p)
+        return layout_load_bits(self.query, self.layout(stats, p), stats, p)
+
+
+class HeavyBlockAlgorithm(BlockAlgorithm):
+    """A block algorithm laid out by heavy hitters thresholded for ``p``:
+    to predict, the planner's, else those it was built with (``_stats``);
+    to route, those it was built with, else ``db``'s own.  Cardinalities
+    alone lay out no heavy block."""
+
+    _stats: StatisticsProvider | None = None
+
+    def statistics(self, stats: Statistics, p: int) -> StatisticsProvider:
+        return (heavy_of(stats, p) or heavy_of(self._stats, p)
+                or StatisticsProvider(simple_of(stats), p, 1.0, {}))
+
+    def routing_statistics(self, db: Database, p: int) -> StatisticsProvider:
+        return (heavy_of(self._stats, p)
+                or HeavyHitterStatistics.of(self.query, db, p))
+
+
+class HyperCubeAlgorithm(BlockAlgorithm):
     """HC with an explicit integer share vector.
 
     By default the grid has one dimension per variable, in the query's
@@ -454,9 +595,8 @@ class HyperCubeAlgorithm(OneRoundAlgorithm):
         """The skew-resilient ``p_i = p^{1/k}`` allocation."""
         return cls(query, equal_integer_shares(query, p), name="hypercube-equal")
 
-    def routing_plan(
-        self, db: Database, p: int, hashes: HashFamily
-    ) -> HyperCubePlan:
+    def layout(self, stats: Statistics, p: int) -> Layout:
+        """The grid as one family of one block at server 0."""
         grid = shares_product(self.shares)
         if grid > p:
             raise ShareError(
@@ -466,7 +606,6 @@ class HyperCubeAlgorithm(OneRoundAlgorithm):
         keys = {name: {dims.index(dim): key for dim, key in fixed.items()}
                 for name, fixed in self.keys.items()}
         block = Block(f"grid {self.shares}", tuple(self.shares.values()))
-        family = Family(dims, keys, (block,), self.salt_prefix)
         summary = {
             "shares": dict(self.shares),
             "grid_size": grid,
@@ -474,56 +613,8 @@ class HyperCubeAlgorithm(OneRoundAlgorithm):
                 name for name, fixed in self.keys.items() if not fixed
             ),
         }
-        return HyperCubePlan(
-            [family], hashes, p, summary, f"{self.name} over p={p}"
-        )
-
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """Expected busiest-server load for this grid, in bits.
-
-        Per atom the skew-free expectation is ``M_j / prod_{i in S_j} p_i``
-        over the dimensions ``S_j`` it fixes (each tuple lands on
-        ``prod_{i not in S_j} p_i`` of the ``prod_i p_i`` grid cells); an
-        atom that fixes none is broadcast and costs its whole ``M_j``.
-        With heavy-hitter statistics the estimate is raised to the
-        hash-forced mass of the worst single-variable hitter of a
-        dimension keyed by a variable: all ``m_j(h)`` tuples sharing value
-        ``h`` at variable ``v`` collide on one coordinate of dimension
-        ``v``, so some server receives at least
-        ``m_j(h) / prod_{i in S_j - v} p_i`` of them (Example 3.3's
-        collapse, quantified).  Per-server loads sum over atoms, matching
-        ``ExecutionResult.max_load_bits``.
-        """
-        simple = simple_of(stats)
-        heavy = heavy_of(stats, p)
-        hitters_of = None if heavy is None else heavy.heavy_hitters
-        broadcast = sum(
-            simple.bits(name) for name, fixed in self.keys.items() if not fixed
-        )
-        total = 0.0
-        for atom in self.query.atoms:
-            fixed = self.keys[atom.name]
-            bits = simple.bits(atom.name)
-            if not fixed or bits <= 0:
-                continue
-            grid = math.prod(self.shares[dim] for dim in fixed)
-            per_atom = bits / grid
-            cardinality = simple.cardinality(atom.name)
-            if hitters_of is not None and cardinality:
-                tuple_bits = bits / cardinality
-                for dim, key in fixed.items():
-                    if key is WHOLE_TUPLE:
-                        continue
-                    hitters = hitters_of(atom.name, (atom.variables[key],))
-                    if not hitters:
-                        continue
-                    forced = (
-                        max(hitters.values()) * tuple_bits
-                        * self.shares[dim] / grid
-                    )
-                    per_atom = max(per_atom, forced)
-            total += per_atom
-        return broadcast + total
+        return Layout((Family(dims, keys, (block,), self.salt_prefix),),
+                      summary, f"{self.name} over p={p}")
 
     def expected_max_load_bits(self, stats: SimpleStatistics) -> float:
         """``max_j M_j / prod_{i in S_j} p_i`` — the skew-free expectation."""

@@ -11,7 +11,8 @@ reason about an algorithm *without* constructing it:
   ``(query, stats, p)``, and
 * the per-instance
   :meth:`~repro.mpc.execution.MPCAlgorithm.predicted_load_bits` cost
-  hook, reachable through :meth:`AlgorithmSpec.predicted_load_bits`.
+  hook, reachable through :meth:`AlgorithmSpec.predicted_load_bits` (for
+  each one-round algorithm here, :func:`~.hypercube.layout_load_bits`).
 
 This module registers every one-round algorithm the paper develops
 (HyperCube with LP-optimal/equal shares, the broadcast rule, the

@@ -34,7 +34,9 @@ assignments its values on ``x`` agree with, less the tuples carrying an
 overweight value.  All bin combinations share the same ``p`` physical
 servers; their loads add, which costs the ``polylog(p)`` factor of Theorem
 4.6.  The theoretical load ``max_B p^(lambda(B))`` is the plan's
-``describe()["theoretical_load_bits"]``.
+``describe()["theoretical_load_bits"]``; the prediction
+(:func:`~repro.core.hypercube.layout_load_bits`) is what the blocks
+expect, summed on the servers they share.
 
 ``Nbc`` is the paper's bin-combination count; we expose it as a knob
 (default 1.0).  Smaller values make more hitters overweight — more dedicated
@@ -50,21 +52,12 @@ from typing import Iterator, Mapping
 
 from ..lp.fraction_utils import log_base_fraction
 from ..lp.simplex import LPError, maximize
-from ..mpc.execution import OneRoundAlgorithm
-from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery
 from ..query.residual import residual_query
-from ..seq.relation import Database, Tuple
+from ..seq.relation import Tuple
 from ..stats.bins import BinCombination, combination_for_assignment
-from ..stats.provider import StatisticsProvider, heavy_of, simple_of
-from ..stats.heavy_hitters import (
-    HeavyHitterStatistics,
-    VarSubset,
-    canonical_subset,
-)
-from .hypercube import (
-    Block, Family, Filter, HyperCubeAlgorithm, HyperCubePlan,
-)
+from ..stats.provider import StatisticsProvider, VarSubset, canonical_subset
+from .hypercube import Block, Family, Filter, HeavyBlockAlgorithm, Layout
 from .shares import integer_shares
 
 # An assignment to a variable set, canonically sorted by variable name.
@@ -244,7 +237,7 @@ def _generate_extensions(
                     )
 
 
-class BinHyperCubeAlgorithm(OneRoundAlgorithm):
+class BinHyperCubeAlgorithm(HeavyBlockAlgorithm):
     """Theorem 4.6's algorithm: per-bin-combination HyperCube."""
 
     def __init__(
@@ -257,48 +250,10 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
         self._stats = stats
         self.nbc = nbc
 
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """Theorem 4.6's target: per-combination loads add (all
-        combinations share the same ``p`` physical servers).
-
-        The empty combination *is* HyperCube with LP-optimal integer
-        shares, so it is costed by that algorithm's own skew-free
-        expectation (heavy values it would collapse on are owned by finer
-        combinations instead).  With heavy-hitter statistics the real
-        ``C'(B)`` construction runs and each populated non-empty
-        combination contributes its LP target ``p^lambda(B)``; with simple
-        statistics only the empty combination exists.
-        """
-        simple = simple_of(stats)
-        bits = simple.bits_vector(self.query)
-        if p < 2 or all(value <= 0 for value in bits.values()):
-            return sum(bits.values())
-        base = HyperCubeAlgorithm.with_optimal_shares(
-            self.query, simple, p
-        ).predicted_load_bits(simple, p)
-        hh = heavy_of(stats, p) or heavy_of(self._stats, p)
-        if hh is None:
-            return base
-        combos, lps = build_cprime(self.query, hh, p, bits, nbc=self.nbc)
-        # Summed in the combinations' fixed order: ``combos`` is built in
-        # heavy-hitter order, which follows the relations' row order.
-        return base + sum(
-            lps[combo].load_bits(p)
-            for combo in sorted(combos, key=_combination_order)
-            if combos[combo] and combo.variables
-        )
-
-    def routing_plan(
-        self, db: Database, p: int, hashes: HashFamily
-    ) -> HyperCubePlan:
+    def layout(self, stats: StatisticsProvider, p: int) -> Layout:
         """One family per populated bin combination, numbered in sorted
         order and salted ``bin{number}``, with a block per assignment."""
-        stats = self._stats
-        if stats is None or stats.p != p:
-            stats = HeavyHitterStatistics.of(self.query, db, p)
-        bits = {
-            atom.name: stats.simple.bits(atom.name) for atom in self.query.atoms
-        }
+        bits = stats.simple.bits_vector(self.query)
         combos, lps = build_cprime(self.query, stats, p, bits, nbc=self.nbc)
         populated = [
             (combo_id, combo, sorted(members))
@@ -312,17 +267,17 @@ class BinHyperCubeAlgorithm(OneRoundAlgorithm):
             for combo_id, combo, members in populated
         ]
         theoretical = max(lps[combo].load_bits(p) for _, combo, _ in populated)
-        return HyperCubePlan(
-            families, hashes, p,
+        return Layout(
+            tuple(families),
             summary={
                 "bin_combinations": len(families),
                 "assignments": sum(len(f.blocks) for f in families),
                 "theoretical_load_bits": theoretical,
             },
             title=f"bin-hypercube over p={p} ({len(families)} bin combinations)",
-            notes=[
-                f"predicted load max_B p^lambda(B) = {theoretical:,.0f} bits"
-            ],
+            notes=(
+                f"predicted load max_B p^lambda(B) = {theoretical:,.0f} bits",
+            ),
         )
 
     def _family(

@@ -22,9 +22,12 @@ default block ``(p, 1, 1)`` from server 0, and a heavy value's block is
 fix its dimension replicated across it.  The blocks are laid out one
 after another around the same ``p`` servers
 (:class:`repro.mpc.allocation.ServerAllocator`), so where the rounded-up
-sizes add up to more than ``p`` some servers hold two.  The achieved load
-is ``O(L log p)`` for ``L = max(m1/p, m2/p, L1, L2, L12)`` — formula (10)
-— exposed by :func:`skew_join_load_bound`.
+sizes add up to more than ``p`` some servers hold two.  The prediction
+(:func:`~repro.core.hypercube.layout_load_bits`) reads these blocks: a
+server of a ``p1 x p2`` block expects ``m1(h)/p1 + m2(h)/p2``, and one
+holding two blocks expects both.  The paper bounds the achieved load by
+``O(L log p)`` for ``L = max(m1/p, m2/p, L1, L2, L12)`` — formula (10) —
+exposed by :func:`skew_join_load_bound`.
 """
 
 from __future__ import annotations
@@ -32,13 +35,9 @@ from __future__ import annotations
 import math
 
 from ..mpc.allocation import ServerAllocator
-from ..mpc.execution import OneRoundAlgorithm
-from ..mpc.hashing import HashFamily
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
-from ..seq.relation import Database
-from ..stats.provider import StatisticsProvider, heavy_of, simple_of
-from ..stats.heavy_hitters import HeavyHitterStatistics, canonical_subset
-from .hypercube import Block, Family, Filter, HyperCubePlan
+from ..stats.provider import StatisticsProvider, canonical_subset
+from .hypercube import Block, Family, Filter, HeavyBlockAlgorithm, Layout
 
 
 def _split_variables(query: ConjunctiveQuery) -> tuple[Atom, Atom, tuple[str, ...]]:
@@ -55,7 +54,7 @@ def _split_variables(query: ConjunctiveQuery) -> tuple[Atom, Atom, tuple[str, ..
     return first, second, shared
 
 
-class SkewAwareJoin(OneRoundAlgorithm):
+class SkewAwareJoin(HeavyBlockAlgorithm):
     """The Section 4.1 algorithm.  Statistics are extracted from the data
     (modeling the statistics pass) unless supplied explicitly."""
 
@@ -76,41 +75,11 @@ class SkewAwareJoin(OneRoundAlgorithm):
             return str(exc)
         return None
 
-    def predicted_load_bits(self, stats: object, p: int) -> float:
-        """Formula (10) as a per-server expectation.
-
-        The light path is a hash join over all ``p`` servers, receiving the
-        light mass of both relations: ``(M_1 + M_2) / p`` on skew-free data.
-        With heavy-hitter statistics the dedicated blocks add the paper's
-        ``L_1``, ``L_2`` and ``L_12`` terms, summed for a safe-side
-        estimate.  The blocks do not live on disjoint servers: the
-        allocator lays them around the ring one after another, every
-        ``p_h``, ``p1`` and ``p2`` rounded up, so the H12 tier alone may
-        ask for more than ``p`` servers and wrap onto itself, and the
-        H1/H2 tiers come on top (``describe()["overcommit"]`` is 3.26 on
-        zipf 1.2, seed 7, at m = 10^5, p = 256).  A server holding two blocks
-        receives both, which these terms do not cover; ROADMAP item 1
-        apportions each tier within ``p`` instead.
-        """
-        simple = simple_of(stats)
-        first, second, _ = _split_variables(self.query)
-        light = (simple.bits(first.name) + simple.bits(second.name)) / p
-        hh = heavy_of(stats, p) or heavy_of(self._stats, p)
-        if hh is None:
-            return light
-        components = skew_join_load_bound(hh, self.query, in_bits=True)
-        return light + components["L1"] + components["L2"] + components["L12"]
-
-    def routing_plan(
-        self, db: Database, p: int, hashes: HashFamily
-    ) -> HyperCubePlan:
+    def layout(self, stats: StatisticsProvider, p: int) -> Layout:
         """The one family of the module docstring: a tuple fixes ``light``
         by its folded join value and its own atom's dimension by its
         folded private values; every heavy join value's block comes from
         the allocator, in the order H12, H1, H2."""
-        stats = self._stats
-        if stats is None or stats.p != p:
-            stats = HeavyHitterStatistics.of(self.query, db, p)
         first, second, join_vars = _split_variables(self.query)
         h1_map = dict(stats.heavy_hitters(first.name, join_vars))
         h2_map = dict(stats.heavy_hitters(second.name, join_vars))
@@ -162,8 +131,8 @@ class SkewAwareJoin(OneRoundAlgorithm):
             filters[atom.name] = Filter(join, accepted, default=(0,))
         family = Family(("light", first.name, second.name), keys,
                         tuple(blocks), "skewjoin", filters)
-        return HyperCubePlan(
-            [family], hashes, p,
+        return Layout(
+            (family,),
             summary={
                 "join_vars": join_vars,
                 "h12": len(both),
@@ -171,10 +140,10 @@ class SkewAwareJoin(OneRoundAlgorithm):
                 "overcommit": allocator.overcommit,
             },
             title=f"skew-aware join on {', '.join(join_vars)} over p={p}",
-            notes=[
+            notes=(
                 f"total allocation: {allocator.total_allocated} servers "
-                f"({allocator.overcommit:.2f}x the pool)"
-            ],
+                f"({allocator.overcommit:.2f}x the pool)",
+            ),
         )
 
 
@@ -185,6 +154,8 @@ def skew_join_load_bound(
 ) -> dict[str, float]:
     """Formula (10): ``L = max(m1/p, m2/p, L1, L2, L12)``.
 
+    The paper's bound (up to ``O(log p)``), not the prediction, which
+    :func:`~repro.core.hypercube.layout_load_bits` reads off the blocks.
     Returns every component so experiments can show which regime dominates.
     ``L1``/``L2`` (``sqrt(sum_{h in Hj} m_j(h) / p)``) are dominated by
     ``m_j/p`` whenever ``m_j >= p``; they matter only for tiny relations.

@@ -294,7 +294,8 @@ class OneRoundAlgorithm(MPCAlgorithm):
 
     Subclasses supply :meth:`routing_plan` and the
     :meth:`predicted_load_bits` cost hook; the round protocol falls out
-    of those two.
+    of those two.  The in-tree algorithms derive both from one block
+    layout (:class:`repro.core.hypercube.BlockAlgorithm`).
     """
 
     @classmethod

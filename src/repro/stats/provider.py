@@ -8,8 +8,8 @@ asked of them.  Two subclasses fill it:
 * :class:`repro.sketch.SketchedHeavyHitterStatistics` — estimated, recovered
   from mergeable Count-Sketches fed the same columns in one pass.
 
-Everything downstream (the Section 4 algorithms' ``applicability()`` and
-``predicted_load_bits()`` hooks, the planner, the bin machinery) reads the
+Everything downstream (the block layouts of the one-round algorithms and
+the prediction read off them, the planner, the bin machinery) reads the
 base class, so exact and sketched statistics are interchangeable.
 :func:`heavy_of`, the single arbiter of "which statistics are these", is an
 ``isinstance`` check against it.

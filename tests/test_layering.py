@@ -230,3 +230,20 @@ def test_there_is_one_routing_plan():
             break
         names = grown
     assert plans == ["core/hypercube.py:HyperCubePlan"]
+
+
+def test_there_is_one_load_prediction():
+    """Every one-round prediction is read off the plan's own blocks: the
+    algorithms of ``src/repro/core`` define ``predicted_load_bits`` at most
+    once.  (The registry's ``AlgorithmSpec.predicted_load_bits`` builds an
+    algorithm and asks it.)"""
+    definitions = sorted(
+        f"{name}:{node.name}"
+        for name, tree in _modules() if name.startswith("core/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name != "AlgorithmSpec"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name == "predicted_load_bits"
+    )
+    assert len(definitions) <= 1, definitions

@@ -26,6 +26,7 @@ one of the one-round algorithms covered here.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -257,6 +258,63 @@ def test_pinned_skew_aware_loads(name, key):
     )
     assert (result.max_load_bits, result.report.total_bits) \
         == PINNED_LOADS[name, key]
+
+
+#: The skew-aware predictions on the pinned zipf instance, read off each
+#: plan's own blocks (``layout_load_bits``).
+PINNED_PREDICTIONS = {
+    "skew-join": 6214.315182148758,
+    "bin-hypercube": 7639.756878207129,
+}
+
+
+def _pinned_zipf(key: str):
+    query, db, p = _pinned_input("zipf")
+    stats = HeavyHitterStatistics.of(query, db, p)
+    return query, db, p, stats, get_spec(key).build(query, stats, p)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PREDICTIONS))
+def test_pinned_skew_aware_predictions(key):
+    _, _, p, stats, algorithm = _pinned_zipf(key)
+    assert algorithm.predicted_load_bits(stats, p) == PINNED_PREDICTIONS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PREDICTIONS))
+def test_skew_aware_predictions_track_the_measured_load(key):
+    """Measured / predicted is 1.21 (skew-join) and 1.09 (bin-hypercube)
+    under ``HashFamily(3)``."""
+    _, db, p, stats, algorithm = _pinned_zipf(key)
+    result = run_one_round(
+        algorithm, db, p, seed=3, compute_answers=False, engine="batched"
+    )
+    assert result.max_load_bits / algorithm.predicted_load_bits(stats, p) \
+        <= 1.5
+
+
+def test_the_prediction_counts_stacked_blocks():
+    """Where the allocator stacks two H12 blocks on one server, the
+    prediction is at least what the two blocks' cells expect together:
+    ``m1(h) / p1 + m2(h) / p2`` each, in bits."""
+    query, db, p, stats, algorithm = _pinned_zipf("skew-join")
+    described = algorithm.routing_plan(db, p, HashFamily(3)).describe()
+    assert described["overcommit"] > 1
+    hitters = [stats.heavy_hitters(atom.name, ("z",)) for atom in query.atoms]
+    tuple_bits = [stats.simple.bits(atom.name) / len(db.relation(atom.name))
+                  for atom in query.atoms]
+    blocks = []
+    for h, block in zip(sorted(set(hitters[0]) & set(hitters[1])),
+                        described["blocks"][1:]):
+        assert block["label"].startswith(f"H12 {h}:")
+        _, p1, p2 = block["shares"]
+        expected = (hitters[0][h] * tuple_bits[0] / p1
+                    + hitters[1][h] * tuple_bits[1] / p2)
+        servers = {(block["start"] + d) % p for d in range(block["cells"])}
+        blocks.append((expected, servers))
+    stacked = [a + b for (a, mine), (b, theirs) in combinations(blocks, 2)
+               if mine & theirs]
+    assert stacked
+    assert algorithm.predicted_load_bits(stats, p) >= max(stacked)
 
 
 @pytest.mark.parametrize("key", ["skew-join", "bin-hypercube"])
