@@ -9,9 +9,9 @@ relations, which footnote 2 proves optimal.  When some ``m_j`` is tiny
 (``m_j < max_i m_i / p``) the rounding naturally degrades to broadcasting it
 (``p_j = 1``), mirroring footnote 1.
 
-The grid is a HyperCube grid with one dimension per relation, fixed by
-hashing the whole tuple (Python's tuple hash, so this is the one plan that
-reads ``batch.rows``).
+The grid is a HyperCube grid with one dimension per relation, which a
+tuple fixes by the key of all its column positions: its values folded into
+one integer column, hashed like any other.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Mapping
 
 from ..query.atoms import ConjunctiveQuery, QueryError
 from ..stats.provider import Statistics, simple_of
-from .hypercube import WHOLE_TUPLE, BlockAlgorithm, HyperCubeAlgorithm, Layout
+from .hypercube import BlockAlgorithm, HyperCubeAlgorithm, Layout
 
 
 def optimal_grid(cardinalities: Mapping[str, int], p: int) -> dict[str, int]:
@@ -74,7 +74,7 @@ class CartesianProductAlgorithm(BlockAlgorithm):
 
     def layout(self, stats: Statistics, p: int) -> Layout:
         """The :func:`optimal_grid` as a HyperCube grid: one dimension per
-        atom, which it fixes by its whole tuple."""
+        atom, which it fixes by the key of all its positions."""
         simple = simple_of(stats)
         dims = optimal_grid(
             {
@@ -87,7 +87,8 @@ class CartesianProductAlgorithm(BlockAlgorithm):
             self.query,
             dims,
             name=self.name,
-            keys={name: {name: WHOLE_TUPLE} for name in dims},
+            keys={atom.name: {atom.name: tuple(range(atom.arity))}
+                  for atom in self.query.atoms},
             salt_prefix="grid",
         ).layout(stats, p)
 

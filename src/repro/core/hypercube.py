@@ -16,8 +16,9 @@ always *correct*; the choice of shares only affects the load:
 The grid is every one-round skew-free plan here: the hash join spends all
 shares on its keys, the broadcast rule (:mod:`.broadcast`) is the reduced
 query's grid with the small atoms fixing no dimension, and the cartesian
-grid (:mod:`.cartesian`) has one dimension per atom, fixed by the whole
-tuple.
+grid (:mod:`.cartesian`) has one dimension per atom, fixed by all its
+columns; a :data:`Key` is the column positions whose values :func:`_mix`
+folds into the one value hashed.
 
 Every one-round algorithm is a :class:`BlockAlgorithm`, stated once from
 statistics alone as a :class:`Layout`: :class:`Family` s of :class:`Block`
@@ -59,10 +60,9 @@ from .shares import (
 )
 
 
-#: A key: a column position, a tuple of column positions folded into one
-#: value (:func:`_mix`), or ``WHOLE_TUPLE`` for the tuple's hash.
-Key = int | tuple[int, ...] | None
-WHOLE_TUPLE: Key = None
+#: A key: the column positions whose values :func:`_mix` folds into the
+#: one value a dimension hashes — a single position is its column.
+Key = tuple[int, ...]
 
 
 def variable_keys(query: ConjunctiveQuery) -> dict[str, dict[str, Key]]:
@@ -70,7 +70,7 @@ def variable_keys(query: ConjunctiveQuery) -> dict[str, dict[str, Key]]:
     variables, by the variable's first column."""
     return {
         atom.name: {
-            var: atom.positions_of(var)[0]
+            var: (atom.positions_of(var)[0],)
             for var in query.variables
             if var in atom.variable_set
         }
@@ -79,44 +79,32 @@ def variable_keys(query: ConjunctiveQuery) -> dict[str, dict[str, Key]]:
 
 
 def _mix(values: Iterable[int]) -> int:
-    """Fold several attribute values into one hashable integer."""
-    mixed = 0
+    """Fold attribute values into one integer: the first as it is, each
+    later one into the 47 bits of ``mixed * 1_000_003 + value + 1``, and 0
+    for none."""
+    values = iter(values)
+    mixed = next(values, 0)
     for value in values:
         mixed = (mixed * 1_000_003 + value + 1) & 0x7FFFFFFFFFFF
     return mixed
 
 
-def _mix_columns(batch: Batch, positions: Sequence[int]) -> np.ndarray:
-    """:func:`_mix` of every tuple's values at ``positions``.  The fold
-    runs in uint64, where the product wraps; the 47-bit mask keeps only
-    bits the wrap leaves exact."""
-    mixed = np.zeros(len(batch), dtype=np.uint64)
-    for position in positions:
+def _mix_columns(batch: Batch, key: Key) -> np.ndarray:
+    """:func:`_mix` of every tuple's values at ``key``.  One position is
+    the batch's own column, so its raw hashes may come from
+    :class:`~repro.mpc.hashing.ColumnHashes`.  The fold runs in uint64,
+    where the product wraps; the 47-bit mask keeps only bits the wrap
+    leaves exact."""
+    if not key:
+        return np.zeros(len(batch), dtype=np.int64)
+    if len(key) == 1:
+        return batch.columns[key[0]]
+    mixed = batch.columns[key[0]].astype(np.uint64)
+    for position in key[1:]:
         mixed *= np.uint64(1_000_003)
         mixed += batch.columns[position].astype(np.uint64) + np.uint64(1)
         mixed &= np.uint64(0x7FFFFFFFFFFF)
-    return mixed.astype(np.int64)
-
-
-def _key_value(tup: Tuple, key: Key) -> int:
-    if key is WHOLE_TUPLE:
-        return hash(tup) & 0x7FFFFFFF
-    if isinstance(key, tuple):
-        return _mix(tup[i] for i in key)
-    return tup[key]
-
-
-def _key_column(batch: Batch, key: Key) -> np.ndarray:
-    """:func:`_key_value` of every tuple.  A column key is the batch's own
-    column, so its raw hashes may come from :class:`ColumnHashes`; the
-    whole-tuple key is the one that reads ``batch.rows``."""
-    if key is WHOLE_TUPLE:
-        return np.fromiter(
-            map(hash, batch.rows), dtype=np.int64, count=len(batch)
-        ) & 0x7FFFFFFF
-    if isinstance(key, tuple):
-        return _mix_columns(batch, key)
-    return batch.columns[key]
+    return mixed.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -252,7 +240,9 @@ class HyperCubePlan(RoutingPlan):
                     number, relation_name, family.blocks[blocks[0]].shares
                 )
                 base = sum(
-                    stride * self.hashes.bucket(salt, _key_value(tup, key), share)
+                    stride * self.hashes.bucket(
+                        salt, _mix(tup[i] for i in key), share
+                    )
                     for salt, key, stride, share in fixed
                 )
                 cells = [family.blocks[block].start + offset
@@ -278,9 +268,10 @@ class HyperCubePlan(RoutingPlan):
         A tuple's *group* (:meth:`Batch.codes` over the filter) is its
         accepted value's or the default's, and its routing key the
         group's first key plus its grid base.  Each fixed dimension is one
-        :meth:`HashFamily.bucket_column` call over the tuples whose group
-        gives it a share above 1 — the whole key column under one share
-        when every group spreads it alike, as a HyperCube grid does.  A
+        :meth:`HashFamily.bucket_column` call over its key's
+        :func:`_mix_columns` at the tuples whose group gives it a share
+        above 1 — the whole key column under one share when every group
+        spreads it alike, as a HyperCube grid does.  No row is read.  A
         key's servers are placed once, not per tuple.
         """
         rule = self.families[number].filters[relation_name]
@@ -309,7 +300,7 @@ class HyperCubePlan(RoutingPlan):
         for salt, key, share, stride, spreads in dims:
             if spreads is None:  # one share and stride, on every tuple
                 keys += stride * self.hashes.bucket_column(
-                    salt, _key_column(rows, key), share
+                    salt, _mix_columns(rows, key), share
                 )
                 continue
             chosen = np.flatnonzero(spreads[which])
@@ -317,7 +308,7 @@ class HyperCubePlan(RoutingPlan):
                 group = which[chosen]
                 share, stride = share[group], stride[group]
             keys[chosen] += stride * self.hashes.bucket_column(
-                salt, _key_column(rows, key)[chosen], share
+                salt, _mix_columns(rows, key)[chosen], share
             )
 
         used = np.flatnonzero(np.bincount(keys))
@@ -429,8 +420,8 @@ def layout_load_bits(
             forcing = []  # an unfiltered atom's worst hitter per column key
             if heavy is not None and not (rule.positions or rule.excluded):
                 for dim, key in fixed.items():
-                    hitters = isinstance(key, int) and heavy.heavy_hitters(
-                        atom.name, (atom.variables[key],)
+                    hitters = len(key) == 1 and heavy.heavy_hitters(
+                        atom.name, (atom.variables[key[0]],)
                     )
                     if hitters:
                         forcing.append((dim, max(hitters.values())))

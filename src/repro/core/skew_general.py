@@ -327,7 +327,8 @@ class BinHyperCubeAlgorithm(HeavyBlockAlgorithm):
         for atom in query.atoms:
             column = {var: atom.positions_of(var)[0] for var in atom.variables}
             keys[atom.name] = {
-                dim: column[var] for dim, var in enumerate(dims) if var in column
+                dim: (column[var],)
+                for dim, var in enumerate(dims) if var in column
             }
             xj = combo.atom_subset(query, atom.name)
             slots: dict[Tuple, list[int]] = {}

@@ -19,7 +19,9 @@ Each step is a HyperCube block of one
 ``S1`` and ``S2`` (salted ``skewjoin:<name>``): the light hash join is the
 default block ``(p, 1, 1)`` from server 0, and a heavy value's block is
 ``(1, p_1, p_2)``, ``(1, n, 1)`` or ``(1, 1, n)``, the atom that does not
-fix its dimension replicated across it.  The blocks are laid out one
+fix its dimension replicated across it.  A tuple fixes ``light`` by its
+join positions and its own atom's dimension by its private ones (on
+``S1(x, z), S2(y, z)`` a column each).  The blocks are laid out one
 after another around the same ``p`` servers
 (:class:`repro.mpc.allocation.ServerAllocator`), so where the rounded-up
 sizes add up to more than ``p`` some servers hold two.  The prediction
@@ -77,9 +79,9 @@ class SkewAwareJoin(HeavyBlockAlgorithm):
 
     def layout(self, stats: StatisticsProvider, p: int) -> Layout:
         """The one family of the module docstring: a tuple fixes ``light``
-        by its folded join value and its own atom's dimension by its
-        folded private values; every heavy join value's block comes from
-        the allocator, in the order H12, H1, H2."""
+        by its join positions and its own atom's dimension by its private
+        positions; every heavy join value's block comes from the
+        allocator, in the order H12, H1, H2."""
         first, second, join_vars = _split_variables(self.query)
         h1_map = dict(stats.heavy_hitters(first.name, join_vars))
         h2_map = dict(stats.heavy_hitters(second.name, join_vars))

@@ -37,6 +37,7 @@ from repro.data import planted_heavy_relation, uniform_relation
 from repro.mpc import HashFamily, OneRoundAlgorithm, RoutingPlan, run_one_round
 from repro.query import parse_query
 from repro.seq import Database, Relation
+from repro.seq.relation import Batch
 from repro.sketch import SketchedHeavyHitterStatistics
 from repro.stats import HeavyHitterStatistics
 
@@ -130,9 +131,18 @@ def test_routing_contract(spec, query_name, workload, p):
     stats = HeavyHitterStatistics.of(query, db, p)
     plan = spec.build(query, stats, p).routing_plan(db, p, HashFamily(3))
 
-    # No registered algorithm reaches the scalar-loop default.
+    # No registered algorithm reaches the scalar-loop default, and the
+    # batch path reads columns only: it runs with no rows to read.
     assert type(plan).claims is not RoutingPlan.claims
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Batch, "rows", property(_no_rows))
+        for atom in query.atoms:
+            plan.claims(atom.name, db.relation(atom.name).batch)
     _assert_contract(plan, query, db, p)
+
+
+def _no_rows(batch: Batch):
+    raise AssertionError("the batch path read Batch.rows")
 
 
 PAIR_QUERY = parse_query("q(x, y, z, w) :- S1(x, y, z), S2(y, z, w)")
@@ -222,15 +232,17 @@ def test_tuples_claimed_by_several_bin_combinations(
 LIGHT_QUERY = parse_query("q(x, y, z) :- light(x, z), S2(y, z)")
 
 #: The batched engine's ``(max_load_bits, total delivered bits)`` under
-#: ``HashFamily(3)``, as the skew-aware plans routed before they became
-#: block lists of ``HyperCubePlan``: a change of load here is a change of
-#: plan, made on purpose.
+#: ``HashFamily(3)`` — the reference engine's too.  bin-hypercube's are
+#: those of the plans the block lists of ``HyperCubePlan`` replaced;
+#: skew-join's moved once, by hash noise, when a one-column key became the
+#: column itself (no ``+ 1``).  A change of load here is a change of plan,
+#: made on purpose.
 PINNED_LOADS = {
-    ("zipf", "skew-join"): (7494.223316534686, 320851.297908248),
+    ("zipf", "skew-join"): (7857.265276505224, 320851.2979082479),
     ("zipf", "bin-hypercube"): (8349.965079322385, 366101.8850617185),
-    ("pairs", "skew-join"): (3160.7049753632273, 14115.769792884317),
+    ("pairs", "skew-join"): (3160.7049753632273, 14115.769792884315),
     ("pairs", "bin-hypercube"): (3160.7049753632273, 9205.936821446294),
-    ("light", "skew-join"): (1288.831155002481, 44863.59877651493),
+    ("light", "skew-join"): (1186.5429680975221, 44863.59877651494),
     ("light", "bin-hypercube"): (1513.8651661933905, 58979.36856939928),
 }
 

@@ -18,10 +18,10 @@ from repro.data import (
 )
 from repro.core.hypercube import _mix, _mix_columns
 from repro.mpc import HashFamily, run_one_round
+from repro.mpc.hashing import ColumnHashes
 from repro.query import QueryError, parse_query, simple_join_query, triangle_query
 from repro.rounds import run_rounds
-from repro.seq import Database
-from repro.seq.relation import Batch
+from repro.seq import Database, Relation
 from repro.stats import HeavyHitterStatistics
 
 
@@ -123,33 +123,62 @@ class TestCorrectness:
 
 
 class TestMixColumns:
-    """The batch path folds key columns in uint64.  From the fourth column
-    on the scalar fold's ``mixed * 1_000_003`` (47 bits times 20) no
-    longer fits 64 bits and the array product wraps; the 47-bit mask keeps
-    only bits the wrap leaves exact."""
+    """The batch path folds key columns in uint64.  The first value is
+    taken as it is, up to 63 bits, and each fold keeps 47, so the scalar
+    fold's ``mixed * 1_000_003`` (a value times 20 bits) no longer fits 64
+    bits at the top of the domain and the array product wraps; the 47-bit
+    mask keeps only bits the wrap leaves exact.  An empty key is 0, and a
+    one-position key is the column itself."""
 
     @pytest.mark.parametrize(
-        "positions", [(), (1,), (0, 1), (2, 0), (0, 1, 2), (3, 2, 1, 0)]
+        "positions",
+        [(), (0,), (1,), (3,), (0, 1), (2, 0), (0, 1, 2), (3, 2, 1, 0)],
     )
     def test_equals_the_scalar_fold_at_the_top_of_a_large_domain(
         self, positions
     ):
         top = 4 * 10**5
-        rows = [
+        relation = Relation.build("R", [
             (top - 1 - i, top - 1 - (7 * i) % 1000, top - 1 - (i * i) % 977,
              top - 1 - (3 * i) % 500)
             for i in range(300)
         ] + [(0, 0, 0, 0), (top - 1, 0, top - 1, 0),
-             (2**63 - 1, 2**62, 2**47 - 1, 2**63 - 1)]
+             (2**63 - 1, 2**62, 2**47 - 1, 2**63 - 1)], domain_size=2**63)
+        rows = list(relation.tuples)
         scalar = [_mix(row[i] for i in positions) for row in rows]
         if len(positions) == 4:
             assert sum(
                 _mix(row[i] for i in positions[:-1]) * 1_000_003 > 2**64
                 for row in rows
             ) > 200
-        mixed = _mix_columns(Batch(4, rows=rows), positions)
+        batch = relation.batch
+        mixed = _mix_columns(batch, positions)
         assert mixed.dtype == np.int64
         assert mixed.tolist() == scalar
+        if len(positions) == 1:
+            assert np.shares_memory(mixed, batch.columns[positions[0]])
+
+    def test_a_one_column_join_key_is_hashed_once_per_database(
+        self, monkeypatch
+    ):
+        """The light hash join's key ``(z,)`` is the relation's own column,
+        so two routings of one database with one :class:`ColumnHashes`
+        evaluate its polynomial once per relation (no value is heavy)."""
+        evaluated, real = [], HashFamily.raw_column
+        monkeypatch.setattr(HashFamily, "raw_column", lambda self, salt, v: (
+            evaluated.append(salt) or real(self, salt, v)
+        ))
+        db = _join_db("uniform")
+        cache = ColumnHashes(relation.batch.columns for relation in db)
+        q = simple_join_query()
+        assert not HeavyHitterStatistics.of(q, db, 8).total_heavy_count()
+        loads = [
+            run_rounds(SkewAwareJoin(q), db, 8, column_hashes=cache,
+                       compute_answers=False).max_load_bits
+            for _ in range(2)
+        ]
+        assert loads[0] == loads[1]
+        assert evaluated.count("skewjoin:light") == 2  # S1 and S2, once each
 
 
 class TestBlocks:
