@@ -109,8 +109,8 @@ def main() -> None:
         "\nReading the table: the hash join deteriorates as skew grows, the\n"
         "equal-share cube pays a fixed p^(1/3) replication but never\n"
         "collapses, the skew-aware algorithms track the bounds — and the\n"
-        "planner's pick leaves the hash join once skew matters (hc-equal's\n"
-        "prediction counts only its worst heavy hitter, so it can win)."
+        "planner's pick leaves the hash join once skew matters, for\n"
+        "skew-join, whose heavy blocks share no server within a tier."
     )
 
     # Verify completeness once at the heaviest skew: only the count is

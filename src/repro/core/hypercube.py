@@ -111,7 +111,8 @@ def _mix_columns(batch: Batch, key: Key) -> np.ndarray:
 class Block:
     """One grid placed on the servers: cell ``d`` of the grid over
     ``shares`` (mixed radix, the last dimension fastest) is server
-    ``(start + d) % p``."""
+    ``start + d``, so the block is the server range ``[start, start +
+    prod(shares))``, inside ``[0, p)`` (:func:`check_layout`)."""
 
     label: str
     shares: tuple[int, ...]
@@ -181,6 +182,18 @@ class Layout:
     notes: tuple[str, ...] = ()
 
 
+def check_layout(layout: Layout, p: int) -> None:
+    """Every block of ``layout`` lies inside ``[0, p)``: a
+    :class:`ValueError` names the first that does not."""
+    for family in layout.families:
+        for block in family.blocks:
+            if not 0 <= block.start <= p - math.prod(block.shares):
+                raise ValueError(
+                    f"block {block.label!r} at server {block.start} with "
+                    f"{math.prod(block.shares)} cells leaves the {p} servers"
+                )
+
+
 class HyperCubePlan(RoutingPlan):
     """Routing over a :class:`Layout` — every one-round plan.
 
@@ -192,10 +205,10 @@ class HyperCubePlan(RoutingPlan):
     """
 
     def __init__(self, layout: Layout, hashes: HashFamily, p: int) -> None:
+        check_layout(layout, p)
         self.layout = layout
         self.families = layout.families
         self.hashes = hashes
-        self.p = p
         self._spreads: dict[tuple, tuple] = {}
         self._groups: dict[tuple, tuple] = {}
 
@@ -222,13 +235,14 @@ class HyperCubePlan(RoutingPlan):
             )
         return grid
 
+    @staticmethod
     def _place(
-        self, cells: Sequence[int], base: int, several: bool
+        cells: Sequence[int], base: int, several: bool
     ) -> tuple[int, ...]:
         """The servers of grid base ``base`` over ``cells`` (each reached
         block's first server plus the offsets), each once: only
         ``several`` blocks can repeat one."""
-        servers = [(cell + base) % self.p for cell in cells]
+        servers = [cell + base for cell in cells]
         return tuple(dict.fromkeys(servers) if several else servers)
 
     def destinations(self, relation_name: str, tup: Tuple) -> Iterable[int]:
@@ -269,10 +283,10 @@ class HyperCubePlan(RoutingPlan):
         accepted value's or the default's, and its routing key the
         group's first key plus its grid base.  Each fixed dimension is one
         :meth:`HashFamily.bucket_column` call over its key's
-        :func:`_mix_columns` at the tuples whose group gives it a share
-        above 1 — the whole key column under one share when every group
-        spreads it alike, as a HyperCube grid does.  No row is read.  A
-        key's servers are placed once, not per tuple.
+        :func:`_mix_columns`, every tuple under its group's share (1, so
+        bucket 0, in a group that does not spread it) — one share for all
+        where the groups agree, as in a HyperCube grid.  No row is read.
+        A key's servers are placed once, not per tuple.
         """
         rule = self.families[number].filters[relation_name]
         kept, rows = None, batch  # kept: the rows' places, if not all
@@ -297,18 +311,11 @@ class HyperCubePlan(RoutingPlan):
 
         keys = (np.zeros(len(rows), dtype=np.int64) if which is None
                 else firsts[which])
-        for salt, key, share, stride, spreads in dims:
-            if spreads is None:  # one share and stride, on every tuple
-                keys += stride * self.hashes.bucket_column(
-                    salt, _mix_columns(rows, key), share
-                )
-                continue
-            chosen = np.flatnonzero(spreads[which])
-            if isinstance(share, np.ndarray):
-                group = which[chosen]
-                share, stride = share[group], stride[group]
-            keys[chosen] += stride * self.hashes.bucket_column(
-                salt, _mix_columns(rows, key)[chosen], share
+        for salt, key, share, stride in dims:
+            if isinstance(share, np.ndarray):  # per group
+                share, stride = share[which], stride[which]
+            keys += stride * self.hashes.bucket_column(
+                salt, _mix_columns(rows, key), share
             )
 
         used = np.flatnonzero(np.bincount(keys))
@@ -328,10 +335,9 @@ class HyperCubePlan(RoutingPlan):
         Its groups are the blocks of each accepted value, then the
         default's (of ``()`` alone when the filter reads no position).
         Returned: each group's first routing key; per dimension some group
-        spreads, its salt, key, the groups' shares and strides (one
-        ``int`` each where the spreading groups agree) and which groups
-        spread it (None: all, alike); per group its cells and whether it
-        has several blocks (:meth:`_place`).
+        spreads, its salt, key, and the groups' shares and strides (one
+        ``int`` each where the groups agree); per group its cells and
+        whether it has several blocks (:meth:`_place`).
         """
         grid = self._groups.get((number, relation_name))
         if grid is None:
@@ -347,19 +353,15 @@ class HyperCubePlan(RoutingPlan):
             dims = []
             for dim, key in sorted(family.keys[relation_name].items()):
                 share = [s[dim] for s in shares]
-                stride = [math.prod(s[dim + 1:]) for s in shares]
-                pairs = {pair for pair in zip(share, stride) if pair[0] > 1}
-                if not pairs:
+                if max(share) == 1:
                     continue
-                spreads = None  # every group, alike
-                if len(pairs) > 1 or min(share) == 1:
-                    spreads = np.array([s > 1 for s in share])
-                if len(pairs) == 1:  # one share and stride where spread
-                    share, stride = next(iter(pairs))
+                stride = [math.prod(s[dim + 1:]) for s in shares]
+                if len(set(zip(share, stride))) == 1:
+                    share, stride = share[0], stride[0]
                 else:
                     share, stride = np.array(share), np.array(stride)
                 dims.append((f"{family.salt_prefix}:{family.dims[dim]}",
-                             key, share, stride, spreads))
+                             key, share, stride))
             placements = []
             for blocks, share_vector in zip(groups, shares):
                 _, offsets = self._spread(number, relation_name, share_vector)
@@ -403,9 +405,10 @@ def layout_load_bits(
     broadcast atom.  An unfiltered atom is raised to the hash-forced mass
     of its worst hitter on a column-keyed dimension ``v``: its ``m_j(h)``
     tuples collide on one coordinate of ``v`` (Example 3.3's collapse).
-    Cell ``d`` of a block is server ``(start + d) % p``, so blocks that
-    share a server add up there.
+    Cell ``d`` of a block is server ``start + d``, so blocks that share a
+    server add up there.
     """
+    check_layout(layout, p)
     simple, heavy = simple_of(stats), heavy_of(stats, p)
     loads = np.zeros(p)
     for family in layout.families:
@@ -435,10 +438,9 @@ def layout_load_bits(
                 for number in blocks:
                     cells[number][bool(fixed)] += per_cell
         for block, (broadcast, spread) in zip(family.blocks, cells):
-            end = block.start + math.prod(block.shares)  # at most p cells
-            loads[block.start:end] += broadcast + spread
-            if end > p:  # wrapped around
-                loads[:end - p] += broadcast + spread
+            loads[block.start:block.start + math.prod(block.shares)] += (
+                broadcast + spread
+            )
     return float(loads.max())
 
 

@@ -7,11 +7,13 @@ the heavy hitters of each relation on ``J`` and routes, in a single round:
 1. *light* tuples (``J``-value heavy in neither relation) through a plain
    hash join on ``J`` over all ``p`` servers;
 2. each ``h in H12`` (heavy in both) through a ``p_1(h) x p_2(h)`` cartesian
-   grid with ``p_h ~ p * m_1(h) m_2(h) / sum K12``, the grid split as
-   ``p_1 = ceil(sqrt(p_h m_1(h)/m_2(h)))`` (Section 4.1);
+   grid of ``p_h = p * m_1(h) m_2(h) // sum K12`` servers (at least one),
+   split as ``p_1 = isqrt(p_h m_1(h) // m_2(h))`` (between 1 and ``p_h``)
+   and ``p_2 = p_h // p_1`` (Section 4.1, rounded down);
 3. each ``h in H1`` (heavy only in ``S1``) by hash-partitioning
-   ``S1(.., h)`` on its private variables over ``p_h ~ p m_1(h)/sum K1``
-   servers while broadcasting the (light) ``S2(.., h)`` tuples to them;
+   ``S1(.., h)`` on its private variables over ``p m_1(h) // sum K1``
+   servers (at least one) while broadcasting the (light) ``S2(.., h)``
+   tuples to them;
 4. symmetrically for ``H2``.
 
 Each step is a HyperCube block of one
@@ -21,22 +23,22 @@ default block ``(p, 1, 1)`` from server 0, and a heavy value's block is
 ``(1, p_1, p_2)``, ``(1, n, 1)`` or ``(1, 1, n)``, the atom that does not
 fix its dimension replicated across it.  A tuple fixes ``light`` by its
 join positions and its own atom's dimension by its private ones (on
-``S1(x, z), S2(y, z)`` a column each).  The blocks are laid out one
-after another around the same ``p`` servers
-(:class:`repro.mpc.allocation.ServerAllocator`), so where the rounded-up
-sizes add up to more than ``p`` some servers hold two.  The prediction
+``S1(x, z), S2(y, z)`` a column each).  Rounded down, each tier's sizes
+add up to at most ``p`` but for its one-server blocks, so each tier is
+laid out from server 0, largest block first, its multi-server blocks
+side by side inside ``[0, p)``; the tiers stack on each other and on the
+light hash join.  The prediction
 (:func:`~repro.core.hypercube.layout_load_bits`) reads these blocks: a
 server of a ``p1 x p2`` block expects ``m1(h)/p1 + m2(h)/p2``, and one
-holding two blocks expects both.  The paper bounds the achieved load by
-``O(L log p)`` for ``L = max(m1/p, m2/p, L1, L2, L12)`` — formula (10) —
-exposed by :func:`skew_join_load_bound`.
+holding blocks of several tiers expects them all.  The paper bounds the
+achieved load by ``O(L log p)`` for ``L = max(m1/p, m2/p, L1, L2, L12)``
+— formula (10) — exposed by :func:`skew_join_load_bound`.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..mpc.allocation import ServerAllocator
 from ..query.atoms import Atom, ConjunctiveQuery, QueryError
 from ..stats.provider import StatisticsProvider, canonical_subset
 from .hypercube import Block, Family, Filter, HeavyBlockAlgorithm, Layout
@@ -80,8 +82,12 @@ class SkewAwareJoin(HeavyBlockAlgorithm):
     def layout(self, stats: StatisticsProvider, p: int) -> Layout:
         """The one family of the module docstring: a tuple fixes ``light``
         by its join positions and its own atom's dimension by its private
-        positions; every heavy join value's block comes from the
-        allocator, in the order H12, H1, H2."""
+        positions; each heavy join value's block is sized by Section 4.1,
+        rounded down, and each tier (H12, H1, H2) is laid out from server
+        0, largest block first (ties in value order), each block starting
+        where the previous one ended, mod ``p``.  Only one-server blocks
+        can wrap: where clamping to one server makes a tier add up to more
+        than ``p``."""
         first, second, join_vars = _split_variables(self.query)
         h1_map = dict(stats.heavy_hitters(first.name, join_vars))
         h2_map = dict(stats.heavy_hitters(second.name, join_vars))
@@ -89,36 +95,33 @@ class SkewAwareJoin(HeavyBlockAlgorithm):
         only1 = sorted(set(h1_map) - set(h2_map))
         only2 = sorted(set(h2_map) - set(h1_map))
 
-        allocator = ServerAllocator(p)
-        blocks = [Block(f"light hitters: hash join across all {p} servers",
-                        (p, 1, 1))]
+        shares, labels = {}, {}
         total = sum(h1_map[h] * h2_map[h] for h in both)
         for h in both:
-            p_h = max(1, math.ceil(p * h1_map[h] * h2_map[h] / total))
-            p1 = max(1, math.ceil(math.sqrt(p_h * h1_map[h] / h2_map[h])))
-            p2 = max(1, math.ceil(math.sqrt(p_h * h2_map[h] / h1_map[h])))
-            servers = allocator.allocate(min(p, p1 * p2))
-            # The allocation may clamp; shrink the grid to what we got.
-            if p1 * p2 > len(servers):
-                p1 = max(1, min(p1, len(servers)))
-                p2 = max(1, len(servers) // p1)
-            blocks.append(Block(
-                f"H12 {h}: {p1}x{p2} cartesian grid on {p1 * p2} servers",
-                (1, p1, p2), servers[0],
-            ))
+            p_h = max(1, p * h1_map[h] * h2_map[h] // total)
+            p1 = min(p_h, max(1, math.isqrt(p_h * h1_map[h] // h2_map[h])))
+            p2 = p_h // p1
+            shares[h] = (1, p1, p2)
+            labels[h] = (f"H12 {h}: {p1}x{p2} cartesian grid on "
+                         f"{p1 * p2} servers")
         for heavy, atom, freq in ((only1, first, h1_map),
                                   (only2, second, h2_map)):
             total = sum(freq[h] for h in heavy)
             for h in heavy:
-                servers = allocator.allocate(
-                    max(1, math.ceil(p * freq[h] / total))
-                )
-                n = len(servers)
-                blocks.append(Block(
-                    f"H1/H2 {h}: partition {atom.name} over {n} servers, "
-                    "broadcast the other side",
-                    (1, n, 1) if atom is first else (1, 1, n), servers[0],
-                ))
+                n = max(1, p * freq[h] // total)
+                shares[h] = (1, n, 1) if atom is first else (1, 1, n)
+                labels[h] = (f"H1/H2 {h}: partition {atom.name} over {n} "
+                             "servers, broadcast the other side")
+        starts = {}
+        for tier in (both, only1, only2):
+            cursor = 0
+            for h in sorted(tier, key=lambda h: -math.prod(shares[h])):
+                starts[h] = cursor
+                cursor = (cursor + math.prod(shares[h])) % p
+        blocks = [Block(f"light hitters: hash join across all {p} servers",
+                        (p, 1, 1))]
+        blocks += [Block(labels[h], shares[h], starts[h])
+                   for h in both + only1 + only2]
 
         accepted = {
             h: (number,) for number, h in enumerate(both + only1 + only2, 1)
@@ -139,13 +142,8 @@ class SkewAwareJoin(HeavyBlockAlgorithm):
                 "join_vars": join_vars,
                 "h12": len(both),
                 "h1_h2": len(only1) + len(only2),
-                "overcommit": allocator.overcommit,
             },
             title=f"skew-aware join on {', '.join(join_vars)} over p={p}",
-            notes=(
-                f"total allocation: {allocator.total_allocated} servers "
-                f"({allocator.overcommit:.2f}x the pool)",
-            ),
         )
 
 

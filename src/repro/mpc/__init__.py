@@ -1,6 +1,5 @@
 """MPC simulator: hash families, cluster, pluggable execution engines."""
 
-from .allocation import ServerAllocator
 from .cluster import Cluster, LoadReport, Server
 from .engine import (
     BatchedEngine,
@@ -21,7 +20,6 @@ from .execution import (
 from .hashing import HashFamily
 
 __all__ = [
-    "ServerAllocator",
     "Cluster",
     "LoadReport",
     "Server",

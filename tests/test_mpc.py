@@ -1,5 +1,4 @@
-"""Unit tests for the MPC simulator: hashing, cluster, allocation,
-execution."""
+"""Unit tests for the MPC simulator: hashing, cluster, execution."""
 
 import math
 import os
@@ -19,7 +18,6 @@ from repro.data import uniform_relation
 from repro.mpc import (
     Cluster,
     HashFamily,
-    ServerAllocator,
     available_engines,
     run_one_round,
 )
@@ -345,25 +343,6 @@ class TestCluster:
         c = Cluster(2)
         c.send(0, "S", (1,), 4.0)
         assert "p=2" in c.load_report(1, 4.0).describe()
-
-
-class TestServerAllocator:
-    def test_wraps_modulo_p(self):
-        a = ServerAllocator(4)
-        assert a.allocate(3) == (0, 1, 2)
-        assert a.allocate(3) == (3, 0, 1)
-        assert a.total_allocated == 6
-        assert a.overcommit == 1.5
-
-    def test_clamps_to_pool(self):
-        a = ServerAllocator(4)
-        assert len(a.allocate(100)) == 4
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ServerAllocator(4).allocate(0)
-        with pytest.raises(ValueError):
-            ServerAllocator(0)
 
 
 class _RoundRobinPlan(RoutingPlan):

@@ -25,21 +25,26 @@ one of the one-round algorithms covered here.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import WorkloadSpec, algorithm_specs, get_spec
 from repro.core import BinHyperCubeAlgorithm
+from repro.core.hypercube import (
+    Block, Family, HyperCubePlan, Layout, layout_load_bits,
+)
 from repro.data import planted_heavy_relation, uniform_relation
 from repro.mpc import HashFamily, OneRoundAlgorithm, RoutingPlan, run_one_round
 from repro.query import parse_query
 from repro.seq import Database, Relation
 from repro.seq.relation import Batch
 from repro.sketch import SketchedHeavyHitterStatistics
-from repro.stats import HeavyHitterStatistics
+from repro.stats import HeavyHitterStatistics, SimpleStatistics
 
 M = 150
 QUERIES = {
@@ -234,15 +239,16 @@ LIGHT_QUERY = parse_query("q(x, y, z) :- light(x, z), S2(y, z)")
 #: The batched engine's ``(max_load_bits, total delivered bits)`` under
 #: ``HashFamily(3)`` — the reference engine's too.  bin-hypercube's are
 #: those of the plans the block lists of ``HyperCubePlan`` replaced;
-#: skew-join's moved once, by hash noise, when a one-column key became the
-#: column itself (no ``+ 1``).  A change of load here is a change of plan,
-#: made on purpose.
+#: skew-join's moved when a one-column key became the column itself (no
+#: ``+ 1``: hash noise), then when its heavy blocks were sized rounded
+#: down and each tier laid out inside ``[0, p)``.  A change of load here
+#: is a change of plan, made on purpose.
 PINNED_LOADS = {
-    ("zipf", "skew-join"): (7857.265276505224, 320851.2979082479),
+    ("zipf", "skew-join"): (6431.029005192395, 289007.33170511795),
     ("zipf", "bin-hypercube"): (8349.965079322385, 366101.8850617185),
-    ("pairs", "skew-join"): (3160.7049753632273, 14115.769792884315),
+    ("pairs", "skew-join"): (2577.662310004962, 14115.769792884315),
     ("pairs", "bin-hypercube"): (3160.7049753632273, 9205.936821446294),
-    ("light", "skew-join"): (1186.5429680975221, 44863.59877651494),
+    ("light", "skew-join"): (961.5089569066129, 38992.256848170306),
     ("light", "bin-hypercube"): (1513.8651661933905, 58979.36856939928),
 }
 
@@ -275,7 +281,7 @@ def test_pinned_skew_aware_loads(name, key):
 #: The skew-aware predictions on the pinned zipf instance, read off each
 #: plan's own blocks (``layout_load_bits``).
 PINNED_PREDICTIONS = {
-    "skew-join": 6214.315182148758,
+    "skew-join": 4764.9257246133175,
     "bin-hypercube": 7639.756878207129,
 }
 
@@ -294,7 +300,7 @@ def test_pinned_skew_aware_predictions(key):
 
 @pytest.mark.parametrize("key", sorted(PINNED_PREDICTIONS))
 def test_skew_aware_predictions_track_the_measured_load(key):
-    """Measured / predicted is 1.21 (skew-join) and 1.09 (bin-hypercube)
+    """Measured / predicted is 1.35 (skew-join) and 1.09 (bin-hypercube)
     under ``HashFamily(3)``."""
     _, db, p, stats, algorithm = _pinned_zipf(key)
     result = run_one_round(
@@ -304,29 +310,99 @@ def test_skew_aware_predictions_track_the_measured_load(key):
         <= 1.5
 
 
-def test_the_prediction_counts_stacked_blocks():
-    """Where the allocator stacks two H12 blocks on one server, the
-    prediction is at least what the two blocks' cells expect together:
-    ``m1(h) / p1 + m2(h) / p2`` each, in bits."""
+def test_the_prediction_counts_stacked_tiers():
+    """Each tier (H12, H1, H2) is laid out from server 0, largest block
+    first, so server 0 holds the largest block of every tier, and the
+    prediction is at least what their cells expect together: ``m1(h) / p1
+    + m2(h) / p2`` each, in bits, ``m_j(h)`` 0 where ``h`` is light in
+    ``S_j``."""
     query, db, p, stats, algorithm = _pinned_zipf("skew-join")
-    described = algorithm.routing_plan(db, p, HashFamily(3)).describe()
-    assert described["overcommit"] > 1
+    family = algorithm.routing_plan(db, p, HashFamily(3)).families[0]
     hitters = [stats.heavy_hitters(atom.name, ("z",)) for atom in query.atoms]
     tuple_bits = [stats.simple.bits(atom.name) / len(db.relation(atom.name))
                   for atom in query.atoms]
-    blocks = []
-    for h, block in zip(sorted(set(hitters[0]) & set(hitters[1])),
-                        described["blocks"][1:]):
-        assert block["label"].startswith(f"H12 {h}:")
-        _, p1, p2 = block["shares"]
-        expected = (hitters[0][h] * tuple_bits[0] / p1
-                    + hitters[1][h] * tuple_bits[1] / p2)
-        servers = {(block["start"] + d) % p for d in range(block["cells"])}
-        blocks.append((expected, servers))
-    stacked = [a + b for (a, mine), (b, theirs) in combinations(blocks, 2)
-               if mine & theirs]
-    assert stacked
-    assert algorithm.predicted_load_bits(stats, p) >= max(stacked)
+    largest = {}  # tier -> (cells, start, what each cell expects)
+    for h, (number,) in family.filters["S1"].accepted.items():
+        block = family.blocks[number]
+        tier = tuple(h in found for found in hitters)
+        expected = sum(
+            found.get(h, 0) * bits / share
+            for found, bits, share in zip(hitters, tuple_bits, block.shares[1:])
+        )
+        cells = math.prod(block.shares)
+        if cells > largest.get(tier, (0,))[0]:
+            largest[tier] = (cells, block.start, expected)
+    assert len(largest) >= 2
+    assert all(start == 0 for _, start, _ in largest.values())
+    assert algorithm.predicted_load_bits(stats, p) >= sum(
+        expected for _, _, expected in largest.values()
+    )
+
+
+def _assert_blocks_inside(query, db: Database, stats, p: int) -> None:
+    """Every registered one-round algorithm built with ``stats`` lays
+    every block, to route ``db`` and to predict, inside ``[0, p)``."""
+    for spec in ONE_ROUND:
+        if not spec.is_applicable(query):
+            continue
+        algorithm = spec.build(query, stats, p)
+        for layout_stats in (algorithm.routing_statistics(db, p),
+                             algorithm.statistics(stats, p)):
+            for family in algorithm.layout(layout_stats, p).families:
+                for block in family.blocks:
+                    cells = math.prod(block.shares)
+                    assert 0 <= block.start <= p - cells, (spec.key, block)
+
+
+@pytest.mark.parametrize("start, shares", [(5, (4,)), (-1, (2,)), (0, (9,))])
+def test_a_block_outside_the_servers_is_refused(start, shares):
+    """Where a layout meets ``p`` — routing and the prediction — a block
+    that leaves ``[0, p)`` is a :class:`ValueError`, never a wrap."""
+    query = QUERIES["join"]
+    keys = {atom.name: {0: (atom.positions_of("z")[0],)}
+            for atom in query.atoms}
+    layout = Layout((Family(("z",), keys, (Block("b", shares, start),)),))
+    with pytest.raises(ValueError, match="leaves the 8 servers"):
+        HyperCubePlan(layout, HashFamily(3), 8)
+    db = _database(query, "uniform")
+    with pytest.raises(ValueError, match="leaves the 8 servers"):
+        layout_load_bits(query, layout, SimpleStatistics.of(db), 8)
+
+
+STATISTICS = {
+    "exact": HeavyHitterStatistics.of,
+    "sketch": SketchedHeavyHitterStatistics.of,
+}
+
+
+@pytest.mark.parametrize("provider", sorted(STATISTICS))
+@pytest.mark.parametrize("name", ["zipf", "pairs", "light"])
+def test_every_block_lies_inside_the_servers(name, provider):
+    """On the pinned instances; the zipf one's sketch holds more heavy
+    join values (141 and 136) than there are servers (64)."""
+    query, db, p = _pinned_input(name)
+    stats = STATISTICS[provider](query, db, p)
+    if (name, provider) == ("zipf", "sketch"):
+        assert min(len(stats.heavy_hitters(atom.name, ("z",)))
+                   for atom in query.atoms) > p
+    _assert_blocks_inside(query, db, stats, p)
+
+
+@given(
+    query_name=st.sampled_from(sorted(QUERIES)),
+    m=st.integers(1, 120),
+    skew=st.floats(0.0, 2.5),
+    seed=st.integers(0, 2**16),
+    p=st.integers(1, 64),
+    provider=st.sampled_from(sorted(STATISTICS)),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_block_lies_inside_the_servers_on_any_instance(
+    query_name, m, skew, seed, p, provider
+):
+    query = QUERIES[query_name]
+    db = WorkloadSpec(kind="zipf", m=m, skew=skew, seed=seed).build(query)
+    _assert_blocks_inside(query, db, STATISTICS[provider](query, db, p), p)
 
 
 @pytest.mark.parametrize("key", ["skew-join", "bin-hypercube"])

@@ -1,10 +1,12 @@
 """Unit tests for the Section 4.1 skew-aware join."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from repro.api import WorkloadSpec
 from repro.core import (
     HashJoinAlgorithm,
     SkewAwareJoin,
@@ -181,19 +183,47 @@ class TestMixColumns:
         assert evaluated.count("skewjoin:light") == 2  # S1 and S2, once each
 
 
+    def test_every_dimension_is_hashed_once_per_database_under_skew(
+        self, monkeypatch
+    ):
+        """With heavy values the groups that do not spread a dimension take
+        share 1 there (bucket 0), so each dimension still hashes the whole
+        key column, and :class:`ColumnHashes` serves it: three routings
+        evaluate ``skewjoin:light`` and each atom's private dimension once
+        per relation, 4 polynomials where a hash per spreading group took
+        12."""
+        evaluated, real = [], HashFamily.raw_column
+        monkeypatch.setattr(HashFamily, "raw_column", lambda self, salt, v: (
+            evaluated.append(salt) or real(self, salt, v)
+        ))
+        q = simple_join_query()
+        db = WorkloadSpec(kind="zipf", m=50_000, skew=1.2, seed=7).build(q)
+        cache = ColumnHashes(relation.batch.columns for relation in db)
+        assert HeavyHitterStatistics.of(q, db, 64).total_heavy_count()
+        for _ in range(3):
+            run_rounds(SkewAwareJoin(q), db, 64, column_hashes=cache,
+                       compute_answers=False)
+        assert sorted(evaluated) == sorted(
+            ["skewjoin:light", "skewjoin:light", "skewjoin:S1", "skewjoin:S2"]
+        )
+
+
 class TestBlocks:
     def test_describe_lists_the_placed_blocks(self):
-        """Block 0 is the light hash join over all ``p`` servers; a value
-        heavy in both relations is a ``(1, p1, p2)`` grid (here clamped to
-        the 8 servers and shrunk to 3x2), one heavy in S1 alone a
-        ``(1, n, 1)`` partition of S1, laid out one after another."""
+        """Block 0 is the light hash join over all ``p`` servers.  The one
+        value heavy in both relations (150 tuples each) gets all ``p_h =
+        8 * 150 * 150 // 150**2 = 8`` servers as a ``(1, p1, p2)`` grid,
+        ``p1 = isqrt(8 * 150 // 150) = 2`` by ``p2 = 8 // 2 = 4``; the two
+        values heavy in S1 alone (120 tuples each) get ``8 * 120 // 240 =
+        4`` servers each as ``(1, n, 1)`` partitions of S1, laid out from
+        server 0, one after the other."""
         light = {"label": "light hitters: hash join across all 8 servers",
                  "shares": (8, 1, 1), "start": 0, "cells": 8}
         partition = "partition S1 over 4 servers, broadcast the other side"
         expected = {
             "single": [light, {
-                "label": "H12 (0,): 3x2 cartesian grid on 6 servers",
-                "shares": (1, 3, 2), "start": 0, "cells": 6,
+                "label": "H12 (0,): 2x4 cartesian grid on 8 servers",
+                "shares": (1, 2, 4), "start": 0, "cells": 8,
             }],
             "one-sided": [light, *(
                 {"label": f"H1/H2 ({value},): {partition}",
@@ -201,11 +231,35 @@ class TestBlocks:
                 for value in (0, 1)
             )],
         }
+        q = simple_join_query()
+        hitters = HeavyHitterStatistics.of(q, _join_db("one-sided"), 8)
+        assert hitters.heavy_hitters("S1", ("z",)) == {(0,): 120, (1,): 120}
         for kind, blocks in expected.items():
             plan = SkewAwareJoin(simple_join_query()).routing_plan(
                 _join_db(kind), 8, HashFamily(0)
             )
             assert plan.describe()["blocks"] == blocks, kind
+
+
+    @pytest.mark.parametrize("skew, p", [(1.2, 16), (1.5, 32), (2.0, 64)])
+    def test_a_tiers_multi_server_blocks_share_no_server(self, skew, p):
+        """Rounded down, the multi-server blocks of a tier (H12, the
+        partitions of S1, those of S2) add up to at most ``p`` and sit side
+        by side inside ``[0, p)``; only one-server blocks may stack."""
+        plan = SkewAwareJoin(simple_join_query()).routing_plan(
+            _sweep_db(skew), p, HashFamily(0)
+        )
+        tiers: dict[str, list[range]] = {}
+        for block in plan.describe()["blocks"][1:]:
+            if block["cells"] > 1:
+                tier = re.search(r"H12|partition S\d", block["label"])[0]
+                tiers.setdefault(tier, []).append(
+                    range(block["start"], block["start"] + block["cells"])
+                )
+        assert max(map(len, tiers.values())) >= 2
+        for servers in tiers.values():
+            assert all(0 <= s.start and s.stop <= p for s in servers)
+            assert sum(map(len, servers)) == len(set().union(*servers))
 
 
 class TestLoadBehaviour:
@@ -266,14 +320,6 @@ class TestLoadBehaviour:
             assert result.is_complete, factor
             loads.append(result.max_load_tuples)
         assert max(loads) <= 1.54 * min(loads)  # 606, 750, 689 tuples
-
-    def test_overcommit_stays_constant_factor(self):
-        """The paper's Theta(p) total server allocation."""
-        q = simple_join_query()
-        db = _join_db("zipf")
-        result = run_one_round(SkewAwareJoin(q), db, 16, compute_answers=False)
-        assert result.details["overcommit"] <= 4.0
-
 
 class TestLoadBoundFormula:
     def test_components_present(self):
